@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast bench bench-fast bench-smoke check check-gmpy2 metrics-smoke chaos-smoke recovery-smoke offload-smoke federation-smoke precompute-smoke examples fixtures clean
+.PHONY: install test test-fast bench bench-fast bench-smoke check check-gmpy2 metrics-smoke chaos-smoke recovery-smoke offload-smoke federation-smoke precompute-smoke thetabench-smoke examples fixtures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) tools/install_editable.py
@@ -86,6 +86,14 @@ federation-smoke:
 # (docs/performance.md, "Precompute pipeline").
 precompute-smoke:
 	PYTHONPATH=src $(PYTHON) tools/precompute_smoke.py
+
+# Benchmark-harness gate: thetabench's own test at --scale 0.05 (daemons,
+# oracles, trace pass).  The per-layer metrics wrap library functions by
+# name from outside (benchmarks/thetabench/tracing.py), so a renamed wrap
+# target or a failing oracle breaks here instead of silently zeroing a
+# metric (benchmarks/thetabench/README.md).
+thetabench-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/thetabench/test_thetabench.py -q
 
 # Workers-on/off ablation on the real asyncio service (pooled run under
 # the adaptive policy), persisted machine-readably to BENCH_offload.json

@@ -86,6 +86,22 @@ def test_bn254_pairing(benchmark):
     benchmark(lambda: ctx.pair(p, q))
 
 
+def test_bn254_pairing_check_two_pairs(benchmark):
+    """The BLS04/BZ03 verification shape: e(σ, g₂)·e(H(m)⁻¹, y) == 1."""
+    ctx = bn254_pairing()
+    h = ctx.g1.hash_to_element(b"bench")
+    g2 = ctx.g2.generator()
+    pairs = [(h**SCALAR, g2), (h.inverse(), g2**SCALAR)]
+    assert benchmark(lambda: ctx.pair_check(pairs))
+
+
+def test_bn254_g2_element_from_bytes(benchmark):
+    """Decode + on-twist + subgroup check, paid per public key on the wire."""
+    g2 = bn254_pairing().g2
+    encoded = (g2.generator() ** SCALAR).to_bytes()
+    benchmark(lambda: g2.element_from_bytes(encoded))
+
+
 def test_rsa2048_exponentiation(benchmark):
     mod = modulus_for_bits(2048)
     base = mod.random_square()

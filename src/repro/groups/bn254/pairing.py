@@ -1,159 +1,178 @@
 """Optimal ate pairing on BN254.
 
-The Miller loop runs over the untwisted image of G2 in E(Fp12) with affine
-line functions (clear rather than maximally fast), followed by the
-Devegili–Scott–Dahab final exponentiation, whose hard part costs three
-63-bit exponentiations by the BN parameter x instead of one 4314-bit one.
+The Miller loop stays on the twist E′(Fp2) in Jacobian coordinates and never
+inverts: each step yields a line a + b·w + c·w³ (a, b, c ∈ Fp2) that differs
+from the affine line through the untwisted points only by an Fp2 factor,
+which the final exponentiation kills, and is multiplied into f by the sparse
+product of :func:`fp.fp12_mul_sparse`.  All pairs of a product share one
+squaring of f per loop bit.  The final exponentiation is the
+Devegili–Scott–Dahab chain with Granger–Scott cyclotomic squarings for its
+three 63-bit powers of the BN parameter x.
 """
 
 from __future__ import annotations
 
 from ...errors import CryptoError
-from .fp import BN_X, Fp2, Fp6, Fp12, R
+from .fp import (
+    BN_X,
+    FP2_ONE,
+    FP2_ZERO,
+    FP12_ONE,
+    P,
+    R,
+    TWIST_FROB_X,
+    TWIST_FROB_Y,
+    Fp12,
+    fp2_conj,
+    fp2_mul,
+    fp2_sqr,
+    fp12_conj,
+    fp12_cyclotomic_sqr,
+    fp12_frobenius,
+    fp12_inv,
+    fp12_mul,
+    fp12_mul_sparse,
+    fp12_sqr,
+    vec_neg,
+    vec_sub,
+)
 from .g1 import BN254G1Element, BN254G1Group, bn254_g1
-from .g2 import BN254G2Element, BN254G2Group, bn254_g2
+from .g2 import BN254G2Element, BN254G2Group, bn254_g2, jac_double
 
 #: Optimal ate loop count 6x + 2.
 ATE_LOOP_COUNT = 6 * BN_X + 2
 
-_Point = tuple[Fp12, Fp12] | None  # affine point on E(Fp12); None = infinity
+_LOOP_BITS = bin(ATE_LOOP_COUNT)[3:]  # below the most-significant bit
+_X_BITS = bin(BN_X)[3:]
+_TWIST_FROB = (TWIST_FROB_X.v, TWIST_FROB_Y.v)
 
 
-def _embed_fp2(value: Fp2, slot: int) -> Fp12:
-    """Embed an Fp2 value times w^slot (slot in {2, 3}) into Fp12."""
-    if slot == 2:  # w² = v
-        return Fp12(Fp6(Fp2.zero(), value, Fp2.zero()), Fp6.zero())
-    if slot == 3:  # w³ = v·w
-        return Fp12(Fp6.zero(), Fp6(Fp2.zero(), value, Fp2.zero()))
-    raise CryptoError(f"unsupported embedding slot {slot}")
+def _evaluate(z3, slope, const, xp: int, yp: int):
+    """(a, b, c) of −z3·y_P + slope·x_P·w + const·w³."""
+    return (
+        (-z3[0] * yp % P, -z3[1] * yp % P),
+        (slope[0] * xp % P, slope[1] * xp % P),
+        const,
+    )
 
 
-def _untwist(q: BN254G2Element) -> _Point:
-    """Map E'(Fp2) → E(Fp12): (x, y) ↦ (x·w², y·w³)."""
-    if q.infinity:
-        return None
-    return _embed_fp2(q.x, 2), _embed_fp2(q.y, 3)
+def _double_step(t, xp: int, yp: int):
+    """T ← 2T and the tangent at T=(X, Y, Z), scaled by Z₃Z² (Z₃ = 2YZ):
+    −(Z₃Z²)·y_P + (3X²Z²)·x_P·w + (2Y² − 3X³)·w³."""
+    x, y, z = t
+    doubled = jac_double(t)
+    if doubled[2] == FP2_ZERO:
+        raise CryptoError("degenerate pairing input: vertical tangent")
+    e = fp2_sqr(x)
+    e = (3 * e[0], 3 * e[1])
+    zz, yy, ex = fp2_sqr(z), fp2_sqr(y), fp2_mul(e, x)
+    const = (2 * yy[0] - ex[0], 2 * yy[1] - ex[1])
+    return doubled, _evaluate(fp2_mul(doubled[2], zz), fp2_mul(e, zz), const, xp, yp)
 
 
-def _embed_g1(p: BN254G1Element) -> tuple[Fp12, Fp12]:
-    x, y = p.affine()
-    return Fp12.from_int(x), Fp12.from_int(y)
+def _add_step(t, q, xp: int, yp: int):
+    """T ← T + Q for affine Q=(x₂, y₂) and the chord, scaled by Z₃ = Z·H:
+    −Z₃·y_P + r·x_P·w + (Z₃y₂ − r·x₂)·w³ with H = x₂Z² − X, r = y₂Z³ − Y."""
+    x, y, z = t
+    x2, y2 = q
+    zz = fp2_sqr(z)
+    h = vec_sub(fp2_mul(x2, zz), x)
+    if h == FP2_ZERO:
+        raise CryptoError("degenerate pairing input: G2 point of small order")
+    r = vec_sub(fp2_mul(y2, fp2_mul(z, zz)), y)
+    hh = fp2_sqr(h)
+    hhh, v, rr = fp2_mul(h, hh), fp2_mul(x, hh), fp2_sqr(r)
+    x3 = ((rr[0] - hhh[0] - 2 * v[0]) % P, (rr[1] - hhh[1] - 2 * v[1]) % P)
+    y3 = vec_sub(fp2_mul(r, (v[0] - x3[0], v[1] - x3[1])), fp2_mul(y, hhh))
+    z3 = fp2_mul(z, h)
+    const = vec_sub(fp2_mul(z3, y2), fp2_mul(r, x2))
+    return (x3, y3, z3), _evaluate(z3, r, const, xp, yp)
 
 
-def _double_point(pt: _Point) -> _Point:
-    if pt is None:
-        return None
-    x, y = pt
-    if y.is_zero():
-        return None
-    slope = (x.square() * Fp12.from_int(3)) * (y + y).inverse()
-    x3 = slope.square() - x - x
-    y3 = slope * (x - x3) - y
-    return x3, y3
-
-
-def _add_points(a: _Point, b: _Point) -> _Point:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2:
-        if y1 == y2:
-            return _double_point(a)
-        return None
-    slope = (y2 - y1) * (x2 - x1).inverse()
-    x3 = slope.square() - x1 - x2
-    y3 = slope * (x1 - x3) - y1
-    return x3, y3
-
-
-def _line(a: _Point, b: _Point, at: tuple[Fp12, Fp12]) -> Fp12:
-    """Evaluate the line through a and b (tangent if equal) at point ``at``."""
-    if a is None or b is None:
-        raise CryptoError("line through point at infinity")
-    x1, y1 = a
-    x2, y2 = b
-    xt, yt = at
-    if x1 != x2:
-        slope = (y2 - y1) * (x2 - x1).inverse()
-        return slope * (xt - x1) - (yt - y1)
-    if y1 == y2:
-        slope = (x1.square() * Fp12.from_int(3)) * (y1 + y1).inverse()
-        return slope * (xt - x1) - (yt - y1)
-    return xt - x1
-
-
-def _miller_loop(q: BN254G2Element, p: BN254G1Element) -> Fp12:
-    if q.infinity or p.is_infinity():
-        return Fp12.one()
-    q12 = _untwist(q)
-    p12 = _embed_g1(p)
-    t = q12
-    f = Fp12.one()
-    bits = bin(ATE_LOOP_COUNT)[3:]  # skip "0b" and the most-significant bit
-    for bit in bits:
-        f = f.square() * _line(t, t, p12)
-        t = _double_point(t)
-        if bit == "1":
-            f = f * _line(t, q12, p12)
-            t = _add_points(t, q12)
-    # Final two line evaluations with the Frobenius images of Q.
-    assert q12 is not None
-    q1 = (q12[0].frobenius(), q12[1].frobenius())
-    q2 = (q12[0].frobenius2(), q12[1].frobenius2())
-    neg_q2 = (q2[0], -q2[1])
-    f = f * _line(t, q1, p12)
-    t = _add_points(t, q1)
-    f = f * _line(t, neg_q2, p12)
+def _miller(pairs) -> tuple:
+    """Π f_{6x+2,Q}(P)·l_{[6x+2]Q,π(Q)}(P)·l_{[6x+2]Q+π(Q),−π²(Q)}(P) over the
+    pairs with no infinity member, as a flat Fp12 value."""
+    states = []
+    for p, q in pairs:
+        if not (p.is_infinity() or q.infinity):
+            xq, yq = q.affine()
+            states.append([(xq, yq, FP2_ONE), (xq, yq), *p.affine()])
+    f = FP12_ONE
+    for bit in _LOOP_BITS:
+        f = fp12_sqr(f)
+        for state in states:
+            t, q, xp, yp = state
+            t, line = _double_step(t, xp, yp)
+            f = fp12_mul_sparse(f, *line)
+            if bit == "1":
+                t, line = _add_step(t, q, xp, yp)
+                f = fp12_mul_sparse(f, *line)
+            state[0] = t
+    for t, q, xp, yp in states:
+        # π(Q) and −π²(Q): the untwist–Frobenius–twist endomorphism on E′.
+        x1, y1 = (fp2_mul(fp2_conj(c), g) for c, g in zip(q, _TWIST_FROB))
+        x2, y2 = (fp2_mul(fp2_conj(c), g) for c, g in zip((x1, y1), _TWIST_FROB))
+        t, line = _add_step(t, (x1, y1), xp, yp)
+        f = fp12_mul_sparse(f, *line)
+        _, line = _add_step(t, (x2, vec_neg(y2)), xp, yp)
+        f = fp12_mul_sparse(f, *line)
     return f
 
 
-def _final_exponentiation(f: Fp12) -> Fp12:
+def _miller_loop(q: BN254G2Element, p: BN254G1Element) -> Fp12:
+    return Fp12._wrap(_miller([(p, q)]))
+
+
+def _cyclotomic_pow_x(f: tuple) -> tuple:
+    result = f
+    for bit in _X_BITS:
+        result = fp12_cyclotomic_sqr(result)
+        if bit == "1":
+            result = fp12_mul(result, f)
+    return result
+
+
+def _final_exp(f: tuple) -> tuple:
     """f ↦ f^((p¹² − 1)/r) via easy part + DSD hard part."""
-    if f.is_zero():
+    if not any(f):
         raise CryptoError("pairing produced zero (degenerate input)")
-    # Easy part: f^(p⁶ − 1)(p² + 1).
-    f = f.conjugate() * f.inverse()
-    f = f.frobenius2() * f
+    mul, sqr, frob = fp12_mul, fp12_cyclotomic_sqr, fp12_frobenius
+    # Easy part: f^(p⁶ − 1)(p² + 1); f is in the cyclotomic subgroup after it.
+    f = mul(fp12_conj(f), fp12_inv(f))
+    f = mul(frob(f, 2), f)
     # Hard part (Devegili–Scott–Dahab addition chain for BN with x > 0).
-    fx = f**BN_X
-    fx2 = fx**BN_X
-    fx3 = fx2**BN_X
-    y0 = f.frobenius() * f.frobenius2() * f.frobenius3()
-    y1 = f.conjugate()
-    y2 = fx2.frobenius2()
-    y3 = fx.frobenius().conjugate()
-    y4 = (fx * fx2.frobenius()).conjugate()
-    y5 = fx2.conjugate()
-    y6 = (fx3 * fx3.frobenius()).conjugate()
-    t0 = y6.square() * y4 * y5
-    t1 = y3 * y5 * t0
-    t0 = t0 * y2
-    t1 = t1.square() * t0
-    t1 = t1.square()
-    t0 = t1 * y1
-    t1 = t1 * y0
-    t0 = t0.square()
-    return t0 * t1
+    fx = _cyclotomic_pow_x(f)
+    fx2 = _cyclotomic_pow_x(fx)
+    fx3 = _cyclotomic_pow_x(fx2)
+    y0 = mul(mul(frob(f), frob(f, 2)), frob(f, 3))
+    y1 = fp12_conj(f)
+    y2 = frob(fx2, 2)
+    y3 = fp12_conj(frob(fx))
+    y4 = fp12_conj(mul(fx, frob(fx2)))
+    y5 = fp12_conj(fx2)
+    y6 = fp12_conj(mul(fx3, frob(fx3)))
+    t0 = mul(mul(sqr(y6), y4), y5)
+    t1 = mul(mul(y3, y5), t0)
+    t0 = mul(t0, y2)
+    t1 = sqr(mul(sqr(t1), t0))
+    t0 = sqr(mul(t1, y1))
+    return mul(t0, mul(t1, y0))
+
+
+def _final_exponentiation(f: Fp12) -> Fp12:
+    return Fp12._wrap(_final_exp(f.v))
 
 
 def pairing(p: BN254G1Element, q: BN254G2Element) -> Fp12:
     """The optimal ate pairing e(P, Q) ∈ GT ⊂ Fp12."""
     if p.is_infinity() or q.infinity:
         return Fp12.one()
-    return _final_exponentiation(_miller_loop(q, p))
+    return Fp12._wrap(_final_exp(_miller([(p, q)])))
 
 
 def pairing_check(pairs: list[tuple[BN254G1Element, BN254G2Element]]) -> bool:
-    """Return True iff Π e(P_i, Q_i) == 1 (single shared final exponentiation)."""
-    f = Fp12.one()
-    for p, q in pairs:
-        if p.is_infinity() or q.infinity:
-            continue
-        f = f * _miller_loop(q, p)
-    return _final_exponentiation(f).is_one()
+    """True iff Π e(P_i, Q_i) == 1 (one Miller loop, one final exponentiation)."""
+    return _final_exp(_miller(pairs)) == FP12_ONE
 
 
 class BilinearGroup:

@@ -188,7 +188,8 @@ class Bz03Cipher(ThresholdCipher):
         r = pairing.g2.random_scalar()
         u = fixed_pow(pairing.g2.generator(), r)
         h_hat = _h1(label, u)
-        mask = _kdf(pairing.pair(h_hat, public_key.y) ** r)
+        # e(ĥ^r, y) = e(ĥ, y)^r: one G1 multiplication instead of a GT power.
+        mask = _kdf(pairing.pair(h_hat**r, public_key.y))
         masked_key = _xor(sym_key, mask)
         w = _h3(u, masked_key) ** r
         return Bz03Ciphertext(label, u, masked_key, w, nonce, payload)

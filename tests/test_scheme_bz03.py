@@ -48,6 +48,27 @@ class TestHappyPath:
         assert cipher.info.verification == "Pairings"
         assert cipher.info.hardness == "DL"
 
+    def test_mask_is_pairing_of_scaled_hash(self, cipher, material, monkeypatch):
+        """encrypt() computes e(ĥ^r, y); it must equal the textbook e(ĥ, y)^r."""
+        public, shares = material
+        pairing = public.pairing
+        r = 0x0A1B2C3D4E5F60718293A4B5C6D7E8F9123456789ABCDEF0
+        monkeypatch.setattr(pairing.g2, "random_scalar", lambda: r)
+        ct = cipher.encrypt(public, b"pinned r", b"lbl")
+        assert ct.u == pairing.g2.generator() ** r
+        h_hat = bz03._h1(ct.label, ct.u)
+        old_mask = bz03._kdf(pairing.pair(h_hat, public.y) ** r)
+        new_mask = bz03._kdf(pairing.pair(h_hat**r, public.y))
+        assert old_mask == new_mask
+        # The ciphertext carries the key masked with exactly that value.
+        sym_key = bz03._xor(ct.masked_key, old_mask)
+        assert (
+            bz03.ChaCha20Poly1305(sym_key).decrypt(ct.nonce, ct.payload, aad=ct.label)
+            == b"pinned r"
+        )
+        dec = [cipher.create_decryption_share(shares[i], ct) for i in (0, 3)]
+        assert cipher.combine(public, ct, dec) == b"pinned r"
+
 
 class TestCcaGuards:
     def test_tampered_w_rejected(self, cipher, material):
