@@ -17,6 +17,7 @@ from repro.mathutils.lagrange import (
 )
 from repro.rsa.keygen import modulus_for_bits
 from repro.schemes import generate_keys, get_scheme
+from repro.schemes.dleq import dleq_prove, dleq_verify
 from repro.symmetric import ChaCha20Poly1305
 
 SCALAR = 0x6B21FD2A9C3F5E1804D7C90B35FA6E82
@@ -32,6 +33,46 @@ def test_ed25519_fixed_base_scalar_mult(benchmark):
     group = get_group("ed25519")
     table = fixed_base_table(group.generator())
     benchmark(lambda: table.pow(SCALAR))
+
+
+def test_ed25519_two_base_multi_exp(benchmark):
+    """The DLEQ/FROST verification shape: g2^z · h2^-c on one doubling chain."""
+    group = get_group("ed25519")
+    bases = [group.hash_to_element(b"bench-g2"), group.hash_to_element(b"bench-h2")]
+    exponents = [SCALAR * SCALAR % group.order, -SCALAR]
+    benchmark(lambda: group.multi_exp(bases, exponents))
+
+
+def test_ed25519_element_from_bytes(benchmark):
+    """Decode + on-curve + subgroup check, paid per share on the wire."""
+    group = get_group("ed25519")
+    encoded = (group.generator() ** SCALAR).to_bytes()
+    benchmark(lambda: group.element_from_bytes(encoded))
+
+
+def test_dleq_round_on_fresh_base(benchmark):
+    """Two parties prove and cross-verify over a g2 never seen before.
+
+    A per-request base must not earn a fixed-base table: building one costs
+    more than the exponentiations it would serve before the request ends.
+    """
+    group = get_group("ed25519")
+    g = group.generator()
+    keys = [(x, g**x) for x in (SCALAR, SCALAR + 1)]
+    counter = iter(range(10**9))
+
+    def round_trip():
+        g2 = group.hash_to_element(b"bench-fresh-%d" % next(counter))
+        shares = [(vk, g2**x, x) for x, vk in keys]
+        proofs = [dleq_prove(group, g, g2, x, h1=vk, h2=h2) for vk, h2, x in shares]
+        for (vk, h2, _), proof in zip(shares, proofs):
+            dleq_verify(group, g, vk, g2, h2, proof)
+
+    for _ in range(3):  # the generator and both keys earn their tables here
+        round_trip()
+    built = precompute_stats()["tables_built"]
+    benchmark(round_trip)
+    assert precompute_stats()["tables_built"] == built
 
 
 def test_secp256k1_fixed_base_scalar_mult(benchmark):

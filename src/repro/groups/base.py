@@ -131,11 +131,11 @@ class Group(ABC):
     def multi_exp(
         self, bases: Sequence[GroupElement], exponents: Sequence[int], window: int = 4
     ) -> GroupElement:
-        """Compute Π bases[i]^exponents[i] with interleaved windowed Straus.
+        """Compute Π bases[i]^exponents[i] on one shared chain of doublings.
 
-        All k exponentiations share one chain of doublings, so the cost is
-        ~log₂(q) squarings + k·(2^w + log₂(q)/w) multiplications instead of
-        k·1.5·log₂(q) operations — the hot step of every ``combine()``.
+        The entry point for every group: lengths are checked, exponents
+        reduced and zero terms dropped here, then :meth:`_multi_exp` does
+        the arithmetic — the hot step of every ``combine()``.
         """
         if len(bases) != len(exponents):
             raise SerializationError("multi_exp length mismatch")
@@ -146,6 +146,18 @@ class Group(ABC):
         ]
         if not pairs:
             return self.identity()
+        return self._multi_exp(pairs, window)
+
+    def _multi_exp(
+        self, pairs: Sequence[tuple[GroupElement, int]], window: int
+    ) -> GroupElement:
+        """Interleaved windowed Straus over (base, exponent in [1, q)) pairs.
+
+        ~log₂(q) squarings + k·(2^w + log₂(q)/w) multiplications instead of
+        k·1.5·log₂(q) operations.  A group with a cheaper kernel overrides
+        this hook, never :meth:`multi_exp`: callers, tracing and benchmarks
+        all enter through that one name.
+        """
         radix = 1 << window
         tables = []
         for base, _ in pairs:

@@ -48,76 +48,158 @@ def _recover_x(y: int, sign: int) -> int | None:
     return x
 
 
+# -- the flat kernel --------------------------------------------------------
+# A point is four reduced ints (X, Y, Z, T), T = XY/Z.  The formulas are
+# complete on edwards25519 (a = -1 is a square, d is not), so there are no
+# special cases and Z is never 0 — torsion points and the identity included.
+
+_IDENTITY = (0, 1, 1, 0)
+
+
+def _dbl(p: tuple, want_t: bool = True) -> tuple:
+    """dbl-2008-hwcd for a = -1; T is left out when a doubling follows."""
+    x, y, z, _ = p
+    a = x * x % P
+    b = y * y % P
+    g = b - a
+    f = g - 2 * z * z % P
+    h = -a - b
+    e = (x + y) ** 2 % P + h
+    return e * f % P, g * h % P, f * g % P, e * h % P if want_t else None
+
+
+def _cached(p: tuple) -> tuple:
+    """(Y−X, Y+X, 2d·T, 2Z), the addend form of :func:`_add`."""
+    x, y, z, t = p
+    return y - x, y + x, _2D * t % P, 2 * z
+
+
+def _add(p: tuple, addend: tuple, want_t: bool = True) -> tuple:
+    """add-2008-hwcd-3 for a = -1 against a :func:`_cached` operand."""
+    x, y, z, t = p
+    y_minus_x, y_plus_x, t_2d, z_2 = addend
+    a = (y - x) * y_minus_x % P
+    b = (y + x) * y_plus_x % P
+    c = t * t_2d % P
+    d = z * z_2 % P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return e * f % P, g * h % P, f * g % P, e * h % P if want_t else None
+
+
+def _wnaf(k: int) -> list[tuple[int, int]]:
+    """Width-5 signed windows of k ≥ 0 as (bit position, digit) pairs.
+
+    Digits are odd with |d| < 16, positions ascend at least five apart,
+    and k = Σ d·2^position.
+    """
+    digits = []
+    position = 0
+    while k:
+        if k & 1:
+            d = (k & 31) - ((k & 16) << 1)
+            digits.append((position, d))
+            k = (k - d) >> 5
+            position += 5
+        else:
+            k >>= 1
+            position += 1
+    return digits
+
+
+def _straus(pairs) -> tuple:
+    """Σ [k]P over (point, k ≥ 0) pairs, interleaved on one doubling chain.
+
+    The only scalar multiplication in this module: ``**`` is its one-base
+    case, the subgroup check on decode runs it with the unreduced L, and
+    ``multi_exp`` hands it all k bases at once.  T is computed only where
+    an addition will read it, so the (projective) result may lack it;
+    :func:`_affine` rebuilds it.
+    """
+    steps: list[list[tuple]] = []  # addends per bit position
+    for point, k in pairs:
+        digits = _wnaf(k)
+        if not digits:
+            continue
+        odd = [_cached(point)]  # P, 3P, …, as far as the digits reach
+        top = max(abs(d) for _, d in digits) >> 1
+        if top:
+            twice = _cached(_dbl(point))
+            for _ in range(top):
+                point = _add(point, twice)
+                odd.append(_cached(point))
+        steps.extend([] for _ in range(digits[-1][0] + 1 - len(steps)))
+        for position, d in digits:
+            if d > 0:
+                steps[position].append(odd[d >> 1])
+            else:
+                y_minus_x, y_plus_x, t_2d, z_2 = odd[-d >> 1]
+                steps[position].append((y_plus_x, y_minus_x, -t_2d, z_2))
+    acc = _IDENTITY
+    for addends in reversed(steps):
+        acc = _dbl(acc, bool(addends))
+        while addends:
+            acc = _add(acc, addends.pop(), bool(addends))
+    return acc
+
+
+def _affine(p: tuple) -> tuple:
+    """The same point with Z = 1 (one inversion)."""
+    x, y, z, _ = p
+    z_inv = _mb.modinv(z, P)
+    x, y = x * z_inv % P, y * z_inv % P
+    return x, y, 1, x * y % P
+
+
 class Ed25519Element(GroupElement):
-    """Point in extended coordinates (X : Y : Z : T) with T = XY/Z."""
+    """Point in extended coordinates (X : Y : Z : T) with T = XY/Z.
 
-    __slots__ = ("x", "y", "z", "t", "group")
+    ``point`` is the kernel's flat tuple; ``**`` and ``multi_exp`` results
+    come back with Z = 1, so encoding them costs no further inversion.
+    """
 
-    def __init__(self, group: "Ed25519Group", x: int, y: int, z: int, t: int):
+    __slots__ = ("point", "group", "_encoded")
+
+    def __init__(self, group: "Ed25519Group", point: tuple):
         self.group = group
-        self.x, self.y, self.z, self.t = x, y, z, t
+        self.point = point
+        self._encoded: bytes | None = None
 
     def __mul__(self, other: GroupElement) -> "Ed25519Element":
         if not isinstance(other, Ed25519Element):
             return NotImplemented
-        # add-2008-hwcd-3 for a = -1.
-        a = ((self.y - self.x) * (other.y - other.x)) % P
-        b = ((self.y + self.x) * (other.y + other.x)) % P
-        c = (self.t * _2D * other.t) % P
-        d = (2 * self.z * other.z) % P
-        e, f, g, h = (b - a) % P, (d - c) % P, (d + c) % P, (b + a) % P
-        return Ed25519Element(self.group, (e * f) % P, (g * h) % P, (f * g) % P, (e * h) % P)
+        return Ed25519Element(self.group, _add(self.point, _cached(other.point)))
 
     def _double(self) -> "Ed25519Element":
-        # dbl-2008-hwcd for a = -1.
-        a = (self.x * self.x) % P
-        b = (self.y * self.y) % P
-        c = (2 * self.z * self.z) % P
-        d = (-a) % P
-        e = ((self.x + self.y) ** 2 - a - b) % P
-        g = (d + b) % P
-        f = (g - c) % P
-        h = (d - b) % P
-        return Ed25519Element(self.group, (e * f) % P, (g * h) % P, (f * g) % P, (e * h) % P)
+        return Ed25519Element(self.group, _dbl(self.point))
 
-    def double(self) -> "Ed25519Element":
-        return self._double()
+    double = _double
 
     def _mul_raw(self, scalar: int) -> "Ed25519Element":
         """Scalar multiplication without reduction mod L (cofactor math)."""
-        result = self.group.identity()
-        if scalar == 0:
-            return result
-        # Left-to-right binary ladder.
-        for bit in bin(scalar)[2:]:
-            result = result._double()
-            if bit == "1":
-                result = result * self
-        return result
+        return Ed25519Element(self.group, _affine(_straus([(self.point, scalar)])))
 
     def __pow__(self, scalar: int) -> "Ed25519Element":
         return self._mul_raw(scalar % L)
 
     def inverse(self) -> "Ed25519Element":
-        return Ed25519Element(self.group, (-self.x) % P, self.y, self.z, (-self.t) % P)
+        x, y, z, t = self.point
+        return Ed25519Element(self.group, (-x % P, y, z, -t % P))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ed25519Element):
             return NotImplemented
-        return (
-            (self.x * other.z - other.x * self.z) % P == 0
-            and (self.y * other.z - other.y * self.z) % P == 0
-        )
+        x1, y1, z1, _ = self.point
+        x2, y2, z2, _ = other.point
+        return (x1 * z2 - x2 * z1) % P == 0 and (y1 * z2 - y2 * z1) % P == 0
 
     def __hash__(self) -> int:
         return hash(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        z_inv = _mb.modinv(self.z, P)
-        x = (self.x * z_inv) % P
-        y = (self.y * z_inv) % P
-        encoded = y | ((x & 1) << 255)
-        return encoded.to_bytes(32, "little")
+        if self._encoded is None:
+            x, y, _, _ = self.point if self.point[2] == 1 else _affine(self.point)
+            self._encoded = (y | ((x & 1) << 255)).to_bytes(32, "little")
+        return self._encoded
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Ed25519 {self.to_bytes().hex()[:16]}…>"
@@ -134,9 +216,9 @@ class Ed25519Group(Group):
         base_x = _recover_x(_BASE_Y, 0)
         assert base_x is not None
         self._generator = Ed25519Element(
-            self, base_x, _BASE_Y, 1, (base_x * _BASE_Y) % P
+            self, (base_x, _BASE_Y, 1, base_x * _BASE_Y % P)
         )
-        self._identity = Ed25519Element(self, 0, 1, 1, 0)
+        self._identity = Ed25519Element(self, _IDENTITY)
 
     def generator(self) -> Ed25519Element:
         return self._generator
@@ -155,21 +237,27 @@ class Ed25519Group(Group):
         x = _recover_x(y, sign)
         if x is None:
             raise SerializationError("ed25519 encoding is not on the curve")
-        point = Ed25519Element(self, x, y, 1, (x * y) % P)
-        if not point._mul_raw(L).is_identity():
+        point = (x, y, 1, x * y % P)
+        # [L]P is the identity (0 : Z : Z) exactly for the prime-order subgroup.
+        lx, ly, lz, _ = _straus([(point, L)])
+        if lx != 0 or ly != lz:
             raise SerializationError("ed25519 point not in prime-order subgroup")
-        return point
+        return Ed25519Element(self, point)
+
+    def _multi_exp(self, pairs, window: int) -> Ed25519Element:
+        """Straus over the flat kernel; its window shape is fixed."""
+        points = [(base.point, exponent) for base, exponent in pairs]
+        return Ed25519Element(self, _affine(_straus(points)))
 
     raw_coords = 2
 
     def elements_to_raw(self, elements) -> list[tuple[int, ...]]:
         """Affine (x, y) pairs, all projective z's inverted in one batch."""
-        inverses = iter(batch_inverse([e.z for e in elements], P))
-        raw: list[tuple[int, ...]] = []
-        for element in elements:
-            z_inv = next(inverses)
-            raw.append((element.x * z_inv % P, element.y * z_inv % P))
-        return raw
+        inverses = batch_inverse([e.point[2] for e in elements], P)
+        return [
+            (e.point[0] * z_inv % P, e.point[1] * z_inv % P)
+            for e, z_inv in zip(elements, inverses)
+        ]
 
     def element_from_raw(self, coords) -> Ed25519Element:
         x, y = coords
@@ -179,7 +267,7 @@ class Ed25519Group(Group):
         x2, y2 = x * x % P, y * y % P
         if (y2 - x2 - 1 - D * x2 * y2) % P != 0:
             raise SerializationError("ed25519 raw point not on curve")
-        return Ed25519Element(self, x, y, 1, x * y % P)
+        return Ed25519Element(self, (x, y, 1, x * y % P))
 
     def hash_to_element(self, data: bytes) -> Ed25519Element:
         """Try-and-increment onto the curve, then clear the cofactor."""
@@ -194,8 +282,7 @@ class Ed25519Group(Group):
             counter += 1
             if x is None:
                 continue
-            point = Ed25519Element(self, x, y, 1, (x * y) % P)
-            cleared = point._mul_raw(COFACTOR)
+            cleared = Ed25519Element(self, (x, y, 1, x * y % P))._mul_raw(COFACTOR)
             if not cleared.is_identity():
                 return cleared
 

@@ -11,9 +11,13 @@ Because building a table only pays off for bases that recur, the cache uses
 *promotion*: a base is exponentiated naively until it has been seen
 ``promotion_threshold`` times, after which a table is built and cached in a
 bounded LRU.  Generators, public keys, and verification keys are promoted
-within the first few requests; per-request ephemeral bases (ciphertext
-``u``-values, message hashes of one-off messages) never are, so the cache
-cannot be thrashed by request traffic.
+within the first few requests.  The threshold counts sightings, not
+requests: a per-request base (a ciphertext ``u``-value, the hash point of a
+coin name) that one request exponentiates three times *is* promoted, and its
+table — four to five exponentiations to build on Ed25519 — is never used
+again.  Callers therefore keep such bases away from :func:`fixed_pow` and use
+``base ** scalar`` or ``Group.multi_exp``; ``tests/test_precompute.py``
+holds the schemes to that.
 
 All counters are exposed via :func:`precompute_stats` and surfaced through
 ``ThetacryptNode.stats()`` so benchmarks can report hit rates.

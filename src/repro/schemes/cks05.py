@@ -138,7 +138,7 @@ class Cks05Coin(ThresholdCoin):
     ) -> Cks05CoinShare:
         group = key_share.public.group
         g_hat = _hash_name(group, name)
-        sigma = fixed_pow(g_hat, key_share.value)
+        sigma = g_hat**key_share.value
         proof = dleq_prove(
             group,
             group.generator(),

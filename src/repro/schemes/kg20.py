@@ -328,10 +328,9 @@ class Kg20SignatureScheme(ThresholdSignature):
         c = self.challenge(group, r, public_key.y, message)
         lam = self._lambda(group, commitments)[share.id]
         commitment = by_id[share.id]
-        expected = (
-            commitment.big_d
-            * commitment.big_e**rho
-            * public_key.verification_key(share.id) ** ((lam * c) % group.order)
+        expected = commitment.big_d * group.multi_exp(
+            [commitment.big_e, public_key.verification_key(share.id)],
+            [rho, lam * c],
         )
         if fixed_pow(group.generator(), share.z) != expected:
             raise InvalidShareError(f"KG20 share {share.id} verification failed")

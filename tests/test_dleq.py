@@ -4,7 +4,13 @@ import pytest
 
 from repro.errors import InvalidProofError
 from repro.groups import get_group
-from repro.schemes.dleq import DleqProof, dleq_prove, dleq_verify
+from repro.schemes.dleq import (
+    DleqProof,
+    DleqStatement,
+    dleq_prove,
+    dleq_verify,
+    dleq_verify_batch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +86,80 @@ def test_proof_transfers_between_statements_fails(setup):
     proof_x = dleq_prove(group, g1, g2, x)
     with pytest.raises(InvalidProofError):
         dleq_verify(group, g1, g1**y, g2, g2**y, proof_x)
+
+
+# ---------------------------------------------------------------------------
+# Accept/reject table: four coin-share statements × eight presentations
+# ---------------------------------------------------------------------------
+
+KINDS = (
+    "valid",
+    "sigma off by one",
+    "challenge off by one",
+    "response off by one",
+    "proof for another name",
+    "another party's proof",
+    "sigma with a small-order component",
+    "value out of range",
+)
+
+
+@pytest.fixture(scope="module")
+def verdict_table():
+    """32 (kind, statement) rows; only the ``valid`` ones may verify."""
+    from repro.groups.ed25519 import P, Ed25519Element
+
+    group = get_group("ed25519")
+    g = group.generator()
+    order_two = Ed25519Element(group, (0, P - 1, 1, 0))  # the point (0, −1)
+    secrets_ = [group.random_scalar() for _ in range(4)]
+    rows = []
+    for party, x in enumerate(secrets_):
+        name = b"coin %d" % party
+        vk, g_hat = g**x, group.hash_to_element(name)
+        sigma = g_hat**x
+        proof = dleq_prove(group, g, g_hat, x, name, h1=vk, h2=sigma)
+        c, z = proof.challenge, proof.response
+        other_hat = group.hash_to_element(name + b"'")
+        other_x = secrets_[(party + 1) % 4]
+        out_of_range = (
+            DleqProof(c + group.order, z),
+            DleqProof(c, z + group.order),
+            DleqProof(-1, z),
+            DleqProof(c, group.order),
+        )[party]
+        presented = (
+            (sigma, proof),
+            (sigma * g_hat, proof),
+            (sigma, DleqProof((c + 1) % group.order, z)),
+            (sigma, DleqProof(c, (z + 1) % group.order)),
+            (sigma, dleq_prove(group, g, other_hat, x, name + b"'", h1=vk)),
+            (sigma, dleq_prove(group, g, g_hat, other_x, name)),
+            (sigma * order_two, proof),
+            (sigma, out_of_range),
+        )
+        for kind, (h2, shown) in zip(KINDS, presented):
+            rows.append((kind, DleqStatement(g, vk, g_hat, h2, shown, name)))
+    return group, rows
+
+
+def test_accept_reject_table(verdict_table):
+    group, rows = verdict_table
+    assert len(rows) == 32
+    for kind, s in rows:
+        if kind == "valid":
+            dleq_verify(group, s.g1, s.h1, s.g2, s.h2, s.proof, s.context)
+        else:
+            with pytest.raises(InvalidProofError):
+                dleq_verify(group, s.g1, s.h1, s.g2, s.h2, s.proof, s.context)
+
+
+def test_batch_names_exactly_the_failing_statements(verdict_table):
+    group, rows = verdict_table
+    failing = [index for index, (kind, _) in enumerate(rows) if kind != "valid"]
+    with pytest.raises(InvalidProofError) as excinfo:
+        dleq_verify_batch(group, [statement for _, statement in rows])
+    named = str(excinfo.value).split("statements ", 1)[1]
+    assert named == str(failing)
+    dleq_verify_batch(group, [s for kind, s in rows if kind == "valid"])
+    dleq_verify_batch(group, [])

@@ -243,3 +243,55 @@ class TestSchemesStillAgreeUnderCache:
         assert scheme.combine(public, name, quorum_a) == scheme.combine(
             public, name, quorum_b
         )
+
+
+class TestPerRequestBasesStayOffTheCache:
+    """Fresh requests build no tables: only generators, public keys and
+    verification keys reach ``fixed_pow`` (a hash point or a ciphertext
+    component seen three times inside one request used to earn a table)."""
+
+    @staticmethod
+    def _settled(request, fresh: int) -> None:
+        clear_precompute_cache()
+        # The long-lived bases are promoted on their third sighting.
+        for warm_up in range(3):
+            request(b"warm-up %d" % warm_up)
+        before = precompute_stats()
+        for index in range(fresh):
+            request(b"fresh %d" % index)
+        after = precompute_stats()
+        for key in ("tables_built", "tables", "promotions", "misses"):
+            assert after[key] == before[key], key
+        assert after["hits"] > before["hits"]
+
+    def test_fresh_cks05_coins(self):
+        from repro.schemes import cks05
+
+        public, shares = cks05.keygen(1, 4)
+        scheme = get_scheme("cks05")
+
+        def flip(name: bytes) -> None:
+            own = scheme.create_coin_share(shares[0], name)
+            peer = scheme.create_coin_share(shares[1], name)
+            scheme.verify_coin_share(public, name, peer)
+            scheme.verify_coin_shares(public, name, [own, peer])
+            assert len(scheme.combine(public, name, [own, peer])) == 32
+
+        self._settled(flip, 50)
+
+    @pytest.mark.parametrize("group_name", ["ed25519", "secp256k1"])
+    def test_fresh_sg02_decryptions(self, group_name):
+        from repro.schemes import sg02
+
+        public, shares = sg02.keygen(1, 4, group_name)
+        scheme = get_scheme("sg02")
+
+        def decrypt(plaintext: bytes) -> None:
+            ct = scheme.encrypt(public, plaintext, b"label")
+            own = scheme.create_decryption_share(shares[0], ct)
+            peer = scheme.create_decryption_share(shares[1], ct)
+            scheme.verify_decryption_share(public, ct, peer)
+            scheme.verify_decryption_shares(public, ct, [own, peer])
+            assert scheme.combine(public, ct, [own, peer]) == plaintext
+
+        self._settled(decrypt, 20)
