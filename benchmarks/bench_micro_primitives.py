@@ -8,6 +8,13 @@ ECDH ops < pairing ops < RSA ops.
 
 import pytest
 
+from repro.core.messages import Channel, ProtocolMessage
+from repro.core.protocols import (
+    NonInteractiveProtocol,
+    OperationRequest,
+    make_operation,
+)
+from repro.errors import InvalidShareError
 from repro.groups import fixed_base_table, get_group, precompute_stats
 from repro.groups.bn254 import bn254_pairing
 from repro.mathutils.lagrange import (
@@ -209,6 +216,80 @@ def test_kg20_sign_round(benchmark, keys_by_scheme):
             keys.share_for(1), b"bench", nonces[1][0], commitments
         )
     )
+
+
+#: (share checks, result checks) one node pays to admit a signing quorum,
+#: by threshold.  Honest: the one check of the combined signature.  One
+#: forged share arriving first: the wasted combine, the per-share checks
+#: that name the culprit (free at t=1: the only unverified share), eager
+#: checks for every later share, and the final combine.  The parent paid
+#: (t+1, 1) for the forged schedule — verify-after-combine costs at most
+#: one check more on the failure path, and t fewer on the honest one.
+SIGN_ADMISSION_CHECKS = {
+    ("honest", 1): (0, 1),
+    ("honest", 2): (0, 1),
+    ("forged_first", 1): (1, 2),
+    ("forged_first", 2): (3, 2),
+}
+
+
+@pytest.mark.parametrize("schedule", ["honest", "forged_first"])
+@pytest.mark.parametrize("threshold,parties", [(1, 4), (2, 7)])
+@pytest.mark.parametrize("scheme_name", ["bls04", "sh00"])
+def test_sign_admission(
+    benchmark, monkeypatch, small_modulus, scheme_name, threshold, parties, schedule
+):
+    """Own share to finalized signature at one node, through update()."""
+    extra = {"rsa_modulus": small_modulus} if scheme_name == "sh00" else {}
+    keys = generate_keys(scheme_name, threshold, parties, **extra)
+    scheme_type = type(get_scheme(scheme_name))
+    counts = {"verify_signature_share": 0, "verify": 0}
+    for name in counts:
+        original = getattr(scheme_type, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scheme_type, name, counted)
+
+    def share_of(party, message):
+        operation = make_operation(
+            scheme_name,
+            keys.public_key,
+            keys.share_for(party),
+            OperationRequest("sign", message),
+        )
+        return operation.create_own_share()
+
+    payloads = [(p, share_of(p, b"bench")) for p in range(2, threshold + 2)]
+    if schedule == "forged_first":
+        payloads[0] = (2, share_of(2, b"another message"))
+        payloads.append((threshold + 2, share_of(threshold + 2, b"bench")))
+
+    def admit():
+        operation = make_operation(
+            scheme_name,
+            keys.public_key,
+            keys.share_for(1),
+            OperationRequest("sign", b"bench"),
+        )
+        protocol = NonInteractiveProtocol("bench", 1, operation)
+        protocol.do_round()
+        for sender, payload in payloads:
+            try:
+                protocol.update(
+                    ProtocolMessage("bench", sender, 0, Channel.P2P, payload)
+                )
+            except InvalidShareError:
+                pass
+        return protocol.finalize()
+
+    admit()  # creating the payloads above verified nothing
+    assert (counts["verify_signature_share"], counts["verify"]) == (
+        SIGN_ADMISSION_CHECKS[(schedule, threshold)]
+    )
+    benchmark(admit)
 
 
 def test_precompute_speedup_report(benchmark):

@@ -78,7 +78,6 @@ async def _measure_live(rates):
             )
             for node in nodes:  # reset records between rates
                 node.instances._records.clear()
-                node.instances._executors.clear()
     finally:
         await client.close()
         for node in nodes:

@@ -56,6 +56,7 @@ class ProtocolExecutor:
         metrics: CoreMetrics | None = None,
         crypto_pool: CryptoPool | None = None,
         coalescer: CryptoCoalescer | None = None,
+        on_terminal: Callable[[], None] | None = None,
     ):
         self.protocol = protocol
         self.record = record
@@ -64,6 +65,9 @@ class ProtocolExecutor:
         self._metrics = metrics
         self._pool = crypto_pool
         self._coalescer = coalescer
+        #: Called synchronously when the record turns terminal, before any
+        #: waiter on the result resumes (the manager releases us there).
+        self._on_terminal = on_terminal
         self.inbox: asyncio.Queue[ProtocolMessage] = asyncio.Queue()
         # Inherit the RPC handler's trace when one is active (the request
         # entered at this node); otherwise the instance gets its own trace
@@ -290,8 +294,12 @@ class ProtocolExecutor:
 
     def _admit_inline(self, message: ProtocolMessage) -> None:
         """Feed one message to update(), classifying the outcome."""
+        self._admit(message, self.protocol.update, message)
+
+    def _admit(self, message: ProtocolMessage, admit, argument) -> None:
+        """Run one admission call and classify how it ended."""
         try:
-            self.protocol.update(message)
+            admit(argument)
         except ProtocolAbortedError:
             raise
         except DuplicateShareError:
@@ -303,15 +311,27 @@ class ProtocolExecutor:
         except (CryptoError, SerializationError) as exc:
             # A bad share from a faulty party: drop it and keep waiting;
             # robust schemes terminate as long as t+1 honest shares arrive.
+            self._reject(message, exc)
+        else:
+            self.accepted += 1
+            self._note_message(message, "accepted")
+
+    def _reject(self, message: ProtocolMessage, reason) -> None:
+        """Count, log and trace a rejection against the parties at fault:
+        the ones a combine-time check named (``reason.culprits``), which
+        need not include the sender whose message triggered that check —
+        or, for a per-share check, the sender itself."""
+        culprits = getattr(reason, "culprits", ()) or (message.sender,)
+        for culprit in culprits:
             logger.warning(
                 "instance %s: rejected message from party %d: %s",
                 self.protocol.instance_id,
-                message.sender,
-                exc,
+                culprit,
+                reason,
             )
             self.rejected += 1
-            self._note_message(message, "rejected")
-        else:
+            self._note_message(message, "rejected", sender=culprit)
+        if message.sender not in culprits:
             self.accepted += 1
             self._note_message(message, "accepted")
 
@@ -377,40 +397,17 @@ class ProtocolExecutor:
             self._admit_inline(message)
         for message, verdict in zip(peers, verdicts or []):
             if verdict is not None:
-                logger.warning(
-                    "instance %s: rejected message from party %d: %s",
-                    self.protocol.instance_id,
-                    message.sender,
-                    verdict,
-                )
-                self.rejected += 1
-                self._note_message(message, "rejected")
-                continue
-            try:
-                self.protocol.admit_verified(message.payload)
-            except ProtocolAbortedError:
-                raise
-            except DuplicateShareError:
-                self.duplicates += 1
-                self._note_message(message, "duplicate")
-            except (CryptoError, SerializationError) as exc:
-                logger.warning(
-                    "instance %s: rejected message from party %d: %s",
-                    self.protocol.instance_id,
-                    message.sender,
-                    exc,
-                )
-                self.rejected += 1
-                self._note_message(message, "rejected")
+                self._reject(message, verdict)
             else:
-                self.accepted += 1
-                self._note_message(message, "accepted")
+                self._admit(message, self.protocol.admit_verified, message.payload)
 
-    def _note_message(self, message: ProtocolMessage, outcome: str) -> None:
+    def _note_message(
+        self, message: ProtocolMessage, outcome: str, sender: int | None = None
+    ) -> None:
         """One received share: a hop event on the trace plus a counter."""
         self.trace.event(
             "hop",
-            sender=message.sender,
+            sender=message.sender if sender is None else sender,
             round=message.round,
             outcome=outcome,
             origin_trace=message.trace_id,
@@ -432,8 +429,15 @@ class ProtocolExecutor:
             self._metrics.aborts.labels(self.record.scheme, reason).inc()
         if not self.result_future.done():
             self.result_future.set_exception(ProtocolAbortedError(error, reason))
+            # The record, the log and the abort counter carry the failure;
+            # an abort nobody awaits is not an "exception never retrieved"
+            # (which asyncio would report once the released executor is
+            # collected).  Waiters still get it raised.
+            self.result_future.exception()
 
     def _observe_termination(self, status: str) -> None:
+        if self._on_terminal is not None:
+            self._on_terminal()
         if self._metrics is None:
             return
         self._metrics.instances.labels(self.record.scheme, status).inc()

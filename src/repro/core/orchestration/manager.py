@@ -128,6 +128,7 @@ class InstanceManager:
             metrics=self.metrics,
             crypto_pool=self._crypto_pool,
             coalescer=self._coalescer,
+            on_terminal=lambda: self._release(instance_id),
         )
         self._records[instance_id] = record
         self._executors[instance_id] = executor
@@ -143,18 +144,27 @@ class InstanceManager:
             executor.inbox.put_nowait(message)
         return record
 
-    def _on_task_done(self, task: asyncio.Task, instance_id: str) -> None:
-        self._tasks.discard(task)
+    def _release(self, instance_id: str) -> None:
+        """Stop counting an instance and drop what its executor pins.
+
+        Called by the executor the moment its record turns terminal (so
+        ``active_count`` is exact when a waiter on the result resumes) and
+        again, as a no-op, when its task ends — which is what releases a
+        cancelled executor.  Terminated instances must not pin state: the
+        executor goes with everything it holds (protocol, decoded shares,
+        inbox, last outgoing batch), as do backlog entries that raced in.
+        The record alone answers result() and swallows residual shares
+        from slow peers.
+        """
+        if self._executors.pop(instance_id, None) is None:
+            return
         self._active -= 1
         self.metrics.inflight.dec()
-        # Terminated instances must not pin state: drop any backlog entries
-        # that raced in and drain the executor's inbox so residual shares
-        # from slow peers are released rather than accumulated.
         self._backlog.pop(instance_id, None)
-        executor = self._executors.get(instance_id)
-        if executor is not None:
-            while not executor.inbox.empty():
-                executor.inbox.get_nowait()
+
+    def _on_task_done(self, task: asyncio.Task, instance_id: str) -> None:
+        self._tasks.discard(task)
+        self._release(instance_id)
         record = self._records.get(instance_id)
         if record is None:
             return
@@ -228,13 +238,12 @@ class InstanceManager:
         """Route an incoming protocol message to its instance (or buffer it)."""
         executor = self._executors.get(message.instance_id)
         if executor is not None:
-            record = self._records[message.instance_id]
-            if record.status in (InstanceStatus.FINISHED, InstanceStatus.FAILED):
-                return  # residual message from a slow peer; §4.5 discusses these
             await executor.deliver(message)
             return
         if message.instance_id in self._records:
-            return  # restored (recovered) instance: terminal, no executor
+            # Terminal (finished, aborted, or restored after a crash): a
+            # residual message from a slow peer; §4.5 discusses these.
+            return
         backlog = self._backlog[message.instance_id]
         if len(backlog) >= _BACKLOG_LIMIT:
             logger.warning(
@@ -251,8 +260,9 @@ class InstanceManager:
     async def result(self, instance_id: str) -> bytes:
         """Await the result of an instance (raises on abort/timeout).
 
-        Executor-less records exist after crash recovery: finalized ones
-        answer from their restored result, aborted ones re-raise their
+        A record without an executor is terminal (the executor is released
+        when its task ends; restored records never had one): finalized
+        ones answer from their result, aborted ones re-raise their
         structured abort reason.
         """
         executor = self._executors.get(instance_id)
@@ -279,11 +289,7 @@ class InstanceManager:
 
     @property
     def active_count(self) -> int:
-        return sum(
-            1
-            for record in self._records.values()
-            if record.status in (InstanceStatus.CREATED, InstanceStatus.RUNNING)
-        )
+        return self._active
 
     async def shutdown(self) -> None:
         """Cancel all running executors (node shutdown)."""

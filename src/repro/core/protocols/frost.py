@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ...errors import ProtocolAbortedError, ProtocolError
+from ...errors import CryptoError, ProtocolAbortedError, ProtocolError
 from ...schemes import kg20
 from ..messages import Channel, ProtocolMessage
 from ..tri import ThresholdRoundProtocol
@@ -156,8 +156,9 @@ class FrostProtocol(ThresholdRoundProtocol):
                 )
             self._commitments[commitment.id] = commitment
         elif message.round == 1:
-            # Stored raw and verified at finalize so that late round-0 state
-            # does not block buffering; FROST is not robust anyway.
+            # Stored raw and judged at finalize (through the combined
+            # signature) so that late round-0 state does not block
+            # buffering; FROST is not robust anyway.
             self._share_payloads[message.sender] = message.payload
         else:
             raise ProtocolError(f"unexpected FROST round {message.round}")
@@ -192,15 +193,20 @@ class FrostProtocol(ThresholdRoundProtocol):
                 raise ProtocolAbortedError(
                     f"share id {share.id} does not match sender {sender}"
                 )
-            if sender != self.party_id:
-                # Identify deviating parties: FROST aborts but names them.
-                self._scheme.verify_signature_share(
-                    public_key, self._message, share, commitment_list
-                )
             shares.append(share)
-        signature = self._scheme.combine(
-            public_key, self._message, shares, commitment_list
-        )
+        try:
+            signature = self._scheme.combine(
+                public_key, self._message, shares, commitment_list
+            )
+        except CryptoError:
+            # The Schnorr check on the sum failed.  Identify the deviating
+            # parties: FROST aborts but names them.
+            for share in shares:
+                if share.id != self.party_id:
+                    self._scheme.verify_signature_share(
+                        public_key, self._message, share, commitment_list
+                    )
+            raise
         self.mark_finalized()
         return signature.to_bytes()
 

@@ -4,12 +4,15 @@ All five non-interactive schemes (SG02, BZ03, SH00, BLS04, CKS05) follow the
 same pattern: in the single round each party computes its partial result and
 sends it to every peer over P2P; upon collecting t+1 valid partial results
 (its own included) each party finalizes by combining them locally.  The
-scheme specifics live entirely in the :class:`ShareOperation` adapter.
+scheme specifics live entirely in the :class:`ShareOperation` adapter —
+including *when* a share is verified: on arrival, or (for adapters whose
+result verifies itself) once, through the combined result, the moment the
+quorum forms.
 """
 
 from __future__ import annotations
 
-from ...errors import ProtocolError
+from ...errors import InvalidShareError, ProtocolError
 from ..messages import Channel, ProtocolMessage
 from ..tri import ThresholdRoundProtocol
 from .operations import ShareOperation
@@ -39,6 +42,7 @@ class NonInteractiveProtocol(ThresholdRoundProtocol):
             )
         self._started = True
         payload = self._operation.create_own_share()
+        self._settle_own()
         return [
             ProtocolMessage(
                 instance_id=self.instance_id,
@@ -53,6 +57,16 @@ class NonInteractiveProtocol(ThresholdRoundProtocol):
         if message.sender == self.party_id:
             return  # our own broadcast echoed back
         self._operation.accept_share(message.payload)
+        self._operation.settle()
+
+    def _settle_own(self) -> None:
+        """Own share stored: if it completed a quorum of shares that peers
+        sent ahead of it, judge them now.  Culprits are evicted inside
+        ``settle``; the round itself must not fail on their account."""
+        try:
+            self._operation.settle()
+        except InvalidShareError:
+            pass
 
     # -- worker-pool offload (repro.workers) ---------------------------------
     #
@@ -83,6 +97,7 @@ class NonInteractiveProtocol(ThresholdRoundProtocol):
             )
         self._started = True
         self._operation.admit_own(payload)
+        self._settle_own()
         return [
             ProtocolMessage(
                 instance_id=self.instance_id,
@@ -119,6 +134,8 @@ class NonInteractiveProtocol(ThresholdRoundProtocol):
         return self.apply_round(payload)
 
     def offload_verify(self, payloads: list[bytes]):
+        if self._operation.admits_unverified:
+            return None  # nothing to verify per share: admit inline
         spec = self._operation.offload_spec()
         if spec is None:
             return None
@@ -152,4 +169,4 @@ class NonInteractiveProtocol(ThresholdRoundProtocol):
                 f"({self._operation.share_count}/{self._operation.threshold + 1})"
             )
         self.mark_finalized()
-        return self._operation.combine()
+        return self._operation.result()

@@ -44,12 +44,28 @@ class OperationRequest:
 
 
 class ShareOperation(ABC):
-    """One threshold operation in progress at one party."""
+    """One threshold operation in progress at one party.
+
+    An adapter whose ``combine`` ends in a public verification of its own
+    output (``self_verifying``: the signature schemes) admits peer shares
+    *unverified* and lets that one check judge the quorum — see
+    :meth:`settle`.  Every other adapter verifies each share on arrival.
+    """
+
+    #: combine() verifies the result it assembled, so a per-share check
+    #: before it proves nothing more — except who lied, when someone did.
+    self_verifying = False
 
     def __init__(self, threshold: int, party_id: int):
         self.threshold = threshold
         self.party_id = party_id
         self._shares: dict[int, object] = {}
+        #: Ids of held shares no check has covered yet (lazy admission).
+        self._unverified: set[int] = set()
+        #: Lazy until a combined result fails its check or two payloads
+        #: contend for one id; eager (verify on arrival) from then on.
+        self._lazy = self.self_verifying
+        self._result: bytes | None = None
         # offload_spec() memo, keyed by include_share.  Everything the spec
         # derives from (keys, request bytes) is fixed at construction, and
         # the executor consults the spec per admitted message — without the
@@ -73,29 +89,130 @@ class ShareOperation(ABC):
     def combine(self) -> bytes:
         """Assemble the stored shares into the final serialized result."""
 
-    def _deserialize_and_verify(self, payload: bytes) -> object:
-        """Decode a peer's share and verify it (raising CryptoError if bad)."""
-        share = self._decode(payload)
-        self._verify_decoded(share)
-        return share
+    @property
+    def admits_unverified(self) -> bool:
+        """True while peer shares are stored without a per-share check."""
+        return self._lazy
 
     def accept_share(self, payload: bytes) -> None:
-        """Verify and store a peer's partial result.
+        """Decode a peer's partial result and store it — verified first,
+        unless this operation is (still) admitting lazily.
 
         Rejection is total: a byzantine peer controls every payload byte,
         so decode errors of any flavour (not just the library's own) are
         normalised to :class:`InvalidShareError` — the executor drops the
         share and the aggregate is never poisoned.
+
+        ``ProtocolMessage.sender`` is not authenticated, so a share held
+        unverified must never shadow the honest one for its id: a second,
+        *different* share for such an id is not a duplicate but a conflict,
+        resolved on the spot by verifying (:meth:`_resolve_conflict`).
         """
         try:
-            share = self._deserialize_and_verify(payload)
+            share = self._decode(payload)
+            if self._lazy:
+                if not 1 <= share.id <= self._public_key.parties:
+                    raise InvalidShareError(f"share id {share.id} out of range")
+            else:
+                self._verify_decoded(share)
         except ThetacryptError:
             raise
         except Exception as exc:  # noqa: BLE001 - arbitrary bytes, arbitrary errors
             raise InvalidShareError(f"malformed share payload: {exc}") from exc
-        if share.id in self._shares:
+        held = self._shares.get(share.id)
+        if held is None:
+            self._shares[share.id] = share
+            if self._lazy:
+                self._unverified.add(share.id)
+        elif not self._lazy or held == share:
             raise DuplicateShareError(f"duplicate share from party {share.id}")
-        self._shares[share.id] = share
+        else:
+            self._resolve_conflict(share)
+
+    def settle(self) -> None:
+        """Judge the shares held unverified, once, when the quorum forms.
+
+        Combines the t+1 held shares and lets the scheme's own final
+        ``verify`` decide; the bytes are kept for :meth:`result`.  Only if
+        that fails are the unverified shares checked one by one: culprits
+        are evicted (freeing their ids for the honest owners), survivors
+        count as verified, the instance turns eager, and
+        :class:`InvalidShareError` names the culprits — so a byzantine
+        peer buys one wasted combine per instance, never a loop.  A no-op
+        in every other state.
+        """
+        if self._result is not None or not (self._unverified and self.have_quorum):
+            return
+        try:
+            self._result = self.combine()
+        except Exception as exc:  # noqa: BLE001 - unverified inputs, arbitrary errors
+            failure = exc
+        else:
+            self._unverified.clear()
+            return
+        culprits = self._verify_held(combine_failed=True)
+        if culprits:
+            raise InvalidShareError(
+                f"combined result rejected ({failure}); "
+                f"invalid shares from ids {culprits}",
+                culprits,
+            ) from failure
+        # Every share checks out, so the failure is not a share's:
+        # result() repeats the combine and reports it.
+
+    def result(self) -> bytes:
+        """The combined result: the one :meth:`settle` already verified,
+        else :meth:`combine` now."""
+        if self._result is None:
+            self._result = self.combine()
+        return self._result
+
+    def _is_valid(self, share: object) -> bool:
+        try:
+            self._verify_decoded(share)
+        except Exception:  # noqa: BLE001 - unverified bytes, arbitrary errors
+            return False
+        return True
+
+    def _verify_held(self, combine_failed: bool = False) -> list[int]:
+        """Leave lazy mode: check every share held unverified, evict the
+        invalid ones and return their ids.
+
+        When a combine over exactly the quorum failed and a single share
+        in it was unverified, that share is the culprit without a check.
+        """
+        self._lazy = False
+        pending = [self._shares[i] for i in sorted(self._unverified)]
+        self._unverified.clear()
+        exact_quorum = len(self._shares) == self.threshold + 1
+        if combine_failed and exact_quorum and len(pending) == 1:
+            culprits = [pending[0].id]
+        else:
+            culprits = [s.id for s in pending if not self._is_valid(s)]
+        for share_id in culprits:
+            del self._shares[share_id]
+        return culprits
+
+    def _resolve_conflict(self, share: object) -> None:
+        """Two different shares claim one id: verify now, keep a valid one.
+
+        Raises :class:`InvalidShareError` naming every share that failed
+        (an id appears twice if both its payloads were bad), or
+        :class:`DuplicateShareError` when both were valid.
+        """
+        culprits = self._verify_held()
+        if not self._is_valid(share):
+            culprits.append(share.id)
+        elif share.id not in self._shares:
+            self._shares[share.id] = share
+        elif not culprits:
+            raise DuplicateShareError(f"duplicate share from party {share.id}")
+        if culprits:
+            raise InvalidShareError(
+                f"conflicting shares for party {share.id}; "
+                f"invalid shares from ids {culprits}",
+                culprits,
+            )
 
     def admit_verified(self, payload: bytes) -> None:
         """Store a share whose cryptographic validity a pool worker already
@@ -224,7 +341,13 @@ class DecryptOperation(ShareOperation):
 
 
 class SignOperation(ShareOperation):
-    """Non-interactive threshold signing for SH00 and BLS04."""
+    """Non-interactive threshold signing for SH00 and BLS04.
+
+    Both schemes' ``combine`` verifies the signature it assembled, so peer
+    shares are admitted lazily (:meth:`ShareOperation.settle`).
+    """
+
+    self_verifying = True
 
     def __init__(
         self,

@@ -24,7 +24,16 @@ class CryptoError(ThetacryptError):
 
 
 class InvalidShareError(CryptoError):
-    """A partial result (decryption/signature/coin share) failed verification."""
+    """A partial result (decryption/signature/coin share) failed verification.
+
+    ``culprits`` names the party ids whose shares failed when the check
+    covered shares other than the one that triggered it (a verification
+    run after a failed combine); empty means "the share at hand".
+    """
+
+    def __init__(self, message: str = "", culprits: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.culprits = tuple(culprits)
 
 
 class InvalidCiphertextError(CryptoError):

@@ -239,7 +239,8 @@ class Bls04SignatureScheme(ThresholdSignature):
                 except InvalidShareError:
                     culprits.append(share.id)
             raise InvalidShareError(
-                f"batch verification failed: invalid shares from ids {culprits}"
+                f"batch verification failed: invalid shares from ids {culprits}",
+                culprits,
             )
         raise InvalidShareError(
             "batch verification failed: at least one share is invalid"

@@ -297,6 +297,18 @@ class CryptoPool:
                 future = executor.submit(fn, *args)
             else:
                 future = executor.submit(fn, *args, blobs=blobs)
+            # CPython's manager thread marks the pool broken, fails the
+            # pending items and exits *without* the lock submit() holds:
+            # a submit that passed the broken check just before a worker's
+            # death was noticed can enqueue after that sweep, and its
+            # future never resolves (the tier-1 hang in
+            # test_worker_killed_then_pool_restarts).  If the pool is
+            # broken by the time submit() returned, nobody is left to
+            # run or fail this future.
+            broken = getattr(executor, "_broken", False)
+            if broken and not future.done():
+                future.cancel()
+                raise BrokenExecutor(broken)
         except BrokenExecutor as exc:
             # A worker died while the pool was idle: submit itself
             # reports the breakage.  Discard so the next task respawns.

@@ -381,33 +381,3 @@ def verify_shares_multi(
     if missing:
         raise BlobCacheMissError(sorted(missing))
     return [verify_shares(spec, list(payloads)) for spec, payloads in groups]
-
-
-def kg20_verify_shares(
-    public_blob: bytes,
-    message: bytes,
-    commitment_payloads: list[bytes],
-    share_payloads: list[bytes],
-) -> list[str | None]:
-    """FROST signature-share verification (finalize-time, round 2).
-
-    KG20 is interactive, so its executor path stays inline, but the
-    finalize-time share checks are plain DL verifications against the
-    round-0 commitment list and offload cleanly.  Same verdict contract
-    as :func:`verify_shares`.
-    """
-    _, public = import_public_key(public_blob)
-    scheme = get_scheme("kg20")
-    commitments = [
-        kg20.NonceCommitment.from_bytes(payload, public.group)
-        for payload in commitment_payloads
-    ]
-    verdicts: list[str | None] = []
-    for payload in share_payloads:
-        try:
-            share = kg20.Kg20SignatureShare.from_bytes(payload)
-            scheme.verify_signature_share(public, message, share, commitments)
-            verdicts.append(None)
-        except Exception as exc:  # noqa: BLE001
-            verdicts.append(str(exc) or type(exc).__name__)
-    return verdicts

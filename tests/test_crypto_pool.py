@@ -145,6 +145,35 @@ class TestPoolDegradation:
         stats = pool.stats()
         assert stats["fallbacks"] == 1 and stats["tasks_ok"] == 1
 
+    def test_submit_racing_a_worker_death_does_not_orphan_the_task(self):
+        """CPython fails the pending items and retires its manager thread
+        without the lock submit() holds; a task enqueued right after that
+        sweep would be awaited forever (the hang this suite used to hit)."""
+        import concurrent.futures
+
+        class SweptExecutor:
+            _broken = "A child process terminated abruptly"
+
+            def submit(self, fn, *args, **kwargs):
+                return concurrent.futures.Future()  # nobody will resolve it
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        pool = CryptoPool(1, registry=MetricRegistry())
+        pool._executor = SweptExecutor()
+
+        async def scenario():
+            with pytest.raises(CryptoPoolUnavailable):
+                await asyncio.wait_for(
+                    pool.run("health", pool_tasks.worker_health), 5.0
+                )
+
+        asyncio.run(scenario())
+        stats = pool.stats()
+        assert stats["crashes"] == 1 and stats["fallbacks"] == 1
+        pool.close_sync()
+
     @pytest.mark.slow
     def test_worker_killed_then_pool_restarts(self):
         pool = CryptoPool(1, registry=MetricRegistry())

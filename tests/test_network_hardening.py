@@ -167,6 +167,31 @@ class TestExecutorDegradation:
 
         asyncio.run(scenario())
 
+    def test_unawaited_abort_is_not_an_unretrieved_exception(
+        self, keys_cks05, caplog
+    ):
+        """The released executor's result future is collected with the
+        abort still inside; the record already carries it."""
+        import gc
+
+        async def scenario():
+            async def send(message):
+                return None
+
+            manager = InstanceManager(1, send, default_timeout=0.1)
+            protocol = _protocol_for(keys_cks05, 1, b"unawaited", "quiet-inst")
+            manager.start_instance(protocol, "cks05")
+            del protocol
+            await asyncio.sleep(0.3)
+            assert manager.record("quiet-inst").abort_reason == "insufficient_shares"
+            gc.collect()
+            await asyncio.sleep(0)
+            await manager.shutdown()
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            asyncio.run(scenario())
+        assert "never retrieved" not in caplog.text
+
     def test_timeout_releases_tasks_backlog_and_inbox(self, keys_cks05):
         async def scenario():
             async def send(message):
@@ -180,7 +205,9 @@ class TestExecutorDegradation:
             await asyncio.sleep(0)  # let the done-callback run
             assert not manager._tasks  # round task cancelled, not leaked
             assert "clean-inst" not in manager._backlog
-            assert manager._executors["clean-inst"].inbox.empty()
+            # The executor is released with everything it held.
+            assert "clean-inst" not in manager._executors
+            assert manager.active_count == 0
 
             # Residual messages after the abort are dropped, not buffered.
             from repro.core.messages import Channel, ProtocolMessage
@@ -189,7 +216,7 @@ class TestExecutorDegradation:
                 "clean-inst", 2, 0, Channel.P2P, b"\x00late"
             )
             await manager.handle_network_message(residual)
-            assert manager._executors["clean-inst"].inbox.empty()
+            assert "clean-inst" not in manager._executors
             assert "clean-inst" not in manager._backlog
             await manager.shutdown()
 

@@ -8,6 +8,10 @@ seed, so the run is reproducible; the gate asserts:
 
 * both threshold operations finalize despite 2 of 4 nodes being faulty
   (t = 1 ⇒ quorum 2, which the two honest nodes reach on their own),
+* the BLS04 verify-after-combine failure path fired at an honest node: a
+  well-formed share of the wrong message, planted under node 3's id ahead
+  of the request, fails the combined check, is counted as ``rejected``,
+  and the signature the client gets still verifies,
 * the injected faults are visible as ``repro_faults_injected`` samples in
   the Prometheus scrape, and
 * re-running the same seed yields an identical fault schedule (replayed
@@ -26,12 +30,13 @@ from pathlib import Path
 if __package__ is None and __name__ == "__main__":  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.messages import Channel, ProtocolMessage
 from repro.network.faults import Crash, FaultInjector, FaultPlan, LinkFaults
 from repro.network.local import LocalHub
-from repro.schemes import generate_keys
+from repro.schemes import generate_keys, get_scheme
 from repro.service.client import ThetacryptClient
 from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode
+from repro.service.node import ThetacryptNode, derive_instance_id
 from repro.telemetry import parse_text
 
 PARTIES, THRESHOLD = 4, 1
@@ -88,6 +93,24 @@ async def run_cluster(key_sets) -> tuple[bytes, str]:
         plaintext = await client.decrypt("cipher-sg02", ciphertext, b"l")
         assert plaintext == b"chaos smoke secret", "SG02 decryption corrupted"
 
+        # The plan's byte flips never survive the G1 on-curve check, so
+        # they are rejected at decode.  A decodable forgery is what drives
+        # the lazy admission's failure path: node 3's share of another
+        # message, waiting in node 1's backlog, forms the quorum with node
+        # 1's own share, fails the combined check and must be evicted
+        # before node 2's share finishes the job.
+        forged = get_scheme("bls04").partial_sign(
+            key_sets["sig-bls04"].share_for(3), b"not the message"
+        )
+        await nodes[0].instances.handle_network_message(
+            ProtocolMessage(
+                derive_instance_id("sign", "sig-bls04", b"chaos smoke", b""),
+                sender=3,
+                round=0,
+                channel=Channel.P2P,
+                payload=forged.to_bytes(),
+            )
+        )
         signature = await client.sign("sig-bls04", b"chaos smoke")
         assert await client.verify_signature(
             "sig-bls04", b"chaos smoke", signature
@@ -138,6 +161,11 @@ async def main() -> None:
     assert metric_sum(parsed, "repro_faults_injected", kind="crash") >= 1
     assert metric_sum(parsed, "repro_faults_injected", kind="corrupt") >= 1
     print(f"  faults visible in scrape: {injected}")
+    rejected = metric_sum(
+        parsed, "repro_tri_messages_total", scheme="bls04", outcome="rejected"
+    )
+    assert rejected >= 1, "node 1 never rejected the forged BLS04 share"
+    print(f"  BLS04 failure path fired at node 1: {rejected:.0f} share(s) rejected")
 
     assert_identical_schedule()
     print("  replay: same seed yields an identical per-link fault schedule")
