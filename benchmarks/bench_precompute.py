@@ -159,7 +159,7 @@ async def _foreground_run(
 ) -> dict:
     """Sequential foreground decrypts, optionally against a busy refill queue."""
     precompute = (
-        PrecomputeConfig(depth=4 * requests, eager=False, idle_only=True)
+        PrecomputeConfig(depth=4 * requests, eager=False)
         if busy_refill
         else None
     )

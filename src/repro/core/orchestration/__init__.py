@@ -7,6 +7,7 @@ over the TRI), with key material served by the *key manager*.
 
 from .instance import InstanceRecord, InstanceStatus
 from .keymanager import KeyEntry, KeyManager
+from .scheduler import CryptoScheduler
 from .executor import ProtocolExecutor
 from .manager import InstanceManager
 from .precompute import (
@@ -17,6 +18,7 @@ from .precompute import (
 )
 
 __all__ = [
+    "CryptoScheduler",
     "InstanceRecord",
     "InstanceStatus",
     "KeyEntry",

@@ -53,13 +53,14 @@ DEFAULT_WINDOW = 0.002
 DEFAULT_MAX_BATCH = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Route:
     """How one coalescable single-task function batches."""
 
+    single_fn: Callable  # the worker task one item alone runs as
     key: str  # bucket key and batch op label
     batch_fn: Callable  # worker-side batch task
-    pack: Callable  # list of per-item args tuples -> the batch payload
+    pack: Callable  # one item's args tuple -> its entry in the batch payload
     deliver: Callable  # (future, per-item result) -> resolve the future
 
 
@@ -82,9 +83,28 @@ def _deliver_created(future: asyncio.Future, result) -> None:
         future.set_exception(CryptoError(str(value)))
 
 
-def _deliver_verdicts(future: asyncio.Future, result) -> None:
-    """verify_shares_multi items are the verdict lists themselves."""
-    future.set_result(result)
+#: Keyed by the *worker task function*: the scheduler names the two
+#: operations it serves, and only these have a batch form.
+_ROUTES = {
+    route.single_fn: route
+    for route in (
+        _Route(
+            tasks.create_share,
+            "create_share_batch",
+            tasks.create_share_batch,
+            pack=lambda args: args[0],  # the spec
+            deliver=_deliver_created,
+        ),
+        _Route(
+            tasks.verify_shares,
+            "verify_shares_multi",
+            tasks.verify_shares_multi,
+            pack=lambda args: args,  # (spec, payloads)
+            # Items are the verdict lists themselves.
+            deliver=lambda future, verdicts: future.set_result(verdicts),
+        ),
+    )
+}
 
 
 class CryptoCoalescer:
@@ -105,34 +125,6 @@ class CryptoCoalescer:
         self._batches = 0
         self._batched_items = 0
         self._singles = 0
-        # Keyed by the *worker task function*: the executor hands us
-        # whatever (op, fn, args) the protocol's offload hook built, and
-        # only these two functions have a batch form.
-        self._routes: dict[Callable, _Route] = {
-            tasks.create_share: _Route(
-                key="create_share_batch",
-                batch_fn=tasks.create_share_batch,
-                pack=lambda items: [spec for (spec,) in items],
-                deliver=_deliver_created,
-            ),
-            tasks.verify_shares: _Route(
-                key="verify_shares_multi",
-                batch_fn=tasks.verify_shares_multi,
-                pack=lambda items: [
-                    (spec, payloads) for (spec, payloads) in items
-                ],
-                deliver=_deliver_verdicts,
-            ),
-        }
-
-    @property
-    def window(self) -> float:
-        return self._window
-
-    def bind_metrics(self, metrics: CoreMetrics) -> None:
-        """Late-bind the node's core metrics (the instance manager owns
-        them, and it is constructed after the coalescer)."""
-        self._metrics = metrics
 
     def stats(self) -> dict:
         return {
@@ -151,7 +143,7 @@ class CryptoCoalescer:
         ``ThetacryptError`` for crypto), so executors degrade inline
         identically on both paths.
         """
-        route = self._routes.get(fn)
+        route = _ROUTES.get(fn)
         if route is None or self._window <= 0.0:
             return await self._pool.run(op, fn, *args)
         bucket = self._buckets.get(route.key)
@@ -196,9 +188,7 @@ class CryptoCoalescer:
             self._singles += 1
             await self._settle(
                 bucket.futures[0],
-                self._pool.run(
-                    bucket.ops[0], self._single_fn(route), *bucket.items[0]
-                ),
+                self._pool.run(bucket.ops[0], route.single_fn, *bucket.items[0]),
             )
             return
         self._batches += 1
@@ -210,7 +200,7 @@ class CryptoCoalescer:
             )
         try:
             results = await self._pool.run(
-                route.key, route.batch_fn, route.pack(bucket.items)
+                route.key, route.batch_fn, [route.pack(i) for i in bucket.items]
             )
         except BaseException as exc:  # noqa: BLE001 - fan the failure out
             for future in bucket.futures:
@@ -234,13 +224,6 @@ class CryptoCoalescer:
             except Exception as exc:  # noqa: BLE001 - malformed item result
                 if not future.done():
                     future.set_exception(CryptoError(str(exc)))
-
-    def _single_fn(self, route: _Route) -> Callable:
-        """The single-task form of a route (inverse of the routing dict)."""
-        for fn, candidate in self._routes.items():
-            if candidate is route:
-                return fn
-        raise KeyError(route.key)  # pragma: no cover - routes are static
 
     @staticmethod
     async def _settle(future: asyncio.Future, coro) -> None:

@@ -28,11 +28,10 @@ from ...errors import (
     SerializationError,
 )
 from ...telemetry import CoreMetrics, adopt_trace
-from ...workers.pool import CryptoPool, CryptoPoolUnavailable
 from ..messages import ProtocolMessage
 from ..tri import ThresholdRoundProtocol
-from .coalescing import CryptoCoalescer
 from .instance import InstanceRecord
+from .scheduler import CryptoScheduler
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +53,7 @@ class ProtocolExecutor:
         send: SendFn,
         timeout: float | None = None,
         metrics: CoreMetrics | None = None,
-        crypto_pool: CryptoPool | None = None,
-        coalescer: CryptoCoalescer | None = None,
+        crypto: CryptoScheduler | None = None,
         on_terminal: Callable[[], None] | None = None,
     ):
         self.protocol = protocol
@@ -63,8 +61,9 @@ class ProtocolExecutor:
         self._send = send
         self._timeout = timeout
         self._metrics = metrics
-        self._pool = crypto_pool
-        self._coalescer = coalescer
+        #: Pre-fills the protocol's crypto off the event loop before each
+        #: TRI call below; None (no worker pool) computes everything in them.
+        self._crypto = crypto
         #: Called synchronously when the record turns terminal, before any
         #: waiter on the result resumes (the manager releases us there).
         self._on_terminal = on_terminal
@@ -205,101 +204,36 @@ class ProtocolExecutor:
             ).observe(duration)
         self._round_started = None
 
-    async def _send_round(self, messages: list[ProtocolMessage]) -> None:
-        self._last_outgoing = list(messages)
-        for message in messages:
+    async def _start_round(self) -> None:
+        self._round_started = time.perf_counter()
+        if self._crypto is not None:
+            await self._crypto.before_round(self.protocol)
+        self._last_outgoing = self.protocol.do_round()
+        for message in self._last_outgoing:
             await self._send(self._stamp(message))
 
     async def _run_inner(self) -> None:
-        self._round_started = time.perf_counter()
-        # Precomputed material staged on the protocol (a pooled share, a
-        # FROST nonce set) replaces the first round's crypto entirely; the
-        # on-demand path below stays the fallback when nothing was staged.
-        first: list[ProtocolMessage] | None = None
-        if self.protocol.supports_precompute:
-            first = self.protocol.consume_precomputed()
-            if first is not None:
-                self.trace.event("precomputed", round=self.protocol.round)
-        if first is None:
-            first = await self._compute_round()
-        await self._send_round(first)
-        while True:
-            if self.protocol.is_ready_to_finalize():
-                self._close_round()
-                self._finish(self.protocol.finalize())
-                return
+        await self._start_round()
+        # Readiness is polled after every single message, so shares past
+        # the quorum are never verified.
+        while not self.protocol.is_ready_to_finalize():
             message = await self.inbox.get()
-            if self._pooled_admission():
-                # Batched share admission: drain whatever else has queued
-                # up behind this message and verify the whole batch as one
-                # worker task instead of one pairing check at a time.
-                batch = [message]
-                while True:
-                    try:
-                        batch.append(self.inbox.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                await self._admit_batch(batch)
-            else:
-                self._admit_inline(message)
+            if self._crypto is not None:
+                await self._crypto.before_update(self.protocol, message, self.inbox)
+            self._admit(message)
             if self.protocol.is_ready_to_finalize():
-                self._close_round()
-                self._finish(self.protocol.finalize())
-                return
+                break
             if self.protocol.is_ready_for_next_round():
                 self._close_round()
                 self.protocol.advance_round()
-                self._round_started = time.perf_counter()
-                await self._send_round(await self._compute_round())
+                await self._start_round()
+        self._close_round()
+        self._finish(self.protocol.finalize())
 
-    def _pooled_admission(self) -> bool:
-        return (
-            self._pool is not None
-            and self._pool.enabled
-            and self.protocol.supports_offload
-        )
-
-    async def _run_pooled(self, op: str, fn, args: tuple):
-        """One pool execution, through the coalescer when one is wired."""
-        if self._coalescer is not None:
-            return await self._coalescer.run(op, fn, args)
-        return await self._pool.run(op, fn, *args)
-
-    async def _compute_round(self) -> list[ProtocolMessage]:
-        """do_round, via the crypto pool when the policy rules to offload.
-
-        Both paths are timed and fed back to the pool's latency EWMAs, so
-        the adaptive policy keeps learning whichever way it ruled.
-        """
-        if self._pool is not None and self._pool.enabled:
-            task = self.protocol.offload_round()
-            if task is not None:
-                op, fn, args = task
-                if self._pool.decide(op).offload:
-                    started = time.perf_counter()
-                    try:
-                        result = await self._run_pooled(op, fn, args)
-                    except CryptoPoolUnavailable:
-                        pass  # degrade to inline; the pool counted the fallback
-                    else:
-                        self._pool.observe(
-                            op, "pool", time.perf_counter() - started
-                        )
-                        return self.protocol.apply_round(result)
-                started = time.perf_counter()
-                messages = self.protocol.do_round()
-                self._pool.observe(op, "inline", time.perf_counter() - started)
-                return messages
-        return self.protocol.do_round()
-
-    def _admit_inline(self, message: ProtocolMessage) -> None:
-        """Feed one message to update(), classifying the outcome."""
-        self._admit(message, self.protocol.update, message)
-
-    def _admit(self, message: ProtocolMessage, admit, argument) -> None:
-        """Run one admission call and classify how it ended."""
+    def _admit(self, message: ProtocolMessage) -> None:
+        """Feed one message to update() and classify how it ended."""
         try:
-            admit(argument)
+            self.protocol.update(message)
         except ProtocolAbortedError:
             raise
         except DuplicateShareError:
@@ -334,72 +268,6 @@ class ProtocolExecutor:
         if message.sender not in culprits:
             self.accepted += 1
             self._note_message(message, "accepted")
-
-    async def _admit_batch(self, batch: list[ProtocolMessage]) -> None:
-        """Admit a drained inbox batch through one pooled verification.
-
-        Own-broadcast echoes never need verification (update() no-ops on
-        them); peer payloads are batch-verified in a single worker task
-        and admitted per the worker's per-index verdicts.  Any pool
-        failure degrades the whole batch to the inline path.
-        """
-        own = [m for m in batch if m.sender == self.protocol.party_id]
-        peers = [m for m in batch if m.sender != self.protocol.party_id]
-        # Cap verification work at the quorum deficit.  The sequential path
-        # admits one share at a time and stops the moment quorum forms, so
-        # shares past the deficit are never verified there; a drained batch
-        # must not pay for them either (on a 1-core host that surplus alone
-        # doubled per-request latency).  The surplus goes back on the inbox
-        # unverified — if a capped share turns out to be a duplicate or
-        # invalid, the next loop iteration re-drains it against a fresh
-        # deficit.  The floor of one keeps the loop live: every iteration
-        # consumes at least the message it dequeued.
-        progress = self.protocol.progress()
-        if progress is not None and peers:
-            have, need = progress
-            deficit = max(1, need - have)
-            if len(peers) > deficit:
-                for message in peers[deficit:]:
-                    self.inbox.put_nowait(message)
-                peers = peers[:deficit]
-        verdicts: list | None = None
-        op: str | None = None
-        if peers:
-            task = self.protocol.offload_verify([m.payload for m in peers])
-            if task is not None:
-                op, fn, args = task
-                if self._pool.decide(op).offload:
-                    started = time.perf_counter()
-                    try:
-                        verdicts = await self._run_pooled(op, fn, args)
-                    except CryptoPoolUnavailable:
-                        verdicts = None
-                    else:
-                        self._pool.observe(
-                            op,
-                            "pool",
-                            time.perf_counter() - started,
-                            items=len(peers),
-                        )
-        if peers and (verdicts is None or len(verdicts) != len(peers)):
-            # Policy ruled inline, the pool degraded, or the verdict shape
-            # was wrong: admit the (deficit-capped) batch inline — and time
-            # it, so the policy's inline EWMA keeps learning.
-            started = time.perf_counter()
-            for message in own + peers:
-                self._admit_inline(message)
-            if op is not None:
-                self._pool.observe(
-                    op, "inline", time.perf_counter() - started, items=len(peers)
-                )
-            return
-        for message in own:
-            self._admit_inline(message)
-        for message, verdict in zip(peers, verdicts or []):
-            if verdict is not None:
-                self._reject(message, verdict)
-            else:
-                self._admit(message, self.protocol.admit_verified, message.payload)
 
     def _note_message(
         self, message: ProtocolMessage, outcome: str, sender: int | None = None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import defaultdict
+from typing import Callable
 
 from ...errors import ProtocolAbortedError, ProtocolError, RpcError
 from ...telemetry import CoreMetrics, MetricRegistry, default_registry
@@ -54,17 +55,14 @@ class InstanceManager:
         results=None,
         max_pending: int | None = None,
         overload_retry_after: float = 0.25,
-        crypto_pool=None,
-        coalescer=None,
+        crypto=None,
     ):
         self.party_id = party_id
         self._send = send
         self._default_timeout = default_timeout
-        # Shared by every executor this manager launches; None keeps all
-        # crypto inline on the event loop (the pre-offload behaviour).
-        self._crypto_pool = crypto_pool
-        # Cross-request batching layer over the pool (same sharing scope).
-        self._coalescer = coalescer
+        # The CryptoScheduler shared by every executor this manager
+        # launches; None keeps all crypto inline on the event loop.
+        self._crypto = crypto
         self.metrics = CoreMetrics(
             registry if registry is not None else default_registry()
         )
@@ -84,9 +82,10 @@ class InstanceManager:
 
     def start_instance(
         self,
-        protocol: ThresholdRoundProtocol,
+        protocol: ThresholdRoundProtocol | Callable[[], ThresholdRoundProtocol],
         scheme: str,
         timeout: float | None = None,
+        instance_id: str | None = None,
     ) -> InstanceRecord:
         """Create and launch an instance; idempotent on instance id.
 
@@ -95,8 +94,16 @@ class InstanceManager:
         *are* the duplicate-request coalescing path: joining an instance
         already in flight, or answering from the durable result cache.
         Both folds are counted as ``repro_requests_coalesced_total``.
+
+        ``protocol`` may be a zero-argument builder for the instance named
+        ``instance_id``.  It runs only when this call creates the instance:
+        after the idempotency and overload checks, so a duplicate request
+        consumes nothing its builder would (a precomputed share, a nonce
+        set), and before the ``submitted`` journal record, so a request
+        the builder rejects leaves no trace.
         """
-        instance_id = protocol.instance_id
+        if instance_id is None:
+            instance_id = protocol.instance_id
         if instance_id in self._records:
             self.metrics.coalesced_requests.labels("inflight").inc()
             return self._records[instance_id]
@@ -116,6 +123,8 @@ class InstanceManager:
                 reason="overloaded",
                 retry_after=self._overload_retry_after,
             )
+        if not isinstance(protocol, ThresholdRoundProtocol):
+            protocol = protocol()
         self._journal_event(
             {"event": "submitted", "id": instance_id, "scheme": scheme}
         )
@@ -126,8 +135,7 @@ class InstanceManager:
             self._send,
             timeout=timeout if timeout is not None else self._default_timeout,
             metrics=self.metrics,
-            crypto_pool=self._crypto_pool,
-            coalescer=self._coalescer,
+            crypto=self._crypto,
             on_terminal=lambda: self._release(instance_id),
         )
         self._records[instance_id] = record

@@ -13,22 +13,25 @@ scheme behind one per-(key, operation) **precompute pool**:
   Each node derives the same deterministic instance id it would derive
   for the real request.
 * **Refill** — a background task materializes this node's own share for
-  each announced request during idle cycles, through the adaptive
-  :class:`~repro.workers.pool.CryptoPool` when the offload policy rules
-  for it, and stages it in the pool.  With ``eager`` refill the node
-  also starts the protocol instance immediately, so share exchange,
-  verification, and combination all run ahead of demand and the real
-  request folds into the finished instance via the idempotent instance
-  id (PR-4 result cache / in-flight coalescing).
+  each announced request during idle cycles, through the node's
+  :class:`~repro.core.orchestration.scheduler.CryptoScheduler` (pooled
+  when the offload policy rules for it), and stages it in the pool.
+  With ``eager`` refill the node also starts the protocol instance
+  immediately, so share exchange, verification, and combination all run
+  ahead of demand and the real request folds into the finished instance
+  via the idempotent instance id (PR-4 result cache / in-flight
+  coalescing).
 * **Consume** — the real request takes the staged entry (strict
   consume-once: the consumption is journaled durably *before* the entry
-  is served, so a crash-and-restart can never double-use it) and the
-  executor skips the first round's crypto via the TRI precompute hooks.
-  Unannounced requests fall back to the on-demand path untouched.
+  is served, so a crash-and-restart can never double-use it) into its
+  operation's own-share memo, and the first round's crypto is skipped.
+  A duplicate of a request already known to the instance manager takes
+  nothing.  Unannounced requests fall back to the on-demand path
+  untouched.
 
 KG20 keeps its nonce-commitment pools (filled by the explicit
-preprocessing round); the service fronts them so consumption, depth
-telemetry, and the TRI staging path are uniform across schemes.
+preprocessing round); the service fronts them so depth telemetry is
+uniform across schemes.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from typing import Awaitable, Callable
 from ...errors import ConfigurationError
 from ...storage.pool_journal import PoolJournal
 from ...telemetry import MetricRegistry, PrecomputeMetrics
-from ...workers.pool import CryptoPool, CryptoPoolUnavailable
 from ..protocols.frost import FrostPrecomputationPool
+from .scheduler import CryptoScheduler
 
 logger = logging.getLogger(__name__)
 
@@ -99,12 +102,6 @@ class PrecomputeConfig:
     #: so the whole threshold round (exchange + verify + combine) runs
     #: ahead of the request, not just share creation.
     eager: bool = True
-    #: Defer refill work while foreground instances are active.
-    idle_only: bool = True
-    #: Persist staged entries (and their consumption) in the PR-4 WAL
-    #: layer under ``data_dir/precompute`` so restarts restore unconsumed
-    #: shares and can never re-serve consumed ones.
-    journal: bool = True
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -113,15 +110,13 @@ class PrecomputeConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "eager": self.eager,
-            "idle_only": self.idle_only,
-            "journal": self.journal,
-        }
+        return {"depth": self.depth, "eager": self.eager}
 
     @staticmethod
     def from_dict(payload: dict) -> "PrecomputeConfig":
+        unknown = sorted(set(payload) - {"depth", "eager"})
+        if unknown:
+            raise ConfigurationError(f"unknown precompute config keys {unknown}")
         return PrecomputeConfig(**payload)
 
 
@@ -165,14 +160,14 @@ class PrecomputeService:
         self,
         config: PrecomputeConfig | None,
         registry: MetricRegistry,
-        crypto_pool: CryptoPool | None = None,
+        crypto: CryptoScheduler | None = None,
         journal_dir: Path | str | None = None,
         active_probe: Callable[[], int] | None = None,
         submit: Callable[[str, str, bytes, bytes], Awaitable[bytes]] | None = None,
     ):
         self._config = config
         self._metrics = PrecomputeMetrics(registry)
-        self._crypto_pool = crypto_pool
+        self._crypto = crypto
         self._active_probe = active_probe
         self._submit = submit
         self._entries: dict[str, _PoolEntry] = {}
@@ -193,7 +188,10 @@ class PrecomputeService:
         self._refill_outcomes: dict[tuple[str, str], int] = {}
         self._restored = 0
         self._journal: PoolJournal | None = None
-        if journal_dir is not None and self.enabled and config.journal:
+        if journal_dir is not None and self.enabled:
+            # Staged entries and their consumption persist in the PR-4 WAL
+            # layer, so a restart restores unconsumed shares and can never
+            # re-serve consumed ones.
             self._journal = PoolJournal(journal_dir)
             for survivor in self._journal.survivors:
                 self._entries[survivor.instance_id] = _PoolEntry(
@@ -343,7 +341,7 @@ class PrecomputeService:
         requests is never interleaved with refill crypto.
         """
         while True:
-            if self._config.idle_only and self._active_probe is not None:
+            if self._active_probe is not None:
                 now = time.monotonic()
                 if self._active_probe() - self._eager_inflight > 0:
                     self._last_busy = now
@@ -357,34 +355,13 @@ class PrecomputeService:
             await asyncio.sleep(_IDLE_POLL)
 
     async def _create(self, job: PrecomputeJob) -> bytes:
-        """This node's own share for the announced request.
-
-        Routed through the adaptive crypto pool under the same op name as
-        the on-demand path, so the policy's EWMAs keep learning from both.
-        """
+        """This node's own share for the announced request — through the
+        node's crypto scheduler when it has one, under the same op name as
+        the on-demand path, so the policy's EWMAs learn from both."""
         operation = job.operation_factory()
-        pool = self._crypto_pool
-        spec = None
-        if pool is not None and pool.enabled:
-            spec = operation.offload_spec(include_share=True)
-        if spec is not None:
-            op = f"{spec['scheme']}:create_share"
-            if pool.decide(op).offload:
-                from ...workers.refill import refill_shares
-
-                started = time.perf_counter()
-                try:
-                    payloads = await pool.run(op, refill_shares, [spec])
-                except CryptoPoolUnavailable:
-                    pass  # degrade to inline; the pool counted the fallback
-                else:
-                    pool.observe(op, "pool", time.perf_counter() - started)
-                    return payloads[0]
-            started = time.perf_counter()
-            payload = operation.create_own_share()
-            pool.observe(op, "inline", time.perf_counter() - started)
-            return payload
-        return operation.create_own_share()
+        if self._crypto is None:
+            return operation.own_share()
+        return await self._crypto.create(operation)
 
     def _start_eager(self, job: PrecomputeJob) -> None:
         self.note_pipelined(job.instance_id)
@@ -449,26 +426,16 @@ class PrecomputeService:
         return self._frost_pools.setdefault(key_id, FrostPrecomputationPool())
 
     def note_frost_depth(self, key_id: str) -> None:
-        """Refresh the depth gauge after a preprocessing round filled it."""
-        pool = self._frost_pools.get(key_id)
-        if pool is not None:
-            self._metrics.depth.labels(key_id, "kg20-nonce").set(pool.available)
-
-    def take_frost(
-        self, key_id: str
-    ) -> tuple[object, list[object]] | None:
-        """Pop one nonce/commitment set, or None when the pool is dry.
+        """Refresh the depth gauge after a preprocessing round filled the
+        pool or a signing instance popped a set from it.
 
         Nonce material is volatile by construction (it never rests on
         disk), so a restart empties the pool — consume-once across
         process lives holds trivially.
         """
         pool = self._frost_pools.get(key_id)
-        if pool is None or not pool.available:
-            return None
-        entry = pool.pop()
-        self._metrics.depth.labels(key_id, "kg20-nonce").set(pool.available)
-        return entry
+        if pool is not None:
+            self._metrics.depth.labels(key_id, "kg20-nonce").set(pool.available)
 
     # -- bookkeeping ---------------------------------------------------------
 

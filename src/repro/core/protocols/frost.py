@@ -79,35 +79,11 @@ class FrostProtocol(ThresholdRoundProtocol):
         self._own_share: kg20.Kg20SignatureShare | None = None
         self._signing_round_done = False
         if pool is not None and pool.available:
-            # Precomputed mode: commitments already agreed, skip round 0.
-            self.stage_precomputed(pool.pop())
-
-    # -- precompute hooks (repro.core.orchestration.precompute) --------------
-
-    @property
-    def supports_precompute(self) -> bool:
-        return True
-
-    def stage_precomputed(self, entry) -> None:
-        """Install a pooled ``(NoncePair, [NonceCommitment])`` set.
-
-        The commitments were agreed by a prior preprocessing round, so the
-        signing protocol starts directly in round 1 (one online round).
-        """
-        if self.round != 0 or self._signing_round_done:
-            raise ProtocolError(
-                f"instance {self.instance_id}: cannot stage nonces after "
-                "round 0 ran"
-            )
-        nonce, commitment_list = entry
-        self._nonce = nonce
-        self._commitments = {c.id: c for c in commitment_list}
-        self.round = 1
-
-    def consume_precomputed(self) -> list[ProtocolMessage] | None:
-        if self.round != 1 or self._signing_round_done or self._nonce is None:
-            return None
-        return self.do_round()
+            # Precomputed mode: the commitments were agreed by a prior
+            # preprocessing round, so signing starts directly in round 1.
+            self._nonce, commitment_list = pool.pop()
+            self._commitments = {c.id: c for c in commitment_list}
+            self.round = 1
 
     # -- TRI implementation --------------------------------------------------
 

@@ -11,12 +11,13 @@ scheme" (§3.5).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...errors import (
     ConfigurationError,
     DuplicateShareError,
     InvalidShareError,
+    ProtocolError,
     ThetacryptError,
 )
 from ...schemes import bls04, bz03, cks05, sg02, sh00
@@ -26,8 +27,6 @@ from ...schemes.base import (
     ThresholdSignature,
     get_scheme,
 )
-from ...schemes.keystore import export_key_share, export_public_key
-from ...workers.blobs import register_export
 
 
 @dataclass(frozen=True)
@@ -50,15 +49,27 @@ class ShareOperation(ABC):
     output (``self_verifying``: the signature schemes) admits peer shares
     *unverified* and lets that one check judge the quorum — see
     :meth:`settle`.  Every other adapter verifies each share on arrival.
+
+    Two memo slots let a ``CryptoScheduler`` move the pure crypto off the
+    event loop without a second code path: this party's share payload
+    (:meth:`supply_own_share`) and per-payload verification ``verdicts``.
+    Both hold only what :meth:`create_own_share` / :meth:`verify_payloads`
+    would return; with both empty every call below computes inline.
     """
 
     #: combine() verifies the result it assembled, so a per-share check
     #: before it proves nothing more — except who lied, when someone did.
     self_verifying = False
 
-    def __init__(self, threshold: int, party_id: int):
-        self.threshold = threshold
-        self.party_id = party_id
+    def __init__(self, scheme, public_key, key_share, request: OperationRequest):
+        self._scheme = scheme
+        self.scheme_name: str = scheme.name
+        self.public_key = public_key
+        #: None in a verification-only rebuild (a pool worker's).
+        self.key_share = key_share
+        self.request = request
+        self.threshold: int = public_key.threshold
+        self.party_id: int = key_share.id if key_share is not None else 0
         self._shares: dict[int, object] = {}
         #: Ids of held shares no check has covered yet (lazy admission).
         self._unverified: set[int] = set()
@@ -66,12 +77,10 @@ class ShareOperation(ABC):
         #: contend for one id; eager (verify on arrival) from then on.
         self._lazy = self.self_verifying
         self._result: bytes | None = None
-        # offload_spec() memo, keyed by include_share.  Everything the spec
-        # derives from (keys, request bytes) is fixed at construction, and
-        # the executor consults the spec per admitted message — without the
-        # memo a decrypt instance would re-serialize its ciphertext on
-        # every share.
-        self._spec_cache: dict[bool, dict | None] = {}
+        self._own_payload: bytes | None = None
+        #: Exact payload bytes -> :meth:`verify_payloads` verdict, popped by
+        #: the :meth:`accept_share` that uses it.
+        self.verdicts: dict[bytes, str | None] = {}
 
     @abstractmethod
     def create_own_share(self) -> bytes:
@@ -107,14 +116,20 @@ class ShareOperation(ABC):
         unverified must never shadow the honest one for its id: a second,
         *different* share for such an id is not a duplicate but a conflict,
         resolved on the spot by verifying (:meth:`_resolve_conflict`).
+
+        A memoised verdict answers only the cryptographic question, and
+        only for the exact bytes it was computed over: decoding, the id
+        range, duplicate and conflict policing all still run here.
         """
         try:
             share = self._decode(payload)
             if self._lazy:
-                if not 1 <= share.id <= self._public_key.parties:
+                if not 1 <= share.id <= self.public_key.parties:
                     raise InvalidShareError(f"share id {share.id} out of range")
-            else:
+            elif payload not in self.verdicts:
                 self._verify_decoded(share)
+            elif (verdict := self.verdicts.pop(payload)) is not None:
+                raise InvalidShareError(verdict)
         except ThetacryptError:
             raise
         except Exception as exc:  # noqa: BLE001 - arbitrary bytes, arbitrary errors
@@ -214,79 +229,58 @@ class ShareOperation(ABC):
                 culprits,
             )
 
-    def admit_verified(self, payload: bytes) -> None:
-        """Store a share whose cryptographic validity a pool worker already
-        established.  Decode errors and duplicates are still policed here —
-        they are local-state questions, not crypto ones — so a worker
-        verdict can never bypass them.
-        """
-        try:
-            share = self._decode(payload)
-        except ThetacryptError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - arbitrary bytes, arbitrary errors
-            raise InvalidShareError(f"malformed share payload: {exc}") from exc
-        if share.id in self._shares:
-            raise DuplicateShareError(f"duplicate share from party {share.id}")
-        self._shares[share.id] = share
+    def verify_payloads(self, payloads: list[bytes]) -> list[str | None]:
+        """Cryptographic verdicts for peer payloads, index-aligned: ``None``
+        for a valid share, the rejection reason otherwise.
 
-    def admit_own(self, payload: bytes) -> None:
-        """Store this party's own share from its worker-serialized payload."""
+        Pure — reads no instance state and stores nothing — so a pool
+        worker's rebuild of this operation returns the same list.  Several
+        shares go through the scheme's batch check where it has one; only
+        when that fails are they checked one by one to name the culprits.
+        """
+        verdicts: list[str | None] = [None] * len(payloads)
+        decoded: list[tuple[int, object]] = []
+        for index, payload in enumerate(payloads):
+            try:
+                decoded.append((index, self._decode(payload)))
+            except Exception as exc:  # noqa: BLE001 - byzantine bytes, any error
+                verdicts[index] = f"malformed share payload: {exc}"
+        if len(decoded) > 1:
+            try:
+                if self._verify_batch([share for _, share in decoded]):
+                    return verdicts
+            except Exception:  # noqa: BLE001 - >= 1 bad share: name it below
+                pass
+        for index, share in decoded:
+            try:
+                self._verify_decoded(share)
+            except Exception as exc:  # noqa: BLE001
+                verdicts[index] = str(exc) or type(exc).__name__
+        return verdicts
+
+    def _verify_batch(self, shares: list) -> bool:
+        """Check ``shares`` in one batched call, raising if any is invalid;
+        False when the scheme has no batch API (BZ03, SH00)."""
+        return False
+
+    def supply_own_share(self, payload: bytes) -> None:
+        """Pre-fill this party's share with the bytes ``create_own_share``
+        returned elsewhere (a pool worker, the precompute cache)."""
+        if self._own_payload is not None:
+            raise ProtocolError("own share already created")
         self._store_own(self._decode(payload))
+        self._own_payload = payload
 
-    def offload_spec(self, include_share: bool = False) -> dict | None:
-        """Pickle-safe description for :mod:`repro.workers.tasks`.
+    @property
+    def has_own_share(self) -> bool:
+        return self._own_payload is not None
 
-        The spec re-creates this operation inside a worker process from
-        primitives alone; ``include_share`` adds the exported key share
-        (needed by ``create_share``, not by ``verify_shares``).  None
-        means the adapter has no worker tasks and must stay inline.
-
-        Key material is referenced by content digest, not carried inline:
-        the export blob is serialized once per key object (memoized by
-        :func:`repro.workers.blobs.register_export`), parked in the
-        parent-side blob store, and shipped to each worker at most once —
-        at spawn time or on a cache-miss retry.
-
-        The result is memoized per ``include_share`` (callers must not
-        mutate it): the executor asks for the spec on every admission
-        cycle, and rebuilding it would re-serialize the request each time.
-        """
-        if include_share in self._spec_cache:
-            return self._spec_cache[include_share]
-        spec = self._build_spec(include_share)
-        self._spec_cache[include_share] = spec
-        return spec
-
-    def _build_spec(self, include_share: bool) -> dict | None:
-        kind_data = self._request_tuple()
-        if kind_data is None:
-            return None
-        kind, data = kind_data
-        scheme_name = self._scheme.name
-        spec = {
-            "scheme": scheme_name,
-            "public_digest": register_export(
-                "public",
-                scheme_name,
-                self._public_key,
-                lambda: export_public_key(scheme_name, self._public_key),
-            ),
-            "kind": kind,
-            "data": data,
-        }
-        if include_share:
-            spec["share_digest"] = register_export(
-                "share",
-                scheme_name,
-                self._key_share,
-                lambda: export_key_share(scheme_name, self._key_share),
-            )
-        return spec
-
-    def _request_tuple(self) -> tuple[str, bytes] | None:
-        """(kind, request bytes) for the offload spec; None = no offload."""
-        return None
+    def own_share(self) -> bytes:
+        """This party's serialized share: the supplied one, else created
+        now — once either way."""
+        if self._own_payload is None:
+            self._own_payload = self.create_own_share()
+        return self._own_payload
 
     def _store_own(self, share: object) -> None:
         self._shares[share.id] = share
@@ -303,40 +297,41 @@ class ShareOperation(ABC):
 class DecryptOperation(ShareOperation):
     """Threshold decryption for SG02 and BZ03."""
 
-    def __init__(
-        self,
-        scheme: ThresholdCipher,
-        public_key,
-        key_share,
-        ciphertext,
-    ):
-        super().__init__(public_key.threshold, key_share.id)
-        self._scheme = scheme
-        self._public_key = public_key
-        self._key_share = key_share
-        self._ciphertext = ciphertext
+    def __init__(self, scheme: ThresholdCipher, public_key, key_share, request):
+        super().__init__(scheme, public_key, key_share, request)
+        if isinstance(scheme, sg02.Sg02Cipher):
+            self._ciphertext = sg02.Sg02Ciphertext.from_bytes(
+                request.data, public_key.group
+            )
+        else:
+            self._ciphertext = bz03.Bz03Ciphertext.from_bytes(request.data)
 
     def create_own_share(self) -> bytes:
-        share = self._scheme.create_decryption_share(self._key_share, self._ciphertext)
+        share = self._scheme.create_decryption_share(self.key_share, self._ciphertext)
         self._store_own(share)
         return share.to_bytes()
 
     def _decode(self, payload: bytes):
         if isinstance(self._scheme, sg02.Sg02Cipher):
             return sg02.Sg02DecryptionShare.from_bytes(
-                payload, self._public_key.group
+                payload, self.public_key.group
             )
         return bz03.Bz03DecryptionShare.from_bytes(payload)
 
     def _verify_decoded(self, share) -> None:
-        self._scheme.verify_decryption_share(self._public_key, self._ciphertext, share)
+        self._scheme.verify_decryption_share(self.public_key, self._ciphertext, share)
 
-    def _request_tuple(self) -> tuple[str, bytes]:
-        return "decrypt", self._ciphertext.to_bytes()
+    def _verify_batch(self, shares: list) -> bool:
+        if not isinstance(self._scheme, sg02.Sg02Cipher):
+            return False
+        self._scheme.verify_decryption_shares(
+            self.public_key, self._ciphertext, shares
+        )
+        return True
 
     def combine(self) -> bytes:
         return self._scheme.combine(
-            self._public_key, self._ciphertext, list(self._shares.values())
+            self.public_key, self._ciphertext, list(self._shares.values())
         )
 
 
@@ -349,21 +344,8 @@ class SignOperation(ShareOperation):
 
     self_verifying = True
 
-    def __init__(
-        self,
-        scheme: ThresholdSignature,
-        public_key,
-        key_share,
-        message: bytes,
-    ):
-        super().__init__(public_key.threshold, key_share.id)
-        self._scheme = scheme
-        self._public_key = public_key
-        self._key_share = key_share
-        self._message = message
-
     def create_own_share(self) -> bytes:
-        share = self._scheme.partial_sign(self._key_share, self._message)
+        share = self._scheme.partial_sign(self.key_share, self.request.data)
         self._store_own(share)
         return share.to_bytes()
 
@@ -373,14 +355,22 @@ class SignOperation(ShareOperation):
         return bls04.Bls04SignatureShare.from_bytes(payload)
 
     def _verify_decoded(self, share) -> None:
-        self._scheme.verify_signature_share(self._public_key, self._message, share)
+        self._scheme.verify_signature_share(
+            self.public_key, self.request.data, share
+        )
 
-    def _request_tuple(self) -> tuple[str, bytes]:
-        return "sign", self._message
+    def _verify_batch(self, shares: list) -> bool:
+        if not isinstance(self._scheme, bls04.Bls04SignatureScheme):
+            return False
+        # identify=False: the share-by-share pass names the culprits.
+        self._scheme.verify_share_batch(
+            self.public_key, self.request.data, shares, identify=False
+        )
+        return True
 
     def combine(self) -> bytes:
         signature = self._scheme.combine(
-            self._public_key, self._message, list(self._shares.values())
+            self.public_key, self.request.data, list(self._shares.values())
         )
         return signature.to_bytes()
 
@@ -388,30 +378,24 @@ class SignOperation(ShareOperation):
 class CoinOperation(ShareOperation):
     """Threshold randomness for CKS05."""
 
-    def __init__(self, scheme: ThresholdCoin, public_key, key_share, name: bytes):
-        super().__init__(public_key.threshold, key_share.id)
-        self._scheme = scheme
-        self._public_key = public_key
-        self._key_share = key_share
-        self._name = name
-
     def create_own_share(self) -> bytes:
-        share = self._scheme.create_coin_share(self._key_share, self._name)
+        share = self._scheme.create_coin_share(self.key_share, self.request.data)
         self._store_own(share)
         return share.to_bytes()
 
     def _decode(self, payload: bytes):
-        return cks05.Cks05CoinShare.from_bytes(payload, self._public_key.group)
+        return cks05.Cks05CoinShare.from_bytes(payload, self.public_key.group)
 
     def _verify_decoded(self, share) -> None:
-        self._scheme.verify_coin_share(self._public_key, self._name, share)
+        self._scheme.verify_coin_share(self.public_key, self.request.data, share)
 
-    def _request_tuple(self) -> tuple[str, bytes]:
-        return "coin", self._name
+    def _verify_batch(self, shares: list) -> bool:
+        self._scheme.verify_coin_shares(self.public_key, self.request.data, shares)
+        return True
 
     def combine(self) -> bytes:
         return self._scheme.combine(
-            self._public_key, self._name, list(self._shares.values())
+            self.public_key, self.request.data, list(self._shares.values())
         )
 
 
@@ -421,24 +405,22 @@ def make_operation(
     key_share,
     request: OperationRequest,
 ) -> ShareOperation:
-    """Instantiate the right adapter for (scheme, request kind)."""
+    """Instantiate the right adapter for (scheme, request kind).
+
+    ``key_share=None`` builds a verification-only adapter (what a pool
+    worker needs for :meth:`ShareOperation.verify_payloads`).
+    """
     scheme = get_scheme(scheme_name)
     if request.kind == "decrypt":
         if not isinstance(scheme, ThresholdCipher):
             raise ConfigurationError(f"{scheme_name} cannot decrypt")
-        if isinstance(scheme, sg02.Sg02Cipher):
-            ciphertext = sg02.Sg02Ciphertext.from_bytes(
-                request.data, public_key.group
-            )
-        else:
-            ciphertext = bz03.Bz03Ciphertext.from_bytes(request.data)
-        return DecryptOperation(scheme, public_key, key_share, ciphertext)
+        return DecryptOperation(scheme, public_key, key_share, request)
     if request.kind == "sign":
         if not isinstance(scheme, ThresholdSignature):
             raise ConfigurationError(f"{scheme_name} cannot sign")
-        return SignOperation(scheme, public_key, key_share, request.data)
+        return SignOperation(scheme, public_key, key_share, request)
     if request.kind == "coin":
         if not isinstance(scheme, ThresholdCoin):
             raise ConfigurationError(f"{scheme_name} cannot toss coins")
-        return CoinOperation(scheme, public_key, key_share, request.data)
+        return CoinOperation(scheme, public_key, key_share, request)
     raise ConfigurationError(f"unknown operation kind {request.kind!r}")

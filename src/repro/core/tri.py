@@ -73,73 +73,6 @@ class ThresholdRoundProtocol(ABC):
         """
         return None
 
-    # -- optional worker-pool offload hooks ----------------------------------
-    #
-    # A protocol that can describe its hot crypto as pickle-safe worker
-    # tasks (see repro.workers) overrides these; the executor then runs
-    # do_round's computation and share verification in a CryptoPool worker
-    # instead of blocking the event loop.  The defaults keep every
-    # protocol correct with the pool disabled or absent.
-
-    @property
-    def supports_offload(self) -> bool:
-        """True when this protocol provides offload task descriptions."""
-        return False
-
-    def offload_round(self) -> tuple[str, object, tuple] | None:
-        """``(op_name, task_fn, args)`` computing this round's crypto in a
-        worker, or None to run :meth:`do_round` inline."""
-        return None
-
-    def apply_round(self, result) -> list[ProtocolMessage]:
-        """Fold a worker-computed :meth:`offload_round` result into local
-        state, returning the messages :meth:`do_round` would have sent."""
-        raise ProtocolError(
-            f"instance {self.instance_id}: protocol does not offload rounds"
-        )
-
-    def offload_verify(self, payloads: list[bytes]) -> tuple[str, object, tuple] | None:
-        """``(op_name, task_fn, args)`` batch-verifying peer payloads in a
-        worker (returning per-index verdicts), or None to verify inline."""
-        return None
-
-    def admit_verified(self, payload: bytes) -> None:
-        """Store a peer payload whose cryptographic checks already ran in
-        a worker; decode and duplicate policing still happen locally."""
-        raise ProtocolError(
-            f"instance {self.instance_id}: protocol does not offload verification"
-        )
-
-    # -- optional precompute hooks -------------------------------------------
-    #
-    # A protocol whose first round can be materialized ahead of the request
-    # (a presignature, a decryption share for an announced ciphertext, a
-    # FROST nonce/commitment set) overrides these; the node stages the
-    # pooled entry on the protocol at submission time and the executor
-    # consumes it instead of computing round 0.  The defaults keep every
-    # protocol on the on-demand path.
-
-    @property
-    def supports_precompute(self) -> bool:
-        """True when this protocol accepts pre-staged round material."""
-        return False
-
-    def stage_precomputed(self, entry) -> None:
-        """Install a pooled entry (shape is protocol-specific) before run().
-
-        Must be called at most once, before the first round ran; the entry
-        is consumed exactly once by :meth:`consume_precomputed`.
-        """
-        raise ProtocolError(
-            f"instance {self.instance_id}: protocol does not precompute"
-        )
-
-    def consume_precomputed(self) -> list[ProtocolMessage] | None:
-        """Fold the staged entry into local state and return the messages
-        the precomputed round would have sent, or None to fall back to the
-        on-demand :meth:`do_round` path (nothing staged, or already run)."""
-        return None
-
     # -- shared bookkeeping --------------------------------------------------
 
     def advance_round(self) -> None:

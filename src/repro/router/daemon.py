@@ -18,138 +18,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import logging
 import signal
-import time
 
-from ..errors import RpcError, ThetacryptError
-from ..service.server import RPC_LINE_LIMIT
-from ..telemetry import MetricsHttpServer, RpcMetrics
+from ..service.server import JsonLinesServer
+from ..telemetry import MetricsHttpServer
 from .core import Router
 from .topology import Topology
 
 logger = logging.getLogger("repro.router")
-
-
-class RouterRpcServer:
-    """Front-side RPC listener: the same wire protocol as ``RpcServer``.
-
-    Shares the node server's framing, auth handling, and structured-error
-    serialization (reason / retry_after / details), but dispatches into a
-    :class:`Router` instead of a node.
-    """
-
-    def __init__(self, router: Router, host: str, port: int, auth_token: str = ""):
-        self._router = router
-        self._host = host
-        self._port = port
-        self._auth_token = auth_token
-        self._server: asyncio.AbstractServer | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._metrics = RpcMetrics(router.registry)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is None or not self._server.sockets:
-            return self._host, self._port
-        sock = self._server.sockets[0]
-        return sock.getsockname()[0], sock.getsockname()[1]
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_client, self._host, self._port, limit=RPC_LINE_LIMIT
-        )
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        tasks = list(self._tasks)
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def _on_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._metrics.connections.inc()
-        write_lock = asyncio.Lock()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_line(line, writer, write_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return
-        finally:
-            writer.close()
-
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        request_id = None
-        method = ""
-        outcome = "ok"
-        started = time.perf_counter()
-        self._metrics.inflight.inc()
-        try:
-            try:
-                request = json.loads(line)
-                request_id = request.get("id")
-                method = str(request.get("method", ""))
-                if self._auth_token and request.get("auth") != self._auth_token:
-                    raise RpcError(
-                        "unauthorized: request lacks the security-domain token"
-                    )
-                result = await self._router.dispatch(
-                    method, request.get("params", {})
-                )
-                response = {"id": request_id, "result": result}
-            except ThetacryptError as exc:
-                outcome = "error"
-                response = {"id": request_id, "error": str(exc)}
-                reason = getattr(exc, "reason", None)
-                if reason is not None:
-                    response["error_reason"] = reason
-                retry_after = getattr(exc, "retry_after", None)
-                if retry_after is not None:
-                    response["retry_after"] = retry_after
-                details = getattr(exc, "details", None)
-                if details is not None:
-                    try:
-                        json.dumps(details)
-                    except (TypeError, ValueError):
-                        pass
-                    else:
-                        response["error_details"] = details
-            except Exception as exc:  # noqa: BLE001 - report malformed requests
-                logger.exception("router rpc failure")
-                outcome = "internal"
-                response = {"id": request_id, "error": f"internal error: {exc}"}
-        finally:
-            self._metrics.inflight.dec()
-            self._metrics.requests.labels(method or "<unparsed>", outcome).inc()
-            self._metrics.latency.labels(method or "<unparsed>").observe(
-                time.perf_counter() - started
-            )
-        async with write_lock:
-            if writer.is_closing():
-                return
-            try:
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
-            except ConnectionError:
-                pass
 
 
 class RouterDaemon:
@@ -165,7 +42,16 @@ class RouterDaemon:
         name: str = "router",
     ):
         self.router = Router(topology, auth_token=auth_token, name=name)
-        self.rpc = RouterRpcServer(self.router, host, port, auth_token=auth_token)
+        # The same wire protocol as a node's ``RpcServer`` (framing, auth,
+        # structured errors), dispatching into the router core.
+        self.rpc = JsonLinesServer(
+            self.router.dispatch,
+            host,
+            port,
+            auth_token,
+            self.router.registry,
+            log_name="router rpc",
+        )
         self._metrics_http: MetricsHttpServer | None = None
         if metrics_port is not None:
             self._metrics_http = MetricsHttpServer(

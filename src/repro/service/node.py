@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..core.messages import Channel
 from ..core.orchestration import (
+    CryptoScheduler,
     InstanceManager,
     InstanceRecord,
     KeyManager,
@@ -53,7 +54,6 @@ from ..telemetry import (
     render_text,
     summarize,
 )
-from ..core.orchestration.coalescing import CryptoCoalescer
 from ..workers import CryptoPool
 from ..workers.policy import OffloadPolicy
 from .config import NodeConfig
@@ -164,13 +164,13 @@ class ThetacryptNode:
             )
         else:
             self.crypto_pool = None
-        # Cross-request batching over the pool (docs/performance.md):
-        # concurrent instances' share creations/verifications within the
-        # window coalesce into one batched worker task.
-        self._coalescer: CryptoCoalescer | None = None
-        if self.crypto_pool is not None and config.coalesce_window > 0:
-            self._coalescer = CryptoCoalescer(
-                self.crypto_pool, window=config.coalesce_window
+        # The one seam to the pool (docs/performance.md): policy, cross-
+        # request coalescing and the inline fallback live behind it.  None
+        # without a pool — executors then compute everything inline.
+        self._crypto: CryptoScheduler | None = None
+        if self.crypto_pool is not None:
+            self._crypto = CryptoScheduler(
+                self.crypto_pool, config.coalesce_window, self.registry
             )
         # Event-loop lag heartbeat: the direct measure of how long inline
         # crypto blocks everything else on this node's loop.
@@ -184,11 +184,8 @@ class ThetacryptNode:
             results=self._results,
             max_pending=config.max_pending_instances,
             overload_retry_after=config.overload_retry_after,
-            crypto_pool=self.crypto_pool,
-            coalescer=self._coalescer,
+            crypto=self._crypto,
         )
-        if self._coalescer is not None:
-            self._coalescer.bind_metrics(self.instances.metrics)
         self.network.set_protocol_handler(self.instances.handle_network_message)
         self.rpc = RpcServer(self, config.rpc_host, config.rpc_port)
         self._metrics_http: MetricsHttpServer | None = None
@@ -202,16 +199,12 @@ class ThetacryptNode:
         # Always constructed — the kg20 nonce pools live in it — but the
         # announce/refill machinery only runs with config.precompute set.
         journal_dir = None
-        if (
-            config.data_dir is not None
-            and config.precompute is not None
-            and config.precompute.journal
-        ):
+        if config.data_dir is not None and config.precompute is not None:
             journal_dir = Path(config.data_dir) / "precompute"
         self._precompute = PrecomputeService(
             config.precompute,
             registry=self.registry,
-            crypto_pool=self.crypto_pool,
+            crypto=self._crypto,
             journal_dir=journal_dir,
             active_probe=lambda: self.instances.active_count,
             submit=self._pipeline_submit,
@@ -488,52 +481,63 @@ class ThetacryptNode:
         """Start (idempotently) the protocol instance for a request.
 
         Precomputed material staged for this exact request (same
-        deterministic instance id) is consumed here — once, ever — and
-        installed on the protocol via the TRI precompute hooks; the
-        executor then skips the first round's crypto.  ``_pipeline``
-        marks the pipeline's own eager submissions, which consume pool
-        entries but are not client-visible requests (no served counter).
+        deterministic instance id) is consumed — once, ever — when the
+        instance is built, which the instance manager does only for a
+        request that is not a duplicate: a staged share goes into the
+        operation's own-share memo, a kg20 nonce set into the protocol's
+        constructor, and the first round's crypto is skipped.
+        ``_pipeline`` marks the pipeline's own eager submissions, which
+        consume pool entries but are not client-visible requests (no
+        served counter).
         """
         entry = self.lookup_key(key_id)
+        if entry.scheme == "kg20" and kind != "sign":
+            raise RpcError("kg20 keys only support signing")
         instance_id = derive_instance_id(kind, key_id, data, label)
-        source = "inline"
-        if entry.scheme == "kg20":
-            if kind != "sign":
-                raise RpcError("kg20 keys only support signing")
-            protocol = FrostProtocol(
-                instance_id,
-                entry.key_share,
-                data,
-                channel=self._channel_for("kg20"),
-            )
-            staged = self._precompute.take_frost(key_id)
-            if staged is not None:
-                protocol.stage_precomputed(staged)
-                source = "pool"
-        else:
+        #: The round the instance starts in, if it consumed staged material.
+        precomputed: int | None = None
+
+        def build():
+            nonlocal precomputed
+            channel = self._channel_for(entry.scheme)
+            if entry.scheme == "kg20":
+                protocol = FrostProtocol(
+                    instance_id,
+                    entry.key_share,
+                    data,
+                    channel=channel,
+                    pool=self._precompute.frost_pool(key_id),
+                )
+                if protocol.round:  # popped a nonce set: signing starts in round 1
+                    precomputed = protocol.round
+                    self._precompute.note_frost_depth(key_id)
+                return protocol
             operation = make_operation(
                 entry.scheme,
                 entry.public_key,
                 entry.key_share,
                 OperationRequest(kind, data, label),
             )
-            protocol = NonInteractiveProtocol(
-                instance_id,
-                self.config.node_id,
-                operation,
-                channel=self._channel_for(entry.scheme),
-            )
             payload = self._precompute.take(instance_id)
             if payload is not None:
-                protocol.stage_precomputed(payload)
-                source = "pool"
-            elif self._precompute.was_pipelined(instance_id):
-                # The announce already ran (or finished) this instance
-                # ahead of demand; the request folds into it below.
-                source = "pool"
-        record = self.instances.start_instance(protocol, entry.scheme)
+                operation.supply_own_share(payload)
+                precomputed = 0
+            return NonInteractiveProtocol(
+                instance_id, self.config.node_id, operation, channel=channel
+            )
+
+        record = self.instances.start_instance(
+            build, entry.scheme, instance_id=instance_id
+        )
+        if precomputed is not None:
+            record.trace.event("precomputed", round=precomputed)
         if self._precompute.enabled and not _pipeline:
-            self._precompute.record_served(kind, source)
+            # "pool": a consumed entry, or a fold into an instance the
+            # announce already ran (or finished) ahead of demand.
+            pooled = precomputed is not None or self._precompute.was_pipelined(
+                instance_id
+            )
+            self._precompute.record_served(kind, "pool" if pooled else "inline")
         return record
 
     def _pipeline_submit(self, kind: str, key_id: str, data: bytes, label: bytes):
@@ -799,7 +803,11 @@ class ThetacryptNode:
             # Worker-pool offload state (docs/performance.md): task
             # counters, fallbacks, crashes, live worker pids, the adaptive
             # policy's decisions/EWMAs, and cross-request coalescing.
-            "crypto_pool": self._pool_stats(),
+            "crypto_pool": (
+                self._crypto.stats()
+                if self._crypto is not None
+                else {"enabled": False, "workers": 0}
+            ),
             # Precompute pipeline (docs/performance.md): per-pool staged
             # depths, refill queue/outcomes, served-source counters, and
             # kg20 nonce availability.
@@ -810,14 +818,6 @@ class ThetacryptNode:
                 summarize(self.registry.get("repro_event_loop_lag_seconds"))
             ),
         }
-
-    def _pool_stats(self) -> dict:
-        if self.crypto_pool is None:
-            return {"enabled": False, "workers": 0}
-        stats = self.crypto_pool.stats()
-        if self._coalescer is not None:
-            stats["coalescing"] = self._coalescer.stats()
-        return stats
 
     def key_info(self) -> list[dict]:
         return [

@@ -21,11 +21,11 @@ import asyncio
 import json
 import logging
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Awaitable, Callable
 
-from ..errors import ThetacryptError
+from ..errors import RpcError, ThetacryptError
 from ..serialization import hexlify, unhexlify
-from ..telemetry import RpcMetrics, start_trace
+from ..telemetry import MetricRegistry, RpcMetrics, start_trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import ThetacryptNode
@@ -44,16 +44,28 @@ _PROTOCOL_METHODS = frozenset(
 RPC_LINE_LIMIT = 1 << 20
 
 
-class RpcServer:
-    """Per-node RPC listener."""
+class JsonLinesServer:
+    """One JSON-lines RPC listener: framing, the auth check, structured
+    error serialisation (reason / retry_after / details) and per-method
+    metrics.  Whoever owns it supplies ``dispatch(method, params)``."""
 
-    def __init__(self, node: "ThetacryptNode", host: str, port: int):
-        self._node = node
+    def __init__(
+        self,
+        dispatch: Callable[[str, dict], Awaitable[dict]],
+        host: str,
+        port: int,
+        auth_token: str,
+        registry: MetricRegistry,
+        log_name: str = "rpc",
+    ):
+        self._dispatch = dispatch
         self._host = host
         self._port = port
+        self._auth_token = auth_token
+        self._log_name = log_name
         self._server: asyncio.AbstractServer | None = None
         self._tasks: set[asyncio.Task] = set()
-        self._metrics = RpcMetrics(node.registry)
+        self._metrics = RpcMetrics(registry)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -101,13 +113,6 @@ class RpcServer:
             # peer, pinning the connection task until loop teardown.
             writer.close()
 
-    def _check_auth(self, request: dict) -> None:
-        expected = self._node.config.rpc_auth_token
-        if expected and request.get("auth") != expected:
-            raise ThetacryptError(
-                "unauthorized: request lacks the security-domain token"
-            )
-
     async def _handle_line(
         self,
         line: bytes,
@@ -124,7 +129,10 @@ class RpcServer:
                 request = json.loads(line)
                 request_id = request.get("id")
                 method = str(request.get("method", ""))
-                self._check_auth(request)
+                if self._auth_token and request.get("auth") != self._auth_token:
+                    raise RpcError(
+                        "unauthorized: request lacks the security-domain token"
+                    )
                 result = await self._dispatch(method, request.get("params", {}))
                 response = {"id": request_id, "result": result}
             except ThetacryptError as exc:
@@ -157,7 +165,7 @@ class RpcServer:
                     else:
                         response["error_details"] = details
             except Exception as exc:  # noqa: BLE001 - report malformed requests
-                logger.exception("rpc failure")
+                logger.exception("%s failure", self._log_name)
                 outcome = "internal"
                 response = {"id": request_id, "error": f"internal error: {exc}"}
         finally:
@@ -175,7 +183,21 @@ class RpcServer:
             except ConnectionError:
                 pass
 
-    async def _dispatch(self, method: str, params: dict) -> dict:
+
+class RpcServer(JsonLinesServer):
+    """Per-node RPC listener."""
+
+    def __init__(self, node: "ThetacryptNode", host: str, port: int):
+        super().__init__(
+            self._dispatch_traced,
+            host,
+            port,
+            node.config.rpc_auth_token,
+            node.registry,
+        )
+        self._node = node
+
+    async def _dispatch_traced(self, method: str, params: dict) -> dict:
         if method in _PROTOCOL_METHODS:
             # The executor task created under this context adopts the trace,
             # so the instance's per-round spans land in one breakdown with

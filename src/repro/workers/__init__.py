@@ -15,7 +15,6 @@
 from .blobs import BlobStore, content_digest, parent_store, register_export
 from .policy import POLICY_MODES, OffloadPolicy, PolicyDecision
 from .pool import CryptoPool, CryptoPoolUnavailable
-from .refill import refill_shares
 from .tasks import (
     DEFAULT_WARM_GROUPS,
     BlobCacheMissError,
@@ -34,7 +33,6 @@ __all__ = [
     "PolicyDecision",
     "content_digest",
     "parent_store",
-    "refill_shares",
     "register_export",
     "warm_worker",
     "worker_health",

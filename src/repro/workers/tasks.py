@@ -29,8 +29,10 @@ The *operation spec* shared by the share tasks is a plain dict::
 Legacy inline blobs (``"public"`` / ``"share"`` keys carrying the raw
 export bytes) remain accepted so the tasks stay usable standalone.
 
-This module deliberately imports only the ``schemes`` layer (never
-``core``), so protocol modules can import it without a cycle.
+The share tasks rebuild the parent's own adapter with
+:func:`~repro.core.protocols.operations.make_operation` and call the same
+``create_own_share`` / ``verify_payloads`` the inline path calls; nothing
+scheme-specific lives here.
 """
 
 from __future__ import annotations
@@ -38,8 +40,11 @@ from __future__ import annotations
 import os
 import time
 
-from ..schemes import bls04, bz03, cks05, kg20, sg02, sh00
-from ..schemes.base import get_scheme
+from ..core.protocols.operations import (
+    OperationRequest,
+    ShareOperation,
+    make_operation,
+)
 from ..schemes.keystore import import_key_share, import_public_key
 from .blobs import BlobStore
 
@@ -194,66 +199,14 @@ def _resolve_share(spec: dict):
     return resolved
 
 
-# ---------------------------------------------------------------------------
-# Shared decode helpers (mirror the adapters in core.protocols.operations).
-# ---------------------------------------------------------------------------
-
-
-def _decode_request(scheme_name: str, public, kind: str, data: bytes):
-    """Rebuild the request context (ciphertext / message / coin name)."""
-    if kind == "decrypt":
-        if scheme_name == "sg02":
-            return sg02.Sg02Ciphertext.from_bytes(data, public.group)
-        return bz03.Bz03Ciphertext.from_bytes(data)
-    return data  # sign: message bytes; coin: coin name
-
-
-def _decode_share(scheme_name: str, public, payload: bytes):
-    if scheme_name == "sg02":
-        return sg02.Sg02DecryptionShare.from_bytes(payload, public.group)
-    if scheme_name == "bz03":
-        return bz03.Bz03DecryptionShare.from_bytes(payload)
-    if scheme_name == "sh00":
-        return sh00.Sh00SignatureShare.from_bytes(payload)
-    if scheme_name == "bls04":
-        return bls04.Bls04SignatureShare.from_bytes(payload)
-    if scheme_name == "cks05":
-        return cks05.Cks05CoinShare.from_bytes(payload, public.group)
-    if scheme_name == "kg20":
-        return kg20.Kg20SignatureShare.from_bytes(payload)
-    raise ValueError(f"no share decoder for scheme {scheme_name!r}")
-
-
-def _verify_one(kind: str, scheme, public, context, share) -> None:
-    if kind == "decrypt":
-        scheme.verify_decryption_share(public, context, share)
-    elif kind == "sign":
-        scheme.verify_signature_share(public, context, share)
-    elif kind == "coin":
-        scheme.verify_coin_share(public, context, share)
-    else:
-        raise ValueError(f"unknown operation kind {kind!r}")
-
-
-def _verify_batch(scheme_name: str, scheme, public, context, shares) -> bool:
-    """One batched verification call where the scheme has one.
-
-    Returns False when the scheme has no batch API (caller verifies share
-    by share).  SG02/CKS05 batch their DLEQ proofs, BLS04 batches its
-    pairing products (PR-1); BZ03 and SH00 only have per-share checks.
-    """
-    if scheme_name == "sg02":
-        scheme.verify_decryption_shares(public, context, shares)
-        return True
-    if scheme_name == "cks05":
-        scheme.verify_coin_shares(public, context, shares)
-        return True
-    if scheme_name == "bls04":
-        # identify=False: the caller needs a per-index verdict, which the
-        # share-by-share fallback below provides directly.
-        scheme.verify_share_batch(public, context, shares, identify=False)
-        return True
-    return False
+def _operation(spec: dict, include_share: bool) -> ShareOperation:
+    """The spec's adapter; verification-only unless ``include_share``."""
+    request = OperationRequest(spec["kind"], spec["data"])
+    if include_share:
+        scheme_name, key_share = _resolve_share(spec)
+        return make_operation(scheme_name, key_share.public, key_share, request)
+    scheme_name, public = _resolve_public(spec)
+    return make_operation(scheme_name, public, None, request)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +217,13 @@ def _verify_batch(scheme_name: str, scheme, public, context, shares) -> bool:
 def create_share(spec: dict, blobs: dict | None = None) -> bytes:
     """Compute this party's partial result (do_round's crypto) off-loop.
 
-    Returns the serialized share; the parent process folds it back into
-    the protocol state with ``apply_round``.
+    Returns the serialized share; the parent process hands it to the
+    operation's own-share memo (``supply_own_share``).
     """
     if blobs:
         install_blob(list(blobs.items()))
     _check_spec(spec, include_share=True)
-    scheme_name, key_share = _resolve_share(spec)
-    scheme = get_scheme(scheme_name)
-    kind = spec["kind"]
-    if kind == "decrypt":
-        ciphertext = _decode_request(
-            scheme_name, key_share.public, kind, spec["data"]
-        )
-        return scheme.create_decryption_share(key_share, ciphertext).to_bytes()
-    if kind == "sign":
-        return scheme.partial_sign(key_share, spec["data"]).to_bytes()
-    if kind == "coin":
-        return scheme.create_coin_share(key_share, spec["data"]).to_bytes()
-    raise ValueError(f"unknown operation kind {kind!r}")
+    return _operation(spec, include_share=True).create_own_share()
 
 
 def create_share_batch(
@@ -317,51 +258,16 @@ def create_share_batch(
 def verify_shares(
     spec: dict, payloads: list[bytes], blobs: dict | None = None
 ) -> list[str | None]:
-    """Batched share admission: verify a drained inbox in one task.
+    """Batched share admission: verify queued peer payloads in one task.
 
     Verdict list is index-aligned with ``payloads``: ``None`` for a valid
-    share, a reason string for a rejected one.  The happy path is a single
-    batched verification; only when the batch fails (≥1 bad share) does it
-    fall back to per-share checks to identify the culprits — k extra
-    checks on the byzantine path, none on the honest path.
+    share, a reason string for a rejected one
+    (:meth:`ShareOperation.verify_payloads`).
     """
     if blobs:
         install_blob(list(blobs.items()))
     _check_spec(spec, include_share=False)
-    scheme_name = spec["scheme"]
-    scheme = get_scheme(scheme_name)
-    _, public = _resolve_public(spec)
-    context = _decode_request(scheme_name, public, spec["kind"], spec["data"])
-
-    verdicts: list[str | None] = [None] * len(payloads)
-    decoded: list[tuple[int, object]] = []
-    for index, payload in enumerate(payloads):
-        try:
-            decoded.append((index, _decode_share(scheme_name, public, payload)))
-        except Exception as exc:  # noqa: BLE001 - byzantine bytes, any error
-            verdicts[index] = f"malformed share payload: {exc}"
-    if not decoded:
-        return verdicts
-
-    shares = [share for _, share in decoded]
-    batch_failed = False
-    try:
-        if _verify_batch(scheme_name, scheme, public, context, shares):
-            return verdicts
-    except Exception:  # noqa: BLE001 - identify culprits below
-        batch_failed = True
-    # No batch API, or the batch contained at least one invalid share.
-    for index, share in decoded:
-        try:
-            _verify_one(spec["kind"], scheme, public, context, share)
-        except Exception as exc:  # noqa: BLE001
-            verdicts[index] = str(exc) or type(exc).__name__
-    if batch_failed and all(v is None for v in verdicts):
-        # A batch that fails while every individual share passes can only
-        # happen if the batch API itself misbehaved; reject nothing, the
-        # per-share checks are authoritative.
-        pass
-    return verdicts
+    return _operation(spec, include_share=False).verify_payloads(payloads)
 
 
 def verify_shares_multi(

@@ -1,4 +1,4 @@
-"""The precomputed-share pipeline: pools, journal, TRI hooks, service wiring.
+"""The precomputed-share pipeline: pools, journal, memo staging, service wiring.
 
 The pipeline (docs/performance.md, "Precompute pipeline") hides threshold
 latency for *announced* requests: every node stages its own share — and,
@@ -27,7 +27,6 @@ from repro.core.orchestration.precompute import (
     derive_instance_id,
 )
 from repro.core.protocols import (
-    FrostPrecomputeProtocol,
     FrostProtocol,
     NonInteractiveProtocol,
     OperationRequest,
@@ -124,56 +123,50 @@ class TestPoolJournal:
 
 
 # ---------------------------------------------------------------------------
-# TRI precompute hooks
+# Precomputed material enters through the own-share memo / the constructor
 # ---------------------------------------------------------------------------
 
 
 class TestTriHooks:
-    def test_default_hooks_decline(self, keys_kg20):
-        """Protocols without precompute support inherit safe defaults."""
-        protocol = FrostPrecomputeProtocol(
-            "pre-x", keys_kg20.share_for(1), 2, FrostPrecomputationPool()
-        )
-        assert protocol.supports_precompute is False
-        assert protocol.consume_precomputed() is None
-        with pytest.raises(ProtocolError):
-            protocol.stage_precomputed(b"anything")
-
     def test_noninteractive_stage_and_consume_once(self, keys_cks05):
         op = _operation(keys_cks05, 1, "coin", b"hook probe")
         payload = _operation(keys_cks05, 1, "coin", b"hook probe").create_own_share()
+        op.supply_own_share(payload)
+        created = []
+        op.create_own_share = lambda: created.append(1)  # must not run
         protocol = NonInteractiveProtocol("coin-x", 1, op)
-        assert protocol.supports_precompute is True
-        protocol.stage_precomputed(payload)
-        first = protocol.consume_precomputed()
-        assert first is not None and len(first) == 1
-        assert first[0].payload == payload
-        # Strict consume-once at the protocol layer too.
-        assert protocol.consume_precomputed() is None
+        first = protocol.do_round()
+        assert len(first) == 1 and first[0].payload == payload
+        assert not created
+        assert protocol.progress() == (1, 2)
+        # Used once: the single round cannot emit it again, and the slot
+        # takes no second share.
+        with pytest.raises(ProtocolError):
+            protocol.do_round()
+        with pytest.raises(ProtocolError):
+            op.supply_own_share(payload)
 
     def test_noninteractive_rejects_staging_after_start(self, keys_cks05):
         op = _operation(keys_cks05, 1, "coin", b"late stage")
         protocol = NonInteractiveProtocol("coin-y", 1, op)
-        protocol.do_round()
+        (message,) = protocol.do_round()
         with pytest.raises(ProtocolError):
-            protocol.stage_precomputed(b"too late")
-        assert protocol.consume_precomputed() is None
+            op.supply_own_share(message.payload)
+        assert protocol.progress() == (1, 2)
 
     def test_frost_nonce_staging_skips_round_zero(self, keys_kg20):
         scheme = Kg20SignatureScheme()
         shares = [keys_kg20.share_for(i) for i in range(1, 5)]
         batch = [scheme.commit(share) for share in shares]
-        commitments = [commitment for _, commitment in batch]
-        protocol = FrostProtocol("frost-x", shares[0], b"staged msg")
-        assert protocol.supports_precompute is True
-        protocol.stage_precomputed((batch[0][0], commitments))
+        pool = FrostPrecomputationPool()
+        pool.add_batch([batch[0][0]], [[commitment for _, commitment in batch]])
+        protocol = FrostProtocol("frost-x", shares[0], b"staged msg", pool=pool)
         assert protocol.round == 1
-        messages = protocol.consume_precomputed()
-        assert messages is not None and messages[0].round == 1
-        assert protocol.consume_precomputed() is None
-        # Staging again after the signing round ran is rejected.
+        messages = protocol.do_round()
+        assert messages[0].round == 1
+        # The signing round runs once; there is no way back to round 0.
         with pytest.raises(ProtocolError):
-            protocol.stage_precomputed((batch[0][0], commitments))
+            protocol.do_round()
 
     def test_frost_ctor_pool_routes_through_staging(self, keys_kg20):
         scheme = Kg20SignatureScheme()
@@ -187,6 +180,9 @@ class TestTriHooks:
         protocol = FrostProtocol("frost-y", shares[0], b"ctor msg", pool=pool)
         assert protocol.round == 1
         assert pool.available == 0
+        # A dry pool leaves the protocol on the two-round path.
+        dry = FrostProtocol("frost-z", shares[0], b"ctor msg", pool=pool)
+        assert dry.round == 0 and dry.do_round()[0].round == 0
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +357,10 @@ class TestPipelineService:
                     assert served.get("decrypt/pool", 0) == 1
                     # The staged entry was consumed: the pool is empty again.
                     assert node.stats()["precompute"]["staged"] == {}
+                    record = node.instances.record(
+                        derive_instance_id("decrypt", "sg02", ciphertext, b"lbl")
+                    )
+                    assert "precomputed" in [e.name for e in record.trace.events]
                 # The pool depth gauge and served counter are in the node's
                 # Prometheus exposition.
                 text = nodes[0].render_metrics()
@@ -420,6 +420,58 @@ class TestPipelineService:
                 assert served.get("decrypt/pool", 0) == 1
                 # The eager submission itself is not client-visible traffic.
                 assert sum(served.values()) == 1
+            finally:
+                await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
+    def test_duplicate_kg20_request_burns_no_nonce_set(self, all_keys):
+        """A client retry to one node folds into the finished record; it
+        must not pop that node's next nonce set, or the pools desynchronise
+        and the next signature fails on every node."""
+
+        async def scenario():
+            hub, nodes, client = await _pipeline_network(all_keys, None)
+            try:
+                pre = await client.precompute("kg20", 3)
+                assert all(r["available"] == 3 for r in pre.values())
+                await asyncio.gather(
+                    *(node.run_request("sign", "kg20", b"m1") for node in nodes)
+                )
+                record = nodes[0].submit_request("sign", "kg20", b"m1")
+                assert record.status.value == "finished"
+                depths = [n.stats()["precompute"]["frost"]["kg20"] for n in nodes]
+                assert depths == [2, 2, 2, 2]
+                signature = await client.sign("kg20", b"m2")
+                assert await client.verify_signature("kg20", b"m2", signature)
+                assert all(n.stats()["aborts"] == {} for n in nodes)
+            finally:
+                await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
+    def test_duplicate_request_leaves_a_staged_share_alone(self, all_keys):
+        """Same rule for a staged non-interactive share: a request that
+        folds into an existing record consumes nothing."""
+
+        async def scenario():
+            hub, nodes, client = await _pipeline_network(
+                all_keys, PrecomputeConfig(depth=4, eager=False)
+            )
+            try:
+                secret = b"decrypted before it was announced"
+                ciphertext = await client.encrypt("sg02", secret, b"")
+                await asyncio.gather(
+                    *(node.run_request("decrypt", "sg02", ciphertext) for node in nodes)
+                )
+                reports = await client.precompute("sg02", items=[ciphertext])
+                assert all(r["staged"] == 1 for r in reports.values())
+                record = nodes[0].submit_request("decrypt", "sg02", ciphertext)
+                assert record.result == secret
+                for node in nodes:
+                    stats = node.stats()["precompute"]
+                    assert stats["staged"] == {"sg02/decrypt": 1}
+                    assert "decrypt/pool" not in stats["served"]
             finally:
                 await _teardown(nodes, client)
 

@@ -25,22 +25,15 @@ Exit status 0 on success; prints the offending assertion otherwise.
 from __future__ import annotations
 
 import asyncio
-import os
-import signal
 import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-if __package__ is None and __name__ == "__main__":  # pragma: no cover
-    sys.path.insert(0, str(REPO / "src"))
+from _daemons import deal_keys, spawn, spawn_daemon, stop_daemons, wait_for_ping
 
-from repro.errors import RpcError  # noqa: E402
-from repro.router.topology import GroupSpec, Topology  # noqa: E402
-from repro.service.client import ThetacryptClient  # noqa: E402
-from repro.telemetry import parse_text  # noqa: E402
+from repro.router.topology import GroupSpec, Topology
+from repro.service.client import ThetacryptClient
+from repro.telemetry import parse_text
 
 # Distinct from the other smoke gates' port ranges so they can run back
 # to back (TIME_WAIT) or even concurrently.
@@ -49,11 +42,6 @@ BETA_BASE, BETA_RPC = 23300, 23400
 ROUTER_PORT = 23500
 PARTIES, THRESHOLD = 2, 1
 CONCURRENT_DECRYPTS = 8
-
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""),
-)
 
 TOPOLOGY = Topology(
     groups=(
@@ -70,44 +58,13 @@ TOPOLOGY = Topology(
 )
 
 
-def spawn_node(out: Path, group_id: str, node_id: int) -> subprocess.Popen:
-    group_dir = out / f"group-{group_id}" / f"node{node_id}"
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--config", str(group_dir / "config.json"),
-            "--keystore", str(group_dir / "keystore.json"),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
 def spawn_router(out: Path) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.router.daemon",
-            "--topology", str(out / "topology.json"),
-            "--rpc-port", str(ROUTER_PORT),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
+    return spawn(
+        "repro.router.daemon",
+        out / "router.log",
+        "--topology", str(out / "topology.json"),
+        "--rpc-port", str(ROUTER_PORT),
     )
-
-
-async def wait_for_ping(client: ThetacryptClient, node_id: int = 0) -> dict:
-    for _ in range(150):
-        try:
-            return await client.call(node_id, "ping", {})
-        except (OSError, RpcError):
-            await asyncio.sleep(0.2)
-    raise AssertionError("router never answered ping")
 
 
 def shard_requests(metrics_text: str) -> dict[str, dict[str, float]]:
@@ -122,9 +79,11 @@ def shard_requests(metrics_text: str) -> dict[str, dict[str, float]]:
     return shards
 
 
-async def drive(client: ThetacryptClient) -> list[bytes]:
+async def drive(
+    client: ThetacryptClient, router: subprocess.Popen
+) -> list[bytes]:
     """Both shards through the router; returns ciphertexts for the kill."""
-    pong = await wait_for_ping(client)
+    pong = await wait_for_ping(client, 0, router)
     assert set(pong.get("groups", [])) == {"alpha", "beta"}, pong
     print(f"  router up, fronting groups {pong['groups']}")
 
@@ -202,20 +161,11 @@ def main() -> None:
         out = Path(tmp)
         (out / "topology.json").write_text(TOPOLOGY.to_json())
         print("dealing disjoint keys across 2 groups ...")
-        deal = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "tools" / "deal_keys.py"),
-                "--topology", str(out / "topology.json"),
-                "--keys", "sg02,bls04",
-                "--out", str(out),
-            ],
-            env=CHILD_ENV,
-            capture_output=True,
-            text=True,
-            timeout=300,
+        deal_keys(
+            "--topology", str(out / "topology.json"),
+            "--keys", "sg02,bls04",
+            "--out", str(out),
         )
-        assert deal.returncode == 0, deal.stderr
         # The dealer must have split the keyspace, not replicated it.
         alpha_keys = (out / "group-alpha" / "node1" / "keystore.json").read_text()
         beta_keys = (out / "group-beta" / "node1" / "keystore.json").read_text()
@@ -224,7 +174,7 @@ def main() -> None:
         print("  keystores disjoint: alpha holds sg02, beta holds bls04")
 
         daemons = [
-            spawn_node(out, group_id, node_id)
+            spawn_daemon(out / f"group-{group_id}" / f"node{node_id}")
             for group_id in ("alpha", "beta")
             for node_id in range(1, PARTIES + 1)
         ]
@@ -234,7 +184,7 @@ def main() -> None:
             async def run() -> subprocess.Popen:
                 client = ThetacryptClient({0: ("127.0.0.1", ROUTER_PORT)})
                 try:
-                    ciphertexts = await drive(client)
+                    ciphertexts = await drive(client, router)
                 finally:
                     await client.close()
                 return await kill_and_restart_router(out, router, ciphertexts)
@@ -242,21 +192,9 @@ def main() -> None:
             replacement = asyncio.run(run())
             daemons.append(replacement)
         finally:
-            if router.poll() is None:
-                router.terminate()
-            for daemon in daemons:
-                if daemon.poll() is None:
-                    daemon.terminate()
-            deadline = time.monotonic() + 30.0
-            for daemon in daemons + [router]:
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    daemon.wait(timeout=remaining)
-                except subprocess.TimeoutExpired:
-                    daemon.kill()
-
-        # No orphans: every spawned process (nodes, both routers) is gone.
-        leaked = [d.pid for d in daemons + [router] if d.poll() is None]
+            # No orphans: every spawned process (nodes, both routers) must
+            # exit on SIGTERM.
+            leaked = [d.pid for d in stop_daemons(daemons + [router])]
         assert not leaked, f"processes survived shutdown: {leaked}"
         print("  all node/router processes exited after SIGTERM")
     print("federation smoke OK")

@@ -27,57 +27,20 @@ from __future__ import annotations
 
 import asyncio
 import os
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-if __package__ is None and __name__ == "__main__":  # pragma: no cover
-    sys.path.insert(0, str(REPO / "src"))
+from _daemons import deal_keys, spawn_daemon, stop_daemons, wait_for_ping
 
-from repro.errors import RpcError  # noqa: E402
-from repro.service.client import ThetacryptClient  # noqa: E402
-from repro.telemetry import parse_text  # noqa: E402
+from repro.service.client import ThetacryptClient
+from repro.telemetry import parse_text
 
 PARTIES, THRESHOLD = 4, 1
 # Distinct from metrics-smoke/chaos-smoke/recovery-smoke port ranges so the
 # gates can run back to back (TIME_WAIT) or even concurrently.
 BASE_PORT, RPC_BASE_PORT = 22100, 22200
 CRYPTO_WORKERS = 2
-
-#: Environment for child processes: the daemons import ``repro`` from src.
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""),
-)
-
-
-def spawn_daemon(out: Path, node_id: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--config", str(out / f"node{node_id}" / "config.json"),
-            "--keystore", str(out / f"node{node_id}" / "keystore.json"),
-            "--crypto-workers", str(CRYPTO_WORKERS),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
-async def wait_for_ping(client: ThetacryptClient, node_id: int) -> None:
-    for _ in range(150):
-        try:
-            await client.call(node_id, "ping", {})
-            return
-        except (OSError, RpcError):
-            await asyncio.sleep(0.2)
-    raise AssertionError(f"daemon {node_id} never answered ping")
 
 
 def pid_alive(pid: int) -> bool:
@@ -90,10 +53,10 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-async def drive(client: ThetacryptClient) -> list[int]:
+async def drive(client: ThetacryptClient, daemons: list) -> list[int]:
     """Run pooled requests, check stats + scrape; return all worker pids."""
-    for node_id in range(1, PARTIES + 1):
-        await wait_for_ping(client, node_id)
+    for node_id, daemon in enumerate(daemons, start=1):
+        await wait_for_ping(client, node_id, daemon)
     print(f"  {PARTIES} daemons up with --crypto-workers {CRYPTO_WORKERS}")
 
     # SG02: threshold decryption (share creation + batched verification in
@@ -175,24 +138,18 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="offload-smoke-") as tmp:
         out = Path(tmp)
         print(f"dealing keys for a ({THRESHOLD}, {PARTIES}) network ...")
-        deal = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "tools" / "deal_keys.py"),
-                "--parties", str(PARTIES),
-                "--threshold", str(THRESHOLD),
-                "--schemes", "sg02,bls04",
-                "--base-port", str(BASE_PORT),
-                "--rpc-base-port", str(RPC_BASE_PORT),
-                "--out", str(out),
-            ],
-            env=CHILD_ENV,
-            capture_output=True,
-            text=True,
-            timeout=300,
+        deal_keys(
+            "--parties", str(PARTIES),
+            "--threshold", str(THRESHOLD),
+            "--schemes", "sg02,bls04",
+            "--base-port", str(BASE_PORT),
+            "--rpc-base-port", str(RPC_BASE_PORT),
+            "--out", str(out),
         )
-        assert deal.returncode == 0, deal.stderr
-        daemons = [spawn_daemon(out, i) for i in range(1, PARTIES + 1)]
+        daemons = [
+            spawn_daemon(out / f"node{i}", "--crypto-workers", str(CRYPTO_WORKERS))
+            for i in range(1, PARTIES + 1)
+        ]
         worker_pids: list[int] = []
         try:
 
@@ -203,20 +160,13 @@ def main() -> None:
                 }
                 client = ThetacryptClient(addresses)
                 try:
-                    return await drive(client)
+                    return await drive(client, daemons)
                 finally:
                     await client.close()
 
             worker_pids = asyncio.run(run())
         finally:
-            for daemon in daemons:
-                if daemon.poll() is None:
-                    daemon.terminate()
-            for daemon in daemons:
-                try:
-                    daemon.wait(timeout=30)
-                except subprocess.TimeoutExpired:
-                    daemon.kill()
+            stop_daemons(daemons)
 
         # The orphan check: a SIGTERM'd daemon must take its pool down
         # with it.  Workers exit asynchronously after the parent joins

@@ -24,58 +24,20 @@ Exit status 0 on success; prints the offending assertion otherwise.
 from __future__ import annotations
 
 import asyncio
-import os
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-if __package__ is None and __name__ == "__main__":  # pragma: no cover
-    sys.path.insert(0, str(REPO / "src"))
+from _daemons import deal_keys, spawn_daemon, stop_daemons, wait_for_ping
 
-from repro.errors import RpcError  # noqa: E402
-from repro.service.client import ThetacryptClient  # noqa: E402
-from repro.telemetry import parse_text  # noqa: E402
+from repro.service.client import ThetacryptClient
+from repro.telemetry import parse_text
 
 PARTIES, THRESHOLD = 2, 1
 PRECOMPUTE_DEPTH = 8
 # Distinct from the other smoke gates' port ranges so they can run back
 # to back (TIME_WAIT) or even concurrently.
 BASE_PORT, RPC_BASE_PORT = 22500, 22600
-
-#: Environment for child processes: the daemons import ``repro`` from src.
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""),
-)
-
-
-def spawn_daemon(out: Path, node_id: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--config", str(out / f"node{node_id}" / "config.json"),
-            "--keystore", str(out / f"node{node_id}" / "keystore.json"),
-            "--precompute-depth", str(PRECOMPUTE_DEPTH),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
-async def wait_for_ping(client: ThetacryptClient, node_id: int) -> None:
-    for _ in range(150):
-        try:
-            await client.call(node_id, "ping", {})
-            return
-        except (OSError, RpcError):
-            await asyncio.sleep(0.2)
-    raise AssertionError(f"daemon {node_id} never answered ping")
 
 
 def _counter(parsed: dict, name: str, **labels: str) -> float:
@@ -113,9 +75,9 @@ async def _await_counter(
         await asyncio.sleep(0.1)
 
 
-async def drive(client: ThetacryptClient) -> None:
-    for node_id in range(1, PARTIES + 1):
-        await wait_for_ping(client, node_id)
+async def drive(client: ThetacryptClient, daemons: list) -> None:
+    for node_id, daemon in enumerate(daemons, start=1):
+        await wait_for_ping(client, node_id, daemon)
     print(f"  {PARTIES} daemons up with --precompute-depth {PRECOMPUTE_DEPTH}")
 
     # Announce two upcoming decrypts; every node stages its share (and,
@@ -182,25 +144,21 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="precompute-smoke-") as tmp:
         out = Path(tmp)
         print(f"dealing keys for a ({THRESHOLD}, {PARTIES}) network ...")
-        deal = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "tools" / "deal_keys.py"),
-                "--parties", str(PARTIES),
-                "--threshold", str(THRESHOLD),
-                "--schemes", "sg02",
-                "--base-port", str(BASE_PORT),
-                "--rpc-base-port", str(RPC_BASE_PORT),
-                "--data-dir",
-                "--out", str(out),
-            ],
-            env=CHILD_ENV,
-            capture_output=True,
-            text=True,
-            timeout=300,
+        deal_keys(
+            "--parties", str(PARTIES),
+            "--threshold", str(THRESHOLD),
+            "--schemes", "sg02",
+            "--base-port", str(BASE_PORT),
+            "--rpc-base-port", str(RPC_BASE_PORT),
+            "--data-dir",
+            "--out", str(out),
         )
-        assert deal.returncode == 0, deal.stderr
-        daemons = [spawn_daemon(out, i) for i in range(1, PARTIES + 1)]
+        daemons = [
+            spawn_daemon(
+                out / f"node{i}", "--precompute-depth", str(PRECOMPUTE_DEPTH)
+            )
+            for i in range(1, PARTIES + 1)
+        ]
         try:
 
             async def run() -> None:
@@ -210,27 +168,17 @@ def main() -> None:
                 }
                 client = ThetacryptClient(addresses)
                 try:
-                    await drive(client)
+                    await drive(client, daemons)
                 finally:
                     await client.close()
 
             asyncio.run(run())
         finally:
-            for daemon in daemons:
-                if daemon.poll() is None:
-                    daemon.terminate()
             # The orphan check: the refill task must not pin the daemon
             # past SIGTERM — both processes must exit on their own.
-            deadline = time.monotonic() + 30.0
-            for daemon in daemons:
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    daemon.wait(timeout=remaining)
-                except subprocess.TimeoutExpired:
-                    daemon.kill()
-                    raise AssertionError(
-                        "daemon survived SIGTERM: refill loop pinned shutdown"
-                    )
+            assert not stop_daemons(daemons), (
+                "daemon survived SIGTERM: refill loop pinned shutdown"
+            )
         print("  both daemons exited cleanly after SIGTERM")
     print("precompute smoke OK")
 

@@ -25,55 +25,20 @@ Exit status 0 on success; prints the offending assertion otherwise.
 from __future__ import annotations
 
 import asyncio
-import os
 import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-if __package__ is None and __name__ == "__main__":  # pragma: no cover
-    sys.path.insert(0, str(REPO / "src"))
+from _daemons import deal_keys, spawn_daemon, stop_daemons, wait_for_ping
 
-from repro.errors import RpcError  # noqa: E402
-from repro.serialization import hexlify  # noqa: E402
-from repro.service.client import ThetacryptClient  # noqa: E402
-from repro.service.node import derive_instance_id  # noqa: E402
-from repro.telemetry import parse_text  # noqa: E402
+from repro.errors import RpcError
+from repro.serialization import hexlify
+from repro.service.client import ThetacryptClient
+from repro.service.node import derive_instance_id
+from repro.telemetry import parse_text
 
 PARTIES, THRESHOLD = 4, 1
 BASE_PORT, RPC_BASE_PORT = 21700, 21800
-
-#: Environment for child processes: the daemons import ``repro`` from src.
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""),
-)
-
-
-def spawn_daemon(out: Path, node_id: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--config", str(out / f"node{node_id}" / "config.json"),
-            "--keystore", str(out / f"node{node_id}" / "keystore.json"),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
-async def wait_for_ping(client: ThetacryptClient, node_id: int) -> None:
-    for _ in range(150):
-        try:
-            await client.call(node_id, "ping", {})
-            return
-        except (OSError, RpcError):
-            await asyncio.sleep(0.2)
-    raise AssertionError(f"daemon {node_id} never answered ping")
 
 
 async def wait_for_status(
@@ -96,8 +61,8 @@ async def drive(out: Path, daemons: list[subprocess.Popen]) -> None:
     addresses = {i: ("127.0.0.1", RPC_BASE_PORT + i) for i in range(1, PARTIES + 1)}
     client = ThetacryptClient(addresses)
     try:
-        for node_id in range(1, PARTIES + 1):
-            await wait_for_ping(client, node_id)
+        for node_id, daemon in enumerate(daemons, start=1):
+            await wait_for_ping(client, node_id, daemon)
         print(f"  {PARTIES} daemons up (rpc ports {RPC_BASE_PORT + 1}..)")
 
         # One fully finalized operation, cached durably on node 4.
@@ -126,8 +91,8 @@ async def drive(out: Path, daemons: list[subprocess.Popen]) -> None:
         print("  node 4 SIGKILLed with one instance in flight")
 
         # Restart from the same data_dir.
-        daemons[3] = spawn_daemon(out, 4)
-        await wait_for_ping(client, 4)
+        daemons[3] = spawn_daemon(out / "node4")
+        await wait_for_ping(client, 4, daemons[3])
 
         stats = await client.node_stats(4)
         assert stats["keys"] == 2, f"keys not recovered: {stats['keys']}"
@@ -185,36 +150,20 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="recovery-smoke-") as tmp:
         out = Path(tmp)
         print(f"dealing keys for a ({THRESHOLD}, {PARTIES}) network ...")
-        deal = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "tools" / "deal_keys.py"),
-                "--parties", str(PARTIES),
-                "--threshold", str(THRESHOLD),
-                "--schemes", "bls04,cks05",
-                "--base-port", str(BASE_PORT),
-                "--rpc-base-port", str(RPC_BASE_PORT),
-                "--out", str(out),
-                "--data-dir",
-            ],
-            env=CHILD_ENV,
-            capture_output=True,
-            text=True,
-            timeout=300,
+        deal_keys(
+            "--parties", str(PARTIES),
+            "--threshold", str(THRESHOLD),
+            "--schemes", "bls04,cks05",
+            "--base-port", str(BASE_PORT),
+            "--rpc-base-port", str(RPC_BASE_PORT),
+            "--out", str(out),
+            "--data-dir",
         )
-        assert deal.returncode == 0, deal.stderr
-        daemons = [spawn_daemon(out, i) for i in range(1, PARTIES + 1)]
+        daemons = [spawn_daemon(out / f"node{i}") for i in range(1, PARTIES + 1)]
         try:
             asyncio.run(drive(out, daemons))
         finally:
-            for daemon in daemons:
-                if daemon.poll() is None:
-                    daemon.terminate()
-            for daemon in daemons:
-                try:
-                    daemon.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    daemon.kill()
+            stop_daemons(daemons, timeout=10.0)
     print("recovery smoke OK")
 
 
