@@ -18,6 +18,7 @@ import time
 from repro.network.local import LocalHub
 from repro.schemes import generate_keys
 from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service.node import derive_instance_id
 from repro.sim.cluster import SimulatedThetaNetwork
 from repro.sim.deployments import Deployment
 from repro.sim.latency import LatencyModel, Region
@@ -51,7 +52,7 @@ async def _measure_live(rates):
         for rate in rates:
             count = max(4, int(rate * SECONDS_PER_RATE))
             # Open-loop: fire requests on schedule without awaiting results.
-            tasks = []
+            tasks, instance_ids = [], set()
             start = time.perf_counter()
             for k in range(count):
                 target = start + k / rate
@@ -59,25 +60,22 @@ async def _measure_live(rates):
                 if delay:
                     await asyncio.sleep(delay)
                 sequence += 1
-                tasks.append(
-                    asyncio.ensure_future(
-                        client.flip_coin("coin", b"load-%d" % sequence)
-                    )
-                )
+                name = b"load-%d" % sequence
+                instance_ids.add(derive_instance_id("coin", "coin", name))
+                tasks.append(asyncio.ensure_future(client.flip_coin("coin", name)))
             await asyncio.gather(*tasks)
             elapsed = time.perf_counter() - start
+            # This rate's own instances, wherever they have terminated.
             latencies = sorted(
                 record.latency
                 for node in nodes
                 for record in node.instances.records()
-                if record.latency is not None
+                if record.instance_id in instance_ids and record.latency is not None
             )
             results[rate] = (
                 count / elapsed,
                 latency_percentile(latencies, 95),
             )
-            for node in nodes:  # reset records between rates
-                node.instances._records.clear()
     finally:
         await client.close()
         for node in nodes:

@@ -6,7 +6,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 
-from ...errors import ProtocolError
+from ...errors import ProtocolAbortedError, ProtocolError
 
 
 class InstanceStatus(enum.Enum):
@@ -44,37 +44,14 @@ class InstanceRecord:
             return None
         return self.trace.report()
 
-    @classmethod
-    def restored_finished(
-        cls, instance_id: str, scheme: str, result: bytes
-    ) -> "InstanceRecord":
-        """A record rebuilt from the durable result cache at recovery time.
-
-        ``finished_at == created_at``: the work happened in a previous
-        process life, so the restored record contributes zero latency (it
-        must not skew the paper's server-side latency metric).
-        """
-        record = cls(instance_id, scheme)
-        record.status = InstanceStatus.FINISHED
-        record.result = result
-        record.finished_at = record.created_at
-        return record
-
-    @classmethod
-    def restored_aborted(
-        cls,
-        instance_id: str,
-        scheme: str,
-        error: str,
-        reason: str = "crash_recovery",
-    ) -> "InstanceRecord":
-        """A record for an instance that was in-flight when the node died."""
-        record = cls(instance_id, scheme)
-        record.status = InstanceStatus.FAILED
-        record.error = error
-        record.abort_reason = reason
-        record.finished_at = record.created_at
-        return record
+    def outcome(self) -> bytes:
+        """The result of a terminated instance; raises its structured abort."""
+        if self.status is InstanceStatus.FINISHED:
+            return self.result
+        raise ProtocolAbortedError(
+            self.error or f"instance {self.instance_id} aborted",
+            self.abort_reason or "aborted",
+        )
 
     def mark_running(self) -> None:
         self.status = InstanceStatus.RUNNING

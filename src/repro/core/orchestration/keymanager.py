@@ -32,9 +32,9 @@ class KeyManager:
     """Per-node store of threshold key material.
 
     With a ``store`` (a :class:`repro.storage.DurableKeystore`-shaped
-    object) attached, every ``register``/``remove`` persists through it
-    before updating memory, and previously persisted shares are reloaded
-    at construction — key custody survives process death.
+    object) attached, every ``register``/``replace``/``remove`` persists
+    through it before updating memory, and previously persisted shares are
+    reloaded at construction — key custody survives process death.
     """
 
     def __init__(self, store=None) -> None:
@@ -53,6 +53,15 @@ class KeyManager:
             raise KeyManagementError(f"key id {key_id!r} already registered")
         if scheme not in SCHEME_TABLE:
             raise KeyManagementError(f"unknown scheme {scheme!r}")
+        self._install(key_id, scheme, public_key, key_share)
+
+    def replace(self, key_id: str, public_key: object, key_share: object) -> None:
+        """Swap an installed key's material (share refresh) in one step: one
+        atomic keystore overwrite, then one assignment.  A store that fails
+        leaves the old share installed, on disk and in memory."""
+        self._install(key_id, self.get(key_id).scheme, public_key, key_share)
+
+    def _install(self, key_id, scheme, public_key, key_share) -> None:
         if self._store is not None:
             self._store.put(key_id, scheme, key_share)
         self._keys[key_id] = KeyEntry(key_id, scheme, public_key, key_share)

@@ -2,17 +2,19 @@
 
 "Its main component is the instance manager that keeps track of the
 instances and is responsible for managing the state of every new instance"
-(§3.5).  The manager also owns the message backlog: protocol messages can
-arrive from fast peers *before* the local node has created the matching
-instance (the request races the first share), so undeliverable messages are
-buffered and drained at creation time.
+(§3.5).  Per instance id the manager holds exactly one of two things: a
+live executor, or an entry in the **outcome table**
+(:class:`repro.storage.DurableResultCache`) — bounded, the same object
+whether or not the node has a ``data_dir``, and after a restart already
+holding what the last process life finished (docs/robustness.md,
+"Durability & recovery").  Every "have I answered this?" question —
+duplicate requests, ``result()``, the ``status`` RPC, residual shares from
+slow peers — is one lookup there.
 
-Durability (docs/robustness.md, "Durability & recovery"): with a
-``journal`` attached, every instance lifecycle transition (submitted /
-finalized / aborted) is appended to the write-ahead log before or as it
-happens, and finalized results additionally go to the durable ``results``
-cache — after a crash, :meth:`restore_finished` / :meth:`restore_aborted`
-rebuild the records a restarted node must be able to answer for.
+The manager also owns the message backlog: protocol messages can arrive
+from fast peers *before* the local node has created the matching instance
+(the request races the first share), so undeliverable messages are
+buffered and drained at creation time.
 
 Overload shedding: ``max_pending`` bounds the number of concurrently
 active instances; excess submissions are rejected *before* an executor is
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from collections import defaultdict
 from typing import Callable
 
 from ...errors import ProtocolAbortedError, ProtocolError, RpcError
+from ...storage.results import DurableResultCache, Outcome
 from ...telemetry import CoreMetrics, MetricRegistry, default_registry
 from ..messages import ProtocolMessage
 from ..tri import ThresholdRoundProtocol
@@ -41,6 +43,11 @@ logger = logging.getLogger(__name__)
 #: sender is either byzantine or the request was dropped locally.
 _BACKLOG_LIMIT = 4096
 
+#: Upper bound on the instance ids with buffered early messages: a message
+#: beats its request by milliseconds, so past this many ids the oldest is a
+#: request this node never sees or the tail of a forgotten control-plane run.
+_BACKLOG_IDS = 1024
+
 
 class InstanceManager:
     """Tracks every protocol instance running on one node."""
@@ -51,8 +58,7 @@ class InstanceManager:
         send: SendFn,
         default_timeout: float | None = 60.0,
         registry: MetricRegistry | None = None,
-        journal=None,
-        results=None,
+        outcomes: DurableResultCache | None = None,
         max_pending: int | None = None,
         overload_retry_after: float = 0.25,
         crypto=None,
@@ -66,16 +72,15 @@ class InstanceManager:
         self.metrics = CoreMetrics(
             registry if registry is not None else default_registry()
         )
-        self._journal = journal
-        self._results = results
+        #: The outcome table: memory-only unless the node supplies its durable one.
+        self._outcomes = outcomes if outcomes is not None else DurableResultCache()
         self._max_pending = max_pending
         self._overload_retry_after = overload_retry_after
         self._executors: dict[str, ProtocolExecutor] = {}
-        self._records: dict[str, InstanceRecord] = {}
-        self._backlog: dict[str, list[ProtocolMessage]] = defaultdict(list)
+        self._backlog: dict[str, list[ProtocolMessage]] = {}
         self._tasks: set[asyncio.Task] = set()
-        #: Live executor count; kept explicitly (not derived from records)
-        #: so the overload check stays O(1) on the submission hot path.
+        #: Live executor count; kept explicitly (not derived from the
+        #: executors) so it is exact the moment an instance terminates.
         self._active = 0
 
     # -- creation -------------------------------------------------------------
@@ -86,35 +91,38 @@ class InstanceManager:
         scheme: str,
         timeout: float | None = None,
         instance_id: str | None = None,
+        retain: bool = True,
     ) -> InstanceRecord:
         """Create and launch an instance; idempotent on instance id.
 
         Identical-payload requests derive identical instance ids
         (``derive_instance_id``), so the two idempotency branches below
         *are* the duplicate-request coalescing path: joining an instance
-        already in flight, or answering from the durable result cache.
-        Both folds are counted as ``repro_requests_coalesced_total``.
+        already in flight, or answering from the outcome table.  Both
+        folds are counted as ``repro_requests_coalesced_total``.
 
         ``protocol`` may be a zero-argument builder for the instance named
         ``instance_id``.  It runs only when this call creates the instance:
         after the idempotency and overload checks, so a duplicate request
         consumes nothing its builder would (a precomputed share, a nonce
-        set), and before the ``submitted`` journal record, so a request
-        the builder rejects leaves no trace.
+        set), and before the ``submitted`` log record, so a request the
+        builder rejects leaves no trace.
+
+        ``retain=False`` is for control-plane instances (refresh,
+        frost-pre, dkg), where a repeat is not a duplicate of a request:
+        nothing of theirs is logged or tabled, and they are forgotten when
+        they end.
         """
         if instance_id is None:
             instance_id = protocol.instance_id
-        if instance_id in self._records:
+        executor = self._executors.get(instance_id)
+        if executor is not None:
             self.metrics.coalesced_requests.labels("inflight").inc()
-            return self._records[instance_id]
-        # Idempotency across restarts: a duplicate of a request finalized
-        # in a previous process life is answered from the durable result
-        # cache without re-running the protocol.
-        if self._results is not None:
-            cached = self._results.get(instance_id)
-            if cached is not None:
-                self.metrics.coalesced_requests.labels("result_cache").inc()
-                return self.restore_finished(instance_id, cached[0], cached[1])
+            return executor.record
+        outcome = self._outcomes.get(instance_id)
+        if outcome is not None:
+            self.metrics.coalesced_requests.labels("result_cache").inc()
+            return self._record_of(instance_id, outcome)
         if self._max_pending is not None and self._active >= self._max_pending:
             self.metrics.rejected.labels("overloaded").inc()
             raise RpcError(
@@ -125,120 +133,70 @@ class InstanceManager:
             )
         if not isinstance(protocol, ThresholdRoundProtocol):
             protocol = protocol()
-        self._journal_event(
-            {"event": "submitted", "id": instance_id, "scheme": scheme}
-        )
-        record = InstanceRecord(instance_id, scheme)
+        if retain:
+            self._persist_guarded(self._outcomes.submit, instance_id, scheme)
         executor = ProtocolExecutor(
             protocol,
-            record,
+            InstanceRecord(instance_id, scheme),
             self._send,
             timeout=timeout if timeout is not None else self._default_timeout,
             metrics=self.metrics,
             crypto=self._crypto,
-            on_terminal=lambda: self._release(instance_id),
+            on_terminal=self._uncount,
         )
-        self._records[instance_id] = record
         self._executors[instance_id] = executor
         self._active += 1
         self.metrics.inflight.inc()
         task = asyncio.get_running_loop().create_task(executor.run())
         self._tasks.add(task)
-        task.add_done_callback(
-            lambda t, instance_id=instance_id: self._on_task_done(t, instance_id)
-        )
+        task.add_done_callback(lambda t: self._on_task_done(t, instance_id, retain))
         # Drain messages that beat the request to this node.
         for message in self._backlog.pop(instance_id, []):
             executor.inbox.put_nowait(message)
-        return record
+        return executor.record
 
-    def _release(self, instance_id: str) -> None:
-        """Stop counting an instance and drop what its executor pins.
-
-        Called by the executor the moment its record turns terminal (so
-        ``active_count`` is exact when a waiter on the result resumes) and
-        again, as a no-op, when its task ends — which is what releases a
-        cancelled executor.  Terminated instances must not pin state: the
-        executor goes with everything it holds (protocol, decoded shares,
-        inbox, last outgoing batch), as do backlog entries that raced in.
-        The record alone answers result() and swallows residual shares
-        from slow peers.
-        """
-        if self._executors.pop(instance_id, None) is None:
-            return
+    def _uncount(self) -> None:
+        """Stop counting an instance the moment its record turns terminal,
+        so ``active_count`` is exact when a waiter on the result resumes."""
         self._active -= 1
         self.metrics.inflight.dec()
-        self._backlog.pop(instance_id, None)
 
-    def _on_task_done(self, task: asyncio.Task, instance_id: str) -> None:
+    def _on_task_done(self, task: asyncio.Task, instance_id: str, retain: bool) -> None:
+        """Trade the executor — with everything it pins (protocol, decoded
+        shares, inbox, last outgoing batch) — for its entry in the outcome
+        table, which from here on answers result() and swallows residual
+        shares from slow peers."""
         self._tasks.discard(task)
-        self._release(instance_id)
-        record = self._records.get(instance_id)
-        if record is None:
+        record = self._executors.pop(instance_id).record
+        if record.finished_at is None:
+            # A cancelled executor (node shutdown) leaves no terminal log
+            # record on purpose: replay classifies it as in flight at
+            # crash time and recovery marks it ``crash_recovery``.
+            self._uncount()
+        elif not retain:
             return
-        if record.status is InstanceStatus.FINISHED:
-            if self._results is not None and record.result is not None:
-                self._persist_guarded(
-                    lambda: self._results.put(
-                        instance_id, record.scheme, record.result
-                    )
-                )
-            self._journal_event({"event": "finalized", "id": instance_id})
-        elif record.status is InstanceStatus.FAILED:
-            self._journal_event(
-                {
-                    "event": "aborted",
-                    "id": instance_id,
-                    "reason": record.abort_reason or "aborted",
-                }
+        elif record.status is InstanceStatus.FINISHED:
+            self._persist_guarded(
+                self._outcomes.put, instance_id, record.scheme, record.result, record
             )
-        # A cancelled executor (node shutdown) leaves no terminal journal
-        # record on purpose: replay classifies it as in-flight at crash
-        # time and recovery marks it ``crash_recovery``.
-
-    def _journal_event(self, record: dict) -> None:
-        if self._journal is None:
-            return
-        self._persist_guarded(lambda: self._journal.append(record))
+        else:
+            self._persist_guarded(
+                self._outcomes.abort,
+                instance_id,
+                record.scheme,
+                record.abort_reason,
+                record.error,
+                record,
+            )
 
     @staticmethod
-    def _persist_guarded(write) -> None:
+    def _persist_guarded(write, *args) -> None:
         """Durability writes must not take down a live protocol instance;
         a full disk degrades the node to memory-only, loudly."""
         try:
-            write()
+            write(*args)
         except Exception:  # noqa: BLE001 - log and keep serving
             logger.exception("durable-state write failed; continuing in-memory")
-
-    # -- crash recovery --------------------------------------------------------
-
-    def restore_finished(
-        self, instance_id: str, scheme: str, result: bytes
-    ) -> InstanceRecord:
-        """Rebuild a finalized record from the durable result cache."""
-        existing = self._records.get(instance_id)
-        if existing is not None:
-            return existing
-        record = InstanceRecord.restored_finished(instance_id, scheme, result)
-        self._records[instance_id] = record
-        return record
-
-    def restore_aborted(
-        self, instance_id: str, scheme: str, reason: str = "crash_recovery"
-    ) -> InstanceRecord:
-        """Mark an instance that was in-flight at crash time as aborted."""
-        existing = self._records.get(instance_id)
-        if existing is not None:
-            return existing
-        record = InstanceRecord.restored_aborted(
-            instance_id,
-            scheme,
-            f"instance {instance_id} was in flight when the node crashed",
-            reason,
-        )
-        self._records[instance_id] = record
-        self.metrics.aborts.labels(scheme, reason).inc()
-        return record
 
     # -- message routing --------------------------------------------------------
 
@@ -248,11 +206,16 @@ class InstanceManager:
         if executor is not None:
             await executor.deliver(message)
             return
-        if message.instance_id in self._records:
-            # Terminal (finished, aborted, or restored after a crash): a
+        if message.instance_id in self._outcomes:
+            # Terminal (finished, aborted, or in flight at a crash): a
             # residual message from a slow peer; §4.5 discusses these.
             return
-        backlog = self._backlog[message.instance_id]
+        backlog = self._backlog.get(message.instance_id)
+        if backlog is None:
+            if len(self._backlog) >= _BACKLOG_IDS:
+                oldest = next(iter(self._backlog))
+                self.metrics.backlog_dropped.inc(len(self._backlog.pop(oldest)))
+            backlog = self._backlog[message.instance_id] = []
         if len(backlog) >= _BACKLOG_LIMIT:
             logger.warning(
                 "backlog overflow for unknown instance %s; dropping message",
@@ -265,35 +228,50 @@ class InstanceManager:
 
     # -- results ------------------------------------------------------------------
 
-    async def result(self, instance_id: str) -> bytes:
-        """Await the result of an instance (raises on abort/timeout).
+    def _record_of(self, instance_id: str, outcome: Outcome) -> InstanceRecord:
+        """The outcome's record.  For one this process life did not run it
+        is rebuilt, once, from what the log still says — terminated the
+        moment it was created, so it adds nothing to the latency metric."""
+        if outcome.record is None:
+            failed = outcome.reason is not None
+            record = outcome.record = InstanceRecord(
+                instance_id,
+                outcome.scheme,
+                InstanceStatus.FAILED if failed else InstanceStatus.FINISHED,
+                result=outcome.result,
+                error=outcome.error,
+                abort_reason=outcome.reason,
+            )
+            record.finished_at = record.created_at
+        return outcome.record
 
-        A record without an executor is terminal (the executor is released
-        when its task ends; restored records never had one): finalized
-        ones answer from their result, aborted ones re-raise their
-        structured abort reason.
-        """
-        executor = self._executors.get(instance_id)
-        if executor is None:
-            record = self._records.get(instance_id)
-            if record is not None and record.status is InstanceStatus.FINISHED:
-                assert record.result is not None
-                return record.result
-            if record is not None and record.status is InstanceStatus.FAILED:
-                raise ProtocolAbortedError(
-                    record.error or f"instance {instance_id} aborted",
-                    record.abort_reason or "aborted",
-                )
-            raise ProtocolError(f"unknown instance {instance_id!r}")
-        return await asyncio.shield(executor.result_future)
+    async def result(self, instance: InstanceRecord | str) -> bytes:
+        """Await the result of an instance (raises on abort/timeout), named
+        by id or by the record :meth:`start_instance` returned for it."""
+        record = self.record(instance) if isinstance(instance, str) else instance
+        if record.finished_at is not None:
+            return record.outcome()
+        return await asyncio.shield(self._executors[record.instance_id].result_future)
+
+    def known(self, instance_id: str) -> bool:
+        """Whether a request for this id would fold into an existing instance."""
+        return instance_id in self._executors or instance_id in self._outcomes
 
     def record(self, instance_id: str) -> InstanceRecord:
-        if instance_id not in self._records:
+        executor = self._executors.get(instance_id)
+        if executor is not None:
+            return executor.record
+        outcome = self._outcomes.get(instance_id)
+        if outcome is None:
             raise ProtocolError(f"unknown instance {instance_id!r}")
-        return self._records[instance_id]
+        return self._record_of(instance_id, outcome)
 
     def records(self) -> list[InstanceRecord]:
-        return list(self._records.values())
+        """Every live instance plus every retained outcome (bounded)."""
+        return [executor.record for executor in self._executors.values()] + [
+            self._record_of(instance_id, outcome)
+            for instance_id, outcome in self._outcomes.items()
+        ]
 
     @property
     def active_count(self) -> int:

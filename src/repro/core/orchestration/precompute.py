@@ -40,7 +40,7 @@ import asyncio
 import hashlib
 import logging
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Awaitable, Callable
@@ -70,10 +70,6 @@ _IDLE_GRACE = 0.25
 #: same announce order, so the windows are prefixes of one sequence and
 #: always overlap — the cap bounds background load without deadlocking.
 _EAGER_WINDOW = 4
-
-#: Bound on the remembered eagerly-started instance ids (served-source
-#: accounting); FIFO-evicted, like the instance manager's backlog cap.
-_PIPELINED_LIMIT = 4096
 
 
 def derive_instance_id(
@@ -163,12 +159,16 @@ class PrecomputeService:
         crypto: CryptoScheduler | None = None,
         journal_dir: Path | str | None = None,
         active_probe: Callable[[], int] | None = None,
+        known_probe: Callable[[str], bool] | None = None,
         submit: Callable[[str, str, bytes, bytes], Awaitable[bytes]] | None = None,
     ):
         self._config = config
         self._metrics = PrecomputeMetrics(registry)
         self._crypto = crypto
         self._active_probe = active_probe
+        #: Whether the instance manager already holds an instance id (live
+        #: or terminated): a share staged for it would never be consumed.
+        self._known_probe = known_probe
         self._submit = submit
         self._entries: dict[str, _PoolEntry] = {}
         self._counts: dict[tuple[str, str], int] = {}
@@ -177,15 +177,12 @@ class PrecomputeService:
         self._queue: deque[tuple[PrecomputeJob, asyncio.Future]] = deque()
         self._wake = asyncio.Event()
         self._task: asyncio.Task | None = None
-        self._pipelined: OrderedDict[str, None] = OrderedDict()
         # A fresh node refills immediately; the first foreground instance
         # arms the idle-grace window (see _pace).
         self._last_busy = float("-inf")
         self._eager_tasks: set[asyncio.Task] = set()
         self._eager_inflight = 0
         self._frost_pools: dict[str, FrostPrecomputationPool] = {}
-        self._served: dict[tuple[str, str], int] = {}
-        self._refill_outcomes: dict[tuple[str, str], int] = {}
         self._restored = 0
         self._journal: PoolJournal | None = None
         if journal_dir is not None and self.enabled:
@@ -250,6 +247,7 @@ class PrecomputeService:
         if (
             job.instance_id in self._entries
             or job.instance_id in self._pending_ids
+            or (self._known_probe is not None and self._known_probe(job.instance_id))
         ):
             future.set_result("duplicate")
             return future
@@ -364,14 +362,12 @@ class PrecomputeService:
         return await self._crypto.create(operation)
 
     def _start_eager(self, job: PrecomputeJob) -> None:
-        self.note_pipelined(job.instance_id)
         try:
             awaitable = self._submit(job.kind, job.key_id, job.data, job.label)
         except Exception:  # noqa: BLE001 - overload/shedding must not kill refill
             logger.warning(
                 "eager start failed for %s", job.instance_id, exc_info=True
             )
-            self._pipelined.pop(job.instance_id, None)
             return
         self._eager_inflight += 1
         task = asyncio.get_running_loop().create_task(
@@ -407,18 +403,8 @@ class PrecomputeService:
         self._adjust_depth((entry.key_id, entry.kind), -1)
         return entry.payload
 
-    def note_pipelined(self, instance_id: str) -> None:
-        self._pipelined[instance_id] = None
-        while len(self._pipelined) > _PIPELINED_LIMIT:
-            self._pipelined.popitem(last=False)
-
-    def was_pipelined(self, instance_id: str) -> bool:
-        return instance_id in self._pipelined
-
     def record_served(self, op: str, source: str) -> None:
         self._metrics.served.labels(op, source).inc()
-        key = (op, source)
-        self._served[key] = self._served.get(key, 0) + 1
 
     # -- KG20 nonce pools ----------------------------------------------------
 
@@ -446,8 +432,6 @@ class PrecomputeService:
 
     def _count_refill(self, op: str, outcome: str) -> None:
         self._metrics.refills.labels(op, outcome).inc()
-        key = (op, outcome)
-        self._refill_outcomes[key] = self._refill_outcomes.get(key, 0) + 1
 
     def staged_count(self, key_id: str, kind: str) -> int:
         return self._counts.get((key_id, kind), 0)
@@ -463,14 +447,8 @@ class PrecomputeService:
             },
             "queued": len(self._queue),
             "restored": self._restored,
-            "served": {
-                f"{op}/{source}": count
-                for (op, source), count in sorted(self._served.items())
-            },
-            "refills": {
-                f"{op}/{outcome}": count
-                for (op, outcome), count in sorted(self._refill_outcomes.items())
-            },
+            "served": self._metrics.served.totals_by("op", "source"),
+            "refills": self._metrics.refills.totals_by("op", "outcome"),
             "frost": {
                 key_id: pool.available
                 for key_id, pool in sorted(self._frost_pools.items())

@@ -35,6 +35,10 @@ class FrostPrecomputationPool:
     def __init__(self) -> None:
         self._own: deque[kg20.NoncePair] = deque()
         self._commitment_lists: deque[list[kg20.NonceCommitment]] = deque()
+        #: Batches added so far: every node runs every preprocessing round,
+        #: so this names the next one identically cluster-wide — and is as
+        #: volatile as the nonces themselves.
+        self.batches = 0
 
     def add_batch(
         self,
@@ -45,6 +49,7 @@ class FrostPrecomputationPool:
             raise ProtocolError("nonce/commitment batch length mismatch")
         self._own.extend(own_nonces)
         self._commitment_lists.extend(commitment_lists)
+        self.batches += 1
 
     def pop(self) -> tuple[kg20.NoncePair, list[kg20.NonceCommitment]]:
         if not self._own:

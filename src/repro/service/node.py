@@ -41,7 +41,7 @@ from ..network.tcp import TcpP2P
 from ..schemes.base import SCHEME_TABLE, SchemeKind, get_scheme
 from ..schemes.keystore import export_key_share
 from ..serialization import hexlify
-from ..storage import DurableKeystore, DurableResultCache, WriteAheadLog
+from ..storage import DurableKeystore, DurableResultCache
 from ..telemetry import (
     EventLoopLagSampler,
     MetricRegistry,
@@ -66,7 +66,11 @@ logger = logging.getLogger(__name__)
 __all__ = ["ThetacryptNode", "derive_instance_id"]
 
 #: Scheme kind → the protocol-API operation it serves.
-_KIND_TO_OP = {"cipher": "decrypt", "signature": "sign", "coin": "coin"}
+_KIND_TO_OP = {
+    SchemeKind.CIPHER: "decrypt",
+    SchemeKind.SIGNATURE: "sign",
+    SchemeKind.RANDOMNESS: "coin",
+}
 
 
 class ThetacryptNode:
@@ -88,28 +92,25 @@ class ThetacryptNode:
 
         set_backend(config.math_backend)
         # Durability (docs/robustness.md): with a data_dir the node owns a
-        # crash-safe keystore snapshot, an instance-lifecycle journal, and
-        # an idempotent-result cache; previously persisted key shares are
+        # crash-safe keystore snapshot and backs its outcome table with a
+        # log; previously persisted key shares and finished results are
         # reloaded here, before install_key runs.
-        self._keystore: DurableKeystore | None = None
-        self._journal: WriteAheadLog | None = None
-        self._results: DurableResultCache | None = None
-        self._storage_metrics: StorageMetrics | None = None
         self._recovery: dict = {}
         self._table_store = None
+        keystore = outcome_dir = None
         if config.data_dir is not None:
             data_dir = Path(config.data_dir)
             data_dir.mkdir(parents=True, exist_ok=True)
-            self._keystore = DurableKeystore(data_dir / "keystore.bin")
-            self._journal = WriteAheadLog(data_dir / "journal")
-            self._results = DurableResultCache(data_dir / "results")
+            keystore = DurableKeystore(data_dir / "keystore.bin")
+            outcome_dir = data_dir / "results"
             # Fixed-base tables persist alongside the other durable state
             # (docs/performance.md, "Math backends"): a restart re-installs
             # them instead of rebuilding.
             from ..groups import TableStore
 
             self._table_store = TableStore(data_dir / "tables")
-        self.keys = KeyManager(store=self._keystore)
+        self._outcomes = DurableResultCache(outcome_dir)
+        self.keys = KeyManager(store=keystore)
         if transport is None:
             if config.transport != "tcp":
                 raise ConfigurationError(
@@ -146,8 +147,6 @@ class ThetacryptNode:
         register_crypto_cache_collector(default_registry())
         register_fixedbase_collector(default_registry())
         register_math_backend_collector(default_registry())
-        if config.data_dir is not None:
-            self._storage_metrics = StorageMetrics(self.registry)
         # Crypto worker pool (docs/performance.md): an injected pool lets
         # several in-process nodes share one set of workers (they share
         # this host's cores anyway); otherwise the node owns a private
@@ -180,8 +179,7 @@ class ThetacryptNode:
             self.network.dispatch,
             default_timeout=config.instance_timeout,
             registry=self.registry,
-            journal=self._journal,
-            results=self._results,
+            outcomes=self._outcomes,
             max_pending=config.max_pending_instances,
             overload_retry_after=config.overload_retry_after,
             crypto=self._crypto,
@@ -207,9 +205,9 @@ class ThetacryptNode:
             crypto=self._crypto,
             journal_dir=journal_dir,
             active_probe=lambda: self.instances.active_count,
+            known_probe=self.instances.known,
             submit=self._pipeline_submit,
         )
-        self._refresh_epochs: dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -224,64 +222,35 @@ class ThetacryptNode:
         self._precompute.start()
 
     def _recover(self) -> None:
-        """Crash recovery from ``data_dir`` (no-op for memory-only nodes).
+        """Report what opening ``data_dir`` recovered (no-op without one).
 
-        Three steps, in order: (1) finalized results come back from the
-        durable cache so duplicate requests are answered without re-running
-        the protocol; (2) the journal is replayed — any instance submitted
-        but never finalized/aborted was in flight when the process died and
-        is marked aborted with reason ``crash_recovery``; (3) the journal
-        is compacted away (its history is now folded into the restored
-        records, and replaying it twice would be wrong).
+        The outcome table folded its log when it was constructed: finished
+        results are entries again, so duplicates are answered without
+        re-running the protocol, and every instance submitted but never
+        terminated — in flight when the process died — is an entry aborted
+        with reason ``crash_recovery``.  Here that is only counted.
         """
-        if self._journal is None:
+        if self.config.data_dir is None:
             return
-        restored_results = 0
-        if self._results is not None:
-            for instance_id, scheme, result in self._results.items():
-                self.instances.restore_finished(instance_id, scheme, result)
-                restored_results += 1
-        submitted: dict[str, str] = {}
-        terminal: set[str] = set()
-        for event in self._journal.replay():
-            kind = event.get("event")
-            instance_id = event.get("id", "")
-            if kind == "submitted":
-                submitted[instance_id] = event.get("scheme", "unknown")
-            elif kind in ("finalized", "aborted"):
-                terminal.add(instance_id)
-        in_flight = [
-            (instance_id, scheme)
-            for instance_id, scheme in submitted.items()
-            if instance_id not in terminal
-            and self._results is not None
-            and instance_id not in self._results
-        ]
-        for instance_id, scheme in in_flight:
-            self.instances.restore_aborted(instance_id, scheme, "crash_recovery")
-        self._journal.reset()
+        loaded, interrupted = self._outcomes.loaded, self._outcomes.interrupted
+        for _, scheme in interrupted:
+            self.instances.metrics.aborts.labels(scheme, "crash_recovery").inc()
         self._recovery = {
             "keys": len(self.keys),
-            "results": restored_results,
-            "aborted": len(in_flight),
+            "results": loaded,
+            "aborted": len(interrupted),
         }
-        if self._storage_metrics is not None:
-            self._storage_metrics.recoveries.inc()
-            self._storage_metrics.recovered_keys.set(len(self.keys))
-            self._storage_metrics.recovered_instances.labels("finalized").inc(
-                restored_results
-            )
-            self._storage_metrics.recovered_instances.labels("aborted").inc(
-                len(in_flight)
-            )
-        if restored_results or in_flight:
+        metrics = StorageMetrics(self.registry)
+        metrics.recoveries.inc()
+        metrics.recovered_keys.set(len(self.keys))
+        metrics.recovered_instances.labels("finalized").inc(loaded)
+        metrics.recovered_instances.labels("aborted").inc(len(interrupted))
+        if loaded or interrupted:
             logger.info(
                 "node %d recovered: %d keys, %d cached results, "
                 "%d in-flight instances aborted (crash_recovery)",
                 self.config.node_id,
-                len(self.keys),
-                restored_results,
-                len(in_flight),
+                *self._recovery.values(),
             )
 
     def _load_tables(self) -> None:
@@ -370,11 +339,8 @@ class ThetacryptNode:
             if self.crypto_pool is not None and self._owns_pool:
                 await self.crypto_pool.close()
             # Flush + close durable state last: executor completions above
-            # may still append terminal journal records.
-            if self._journal is not None:
-                self._journal.close()
-            if self._results is not None:
-                self._results.close()
+            # may still append terminal records.
+            self._outcomes.close()
             # Persist whatever tables this run promoted, so the next boot
             # starts warm (tables are deterministic; crash-skipping this
             # flush only costs a rebuild).
@@ -532,10 +498,10 @@ class ThetacryptNode:
         if precomputed is not None:
             record.trace.event("precomputed", round=precomputed)
         if self._precompute.enabled and not _pipeline:
-            # "pool": a consumed entry, or a fold into an instance the
-            # announce already ran (or finished) ahead of demand.
-            pooled = precomputed is not None or self._precompute.was_pipelined(
-                instance_id
+            # "pool": this request consumed an entry, or folded into an
+            # instance that did (one the announce ran ahead of demand).
+            pooled = record.trace is not None and any(
+                event.name == "precomputed" for event in record.trace.events
             )
             self._precompute.record_served(kind, "pool" if pooled else "inline")
         return record
@@ -545,14 +511,20 @@ class ThetacryptNode:
         announced request's instance now and hand back its result
         awaitable (the service tracks completion for pacing)."""
         record = self.submit_request(kind, key_id, data, label, _pipeline=True)
-        return self.instances.result(record.instance_id)
+        return self.instances.result(record)
 
     async def run_request(
         self, kind: str, key_id: str, data: bytes, label: bytes = b""
     ) -> bytes:
         """Submit a request and await its result."""
         record = self.submit_request(kind, key_id, data, label)
-        return await self.instances.result(record.instance_id)
+        return await self.instances.result(record)
+
+    async def _run_control(self, protocol, scheme: str) -> None:
+        """Run a control-plane instance (frost-pre, dkg, refresh) to its end.
+        It is not a request: the outcome table never hears of it."""
+        record = self.instances.start_instance(protocol, scheme, retain=False)
+        await self.instances.result(record)
 
     async def precompute_frost(self, key_id: str, count: int) -> int:
         """Run the FROST preprocessing round, filling this key's nonce pool."""
@@ -561,7 +533,9 @@ class ThetacryptNode:
             raise RpcError("precomputation only applies to kg20 keys")
         pool = self._precompute.frost_pool(key_id)
         instance_id = derive_instance_id(
-            "frost-pre", key_id, count.to_bytes(4, "big")
+            "frost-pre",
+            key_id,
+            pool.batches.to_bytes(4, "big") + count.to_bytes(4, "big"),
         )
         protocol = FrostPrecomputeProtocol(
             instance_id,
@@ -570,8 +544,7 @@ class ThetacryptNode:
             pool,
             channel=self._channel_for("kg20"),
         )
-        record = self.instances.start_instance(protocol, "kg20")
-        await self.instances.result(record.instance_id)
+        await self._run_control(protocol, "kg20")
         self._precompute.note_frost_depth(key_id)
         return pool.available
 
@@ -598,7 +571,7 @@ class ThetacryptNode:
                 "NodeConfig.precompute / --precompute-depth)",
                 reason="precompute_disabled",
             )
-        kind = _KIND_TO_OP[entry.kind]
+        kind = _KIND_TO_OP[SCHEME_TABLE[entry.scheme].kind]
         jobs = []
         for data in items:
             # Bind per-item via default args; the factory runs in the
@@ -663,8 +636,7 @@ class ThetacryptNode:
             self.config.parties,
             group,
         )
-        record = self.instances.start_instance(protocol, scheme)
-        await self.instances.result(record.instance_id)
+        await self._run_control(protocol, scheme)
         result = protocol.result
         public_cls, share_cls = key_types[scheme]
         public = public_cls(
@@ -696,12 +668,11 @@ class ThetacryptNode:
         public = entry.public_key
         # The group key attribute is `h` for ciphers/coins, `y` for kg20.
         current_key = getattr(public, "h", None) or public.y
-        # Epoch counter makes repeated refreshes of the same key distinct.
-        epoch = self._refresh_epochs.get(key_id, 0) + 1
-        self._refresh_epochs[key_id] = epoch
-        instance_id = derive_instance_id(
-            "refresh", key_id, epoch.to_bytes(4, "big")
-        )
+        # The public key carries every party's verification key, so it
+        # changes with each refresh and names the epoch: repeated refreshes
+        # are distinct, the name is as durable as the keystore, and a node
+        # still on the old epoch derives another id instead of mixing shares.
+        instance_id = derive_instance_id("refresh", key_id, public.to_bytes())
         protocol = ReshareProtocol(
             instance_id,
             self.config.node_id,
@@ -710,8 +681,7 @@ class ThetacryptNode:
             public.group,
             entry.key_share.value,
         )
-        record = self.instances.start_instance(protocol, entry.scheme)
-        await self.instances.result(record.instance_id)
+        await self._run_control(protocol, entry.scheme)
         result = protocol.result
         if result.group_key != current_key:
             raise RpcError("refresh produced a different group key; aborting swap")
@@ -725,8 +695,7 @@ class ThetacryptNode:
         new_share = type(entry.key_share)(
             self.config.node_id, result.share_value, new_public
         )
-        self.keys.remove(key_id)
-        self.keys.register(key_id, entry.scheme, new_public, new_share)
+        self.keys.replace(key_id, new_public, new_share)
         return hexlify(result.group_key.to_bytes())
 
     # -- scheme API (direct primitive access) ----------------------------------
@@ -764,34 +733,24 @@ class ThetacryptNode:
             return False
 
     def stats(self) -> dict:
-        """Health/utilization snapshot: instance counts, latency summary, and
-        crypto precompute-cache counters (see docs/observability.md).
-
-        The latency digest is backed by the telemetry histogram
-        (``repro_instance_seconds``), which keeps exact samples: p50 is a
-        true interpolated median (the old ``latencies[len//2]`` was wrong
-        for even counts) and p95/p99 come from the same source Prometheus
-        scrapes — one coherent view with the ``metrics`` endpoint.
+        """Health/utilization snapshot (see docs/observability.md).  Counts
+        and latency digests are read from the metric registry — the source
+        Prometheus scrapes — so the two views cannot disagree.
         """
         from ..mathutils.backends import backend_info
         from ..telemetry import crypto_cache_snapshot
 
-        records = self.instances.records()
-        by_status: dict[str, int] = {}
-        aborts: dict[str, int] = {}
-        for record in records:
-            by_status[record.status.value] = by_status.get(record.status.value, 0) + 1
-            if record.abort_reason is not None:
-                aborts[record.abort_reason] = aborts.get(record.abort_reason, 0) + 1
         return {
             "node_id": self.config.node_id,
-            "instances": by_status,
+            # Terminated instances by final status, from
+            # repro_instances_total (live ones are "active", below).
+            "instances": self.instances.metrics.instances.totals_by("status"),
             "active": self.instances.active_count,
             "keys": len(self.keys),
             # Structured failure taxonomy (docs/robustness.md): how many
             # instances aborted per reason (timeout / insufficient_shares /
             # byzantine_detected / crash_recovery / ...).
-            "aborts": aborts,
+            "aborts": self.instances.metrics.aborts.totals_by("reason"),
             # What the last start() recovered from data_dir (empty for
             # memory-only nodes and for clean first boots).
             "recovery": dict(self._recovery),

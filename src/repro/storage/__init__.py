@@ -1,13 +1,13 @@
-"""Durable node state: atomic snapshots, write-ahead journal, keystore,
-and the idempotent-result cache (docs/robustness.md, "Durability &
-recovery").
+"""Durable node state: atomic snapshots, the write-ahead log, keystore,
+and the outcome table (docs/robustness.md, "Durability & recovery").
 
 Everything under ``NodeConfig.data_dir`` flows through this package::
 
     data_dir/
       keystore.bin   # CRC-checked snapshot of this node's key shares
-      journal/       # segmented WAL of instance lifecycle events
-      results/       # segmented WAL backing the idempotent-result cache
+      results/       # segmented WAL backing the outcome table: instance
+                     # lifecycle and finalized results, one log
+      precompute/    # consume-once ledger of the precompute pools
 """
 
 from .atomic import (
@@ -20,12 +20,13 @@ from .atomic import (
 )
 from .durable_keystore import DurableKeystore
 from .pool_journal import PoolJournal, StagedEntry
-from .results import DurableResultCache
+from .results import DurableResultCache, Outcome
 from .wal import WriteAheadLog
 
 __all__ = [
     "DurableKeystore",
     "DurableResultCache",
+    "Outcome",
     "PoolJournal",
     "StagedEntry",
     "WriteAheadLog",

@@ -34,19 +34,20 @@ class DurableKeystore:
     # -- mutation (each call persists before returning) ------------------------
 
     def put(self, key_id: str, scheme: str, key_share: object) -> None:
-        self._entries[key_id] = (scheme, key_share)
-        self._flush()
+        self._flush({**self._entries, key_id: (scheme, key_share)})
 
     def remove(self, key_id: str) -> None:
         if key_id not in self._entries:
             raise KeyManagementError(f"unknown key id {key_id!r}")
-        del self._entries[key_id]
-        self._flush()
+        self._flush({k: v for k, v in self._entries.items() if k != key_id})
 
-    def _flush(self) -> None:
+    def _flush(self, entries: dict[str, tuple[str, object]]) -> None:
+        """Write the snapshot, then adopt it: a write that fails leaves
+        memory describing the file that is still on disk."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = keystore_to_json(self._entries).encode("utf-8")
+        payload = keystore_to_json(entries).encode("utf-8")
         write_versioned(self.path, payload, KEYSTORE_VERSION)
+        self._entries = entries
 
     # -- read ------------------------------------------------------------------
 

@@ -13,8 +13,10 @@ pool that guarantee on top of the segmented :class:`WriteAheadLog`:
   on disk) are journaled without a payload and dropped on replay — a
   restart cannot double-use what it cannot restore.
 
-Replay compacts the log: surviving entries are folded into a fresh
-segment so consumed history does not accumulate across restarts.
+Opening the journal compacts it (:meth:`WriteAheadLog.compact`): the
+surviving entries replace the history, so consumed entries do not
+accumulate across restarts — and a kill mid-compaction replays either the
+old history or the survivors, never a ``staged`` without its ``consumed``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,19 @@ class StagedEntry:
     key_id: str
     op: str
     payload: bytes | None  # None = volatile (never restored after a restart)
+
+
+def _staged(entry: StagedEntry) -> dict:
+    record = {
+        "event": "staged",
+        "seq": entry.seq,
+        "id": entry.instance_id,
+        "key": entry.key_id,
+        "op": entry.op,
+    }
+    if entry.payload is not None:
+        record["payload"] = hexlify(entry.payload)
+    return record
 
 
 class PoolJournal:
@@ -70,20 +85,7 @@ class PoolJournal:
             for seq, entry in sorted(staged.items())
             if entry.payload is not None
         ]
-        # Compact: re-seat the survivors in a fresh log so the next replay
-        # starts from exactly the restorable state, not the whole history.
-        self._wal.reset()
-        for entry in self._survivors:
-            self._wal.append(
-                {
-                    "event": "staged",
-                    "seq": entry.seq,
-                    "id": entry.instance_id,
-                    "key": entry.key_id,
-                    "op": entry.op,
-                    "payload": hexlify(entry.payload),
-                }
-            )
+        self._wal.compact([_staged(entry) for entry in self._survivors])
 
     @property
     def survivors(self) -> list[StagedEntry]:
@@ -100,16 +102,7 @@ class PoolJournal:
         """Record a newly staged entry; returns its consume sequence."""
         seq = self._next_seq
         self._next_seq += 1
-        record = {
-            "event": "staged",
-            "seq": seq,
-            "id": instance_id,
-            "key": key_id,
-            "op": op,
-        }
-        if payload is not None:
-            record["payload"] = hexlify(payload)
-        self._wal.append(record)
+        self._wal.append(_staged(StagedEntry(seq, instance_id, key_id, op, payload)))
         return seq
 
     def consume(self, seq: int) -> None:

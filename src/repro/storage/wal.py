@@ -22,6 +22,15 @@ Crash semantics — the property the recovery path leans on:
   truncated segment with more segments after it — is **corruption**, not a
   tear, and raises :class:`~repro.errors.WalCorruptionError`; recovery must
   not silently skip over damaged history.
+* :meth:`WriteAheadLog.compact` replaces the history with a folded list
+  of records.  The replacement is written as fresh segments *after* the
+  old ones (each fsynced), then the ``start`` marker file is atomically
+  pointed at the first of them, and only then are the older segments
+  unlinked.  Opening a log first drops what lies below its marker, so a
+  kill before the marker flips replays old + (a prefix of) new — callers'
+  folds are last-wins, so that reads as the old history — and a kill
+  after it replays exactly the new one, however many old segments were
+  still lying around.
 """
 
 from __future__ import annotations
@@ -35,10 +44,14 @@ from pathlib import Path
 from typing import Iterator
 
 from ..errors import StorageError, WalCorruptionError
-from .atomic import fsync_directory
+from .atomic import atomic_write_bytes, fsync_directory
 
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
 _FRAME_HEADER = 8
+
+#: Marker file naming the first live segment; lower-numbered segments are
+#: history a compaction replaced.
+_START_FILE = "start"
 
 #: Per-record payload sanity bound; journal records are small JSON events,
 #: so a larger declared length is either a tear or corruption.
@@ -49,124 +62,116 @@ def _segment_name(index: int) -> str:
     return f"wal-{index:08d}.log"
 
 
-class _ScanResult:
-    """Outcome of scanning one segment: records plus how the tail ended."""
-
-    __slots__ = ("records", "valid_bytes", "torn", "corrupt_at")
-
-    def __init__(self) -> None:
-        self.records: list[bytes] = []
-        self.valid_bytes = 0
-        self.torn = False
-        self.corrupt_at: int | None = None
-
-
-def _scan_segment(data: bytes) -> _ScanResult:
-    """Walk the frames of one segment, classifying how it terminates."""
-    result = _ScanResult()
+def _scan_segment(segment: Path, final: bool) -> tuple[list[bytes], int | None]:
+    """The intact records of one segment, and — when its tail is torn — the
+    byte count they end at (else None).  A tear is only tolerated in the
+    ``final`` segment; anything else that does not parse is corruption."""
+    data = segment.read_bytes()
+    records: list[bytes] = []
     offset = 0
-    total = len(data)
-    while offset < total:
-        header = data[offset : offset + _FRAME_HEADER]
-        if len(header) < _FRAME_HEADER:
-            result.torn = True  # partial header: crash mid-append
-            return result
-        length = int.from_bytes(header[:4], "big")
-        crc = int.from_bytes(header[4:8], "big")
-        if length > MAX_RECORD_BYTES:
-            # A garbage length field cannot be distinguished from a tear by
-            # size alone; treat it as torn iff nothing follows the frame
-            # header (classified by the caller via ``corrupt_at``).
-            result.corrupt_at = offset
-            return result
-        payload = data[offset + _FRAME_HEADER : offset + _FRAME_HEADER + length]
-        if len(payload) < length:
-            result.torn = True  # payload cut short: crash mid-append
-            return result
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            result.corrupt_at = offset
-            return result
-        result.records.append(payload)
-        offset += _FRAME_HEADER + length
-        result.valid_bytes = offset
-    return result
+    while offset < len(data):
+        body = offset + _FRAME_HEADER
+        length = int.from_bytes(data[offset : offset + 4], "big")
+        payload = data[body : body + length]
+        # A partial header or a payload cut short is a crash mid-append;
+        # an absurd length cannot be told from garbage, so it is not.
+        if body > len(data) or (length <= MAX_RECORD_BYTES and len(payload) < length):
+            if not final:
+                raise WalCorruptionError(
+                    f"{segment}: truncated record but later segments exist"
+                )
+            return records, offset
+        crc = int.from_bytes(data[offset + 4 : body], "big")
+        if length > MAX_RECORD_BYTES or zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            raise WalCorruptionError(f"{segment}: corrupt record at byte {offset}")
+        records.append(payload)
+        offset = body + length
+    return records, None
 
 
 class WriteAheadLog:
     """One node's durable, replayable event journal."""
 
-    def __init__(
-        self,
-        directory: Path | str,
-        segment_max_bytes: int = 1 << 20,
-        sync: bool = True,
-    ):
+    def __init__(self, directory: Path | str, segment_max_bytes: int = 1 << 20):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._segment_max = segment_max_bytes
-        self._sync = sync
         self._handle: io.BufferedWriter | None = None
         self._active_index = 0
+        # Finish a compaction that died between its marker and its unlinks:
+        # from here on the directory holds live segments only.
+        self._drop_below(self._read_start())
 
     # -- segment bookkeeping ---------------------------------------------------
 
-    def segments(self) -> list[Path]:
-        """Segment files in append order."""
+    def _indexed(self) -> list[tuple[int, Path]]:
+        """``(index, path)`` of every segment file, in append order."""
         found = []
         for entry in self.directory.iterdir():
             match = _SEGMENT_RE.match(entry.name)
             if match:
                 found.append((int(match.group(1)), entry))
-        return [path for _, path in sorted(found)]
+        return sorted(found)
+
+    def segments(self) -> list[Path]:
+        """Segment files in append order."""
+        return [path for _, path in self._indexed()]
+
+    def _read_start(self) -> int:
+        marker = self.directory / _START_FILE
+        if not marker.exists():
+            return 0
+        try:
+            start = int(marker.read_bytes())
+        except ValueError as exc:
+            raise WalCorruptionError(f"{marker}: not a segment index") from exc
+        if not (self.directory / _segment_name(start)).exists():
+            raise WalCorruptionError(f"{marker}: names missing segment {start}")
+        return start
+
+    def _drop_below(self, first: int) -> None:
+        stale = [path for index, path in self._indexed() if index < first]
+        for path in stale:
+            path.unlink()
+        if stale:
+            fsync_directory(self.directory)
 
     def _open_for_append(self) -> io.BufferedWriter:
-        if self._handle is not None:
-            return self._handle
-        segments = self.segments()
-        if segments:
-            last = segments[-1]
-            self._active_index = int(_SEGMENT_RE.match(last.name).group(1))
-            self._repair_tail(last, final=True)
-            self._handle = open(last, "ab")
-        else:
-            self._active_index = 1
-            path = self.directory / _segment_name(1)
-            self._handle = open(path, "ab")
-            fsync_directory(self.directory)
+        if self._handle is None:
+            segments = self._indexed()
+            if segments:
+                self._active_index, last = segments[-1]
+                self._repair_tail(last)
+                self._handle = open(last, "ab")
+            else:
+                self._start_segment(1)
         return self._handle
 
-    def _repair_tail(self, segment: Path, final: bool) -> _ScanResult:
-        """Scan one segment; truncate a torn tail, refuse corruption."""
-        data = segment.read_bytes()
-        result = _scan_segment(data)
-        if result.corrupt_at is not None:
-            raise WalCorruptionError(
-                f"{segment}: corrupt record at byte {result.corrupt_at}"
-            )
-        if result.torn:
-            if not final:
-                raise WalCorruptionError(
-                    f"{segment}: truncated record but later segments exist"
-                )
+    def _start_segment(self, index: int) -> None:
+        self._active_index = index
+        self._handle = open(self.directory / _segment_name(index), "ab")
+        fsync_directory(self.directory)
+
+    def _repair_tail(self, segment: Path) -> None:
+        """Scan the final segment; truncate a torn tail, refuse corruption."""
+        _, torn_at = _scan_segment(segment, final=True)
+        if torn_at is not None:
             with open(segment, "r+b") as handle:
-                handle.truncate(result.valid_bytes)
+                handle.truncate(torn_at)
                 handle.flush()
                 os.fsync(handle.fileno())
-        return result
 
     def _roll(self) -> None:
-        assert self._handle is not None
-        self._handle.close()
-        self._active_index += 1
-        self._handle = open(
-            self.directory / _segment_name(self._active_index), "ab"
-        )
-        fsync_directory(self.directory)
+        self.close()  # fsyncs: compaction fills segments without per-record syncs
+        self._start_segment(self._active_index + 1)
 
     # -- append/replay ---------------------------------------------------------
 
     def append(self, record: dict) -> None:
         """Durably append one JSON record (fsynced before returning)."""
+        self._write(record, sync=True)
+
+    def _write(self, record: dict, sync: bool) -> None:
         payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
         frame = (
             len(payload).to_bytes(4, "big")
@@ -176,8 +181,8 @@ class WriteAheadLog:
         handle = self._open_for_append()
         try:
             handle.write(frame)
-            handle.flush()
-            if self._sync:
+            if sync:
+                handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
             raise StorageError(f"journal append failed: {exc}") from exc
@@ -185,25 +190,15 @@ class WriteAheadLog:
             self._roll()
 
     def replay(self) -> Iterator[dict]:
-        """Yield every intact record in order.
+        """Yield every intact record of the live history, in order.
 
         Stops silently at a torn final record (crash during the last
         append); raises :class:`WalCorruptionError` for damage anywhere
         else.  Records that fail to parse as JSON count as corruption too.
         """
         segments = self.segments()
-        for position, segment in enumerate(segments):
-            data = segment.read_bytes()
-            result = _scan_segment(data)
-            if result.corrupt_at is not None:
-                raise WalCorruptionError(
-                    f"{segment}: corrupt record at byte {result.corrupt_at}"
-                )
-            if result.torn and position != len(segments) - 1:
-                raise WalCorruptionError(
-                    f"{segment}: truncated record but later segments exist"
-                )
-            for payload in result.records:
+        for segment in segments:
+            for payload in _scan_segment(segment, final=segment is segments[-1])[0]:
                 try:
                     yield json.loads(payload)
                 except ValueError as exc:
@@ -211,14 +206,18 @@ class WriteAheadLog:
                         f"{segment}: record is not valid JSON: {exc}"
                     ) from exc
 
-    def reset(self) -> None:
-        """Drop every record (post-recovery compaction: history that has
-        been folded into snapshots must not be replayed twice)."""
-        self.close()
-        for segment in self.segments():
-            segment.unlink()
-        fsync_directory(self.directory)
-        self._active_index = 0
+    def compact(self, records: list[dict]) -> None:
+        """Replace the whole history with ``records`` (module docstring:
+        a kill at any point replays as the old history or as the new one).
+        Costs one fsync per segment written, not one per record."""
+        self._open_for_append()  # repairs a torn tail: the old history stays replayable
+        self._roll()
+        first = self._active_index
+        for record in records:
+            self._write(record, sync=False)
+        self.sync()
+        atomic_write_bytes(self.directory / _START_FILE, str(first).encode())
+        self._drop_below(first)
 
     def sync(self) -> None:
         """Flush + fsync the active segment (graceful-shutdown hook)."""

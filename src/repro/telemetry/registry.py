@@ -284,6 +284,16 @@ class MetricFamily:
     def total_sum(self) -> float:
         return sum(c.sum for c in self.children())
 
+    def totals_by(self, *labelnames: str) -> dict[str, int]:
+        """Counter values summed over every other label, keyed by the
+        named labels' values (``/``-joined): what ``stats()`` reports."""
+        positions = [self.labelnames.index(name) for name in labelnames]
+        totals: dict[str, int] = {}
+        for child in self.children():
+            key = "/".join(child._labelvalues[position] for position in positions)
+            totals[key] = totals.get(key, 0) + int(child.value)
+        return dict(sorted(totals.items()))
+
     def merged_quantile(self, q: float) -> float | None:
         """Quantile over the pooled sample windows of all children."""
         pooled: list[float] = []

@@ -274,7 +274,7 @@ class TestPrecomputeUnderChaos:
                     )
                 )
                 for _ in range(200):
-                    if pending_id in nodes[3].instances._records:
+                    if nodes[3].instances.known(pending_id):
                         break
                     await asyncio.sleep(0.01)
                 await nodes[3].stop()
@@ -373,8 +373,11 @@ class TestCrashRecoveryRestart:
                 signature = await client.sign("bls04", data)
                 done_id = derive_instance_id("sign", "bls04", data, b"")
                 for _ in range(200):
-                    record = nodes[3].instances._records.get(done_id)
-                    if record is not None and record.status.value == "finished":
+                    if (
+                        nodes[3].instances.known(done_id)
+                        and nodes[3].instances.record(done_id).status.value
+                        == "finished"
+                    ):
                         break
                     await asyncio.sleep(0.01)
                 assert nodes[3].instances.record(done_id).status.value == "finished"
@@ -390,7 +393,7 @@ class TestCrashRecoveryRestart:
                     )
                 )
                 for _ in range(200):
-                    if pending_id in nodes[3].instances._records:
+                    if nodes[3].instances.known(pending_id):
                         break
                     await asyncio.sleep(0.01)
                 assert nodes[3].instances.record(pending_id).status.value in (

@@ -163,6 +163,41 @@ class TestInstanceManager:
 
         asyncio.run(scenario())
 
+    def test_backlog_is_bounded_by_instance_ids(self, keys_cks05):
+        """Messages for ids this node never creates cannot pin memory for
+        the life of the process; a message that merely beat its request
+        is still there when the request arrives."""
+        from repro.core.orchestration.manager import _BACKLOG_IDS
+
+        async def scenario():
+            protocols = _protocols_for(keys_cks05, "coin", b"bounded")
+            managers = _wire_managers(protocols)
+            manager = managers[1]
+
+            async def flood(count, tag):
+                for index in range(count):
+                    await manager.handle_network_message(
+                        ProtocolMessage(f"{tag}-{index}", 2, 0, Channel.P2P, b"x")
+                    )
+
+            await flood(10 * _BACKLOG_IDS, "never")
+            assert len(manager._backlog) == _BACKLOG_IDS
+            assert manager.metrics.backlog_dropped.value == 9 * _BACKLOG_IDS
+            # The usual race, with half a bound of strangers arriving between
+            # the early shares and the request.
+            for party_id in (2, 3, 4):
+                managers[party_id].start_instance(protocols[party_id], "cks05")
+            await asyncio.sleep(0.05)
+            await flood(_BACKLOG_IDS // 2, "later")
+            assert len(manager._backlog) == _BACKLOG_IDS
+            manager.start_instance(protocols[1], "cks05")
+            # Only the drained shares can complete it this fast: the peers
+            # have finished and will not send again.
+            assert await asyncio.wait_for(manager.result("inst"), 1.0)
+            await manager.shutdown()
+
+        asyncio.run(scenario())
+
     def test_timeout_marks_failed(self, keys_cks05):
         async def scenario():
             protocols = _protocols_for(keys_cks05, "coin", b"timeout")

@@ -371,6 +371,57 @@ class TestPipelineService:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "key_id,kind", [("sg02", "decrypt"), ("bls04", "sign"), ("cks05", "coin")]
+    )
+    def test_announce_serves_every_scheme_kind(self, all_keys, key_id, kind):
+        """A cipher, a signature and a coin key each map onto the operation
+        their announce stages (a coin's kind is ``randomness``, not ``coin``)."""
+
+        async def scenario():
+            hub, nodes, client = await _pipeline_network(
+                all_keys, PrecomputeConfig(depth=4, eager=False)
+            )
+            try:
+                data = b"announced " + kind.encode()
+                if kind == "decrypt":
+                    data = await client.encrypt(key_id, data, b"")
+                reports = await client.precompute(key_id, items=[data])
+                assert all(r["staged"] == 1 for r in reports.values())
+                await asyncio.gather(
+                    *(node.run_request(kind, key_id, data) for node in nodes)
+                )
+                for node in nodes:
+                    stats = node.stats()["precompute"]
+                    assert stats["served"] == {f"{kind}/pool": 1}
+                    assert stats["staged"] == {}
+            finally:
+                await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
+    def test_announce_for_a_known_instance_is_a_duplicate(self, all_keys):
+        """Nobody will consume a share staged for an instance that is
+        already running or already answered: the announce says so."""
+
+        async def scenario():
+            hub, nodes, client = await _pipeline_network(
+                all_keys, PrecomputeConfig(depth=4, eager=False)
+            )
+            try:
+                await client.flip_coin("cks05", b"finished")
+                reports = await client.precompute("cks05", items=[b"finished"])
+                assert all(r == {"duplicate": 1, "depth": {}} for r in reports.values())
+                # Live at node 1 only: no quorum, so it stays in flight.
+                nodes[0].submit_request("coin", "cks05", b"in flight")
+                report = await nodes[0].precompute_requests("cks05", [b"in flight"])
+                assert report == {"duplicate": 1, "depth": {}}
+                assert nodes[0].stats()["precompute"]["staged"] == {}
+            finally:
+                await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
     def test_exhausted_pool_falls_back_inline(self, all_keys):
         """Satellite: draining faster than refill degrades to the on-demand
         path with visible source=inline accounting, never an error."""
@@ -409,8 +460,11 @@ class TestPipelineService:
                 instance_id = derive_instance_id("decrypt", "sg02", ciphertext, b"")
                 # The announce alone drives the instance to completion.
                 for _ in range(400):
-                    record = nodes[0].instances._records.get(instance_id)
-                    if record is not None and record.status.value == "finished":
+                    if (
+                        nodes[0].instances.known(instance_id)
+                        and nodes[0].instances.record(instance_id).status.value
+                        == "finished"
+                    ):
                         break
                     await asyncio.sleep(0.01)
                 assert nodes[0].instances.record(instance_id).status.value == "finished"
@@ -459,12 +513,27 @@ class TestPipelineService:
                 all_keys, PrecomputeConfig(depth=4, eager=False)
             )
             try:
-                secret = b"decrypted before it was announced"
+                secret = b"decrypted while its announce was queued"
                 ciphertext = await client.encrypt("sg02", secret, b"")
+                # The request overtakes its announce: refill is held while
+                # the announce sits queued, the request runs on demand, and
+                # only then is the share it was asked for staged.  (An
+                # announce *after* the request would answer ``duplicate``.)
+                gate = asyncio.Event()
+                for node in nodes:
+                    node._precompute._pace = gate.wait
+                announce = asyncio.ensure_future(
+                    client.precompute("sg02", items=[ciphertext])
+                )
+                for _ in range(400):
+                    if all(node._precompute._pending_ids for node in nodes):
+                        break
+                    await asyncio.sleep(0.01)
                 await asyncio.gather(
                     *(node.run_request("decrypt", "sg02", ciphertext) for node in nodes)
                 )
-                reports = await client.precompute("sg02", items=[ciphertext])
+                gate.set()
+                reports = await announce
                 assert all(r["staged"] == 1 for r in reports.values())
                 record = nodes[0].submit_request("decrypt", "sg02", ciphertext)
                 assert record.result == secret

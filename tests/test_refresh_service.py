@@ -1,13 +1,16 @@
 """Proactive refresh: the TRI protocol and the service RPC end to end."""
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import RpcError
+from repro.errors import RpcError, StorageError
 from repro.groups import get_group
 from repro.network.local import LocalHub
+from repro.schemes.cks05 import Cks05Coin
 from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.storage import DurableKeystore, durable_keystore
 
 
 async def _network(all_keys, parties=4, threshold=1):
@@ -112,6 +115,167 @@ class TestRefreshRpc:
                     await client.refresh_key("sig")
             finally:
                 await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
+
+def _dealer_coin(km, name: bytes) -> bytes:
+    """The coin the dealt secret defines, computed from dealer shares."""
+    coin = Cks05Coin()
+    shares = [coin.create_coin_share(km.share_for(i), name) for i in (1, 2)]
+    return coin.combine(km.public_key, name, shares)
+
+
+class _DurableCluster:
+    """Four nodes over per-node ``data_dir``s; a restarted node gets its
+    keys from its keystore file, as a refreshed share exists nowhere else."""
+
+    def __init__(self, tmp_path):
+        self.hub = LocalHub(latency=lambda a, b: 0.001)
+        self.configs = [
+            replace(c, data_dir=str(tmp_path / f"node{c.node_id}"))
+            for c in make_local_configs(4, 1, transport="local", rpc_base_port=0)
+        ]
+        self.nodes = {}
+        self.client = None
+
+    async def boot(self, node_id, keys=None):
+        node = ThetacryptNode(
+            self.configs[node_id - 1], transport=self.hub.endpoint(node_id)
+        )
+        for key_id, km in (keys or {}).items():
+            node.install_key(key_id, km.scheme, km.public_key, km.share_for(node_id))
+        await node.start()
+        self.nodes[node_id] = node
+
+    async def restart(self, *node_ids):
+        await self.disconnect()
+        for node_id in node_ids:
+            await self.nodes[node_id].stop()
+        for node_id in node_ids:
+            await self.boot(node_id)
+
+    def connect(self):
+        self.client = ThetacryptClient(
+            {i: node.rpc_address for i, node in self.nodes.items()}
+        )
+        return self.client
+
+    async def disconnect(self):
+        if self.client is not None:
+            await self.client.close()
+            self.client = None
+
+    async def stop(self):
+        await self.disconnect()
+        for node in self.nodes.values():
+            await node.stop()
+
+
+@pytest.mark.integration
+class TestRefreshOnDurableNodes:
+    def test_refresh_works_again_after_restarts(self, keys_cks05, tmp_path):
+        """The refresh epoch is named by the key's current public key, which
+        the keystore keeps — not by a counter that restarts at 1 and collides
+        with the first epoch's finished instance."""
+
+        async def scenario():
+            cluster = _DurableCluster(tmp_path)
+            try:
+                for node_id in (1, 2, 3, 4):
+                    await cluster.boot(node_id, {"coin": keys_cks05})
+                client = cluster.connect()
+                assert await client.flip_coin("coin", b"epoch-0") == _dealer_coin(
+                    keys_cks05, b"epoch-0"
+                )
+                await client.refresh_key("coin")
+
+                await cluster.restart(1, 2, 3, 4)
+                client = cluster.connect()
+                group_key = await client.refresh_key("coin")
+                assert group_key == keys_cks05.public_key.h.to_bytes()
+                assert await client.flip_coin("coin", b"epoch-2") == _dealer_coin(
+                    keys_cks05, b"epoch-2"
+                )
+
+                await cluster.restart(3)
+                client = cluster.connect()
+                await client.refresh_key("coin")
+                assert await client.flip_coin("coin", b"epoch-3") == _dealer_coin(
+                    keys_cks05, b"epoch-3"
+                )
+                # Every epoch swapped the share: four distinct values per node.
+                assert cluster.nodes[3].keys.get("coin").key_share.value != (
+                    keys_cks05.share_for(3).value
+                )
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_every_keystore_snapshot_of_a_refresh_holds_the_share(
+        self, keys_cks05, tmp_path, monkeypatch
+    ):
+        """The swap is one atomic overwrite: a process killed at any point
+        of a refresh finds exactly one share for the key in its keystore."""
+        snapshots = []
+        real_write = durable_keystore.write_versioned
+
+        def recording_write(path, payload, version):
+            real_write(path, payload, version)
+            snapshots.append([key_id for key_id, _, _ in DurableKeystore(path).items()])
+
+        async def scenario():
+            cluster = _DurableCluster(tmp_path)
+            try:
+                for node_id in (1, 2, 3, 4):
+                    await cluster.boot(node_id, {"coin": keys_cks05})
+                monkeypatch.setattr(
+                    durable_keystore, "write_versioned", recording_write
+                )
+                await cluster.connect().refresh_key("coin")
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+        assert snapshots == [["coin"]] * 4
+
+    @pytest.mark.parametrize("failing_write", [1, 2])
+    def test_failed_keystore_write_leaves_a_usable_share(
+        self, keys_cks05, tmp_path, monkeypatch, failing_write
+    ):
+        """Whichever keystore write of a refresh fails (there is only one
+        now), every node still holds a share that works: the old one."""
+        real_write = durable_keystore.write_versioned
+        writes = {}
+
+        def failing(path, payload, version):
+            writes[path] = writes.get(path, 0) + 1
+            if writes[path] == failing_write:
+                raise StorageError(f"disk full writing {path}")
+            real_write(path, payload, version)
+
+        async def scenario():
+            cluster = _DurableCluster(tmp_path)
+            try:
+                for node_id in (1, 2, 3, 4):
+                    await cluster.boot(node_id, {"coin": keys_cks05})
+                client = cluster.connect()
+                monkeypatch.setattr(durable_keystore, "write_versioned", failing)
+                if failing_write == 1:
+                    with pytest.raises(RpcError):
+                        await client.refresh_key("coin")
+                    for node_id, node in cluster.nodes.items():
+                        assert node.keys.get("coin").key_share.value == (
+                            keys_cks05.share_for(node_id).value
+                        )
+                else:
+                    await client.refresh_key("coin")
+                assert await client.flip_coin("coin", b"after") == _dealer_coin(
+                    keys_cks05, b"after"
+                )
+            finally:
+                await cluster.stop()
 
         asyncio.run(scenario())
 

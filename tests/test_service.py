@@ -127,6 +127,28 @@ class TestServiceEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_repeated_precompute_adds_a_batch_each_time(self, all_keys):
+        """A preprocessing round is not a request: asking for three nonce
+        sets twice yields six, not the first call's answer again."""
+
+        async def scenario():
+            hub, nodes, client = await _start_network(all_keys)
+            try:
+                for expected in (3, 6):
+                    pre = await client.precompute("kg20", 3)
+                    assert [r["available"] for r in pre.values()] == [expected] * 4
+                for index in range(6):
+                    message = b"precomputed %d" % index
+                    signature = await client.sign("kg20", message)
+                    assert await client.verify_signature("kg20", message, signature)
+                assert all(
+                    node.stats()["precompute"]["frost"] == {} for node in nodes
+                )
+            finally:
+                await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
     def test_rsa_and_pairing_cipher(self, all_keys):
         async def scenario():
             hub, nodes, client = await _start_network(all_keys)

@@ -10,9 +10,21 @@ segments after it — is corruption and must raise, never be skipped.
 
 import asyncio
 import json
+import os
+import shutil
+import tempfile
+import zlib
+from contextlib import contextmanager
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.orchestration import InstanceManager, InstanceRecord
+from repro.core.tri import ThresholdRoundProtocol
 from repro.errors import (
     KeyManagementError,
     RpcError,
@@ -21,9 +33,13 @@ from repro.errors import (
 )
 from repro.schemes.keystore import export_key_share
 from repro.serialization import hexlify
+from repro.storage import pool_journal
+from repro.storage import results as results_module
 from repro.storage import (
     DurableKeystore,
     DurableResultCache,
+    Outcome,
+    PoolJournal,
     WriteAheadLog,
     atomic_write_bytes,
     pack_record,
@@ -31,6 +47,7 @@ from repro.storage import (
     unpack_record,
     write_versioned,
 )
+from repro.telemetry import MetricRegistry
 
 
 class TestAtomicContainer:
@@ -147,13 +164,22 @@ class TestWriteAheadLog:
         with pytest.raises(WalCorruptionError, match="later segments"):
             list(WriteAheadLog(tmp_path / "wal").replay())
 
-    def test_reset_drops_history(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"n": 1})
-        wal.reset()
-        assert list(wal.replay()) == []
-        wal.append({"n": 2})
-        assert list(wal.replay()) == [{"n": 2}]
+    def test_compact_replaces_history(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal", segment_max_bytes=64)
+        for i in range(12):
+            wal.append({"n": i, "pad": "x" * 20})
+        old_segments = wal.segments()
+        kept = [{"n": i, "pad": "y" * 20} for i in (3, 7, 11)]
+        wal.compact(kept)
+        assert list(wal.replay()) == kept
+        assert not set(old_segments) & set(wal.segments())
+        assert all(not segment.exists() for segment in old_segments)
+        wal.append({"n": 12})
+        wal.close()
+        assert list(WriteAheadLog(tmp_path / "wal").replay()) == kept + [{"n": 12}]
+        # Compacting to nothing is a history too.
+        wal.compact([])
+        assert list(WriteAheadLog(tmp_path / "wal").replay()) == []
         wal.close()
 
 
@@ -202,8 +228,8 @@ class TestDurableResultCache:
         cache.put("sign-aa", "bls04", b"\x01\x02")
         cache.put("coin-bb", "cks05", b"\x03")
         revived = DurableResultCache(tmp_path / "results")
-        assert revived.get("sign-aa") == ("bls04", b"\x01\x02")
-        assert revived.get("coin-bb") == ("cks05", b"\x03")
+        assert revived.get("sign-aa") == Outcome("bls04", b"\x01\x02")
+        assert revived.get("coin-bb") == Outcome("cks05", b"\x03")
         assert "sign-aa" in revived and len(revived) == 2
         cache.close()
         revived.close()
@@ -214,7 +240,7 @@ class TestDurableResultCache:
             cache.put(f"id-{i}", "bls04", bytes([i]))
         assert len(cache) == 3
         assert cache.get("id-2") is None
-        assert cache.get("id-5") == ("bls04", bytes([5]))
+        assert cache.get("id-5") == Outcome("bls04", bytes([5]))
         cache.close()
 
     def test_compaction_bounds_the_log(self, tmp_path):
@@ -226,9 +252,619 @@ class TestDurableResultCache:
         # Reopening sees 12 > 2 * 4 replayed records and compacts.
         revived = DurableResultCache(directory, max_entries=4)
         assert len(revived) == 4
-        assert revived.get("id-11") == ("bls04", bytes([11]))
+        assert revived.get("id-11") == Outcome("bls04", bytes([11]))
         revived.close()
         assert len(list(WriteAheadLog(directory).replay())) == 4
+
+
+# ---------------------------------------------------------------------------
+# Crash injection: die at the k-th fsync / unlink / rename of an operation.
+# ---------------------------------------------------------------------------
+
+
+class _Died(Exception):
+    """The process 'died' inside an I/O call (not an OSError: nothing in
+    the storage layer may catch it and carry on)."""
+
+
+class _Crash:
+    """What the block under :func:`_dying_at` did before it ended."""
+
+    def __init__(self):
+        self.calls = 0
+        self.synced = {}  # inode -> file size at its last completed fsync
+
+
+def _inode(stat):
+    return stat.st_dev, stat.st_ino
+
+
+@contextmanager
+def _dying_at(k):
+    """Raise :class:`_Died` from the k-th durability call made in the block
+    (``os.fsync``, ``os.unlink``, ``os.replace``: every point at which the
+    WAL, its compaction and the atomic marker write commit something).
+    ``k=None`` only counts."""
+    crash = _Crash()
+    real = {name: getattr(os, name) for name in ("fsync", "unlink", "replace")}
+
+    def wrapper(name):
+        def call(*args, **kwargs):
+            crash.calls += 1
+            if crash.calls == k:
+                raise _Died(f"{name} #{k}")
+            outcome = real[name](*args, **kwargs)
+            if name == "fsync":
+                stat = os.fstat(args[0])
+                crash.synced[_inode(stat)] = stat.st_size
+            return outcome
+
+        return call
+
+    with patch.multiple(os, **{name: wrapper(name) for name in real}):
+        yield crash
+
+
+def _segment_sizes(directory):
+    return {
+        path: path.stat().st_size for path in sorted(directory.glob("wal-*.log"))
+    }
+
+
+def _tear_tail(directory, before, crash, keep):
+    """Lose part of what the dying operation wrote to the newest segment:
+    bytes beyond both its size ``before`` the operation and its last
+    completed fsync were never acknowledged, so a crash may keep any prefix
+    of them.  ``keep`` in [0, 1] picks the prefix."""
+    sizes = _segment_sizes(directory)
+    if not sizes:
+        return
+    last = max(sizes)
+    floor = max(
+        min(before.get(last, 0), sizes[last]),  # a tail repair may have cut it
+        crash.synced.get(_inode(last.stat()), 0),
+    )
+    with open(last, "r+b") as handle:
+        handle.truncate(floor + int((sizes[last] - floor) * keep))
+
+
+def _small_segments(directory):
+    return WriteAheadLog(directory, segment_max_bytes=160)
+
+
+def _view(table):
+    return [
+        (instance_id, outcome.result if outcome.reason is None else outcome.reason)
+        for instance_id, outcome in table.items()
+    ]
+
+
+class _LogModel:
+    """Reference fold of the outcome log: a list of logical records and the
+    table a node must read from it.  ``MAX`` entries, oldest evicted."""
+
+    MAX = 4
+
+    @classmethod
+    def _keep(cls, table, instance_id, value):
+        table[instance_id] = value
+        while len(table) > cls.MAX:
+            del table[next(iter(table))]
+
+    @classmethod
+    def fold(cls, log):
+        results, pending = {}, {}
+        for kind, instance_id, value in log:
+            if kind == "submitted":
+                pending[instance_id] = None
+                results.pop(instance_id, None)
+                continue
+            pending.pop(instance_id, None)
+            if kind == "result":
+                cls._keep(results, instance_id, value)
+        return results, list(pending)
+
+    @classmethod
+    def opened(cls, log, closed=None):
+        """(table view, log) after a reopen that appended ``aborted`` for
+        the first ``closed`` interrupted instances (None: all — it finished)."""
+        results, pending = cls.fold(log)
+        view = dict(results)
+        for instance_id in pending:
+            cls._keep(view, instance_id, "crash_recovery")
+        done = pending if closed is None else pending[:closed]
+        return list(view.items()), log + [("aborted", i, None) for i in done]
+
+
+class OutcomeTableMachine(RuleBasedStateMachine):
+    """put / abort / submit / get / reopen / die-anywhere against
+    :class:`_LogModel`.  After a death the model holds every log the disk
+    may legitimately contain; the next completed reopen must read as one
+    of them, and only those it reads as stay possible."""
+
+    ids = st.sampled_from([f"id-{n}" for n in range(9)])
+    deaths = st.integers(min_value=1, max_value=14)
+    tears = st.sampled_from([0.0, 0.5, 1.0])
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="outcome-machine-"))
+        self.directory = self.root / "results"
+        self._patch = patch.object(results_module, "WriteAheadLog", _small_segments)
+        self._patch.start()
+        self.table = self._open()
+        self.logs = [[]]  # every log the disk may hold (one, unless a death left doubt)
+        self.view = []  # what the live table must read
+
+    def teardown(self):
+        self.table.close()
+        self._patch.stop()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _open(self):
+        return DurableResultCache(self.directory, max_entries=_LogModel.MAX)
+
+    def _live(self, instance_id, value):
+        view = dict(self.view)
+        _LogModel._keep(view, instance_id, value)
+        self.view = list(view.items())
+
+    def _recover(self, candidates, before, crash, die_at=None, tear=1.0):
+        """Reopen after a death until a reopen completes (a reopen may die
+        once more, at ``die_at``); the table must then match one candidate."""
+        handle = self.table._wal._handle
+        if handle is not None:
+            handle.close()
+        _tear_tail(self.directory, before, crash, tear)
+        if die_at is not None:
+            before = _segment_sizes(self.directory)
+            try:
+                with _dying_at(die_at) as crash:
+                    self.table = self._open()
+            except _Died:
+                candidates = [
+                    _LogModel.opened(log, closed)[1]
+                    for log in candidates
+                    for closed in range(len(_LogModel.fold(log)[1]) + 1)
+                ]
+                _tear_tail(self.directory, before, crash, tear)
+                self.table = self._open()
+        else:
+            self.table = self._open()
+        self.view = _view(self.table)
+        opened = [_LogModel.opened(list(log)) for log in {tuple(c) for c in candidates}]
+        self.logs = [log for view, log in opened if view == self.view]
+        assert self.logs, (self.view, [view for view, _ in opened])
+
+    def _mutate(self, record, call, live_value, die_at, tear):
+        before = _segment_sizes(self.directory)
+        try:
+            with _dying_at(die_at) as crash:
+                call()
+        except _Died:
+            self._recover(
+                self.logs + [log + [record] for log in self.logs], before, crash, tear=tear
+            )
+            return
+        self.logs = [log + [record] for log in self.logs]
+        if live_value is not None:
+            self._live(record[1], live_value)
+
+    @rule(instance_id=ids, result=st.binary(max_size=40), die_at=st.none() | deaths, tear=tears)
+    def put(self, instance_id, result, die_at, tear):
+        self._mutate(
+            ("result", instance_id, result),
+            lambda: self.table.put(instance_id, "s", result),
+            result,
+            die_at,
+            tear,
+        )
+
+    @rule(instance_id=ids, die_at=st.none() | deaths, tear=tears)
+    def submit(self, instance_id, die_at, tear):
+        # The manager's contract: only an id the table does not hold.
+        if self.table.get(instance_id) is not None:
+            return
+        self._mutate(
+            ("submitted", instance_id, None),
+            lambda: self.table.submit(instance_id, "s"),
+            None,
+            die_at,
+            tear,
+        )
+
+    @rule(instance_id=ids, die_at=st.none() | deaths, tear=tears)
+    def abort(self, instance_id, die_at, tear):
+        self._mutate(
+            ("aborted", instance_id, None),
+            lambda: self.table.abort(instance_id, "s", "timeout"),
+            "timeout",
+            die_at,
+            tear,
+        )
+
+    @rule(die_at=st.none() | deaths, tear=tears, clean=st.booleans())
+    def reopen(self, die_at, tear, clean):
+        """Restart: a clean close or a kill -9, then a reopen that may die
+        during recovery or compaction before one finally completes."""
+        if clean:
+            self.table.close()
+        self._recover(self.logs, _segment_sizes(self.directory), _Crash(), die_at, tear)
+
+    @invariant()
+    def reads_like_the_model(self):
+        assert _view(self.table) == self.view
+        assert len(self.table) <= _LogModel.MAX
+        for instance_id, value in self.view:
+            outcome = self.table.get(instance_id)
+            assert (outcome.result if outcome.reason is None else outcome.reason) == value
+
+
+OutcomeTableMachine.TestCase.settings = settings(
+    max_examples=100,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+TestOutcomeTableMachine = OutcomeTableMachine.TestCase
+
+
+class TestCrashPoints:
+    """Every death index, exhaustively, for the three multi-step paths."""
+
+    RESULTS = {f"id-{i}": bytes([i]) * 9 for i in range(9)}
+
+    def _table(self, directory):
+        with patch.object(results_module, "WriteAheadLog", _small_segments):
+            return DurableResultCache(directory, max_entries=4)
+
+    def _sweep(self, tmp_path, prepare, operate):
+        """Run ``operate`` on a copy of the prepared directory once per
+        death index (as many as an undisturbed run makes durability
+        calls); yields each directory as its death left it."""
+        pristine = tmp_path / "pristine"
+        prepare(pristine)
+        with _dying_at(None) as crash:
+            shutil.copytree(pristine, tmp_path / "count")
+            operate(tmp_path / "count")
+        assert crash.calls >= 2
+        for k in range(1, crash.calls + 1):
+            directory = tmp_path / f"die-{k}"
+            shutil.copytree(pristine, directory)
+            with pytest.raises(_Died), _dying_at(k):
+                operate(directory)
+            yield directory
+
+    def test_put_is_all_or_nothing(self, tmp_path):
+        def prepare(directory):
+            table = self._table(directory)
+            for instance_id in ("id-0", "id-1"):
+                table.put(instance_id, "s", self.RESULTS[instance_id])
+            table.close()
+
+        def operate(directory):
+            table = self._table(directory)
+            for instance_id in ("id-2", "id-3"):  # the first rolls a segment
+                table.put(instance_id, "s", self.RESULTS[instance_id])
+
+        for directory in self._sweep(tmp_path, prepare, operate):
+            view = dict(_view(self._table(directory)))
+            assert view.items() <= self.RESULTS.items()
+            assert {"id-0", "id-1"} <= set(view)
+            assert list(view) == sorted(view)  # a prefix, in put order
+
+    def test_compaction_never_loses_a_retained_result(self, tmp_path):
+        """ISSUE 20's probe: 9 results at ``max_entries=4``, reopen (which
+        compacts), die anywhere — the 4 retained results all survive."""
+
+        def prepare(directory):
+            table = self._table(directory)
+            for instance_id, result in self.RESULTS.items():
+                table.put(instance_id, "s", result)
+            table.close()
+
+        deaths = 0
+        for directory in self._sweep(tmp_path, prepare, self._table):
+            deaths += 1
+            assert _view(self._table(directory)) == list(self.RESULTS.items())[-4:]
+        assert deaths >= 6  # roll, segment syncs, marker, unlinks
+
+    def test_recovery_marks_interrupted_instances_once(self, tmp_path):
+        def prepare(directory):
+            table = self._table(directory)
+            table.put("id-0", "s", self.RESULTS["id-0"])
+            for instance_id in ("id-1", "id-2", "id-3"):
+                table.submit(instance_id, "s")
+            # no close: kill -9 with three instances in flight
+
+        for directory in self._sweep(tmp_path, prepare, self._table):
+            view = dict(_view(self._table(directory)))
+            assert view.pop("id-0") == self.RESULTS["id-0"]
+            # The dead recovery closed a prefix; the rest is still marked.
+            assert list(view.items()) == [
+                (i, "crash_recovery") for i in ("id-1", "id-2", "id-3")
+            ][-len(view) or 3 :]
+
+    def test_pool_journal_never_reserves_across_a_dead_compaction(self, tmp_path):
+        def prepare(directory):
+            with patch.object(pool_journal, "WriteAheadLog", _small_segments):
+                journal = PoolJournal(directory)
+                seqs = [
+                    journal.stage(f"inst-{i}", "k", "coin", bytes([i]) * 30)
+                    for i in range(6)
+                ]
+                for seq in seqs[::2]:
+                    journal.consume(seq)
+                journal.close()
+
+        def operate(directory):
+            with patch.object(pool_journal, "WriteAheadLog", _small_segments):
+                return PoolJournal(directory)
+
+        for directory in self._sweep(tmp_path, prepare, operate):
+            for _ in range(2):  # and the survivor set is stable afterwards
+                journal = operate(directory)
+                assert [e.instance_id for e in journal.survivors] == [
+                    "inst-1",
+                    "inst-3",
+                    "inst-5",
+                ]
+                journal.close()
+
+
+# ---------------------------------------------------------------------------
+# Hostile bytes at the outcome-log decoder: a frozen accept/reject table.
+# ---------------------------------------------------------------------------
+
+
+def _frame(payload: bytes, crc: int | None = None) -> bytes:
+    crc = zlib.crc32(payload) & 0xFFFFFFFF if crc is None else crc
+    return len(payload).to_bytes(4, "big") + crc.to_bytes(4, "big") + payload
+
+
+def _json(record) -> bytes:
+    return json.dumps(record, separators=(",", ":")).encode()
+
+
+_GOOD = [
+    {"event": "submitted", "id": "a", "scheme": "s"},
+    {"id": "a", "scheme": "s", "result": "0102"},
+    {"event": "submitted", "id": "b", "scheme": "s"},
+]
+_GOOD_VIEW = [("a", b"\x01\x02"), ("b", "crash_recovery")]
+_CORRUPT = "corrupt"
+
+#: (case, {file name: bytes}, expected view or _CORRUPT).  Frozen: a row
+#: that changes sides is a behaviour change to be argued, not a test to fix.
+_HOSTILE = [
+    ("well-formed", {1: [_frame(_json(r)) for r in _GOOD]}, _GOOD_VIEW),
+    ("empty directory", {}, []),
+    ("empty segment", {1: []}, []),
+    (
+        "torn final record",
+        {1: [_frame(_json(r)) for r in _GOOD[:2]] + [_frame(_json(_GOOD[2]))[:-3]]},
+        [("a", b"\x01\x02")],
+    ),
+    (
+        "torn final header",
+        {1: [_frame(_json(r)) for r in _GOOD[:2]] + [b"\x00\x00"]},
+        [("a", b"\x01\x02")],
+    ),
+    (
+        "truncated record before a later segment",
+        {1: [_frame(_json(_GOOD[0]))[:-3]], 2: [_frame(_json(_GOOD[1]))]},
+        _CORRUPT,
+    ),
+    (
+        "crc flipped",
+        {1: [_frame(_json(_GOOD[0])), _frame(_json(_GOOD[1]), crc=1), _frame(_json(_GOOD[2]))]},
+        _CORRUPT,
+    ),
+    ("absurd length", {1: [b"\xff\xff\xff\xff" + b"\x00" * 12]}, _CORRUPT),
+    ("not json", {1: [_frame(b"{not json")]}, _CORRUPT),
+    ("not utf-8", {1: [_frame(b"\xff\xfe{}")]}, _CORRUPT),
+    ("json list", {1: [_frame(_json([1, 2]))]}, _CORRUPT),
+    ("json null", {1: [_frame(_json(None))]}, _CORRUPT),
+    ("json string", {1: [_frame(_json("submitted"))]}, _CORRUPT),
+    ("id missing", {1: [_frame(_json({"scheme": "s", "result": "00"}))]}, _CORRUPT),
+    ("id not a string", {1: [_frame(_json({"id": 7, "scheme": "s", "result": "00"}))]}, _CORRUPT),
+    ("id a list", {1: [_frame(_json({"event": "aborted", "id": ["a"]}))]}, _CORRUPT),
+    ("scheme null", {1: [_frame(_json({"event": "submitted", "id": "a", "scheme": None}))]}, _CORRUPT),
+    ("result missing", {1: [_frame(_json({"id": "a", "scheme": "s"}))]}, _CORRUPT),
+    ("result a number", {1: [_frame(_json({"id": "a", "scheme": "s", "result": 12}))]}, _CORRUPT),
+    ("result not hex", {1: [_frame(_json({"id": "a", "scheme": "s", "result": "zz"}))]}, _CORRUPT),
+    ("result odd hex", {1: [_frame(_json({"id": "a", "scheme": "s", "result": "abc"}))]}, _CORRUPT),
+    ("unknown event", {1: [_frame(_json({"event": "finalized", "id": "a"}))]}, _CORRUPT),
+    ("event a number", {1: [_frame(_json({"event": 3, "id": "a"}))]}, _CORRUPT),
+    ("event a dict", {1: [_frame(_json({"event": {}, "id": "a"}))]}, _CORRUPT),
+    (
+        "unknown keys are ignored",
+        {1: [_frame(_json({"id": "a", "scheme": "s", "result": "", "extra": [1]}))]},
+        [("a", b"")],
+    ),
+    (
+        "aborted without its submitted",
+        {1: [_frame(_json({"event": "aborted", "id": "z", "reason": 5}))]},
+        [],
+    ),
+    (
+        "marker skips replaced history",
+        {1: [_frame(b"garbage the marker retired")], 2: [_frame(_json(r)) for r in _GOOD], "start": b"2"},
+        _GOOD_VIEW,
+    ),
+    ("marker names a missing segment", {1: [_frame(_json(_GOOD[1]))], "start": b"7"}, _CORRUPT),
+    ("marker beyond every segment", {"start": b"1"}, _CORRUPT),
+    ("marker negative", {1: [], "start": b"-1"}, _CORRUPT),
+    ("marker not a number", {1: [], "start": b"one"}, _CORRUPT),
+    ("marker empty", {1: [], "start": b""}, _CORRUPT),
+    ("marker binary", {1: [], "start": b"\xff\x00"}, _CORRUPT),
+]
+
+
+class TestHostileOutcomeLog:
+    @pytest.mark.parametrize(
+        "files,expected", [row[1:] for row in _HOSTILE], ids=[row[0] for row in _HOSTILE]
+    )
+    def test_corruption_error_or_a_valid_table(self, tmp_path, files, expected):
+        directory = tmp_path / "results"
+        directory.mkdir()
+        for name, content in files.items():
+            if isinstance(name, int):
+                name, content = f"wal-{name:08d}.log", b"".join(content)
+            (directory / name).write_bytes(content)
+        if expected is _CORRUPT:
+            with pytest.raises(WalCorruptionError):
+                DurableResultCache(directory)
+        else:
+            table = DurableResultCache(directory)
+            assert _view(table) == expected
+            table.close()
+
+    @given(st.binary(max_size=200), st.sampled_from(["wal-00000001.log", "start"]))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_never_raise_anything_else(self, data, name):
+        with tempfile.TemporaryDirectory() as root:
+            directory = Path(root)
+            (directory / "wal-00000001.log").write_bytes(_frame(_json(_GOOD[1])))
+            (directory / name).write_bytes(data)
+            try:
+                table = DurableResultCache(directory)
+            except WalCorruptionError:
+                return
+            assert all(isinstance(o.result, bytes) for _, o in table.items())
+            table.close()
+
+
+# ---------------------------------------------------------------------------
+# One fold: the manager over the table.
+# ---------------------------------------------------------------------------
+
+
+class _Instant(ThresholdRoundProtocol):
+    """A protocol that needs nobody: finalizes in its first round."""
+
+    def do_round(self):
+        return []
+
+    def update(self, message):
+        pass
+
+    def is_ready_for_next_round(self):
+        return False
+
+    def is_ready_to_finalize(self):
+        return True
+
+    def finalize(self):
+        return b"result of " + self.instance_id.encode()
+
+
+async def _no_send(message):
+    return None
+
+
+async def _run(manager, instance_id):
+    record = manager.start_instance(_Instant(instance_id, 1), "cks05")
+    result = await manager.result(record)
+    while manager.known(instance_id) and instance_id in manager._executors:
+        await asyncio.sleep(0)  # the executor is traded for its entry
+    return result
+
+
+def _counting(owner, name):
+    """Patch a method with a mock that still does the real thing; its
+    ``call_count`` is the number of calls made under the ``with``."""
+    return patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
+
+
+class TestManagerOverTheTable:
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_records_are_bounded_and_the_newest_is_a_hit(self, tmp_path, durable):
+        async def scenario():
+            table = DurableResultCache(tmp_path / "results" if durable else None, 8)
+            manager = InstanceManager(
+                1, _no_send, registry=MetricRegistry(), outcomes=table
+            )
+            for index in range(50):
+                await _run(manager, f"inst-{index}")
+                assert len(manager.records()) <= 8
+            assert [r.instance_id for r in manager.records()] == [
+                f"inst-{index}" for index in range(42, 50)
+            ]
+            hits = manager.metrics.coalesced_requests.labels("result_cache")
+            assert await _run(manager, "inst-49") == b"result of inst-49"
+            assert hits.value == 1
+            # Evicted: the oldest duplicate runs again (and is the newest now).
+            assert not manager.known("inst-0")
+            assert await _run(manager, "inst-0") == b"result of inst-0"
+            assert hits.value == 1 and manager.known("inst-0")
+            await manager.shutdown()
+            table.close()
+
+        asyncio.run(scenario())
+
+    def test_one_fold_counted(self, tmp_path):
+        """A finished instance costs two appends, a duplicate none and one
+        lookup — in the life that ran it and in the next."""
+
+        async def scenario(expect_loaded):
+            table = DurableResultCache(tmp_path / "results")
+            assert table.loaded == expect_loaded
+            manager = InstanceManager(
+                1, _no_send, registry=MetricRegistry(), outcomes=table
+            )
+            if not expect_loaded:
+                with _counting(WriteAheadLog, "append") as appends:
+                    await _run(manager, "inst")
+                assert appends.call_count == 2
+            with _counting(WriteAheadLog, "append") as appends, _counting(
+                DurableResultCache, "get"
+            ) as lookups:
+                assert await _run(manager, "inst") == b"result of inst"
+            assert (appends.call_count, lookups.call_count) == (0, 1)
+            await manager.shutdown()
+            table.close()
+
+        asyncio.run(scenario(expect_loaded=0))
+        asyncio.run(scenario(expect_loaded=1))
+
+    def test_recovery_builds_no_record_per_result(self, tmp_path):
+        table = DurableResultCache(tmp_path / "results")
+        for index in range(20):
+            table.put(f"inst-{index}", "cks05", bytes([index]))
+        table.close()
+        with _counting(InstanceRecord, "__init__") as built:
+            table = DurableResultCache(tmp_path / "results")
+            manager = InstanceManager(
+                1, _no_send, registry=MetricRegistry(), outcomes=table
+            )
+            assert table.loaded == 20 and built.call_count == 0
+            assert manager.record("inst-7").result == bytes([7])
+            assert built.call_count == 1  # built on demand, for the one asked about
+            assert manager.record("inst-7") is manager.record("inst-7")
+        table.close()
+
+    def test_control_plane_instances_leave_no_trace(self, tmp_path):
+        async def scenario():
+            table = DurableResultCache(tmp_path / "results")
+            manager = InstanceManager(
+                1, _no_send, registry=MetricRegistry(), outcomes=table
+            )
+            with _counting(WriteAheadLog, "append") as appends:
+                for _ in range(2):  # a repeat is a new run, not a duplicate
+                    record = manager.start_instance(
+                        _Instant("refresh-1", 1), "cks05", retain=False
+                    )
+                    assert await manager.result(record) == b"result of refresh-1"
+                    while "refresh-1" in manager._executors:
+                        await asyncio.sleep(0)
+                    assert not manager.known("refresh-1")
+            assert appends.call_count == 0 and len(table) == 0
+            assert manager.metrics.coalesced_requests.labels("result_cache").value == 0
+            await manager.shutdown()
+            table.close()
+
+        asyncio.run(scenario())
 
 
 @pytest.mark.integration

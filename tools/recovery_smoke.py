@@ -8,16 +8,21 @@ real daemon processes:
 * finalize one BLS04 signature cluster-wide, then park a second request
   in flight on node 4 alone (its peers never see it, so it cannot reach
   quorum);
-* SIGKILL node 4 — no drain, no journal close: the pending instance dies
+* SIGKILL node 4 — no drain, no log close: the pending instance dies
   with the process;
 * restart node 4 from its ``data_dir`` and assert that recovery
   - reloaded the key shares from the durable keystore,
-  - answers a duplicate of the finalized request from the durable result
-    cache (byte-identical signature, no protocol re-run),
+  - answers a duplicate of the finalized request from the outcome log
+    (byte-identical signature, no protocol re-run),
   - reports the in-flight-at-crash instance as aborted with the
     structured ``crash_recovery`` reason (status RPC + node stats +
     ``repro_recovery_*`` metrics), and
-  - participates in fresh protocol runs (cluster liveness).
+  - participates in fresh protocol runs (cluster liveness);
+* SIGKILL and restart node 4 a second time: the duplicate is still
+  byte-identical, the first recovery's ``crash_recovery`` abort is not
+  derived again (the log says it was closed), the one log is all there is
+  (``results/``, no ``journal/``), and a ``refresh_key`` of the DL key
+  converges with the restarted node.
 
 Exit status 0 on success; prints the offending assertion otherwise.
 """
@@ -142,6 +147,45 @@ async def drive(out: Path, daemons: list[subprocess.Popen]) -> None:
         coin = await client.flip_coin("cks05", b"post-recovery coin")
         assert len(coin) == 32
         print("  cluster liveness after recovery confirmed")
+
+        # A second restart replays the log the first recovery appended to.
+        coin_id = derive_instance_id("coin", "cks05", b"post-recovery coin", b"")
+        await wait_for_status(client, coin_id, 4, {"finished"})
+        daemons[3].kill()
+        daemons[3].wait(timeout=10)
+        daemons[3] = spawn_daemon(out / "node4")
+        await wait_for_ping(client, 4, daemons[3])
+        recovery = (await client.node_stats(4))["recovery"]
+        assert recovery.get("results", 0) >= 2, f"results lost: {recovery}"
+        try:
+            status = await client.status(pending_id, node_id=4)
+        except RpcError:
+            pass  # closed by the first recovery: a retry would run again
+        else:
+            raise AssertionError(f"crash_recovery abort derived twice: {status}")
+        replayed = await client.call(
+            4, "sign", {"key_id": "bls04", "data": hexlify(done_data)}
+        )
+        assert replayed["result"] == hexlify(signature), (
+            "cached result changed across the second restart"
+        )
+        state = sorted(p.name for p in (out / "node4" / "data").iterdir())
+        assert "results" in state and "journal" not in state, state
+        print(f"  second restart: {recovery}, data_dir holds {state}")
+
+        # Control plane after the restarts: the refresh epoch is named by
+        # the key itself, so the restarted node derives the same instance.
+        # (One throw-away request first: a peer's first frame on the TCP
+        # connection the SIGKILL orphaned is lost before the reset is seen,
+        # and a refresh deal is sent exactly once — ROADMAP item 1.)
+        await client.flip_coin("cks05", b"reconnect after the second restart")
+        await asyncio.sleep(0.5)
+        group_key = await client.refresh_key("cks05")
+        assert len(group_key) == 32
+        coin2 = await client.flip_coin("cks05", b"post-refresh coin")
+        assert len(coin2) == 32
+        assert await client.flip_coin("cks05", b"post-recovery coin") == coin
+        print("  refresh_key converged after the restarts")
     finally:
         await client.close()
 
