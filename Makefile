@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast bench bench-fast bench-smoke check check-gmpy2 metrics-smoke chaos-smoke recovery-smoke offload-smoke federation-smoke precompute-smoke thetabench-smoke examples fixtures clean
+.PHONY: install test test-fast bench bench-fast check check-gmpy2 metrics-smoke chaos-smoke recovery-smoke federation-smoke precompute-smoke thetabench-smoke examples fixtures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) tools/install_editable.py
@@ -58,16 +58,6 @@ chaos-smoke:
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) tools/recovery_smoke.py
 
-# Offload gate: a 4-node daemon cluster with --crypto-workers 2 under
-# the adaptive policy.  On multi-core hosts SG02 decryption and BLS04
-# signing must run through the worker pools (visible in node_stats and
-# the Prometheus scrape); on a 1-core host the policy must instead keep
-# every op inline (choice="inline" decisions scraped, zero pool tasks).
-# Either way, no orphaned worker processes after SIGTERM
-# (docs/performance.md).
-offload-smoke:
-	PYTHONPATH=src $(PYTHON) tools/offload_smoke.py
-
 # Federation gate: deal disjoint keys across 2 two-node groups from a
 # topology file, start the 4 node daemons plus a stateless router
 # daemon, and drive SG02 decryption (group alpha) and BLS04 signing
@@ -94,15 +84,6 @@ precompute-smoke:
 # metric (benchmarks/thetabench/README.md).
 thetabench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/thetabench/test_thetabench.py -q
-
-# Workers-on/off ablation on the real asyncio service (pooled run under
-# the adaptive policy), persisted machine-readably to BENCH_offload.json
-# with a bounded history of prior runs (docs/performance.md).  Fails on
-# >=4-core hosts unless offload wins >=1.5x, and on 1-core hosts unless
-# the policy keeps throughput within noise of inline (>=0.95x).  Set
-# REPRO_FAST=1 for a 4-node shape on small runners.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) tools/bench_smoke.py
 
 examples:
 	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script || exit 1; done

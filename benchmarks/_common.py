@@ -27,9 +27,9 @@ def requires_cores(n: int) -> bool:
     """Host gate for performance assertions that need real parallelism.
 
     The correctness half of every benchmark runs everywhere; the
-    throughput/latency claims only hold with enough cores (event loop +
-    workers).  Returns True when the host qualifies, and prints the skip
-    so a gated run is visible in the log rather than silently green.
+    throughput/latency claims only hold with enough cores.  Returns True
+    when the host qualifies, and prints the skip so a gated run is visible
+    in the log rather than silently green.
     """
     cores = host_cores()
     if cores >= n:

@@ -14,7 +14,7 @@ backends") are:
   records ``null`` and the gate stays cold rather than silently passing).
 
 Results persist to ``BENCH_backends.json`` at the repo root with a bounded
-history, like the precompute and offload panels.  ``REPRO_FAST=1`` shrinks
+history, like the precompute and federation panels.  ``REPRO_FAST=1`` shrinks
 the workloads.
 """
 

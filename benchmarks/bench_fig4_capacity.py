@@ -14,18 +14,14 @@ Full fidelity takes tens of minutes (it simulates ~10⁸ events); set
 REPRO_FAST=1 for a reduced sweep.
 """
 
-import asyncio
-import os
-
 import pytest
 
 from repro.sim.deployments import DEPLOYMENTS
 from repro.sim.experiments import capacity_test
 from repro.sim.metrics import find_knee
 from repro.sim.plotting import scatter_plot
-from repro.workers.harness import run_ablation
 
-from _common import fast_mode, host_cores, ms, print_table, requires_cores
+from _common import fast_mode, ms, print_table
 
 SCHEMES = ["sg02", "cks05", "kg20", "bls04", "bz03", "sh00"]
 
@@ -147,91 +143,6 @@ def test_fig4_panel(benchmark, acronym):
             assert blew_up or fell_behind, (
                 f"{scheme}: no degradation visible at rate {last.rate}"
             )
-
-
-def test_fig4_offload_ablation(benchmark):
-    """Crypto worker-pool ablation on the *real* asyncio service.
-
-    Unlike the simulator panels above, this boots an actual in-process
-    BLS04 cluster twice over identical key material — once fully inline
-    (``crypto_workers=0``) and once with a 2-worker pool under the
-    adaptive offload policy — and compares throughput and event-loop
-    lag.  What the pooled run must show depends on the host:
-
-    * ``cpu_count >= 2``: the policy routes through the pool (tasks ran
-      in workers, nothing degraded inline, no crashes);
-    * ``cpu_count == 1``: the policy rules ``few_cores`` and keeps every
-      op inline — the pool never runs a task, which is the fix for the
-      measured sub-1× "speedup" static offload produced here;
-    * ``cpu_count >= 4``: the throughput (≥1.5×) and loop-lag claims
-      additionally apply — they need spare cores for the workers.
-    """
-    parties, threshold, requests = (4, 1, 3) if fast_mode() else (16, 3, 6)
-    results = {}
-
-    def run():
-        results["pair"] = asyncio.run(
-            run_ablation(
-                "bls04", parties, threshold, requests=requests, workers=2
-            )
-        )
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    off, on = results["pair"]
-
-    rows = [
-        [
-            f"{result.workers}",
-            f"{result.ops_per_sec:.2f}",
-            ms(result.latency_p50),
-            ms(result.latency_p99),
-            ms(result.loop_lag_p99),
-            f"{result.pool.get('tasks_ok', 0)}",
-            f"{result.pool.get('fallbacks', 0)}",
-        ]
-        for result in (off, on)
-    ]
-    print_table(
-        f"Worker-pool ablation: bls04 n={parties} t={threshold} "
-        f"({requests} concurrent requests, {os.cpu_count()} cores)",
-        ["workers", "ops/s", "p50 (ms)", "p99 (ms)", "lag p99 (ms)",
-         "pool ok", "fallbacks"],
-        rows,
-    )
-
-    cores = host_cores()
-    policy = on.pool.get("policy", {})
-    if cores >= 2:
-        # Multi-core correctness: the pooled run really offloaded (tasks
-        # ran in workers, none degraded to inline, no worker crashes).
-        assert on.pool.get("tasks_ok", 0) > 0, "pool executed no tasks"
-        assert on.pool.get("fallbacks", 0) == 0, "pooled run degraded inline"
-        assert on.pool.get("crashes", 0) == 0
-    else:
-        # 1-core correctness: the adaptive policy must refuse to offload
-        # (process-hopping with no spare core costs ~35% throughput) and
-        # the never-used pool must not have spawned workers.
-        assert on.pool.get("tasks_ok", 0) == 0, (
-            f"policy offloaded on a 1-core host: {on.pool}"
-        )
-        assert policy.get("reasons", {}).get("few_cores", 0) > 0, (
-            f"policy never ruled few_cores: {policy}"
-        )
-        assert on.pool.get("fallbacks", 0) == 0
-        assert not on.pool.get("worker_pids"), "pool spawned workers unused"
-
-    # The performance claims need real parallelism: with fewer cores than
-    # event loop + workers, offload only buys loop responsiveness, not
-    # wall-clock throughput.
-    if requires_cores(4):
-        assert on.ops_per_sec >= 1.5 * off.ops_per_sec, (
-            f"workers-on {on.ops_per_sec:.2f} ops/s < 1.5x "
-            f"workers-off {off.ops_per_sec:.2f} ops/s"
-        )
-        assert on.loop_lag_p99 < off.loop_lag_p99, (
-            f"loop lag did not drop: {on.loop_lag_p99:.3f}s vs "
-            f"{off.loop_lag_p99:.3f}s"
-        )
 
 
 @pytest.mark.skipif(fast_mode(), reason="needs the full panel sweep")

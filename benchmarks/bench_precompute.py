@@ -13,7 +13,7 @@ two-sided:
   host including 1-core runners).
 
 Results persist to ``BENCH_precompute.json`` at the repo root with a
-bounded history, like the offload and federation panels.  ``REPRO_FAST=1``
+bounded history, like the federation panel.  ``REPRO_FAST=1``
 shrinks the request counts.
 """
 
@@ -42,7 +42,7 @@ OUT = Path(__file__).resolve().parent.parent / "BENCH_precompute.json"
 #: 4-node t=1 cluster, the suite's standard small service shape.
 PARTIES, THRESHOLD = 4, 1
 
-#: Keep a bounded trajectory of prior runs in the JSON, like BENCH_offload.
+#: Keep a bounded trajectory of prior runs in the JSON.
 HISTORY_LIMIT = 20
 
 

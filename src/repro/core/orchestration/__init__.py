@@ -7,7 +7,6 @@ over the TRI), with key material served by the *key manager*.
 
 from .instance import InstanceRecord, InstanceStatus
 from .keymanager import KeyEntry, KeyManager
-from .scheduler import CryptoScheduler
 from .executor import ProtocolExecutor
 from .manager import InstanceManager
 from .precompute import (
@@ -18,7 +17,6 @@ from .precompute import (
 )
 
 __all__ = [
-    "CryptoScheduler",
     "InstanceRecord",
     "InstanceStatus",
     "KeyEntry",

@@ -31,7 +31,6 @@ from ...telemetry import CoreMetrics, adopt_trace
 from ..messages import ProtocolMessage
 from ..tri import ThresholdRoundProtocol
 from .instance import InstanceRecord
-from .scheduler import CryptoScheduler
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +52,6 @@ class ProtocolExecutor:
         send: SendFn,
         timeout: float | None = None,
         metrics: CoreMetrics | None = None,
-        crypto: CryptoScheduler | None = None,
         on_terminal: Callable[[], None] | None = None,
     ):
         self.protocol = protocol
@@ -61,9 +59,6 @@ class ProtocolExecutor:
         self._send = send
         self._timeout = timeout
         self._metrics = metrics
-        #: Pre-fills the protocol's crypto off the event loop before each
-        #: TRI call below; None (no worker pool) computes everything in them.
-        self._crypto = crypto
         #: Called synchronously when the record turns terminal, before any
         #: waiter on the result resumes (the manager releases us there).
         self._on_terminal = on_terminal
@@ -206,8 +201,6 @@ class ProtocolExecutor:
 
     async def _start_round(self) -> None:
         self._round_started = time.perf_counter()
-        if self._crypto is not None:
-            await self._crypto.before_round(self.protocol)
         self._last_outgoing = self.protocol.do_round()
         for message in self._last_outgoing:
             await self._send(self._stamp(message))
@@ -218,8 +211,6 @@ class ProtocolExecutor:
         # the quorum are never verified.
         while not self.protocol.is_ready_to_finalize():
             message = await self.inbox.get()
-            if self._crypto is not None:
-                await self._crypto.before_update(self.protocol, message, self.inbox)
             self._admit(message)
             if self.protocol.is_ready_to_finalize():
                 break

@@ -61,14 +61,10 @@ class InstanceManager:
         outcomes: DurableResultCache | None = None,
         max_pending: int | None = None,
         overload_retry_after: float = 0.25,
-        crypto=None,
     ):
         self.party_id = party_id
         self._send = send
         self._default_timeout = default_timeout
-        # The CryptoScheduler shared by every executor this manager
-        # launches; None keeps all crypto inline on the event loop.
-        self._crypto = crypto
         self.metrics = CoreMetrics(
             registry if registry is not None else default_registry()
         )
@@ -141,7 +137,6 @@ class InstanceManager:
             self._send,
             timeout=timeout if timeout is not None else self._default_timeout,
             metrics=self.metrics,
-            crypto=self._crypto,
             on_terminal=self._uncount,
         )
         self._executors[instance_id] = executor

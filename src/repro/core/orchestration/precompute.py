@@ -13,9 +13,7 @@ scheme behind one per-(key, operation) **precompute pool**:
   Each node derives the same deterministic instance id it would derive
   for the real request.
 * **Refill** — a background task materializes this node's own share for
-  each announced request during idle cycles, through the node's
-  :class:`~repro.core.orchestration.scheduler.CryptoScheduler` (pooled
-  when the offload policy rules for it), and stages it in the pool.
+  each announced request during idle cycles and stages it in the pool.
   With ``eager`` refill the node also starts the protocol instance
   immediately, so share exchange, verification, and combination all run
   ahead of demand and the real request folds into the finished instance
@@ -49,7 +47,6 @@ from ...errors import ConfigurationError
 from ...storage.pool_journal import PoolJournal
 from ...telemetry import MetricRegistry, PrecomputeMetrics
 from ..protocols.frost import FrostPrecomputationPool
-from .scheduler import CryptoScheduler
 
 logger = logging.getLogger(__name__)
 
@@ -156,7 +153,6 @@ class PrecomputeService:
         self,
         config: PrecomputeConfig | None,
         registry: MetricRegistry,
-        crypto: CryptoScheduler | None = None,
         journal_dir: Path | str | None = None,
         active_probe: Callable[[], int] | None = None,
         known_probe: Callable[[str], bool] | None = None,
@@ -164,7 +160,6 @@ class PrecomputeService:
     ):
         self._config = config
         self._metrics = PrecomputeMetrics(registry)
-        self._crypto = crypto
         self._active_probe = active_probe
         #: Whether the instance manager already holds an instance id (live
         #: or terminated): a share staged for it would never be consumed.
@@ -288,7 +283,7 @@ class PrecomputeService:
             try:
                 await self._pace()
                 started = time.perf_counter()
-                payload = await self._create(job)
+                payload = job.operation_factory().own_share()
             except asyncio.CancelledError:
                 self._release_queued(pool_key, job)
                 if not future.done():
@@ -351,15 +346,6 @@ class PrecomputeService:
             if self._eager_inflight < _EAGER_WINDOW:
                 return
             await asyncio.sleep(_IDLE_POLL)
-
-    async def _create(self, job: PrecomputeJob) -> bytes:
-        """This node's own share for the announced request — through the
-        node's crypto scheduler when it has one, under the same op name as
-        the on-demand path, so the policy's EWMAs learn from both."""
-        operation = job.operation_factory()
-        if self._crypto is None:
-            return operation.own_share()
-        return await self._crypto.create(operation)
 
     def _start_eager(self, job: PrecomputeJob) -> None:
         try:

@@ -30,8 +30,7 @@ class NonInteractiveProtocol(ThresholdRoundProtocol):
     ):
         super().__init__(instance_id, party_id)
         #: The adapter this protocol wraps.  Not part of the TRI: the
-        #: executor never reads it; a ``CryptoScheduler`` does, to pre-fill
-        #: the operation's memo slots.
+        #: executor never reads it.
         self.operation = operation
         self._channel = channel
         self._started = False

@@ -50,11 +50,10 @@ class ShareOperation(ABC):
     *unverified* and lets that one check judge the quorum — see
     :meth:`settle`.  Every other adapter verifies each share on arrival.
 
-    Two memo slots let a ``CryptoScheduler`` move the pure crypto off the
-    event loop without a second code path: this party's share payload
-    (:meth:`supply_own_share`) and per-payload verification ``verdicts``.
-    Both hold only what :meth:`create_own_share` / :meth:`verify_payloads`
-    would return; with both empty every call below computes inline.
+    One memo slot lets the precompute cache hand over this party's share
+    payload ahead of the round (:meth:`supply_own_share`); it holds only
+    what :meth:`create_own_share` would return, and left empty
+    :meth:`own_share` computes it.
     """
 
     #: combine() verifies the result it assembled, so a per-share check
@@ -63,13 +62,10 @@ class ShareOperation(ABC):
 
     def __init__(self, scheme, public_key, key_share, request: OperationRequest):
         self._scheme = scheme
-        self.scheme_name: str = scheme.name
         self.public_key = public_key
-        #: None in a verification-only rebuild (a pool worker's).
         self.key_share = key_share
         self.request = request
         self.threshold: int = public_key.threshold
-        self.party_id: int = key_share.id if key_share is not None else 0
         self._shares: dict[int, object] = {}
         #: Ids of held shares no check has covered yet (lazy admission).
         self._unverified: set[int] = set()
@@ -78,9 +74,6 @@ class ShareOperation(ABC):
         self._lazy = self.self_verifying
         self._result: bytes | None = None
         self._own_payload: bytes | None = None
-        #: Exact payload bytes -> :meth:`verify_payloads` verdict, popped by
-        #: the :meth:`accept_share` that uses it.
-        self.verdicts: dict[bytes, str | None] = {}
 
     @abstractmethod
     def create_own_share(self) -> bytes:
@@ -116,20 +109,14 @@ class ShareOperation(ABC):
         unverified must never shadow the honest one for its id: a second,
         *different* share for such an id is not a duplicate but a conflict,
         resolved on the spot by verifying (:meth:`_resolve_conflict`).
-
-        A memoised verdict answers only the cryptographic question, and
-        only for the exact bytes it was computed over: decoding, the id
-        range, duplicate and conflict policing all still run here.
         """
         try:
             share = self._decode(payload)
             if self._lazy:
                 if not 1 <= share.id <= self.public_key.parties:
                     raise InvalidShareError(f"share id {share.id} out of range")
-            elif payload not in self.verdicts:
+            else:
                 self._verify_decoded(share)
-            elif (verdict := self.verdicts.pop(payload)) is not None:
-                raise InvalidShareError(verdict)
         except ThetacryptError:
             raise
         except Exception as exc:  # noqa: BLE001 - arbitrary bytes, arbitrary errors
@@ -229,43 +216,9 @@ class ShareOperation(ABC):
                 culprits,
             )
 
-    def verify_payloads(self, payloads: list[bytes]) -> list[str | None]:
-        """Cryptographic verdicts for peer payloads, index-aligned: ``None``
-        for a valid share, the rejection reason otherwise.
-
-        Pure — reads no instance state and stores nothing — so a pool
-        worker's rebuild of this operation returns the same list.  Several
-        shares go through the scheme's batch check where it has one; only
-        when that fails are they checked one by one to name the culprits.
-        """
-        verdicts: list[str | None] = [None] * len(payloads)
-        decoded: list[tuple[int, object]] = []
-        for index, payload in enumerate(payloads):
-            try:
-                decoded.append((index, self._decode(payload)))
-            except Exception as exc:  # noqa: BLE001 - byzantine bytes, any error
-                verdicts[index] = f"malformed share payload: {exc}"
-        if len(decoded) > 1:
-            try:
-                if self._verify_batch([share for _, share in decoded]):
-                    return verdicts
-            except Exception:  # noqa: BLE001 - >= 1 bad share: name it below
-                pass
-        for index, share in decoded:
-            try:
-                self._verify_decoded(share)
-            except Exception as exc:  # noqa: BLE001
-                verdicts[index] = str(exc) or type(exc).__name__
-        return verdicts
-
-    def _verify_batch(self, shares: list) -> bool:
-        """Check ``shares`` in one batched call, raising if any is invalid;
-        False when the scheme has no batch API (BZ03, SH00)."""
-        return False
-
     def supply_own_share(self, payload: bytes) -> None:
         """Pre-fill this party's share with the bytes ``create_own_share``
-        returned elsewhere (a pool worker, the precompute cache)."""
+        returned earlier (the precompute cache)."""
         if self._own_payload is not None:
             raise ProtocolError("own share already created")
         self._store_own(self._decode(payload))
@@ -321,14 +274,6 @@ class DecryptOperation(ShareOperation):
     def _verify_decoded(self, share) -> None:
         self._scheme.verify_decryption_share(self.public_key, self._ciphertext, share)
 
-    def _verify_batch(self, shares: list) -> bool:
-        if not isinstance(self._scheme, sg02.Sg02Cipher):
-            return False
-        self._scheme.verify_decryption_shares(
-            self.public_key, self._ciphertext, shares
-        )
-        return True
-
     def combine(self) -> bytes:
         return self._scheme.combine(
             self.public_key, self._ciphertext, list(self._shares.values())
@@ -359,15 +304,6 @@ class SignOperation(ShareOperation):
             self.public_key, self.request.data, share
         )
 
-    def _verify_batch(self, shares: list) -> bool:
-        if not isinstance(self._scheme, bls04.Bls04SignatureScheme):
-            return False
-        # identify=False: the share-by-share pass names the culprits.
-        self._scheme.verify_share_batch(
-            self.public_key, self.request.data, shares, identify=False
-        )
-        return True
-
     def combine(self) -> bytes:
         signature = self._scheme.combine(
             self.public_key, self.request.data, list(self._shares.values())
@@ -389,10 +325,6 @@ class CoinOperation(ShareOperation):
     def _verify_decoded(self, share) -> None:
         self._scheme.verify_coin_share(self.public_key, self.request.data, share)
 
-    def _verify_batch(self, shares: list) -> bool:
-        self._scheme.verify_coin_shares(self.public_key, self.request.data, shares)
-        return True
-
     def combine(self) -> bytes:
         return self._scheme.combine(
             self.public_key, self.request.data, list(self._shares.values())
@@ -405,11 +337,7 @@ def make_operation(
     key_share,
     request: OperationRequest,
 ) -> ShareOperation:
-    """Instantiate the right adapter for (scheme, request kind).
-
-    ``key_share=None`` builds a verification-only adapter (what a pool
-    worker needs for :meth:`ShareOperation.verify_payloads`).
-    """
+    """Instantiate the right adapter for (scheme, request kind)."""
     scheme = get_scheme(scheme_name)
     if request.kind == "decrypt":
         if not isinstance(scheme, ThresholdCipher):

@@ -24,7 +24,7 @@ from .registry import get_group, list_groups
 # The table-persistence exports resolve lazily: .tables imports the
 # storage layer, which imports the schemes, which import this package —
 # a module-level import here would close that cycle during interpreter
-# start-up (the worker-spawn path hits it).
+# start-up.
 _TABLES_EXPORTS = ("TableStore", "table_blob", "table_from_blob")
 
 

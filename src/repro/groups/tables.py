@@ -131,8 +131,7 @@ def deserialize_table(payload: bytes) -> FixedBaseTable:
 
 
 def table_blob(table: FixedBaseTable) -> bytes:
-    """Full container bytes (what a table file holds, and what the blob
-    store ships to pool workers)."""
+    """Full container bytes (what a table file holds)."""
     return pack_record(serialize_table(table), TABLE_FORMAT_VERSION)
 
 

@@ -4,8 +4,8 @@ Every scheme in the reproduction bottoms out in the same handful of
 primitives — modular exponentiation, modular inverse, batch inverse,
 Jacobi symbols, modular square roots, and multi-exponentiation products.
 This package routes all of them through a selectable *backend* so a
-faster substrate speeds up every scheme, the worker pool, and the
-precompute pipeline at once:
+faster substrate speeds up every scheme and the precompute pipeline at
+once:
 
 ``python``
     The reference backend: CPython's built-in ``pow`` and the PR-1

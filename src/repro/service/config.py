@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from ..core.orchestration.precompute import PrecomputeConfig
 from ..errors import ConfigurationError
@@ -64,19 +64,6 @@ class NodeConfig:
     # Graceful shutdown: how long the daemon waits for in-flight instances
     # to finish before tearing the node down.
     drain_timeout: float = 5.0
-    # Crypto worker-pool offload (docs/performance.md): spawn-context
-    # worker processes for the schemes' pairing/modexp-heavy steps.  0
-    # keeps every operation inline on the event loop.
-    crypto_workers: int = 0
-    # How pool submission is decided (docs/performance.md, "Adaptive
-    # offload"): "adaptive" gates each op on core count, queue depth, and
-    # the observed pool-vs-inline latency EWMAs; "always"/"never" force
-    # the static PR-5 behaviour (benchmarks, tests).
-    offload_policy: str = "adaptive"
-    # Cross-request batching window, seconds: concurrent instances' pool
-    # tasks arriving within it coalesce into one batched worker task.
-    # 0 disables coalescing.
-    coalesce_window: float = 0.002
     # Federation (docs/federation.md): which threshold group this node
     # belongs to ("" = the unsharded single-group deployment) and the
     # federation topology it should consult to redirect misrouted
@@ -120,23 +107,6 @@ class NodeConfig:
             raise ConfigurationError("overload_retry_after must be >= 0")
         if self.drain_timeout < 0:
             raise ConfigurationError("drain_timeout must be >= 0")
-        if self.crypto_workers < 0:
-            raise ConfigurationError(
-                f"crypto_workers must be >= 0 (0 disables the pool), "
-                f"got {self.crypto_workers}"
-            )
-        from ..workers.policy import POLICY_MODES
-
-        if self.offload_policy not in POLICY_MODES:
-            raise ConfigurationError(
-                f"offload_policy must be one of {POLICY_MODES}, "
-                f"got {self.offload_policy!r}"
-            )
-        if self.coalesce_window < 0:
-            raise ConfigurationError(
-                f"coalesce_window must be >= 0 (0 disables coalescing), "
-                f"got {self.coalesce_window}"
-            )
         from ..mathutils.backends import BACKEND_NAMES
 
         if self.math_backend not in BACKEND_NAMES:
@@ -175,6 +145,11 @@ class NodeConfig:
     @staticmethod
     def from_json(text: str) -> "NodeConfig":
         payload = json.loads(text)
+        unknown = sorted(set(payload) - {f.name for f in fields(NodeConfig)})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown NodeConfig keys: {', '.join(unknown)}"
+            )
         peers = tuple(PeerConfig(**p) for p in payload.pop("peers", []))
         fanout = payload.pop("gossip_fanout", None)
         plan_payload = payload.pop("fault_plan", None)

@@ -29,30 +29,20 @@ logger = logging.getLogger("repro.daemon")
 def load_node(
     config_path: str,
     keystore_path: str,
-    crypto_workers: int | None = None,
-    offload_policy: str | None = None,
-    coalesce_window: float | None = None,
     precompute_depth: int | None = None,
     math_backend: str | None = None,
 ) -> ThetacryptNode:
     """Build a node from its on-disk configuration and keystore.
 
     With a ``data_dir`` in the config, the node may already hold (durable)
-    keys from a previous life; re-installing identical dealer output is a
-    no-op (``install_key`` is idempotent for identical material).
-    ``crypto_workers`` / ``offload_policy`` / ``coalesce_window`` /
-    ``precompute_depth`` / ``math_backend`` override the config's pool
-    sizing, offload behaviour, precompute pipeline, and math backend (the
-    matching CLI flags).
+    keys from a previous life; installing the dealer output again is a
+    no-op (``install_key`` keeps the held share of the same key, which
+    after a ``refresh_key`` is no longer the dealt one).
+    ``precompute_depth`` / ``math_backend`` override the config's
+    precompute pipeline and math backend (the matching CLI flags).
     """
     with open(config_path) as handle:
         config = NodeConfig.from_json(handle.read())
-    if crypto_workers is not None:
-        config = replace(config, crypto_workers=crypto_workers)
-    if offload_policy is not None:
-        config = replace(config, offload_policy=offload_policy)
-    if coalesce_window is not None:
-        config = replace(config, coalesce_window=coalesce_window)
     if math_backend is not None:
         config = replace(config, math_backend=math_backend)
     if precompute_depth is not None:
@@ -129,27 +119,6 @@ def main(argv: list[str] | None = None) -> None:
         "(default: the config's drain_timeout)",
     )
     parser.add_argument(
-        "--crypto-workers",
-        type=int,
-        default=None,
-        help="worker processes for the crypto pool, overriding the "
-        "config's crypto_workers (0 runs all crypto inline)",
-    )
-    parser.add_argument(
-        "--offload-policy",
-        choices=("adaptive", "always", "never"),
-        default=None,
-        help="how pool submission is decided, overriding the config's "
-        "offload_policy (adaptive gates on cores/queue/latency EWMAs)",
-    )
-    parser.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=None,
-        help="cross-request batching window in seconds, overriding the "
-        "config's coalesce_window (0 disables coalescing)",
-    )
-    parser.add_argument(
         "--precompute-depth",
         type=int,
         default=None,
@@ -174,9 +143,6 @@ def main(argv: list[str] | None = None) -> None:
     node = load_node(
         args.config,
         args.keystore,
-        crypto_workers=args.crypto_workers,
-        offload_policy=args.offload_policy,
-        coalesce_window=args.coalesce_window,
         precompute_depth=args.precompute_depth,
         math_backend=args.math_backend,
     )

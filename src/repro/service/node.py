@@ -10,12 +10,12 @@ instance without extra coordination.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import logging
 from pathlib import Path
 
 from ..core.messages import Channel
 from ..core.orchestration import (
-    CryptoScheduler,
     InstanceManager,
     InstanceRecord,
     KeyManager,
@@ -39,7 +39,6 @@ from ..network.local import LocalHub
 from ..network.manager import NetworkManager
 from ..network.tcp import TcpP2P
 from ..schemes.base import SCHEME_TABLE, SchemeKind, get_scheme
-from ..schemes.keystore import export_key_share
 from ..serialization import hexlify
 from ..storage import DurableKeystore, DurableResultCache
 from ..telemetry import (
@@ -54,8 +53,6 @@ from ..telemetry import (
     render_text,
     summarize,
 )
-from ..workers import CryptoPool
-from ..workers.policy import OffloadPolicy
 from .config import NodeConfig
 from .server import RpcServer
 
@@ -73,6 +70,16 @@ _KIND_TO_OP = {
 }
 
 
+def _group_key(public_key) -> dict:
+    """What a refresh leaves unchanged: every public-key field (group key,
+    threshold, parties, ...) but the per-party verification keys."""
+    return {
+        field.name: getattr(public_key, field.name)
+        for field in dataclasses.fields(public_key)
+        if field.name != "verification_keys"
+    }
+
+
 class ThetacryptNode:
     """One Θ-network member."""
 
@@ -81,12 +88,11 @@ class ThetacryptNode:
         config: NodeConfig,
         transport: P2PNetwork | None = None,
         tob=None,
-        crypto_pool: CryptoPool | None = None,
     ):
         self.config = config
         # Math backend (docs/performance.md, "Math backends"): selected
         # before any crypto object is touched so every primitive this node
-        # computes — inline, pooled, or precomputed — goes through it.
+        # computes — on demand or precomputed — goes through it.
         # "auto" honours the REPRO_MATH_BACKEND environment variable.
         from ..mathutils.backends import set_backend
 
@@ -147,30 +153,6 @@ class ThetacryptNode:
         register_crypto_cache_collector(default_registry())
         register_fixedbase_collector(default_registry())
         register_math_backend_collector(default_registry())
-        # Crypto worker pool (docs/performance.md): an injected pool lets
-        # several in-process nodes share one set of workers (they share
-        # this host's cores anyway); otherwise the node owns a private
-        # pool sized by config.crypto_workers — and only an owned pool is
-        # closed in stop(), injected ones belong to the injector.
-        self._owns_pool = crypto_pool is None and config.crypto_workers > 0
-        if crypto_pool is not None:
-            self.crypto_pool: CryptoPool | None = crypto_pool
-        elif config.crypto_workers > 0:
-            self.crypto_pool = CryptoPool(
-                config.crypto_workers,
-                registry=self.registry,
-                policy=OffloadPolicy(mode=config.offload_policy),
-            )
-        else:
-            self.crypto_pool = None
-        # The one seam to the pool (docs/performance.md): policy, cross-
-        # request coalescing and the inline fallback live behind it.  None
-        # without a pool — executors then compute everything inline.
-        self._crypto: CryptoScheduler | None = None
-        if self.crypto_pool is not None:
-            self._crypto = CryptoScheduler(
-                self.crypto_pool, config.coalesce_window, self.registry
-            )
         # Event-loop lag heartbeat: the direct measure of how long inline
         # crypto blocks everything else on this node's loop.
         self._lag_sampler = EventLoopLagSampler(self.registry)
@@ -182,7 +164,6 @@ class ThetacryptNode:
             outcomes=self._outcomes,
             max_pending=config.max_pending_instances,
             overload_retry_after=config.overload_retry_after,
-            crypto=self._crypto,
         )
         self.network.set_protocol_handler(self.instances.handle_network_message)
         self.rpc = RpcServer(self, config.rpc_host, config.rpc_port)
@@ -202,7 +183,6 @@ class ThetacryptNode:
         self._precompute = PrecomputeService(
             config.precompute,
             registry=self.registry,
-            crypto=self._crypto,
             journal_dir=journal_dir,
             active_probe=lambda: self.instances.active_count,
             known_probe=self.instances.known,
@@ -257,21 +237,17 @@ class ThetacryptNode:
         """Install persisted fixed-base tables (no-op without a data_dir).
 
         Loaded tables land in the shared precompute cache (counted as
-        ``loads``, not ``tables_built``) and are registered with the blob
-        store so pool workers spawned later warm-start from the same
-        serialized bytes.  Corrupted or version-bumped files were already
-        discarded by ``TableStore.load_all``; the cache simply rebuilds
-        those bases on demand.
+        ``loads``, not ``tables_built``).  Corrupted or version-bumped
+        files were already discarded by ``TableStore.load_all``; the cache
+        simply rebuilds those bases on demand.
         """
         if self._table_store is None:
             return
-        from ..groups import install_table, table_blob
-        from ..workers.blobs import register_table_blob
+        from ..groups import install_table
 
         loaded, discarded = self._table_store.load_all()
         for table in loaded:
             install_table(table)
-            register_table_blob(table_blob(table))
         self._recovery["tables_loaded"] = len(loaded)
         self._recovery["tables_discarded"] = discarded
         if loaded or discarded:
@@ -332,12 +308,6 @@ class ThetacryptNode:
             await self.instances.shutdown()
             await self.network.stop()
         finally:
-            # The pool owns real child processes: join them even when the
-            # teardown above fails, or a SIGTERM'd daemon would leave
-            # orphaned workers behind.  Injected pools belong to whoever
-            # injected them (several nodes may share one).
-            if self.crypto_pool is not None and self._owns_pool:
-                await self.crypto_pool.close()
             # Flush + close durable state last: executor completions above
             # may still append terminal records.
             self._outcomes.close()
@@ -368,21 +338,21 @@ class ThetacryptNode:
     ) -> None:
         """Register dealer output for this node (done before start).
 
-        Idempotent for *identical* material: a durable node restarting
-        from its ``data_dir`` already holds the shares its keystore file
-        describes, so re-installing the same dealer output is a no-op —
-        but installing *different* material under a held id stays an
-        error (silently replacing a key share would be a custody bug).
+        A no-op when the node already holds a share of the *same key*: a
+        durable node restarting from its ``data_dir`` is handed the dealer
+        output again at every boot, and the share its keystore file holds —
+        the dealt one, or the one a ``refresh_key`` replaced it with — is
+        the one to keep.  Another key under a held id stays an error
+        (silently replacing a key share would be a custody bug).
         """
         if key_id in self.keys:
-            existing = self.keys.get(key_id)
-            same = existing.scheme == scheme and export_key_share(
-                scheme, existing.key_share
-            ) == export_key_share(scheme, key_share)
-            if same:
+            held = self.keys.get(key_id)
+            if held.scheme == scheme and _group_key(held.public_key) == _group_key(
+                public_key
+            ):
                 return
             raise KeyManagementError(
-                f"key id {key_id!r} already installed with different material"
+                f"key id {key_id!r} already installed with a different group key"
             )
         self.keys.register(key_id, scheme, public_key, key_share)
 
@@ -666,8 +636,6 @@ class ThetacryptNode:
                 f"refresh supports the DL schemes, not {entry.scheme!r}"
             )
         public = entry.public_key
-        # The group key attribute is `h` for ciphers/coins, `y` for kg20.
-        current_key = getattr(public, "h", None) or public.y
         # The public key carries every party's verification key, so it
         # changes with each refresh and names the epoch: repeated refreshes
         # are distinct, the name is as durable as the keystore, and a node
@@ -683,8 +651,6 @@ class ThetacryptNode:
         )
         await self._run_control(protocol, entry.scheme)
         result = protocol.result
-        if result.group_key != current_key:
-            raise RpcError("refresh produced a different group key; aborting swap")
         new_public = type(public)(
             public.group_name,
             public.threshold,
@@ -692,6 +658,8 @@ class ThetacryptNode:
             result.group_key,
             tuple(result.verification_keys),
         )
+        if _group_key(new_public) != _group_key(public):
+            raise RpcError("refresh produced a different group key; aborting swap")
         new_share = type(entry.key_share)(
             self.config.node_id, result.share_value, new_public
         )
@@ -759,20 +727,12 @@ class ThetacryptNode:
             # Which math backend this process computes with (docs/
             # performance.md, "Math backends").
             "crypto_backend": backend_info(),
-            # Worker-pool offload state (docs/performance.md): task
-            # counters, fallbacks, crashes, live worker pids, the adaptive
-            # policy's decisions/EWMAs, and cross-request coalescing.
-            "crypto_pool": (
-                self._crypto.stats()
-                if self._crypto is not None
-                else {"enabled": False, "workers": 0}
-            ),
             # Precompute pipeline (docs/performance.md): per-pool staged
             # depths, refill queue/outcomes, served-source counters, and
             # kg20 nonce availability.
             "precompute": self._precompute.stats(),
-            # Scheduling-delay digest from the heartbeat histogram: the
-            # before/after metric for moving crypto off the event loop.
+            # Scheduling-delay digest from the heartbeat histogram: how
+            # long the crypto the executors run holds the event loop.
             "event_loop_lag": dict(
                 summarize(self.registry.get("repro_event_loop_lag_seconds"))
             ),

@@ -14,7 +14,6 @@ from .exposition import (
 from .instruments import (
     ChannelMetrics,
     CoreMetrics,
-    CryptoPoolMetrics,
     EventLoopLagSampler,
     PrecomputeMetrics,
     RouterMetrics,
@@ -51,7 +50,6 @@ __all__ = [
     "CONTENT_TYPE",
     "ChannelMetrics",
     "CoreMetrics",
-    "CryptoPoolMetrics",
     "EventLoopLagSampler",
     "PrecomputeMetrics",
     "DEFAULT_BUCKETS",

@@ -173,18 +173,6 @@ class CoreMetrics:
             "from the idempotent result cache (result_cache).",
             ("source",),
         )
-        self.crypto_batches = registry.counter(
-            "repro_crypto_coalesced_batches_total",
-            "Cross-request crypto batches flushed to the worker pool by "
-            "the coalescing admission layer, by batched operation.",
-            ("op",),
-        )
-        self.crypto_batched_items = registry.counter(
-            "repro_crypto_coalesced_items_total",
-            "Individual requests carried inside cross-request crypto "
-            "batches, by batched operation.",
-            ("op",),
-        )
 
 
 class StorageMetrics:
@@ -208,52 +196,6 @@ class StorageMetrics:
             "(served from the durable result cache) or aborted (in-flight "
             "at crash time, marked crash_recovery).",
             ("outcome",),
-        )
-
-
-class CryptoPoolMetrics:
-    """Worker-pool instruments (held by :class:`repro.workers.CryptoPool`).
-
-    ``outcome`` taxonomy of ``repro_crypto_pool_tasks_total``: ``ok`` (ran
-    in a worker), ``error`` (ran in a worker and failed cryptographically,
-    mirroring the inline failure), ``fallback`` (infrastructure failure —
-    crash/pickling/disabled — so the caller re-ran the work inline).
-    """
-
-    def __init__(self, registry: MetricRegistry):
-        self.tasks = registry.counter(
-            "repro_crypto_pool_tasks_total",
-            "Crypto-pool tasks by operation and outcome "
-            "(ok / error / fallback).",
-            ("op", "outcome"),
-        )
-        self.queue_depth = registry.gauge(
-            "repro_crypto_pool_queue_depth",
-            "Crypto-pool tasks submitted and not yet completed.",
-        )
-        self.task_seconds = registry.histogram(
-            "repro_crypto_pool_task_seconds",
-            "Wall-clock latency of one crypto-pool task (submit to "
-            "result, queueing included), by operation.",
-            ("op",),
-        )
-        self.workers = registry.gauge(
-            "repro_crypto_pool_workers",
-            "Configured worker processes of the live executor (0 when "
-            "the pool is idle, disabled, or closed).",
-        )
-        self.policy_decisions = registry.counter(
-            "repro_crypto_pool_policy_decisions_total",
-            "Adaptive offload-policy rulings by operation, choice "
-            "(offload / inline) and deciding gate (forced / few_cores / "
-            "queue_full / pool_slower / probe / no_data / pool_ok).",
-            ("op", "choice", "reason"),
-        )
-        self.blob_cache = registry.counter(
-            "repro_crypto_pool_blob_cache_total",
-            "Content-addressed key-blob cache events: retry = a task was "
-            "re-run once with blobs attached after a worker-side miss.",
-            ("event",),
         )
 
 
@@ -352,8 +294,7 @@ class EventLoopLagSampler:
     Sleeps ``interval`` seconds in a loop and records how much *later*
     than requested each wake-up lands in the
     ``repro_event_loop_lag_seconds`` histogram.  That lag is exactly the
-    time the loop spent blocked in inline computation — the direct
-    before/after metric for moving crypto onto the worker pool.
+    time the loop spent blocked in the crypto the executors run on it.
     """
 
     def __init__(self, registry: MetricRegistry, interval: float = 0.05):
@@ -432,8 +373,8 @@ _FIXEDBASE_GAUGES = (
     ("repro_fixedbase_tables_promotions_total", "promotions",
      "Bases promoted to a table after recurring past the threshold."),
     ("repro_fixedbase_tables_loaded_total", "loads",
-     "Fixed-base tables installed pre-built (disk persistence or "
-     "worker warm-start) instead of being rebuilt."),
+     "Fixed-base tables installed pre-built (disk persistence) "
+     "instead of being rebuilt."),
 )
 
 

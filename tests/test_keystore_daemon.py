@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.schemes import generate_keys, get_scheme
 from repro.schemes.keystore import (
     export_key_share,
@@ -18,6 +18,7 @@ from repro.schemes.keystore import (
     keystore_to_json,
     node_keystore,
 )
+from repro.service.config import NodeConfig, make_local_configs
 
 
 class TestKeyShareSerialization:
@@ -89,6 +90,27 @@ class TestKeystoreDocument:
     def test_wrong_version_rejected(self):
         with pytest.raises(SerializationError):
             keystore_from_json(json.dumps({"version": 9, "keys": {}}))
+
+
+class TestConfigFile:
+    def test_unknown_key_is_named(self):
+        document = json.loads(make_local_configs(4, 1)[0].to_json())
+        document["bogus"] = 1
+        with pytest.raises(ConfigurationError, match="bogus"):
+            NodeConfig.from_json(json.dumps(document))
+
+    def test_config_written_before_the_worker_pool_was_removed(self):
+        """``to_json`` is ``asdict``: every config ``tools/deal_keys.py``
+        wrote while the three fields existed carries all of them."""
+        document = json.loads(make_local_configs(4, 1)[0].to_json())
+        document.update(
+            crypto_workers=0, offload_policy="adaptive", coalesce_window=0.002
+        )
+        with pytest.raises(ConfigurationError) as caught:
+            NodeConfig.from_json(json.dumps(document))
+        assert str(caught.value) == (
+            "unknown NodeConfig keys: coalesce_window, crypto_workers, offload_policy"
+        )
 
 
 @pytest.mark.integration

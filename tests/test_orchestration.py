@@ -1,9 +1,13 @@
 """Orchestration: key manager, instance records, executor, instance manager."""
 
 import asyncio
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import repro.core.protocols as protocols_package
 from repro.core.messages import Channel, ProtocolMessage
 from repro.core.orchestration import (
     InstanceManager,
@@ -12,7 +16,11 @@ from repro.core.orchestration import (
 )
 from repro.core.orchestration.instance import InstanceRecord
 from repro.core.protocols import NonInteractiveProtocol, OperationRequest, make_operation
+from repro.core.tri import ThresholdRoundProtocol
 from repro.errors import KeyManagementError, ProtocolAbortedError, ProtocolError
+from repro.schemes import generate_keys
+from repro.schemes.base import get_scheme
+from repro.telemetry import MetricRegistry
 
 
 class TestKeyManager:
@@ -142,6 +150,8 @@ class TestInstanceManager:
             record_a = manager.start_instance(protocols[1], "cks05")
             record_b = manager.start_instance(protocols[1], "cks05")
             assert record_a is record_b
+            # The duplicate folded into the instance in flight, and was counted.
+            assert manager.metrics.coalesced_requests.labels("inflight").value == 1
             await manager.shutdown()
 
         asyncio.run(scenario())
@@ -271,3 +281,176 @@ class TestInstanceManager:
             assert managers[1].active_count == 0
 
         asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# The executor's whole interface to a protocol: the TRI.
+# ---------------------------------------------------------------------------
+
+REMOVED_HOOKS = {
+    "supports_offload", "offload_round", "apply_round", "offload_verify",
+    "admit_verified", "supports_precompute", "stage_precomputed",
+    "consume_precomputed",
+}
+
+
+class TestTriSurface:
+    def test_the_tri_is_five_functions_and_bookkeeping(self):
+        public = {name for name in vars(ThresholdRoundProtocol) if not name.startswith("_")}
+        assert public == {
+            "do_round", "update", "is_ready_for_next_round",
+            "is_ready_to_finalize", "finalize",
+            "progress", "advance_round", "mark_finalized", "finalized",
+        }
+
+    def test_no_protocol_class_defines_a_removed_hook(self):
+        for info in pkgutil.iter_modules(protocols_package.__path__):
+            module = importlib.import_module(f"{protocols_package.__name__}.{info.name}")
+            for _, cls in inspect.getmembers(module, inspect.isclass):
+                assert not REMOVED_HOOKS & set(vars(cls)), cls
+
+
+# ---------------------------------------------------------------------------
+# One scripted message schedule through the executor, per scheme: what is
+# admitted, what is checked, and in which order.
+# ---------------------------------------------------------------------------
+
+EAGER, LAZY = ("sg02", "bz03", "cks05"), ("bls04", "sh00")
+T, N = 3, 5  # quorum of 4: the local share plus three peers'
+
+
+@pytest.fixture(scope="module")
+def material(small_modulus):
+    """(3, 5) keys per scheme plus two requests: the one served and another
+    whose shares decode fine but fail verification against the first."""
+    found = {}
+    for scheme in EAGER + LAZY:
+        extra = {"rsa_modulus": small_modulus} if scheme == "sh00" else {}
+        keys = generate_keys(scheme, T, N, **extra)
+        kind = {"sg02": "decrypt", "bz03": "decrypt", "cks05": "coin"}.get(scheme, "sign")
+        data = [f"admission schedule {i}".encode() for i in range(2)]
+        if kind == "decrypt":
+            data = [
+                get_scheme(scheme).encrypt(keys.public_key, d, b"").to_bytes()
+                for d in data
+            ]
+        found[scheme] = (keys, [OperationRequest(kind, d) for d in data])
+    return found
+
+
+def _operation(material, scheme, party, request=0):
+    keys, requests = material[scheme]
+    return make_operation(
+        scheme, keys.public_key, keys.share_for(party), requests[request]
+    )
+
+
+def _share(material, scheme, party, request=0) -> bytes:
+    return _operation(material, scheme, party, request).create_own_share()
+
+
+async def _run_node(material, scheme, schedule):
+    """Node 1's executor fed ``schedule``, all of it queued before the
+    first round runs (what a slow node sees when its peers are fast)."""
+
+    async def send(message):
+        return None
+
+    manager = InstanceManager(1, send, default_timeout=5.0, registry=MetricRegistry())
+    operation = _operation(material, scheme, 1)
+    protocol = NonInteractiveProtocol("inst", 1, operation)
+    updates, checked = [], []
+    update, verify = protocol.update, operation._verify_decoded
+    protocol.update = lambda message: (updates.append(message.sender), update(message))[1]
+    operation._verify_decoded = lambda share: (checked.append(share.id), verify(share))[1]
+    record = manager.start_instance(protocol, scheme)
+    for sender, payload in schedule:
+        await manager.handle_network_message(
+            ProtocolMessage("inst", sender, 0, Channel.P2P, payload)
+        )
+    result = await manager.result("inst")
+    await manager.shutdown()
+    hops = [
+        (e.attributes["sender"], e.attributes["outcome"])
+        for e in record.trace.events
+        if e.name == "hop"
+    ]
+    counts = {
+        outcome: manager.metrics.messages.labels(scheme, outcome).value
+        for outcome in ("accepted", "rejected", "duplicate")
+    }
+    return result, hops, counts, updates, checked
+
+
+@pytest.mark.parametrize("scheme", EAGER + LAZY)
+class TestAdmissionSchedule:
+    def test_counters_trace_and_result(self, material, scheme):
+        """Malformed, forged, honest, its identical duplicate, a conflicting
+        duplicate, and the two honest shares that complete the quorum."""
+        honest = {party: _share(material, scheme, party) for party in (3, 4, 5)}
+        schedule = [
+            (2, b"junk"),
+            (2, _share(material, scheme, 2, request=1)),
+            (3, honest[3]),
+            (3, honest[3]),
+            (3, _share(material, scheme, 3, request=1)),
+            (4, honest[4]),
+            (5, honest[5]),
+        ]
+        result, hops, counts, updates, checked = asyncio.run(
+            _run_node(material, scheme, schedule)
+        )
+        reference = _operation(material, scheme, 1)
+        reference.own_share()
+        for payload in honest.values():
+            reference.accept_share(payload)
+        assert result == reference.result()
+        # Every message went through protocol.update, in arrival order.
+        assert updates == [sender for sender, _ in schedule]
+        assert counts["duplicate"] == 1
+        if scheme in EAGER:
+            assert hops == [
+                (2, "rejected"), (2, "rejected"), (3, "accepted"),
+                (3, "duplicate"), (3, "rejected"), (4, "accepted"), (5, "accepted"),
+            ]
+        else:
+            # Lazy until the conflict over id 3 forces a check, which also
+            # finds the forgery held for id 2; eager (checked) after.
+            assert hops == [
+                (2, "rejected"), (2, "accepted"), (3, "accepted"),
+                (3, "duplicate"), (2, "rejected"), (3, "rejected"),
+                (4, "accepted"), (5, "accepted"),
+            ]
+            assert checked == [2, 3, 3, 4, 5]
+
+
+class TestVerificationBudget:
+    def test_shares_past_the_quorum_are_never_verified(self, material):
+        schedule = [(p, _share(material, "cks05", p)) for p in (2, 3, 4, 5)]
+        _, _, _, updates, checked = asyncio.run(_run_node(material, "cks05", schedule))
+        # Deficit 3: parties 2-4 complete the quorum; party 5's share is
+        # surplus and never reaches update(), let alone a check.
+        assert updates == checked == [2, 3, 4]
+
+    def test_a_rejected_share_reopens_the_deficit_by_one(self, material):
+        schedule = [(2, _share(material, "cks05", 2, request=1))] + [
+            (p, _share(material, "cks05", p)) for p in (3, 4, 5)
+        ]
+        _, hops, _, _, checked = asyncio.run(_run_node(material, "cks05", schedule))
+        assert checked == [2, 3, 4, 5]
+        assert hops == [(2, "rejected"), (3, "accepted"), (4, "accepted"), (5, "accepted")]
+
+    def test_a_transport_duplicate_is_checked_before_it_is_named(self, material):
+        share = _share(material, "cks05", 2)
+        schedule = [(2, share), (2, share)] + [
+            (p, _share(material, "cks05", p)) for p in (3, 4)
+        ]
+        _, hops, _, _, checked = asyncio.run(_run_node(material, "cks05", schedule))
+        assert checked == [2, 2, 3, 4]
+        assert hops[:2] == [(2, "accepted"), (2, "duplicate")]
+
+    def test_lazy_operations_check_no_share_on_an_honest_schedule(self, material):
+        schedule = [(p, _share(material, "bls04", p)) for p in (2, 3, 4)]
+        _, hops, _, _, checked = asyncio.run(_run_node(material, "bls04", schedule))
+        assert checked == []
+        assert hops == [(2, "accepted"), (3, "accepted"), (4, "accepted")]

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import RpcError, StorageError
+from repro.errors import KeyManagementError, RpcError, StorageError
 from repro.groups import get_group
 from repro.network.local import LocalHub
+from repro.schemes import generate_keys
 from repro.schemes.cks05 import Cks05Coin
+from repro.schemes.keystore import node_keystore
 from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service.daemon import load_node
 from repro.storage import DurableKeystore, durable_keystore
 
 
@@ -212,6 +215,55 @@ class TestRefreshOnDurableNodes:
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+    def test_daemon_restarts_from_dealer_files_after_a_refresh(
+        self, keys_cks05, tmp_path
+    ):
+        """``load_node`` re-installs the dealer keystore at every boot; after a
+        refresh the share a node holds differs from it, and is the one to keep."""
+        node_dirs = []
+        for config in make_local_configs(4, 1, base_port=19500, rpc_base_port=0):
+            node_dir = tmp_path / f"node{config.node_id}"
+            node_dir.mkdir()
+            durable = replace(config, data_dir=str(node_dir / "data"))
+            (node_dir / "config.json").write_text(durable.to_json())
+            (node_dir / "keystore.json").write_text(
+                node_keystore({"coin": keys_cks05}, config.node_id)
+            )
+            node_dirs.append(node_dir)
+
+        async def life(body):
+            nodes = [
+                load_node(str(d / "config.json"), str(d / "keystore.json"))
+                for d in node_dirs
+            ]
+            for node in nodes:
+                await node.start()
+            client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
+            try:
+                await body(client, nodes)
+            finally:
+                await client.close()
+                for node in nodes:
+                    await node.stop()
+
+        async def refresh(client, nodes):
+            await client.refresh_key("coin")
+
+        async def serve_on_the_refreshed_shares(client, nodes):
+            for node in nodes:
+                held = node.keys.get("coin").key_share
+                assert held.value != keys_cks05.share_for(held.id).value
+            assert await client.flip_coin("coin", b"after the restart") == (
+                _dealer_coin(keys_cks05, b"after the restart")
+            )
+            # Another key under the same id is still refused.
+            other = generate_keys("cks05", 1, 4)
+            with pytest.raises(KeyManagementError):
+                nodes[0].install_key("coin", "cks05", other.public_key, other.share_for(1))
+
+        asyncio.run(life(refresh))
+        asyncio.run(life(serve_on_the_refreshed_shares))
 
     def test_every_keystore_snapshot_of_a_refresh_holds_the_share(
         self, keys_cks05, tmp_path, monkeypatch

@@ -1,6 +1,7 @@
 """Service layer: config, node wiring, both RPC endpoint families, faults."""
 
 import asyncio
+import multiprocessing
 
 import pytest
 
@@ -107,6 +108,28 @@ class TestServiceEndToEnd:
                 assert coin_a == coin_b and len(coin_a) == 32
             finally:
                 await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
+    def test_crypto_runs_in_the_node_process(self, all_keys):
+        """One request per scheme kind: the executor's TRI calls are the only
+        place share crypto runs, so a serving cluster has no child process."""
+
+        async def scenario():
+            hub, nodes, client = await _start_network(all_keys)
+            try:
+                await client.sign("bls04", b"in-process sign")
+                ciphertext = await client.encrypt("sg02", b"in-process", b"")
+                await client.decrypt("sg02", ciphertext, b"")
+                await client.flip_coin("cks05", b"in-process coin")
+                assert multiprocessing.active_children() == []
+                for node in nodes:
+                    stats = node.stats()
+                    assert "crypto_pool" not in stats
+                    assert stats["event_loop_lag"].get("count", 0) >= 1
+            finally:
+                await _teardown(nodes, client)
+            assert multiprocessing.active_children() == []
 
         asyncio.run(scenario())
 

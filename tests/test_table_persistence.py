@@ -357,41 +357,3 @@ def test_node_restart_rebuilds_zero_tables(tmp_path, keys_bls04, keys_cks05):
         assert files, f"{node_dir.name} persisted no tables"
     clear_precompute_cache()  # simulate the fresh process of a real restart
     asyncio.run(second_life(built, seen_keys))
-
-
-@pytest.mark.integration
-def test_worker_warm_start_installs_tables_from_blobs():
-    """Pool workers receive persisted tables as blobs and install them
-    (loads, not builds) before the generator warm-up would rebuild them."""
-    from repro.workers import tasks
-    from repro.workers.blobs import parent_table_digests, register_table_blob
-
-    group = get_group("ed25519")
-    table = FixedBaseTable(group.generator())
-    blob = table_blob(table)
-    digest = register_table_blob(blob)
-    assert digest in parent_table_digests()
-
-    # Run the worker initializer in-process against a clean cache: the
-    # table must arrive via the blob, leaving nothing for the warm-up loop
-    # to build for that base.
-    clear_precompute_cache()
-    tasks.warm_worker(("ed25519",), ((digest, blob),), (digest,))
-    stats = precompute_stats()
-    assert stats["loads"] == 1
-    assert stats["tables_built"] == 0
-    assert fixed_pow(group.generator(), 31337) == group.generator() ** 31337
-
-
-@pytest.mark.integration
-def test_worker_warm_start_survives_bad_table_blob():
-    from repro.workers import tasks
-
-    clear_precompute_cache()
-    # A digest with no matching blob and a corrupted blob: neither may
-    # kill the worker initializer.
-    blob = bytearray(table_blob(FixedBaseTable(get_group("ed25519").generator())))
-    blob[-1] ^= 0xAA
-    tasks.warm_worker(("ed25519",), (("deadbeef", bytes(blob)),), ("deadbeef", "missing"))
-    # The warm-up fell back to building the generator table itself.
-    assert precompute_stats()["tables_built"] >= 1

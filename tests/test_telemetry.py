@@ -3,10 +3,12 @@ quantile math, and trace contexts."""
 
 import asyncio
 import math
+import time
 
 import pytest
 
 from repro.telemetry import (
+    EventLoopLagSampler,
     MetricRegistry,
     TelemetryError,
     current_trace,
@@ -197,6 +199,23 @@ demo_requests_total{method="sign",ok="true"} 2
 # TYPE demo_up gauge
 demo_up 1
 """
+
+
+def test_lag_sampler_records():
+    async def scenario():
+        registry = MetricRegistry()
+        sampler = EventLoopLagSampler(registry, interval=0.01)
+        sampler.start()
+        # A deliberate loop stall the sampler must observe.
+        await asyncio.sleep(0.03)
+        time.sleep(0.08)
+        await asyncio.sleep(0.03)
+        await sampler.stop()
+        summary = summarize(registry.get("repro_event_loop_lag_seconds"))
+        assert summary["count"] >= 2
+        assert summary["max"] >= 0.05
+
+    asyncio.run(scenario())
 
 
 def _golden_registry() -> MetricRegistry:

@@ -2,15 +2,19 @@
 and trace-context propagation across a full multi-node request."""
 
 import asyncio
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.network.local import LocalHub
+from repro.router.daemon import RouterDaemon
+from repro.router.topology import GroupSpec, Topology
 from repro.service.client import ThetacryptClient
 from repro.service.config import make_local_configs
 from repro.service.node import ThetacryptNode, derive_instance_id
-from repro.telemetry import parse_text
+from repro.telemetry import default_registry, parse_text
 
 
 async def _start_network(keys, key_id, *, metrics_port=None, parties=4):
@@ -46,6 +50,34 @@ def _metric(parsed, name, **labels):
     ]
     assert matches, f"no sample {name} with labels {labels}"
     return sum(matches)
+
+
+def test_documented_metric_names_match_the_registries(tmp_path):
+    """docs/observability.md's catalog == what a started node and a started
+    router register (names only): no row for a family that is gone, no
+    family without a row."""
+    catalog = Path(__file__).parent.parent / "docs" / "observability.md"
+    documented = set(re.findall(r"^\| `(repro_\w+)`", catalog.read_text(), re.M))
+
+    async def registered():
+        config = replace(
+            make_local_configs(4, 1, transport="local", rpc_base_port=0)[0],
+            data_dir=str(tmp_path),
+        )
+        node = ThetacryptNode(config, transport=LocalHub().endpoint(1))
+        router = RouterDaemon(Topology((GroupSpec("solo", 2, 1, rpc_base_port=1),)))
+        await node.start()
+        await router.start()
+        try:
+            registries = (node.registry, default_registry(), router.router.registry)
+            return {family.name for r in registries for family in r.collect()}
+        finally:
+            await router.stop()
+            await node.stop()
+
+    found = asyncio.run(registered())
+    assert documented - found == set(), "documented, but no node or router registers it"
+    assert found - documented == set(), "registered, but missing from the catalog"
 
 
 @pytest.mark.integration

@@ -22,7 +22,9 @@ real daemon processes:
   byte-identical, the first recovery's ``crash_recovery`` abort is not
   derived again (the log says it was closed), the one log is all there is
   (``results/``, no ``journal/``), and a ``refresh_key`` of the DL key
-  converges with the restarted node.
+  converges with the restarted node;
+* restart node 4 a third time, after the refresh: the daemon is handed the
+  dealer keystore again, keeps the refreshed share it holds, and comes up.
 
 Exit status 0 on success; prints the offending assertion otherwise.
 """
@@ -186,6 +188,18 @@ async def drive(out: Path, daemons: list[subprocess.Popen]) -> None:
         assert len(coin2) == 32
         assert await client.flip_coin("cks05", b"post-recovery coin") == coin
         print("  refresh_key converged after the restarts")
+
+        # The dealer keystore no longer matches the share node 4 holds;
+        # the daemon must boot on the held one.
+        refreshed_id = derive_instance_id("coin", "cks05", b"post-refresh coin", b"")
+        await wait_for_status(client, refreshed_id, 4, {"finished"})
+        daemons[3].kill()
+        daemons[3].wait(timeout=10)
+        daemons[3] = spawn_daemon(out / "node4")
+        await wait_for_ping(client, 4, daemons[3])
+        stats = await client.node_stats(4)
+        assert stats["keys"] == 2, f"keys lost across the refresh: {stats['keys']}"
+        print("  node 4 restarted from the dealer files after the refresh")
     finally:
         await client.close()
 
