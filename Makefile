@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast bench bench-fast check check-gmpy2 metrics-smoke chaos-smoke recovery-smoke federation-smoke precompute-smoke thetabench-smoke examples fixtures clean
+.PHONY: install test test-fast bench bench-fast check metrics-smoke chaos-smoke recovery-smoke federation-smoke precompute-smoke thetabench-smoke examples fixtures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) tools/install_editable.py
@@ -25,19 +25,6 @@ check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src REPRO_FAST=1 $(PYTHON) -m pytest \
 		benchmarks/bench_micro_primitives.py --benchmark-disable -q
-
-# Second test leg for hosts with gmpy2 installed: the cross-backend
-# bit-identity matrix gains its gmpy2 column, the whole crypto suite
-# runs forced onto the gmpy2 backend, and the backend benchmark arms its
-# >=3x gmpy2 gate (docs/performance.md, "Math backends").  Fails fast if
-# gmpy2 is not importable — this target is the opt-in, not the probe.
-check-gmpy2:
-	PYTHONPATH=src $(PYTHON) -c "import gmpy2; print('gmpy2', gmpy2.version())"
-	PYTHONPATH=src REPRO_MATH_BACKEND=gmpy2 $(PYTHON) -m pytest \
-		tests/test_math_backends.py tests/test_mathutils.py \
-		tests/test_table_persistence.py tests/test_precompute.py -q
-	PYTHONPATH=src REPRO_FAST=1 $(PYTHON) -m pytest \
-		benchmarks/bench_backends.py --benchmark-only -s
 
 # Telemetry gate: boot a 4-node cluster, run one request per scheme API,
 # and assert the Prometheus scrape output parses (docs/observability.md).

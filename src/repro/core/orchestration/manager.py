@@ -252,6 +252,11 @@ class InstanceManager:
         """Whether a request for this id would fold into an existing instance."""
         return instance_id in self._executors or instance_id in self._outcomes
 
+    def protocol(self, instance_id: str) -> ThresholdRoundProtocol:
+        """The protocol a live instance runs — for a caller that joined it,
+        not the one that caller built."""
+        return self._executors[instance_id].protocol
+
     def record(self, instance_id: str) -> InstanceRecord:
         executor = self._executors.get(instance_id)
         if executor is not None:

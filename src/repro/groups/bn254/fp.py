@@ -13,7 +13,6 @@ that want operators; they hold no arithmetic of their own.
 from __future__ import annotations
 
 from ...errors import CryptoError
-from ...mathutils import backends as _mb
 from ...mathutils.modular import sqrt_mod_prime
 
 #: Base-field prime of alt_bn128 (the BN254 instantiation used by Ethereum).
@@ -78,14 +77,14 @@ def fp2_inv(a):
     norm = (a0 * a0 + a1 * a1) % P
     if norm == 0:
         raise CryptoError("inversion of zero in Fp2")
-    inv = _mb.modinv(norm, P)
+    inv = pow(norm, -1, P)
     return a0 * inv % P, -a1 * inv % P
 
 
 def fp2_is_square(a) -> bool:
     """Euler criterion: a^((p²−1)/2) = N(a)^((p−1)/2) for the norm N(a) ∈ Fp."""
     norm = (a[0] * a[0] + a[1] * a[1]) % P
-    return norm == 0 or _mb.modexp(norm, (P - 1) // 2, P) == 1
+    return norm == 0 or pow(norm, (P - 1) // 2, P) == 1
 
 
 def fp2_sqrt(a):
@@ -94,17 +93,17 @@ def fp2_sqrt(a):
     if a1 == 0:
         # Purely real: either √a0 exists in Fp, or √(−a0)·u works since
         # (y·u)² = −y².
-        if a0 == 0 or _mb.modexp(a0, (P - 1) // 2, P) == 1:
+        if a0 == 0 or pow(a0, (P - 1) // 2, P) == 1:
             return sqrt_mod_prime(a0, P), 0
         return 0, sqrt_mod_prime(-a0 % P, P)
     # |a| = sqrt(a0² + a1²) in Fp (CryptoError for a non-square); exactly one
     # of (a0 ± |a|)/2 is a residue x², and y = a1/(2x) gives (x + y·u)² = a.
     alpha = sqrt_mod_prime((a0 * a0 + a1 * a1) % P, P)
     delta = (a0 + alpha) * _INV2 % P
-    if _mb.modexp(delta, (P - 1) // 2, P) != 1:
+    if pow(delta, (P - 1) // 2, P) != 1:
         delta = (a0 - alpha) * _INV2 % P
     x = sqrt_mod_prime(delta, P)
-    return x, a1 * _mb.modinv(2 * x, P) % P
+    return x, a1 * pow(2 * x, -1, P) % P
 
 
 def _mul6(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 
 from ...errors import SerializationError
-from ...mathutils import backends as _mb
 from ...mathutils.modular import batch_inverse
 from ..base import Group, GroupElement
 from .fp import P, R
@@ -29,7 +28,7 @@ class BN254G1Element(GroupElement):
     def affine(self) -> tuple[int, int]:
         if self.z == 0:
             return 0, 0
-        z_inv = _mb.modinv(self.z, P)
+        z_inv = pow(self.z, -1, P)
         z2 = z_inv * z_inv % P
         return self.x * z2 % P, self.y * z2 * z_inv % P
 
@@ -189,7 +188,7 @@ class BN254G1Group(Group):
             counter += 1
             x = int.from_bytes(digest, "big") % P
             y2 = (x * x * x + B) % P
-            y = _mb.modexp(y2, (P + 1) // 4, P)
+            y = pow(y2, (P + 1) // 4, P)
             if y * y % P != y2:
                 continue
             # Pick the lexicographically smaller root for determinism.

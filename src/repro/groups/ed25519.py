@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import SerializationError
-from ..mathutils import backends as _mb
 from ..mathutils.modular import batch_inverse
 from .base import Group, GroupElement
 
@@ -34,7 +33,7 @@ def _recover_x(y: int, sign: int) -> int | None:
     u = (y2 - 1) % P
     v = (D * y2 + 1) % P
     # Candidate root x = u·v³·(u·v⁷)^((p-5)/8), the p = 5 (mod 8) shortcut.
-    x = (u * pow(v, 3, P) * _mb.modexp(u * pow(v, 7, P), (P - 5) // 8, P)) % P
+    x = (u * pow(v, 3, P) * pow(u * pow(v, 7, P), (P - 5) // 8, P)) % P
     vx2 = (v * x * x) % P
     if vx2 == (P - u) % P:
         x = (x * _SQRT_M1) % P
@@ -145,7 +144,7 @@ def _straus(pairs) -> tuple:
 def _affine(p: tuple) -> tuple:
     """The same point with Z = 1 (one inversion)."""
     x, y, z, _ = p
-    z_inv = _mb.modinv(z, P)
+    z_inv = pow(z, -1, P)
     x, y = x * z_inv % P, y * z_inv % P
     return x, y, 1, x * y % P
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import SerializationError
-from ..mathutils import backends as _mb
 from ..mathutils.modular import batch_inverse, sqrt_mod_prime
 from .base import Group, GroupElement
 
@@ -40,7 +39,7 @@ class Secp256k1Element(GroupElement):
     def affine(self) -> tuple[int, int]:
         if self.z == 0:
             return 0, 0
-        z_inv = _mb.modinv(self.z, P)
+        z_inv = pow(self.z, -1, P)
         z2 = z_inv * z_inv % P
         return self.x * z2 % P, self.y * z2 * z_inv % P
 
@@ -210,7 +209,7 @@ class Secp256k1Group(Group):
             counter += 1
             x = int.from_bytes(digest, "big") % P
             y2 = (x * x * x + B) % P
-            if _mb.modexp(y2, (P - 1) // 2, P) != 1:
+            if pow(y2, (P - 1) // 2, P) != 1:
                 continue
             y = sqrt_mod_prime(y2, P)
             if y > P - y:

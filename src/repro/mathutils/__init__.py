@@ -1,19 +1,11 @@
 """Number-theoretic building blocks shared by every cryptographic substrate."""
 
-from .backends import (
-    active_backend,
-    available_backends,
-    backend_info,
-    set_backend,
-    use_backend,
-)
 from .modular import (
     batch_inverse,
     crt_pair,
     inverse_mod,
     jacobi_symbol,
     modexp,
-    modexp_many,
     multiexp_mod,
     sqrt_mod_prime,
 )
@@ -32,9 +24,6 @@ from .lagrange import (
 )
 
 __all__ = [
-    "active_backend",
-    "available_backends",
-    "backend_info",
     "batch_inverse",
     "clear_lagrange_cache",
     "lagrange_cache_stats",
@@ -42,11 +31,8 @@ __all__ = [
     "inverse_mod",
     "jacobi_symbol",
     "modexp",
-    "modexp_many",
     "multiexp_mod",
-    "set_backend",
     "sqrt_mod_prime",
-    "use_backend",
     "is_probable_prime",
     "next_prime",
     "random_prime",

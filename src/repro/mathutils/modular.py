@@ -1,11 +1,9 @@
 """Modular arithmetic primitives: inverses, CRT, Jacobi, square roots.
 
-Since the math-backend registry (docs/performance.md, "Math backends")
-these functions are thin wrappers that dispatch through the active
-backend — pure Python, batched pure Python, or gmpy2 — and translate the
-backends' ``ValueError`` domain errors into :class:`CryptoError`.  The
-public contracts below are unchanged from the original pure
-implementations, and every backend is bit-identical on them.
+Every big-integer operation is CPython's built-in ``pow`` (modexp and
+inverse) or pure Python over it (Montgomery batch inversion, binary
+Jacobi, Tonelli–Shanks).  Domain errors — non-invertible values, even
+Jacobi moduli, non-residue square roots — raise :class:`CryptoError`.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import CryptoError
-from . import backends
 
 
 def inverse_mod(value: int, modulus: int) -> int:
@@ -26,7 +23,7 @@ def inverse_mod(value: int, modulus: int) -> int:
     if modulus <= 0:
         raise CryptoError("modulus must be positive")
     try:
-        return backends.modinv(value, modulus)
+        return pow(value, -1, modulus)
     except ValueError as exc:
         raise CryptoError(f"{value} is not invertible modulo {modulus}") from exc
 
@@ -34,8 +31,8 @@ def inverse_mod(value: int, modulus: int) -> int:
 def batch_inverse(values: "Sequence[int]", modulus: int) -> list[int]:
     """Invert many values with a single modular inversion (Montgomery's trick).
 
-    Computes ``[v^-1 mod modulus for v in values]`` using one call to
-    :func:`inverse_mod` plus ``3(k-1)`` multiplications, instead of ``k``
+    Computes ``[v^-1 mod modulus for v in values]`` using one modular
+    inversion plus ``3(k-1)`` multiplications, instead of ``k``
     inversions.  This is the workhorse behind the cached Lagrange coefficient
     path: all ``t+1`` interpolation denominators share one inversion.
 
@@ -46,44 +43,54 @@ def batch_inverse(values: "Sequence[int]", modulus: int) -> list[int]:
     """
     if modulus <= 0:
         raise CryptoError("modulus must be positive")
+    if not values:
+        return []
+    prefix: list[int] = []
+    acc = 1
+    for value in values:
+        if value % modulus == 0:
+            raise CryptoError(f"0 is not invertible modulo {modulus}")
+        acc = acc * value % modulus
+        prefix.append(acc)
     try:
-        return backends.batch_modinv(values, modulus)
+        inv = pow(acc, -1, modulus)
     except ValueError as exc:
         raise CryptoError(str(exc)) from exc
+    out = [0] * len(values)
+    for idx in range(len(values) - 1, -1, -1):
+        before = prefix[idx - 1] if idx else 1
+        out[idx] = inv * before % modulus
+        inv = inv * values[idx] % modulus
+    return out
 
 
 def modexp(base: int, exponent: int, modulus: int) -> int:
-    """``base ** exponent mod modulus`` through the active backend.
+    """``base ** exponent mod modulus``.
 
     Negative exponents invert the base first (``CryptoError`` when no
     inverse exists), matching built-in ``pow`` semantics.
     """
     try:
-        return backends.modexp(base, exponent, modulus)
+        return pow(base, exponent, modulus)
     except ValueError as exc:
         raise CryptoError(
             f"{base} is not invertible modulo {modulus}"
         ) from exc
 
 
-def modexp_many(base: int, exponents: Sequence[int], modulus: int) -> list[int]:
-    """Many powers of one base in one pass (fused by capable backends)."""
-    try:
-        return backends.modexp_many(base, exponents, modulus)
-    except ValueError as exc:
-        raise CryptoError(str(exc)) from exc
-
-
 def multiexp_mod(pairs: Sequence[tuple[int, int]], modulus: int) -> int:
-    """Fused product ``Π base^exp mod modulus`` over ``(base, exp)`` pairs.
+    """The product ``Π base^exp mod modulus`` over ``(base, exp)`` pairs.
 
     Negative exponents are handled by inverting the base (``CryptoError``
     when not invertible) — the hot step of SH00's share combination.
     """
+    result = 1 % modulus
     try:
-        return backends.multiexp(pairs, modulus)
+        for base, exponent in pairs:
+            result = result * pow(base, exponent, modulus) % modulus
     except ValueError as exc:
         raise CryptoError(str(exc)) from exc
+    return result
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -99,10 +106,20 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
 
 def jacobi_symbol(a: int, n: int) -> int:
     """Compute the Jacobi symbol (a/n) for odd ``n`` > 0."""
-    try:
-        return backends.jacobi(a, n)
-    except ValueError as exc:
-        raise CryptoError(str(exc)) from exc
+    if n <= 0 or n % 2 == 0:
+        raise CryptoError("Jacobi symbol requires odd positive n")
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
@@ -111,7 +128,36 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     Raises :class:`CryptoError` when ``a`` is a non-residue.  Used by the
     hash-to-curve routines that need y from a curve equation.
     """
-    try:
-        return backends.sqrt_mod(a, p)
-    except ValueError as exc:
-        raise CryptoError(str(exc)) from exc
+    a %= p
+    if a == 0:
+        return 0
+    if p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise CryptoError("no square root exists")
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # Tonelli–Shanks for p == 1 (mod 4).
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m = s
+    c = pow(z, q, p)
+    t = pow(a, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2 = t
+        i = 0
+        while t2 != 1:
+            t2 = (t2 * t2) % p
+            i += 1
+            if i == m:
+                raise CryptoError("Tonelli-Shanks failed: input not a residue")
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, (b * b) % p
+        t, r = (t * c) % p, (r * b) % p
+    return r

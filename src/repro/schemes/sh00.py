@@ -255,8 +255,7 @@ class Sh00SignatureScheme(ThresholdSignature):
         n = public_key.n
         chosen = select_shares(shares, public_key.threshold)
         ids = [share.id for share in chosen]
-        # One fused multi-exponentiation: all t+1 Δ-scaled Lagrange powers
-        # share a single Straus squaring chain under the active backend.
+        # w = Π x_i^{2λ_i}: the t+1 Δ-scaled Lagrange powers of the shares.
         w = multiexp_mod(
             [
                 (

@@ -78,11 +78,6 @@ class NodeConfig:
     # announced requests.  None keeps the node strictly on-demand (the
     # pre-pipeline behaviour); kg20 nonce pools work either way.
     precompute: PrecomputeConfig | None = None
-    # Math backend (docs/performance.md, "Math backends"): which big-int
-    # primitive implementation the node selects at start.  "auto" picks
-    # gmpy2 when importable, else the batched pure-Python backend; the
-    # REPRO_MATH_BACKEND environment variable overrides both.
-    math_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if not 1 <= self.node_id <= self.parties:
@@ -107,13 +102,6 @@ class NodeConfig:
             raise ConfigurationError("overload_retry_after must be >= 0")
         if self.drain_timeout < 0:
             raise ConfigurationError("drain_timeout must be >= 0")
-        from ..mathutils.backends import BACKEND_NAMES
-
-        if self.math_backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"math_backend must be one of {BACKEND_NAMES}, "
-                f"got {self.math_backend!r}"
-            )
         if self.topology is not None and self.group_id:
             # A node claiming federation membership must exist in the
             # topology it redirects against, or every redirect it emits

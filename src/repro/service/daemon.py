@@ -30,7 +30,6 @@ def load_node(
     config_path: str,
     keystore_path: str,
     precompute_depth: int | None = None,
-    math_backend: str | None = None,
 ) -> ThetacryptNode:
     """Build a node from its on-disk configuration and keystore.
 
@@ -38,13 +37,11 @@ def load_node(
     keys from a previous life; installing the dealer output again is a
     no-op (``install_key`` keeps the held share of the same key, which
     after a ``refresh_key`` is no longer the dealt one).
-    ``precompute_depth`` / ``math_backend`` override the config's
-    precompute pipeline and math backend (the matching CLI flags).
+    ``precompute_depth`` overrides the config's precompute pipeline (the
+    matching CLI flag).
     """
     with open(config_path) as handle:
         config = NodeConfig.from_json(handle.read())
-    if math_backend is not None:
-        config = replace(config, math_backend=math_backend)
     if precompute_depth is not None:
         config = replace(
             config,
@@ -126,26 +123,13 @@ def main(argv: list[str] | None = None) -> None:
         "depth, overriding the config's precompute section (0 disables "
         "the pipeline)",
     )
-    parser.add_argument(
-        "--math-backend",
-        choices=("auto", "python", "batched", "gmpy2"),
-        default=None,
-        help="big-int primitive backend, overriding the config's "
-        "math_backend (auto prefers gmpy2 when importable, honouring "
-        "the REPRO_MATH_BACKEND environment variable)",
-    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    node = load_node(
-        args.config,
-        args.keystore,
-        precompute_depth=args.precompute_depth,
-        math_backend=args.math_backend,
-    )
+    node = load_node(args.config, args.keystore, precompute_depth=args.precompute_depth)
     asyncio.run(run_until_signal(node, drain_timeout=args.drain_timeout))
 
 

@@ -49,7 +49,6 @@ from ..telemetry import (
     default_registry,
     register_crypto_cache_collector,
     register_fixedbase_collector,
-    register_math_backend_collector,
     render_text,
     summarize,
 )
@@ -90,13 +89,6 @@ class ThetacryptNode:
         tob=None,
     ):
         self.config = config
-        # Math backend (docs/performance.md, "Math backends"): selected
-        # before any crypto object is touched so every primitive this node
-        # computes — on demand or precomputed — goes through it.
-        # "auto" honours the REPRO_MATH_BACKEND environment variable.
-        from ..mathutils.backends import set_backend
-
-        set_backend(config.math_backend)
         # Durability (docs/robustness.md): with a data_dir the node owns a
         # crash-safe keystore snapshot and backs its outcome table with a
         # log; previously persisted key shares and finished results are
@@ -110,8 +102,8 @@ class ThetacryptNode:
             keystore = DurableKeystore(data_dir / "keystore.bin")
             outcome_dir = data_dir / "results"
             # Fixed-base tables persist alongside the other durable state
-            # (docs/performance.md, "Math backends"): a restart re-installs
-            # them instead of rebuilding.
+            # (docs/performance.md, "Persistent fixed-base tables"): a
+            # restart re-installs them instead of rebuilding.
             from ..groups import TableStore
 
             self._table_store = TableStore(data_dir / "tables")
@@ -152,7 +144,6 @@ class ThetacryptNode:
         self.registry = MetricRegistry()
         register_crypto_cache_collector(default_registry())
         register_fixedbase_collector(default_registry())
-        register_math_backend_collector(default_registry())
         # Event-loop lag heartbeat: the direct measure of how long inline
         # crypto blocks everything else on this node's loop.
         self._lag_sampler = EventLoopLagSampler(self.registry)
@@ -490,11 +481,15 @@ class ThetacryptNode:
         record = self.submit_request(kind, key_id, data, label)
         return await self.instances.result(record)
 
-    async def _run_control(self, protocol, scheme: str) -> None:
-        """Run a control-plane instance (frost-pre, dkg, refresh) to its end.
+    async def _run_control(self, protocol, scheme: str):
+        """Run a control-plane instance (frost-pre, dkg, refresh) to its end
+        and return the protocol that ran: a concurrent call for the same
+        instance id joins the running one, and its own protocol never runs.
         It is not a request: the outcome table never hears of it."""
         record = self.instances.start_instance(protocol, scheme, retain=False)
+        ran = self.instances.protocol(record.instance_id)
         await self.instances.result(record)
+        return ran
 
     async def precompute_frost(self, key_id: str, count: int) -> int:
         """Run the FROST preprocessing round, filling this key's nonce pool."""
@@ -606,8 +601,7 @@ class ThetacryptNode:
             self.config.parties,
             group,
         )
-        await self._run_control(protocol, scheme)
-        result = protocol.result
+        result = (await self._run_control(protocol, scheme)).result
         public_cls, share_cls = key_types[scheme]
         public = public_cls(
             group_name,
@@ -649,8 +643,7 @@ class ThetacryptNode:
             public.group,
             entry.key_share.value,
         )
-        await self._run_control(protocol, entry.scheme)
-        result = protocol.result
+        result = (await self._run_control(protocol, entry.scheme)).result
         new_public = type(public)(
             public.group_name,
             public.threshold,
@@ -705,7 +698,6 @@ class ThetacryptNode:
         and latency digests are read from the metric registry — the source
         Prometheus scrapes — so the two views cannot disagree.
         """
-        from ..mathutils.backends import backend_info
         from ..telemetry import crypto_cache_snapshot
 
         return {
@@ -724,9 +716,9 @@ class ThetacryptNode:
             "recovery": dict(self._recovery),
             "latency": dict(summarize(self.registry.get("repro_instance_seconds"))),
             "crypto_cache": crypto_cache_snapshot(),
-            # Which math backend this process computes with (docs/
-            # performance.md, "Math backends").
-            "crypto_backend": backend_info(),
+            # Constant: big integers are CPython's pow.  Kept only because
+            # benchmarks/thetabench/measure.py reads its "name".
+            "crypto_backend": {"name": "python"},
             # Precompute pipeline (docs/performance.md): per-pool staged
             # depths, refill queue/outcomes, served-source counters, and
             # kg20 nonce availability.

@@ -23,7 +23,6 @@ from .instruments import (
     crypto_cache_snapshot,
     register_crypto_cache_collector,
     register_fixedbase_collector,
-    register_math_backend_collector,
 )
 from .registry import (
     DEFAULT_BUCKETS,
@@ -75,7 +74,6 @@ __all__ = [
     "parse_text",
     "register_crypto_cache_collector",
     "register_fixedbase_collector",
-    "register_math_backend_collector",
     "render_text",
     "start_trace",
     "summarize",

@@ -403,36 +403,3 @@ def register_fixedbase_collector(registry: MetricRegistry | None = None) -> None
             gauge.set(stats[stat])
 
     registry.register_collector(collect)
-
-
-def register_math_backend_collector(
-    registry: MetricRegistry | None = None,
-) -> None:
-    """Expose the active math backend as an info-style metric.
-
-    ``repro_math_backend_info{backend=...,selected_via=...} 1`` — the
-    label pair identifies which primitive substrate this process computes
-    with (docs/performance.md, "Math backends"); refreshed at collect
-    time so a mid-run ``set_backend`` shows up on the next scrape.
-    """
-    registry = registry if registry is not None else default_registry()
-    if registry.get("repro_math_backend_info") is not None:
-        return
-    family = registry.gauge(
-        "repro_math_backend_info",
-        "Active math backend (constant 1; identity is in the labels).",
-        ("backend", "selected_via"),
-    )
-
-    seen: set[tuple[str, str]] = set()
-
-    def collect() -> None:
-        from ..mathutils.backends import backend_info
-
-        info = backend_info()
-        current = (info["name"], info["selected_via"])
-        seen.add(current)
-        for pair in seen:  # zero stale series after a mid-run switch
-            family.labels(*pair).set(1 if pair == current else 0)
-
-    registry.register_collector(collect)

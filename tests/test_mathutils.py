@@ -1,5 +1,7 @@
 """Number theory: modular arithmetic, primality, Lagrange interpolation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from repro.mathutils.modular import (
     crt_pair,
     inverse_mod,
     jacobi_symbol,
+    modexp,
+    multiexp_mod,
     sqrt_mod_prime,
 )
 from repro.mathutils.primes import (
@@ -43,6 +47,47 @@ class TestInverseMod:
     def test_bad_modulus(self):
         with pytest.raises(CryptoError):
             inverse_mod(1, 0)
+
+
+class TestModexp:
+    def test_negative_exponent_inverts_the_base(self):
+        assert modexp(7, -3, P256) == pow(inverse_mod(7, P256), 3, P256)
+        assert modexp(7, -3, P256) * pow(7, 3, P256) % P256 == 1
+
+    def test_negative_exponent_of_a_non_invertible_base(self):
+        with pytest.raises(CryptoError):
+            modexp(6, -1, 9)
+
+
+class TestMultiexp:
+    @staticmethod
+    def _naive(pairs, modulus):
+        product = 1
+        for base, exponent in pairs:
+            product = product * pow(base, exponent, modulus) % modulus
+        return product
+
+    def test_matches_a_product_of_pows_with_negative_exponents(self):
+        rng = random.Random(104)
+        for modulus in (P256, 2**1279 - 1):
+            pairs = [
+                (rng.randrange(2, modulus), rng.randrange(-modulus, modulus))
+                for _ in range(5)
+            ]
+            assert multiexp_mod(pairs, modulus) == self._naive(pairs, modulus)
+
+    def test_exponents_wider_than_the_modulus_are_normalized(self):
+        modulus = 2**1279 - 1
+        pairs = [(3, -(2**800)), (5, 2**900), (7, 0)]
+        assert multiexp_mod(pairs, modulus) == self._naive(pairs, modulus)
+
+    def test_empty_product_is_one(self):
+        assert multiexp_mod([], P256) == 1
+        assert multiexp_mod([], 1) == 0
+
+    def test_non_invertible_base_with_a_negative_exponent(self):
+        with pytest.raises(CryptoError):
+            multiexp_mod([(5, 2), (6, -1)], 9)
 
 
 class TestBatchInverse:

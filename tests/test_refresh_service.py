@@ -110,6 +110,45 @@ class TestRefreshRpc:
 
         asyncio.run(scenario())
 
+    def test_concurrent_refresh_calls_share_one_refresh(self, keys_cks05):
+        """A second ``refresh_key`` that joins the running instance reads the
+        result of the protocol that ran, not of its own that never did."""
+
+        async def scenario():
+            nodes, client = await _network({"coin": keys_cks05})
+            try:
+                value_before = await client.flip_coin("coin", b"concurrent")
+                old_shares = [n.keys.get("coin").key_share.value for n in nodes]
+                answers = await asyncio.gather(
+                    *(n.refresh_key("coin") for n in nodes for _ in range(2))
+                )
+                assert answers == [keys_cks05.public_key.h.to_bytes().hex()] * 8
+                new_shares = [n.keys.get("coin").key_share.value for n in nodes]
+                assert all(new != old for new, old in zip(new_shares, old_shares))
+                # Refreshed exactly once: the shares still reconstruct the coin.
+                assert await client.flip_coin("coin", b"concurrent") == value_before
+            finally:
+                await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
+    def test_concurrent_dkg_calls_share_one_dkg(self):
+        async def scenario():
+            nodes, client = await _network({})
+            try:
+                answers = await asyncio.gather(
+                    *(n.run_dkg("k", "cks05") for n in nodes for _ in range(2))
+                )
+                assert len(set(answers)) == 1
+                assert {n.keys.get("k").public_key.h.to_bytes().hex() for n in nodes} == (
+                    set(answers)
+                )
+                assert len(await client.flip_coin("k", b"after the dkg")) == 32
+            finally:
+                await _teardown(nodes, client)
+
+        asyncio.run(scenario())
+
     def test_refresh_rejects_non_dl_schemes(self, keys_bls04):
         async def scenario():
             nodes, client = await _network({"sig": keys_bls04})

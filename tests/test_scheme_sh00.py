@@ -1,15 +1,21 @@
 """SH00 (Shoup threshold RSA): robust signing with integer ZKPs."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     InvalidShareError,
     InvalidSignatureError,
+    SerializationError,
+    ThetacryptError,
     ThresholdNotReachedError,
 )
-from repro.rsa.keygen import modulus_for_bits
 from repro.schemes import sh00
 from repro.schemes.sh00 import (
+    Sh00PublicKey,
     Sh00Signature,
     Sh00SignatureScheme,
     Sh00SignatureShare,
@@ -168,6 +174,182 @@ class TestSerialization:
         restored = sh00.Sh00PublicKey.from_bytes(public.to_bytes())
         assert restored.n == public.n
         assert restored.verification_keys == public.verification_keys
+
+
+# ---------------------------------------------------------------------------
+# Hostile inputs: the three decoders and the two calls that take a peer's share.
+# ---------------------------------------------------------------------------
+
+
+def _ints(*values: int) -> bytes:
+    """Integer fields as the wire carries them, written out independently
+    of ``repro.serialization`` so the rows below stay frozen."""
+    return b"".join(
+        len(body).to_bytes(4, "big") + body
+        for body in (v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in values)
+    )
+
+
+_DECODERS = {
+    "public key": Sh00PublicKey,
+    "share": Sh00SignatureShare,
+    "signature": Sh00Signature,
+}
+
+#: (decoder, case, bytes, decoded fields or None for SerializationError).
+#: Frozen: a row that changes sides is a behaviour change to be argued.
+_DECODE_TABLE = [
+    ("signature", "one integer", _ints(5), (5,)),
+    ("signature", "empty", b"", None),
+    ("signature", "length prefix cut short", b"\x00\x00\x00", None),
+    ("signature", "body cut short", b"\x00\x00\x00\x02\x05", None),
+    ("signature", "zero-length body reads as 0", b"\x00\x00\x00\x00", (0,)),
+    ("signature", "non-minimal body", b"\x00\x00\x00\x02\x00\x05", None),
+    ("signature", "trailing byte", _ints(5) + b"\x00", None),
+    ("signature", "absurd length", b"\xff\xff\xff\xff\x01", None),
+    ("share", "four integers", _ints(1, 2, 3, 4), (1, 2, 3, 4)),
+    ("share", "three integers", _ints(1, 2, 3), None),
+    ("share", "five integers", _ints(1, 2, 3, 4, 5), None),
+    ("share", "last field cut short", _ints(1, 2, 3, 4)[:-1], None),
+    ("share", "non-minimal id", b"\x00\x00\x00\x02\x00\x01" + _ints(2, 3, 4), None),
+    ("public key", "two parties, two keys", _ints(1, 2, 77, 3, 4, 9, 16),
+     (1, 2, 77, 3, 4, (9, 16))),
+    ("public key", "no parties, no keys", _ints(0, 0, 77, 3, 4), (0, 0, 77, 3, 4, ())),
+    ("public key", "two parties, one key", _ints(1, 2, 77, 3, 4, 9), None),
+    ("public key", "two parties, three keys", _ints(1, 2, 77, 3, 4, 9, 16, 25), None),
+    ("public key", "2^32 parties, no keys", _ints(1, 2**32, 77, 3, 4), None),
+    ("public key", "modulus missing", _ints(1, 2), None),
+]
+
+
+def _fields(decoded) -> tuple:
+    if isinstance(decoded, Sh00PublicKey):
+        return (
+            decoded.threshold,
+            decoded.parties,
+            decoded.n,
+            decoded.e,
+            decoded.v,
+            decoded.verification_keys,
+        )
+    if isinstance(decoded, Sh00SignatureShare):
+        return (decoded.id, decoded.value, decoded.challenge, decoded.response)
+    return (decoded.value,)
+
+
+@pytest.fixture(scope="module")
+def encodings(scheme, material):
+    public, shares = material
+    partials = [scheme.partial_sign(shares[i], b"hostile") for i in (0, 1, 2)]
+    return {
+        "public key": public.to_bytes(),
+        "share": partials[0].to_bytes(),
+        "signature": scheme.combine(public, b"hostile", partials).to_bytes(),
+    }
+
+
+@st.composite
+def _mutants(draw, original: bytes) -> bytes:
+    kind = draw(st.sampled_from(["truncate", "flip", "random"]))
+    if kind == "truncate":
+        return original[: draw(st.integers(0, len(original) - 1))]
+    if kind == "flip":
+        bit = draw(st.integers(0, 8 * len(original) - 1))
+        mutant = bytearray(original)
+        mutant[bit // 8] ^= 1 << (bit % 8)
+        return bytes(mutant)
+    return draw(st.binary(max_size=2 * len(original)))
+
+
+class TestHostileDecoders:
+    @pytest.mark.parametrize(
+        "decoder,data,expected",
+        [(row[0], row[2], row[3]) for row in _DECODE_TABLE],
+        ids=[f"{row[0]}: {row[1]}" for row in _DECODE_TABLE],
+    )
+    def test_accept_reject_table(self, decoder, data, expected):
+        cls = _DECODERS[decoder]
+        if expected is None:
+            with pytest.raises(SerializationError):
+                cls.from_bytes(data)
+        else:
+            assert _fields(cls.from_bytes(data)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutants_decode_or_raise_serialization_error(self, encodings, data):
+        decoder = data.draw(st.sampled_from(sorted(_DECODERS)))
+        mutant = data.draw(_mutants(encodings[decoder]))
+        cls = _DECODERS[decoder]
+        try:
+            decoded = cls.from_bytes(mutant)
+        except SerializationError:
+            return
+        assert isinstance(decoded, cls)
+
+
+#: Share values a peer may put on the wire that no honest party computes.
+_HOSTILE_VALUES = {
+    "zero": lambda modulus, good: 0,
+    "n": lambda modulus, good: modulus.n,
+    "n + 1": lambda modulus, good: modulus.n + 1,
+    "far above n": lambda modulus, good: 1 << (modulus.n.bit_length() + 8),
+    "p": lambda modulus, good: modulus.p,
+    "q": lambda modulus, good: modulus.q,
+    "good value times p": lambda modulus, good: good * modulus.p % modulus.n,
+}
+
+
+def _decoded_with_value(share: Sh00SignatureShare, value: int) -> Sh00SignatureShare:
+    return Sh00SignatureShare.from_bytes(replace(share, value=value).to_bytes())
+
+
+class TestHostileShareValues:
+    """A decoded share with a value outside Z_n^* ends in a structured
+    error from both calls that take it: never a bare ``ValueError`` from
+    an inversion or an exponentiation."""
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE_VALUES))
+    def test_verify_signature_share_raises_a_structured_error(
+        self, scheme, material, small_modulus, case
+    ):
+        public, shares = material
+        good = scheme.partial_sign(shares[1], b"hostile value")
+        hostile = _decoded_with_value(
+            good, _HOSTILE_VALUES[case](small_modulus, good.value)
+        )
+        with pytest.raises(ThetacryptError):
+            scheme.verify_signature_share(public, b"hostile value", hostile)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(_HOSTILE_VALUES))
+    def test_combine_raises_a_structured_error(
+        self, scheme, material, small_modulus, case, position
+    ):
+        # Ids 1, 2, 3 of five: the Δ-scaled Lagrange coefficient of id 2 is
+        # negative, so each position takes another exponent path.
+        public, shares = material
+        partials = [scheme.partial_sign(shares[i], b"hostile value") for i in (0, 1, 2)]
+        good = partials[position]
+        partials[position] = _decoded_with_value(
+            good, _HOSTILE_VALUES[case](small_modulus, good.value)
+        )
+        with pytest.raises(ThetacryptError):
+            scheme.combine(public, b"hostile value", partials)
+
+    @settings(max_examples=40, deadline=None)
+    @given(offset=st.integers(min_value=0, max_value=2**300))
+    def test_any_other_value_is_rejected_with_a_structured_error(
+        self, scheme, material, offset
+    ):
+        public, shares = material
+        good = scheme.partial_sign(shares[0], b"any value")
+        # The proof binds x_i², so the honest value and its negation verify.
+        assume(offset not in (good.value, public.n - good.value))
+        with pytest.raises(ThetacryptError):
+            scheme.verify_signature_share(
+                public, b"any value", _decoded_with_value(good, offset)
+            )
 
 
 @pytest.mark.slow

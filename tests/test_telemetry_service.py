@@ -54,10 +54,16 @@ def _metric(parsed, name, **labels):
 
 def test_documented_metric_names_match_the_registries(tmp_path):
     """docs/observability.md's catalog == what a started node and a started
-    router register (names only): no row for a family that is gone, no
-    family without a row."""
+    router register: no row for a family that is gone, no family without a
+    row, and each row's type and label set are the family's."""
     catalog = Path(__file__).parent.parent / "docs" / "observability.md"
-    documented = set(re.findall(r"^\| `(repro_\w+)`", catalog.read_text(), re.M))
+    rows = {
+        name: (metric_type, frozenset(re.findall(r"`(\w+)`", labels)))
+        for name, metric_type, labels in re.findall(
+            r"^\| `(repro_\w+)` \| (\w+) \| ([^|]*) \|", catalog.read_text(), re.M
+        )
+    }
+    documented = set(rows)
 
     async def registered():
         config = replace(
@@ -70,14 +76,25 @@ def test_documented_metric_names_match_the_registries(tmp_path):
         await router.start()
         try:
             registries = (node.registry, default_registry(), router.router.registry)
-            return {family.name for r in registries for family in r.collect()}
+            return {
+                (family.name, family.metric_type, frozenset(family.labelnames))
+                for r in registries
+                for family in r.collect()
+            }
         finally:
             await router.stop()
             await node.stop()
 
-    found = asyncio.run(registered())
+    families = asyncio.run(registered())
+    found = {name for name, _, _ in families}
     assert documented - found == set(), "documented, but no node or router registers it"
     assert found - documented == set(), "registered, but missing from the catalog"
+    drifted = {
+        name: (rows[name], (metric_type, set(labels)))
+        for name, metric_type, labels in families
+        if rows[name] != (metric_type, labels)
+    }
+    assert drifted == {}, "catalog row (type, labels) != registered family"
 
 
 @pytest.mark.integration
