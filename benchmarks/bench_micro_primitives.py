@@ -163,10 +163,13 @@ def test_hash_to_g1(benchmark):
     benchmark(lambda: g1.hash_to_element(b"bench-%d" % next(counter)))
 
 
-def test_chacha20poly1305_4kib(benchmark):
+@pytest.mark.parametrize("size", [256, 4096, 65536], ids=["256B", "4KiB", "64KiB"])
+def test_chacha20poly1305_decrypt(benchmark, size):
+    """Tag check plus keystream: what each node pays per decrypt for the
+    payload (the Fig. 5b axis)."""
     aead = ChaCha20Poly1305(bytes(32))
-    payload = bytes(4096)
-    benchmark(lambda: aead.encrypt(bytes(12), payload))
+    sealed = aead.encrypt(bytes(12), bytes(size))
+    assert benchmark(lambda: aead.decrypt(bytes(12), sealed)) == bytes(size)
 
 
 def test_sg02_share_generation(benchmark, keys_by_scheme):
@@ -182,6 +185,24 @@ def test_sg02_share_verification(benchmark, keys_by_scheme):
     ct = scheme.encrypt(keys.public_key, b"bench", b"l")
     share = scheme.create_decryption_share(keys.share_for(1), ct)
     benchmark(lambda: scheme.verify_decryption_share(keys.public_key, ct, share))
+
+
+@pytest.mark.parametrize("ciphertext_check", [False, True], ids=["combine", "plus-check"])
+def test_bz03_combine(benchmark, keys_by_scheme, ciphertext_check):
+    """A node's BZ03 combine.  ``plus-check`` adds the two-pair pairing
+    check of ``verify_ciphertext`` that combine ran until the check moved
+    to share creation only: the difference is what each node saves."""
+    keys = keys_by_scheme["bz03"]
+    scheme = get_scheme("bz03")
+    ct = scheme.encrypt(keys.public_key, b"bench", b"l")
+    shares = [scheme.create_decryption_share(keys.share_for(i), ct) for i in (1, 2)]
+
+    def combine():
+        if ciphertext_check:
+            scheme.verify_ciphertext(keys.public_key, ct)
+        return scheme.combine(keys.public_key, ct, shares)
+
+    assert benchmark(combine) == b"bench"
 
 
 def test_bls04_share_verification(benchmark, keys_by_scheme):

@@ -275,6 +275,7 @@ class DecryptOperation(ShareOperation):
         self._scheme.verify_decryption_share(self.public_key, self._ciphertext, share)
 
     def combine(self) -> bytes:
+        # No CCA check here: finalize needs do_round, whose own_share() ran it.
         return self._scheme.combine(
             self.public_key, self._ciphertext, list(self._shares.values())
         )

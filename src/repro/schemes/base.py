@@ -77,7 +77,7 @@ class ThresholdCipher(ThresholdScheme):
 
     @abstractmethod
     def combine(self, public_key, ciphertext, shares: Sequence) -> bytes:
-        """Assemble ≥ t+1 valid shares into the plaintext."""
+        """Assemble ≥ t+1 valid shares of a checked ciphertext into the plaintext."""
 
 
 class ThresholdSignature(ThresholdScheme):

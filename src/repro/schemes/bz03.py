@@ -243,7 +243,8 @@ class Bz03Cipher(ThresholdCipher):
         ciphertext: Bz03Ciphertext,
         shares: Sequence[Bz03DecryptionShare],
     ) -> bytes:
-        self.verify_ciphertext(public_key, ciphertext)
+        """Precondition: the caller has checked ``ciphertext`` with
+        :meth:`verify_ciphertext`, as :meth:`create_decryption_share` does."""
         pairing = public_key.pairing
         chosen = select_shares(shares, public_key.threshold)
         ids = [share.id for share in chosen]

@@ -18,7 +18,8 @@ import secrets
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import InvalidCiphertextError, InvalidShareError
+from ..errors import ConfigurationError, InvalidCiphertextError, InvalidShareError
+from ..errors import SerializationError
 from ..groups.base import Group, GroupElement
 from ..groups.precompute import fixed_pow
 from ..groups.registry import get_group
@@ -75,7 +76,10 @@ class Sg02PublicKey:
         group_name = reader.read_str()
         threshold = reader.read_int()
         parties = reader.read_int()
-        group = get_group(group_name)
+        try:
+            group = get_group(group_name)
+        except ConfigurationError as exc:
+            raise SerializationError(str(exc)) from exc
         h = group.element_from_bytes(reader.read_bytes())
         keys = tuple(
             group.element_from_bytes(reader.read_bytes()) for _ in range(parties)
@@ -305,7 +309,8 @@ class Sg02Cipher(ThresholdCipher):
         ciphertext: Sg02Ciphertext,
         shares: Sequence[Sg02DecryptionShare],
     ) -> bytes:
-        self.verify_ciphertext(public_key, ciphertext)
+        """Precondition: the caller has checked ``ciphertext`` with
+        :meth:`verify_ciphertext`, as :meth:`create_decryption_share` does."""
         group = public_key.group
         chosen = select_shares(shares, public_key.threshold)
         ids = [share.id for share in chosen]

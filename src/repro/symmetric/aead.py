@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hmac
 import secrets
 import struct
 
 from ..errors import CryptoError
 from .chacha20 import chacha20_block, chacha20_encrypt
-from .poly1305 import constant_time_equal, poly1305_mac
+from .poly1305 import poly1305_mac
 
 
 class AeadError(CryptoError):
@@ -61,6 +62,6 @@ class ChaCha20Poly1305:
             raise AeadError("ciphertext shorter than the tag")
         ciphertext, tag = data[: -self.TAG_SIZE], data[-self.TAG_SIZE :]
         expected = self._tag(nonce, ciphertext, aad)
-        if not constant_time_equal(tag, expected):
+        if not hmac.compare_digest(tag, expected):
             raise AeadError("authentication tag mismatch")
         return chacha20_encrypt(self._key, 1, nonce, ciphertext)

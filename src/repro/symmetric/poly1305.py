@@ -22,12 +22,3 @@ def poly1305_mac(key: bytes, message: bytes) -> bytes:
     tag = (accumulator + s) % (1 << 128)
     return tag.to_bytes(16, "little")
 
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Length-safe constant-time comparison for MAC tags."""
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0

@@ -1,4 +1,7 @@
-"""ChaCha20-Poly1305: RFC 8439 vectors, tampering, property round-trips."""
+"""ChaCha20-Poly1305: RFC 8439 vectors, tampering, property round-trips,
+and the lane-packed ChaCha20 kernel against the per-block oracle."""
+
+import hmac
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,8 @@ from repro.symmetric import (
     chacha20_encrypt,
     poly1305_mac,
 )
-from repro.symmetric.poly1305 import constant_time_equal
+from repro.symmetric import aead as aead_module
+from tests.chacha20_oracle import chacha20_encrypt as oracle_encrypt
 
 SUNSCREEN = (
     b"Ladies and Gentlemen of the class of '99: If I could offer you "
@@ -59,6 +63,46 @@ class TestChaCha20Rfc8439:
         assert chacha20_block(key, 0, nonce) != chacha20_block(key, 1, nonce)
 
 
+class TestLanePackedKernel:
+    """The product kernel runs every block of a message in one pass; the
+    per-block oracle in ``tests/chacha20_oracle.py`` is the reference."""
+
+    KEY = bytes(range(32))
+    NONCE = bytes.fromhex("000000000000004a00000000")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.binary(min_size=12, max_size=12),
+        st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([0, 1, 2**32 - 70, 2**32 - 2, 2**32 - 1]),
+        ),
+        st.integers(0, 4200),
+    )
+    def test_matches_oracle(self, key, nonce, counter, size):
+        data = bytes((7 * i + size) % 256 for i in range(size))
+        assert chacha20_encrypt(key, counter, nonce, data) == oracle_encrypt(
+            key, counter, nonce, data
+        )
+
+    @pytest.mark.parametrize("counter", [1, 2**32 - 1])
+    def test_matches_oracle_at_64_kib(self, counter):
+        data = bytes(range(256)) * 256
+        assert chacha20_encrypt(self.KEY, counter, self.NONCE, data) == (
+            oracle_encrypt(self.KEY, counter, self.NONCE, data)
+        )
+
+    def test_counter_wraps_per_block(self):
+        """Block 2³²−1 is followed by block 0, as in the per-block kernel."""
+        stream = chacha20_encrypt(self.KEY, 2**32 - 1, self.NONCE, bytes(128))
+        assert stream[:64] == chacha20_block(self.KEY, 2**32 - 1, self.NONCE)
+        assert stream[64:] == chacha20_block(self.KEY, 0, self.NONCE)
+
+    def test_empty_input(self):
+        assert chacha20_encrypt(self.KEY, 0, self.NONCE, b"") == b""
+
+
 class TestPoly1305:
     def test_rfc8439_vector(self):
         """RFC 8439 §2.5.2."""
@@ -76,10 +120,22 @@ class TestPoly1305:
         key = bytes(range(32))
         assert poly1305_mac(key, b"a") != poly1305_mac(key, b"b")
 
-    def test_constant_time_equal(self):
-        assert constant_time_equal(b"abc", b"abc")
-        assert not constant_time_equal(b"abc", b"abd")
-        assert not constant_time_equal(b"abc", b"abcd")
+    def test_constant_time_equal(self, monkeypatch):
+        """The AEAD compares tags with the stdlib's constant-time
+        ``hmac.compare_digest``, and a one-bit difference fails it."""
+        compared, real = [], hmac.compare_digest
+
+        def spy(a, b):
+            compared.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(aead_module.hmac, "compare_digest", spy)
+        aead = ChaCha20Poly1305(bytes(range(32)))
+        out = aead.encrypt(bytes(12), b"payload")
+        assert aead.decrypt(bytes(12), out) == b"payload"
+        with pytest.raises(AeadError):
+            aead.decrypt(bytes(12), out[:-1] + bytes([out[-1] ^ 1]))
+        assert [len(a) + len(b) for a, b in compared] == [32, 32]
 
 
 class TestAead:
