@@ -15,40 +15,18 @@ from .precompute import (
     clear_precompute_cache,
     fixed_base_table,
     fixed_pow,
-    install_table,
     precompute_stats,
-    snapshot_tables,
 )
 from .registry import get_group, list_groups
-
-# The table-persistence exports resolve lazily: .tables imports the
-# storage layer, which imports the schemes, which import this package —
-# a module-level import here would close that cycle during interpreter
-# start-up.
-_TABLES_EXPORTS = ("TableStore", "table_blob", "table_from_blob")
-
-
-def __getattr__(name: str):
-    if name in _TABLES_EXPORTS:
-        from . import tables
-
-        return getattr(tables, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Group",
     "GroupElement",
     "FixedBaseTable",
-    "TableStore",
     "clear_precompute_cache",
     "fixed_base_table",
     "fixed_pow",
-    "install_table",
     "precompute_stats",
-    "snapshot_tables",
-    "table_blob",
-    "table_from_blob",
     "get_group",
     "list_groups",
 ]

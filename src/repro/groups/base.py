@@ -99,35 +99,6 @@ class Group(ABC):
         """Length in bytes of the canonical element encoding."""
         return len(self.generator().to_bytes())
 
-    #: How many 32-byte integer coordinates :meth:`elements_to_raw` emits
-    #: per element (0 = this group does not support raw persistence).
-    raw_coords: int = 0
-
-    def elements_to_raw(
-        self, elements: Sequence[GroupElement]
-    ) -> list[tuple[int, ...]]:
-        """Affine coordinate tuples for trusted storage (table persistence).
-
-        Unlike :meth:`GroupElement.to_bytes` this is a *batch* API: curve
-        backends normalize all projective denominators with one Montgomery
-        batch inversion instead of one inversion per element, which is what
-        makes serializing a thousand-entry fixed-base table cheap.  The
-        inverse, :meth:`element_from_raw`, re-validates the curve equation
-        but deliberately skips the expensive subgroup checks — raw coords
-        are only ever read back from integrity-checked local storage, never
-        from the wire.
-        """
-        raise NotImplementedError(f"{self.name} has no raw coordinate codec")
-
-    def element_from_raw(self, coords: Sequence[int]) -> GroupElement:
-        """Rebuild an element from :meth:`elements_to_raw` output.
-
-        Raises :class:`SerializationError` for coordinates that do not
-        satisfy the curve equation (a corrupted table file must be
-        discarded, not trusted).
-        """
-        raise NotImplementedError(f"{self.name} has no raw coordinate codec")
-
     def multi_exp(
         self, bases: Sequence[GroupElement], exponents: Sequence[int], window: int = 4
     ) -> GroupElement:

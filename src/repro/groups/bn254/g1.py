@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 
 from ...errors import SerializationError
-from ...mathutils.modular import batch_inverse
 from ..base import Group, GroupElement
 from .fp import P, R
 
@@ -146,36 +145,6 @@ class BN254G1Group(Group):
         if (y * y - x * x * x - B) % P != 0:
             raise SerializationError("bn254 G1 point not on curve")
         # Cofactor is 1: every curve point lies in the prime-order group.
-        return BN254G1Element(self, x, y, 1)
-
-    raw_coords = 2
-
-    def elements_to_raw(self, elements) -> list[tuple[int, ...]]:
-        """Batch-normalized affine (x, y) pairs; infinity encodes as (0, 0).
-
-        One Montgomery batch inversion covers every non-infinity z instead
-        of a per-element ``modinv`` (the one-at-a-time :meth:`affine` cost).
-        """
-        z_values = [e.z for e in elements if e.z != 0]
-        inverses = iter(batch_inverse(z_values, P))
-        raw: list[tuple[int, ...]] = []
-        for element in elements:
-            if element.z == 0:
-                raw.append((0, 0))
-                continue
-            z_inv = next(inverses)
-            z2 = z_inv * z_inv % P
-            raw.append((element.x * z2 % P, element.y * z2 * z_inv % P))
-        return raw
-
-    def element_from_raw(self, coords) -> BN254G1Element:
-        x, y = coords
-        if x == 0 and y == 0:
-            return self.identity()
-        if not (0 <= x < P and 0 <= y < P):
-            raise SerializationError("bn254 G1 raw coordinate out of range")
-        if (y * y - x * x * x - B) % P != 0:
-            raise SerializationError("bn254 G1 raw point not on curve")
         return BN254G1Element(self, x, y, 1)
 
     def hash_to_element(self, data: bytes) -> BN254G1Element:

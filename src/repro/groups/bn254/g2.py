@@ -2,7 +2,7 @@
 
 Points are Jacobian triples (X, Y, Z) of flat Fp2 values (see :mod:`fp`),
 affine = (X/Z², Y/Z³), so addition, doubling and the scalar ladder never
-invert; only encoding (``to_bytes``, ``elements_to_raw``) normalizes.
+invert; only encoding (``to_bytes``) normalizes.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 
 from ...errors import SerializationError
-from ...mathutils.modular import batch_inverse
 from ..base import Group, GroupElement
 from .fp import (
     FP2_ONE,
@@ -197,45 +196,17 @@ class BN254G2Group(Group):
         coords = [int.from_bytes(data[i : i + 32], "big") for i in range(0, 128, 32)]
         if any(c >= P for c in coords):
             raise SerializationError("bn254 G2 coordinate out of range")
-        point = self._from_affine(coords, "bn254 G2 point not on twist")
+        point = self._from_affine(coords)
         if not point._mul_raw(R).infinity:
             raise SerializationError("bn254 G2 point not in prime-order subgroup")
         return point
 
-    def _from_affine(self, coords, off_twist_message: str) -> BN254G2Element:
+    def _from_affine(self, coords) -> BN254G2Element:
+        """The twist point (x.c0, x.c1, y.c0, y.c1); no subgroup check."""
         x, y = tuple(coords[:2]), tuple(coords[2:])
         if not _on_twist(x, y):
-            raise SerializationError(off_twist_message)
+            raise SerializationError("bn254 G2 point not on twist")
         return BN254G2Element._from_jacobian(self, (x, y, FP2_ONE))
-
-    raw_coords = 4
-
-    def elements_to_raw(self, elements) -> list[tuple[int, ...]]:
-        """Batch-normalized affine (x.c0, x.c1, y.c0, y.c1); infinity is all zeros.
-
-        One Montgomery batch inversion over the Fp norms of every
-        non-infinity Z (Z⁻¹ = Z̄/N(Z)) replaces the per-element inversion
-        :meth:`BN254G2Element.affine` would pay, as G1 does.
-        """
-        points = [e._point for e in elements]
-        norms = [z[0] * z[0] + z[1] * z[1] for _, _, z in points if z != FP2_ZERO]
-        inverses = iter(batch_inverse([n % P for n in norms], P))
-        raw: list[tuple[int, ...]] = []
-        for x, y, z in points:
-            if z == FP2_ZERO:
-                raw.append((0, 0, 0, 0))
-                continue
-            n_inv = next(inverses)
-            x, y = _scale_to_affine(x, y, (z[0] * n_inv % P, -z[1] * n_inv % P))
-            raw.append(x + y)
-        return raw
-
-    def element_from_raw(self, coords) -> BN254G2Element:
-        if all(c == 0 for c in coords):
-            return self.identity()
-        if any(not 0 <= c < P for c in coords):
-            raise SerializationError("bn254 G2 raw coordinate out of range")
-        return self._from_affine(coords, "bn254 G2 raw point not on twist")
 
     def hash_to_element(self, data: bytes) -> BN254G2Element:
         """Try-and-increment x in Fp2, then clear the (2p − r) cofactor."""

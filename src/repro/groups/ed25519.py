@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import SerializationError
-from ..mathutils.modular import batch_inverse
 from .base import Group, GroupElement
 
 P = 2**255 - 19
@@ -247,26 +246,6 @@ class Ed25519Group(Group):
         """Straus over the flat kernel; its window shape is fixed."""
         points = [(base.point, exponent) for base, exponent in pairs]
         return Ed25519Element(self, _affine(_straus(points)))
-
-    raw_coords = 2
-
-    def elements_to_raw(self, elements) -> list[tuple[int, ...]]:
-        """Affine (x, y) pairs, all projective z's inverted in one batch."""
-        inverses = batch_inverse([e.point[2] for e in elements], P)
-        return [
-            (e.point[0] * z_inv % P, e.point[1] * z_inv % P)
-            for e, z_inv in zip(elements, inverses)
-        ]
-
-    def element_from_raw(self, coords) -> Ed25519Element:
-        x, y = coords
-        if not (0 <= x < P and 0 <= y < P):
-            raise SerializationError("ed25519 raw coordinate out of range")
-        # Twisted Edwards equation: -x² + y² = 1 + d·x²·y² (mod p).
-        x2, y2 = x * x % P, y * y % P
-        if (y2 - x2 - 1 - D * x2 * y2) % P != 0:
-            raise SerializationError("ed25519 raw point not on curve")
-        return Ed25519Element(self, (x, y, 1, x * y % P))
 
     def hash_to_element(self, data: bytes) -> Ed25519Element:
         """Try-and-increment onto the curve, then clear the cofactor."""

@@ -19,6 +19,9 @@ again.  Callers therefore keep such bases away from :func:`fixed_pow` and use
 ``base ** scalar`` or ``Group.multi_exp``; ``tests/test_precompute.py``
 holds the schemes to that.
 
+The cache lives in process memory only: it is built on demand and lost with
+the process, so a restarted node rebuilds the tables its traffic earns.
+
 All counters are exposed via :func:`precompute_stats` and surfaced through
 ``ThetacryptNode.stats()`` so benchmarks can report hit rates.
 """
@@ -66,37 +69,6 @@ class FixedBaseTable:
             rows.append(row)
             power = row[-1] * power
         self._rows = rows
-
-    @classmethod
-    def from_rows(
-        cls, base: "GroupElement", window: int, rows: list
-    ) -> "FixedBaseTable":
-        """Rebuild a table from persisted rows without recomputing them.
-
-        Only shape and the cheapest correctness anchor (``rows[0][1] ==
-        base``) are checked here; per-point curve-equation validation
-        happens in the raw-coordinate decoder that produced ``rows``.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        radix = 1 << window
-        order = base.group.order
-        blocks = (order.bit_length() + window - 1) // window
-        if len(rows) != blocks or any(len(row) != radix for row in rows):
-            raise ValueError("persisted table has wrong shape")
-        if rows[0][1] != base:
-            raise ValueError("persisted table does not match its base")
-        table = cls.__new__(cls)
-        table.base = base
-        table.order = order
-        table.window = window
-        table._identity = base.group.identity()
-        table._rows = rows
-        return table
-
-    def rows(self) -> list:
-        """The precomputed rows (read-only; used by the table serializer)."""
-        return self._rows
 
     def pow(self, scalar: int) -> "GroupElement":
         """``base ** scalar`` via table lookups; matches ``__pow__`` exactly."""
@@ -182,30 +154,6 @@ class PrecomputeCache:
             return self.table_for(base).pow(scalar)
         return base**scalar
 
-    def install(self, table: FixedBaseTable) -> bool:
-        """Insert a prebuilt (deserialized) table; returns False if present.
-
-        Installed tables count as ``loads`` rather than ``tables_built`` —
-        the whole point of persistence is that a restart re-seeds the cache
-        without paying the build cost again.
-        """
-        key = self._key(table.base)
-        with self._lock:
-            if key in self._tables:
-                return False
-            self.loads += 1
-            self._tables[key] = table
-            self._tables.move_to_end(key)
-            while len(self._tables) > self.table_capacity:
-                self._tables.popitem(last=False)
-                self.evictions += 1
-        return True
-
-    def snapshot_tables(self) -> list[FixedBaseTable]:
-        """The currently cached tables, LRU order (for persistence)."""
-        with self._lock:
-            return list(self._tables.values())
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -214,7 +162,6 @@ class PrecomputeCache:
                 "tables_built": self.tables_built,
                 "evictions": self.evictions,
                 "promotions": self.promotions,
-                "loads": self.loads,
                 "tables": len(self._tables),
                 "capacity": self.table_capacity,
             }
@@ -224,7 +171,7 @@ class PrecomputeCache:
             self._tables.clear()
             self._seen.clear()
             self.hits = self.misses = self.tables_built = self.evictions = 0
-            self.promotions = self.loads = 0
+            self.promotions = 0
 
 
 _CACHE = PrecomputeCache()
@@ -238,16 +185,6 @@ def fixed_pow(base: "GroupElement", scalar: int) -> "GroupElement":
 def fixed_base_table(base: "GroupElement") -> FixedBaseTable:
     """Force-build (or fetch) the table for ``base`` in the shared cache."""
     return _CACHE.table_for(base)
-
-
-def install_table(table: FixedBaseTable) -> bool:
-    """Install a deserialized table into the shared cache (see ``install``)."""
-    return _CACHE.install(table)
-
-
-def snapshot_tables() -> list[FixedBaseTable]:
-    """All tables currently in the shared cache (for persistence)."""
-    return _CACHE.snapshot_tables()
 
 
 def precompute_stats() -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import SerializationError
-from ..mathutils.modular import batch_inverse, sqrt_mod_prime
+from ..mathutils.modular import sqrt_mod_prime
 from .base import Group, GroupElement
 
 P = 2**256 - 2**32 - 977
@@ -167,37 +167,6 @@ class Secp256k1Group(Group):
         if y % 2 != prefix - 0x02:
             y = P - y
         # Cofactor 1: on-curve implies in-group.
-        return Secp256k1Element(self, x, y, 1)
-
-    raw_coords = 2
-
-    def elements_to_raw(self, elements) -> list[tuple[int, ...]]:
-        """Batch-normalized affine (x, y) pairs; infinity encodes as (0, 0).
-
-        One Montgomery batch inversion covers every non-infinity z, instead
-        of the per-element ``modinv`` that :meth:`Secp256k1Element.affine`
-        pays when called point by point.
-        """
-        z_values = [e.z for e in elements if e.z != 0]
-        inverses = iter(batch_inverse(z_values, P))
-        raw: list[tuple[int, ...]] = []
-        for element in elements:
-            if element.z == 0:
-                raw.append((0, 0))
-                continue
-            z_inv = next(inverses)
-            z2 = z_inv * z_inv % P
-            raw.append((element.x * z2 % P, element.y * z2 * z_inv % P))
-        return raw
-
-    def element_from_raw(self, coords) -> Secp256k1Element:
-        x, y = coords
-        if x == 0 and y == 0:
-            return self.identity()
-        if not (0 <= x < P and 0 <= y < P):
-            raise SerializationError("secp256k1 raw coordinate out of range")
-        if (y * y - x * x * x - B) % P != 0:
-            raise SerializationError("secp256k1 raw point not on curve")
         return Secp256k1Element(self, x, y, 1)
 
     def hash_to_element(self, data: bytes) -> Secp256k1Element:

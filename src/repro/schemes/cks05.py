@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import InvalidShareError
+from ..errors import ConfigurationError, InvalidShareError, SerializationError
 from ..groups.base import Group, GroupElement
 from ..groups.precompute import fixed_pow
 from ..groups.registry import get_group
@@ -64,7 +64,10 @@ class Cks05PublicKey:
         group_name = reader.read_str()
         threshold = reader.read_int()
         parties = reader.read_int()
-        group = get_group(group_name)
+        try:
+            group = get_group(group_name)
+        except ConfigurationError as exc:
+            raise SerializationError(str(exc)) from exc
         h = group.element_from_bytes(reader.read_bytes())
         keys = tuple(
             group.element_from_bytes(reader.read_bytes()) for _ in range(parties)

@@ -26,7 +26,12 @@ import secrets
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..errors import InvalidShareError, InvalidSignatureError
+from ..errors import (
+    ConfigurationError,
+    InvalidShareError,
+    InvalidSignatureError,
+    SerializationError,
+)
 from ..groups.base import Group, GroupElement
 from ..groups.precompute import fixed_pow
 from ..groups.registry import get_group
@@ -71,7 +76,10 @@ class Kg20PublicKey:
         group_name = reader.read_str()
         threshold = reader.read_int()
         parties = reader.read_int()
-        group = get_group(group_name)
+        try:
+            group = get_group(group_name)
+        except ConfigurationError as exc:
+            raise SerializationError(str(exc)) from exc
         y = group.element_from_bytes(reader.read_bytes())
         keys = tuple(
             group.element_from_bytes(reader.read_bytes()) for _ in range(parties)

@@ -94,19 +94,12 @@ class ThetacryptNode:
         # log; previously persisted key shares and finished results are
         # reloaded here, before install_key runs.
         self._recovery: dict = {}
-        self._table_store = None
         keystore = outcome_dir = None
         if config.data_dir is not None:
             data_dir = Path(config.data_dir)
             data_dir.mkdir(parents=True, exist_ok=True)
             keystore = DurableKeystore(data_dir / "keystore.bin")
             outcome_dir = data_dir / "results"
-            # Fixed-base tables persist alongside the other durable state
-            # (docs/performance.md, "Persistent fixed-base tables"): a
-            # restart re-installs them instead of rebuilding.
-            from ..groups import TableStore
-
-            self._table_store = TableStore(data_dir / "tables")
         self._outcomes = DurableResultCache(outcome_dir)
         self.keys = KeyManager(store=keystore)
         if transport is None:
@@ -184,7 +177,6 @@ class ThetacryptNode:
 
     async def start(self) -> None:
         self._recover()
-        self._load_tables()
         await self.network.start()
         await self.rpc.start()
         if self._metrics_http is not None:
@@ -224,54 +216,6 @@ class ThetacryptNode:
                 *self._recovery.values(),
             )
 
-    def _load_tables(self) -> None:
-        """Install persisted fixed-base tables (no-op without a data_dir).
-
-        Loaded tables land in the shared precompute cache (counted as
-        ``loads``, not ``tables_built``).  Corrupted or version-bumped
-        files were already discarded by ``TableStore.load_all``; the cache
-        simply rebuilds those bases on demand.
-        """
-        if self._table_store is None:
-            return
-        from ..groups import install_table
-
-        loaded, discarded = self._table_store.load_all()
-        for table in loaded:
-            install_table(table)
-        self._recovery["tables_loaded"] = len(loaded)
-        self._recovery["tables_discarded"] = discarded
-        if loaded or discarded:
-            logger.info(
-                "node %d installed %d persisted fixed-base tables "
-                "(%d discarded)",
-                self.config.node_id,
-                len(loaded),
-                discarded,
-            )
-
-    def _persist_tables(self) -> None:
-        """Write the cache's current tables to disk (stop-time flush)."""
-        if self._table_store is None:
-            return
-        from ..groups import snapshot_tables
-
-        try:
-            written = self._table_store.save_all(snapshot_tables())
-        except Exception:  # noqa: BLE001 - persistence is best-effort
-            logger.warning(
-                "node %d failed to persist fixed-base tables",
-                self.config.node_id,
-                exc_info=True,
-            )
-            return
-        if written:
-            logger.info(
-                "node %d persisted %d fixed-base tables",
-                self.config.node_id,
-                written,
-            )
-
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait (bounded) for in-flight instances to terminate.
 
@@ -302,10 +246,6 @@ class ThetacryptNode:
             # Flush + close durable state last: executor completions above
             # may still append terminal records.
             self._outcomes.close()
-            # Persist whatever tables this run promoted, so the next boot
-            # starts warm (tables are deterministic; crash-skipping this
-            # flush only costs a rebuild).
-            self._persist_tables()
 
     @property
     def rpc_address(self) -> tuple[str, int]:

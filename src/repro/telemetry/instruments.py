@@ -372,9 +372,6 @@ _FIXEDBASE_GAUGES = (
      "Fixed-base cache hits: exponentiations answered from a table."),
     ("repro_fixedbase_tables_promotions_total", "promotions",
      "Bases promoted to a table after recurring past the threshold."),
-    ("repro_fixedbase_tables_loaded_total", "loads",
-     "Fixed-base tables installed pre-built (disk persistence) "
-     "instead of being rebuilt."),
 )
 
 
@@ -382,10 +379,9 @@ def register_fixedbase_collector(registry: MetricRegistry | None = None) -> None
     """Expose the fixed-base table lifecycle as dedicated scrape series.
 
     The aggregate ``repro_crypto_cache`` family already mirrors these
-    counters as labels; these flat series exist so dashboards and the
-    restart smoke test can assert on them directly (a warm restart shows
-    ``loaded`` rising while ``built`` stays flat).  Pull-style and
-    idempotent per registry, like the cache collector.
+    counters as labels; these flat series exist so dashboards and
+    benchmarks can read them directly.  Pull-style and idempotent per
+    registry, like the cache collector.
     """
     registry = registry if registry is not None else default_registry()
     if registry.get(_FIXEDBASE_GAUGES[0][0]) is not None:

@@ -270,7 +270,7 @@ class TestDegenerateInputs:
             x += 1
             y2 = Fp2(x, 0) ** 3 + B2
             if y2.is_square():
-                point = g2.element_from_raw((x, 0) + y2.sqrt().v)
+                point = g2._from_affine((x, 0) + y2.sqrt().v)
                 if not point._mul_raw(R).infinity:
                     return point
 

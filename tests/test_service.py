@@ -2,6 +2,7 @@
 
 import asyncio
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -66,13 +67,17 @@ class TestInstanceIdDerivation:
         )
 
 
-async def _start_network(all_keys, parties=4, threshold=1, **overrides):
+async def _start_network(
+    all_keys, parties=4, threshold=1, data_root=None, **overrides
+):
     configs = make_local_configs(
         parties, threshold, transport="local", rpc_base_port=0, **overrides
     )
     hub = LocalHub(latency=lambda a, b: 0.001)
     nodes = []
     for config in configs:
+        if data_root is not None:
+            config = replace(config, data_dir=str(data_root / f"node{config.node_id}"))
         node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
         for key_id, km in all_keys.items():
             node.install_key(
@@ -296,6 +301,43 @@ class TestServiceEndToEnd:
                 await _teardown(nodes, client)
 
         asyncio.run(scenario())
+
+    def test_durable_restart_ignores_leftover_table_files(self, all_keys, tmp_path):
+        """Older releases persisted fixed-base tables to ``data_dir/tables/``.
+        A node booting on such a directory ignores it: the coin replays
+        byte-identical across the restart, the leftover files stay as they
+        were, and the node writes only its keystore and outcome log."""
+        keys = {"cks05": all_keys["cks05"]}
+        leftovers = {}
+        for node_id in range(1, 5):
+            tables = tmp_path / f"node{node_id}" / "tables"
+            tables.mkdir(parents=True)
+            leftover = tables / f"{node_id:032x}.tbl"
+            leftover.write_bytes(b"fixed-base table from an older release")
+            leftovers[leftover] = leftover.read_bytes()
+
+        async def life():
+            hub, nodes, client = await _start_network(keys, data_root=tmp_path)
+            try:
+                coin = await client.flip_coin("cks05", b"across the restart")
+                recovery = [node.stats()["recovery"] for node in nodes]
+            finally:
+                await _teardown(nodes, client)
+            return coin, recovery
+
+        first, _ = asyncio.run(life())
+        second, recovery = asyncio.run(life())
+        assert second == first
+        for stats in recovery:
+            assert set(stats) == {"keys", "results", "aborted"}
+            assert stats["results"] >= 1
+        assert {path: path.read_bytes() for path in leftovers} == leftovers
+        for node_id in range(1, 5):
+            node_dir = tmp_path / f"node{node_id}"
+            assert {p.name for p in node_dir.iterdir()} == {
+                "keystore.bin", "results", "tables"
+            }
+            assert len(list((node_dir / "tables").iterdir())) == 1
 
     def test_dkg_rejects_bad_targets(self, all_keys):
         async def scenario():

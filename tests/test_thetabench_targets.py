@@ -1,16 +1,27 @@
-"""Every product function the benchmark's tracer wraps still exists.
+"""Everything the benchmark reads from the product still exists.
 
 ``benchmarks/thetabench/tracing.py`` wraps product methods by name
 (``vars(owner)[attribute]``), so renaming one — say
 ``ChaCha20Poly1305.decrypt`` or ``DecryptOperation.combine`` — breaks the
-trace pass.  This reads the benchmark's own target list without changing
-it and fails here, in the unit tests, instead of in a benchmark run.
+trace pass.  ``measure.py`` and ``layers.py`` read ``node_stats`` keys and
+scrape families of a live daemon, so dropping one breaks a benchmark run.
+These tests read the benchmark's own target list without changing it, pin
+the keys and families it reads, and fail here, in the unit tests, instead
+of in a benchmark run.
 """
 
+import asyncio
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from repro.network.local import LocalHub
+from repro.service.client import ThetacryptClient
+from repro.service.config import make_local_configs
+from repro.service.node import ThetacryptNode
+from repro.telemetry import parse_text
 
 _TRACING = Path(__file__).resolve().parent.parent / "benchmarks/thetabench/tracing.py"
 
@@ -33,3 +44,33 @@ _TARGETS = _targets()
 )
 def test_wrap_target_resolves(owner, attribute):
     assert callable(vars(owner)[attribute])
+
+
+def test_node_stats_and_scrape_carry_what_the_benchmark_reads(keys_cks05, tmp_path):
+    """A durable node's ``node_stats`` and ``metrics`` replies, over RPC, as
+    ``measure.py`` (``keys``, ``active``, ``recovery.results``,
+    ``crypto_backend.name``) and ``layers.py`` (the fixed-base build count)
+    read them."""
+    config = make_local_configs(4, 1, transport="local", rpc_base_port=0)[0]
+    config = replace(config, data_dir=str(tmp_path))
+
+    async def scenario():
+        node = ThetacryptNode(config, transport=LocalHub().endpoint(1))
+        node.install_key(
+            "cks05", "cks05", keys_cks05.public_key, keys_cks05.share_for(1)
+        )
+        await node.start()
+        client = ThetacryptClient({1: node.rpc_address})
+        try:
+            return await client.node_stats(1), await client.metrics(1)
+        finally:
+            await client.close()
+            await node.stop()
+
+    stats, text = asyncio.run(scenario())
+    assert stats["keys"] == 1
+    assert stats["active"] == 0
+    assert stats["recovery"]["results"] == 0
+    assert isinstance(stats["crypto_backend"]["name"], str)
+    families = {name for name, _ in parse_text(text)}
+    assert "repro_fixedbase_tables_built_total" in families
