@@ -17,6 +17,7 @@ from repro.core.protocols import (
 from repro.errors import InvalidShareError
 from repro.groups import fixed_base_table, get_group, precompute_stats
 from repro.groups.bn254 import bn254_pairing
+from repro.groups.bn254.pairing import _build_lines
 from repro.mathutils.lagrange import (
     clear_lagrange_cache,
     lagrange_cache_stats,
@@ -134,13 +135,31 @@ def test_bn254_pairing(benchmark):
     benchmark(lambda: ctx.pair(p, q))
 
 
-def test_bn254_pairing_check_two_pairs(benchmark):
-    """The BLS04/BZ03 verification shape: e(σ, g₂)·e(H(m)⁻¹, y) == 1."""
+@pytest.mark.parametrize("g2_points", ["fixed-Q", "fresh-Q"])
+def test_bn254_pairing_check_two_pairs(benchmark, g2_points):
+    """The BLS04/BZ03 verification shape: e(σ, g₂)·e(H(m)⁻¹, y) == 1.
+
+    ``fixed-Q`` is BLS04's case: g₂ and y live as long as the key, so every
+    check after the first reads their Miller lines from the tables on the
+    elements.  ``fresh-Q`` passes new G2 elements on every call, as BZ03's
+    per-ciphertext u is, so each call builds both tables inside its loop.
+    """
     ctx = bn254_pairing()
     h = ctx.g1.hash_to_element(b"bench")
     g2 = ctx.g2.generator()
     pairs = [(h**SCALAR, g2), (h.inverse(), g2**SCALAR)]
-    assert benchmark(lambda: ctx.pair_check(pairs))
+    if g2_points == "fixed-Q":
+        assert benchmark(lambda: ctx.pair_check(pairs))
+        return
+    identity = ctx.g2.identity()
+    # q · 1 is a new element equal to q, with no lines yet.
+    assert benchmark(lambda: ctx.pair_check([(p, q * identity) for p, q in pairs]))
+
+
+def test_bn254_miller_lines_build(benchmark):
+    """What a G2 point pays once, in its first pairing: its 102 lines."""
+    q = (bn254_pairing().g2.generator() ** SCALAR).affine()
+    benchmark(lambda: _build_lines(q))
 
 
 def test_bn254_g2_element_from_bytes(benchmark):

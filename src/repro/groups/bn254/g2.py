@@ -97,20 +97,26 @@ def _on_twist(x, y) -> bool:
 
 
 class BN254G2Element(GroupElement):
-    """Point on the twist; built from affine Fp2 coordinates, Jacobian inside."""
+    """Point on the twist; built from affine Fp2 coordinates, Jacobian inside.
 
-    __slots__ = ("_point", "group")
+    ``_lines`` is None until a pairing first takes the point as its G2
+    argument; then it holds the point's Miller lines (see
+    :func:`repro.groups.bn254.pairing._lines`) for every later pairing.
+    """
+
+    __slots__ = ("_point", "group", "_lines")
 
     def __init__(
         self, group: "BN254G2Group", x: Fp2, y: Fp2, infinity: bool = False
     ):
         self.group = group
         self._point = _INFINITY if infinity else (x.v, y.v, FP2_ONE)
+        self._lines = None
 
     @classmethod
     def _from_jacobian(cls, group: "BN254G2Group", point) -> "BN254G2Element":
         element = object.__new__(cls)
-        element.group, element._point = group, point
+        element.group, element._point, element._lines = group, point, None
         return element
 
     @property

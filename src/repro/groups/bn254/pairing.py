@@ -1,11 +1,14 @@
 """Optimal ate pairing on BN254.
 
-The Miller loop stays on the twist E′(Fp2) in Jacobian coordinates and never
-inverts: each step yields a line a + b·w + c·w³ (a, b, c ∈ Fp2) that differs
-from the affine line through the untwisted points only by an Fp2 factor,
-which the final exponentiation kills, and is multiplied into f by the sparse
-product of :func:`fp.fp12_mul_sparse`.  All pairs of a product share one
-squaring of f per loop bit.  The final exponentiation is the
+The Miller loop steps T on the twist E′(Fp2) in Jacobian coordinates and
+never inverts: each step yields a line a + b·w + c·w³ (a, b, c ∈ Fp2) that
+differs from the affine line through the untwisted points only by an Fp2
+factor, which the final exponentiation kills, and is multiplied into f by
+the sparse product of :func:`fp.fp12_mul_sparse`.  The stepping depends on
+the G2 argument Q alone, so it runs once per point: the first loop that
+meets Q stores its 102 line coefficients on the element, and every loop
+evaluates them at P.  All pairs of a product share one squaring of f per
+loop bit.  The final exponentiation is the
 Devegili–Scott–Dahab chain with Granger–Scott cyclotomic squarings for its
 three 63-bit powers of the BN parameter x.
 """
@@ -89,33 +92,66 @@ def _add_step(t, q, xp: int, yp: int):
     return (x3, y3, z3), _evaluate(z3, r, const, xp, yp)
 
 
+def _build_lines(q) -> list:
+    """The Miller lines of affine Q, as coefficient triples (A, B, C).
+
+    Entry k < 64 holds loop bit k's tangent, then its chord if the bit is
+    set; the last entry holds the two Frobenius chords.  None of the
+    stepping depends on P: a line evaluated at x_P = y_P = 1 is its
+    coefficients, and at P it is (A·y_P, B·x_P, C).
+    """
+    t = (*q, FP2_ONE)
+    lines = []
+    for bit in _LOOP_BITS:
+        t, tangent = _double_step(t, 1, 1)
+        if bit == "1":
+            t, chord = _add_step(t, q, 1, 1)
+            lines.append((tangent, chord))
+        else:
+            lines.append((tangent,))
+    # π(Q) and −π²(Q): the untwist–Frobenius–twist endomorphism on E′.
+    x1, y1 = (fp2_mul(fp2_conj(c), g) for c, g in zip(q, _TWIST_FROB))
+    x2, y2 = (fp2_mul(fp2_conj(c), g) for c, g in zip((x1, y1), _TWIST_FROB))
+    t, first = _add_step(t, (x1, y1), 1, 1)
+    _, second = _add_step(t, (x2, vec_neg(y2)), 1, 1)
+    lines.append((first, second))
+    return lines
+
+
+def _lines(q: BN254G2Element) -> list:
+    """Q's lines, built by the first Miller loop that meets Q and kept on it.
+
+    A degenerate Q raises :class:`CryptoError` here on every call, because
+    nothing is stored until the whole table is built.
+    """
+    lines = q._lines
+    if lines is None:
+        lines = q._lines = _build_lines(q.affine())
+    return lines
+
+
+def _multiply_lines(f: tuple, lines, xp: int, yp: int) -> tuple:
+    """f times each of ``lines`` evaluated at P = (x_P, y_P)."""
+    for (a0, a1), (b0, b1), c in lines:
+        f = fp12_mul_sparse(f, (a0 * yp % P, a1 * yp % P), (b0 * xp % P, b1 * xp % P), c)
+    return f
+
+
 def _miller(pairs) -> tuple:
     """Π f_{6x+2,Q}(P)·l_{[6x+2]Q,π(Q)}(P)·l_{[6x+2]Q+π(Q),−π²(Q)}(P) over the
     pairs with no infinity member, as a flat Fp12 value."""
-    states = []
-    for p, q in pairs:
-        if not (p.is_infinity() or q.infinity):
-            xq, yq = q.affine()
-            states.append([(xq, yq, FP2_ONE), (xq, yq), *p.affine()])
+    terms = [
+        (_lines(q), *p.affine())
+        for p, q in pairs
+        if not (p.is_infinity() or q.infinity)
+    ]
     f = FP12_ONE
-    for bit in _LOOP_BITS:
+    for k in range(len(_LOOP_BITS)):
         f = fp12_sqr(f)
-        for state in states:
-            t, q, xp, yp = state
-            t, line = _double_step(t, xp, yp)
-            f = fp12_mul_sparse(f, *line)
-            if bit == "1":
-                t, line = _add_step(t, q, xp, yp)
-                f = fp12_mul_sparse(f, *line)
-            state[0] = t
-    for t, q, xp, yp in states:
-        # π(Q) and −π²(Q): the untwist–Frobenius–twist endomorphism on E′.
-        x1, y1 = (fp2_mul(fp2_conj(c), g) for c, g in zip(q, _TWIST_FROB))
-        x2, y2 = (fp2_mul(fp2_conj(c), g) for c, g in zip((x1, y1), _TWIST_FROB))
-        t, line = _add_step(t, (x1, y1), xp, yp)
-        f = fp12_mul_sparse(f, *line)
-        _, line = _add_step(t, (x2, vec_neg(y2)), xp, yp)
-        f = fp12_mul_sparse(f, *line)
+        for lines, xp, yp in terms:
+            f = _multiply_lines(f, lines[k], xp, yp)
+    for lines, xp, yp in terms:
+        f = _multiply_lines(f, lines[-1], xp, yp)
     return f
 
 

@@ -15,7 +15,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import InvalidShareError, InvalidSignatureError
+from ..errors import InvalidShareError, InvalidSignatureError, SerializationError
 from ..groups.bn254 import BilinearGroup, bn254_pairing
 from ..groups.bn254.g1 import BN254G1Element
 from ..groups.bn254.g2 import BN254G2Element
@@ -63,6 +63,10 @@ class Bls04PublicKey:
             g2.element_from_bytes(reader.read_bytes()) for _ in range(parties)
         )
         reader.finish()
+        # KeyValidate: under an identity key both pairs of the check are
+        # skipped, so the identity signature would verify for every message.
+        if y.infinity or any(key.infinity for key in keys):
+            raise SerializationError("BLS04 public key contains the identity")
         return Bls04PublicKey(threshold, parties, y, keys)
 
 

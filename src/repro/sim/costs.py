@@ -212,7 +212,13 @@ def _time_call(fn, repeat: int = 5) -> float:
 
 
 def measure_primitives() -> dict[str, float]:
-    """Microbenchmark the pure-Python substrates (slow; used on demand)."""
+    """Microbenchmark the pure-Python substrates (slow; used on demand).
+
+    The "pairing" row prices a table-warm fixed-argument pairing: g₂ is a
+    long-lived element, so after the first call its Miller lines come from
+    the table on it, as y's do in a BLS04 check.  A pairing against a G2
+    point seen once (BZ03's u) also builds that point's lines.
+    """
     from ..groups import get_group
     from ..groups.bn254 import bn254_pairing
     from ..rsa.keygen import modulus_for_bits

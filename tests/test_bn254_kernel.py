@@ -1,10 +1,13 @@
 """The flat BN254 kernel: tuple-level field laws, Miller-loop shapes, G2 Jacobian."""
 
+import importlib
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CryptoError
 from repro.groups.bn254 import bn254_g1, bn254_g2
 from repro.groups.bn254.fp import (
     FP2_ONE,
@@ -12,6 +15,7 @@ from repro.groups.bn254.fp import (
     FP12_ONE,
     P,
     R,
+    Fp2,
     Fp12,
     fp2_inv,
     fp2_mul,
@@ -28,7 +32,13 @@ from repro.groups.bn254.fp import (
     fp12_sqr,
     vec_add,
 )
-from repro.groups.bn254.pairing import _final_exp, _miller
+from repro.groups.bn254.g2 import BN254G2Element
+from repro.groups.bn254.pairing import _LOOP_BITS, _final_exp, _miller
+from repro.schemes import bls04
+from tests import bn254_miller_oracle as oracle
+
+# The package re-exports the function ``pairing`` over its submodule.
+_PAIRING = importlib.import_module("repro.groups.bn254.pairing")
 
 fp_ints = st.integers(min_value=0, max_value=P - 1)
 scalars = st.integers(min_value=1, max_value=R - 1)
@@ -108,6 +118,107 @@ class TestMillerLoop:
         padded = [skipped[0], pair, skipped[1]]
         assert _miller(padded) == _miller([pair])
         assert _miller([]) == FP12_ONE
+
+
+#: G2 points whose lines every example below finds already built.
+_WARM = (bn254_g2().generator(), bn254_g2().generator() ** 0xC0FFEE)
+
+
+@st.composite
+def _miller_inputs(draw):
+    """1–3 pairs: P a point or the identity; Q fresh (no lines yet), a
+    table-warm point, the inverse of one (a new element), or the identity."""
+    g1, g2 = bn254_g1(), bn254_g2()
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        p_kind = draw(st.sampled_from(["point", "point", "point", "identity"]))
+        q_kind = draw(st.sampled_from(["fresh", "warm", "warm inverse", "identity"]))
+        p = g1.generator() ** draw(scalars) if p_kind == "point" else g1.identity()
+        if q_kind == "fresh":
+            q = g2.generator() ** draw(scalars)
+        elif q_kind == "identity":
+            q = g2.identity()
+        else:
+            q = draw(st.sampled_from(_WARM))
+            q = q.inverse() if q_kind == "warm inverse" else q
+        pairs.append((p, q))
+    return pairs
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The affine G2 points whose lines get built while the test runs."""
+    built = []
+    original = _PAIRING._build_lines
+
+    def counted(q):
+        built.append(q)
+        return original(q)
+
+    monkeypatch.setattr(_PAIRING, "_build_lines", counted)
+    return built
+
+
+class TestMillerLines:
+    """The loop reads each Q's lines from a table kept on the element; the
+    per-step loop it replaced (``tests/bn254_miller_oracle.py``) is the
+    oracle, and the two must agree bit for bit."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(_miller_inputs())
+    def test_matches_the_per_step_oracle(self, pairs):
+        for q in _WARM:
+            _miller([(bn254_g1().generator(), q)])
+        expected = oracle.miller(pairs)
+        assert _miller(pairs) == expected  # fresh Q build their lines here
+        assert _miller(pairs) == expected  # ... and every Q is warm now
+
+    def test_table_shape(self):
+        lines = _PAIRING._build_lines(bn254_g2().generator().affine())
+        assert [len(step) for step in lines[:-1]] == [
+            1 + (bit == "1") for bit in _LOOP_BITS
+        ]
+        assert len(lines) == 65 and sum(len(step) for step in lines) == 102
+
+    def test_an_element_builds_its_lines_once(self, builds):
+        g1, q = bn254_g1().generator(), bn254_g2().generator() ** 11
+        _PAIRING.pairing_check([(g1, q), (g1.inverse(), q)])
+        assert builds == [q.affine()]
+        _PAIRING.pairing_check([(g1**3, q)])
+        _PAIRING.pairing(g1, q)
+        assert builds == [q.affine()] and q._lines is not None
+        inverse = q.inverse()  # a new element: its own table
+        _PAIRING.pairing_check([(g1, inverse)])
+        assert builds == [q.affine(), inverse.affine()]
+
+    @pytest.mark.parametrize(
+        "x,y", [(3, 9 * pow(2, -1, P)), (5, 0)], ids=["order three", "vertical tangent"]
+    )
+    def test_a_degenerate_point_raises_every_time_and_keeps_nothing(self, builds, x, y):
+        # Off-curve "points" the constructor does not validate (as in
+        # test_bn254_pairing.py::TestDegenerateInputs).
+        rogue = BN254G2Element(bn254_g2(), Fp2(x, 0), Fp2(y, 0))
+        for _ in range(3):
+            with pytest.raises(CryptoError):
+                _PAIRING.pairing_check([(bn254_g1().generator(), rogue)])
+            assert rogue._lines is None
+        assert builds == [rogue.affine()] * 3
+
+    def test_signatures_after_the_first_combine_build_no_tables(self, builds):
+        public, keys = bls04.keygen(1, 4)
+        scheme = bls04.Bls04SignatureScheme()
+
+        def sign(message, signers):
+            shares = [scheme.partial_sign(keys[i], message) for i in signers]
+            signature = scheme.combine(public, message, shares)
+            scheme.verify(public, message, signature)
+
+        sign(b"first", (0, 1))
+        assert public.y.affine() in builds and public.y._lines is not None
+        builds.clear()
+        for message, signers in ((b"second", (1, 2)), (b"third", (3, 0))):
+            sign(message, signers)
+        assert builds == []
 
 
 class TestG2Jacobian:
