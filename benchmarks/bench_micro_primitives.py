@@ -83,12 +83,6 @@ def test_dleq_round_on_fresh_base(benchmark):
     assert precompute_stats()["tables_built"] == built
 
 
-def test_secp256k1_fixed_base_scalar_mult(benchmark):
-    group = get_group("secp256k1")
-    table = fixed_base_table(group.generator())
-    benchmark(lambda: table.pow(SCALAR))
-
-
 def test_bn254_g1_fixed_base_scalar_mult(benchmark):
     table = fixed_base_table(bn254_pairing().g1.generator())
     benchmark(lambda: table.pow(SCALAR))
@@ -350,7 +344,7 @@ def test_precompute_speedup_report(benchmark):
         return min(times)
 
     print()
-    for name in ("ed25519", "secp256k1", "bn254g1", "bn254g2"):
+    for name in ("ed25519", "bn254g1", "bn254g2"):
         group = get_group(name)
         base = group.generator()
         table = fixed_base_table(base)

@@ -7,47 +7,34 @@ from typing import Callable, Dict
 from ..errors import ConfigurationError
 from .base import Group
 
-_FACTORIES: Dict[str, Callable[[], Group]] = {}
+_GROUPS: Dict[str, Callable[[], Group]] | None = None
 
 
-def register_group(name: str, factory: Callable[[], Group]) -> None:
-    """Register a group factory under ``name`` (idempotent)."""
-    _FACTORIES[name] = factory
-
-
-_BUILTINS: Dict[str, Callable[[], Group]] | None = None
-
-
-def _builtin_factories() -> Dict[str, Callable[[], Group]]:
+def _factories() -> Dict[str, Callable[[], Group]]:
     # Imported lazily so that loading one curve backend does not pay for the
     # other (BN254's tower construction does noticeable work at import time),
     # and memoized so repeated list_groups()/get_group() calls don't redo
     # the submodule lookups.
-    global _BUILTINS
-    if _BUILTINS is None:
-        from . import bn254, ed25519, secp256k1
+    global _GROUPS
+    if _GROUPS is None:
+        from . import bn254, ed25519
 
-        _BUILTINS = {
+        _GROUPS = {
             "ed25519": ed25519.ed25519,
             "bn254g1": bn254.bn254_g1,
             "bn254g2": bn254.bn254_g2,
-            "secp256k1": secp256k1.secp256k1,
         }
-    return _BUILTINS
+    return _GROUPS
 
 
 def get_group(name: str) -> Group:
     """Return the shared instance of the group registered under ``name``."""
-    if name not in _FACTORIES:
-        builtin = _builtin_factories()
-        if name not in builtin:
-            raise ConfigurationError(
-                f"unknown group {name!r}; known: {sorted(set(_FACTORIES) | set(builtin))}"
-            )
-        _FACTORIES.update(builtin)
-    return _FACTORIES[name]()
+    factories = _factories()
+    if name not in factories:
+        raise ConfigurationError(f"unknown group {name!r}; known: {sorted(factories)}")
+    return factories[name]()
 
 
 def list_groups() -> list[str]:
     """Names of all known groups."""
-    return sorted(set(_FACTORIES) | set(_builtin_factories()))
+    return sorted(_factories())

@@ -30,7 +30,7 @@ from .base import (
 )
 from .dleq import DleqProof, dleq_prove, dleq_verify
 from . import bls04, bz03, cks05, kg20, sg02, sh00
-from . import cks05_sig, dkg, keystore, resharing, rfc8032, roast
+from . import dkg, keystore, resharing
 from .keygen import generate_keys
 
 __all__ = [
@@ -52,10 +52,7 @@ __all__ = [
     "bls04",
     "kg20",
     "cks05",
-    "cks05_sig",
     "dkg",
     "keystore",
     "resharing",
-    "rfc8032",
-    "roast",
 ]

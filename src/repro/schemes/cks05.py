@@ -170,31 +170,6 @@ class Cks05Coin(ThresholdCoin):
             context=name,
         )
 
-    def verify_coin_shares(
-        self, public_key: Cks05PublicKey, name: bytes, shares: Sequence[Cks05CoinShare]
-    ) -> None:
-        """Verify many shares of one coin in a single batched call."""
-        from .dleq import DleqStatement, dleq_verify_batch
-
-        for share in shares:
-            if not 1 <= share.id <= public_key.parties:
-                raise InvalidShareError(f"share id {share.id} out of range")
-        group = public_key.group
-        g_hat = _hash_name(group, name)
-        generator = group.generator()
-        statements = [
-            DleqStatement(
-                generator,
-                public_key.verification_key(share.id),
-                g_hat,
-                share.sigma,
-                share.proof,
-                context=name,
-            )
-            for share in shares
-        ]
-        dleq_verify_batch(group, statements)
-
     def combine(
         self,
         public_key: Cks05PublicKey,

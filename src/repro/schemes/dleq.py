@@ -10,8 +10,7 @@ computed with the committed key share.  The proof shows
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 from ..errors import InvalidProofError
 from ..groups.base import Group, GroupElement
@@ -103,51 +102,3 @@ def dleq_verify(
     expected = _challenge(group, g1, h1, g2, h2, a1, a2, context)
     if expected != proof.challenge:
         raise InvalidProofError("DLEQ proof verification failed")
-
-
-@dataclass(frozen=True)
-class DleqStatement:
-    """One (bases, images, proof) instance for batch verification."""
-
-    g1: GroupElement
-    h1: GroupElement
-    g2: GroupElement
-    h2: GroupElement
-    proof: DleqProof
-    context: bytes = field(default=b"")
-
-
-def dleq_verify_batch(group: Group, statements: Sequence[DleqStatement]) -> None:
-    """Verify many DLEQ proofs, naming every statement that fails.
-
-    A Fiat–Shamir proof in (c, z) form pins the commitments: the verifier
-    *must* reconstruct each ``a1_i = g1^{z_i}·h1_i^{-c_i}`` to recompute the
-    challenge hash, so the k checks cannot be folded into one random-linear
-    combination the way transcript-carrying proofs can (that trick lives in
-    :meth:`repro.schemes.bls04.Bls04SignatureScheme.verify_share_batch`,
-    where pairings make the combined equation checkable).  Nor does a table
-    for the shared per-request ``g2`` pay: on Ed25519 building one costs
-    5 ms, and a lookup plus the ``h2`` exponentiation that remains
-    (0.3 + 1.1 ms) is no cheaper than the two-base ``multi_exp`` every
-    statement gets anyway (1.4 ms).  Raises :class:`InvalidProofError`
-    naming every failing statement index, so callers can drop exactly the
-    faulty parties.
-    """
-    bad: list[int] = []
-    for index, statement in enumerate(statements):
-        try:
-            dleq_verify(
-                group,
-                statement.g1,
-                statement.h1,
-                statement.g2,
-                statement.h2,
-                statement.proof,
-                context=statement.context,
-            )
-        except InvalidProofError:
-            bad.append(index)
-    if bad:
-        raise InvalidProofError(
-            f"DLEQ batch verification failed for statements {bad}"
-        )

@@ -276,33 +276,6 @@ class Sg02Cipher(ThresholdCipher):
             context=ciphertext.label,
         )
 
-    def verify_decryption_shares(
-        self,
-        public_key: Sg02PublicKey,
-        ciphertext: Sg02Ciphertext,
-        shares: Sequence[Sg02DecryptionShare],
-    ) -> None:
-        """Verify many shares of one ciphertext in a single batched call."""
-        from .dleq import DleqStatement, dleq_verify_batch
-
-        for share in shares:
-            if not 1 <= share.id <= public_key.parties:
-                raise InvalidShareError(f"share id {share.id} out of range")
-        group = public_key.group
-        generator = group.generator()
-        statements = [
-            DleqStatement(
-                generator,
-                public_key.verification_key(share.id),
-                ciphertext.u,
-                share.u_i,
-                share.proof,
-                context=ciphertext.label,
-            )
-            for share in shares
-        ]
-        dleq_verify_batch(group, statements)
-
     def combine(
         self,
         public_key: Sg02PublicKey,

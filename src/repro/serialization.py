@@ -81,6 +81,8 @@ class Reader:
 
     def read_int(self) -> int:
         body = self.read_bytes()
+        if not body:
+            raise SerializationError("empty integer encoding")
         if len(body) > 1 and body[0] == 0:
             raise SerializationError("non-minimal integer encoding")
         return int.from_bytes(body, "big")

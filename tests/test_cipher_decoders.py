@@ -48,6 +48,10 @@ G2_GEN = bytes.fromhex(
 )
 G2_IDENTITY = bytes(128)
 G2_OFF_TWIST = (1).to_bytes(32, "big") + bytes(64) + (1).to_bytes(32, "big")
+#: The SEC1 compressed secp256k1 generator: a curve this library does not ship.
+SECP256K1_GEN = bytes.fromhex(
+    "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
+)
 
 
 def _sg02_ct(u=ED_BASE, u_bar=ED_IDENTITY, e=_ints(1), tail=b"") -> bytes:
@@ -118,6 +122,8 @@ _DECODE_TABLE = [
      _b(b"\xff") + _ints(0, 1) + _b(ED_BASE, ED_BASE), None),
     ("sg02 public key", "unknown group",
      _s("ed25518") + _ints(0, 1) + _b(ED_BASE, ED_BASE), None),
+    ("sg02 public key", "secp256k1 is unknown",
+     _s("secp256k1") + _ints(0, 1) + _b(SECP256K1_GEN, SECP256K1_GEN), None),
     ("sg02 public key", "h off the curve",
      _s("ed25519") + _ints(0, 1) + _b(ED_OFF_CURVE, ED_BASE), None),
     ("bz03 ciphertext", "well formed", _bz03_ct(), _BZ03_CT_FIELDS),

@@ -36,6 +36,7 @@ from tests.test_cipher_decoders import (
     G2_GEN,
     G2_IDENTITY,
     G2_OFF_TWIST,
+    SECP256K1_GEN,
     _b,
     _s,
 )
@@ -104,6 +105,8 @@ def _dl_key_rows(decoder: str) -> list:
          ("bn254g1", 0, 1, G1_GEN, (G1_IDENTITY,))),
         (decoder, "unknown group",
          _s("nope") + _ints(0, 1) + _b(ED_BASE, ED_BASE), None),
+        (decoder, "secp256k1 is unknown",
+         _s("secp256k1") + _ints(0, 1) + _b(SECP256K1_GEN, SECP256K1_GEN), None),
         (decoder, "group name not UTF-8",
          _b(b"\xff") + _ints(0, 1) + _b(ED_BASE, ED_BASE), None),
         (decoder, "ed25519 name, G1 element",
@@ -145,8 +148,8 @@ _DECODE_TABLE = _dl_key_rows("cks05 public key") + [
     ("kg20 commitment", "trailing byte",
      _ints(2) + _b(ED_BASE, ED_BASE) + b"\x00", None),
     ("kg20 share", "well formed", _ints(2, 7), (2, 7)),
-    ("kg20 share", "zero-length id reads as 0", b"\x00\x00\x00\x00" + _ints(7),
-     (0, 7)),
+    ("kg20 share", "zero-length id reads as no integer",
+     b"\x00\x00\x00\x00" + _ints(7), None),
     ("kg20 share", "z missing", _ints(2), None),
     ("kg20 share", "non-minimal z", _ints(2) + b"\x00\x00\x00\x02\x00\x07", None),
     ("kg20 share", "trailing byte", _ints(2, 7) + b"\x00", None),

@@ -4,13 +4,7 @@ import pytest
 
 from repro.errors import InvalidProofError
 from repro.groups import get_group
-from repro.schemes.dleq import (
-    DleqProof,
-    DleqStatement,
-    dleq_prove,
-    dleq_verify,
-    dleq_verify_batch,
-)
+from repro.schemes.dleq import DleqProof, dleq_prove, dleq_verify
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +100,11 @@ KINDS = (
 
 @pytest.fixture(scope="module")
 def verdict_table():
-    """32 (kind, statement) rows; only the ``valid`` ones may verify."""
+    """32 (kind, statement) rows; only the ``valid`` ones may verify.
+
+    A statement is the ``(g1, h1, g2, h2, proof, context)`` argument tuple
+    of :func:`dleq_verify`.
+    """
     from repro.groups.ed25519 import P, Ed25519Element
 
     group = get_group("ed25519")
@@ -139,27 +137,16 @@ def verdict_table():
             (sigma, out_of_range),
         )
         for kind, (h2, shown) in zip(KINDS, presented):
-            rows.append((kind, DleqStatement(g, vk, g_hat, h2, shown, name)))
+            rows.append((kind, (g, vk, g_hat, h2, shown, name)))
     return group, rows
 
 
 def test_accept_reject_table(verdict_table):
     group, rows = verdict_table
     assert len(rows) == 32
-    for kind, s in rows:
+    for kind, statement in rows:
         if kind == "valid":
-            dleq_verify(group, s.g1, s.h1, s.g2, s.h2, s.proof, s.context)
+            dleq_verify(group, *statement)
         else:
             with pytest.raises(InvalidProofError):
-                dleq_verify(group, s.g1, s.h1, s.g2, s.h2, s.proof, s.context)
-
-
-def test_batch_names_exactly_the_failing_statements(verdict_table):
-    group, rows = verdict_table
-    failing = [index for index, (kind, _) in enumerate(rows) if kind != "valid"]
-    with pytest.raises(InvalidProofError) as excinfo:
-        dleq_verify_batch(group, [statement for _, statement in rows])
-    named = str(excinfo.value).split("statements ", 1)[1]
-    assert named == str(failing)
-    dleq_verify_batch(group, [s for kind, s in rows if kind == "valid"])
-    dleq_verify_batch(group, [])
+                dleq_verify(group, *statement)

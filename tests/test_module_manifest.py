@@ -1,0 +1,135 @@
+"""Every module under ``src/repro/`` has an owner.
+
+A module is owned when a daemon entry point imports it (statically, lazy
+imports inside functions included) or when ``OWNERS`` says what claims it:
+a paper section, an EXPERIMENTS.md row or a benchmark, naming the files
+that show the claim.  A module that is neither fails here, and so does an
+``OWNERS`` row for a module the daemons now reach, because that row no
+longer says why the module is kept.  DESIGN.md's "Repository layout" block
+is checked against the same tree.
+"""
+
+import modulefinder
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+ENTRY_POINTS = ("repro.service.daemon", "repro.router.daemon")
+
+_SIM = (
+    "§4 simulator: Figs. 4/5 and Tables 2/4 (`EXPERIMENTS.md`, "
+    "`benchmarks/bench_fig4_capacity.py`, `benchmarks/bench_table4_summary.py`)"
+)
+_CHAIN = (
+    "Fig. 1's host platform (`tests/test_fig1_deployment.py`, "
+    "`examples/blockchain_integration.py`)"
+)
+
+#: Module → what keeps it, for every module no daemon imports.
+OWNERS = {
+    "repro.sim": _SIM,
+    "repro.sim.cli": _SIM,
+    "repro.sim.cluster": _SIM,
+    "repro.sim.costs": _SIM,
+    "repro.sim.deployments": _SIM,
+    "repro.sim.events": _SIM,
+    "repro.sim.experiments": _SIM,
+    "repro.sim.latency": _SIM,
+    "repro.sim.metrics": _SIM,
+    "repro.sim.plotting": _SIM,
+    "repro.sim.workload": _SIM,
+    "repro.chain": _CHAIN,
+    "repro.chain.state": _CHAIN,
+    "repro.chain.types": _CHAIN,
+    "repro.chain.validator": _CHAIN,
+    "repro.network.proxy": (
+        "§3.6's P2P/TOB proxy, Θ's attachment to a host platform "
+        "(`examples/blockchain_integration.py`, `tests/test_proxy_integration.py`)"
+    ),
+    "repro.mathutils.backends": (
+        "thetabench reader, goes in ROADMAP 10 (`benchmarks/thetabench/layers.py`)"
+    ),
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _disk_files() -> list[Path]:
+    return sorted((SRC / "repro").rglob("*.py"))
+
+
+@pytest.fixture(scope="module")
+def closure() -> set[str]:
+    """Every ``repro`` module either daemon entry point can import."""
+    reached: set[str] = set()
+    for entry in ENTRY_POINTS:
+        finder = modulefinder.ModuleFinder(path=[str(SRC), *sys.path])
+        finder.import_hook(entry)
+        reached |= {name for name in finder.modules if name.split(".")[0] == "repro"}
+    return reached
+
+
+def test_every_module_is_imported_by_a_daemon_or_owned(closure):
+    disk = {_module_name(path) for path in _disk_files()}
+    claimed = closure | set(OWNERS)
+    assert not disk - claimed, f"modules with no owner: {sorted(disk - claimed)}"
+    assert not claimed - disk, f"owned modules not on disk: {sorted(claimed - disk)}"
+
+
+def test_no_owner_row_for_a_module_a_daemon_imports(closure):
+    stale = sorted(set(OWNERS) & closure)
+    assert not stale, f"daemons import these; drop their OWNERS rows: {stale}"
+
+
+def test_every_path_an_owner_names_exists():
+    for module, owner in OWNERS.items():
+        paths = re.findall(r"`([^`]+)`", owner)
+        assert paths, f"{module}: owner names no file"
+        for path in paths:
+            assert (ROOT / path).exists(), f"{module}: {path} does not exist"
+
+
+def _design_layout() -> dict[str, set[str]]:
+    """Package → module files, as DESIGN.md's layout block lists them.
+
+    Inside the fence, ``src/repro/`` opens the source tree and the next
+    line that starts in column 0 closes it.  A token ending in ``/`` names a
+    package relative to ``src/repro/``; ``.py`` tokens after it are that
+    package's files, ``__init__.py`` implied.
+    """
+    text = (ROOT / "DESIGN.md").read_text()
+    block = text.split("## Repository layout", 1)[1].split("```")[1]
+    layout: dict[str, set[str]] = {}
+    package = None
+    for line in block.splitlines():
+        if line.startswith("src/repro/"):
+            package = ""
+            line = line[len("src/repro/"):]
+        elif line[:1] not in ("", " "):
+            package = None
+        if package is None:
+            continue
+        for token in line.split():
+            if token.endswith("/"):
+                package = token.rstrip("/")
+                layout.setdefault(package, set())
+            else:
+                layout.setdefault(package, set()).add(token)
+    return layout
+
+
+def test_design_layout_lists_the_tree():
+    on_disk: dict[str, set[str]] = {}
+    for path in _disk_files():
+        package = path.parent.relative_to(SRC / "repro").as_posix()
+        files = on_disk.setdefault("" if package == "." else package, set())
+        if path.name != "__init__.py":
+            files.add(path.name)
+    assert _design_layout() == on_disk

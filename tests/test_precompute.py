@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DuplicateShareError, InvalidProofError, InvalidShareError
+from repro.errors import DuplicateShareError, InvalidShareError
 from repro.groups import (
     clear_precompute_cache,
     fixed_base_table,
@@ -24,7 +24,6 @@ from repro.mathutils.lagrange import (
 )
 from repro.mathutils.modular import batch_inverse, inverse_mod
 from repro.schemes import get_scheme
-from repro.schemes.dleq import DleqProof, DleqStatement, dleq_prove, dleq_verify_batch
 
 
 class TestBatchInverse:
@@ -131,50 +130,6 @@ class TestFixedBaseTable:
 
 
 class TestBatchVerification:
-    def _coin_setup(self, corrupt_index=None):
-        from repro.schemes import cks05
-
-        public, shares = cks05.keygen(2, 5)
-        scheme = get_scheme("cks05")
-        name = b"batch-coin"
-        coin_shares = [
-            scheme.create_coin_share(share, name) for share in shares[:4]
-        ]
-        if corrupt_index is not None:
-            bad = coin_shares[corrupt_index]
-            coin_shares[corrupt_index] = type(bad)(
-                bad.id, bad.sigma, DleqProof(bad.proof.challenge, bad.proof.response ^ 1)
-            )
-        return scheme, public, name, coin_shares
-
-    def test_cks05_batch_accepts_valid_shares(self):
-        scheme, public, name, coin_shares = self._coin_setup()
-        scheme.verify_coin_shares(public, name, coin_shares)
-
-    @pytest.mark.parametrize("corrupt_index", [0, 2, 3])
-    def test_cks05_batch_rejects_any_corrupted_share(self, corrupt_index):
-        scheme, public, name, coin_shares = self._coin_setup(corrupt_index)
-        with pytest.raises(InvalidProofError) as excinfo:
-            scheme.verify_coin_shares(public, name, coin_shares)
-        assert str(corrupt_index) in str(excinfo.value)
-
-    def test_sg02_batch_accepts_and_rejects(self):
-        from repro.schemes import sg02
-
-        public, shares = sg02.keygen(1, 4)
-        scheme = get_scheme("sg02")
-        ct = scheme.encrypt(public, b"payload", b"label")
-        dec_shares = [
-            scheme.create_decryption_share(share, ct) for share in shares[:3]
-        ]
-        scheme.verify_decryption_shares(public, ct, dec_shares)
-        bad = dec_shares[1]
-        dec_shares[1] = type(bad)(
-            bad.id, bad.u_i, DleqProof(bad.proof.challenge, bad.proof.response ^ 1)
-        )
-        with pytest.raises(InvalidProofError):
-            scheme.verify_decryption_shares(public, ct, dec_shares)
-
     def test_bls04_batch_identifies_culprits(self):
         from repro.schemes import bls04
 
@@ -190,31 +145,6 @@ class TestBatchVerification:
         with pytest.raises(InvalidShareError) as excinfo:
             scheme.verify_share_batch(public, message, sig_shares, identify=True)
         assert str(forged.id) in str(excinfo.value)
-
-    def test_dleq_batch_empty_is_noop(self):
-        dleq_verify_batch(get_group("ed25519"), [])
-
-    def test_dleq_batch_direct(self):
-        group = get_group("ed25519")
-        g = group.generator()
-        g2 = group.hash_to_element(b"other-base")
-        statements = []
-        for secret in (11, 22, 33):
-            h1 = g**secret
-            h2 = g2**secret
-            proof = dleq_prove(group, g, g2, secret, h1=h1, h2=h2)
-            statements.append(DleqStatement(g, h1, g2, h2, proof))
-        dleq_verify_batch(group, statements)
-        broken = statements[0]
-        statements[0] = DleqStatement(
-            broken.g1,
-            broken.h1,
-            broken.g2,
-            broken.h2,
-            DleqProof(broken.proof.challenge + 1, broken.proof.response),
-        )
-        with pytest.raises(InvalidProofError):
-            dleq_verify_batch(group, statements)
 
 
 class TestSchemesStillAgreeUnderCache:
@@ -274,12 +204,11 @@ class TestPerRequestBasesStayOffTheCache:
             own = scheme.create_coin_share(shares[0], name)
             peer = scheme.create_coin_share(shares[1], name)
             scheme.verify_coin_share(public, name, peer)
-            scheme.verify_coin_shares(public, name, [own, peer])
             assert len(scheme.combine(public, name, [own, peer])) == 32
 
         self._settled(flip, 50)
 
-    @pytest.mark.parametrize("group_name", ["ed25519", "secp256k1"])
+    @pytest.mark.parametrize("group_name", ["ed25519", "bn254g1"])
     def test_fresh_sg02_decryptions(self, group_name):
         from repro.schemes import sg02
 
@@ -291,7 +220,6 @@ class TestPerRequestBasesStayOffTheCache:
             own = scheme.create_decryption_share(shares[0], ct)
             peer = scheme.create_decryption_share(shares[1], ct)
             scheme.verify_decryption_share(public, ct, peer)
-            scheme.verify_decryption_shares(public, ct, [own, peer])
             assert scheme.combine(public, ct, [own, peer]) == plaintext
 
         self._settled(decrypt, 20)

@@ -119,8 +119,8 @@ class TestResharing:
         with pytest.raises(ConfigurationError):
             reshare_deal(1, 123, [1, 2], 4, 4, group)
 
-    def test_works_on_secp256k1(self):
-        material = generate_keys("cks05", 1, 4, group_name="secp256k1")
-        group = get_group("secp256k1")
+    def test_works_on_bn254g1(self):
+        material = generate_keys("cks05", 1, 4, group_name="bn254g1")
+        group = get_group("bn254g1")
         results = reshare_all(_old_share_map(material), [1, 4], 1, 5, group)
         assert all(r.group_key == material.public_key.h for r in results)

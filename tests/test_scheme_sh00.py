@@ -203,7 +203,7 @@ _DECODE_TABLE = [
     ("signature", "empty", b"", None),
     ("signature", "length prefix cut short", b"\x00\x00\x00", None),
     ("signature", "body cut short", b"\x00\x00\x00\x02\x05", None),
-    ("signature", "zero-length body reads as 0", b"\x00\x00\x00\x00", (0,)),
+    ("signature", "zero-length body reads as no integer", b"\x00\x00\x00\x00", None),
     ("signature", "non-minimal body", b"\x00\x00\x00\x02\x00\x05", None),
     ("signature", "trailing byte", _ints(5) + b"\x00", None),
     ("signature", "absurd length", b"\xff\xff\xff\xff\x01", None),

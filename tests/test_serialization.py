@@ -71,6 +71,12 @@ class TestEncodeInt:
         with pytest.raises(SerializationError):
             Reader(padded).read_int()
 
+    def test_empty_body_rejected(self):
+        # encode_int(0) writes b"\x00"; an empty body would be a second zero.
+        assert encode_int(0) == encode_bytes(b"\x00")
+        with pytest.raises(SerializationError):
+            Reader(encode_bytes(b"")).read_int()
+
     @given(st.integers(min_value=0, max_value=2**4096))
     def test_round_trip_property(self, value):
         reader = Reader(encode_int(value))
