@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast bench bench-fast check metrics-smoke chaos-smoke recovery-smoke federation-smoke precompute-smoke thetabench-smoke examples fixtures clean
+.PHONY: install test test-fast bench bench-fast check metrics-smoke chaos-smoke recovery-smoke precompute-smoke thetabench-smoke examples fixtures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) tools/install_editable.py
@@ -44,16 +44,6 @@ chaos-smoke:
 # the structured crash_recovery reason (docs/robustness.md).
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) tools/recovery_smoke.py
-
-# Federation gate: deal disjoint keys across 2 two-node groups from a
-# topology file, start the 4 node daemons plus a stateless router
-# daemon, and drive SG02 decryption (group alpha) and BLS04 signing
-# (group beta) through the router's single endpoint.  Per-shard router
-# telemetry must count both shards, and SIGKILLing the router
-# mid-workload then restarting it must lose no accepted request
-# (docs/federation.md).  No orphaned processes after SIGTERM.
-federation-smoke:
-	PYTHONPATH=src $(PYTHON) tools/federation_smoke.py
 
 # Precompute gate: 2 daemons with --precompute-depth 8 and journal-backed
 # pools.  Announced ciphertexts must be staged on every node and served

@@ -13,8 +13,7 @@ two-sided:
   host including 1-core runners).
 
 Results persist to ``BENCH_precompute.json`` at the repo root with a
-bounded history, like the federation panel.  ``REPRO_FAST=1``
-shrinks the request counts.
+bounded history.  ``REPRO_FAST=1`` shrinks the request counts.
 """
 
 from __future__ import annotations

@@ -106,14 +106,11 @@ class RpcError(ThetacryptError):
     """The service layer rejected or failed an RPC call.
 
     ``reason`` carries the structured classification when there is one
-    (e.g. ``overloaded`` for load-shed submissions, ``wrong_group`` for
-    requests routed to a group that does not own the key) and
-    ``retry_after`` a server-suggested backoff in seconds.  ``details``
-    is a generic JSON-serializable dict for any further structured
-    fields — a ``wrong_group`` error carries the owning group id and its
-    member endpoints there.  All three travel through the RPC error
-    response next to the human-readable message; fields outside this set
-    do not survive the wire (see ``service/server.py``).
+    (e.g. ``overloaded`` for load-shed submissions, ``bad_request`` for a
+    malformed request line) and ``retry_after`` a server-suggested backoff
+    in seconds.  Both travel through the RPC error response next to the
+    human-readable message; other attributes do not survive the wire (see
+    ``service/server.py``).
     """
 
     def __init__(
@@ -121,15 +118,12 @@ class RpcError(ThetacryptError):
         message: str = "",
         reason: str | None = None,
         retry_after: float | None = None,
-        details: dict | None = None,
     ):
         super().__init__(message)
         if reason is not None:
             self.reason = reason
         if retry_after is not None:
             self.retry_after = retry_after
-        if details is not None:
-            self.details = details
 
 
 class SimulationError(ThetacryptError):

@@ -82,9 +82,6 @@ class _Connection:
                     # Overloaded nodes attach a backoff hint; it floors the
                     # retry delay in ThetacryptClient.call.
                     error.retry_after = response.get("retry_after")
-                    # Generic structured payload (e.g. a wrong_group
-                    # redirect's owning group + endpoints).
-                    error.details = response.get("error_details")
                     future.set_exception(error)
                 else:
                     future.set_result(response["result"])
@@ -127,56 +124,25 @@ class _Connection:
 
 
 class ThetacryptClient:
-    """Client-side view of a whole Θ-network — or of a federation.
-
-    Two shapes (docs/federation.md):
-
-    * ``addresses`` — the classic single-group view: one connection per
-      node, threshold ops fanned to all of them.  Pointing this at a
-      router's address also just works: the router speaks the same RPC
-      protocol and fans out on the caller's behalf.
-    * ``topology`` — client-side routing: one sub-client per threshold
-      group; each request goes only to the group that owns its key (the
-      topology's pinned assignments, else the consistent-hash ring).  On
-      a ``wrong_group`` redirect the client follows the owning group
-      named in the error payload (bounded by ``max_redirects``, counted
-      as ``repro_router_redirects_total{source="client"}``), and on
-      whole-group connection loss it re-resolves and retries idempotent
-      methods with the transport's jittered backoff.
-    """
+    """Client-side view of a whole Θ-network: one connection per node,
+    threshold ops fanned out to all of them."""
 
     def __init__(
         self,
-        addresses: dict[int, tuple[str, int]] | None = None,
+        addresses: dict[int, tuple[str, int]],
         auth_token: str = "",
         max_retries: int = 3,
         retry_base: float = 0.05,
         retry_cap: float = 1.0,
-        topology=None,
-        max_redirects: int = 2,
     ):
         self._connections = {
             node_id: _Connection(host, port, auth_token)
-            for node_id, (host, port) in (addresses or {}).items()
+            for node_id, (host, port) in addresses.items()
         }
         self._max_retries = max_retries
         self._retry_base = retry_base
         self._retry_cap = retry_cap
         self._retry_rng = random.Random()
-        self._topology = topology
-        self._max_redirects = max_redirects
-        self._groups: dict[str, "ThetacryptClient"] = {}
-        if topology is not None:
-            self._groups = {
-                spec.group_id: ThetacryptClient(
-                    spec.rpc_endpoints(),
-                    auth_token=auth_token,
-                    max_retries=max_retries,
-                    retry_base=retry_base,
-                    retry_cap=retry_cap,
-                )
-                for spec in topology.groups
-            }
 
     @property
     def node_ids(self) -> list[int]:
@@ -240,14 +206,7 @@ class ThetacryptClient:
         return dict(zip(self.node_ids, results))
 
     async def _threshold_op(self, method: str, params: dict) -> bytes:
-        """Fan a request out and return the first assembled result.
-
-        A ``wrong_group`` rejection fails the whole fan-out immediately:
-        the group's members share one keystore, so one redirect speaks
-        for all of them and waiting for the rest only adds latency.
-        """
-        if self._topology is not None:
-            return await self._routed_threshold_op(method, params)
+        """Fan a request out and return the first assembled result."""
         tasks = [
             asyncio.ensure_future(self.call(node_id, method, params))
             for node_id in self.node_ids
@@ -258,8 +217,6 @@ class ThetacryptClient:
                 try:
                     result = await future
                 except Exception as exc:  # noqa: BLE001 - try remaining nodes
-                    if getattr(exc, "reason", None) == "wrong_group":
-                        raise
                     errors.append(exc)
                     continue
                 return unhexlify(result["result"])
@@ -269,95 +226,6 @@ class ThetacryptClient:
                 if not task.done():
                     task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-
-    # -- client-side federation routing ----------------------------------------
-
-    def group_client(self, group_id: str) -> "ThetacryptClient":
-        """The sub-client of one federated group (topology mode only)."""
-        if group_id not in self._groups:
-            raise RpcError(f"unknown group {group_id!r}")
-        return self._groups[group_id]
-
-    def owner_of(self, key_id: str) -> str:
-        """The group this client would route ``key_id`` to."""
-        if self._topology is None:
-            raise RpcError("client has no topology to route by")
-        return self._topology.owner_of(key_id)
-
-    def _redirect_target(self, exc: Exception) -> str | None:
-        """The group a ``wrong_group`` error redirects to, if followable."""
-        if getattr(exc, "reason", None) != "wrong_group":
-            return None
-        details = getattr(exc, "details", None) or {}
-        target = details.get("group")
-        return target if target in self._groups else None
-
-    @staticmethod
-    def _group_loss(exc: Exception) -> bool:
-        """Whole-group transient failure: every member connection-lost."""
-        return isinstance(exc, RpcError) and str(exc).startswith(
-            "all nodes failed"
-        )
-
-    async def _routed(self, key_id: str, op, *, idempotent: bool):
-        """Run ``op(group_client)`` against the key's owning group.
-
-        Follows ``wrong_group`` redirects (bounded by ``max_redirects``)
-        and, for idempotent operations, re-resolves and retries on
-        whole-group connection loss with jittered backoff — the durable
-        result cache on the nodes makes the repeated submission converge
-        on the same instance.
-        """
-        from ..telemetry import client_redirects_counter
-
-        assert self._topology is not None
-        group = self._topology.owner_of(key_id)
-        redirects = 0
-        attempt = 0
-        while True:
-            client = self._groups.get(group)
-            if client is None:
-                raise RpcError(
-                    f"topology names no group {group!r} for key {key_id!r}"
-                )
-            try:
-                return await op(client)
-            except (RpcError, ConnectionError, OSError) as exc:
-                target = self._redirect_target(exc)
-                if (
-                    target is not None
-                    and target != group
-                    and redirects < self._max_redirects
-                ):
-                    client_redirects_counter().inc()
-                    group = target
-                    redirects += 1
-                    continue
-                if (
-                    idempotent
-                    and self._group_loss(exc)
-                    and attempt < self._max_retries
-                ):
-                    delay = backoff_delay(
-                        attempt,
-                        self._retry_rng,
-                        base=self._retry_base,
-                        cap=self._retry_cap,
-                    )
-                    attempt += 1
-                    await asyncio.sleep(delay)
-                    # Re-resolve: a refreshed topology (or a pinned
-                    # override) may have moved the key while we backed off.
-                    group = self._topology.owner_of(key_id)
-                    continue
-                raise
-
-    async def _routed_threshold_op(self, method: str, params: dict) -> bytes:
-        return await self._routed(
-            params["key_id"],
-            lambda client: client._threshold_op(method, params),
-            idempotent=method in _IDEMPOTENT_METHODS,
-        )
 
     # -- high-level convenience wrappers ------------------------------------------
 
@@ -385,12 +253,6 @@ class ThetacryptClient:
         self, key_id: str, plaintext: bytes, label: bytes = b"", node_id: int | None = None
     ) -> bytes:
         """Scheme-API encryption at one node (a local, public operation)."""
-        if self._topology is not None:
-            return await self._routed(
-                key_id,
-                lambda c: c.encrypt(key_id, plaintext, label, node_id=node_id),
-                idempotent=True,
-            )
         target = node_id if node_id is not None else self.node_ids[0]
         result = await self.call(
             target,
@@ -406,14 +268,6 @@ class ThetacryptClient:
     async def verify_signature(
         self, key_id: str, message: bytes, signature: bytes, node_id: int | None = None
     ) -> bool:
-        if self._topology is not None:
-            return await self._routed(
-                key_id,
-                lambda c: c.verify_signature(
-                    key_id, message, signature, node_id=node_id
-                ),
-                idempotent=True,
-            )
         target = node_id if node_id is not None else self.node_ids[0]
         result = await self.call(
             target,
@@ -442,12 +296,6 @@ class ThetacryptClient:
         """
         if (count is None) == (items is None):
             raise RpcError("precompute takes exactly one of count / items")
-        if self._topology is not None:
-            return await self._routed(
-                key_id,
-                lambda c: c.precompute(key_id, count, items, label),
-                idempotent=True,
-            )
         if items is not None:
             params = {
                 "key_id": key_id,
@@ -460,11 +308,6 @@ class ThetacryptClient:
 
     async def refresh_key(self, key_id: str) -> bytes:
         """Proactive refresh on every node; returns the unchanged group key."""
-        if self._topology is not None:
-            # Key mutation: route to the owning group, no blind retries.
-            return await self._routed(
-                key_id, lambda c: c.refresh_key(key_id), idempotent=False
-            )
         results = await self.broadcast("refresh_key", {"key_id": key_id})
         keys = set()
         for node_id, result in results.items():
@@ -499,13 +342,6 @@ class ThetacryptClient:
         All nodes participate; the call fails if any node reports a
         different group key (a serious inconsistency).
         """
-        if self._topology is not None:
-            # The new key lands on whichever group the ring assigns it to.
-            return await self._routed(
-                key_id,
-                lambda c: c.run_dkg(key_id, scheme=scheme, group=group),
-                idempotent=False,
-            )
         results = await self.broadcast(
             "run_dkg", {"key_id": key_id, "scheme": scheme, "group": group}
         )
@@ -521,6 +357,5 @@ class ThetacryptClient:
     async def close(self) -> None:
         await asyncio.gather(
             *(conn.close() for conn in self._connections.values()),
-            *(client.close() for client in self._groups.values()),
             return_exceptions=True,
         )

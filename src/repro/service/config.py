@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass, fields
 from ..core.orchestration.precompute import PrecomputeConfig
 from ..errors import ConfigurationError
 from ..network.faults import FaultPlan
-from ..router.topology import Topology
 
 
 @dataclass(frozen=True)
@@ -64,15 +63,6 @@ class NodeConfig:
     # Graceful shutdown: how long the daemon waits for in-flight instances
     # to finish before tearing the node down.
     drain_timeout: float = 5.0
-    # Federation (docs/federation.md): which threshold group this node
-    # belongs to ("" = the unsharded single-group deployment) and the
-    # federation topology it should consult to redirect misrouted
-    # requests.  With both set, a request for a key owned by another
-    # group fails fast with a structured ``wrong_group`` error carrying
-    # the owning group and its endpoints instead of an opaque
-    # unknown-key failure.
-    group_id: str = ""
-    topology: Topology | None = None
     # Precompute pipeline (docs/performance.md, "Precompute pipeline"):
     # announce/refill/consume share pools that hide threshold latency for
     # announced requests.  None keeps the node strictly on-demand (the
@@ -102,15 +92,6 @@ class NodeConfig:
             raise ConfigurationError("overload_retry_after must be >= 0")
         if self.drain_timeout < 0:
             raise ConfigurationError("drain_timeout must be >= 0")
-        if self.topology is not None and self.group_id:
-            # A node claiming federation membership must exist in the
-            # topology it redirects against, or every redirect it emits
-            # would name groups that cannot include it.
-            if self.group_id not in self.topology.group_ids:
-                raise ConfigurationError(
-                    f"group_id {self.group_id!r} not in topology groups "
-                    f"{self.topology.group_ids}"
-                )
 
     def peer_map(self) -> dict[int, tuple[str, int]]:
         return {
@@ -124,8 +105,6 @@ class NodeConfig:
         payload["peers"] = [asdict(p) for p in self.peers]
         if self.fault_plan is not None:
             payload["fault_plan"] = self.fault_plan.to_dict()
-        if self.topology is not None:
-            payload["topology"] = self.topology.to_dict()
         if self.precompute is not None:
             payload["precompute"] = self.precompute.to_dict()
         return json.dumps(payload, indent=2)
@@ -142,10 +121,6 @@ class NodeConfig:
         fanout = payload.pop("gossip_fanout", None)
         plan_payload = payload.pop("fault_plan", None)
         plan = FaultPlan.from_dict(plan_payload) if plan_payload else None
-        topology_payload = payload.pop("topology", None)
-        topology = (
-            Topology.from_dict(topology_payload) if topology_payload else None
-        )
         precompute_payload = payload.pop("precompute", None)
         precompute = (
             PrecomputeConfig.from_dict(precompute_payload)
@@ -156,7 +131,6 @@ class NodeConfig:
             peers=peers,
             gossip_fanout=fanout,
             fault_plan=plan,
-            topology=topology,
             precompute=precompute,
             **payload,
         )

@@ -287,47 +287,6 @@ class ThetacryptNode:
             )
         self.keys.register(key_id, scheme, public_key, key_share)
 
-    # -- key lookup / federation redirects -------------------------------------
-
-    def owns_key(self, key_id: str) -> bool:
-        """Cheap ownership check (dict containment) for the router tier."""
-        return key_id in self.keys
-
-    def lookup_key(self, key_id: str):
-        """Key entry, or a fail-fast ``wrong_group`` redirect when federated.
-
-        A node that knows the federation topology answers a misrouted
-        request immediately with the owning group and its member
-        endpoints in the structured error payload, instead of the opaque
-        unknown-key failure — the router/client follows the hint and
-        retries there.  Keys this group *should* own but was never dealt
-        still raise ``KeyManagementError``.
-        """
-        if key_id in self.keys:
-            return self.keys.get(key_id)
-        topology = self.config.topology
-        if topology is not None and self.config.group_id:
-            owner = topology.owner_of(key_id)
-            if owner != self.config.group_id:
-                spec = topology.group(owner)
-                raise RpcError(
-                    f"key {key_id!r} belongs to group {owner!r}, not "
-                    f"{self.config.group_id!r}",
-                    reason="wrong_group",
-                    details={
-                        "key_id": key_id,
-                        "group": owner,
-                        "endpoints": [
-                            [node_id, host, port]
-                            for node_id, (host, port) in sorted(
-                                spec.rpc_endpoints().items()
-                            )
-                        ],
-                        "requested_group": self.config.group_id,
-                    },
-                )
-        return self.keys.get(key_id)  # KeyManagementError for unknown ids
-
     # -- protocol API ----------------------------------------------------------
 
     def _channel_for(self, scheme: str) -> Channel:
@@ -357,7 +316,7 @@ class ThetacryptNode:
         consume pool entries but are not client-visible requests (no
         served counter).
         """
-        entry = self.lookup_key(key_id)
+        entry = self.keys.get(key_id)
         if entry.scheme == "kg20" and kind != "sign":
             raise RpcError("kg20 keys only support signing")
         instance_id = derive_instance_id(kind, key_id, data, label)
@@ -433,7 +392,7 @@ class ThetacryptNode:
 
     async def precompute_frost(self, key_id: str, count: int) -> int:
         """Run the FROST preprocessing round, filling this key's nonce pool."""
-        entry = self.lookup_key(key_id)
+        entry = self.keys.get(key_id)
         if entry.scheme != "kg20":
             raise RpcError("precomputation only applies to kg20 keys")
         pool = self._precompute.frost_pool(key_id)
@@ -463,7 +422,7 @@ class ThetacryptNode:
         the staging tally (``staged`` / ``duplicate`` / ``deferred`` /
         ``failed`` counts plus per-pool depths).
         """
-        entry = self.lookup_key(key_id)
+        entry = self.keys.get(key_id)
         if entry.scheme == "kg20":
             raise RpcError(
                 "kg20 precomputes nonce batches: call precompute with "
@@ -564,7 +523,7 @@ class ThetacryptNode:
         """
         from ..core.protocols import ReshareProtocol
 
-        entry = self.lookup_key(key_id)
+        entry = self.keys.get(key_id)
         if entry.scheme not in ("cks05", "sg02", "kg20"):
             raise RpcError(
                 f"refresh supports the DL schemes, not {entry.scheme!r}"
@@ -602,7 +561,7 @@ class ThetacryptNode:
     # -- scheme API (direct primitive access) ----------------------------------
 
     def scheme_encrypt(self, key_id: str, plaintext: bytes, label: bytes) -> bytes:
-        entry = self.lookup_key(key_id)
+        entry = self.keys.get(key_id)
         scheme = get_scheme(entry.scheme)
         if SCHEME_TABLE[entry.scheme].kind is not SchemeKind.CIPHER:
             raise RpcError(f"key {key_id!r} is not a cipher key")
@@ -613,7 +572,7 @@ class ThetacryptNode:
     ) -> bool:
         from ..schemes import bls04, kg20, sh00
 
-        entry = self.lookup_key(key_id)
+        entry = self.keys.get(key_id)
         scheme = get_scheme(entry.scheme)
         try:
             if entry.scheme == "sh00":

@@ -13,6 +13,11 @@ Observability: every request is timed into the node's metric registry
 (per-method latency histograms, in-flight gauge) and the protocol methods
 run inside a fresh trace context that the executor inherits; the
 ``metrics`` method returns the node's Prometheus exposition in-band.
+
+A line that is not strict UTF-8 JSON, not an object with a string
+``method`` and an object ``params``, or whose parameters have the wrong
+type is answered with ``error_reason: "bad_request"`` and counted as an
+``error``; ``internal`` is left for failures of the node itself.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ import asyncio
 import json
 import logging
 import time
-from typing import TYPE_CHECKING, Awaitable, Callable
+from typing import TYPE_CHECKING
 
 from ..errors import RpcError, ThetacryptError
-from ..serialization import hexlify, unhexlify
-from ..telemetry import MetricRegistry, RpcMetrics, start_trace
+from ..serialization import hexlify
+from ..telemetry import RpcMetrics, start_trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import ThetacryptNode
@@ -43,29 +48,108 @@ _PROTOCOL_METHODS = frozenset(
 #: cardinality accumulates (many schemes × ops × outcomes per counter).
 RPC_LINE_LIMIT = 1 << 20
 
+#: How long an over-limit connection is drained before it is closed.
+_LINGER_S = 1.0
 
-class JsonLinesServer:
-    """One JSON-lines RPC listener: framing, the auth check, structured
-    error serialisation (reason / retry_after / details) and per-method
-    metrics.  Whoever owns it supplies ``dispatch(method, params)``."""
+_REQUIRED = object()
 
-    def __init__(
-        self,
-        dispatch: Callable[[str, dict], Awaitable[dict]],
-        host: str,
-        port: int,
-        auth_token: str,
-        registry: MetricRegistry,
-        log_name: str = "rpc",
-    ):
-        self._dispatch = dispatch
+
+def _bad_request(message: str) -> RpcError:
+    return RpcError(message, reason="bad_request")
+
+
+def _parse_request(line: bytes) -> dict:
+    """The request object on one wire line (UTF-8 JSON, never a guess
+    from a byte-order mark)."""
+    try:
+        request = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise _bad_request(f"request line is not UTF-8 JSON: {exc}") from None
+    if type(request) is not dict:
+        raise _bad_request("a request must be a JSON object")
+    return request
+
+
+def _param(params: dict, name: str, kind: type, default=_REQUIRED):
+    """``params[name]`` as ``kind``; ``bytes`` reads a hex string and
+    ``list`` a list of hex strings.  A missing or mistyped field raises
+    ``bad_request``."""
+    value = params.get(name, default)
+    if value is _REQUIRED:
+        raise _bad_request(f"missing parameter {name!r}")
+    if kind is bytes:
+        return _unhex(name, value)
+    if kind is list and type(value) is list:
+        return [_unhex(name, item) for item in value]
+    if type(value) is not kind:
+        raise _bad_request(f"parameter {name!r} must be a {kind.__name__}")
+    if kind is str:
+        # JSON's \uXXXX escapes can spell a lone surrogate, which no
+        # later .encode() of a key id or method name survives.
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _bad_request(f"parameter {name!r} is not valid Unicode") from None
+    return value
+
+
+def _unhex(name: str, value) -> bytes:
+    if type(value) is not str:
+        raise _bad_request(f"parameter {name!r} must be a hex string")
+    try:
+        return bytes.fromhex(value)
+    except ValueError:
+        raise _bad_request(f"parameter {name!r} is not hex") from None
+
+
+def _error_response(request_id, exc: ThetacryptError) -> dict:
+    response = {"id": request_id, "error": str(exc)}
+    # Structured abort classification (timeout / insufficient_shares /
+    # byzantine_detected / bad_request / ...) travels next to the
+    # human-readable message.
+    reason = getattr(exc, "reason", None)
+    if reason is not None:
+        response["error_reason"] = reason
+    # Overload shedding: the server's backoff hint (seconds) rides with
+    # the error so clients can pace their retries.
+    retry_after = getattr(exc, "retry_after", None)
+    if retry_after is not None:
+        response["retry_after"] = retry_after
+    return response
+
+
+async def _linger(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then discard input until the peer closes (at most
+    ``_LINGER_S``): closing with unread bytes resets the connection, and a
+    reset can destroy the answer before the peer has read it."""
+
+    async def discard() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    if writer.is_closing():
+        return
+    try:
+        writer.write_eof()
+        await asyncio.wait_for(discard(), _LINGER_S)
+    except (asyncio.TimeoutError, OSError):
+        pass
+
+
+class RpcServer:
+    """Per-node RPC listener: framing, the auth check, structured error
+    serialisation (reason / retry_after) and per-method metrics."""
+
+    def __init__(self, node: "ThetacryptNode", host: str, port: int):
+        self._node = node
         self._host = host
         self._port = port
-        self._auth_token = auth_token
-        self._log_name = log_name
+        self._auth_token = node.config.rpc_auth_token
         self._server: asyncio.AbstractServer | None = None
         self._tasks: set[asyncio.Task] = set()
-        self._metrics = RpcMetrics(registry)
+        self._metrics = RpcMetrics(node.registry)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -98,7 +182,18 @@ class JsonLinesServer:
         write_lock = asyncio.Lock()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over RPC_LINE_LIMIT: the framing is lost, so answer
+                    # once and drop the connection.
+                    self._metrics.requests.labels("<unparsed>", "error").inc()
+                    error = _bad_request(
+                        f"request line exceeds {RPC_LINE_LIMIT} bytes"
+                    )
+                    await self._write(writer, write_lock, _error_response(None, error))
+                    await _linger(reader, writer)
+                    return
                 if not line:
                     return
                 task = asyncio.get_running_loop().create_task(
@@ -126,46 +221,21 @@ class JsonLinesServer:
         self._metrics.inflight.inc()
         try:
             try:
-                request = json.loads(line)
+                request = _parse_request(line)
                 request_id = request.get("id")
-                method = str(request.get("method", ""))
+                method = _param(request, "method", str)
+                params = _param(request, "params", dict)
                 if self._auth_token and request.get("auth") != self._auth_token:
                     raise RpcError(
                         "unauthorized: request lacks the security-domain token"
                     )
-                result = await self._dispatch(method, request.get("params", {}))
+                result = await self._dispatch_traced(method, params)
                 response = {"id": request_id, "result": result}
             except ThetacryptError as exc:
                 outcome = "error"
-                response = {"id": request_id, "error": str(exc)}
-                # Structured abort classification (timeout /
-                # insufficient_shares / byzantine_detected / ...) travels
-                # next to the human-readable message.
-                reason = getattr(exc, "reason", None)
-                if reason is not None:
-                    response["error_reason"] = reason
-                # Overload shedding: the server's backoff hint (seconds)
-                # rides with the error so clients can pace their retries.
-                retry_after = getattr(exc, "retry_after", None)
-                if retry_after is not None:
-                    response["retry_after"] = retry_after
-                # Generic structured payload (no field allowlist): e.g. a
-                # wrong_group redirect's owning group + endpoints.  Must
-                # be JSON-serializable; anything else is dropped rather
-                # than failing the error response itself.
-                details = getattr(exc, "details", None)
-                if details is not None:
-                    try:
-                        json.dumps(details)
-                    except (TypeError, ValueError):
-                        logger.warning(
-                            "dropping non-serializable error details for %s",
-                            method,
-                        )
-                    else:
-                        response["error_details"] = details
-            except Exception as exc:  # noqa: BLE001 - report malformed requests
-                logger.exception("%s failure", self._log_name)
+                response = _error_response(request_id, exc)
+            except Exception as exc:  # noqa: BLE001 - a fault of the node itself
+                logger.exception("rpc failure")
                 outcome = "internal"
                 response = {"id": request_id, "error": f"internal error: {exc}"}
         finally:
@@ -174,6 +244,12 @@ class JsonLinesServer:
             self._metrics.latency.labels(method or "<unparsed>").observe(
                 time.perf_counter() - started
             )
+        await self._write(writer, write_lock, response)
+
+    @staticmethod
+    async def _write(
+        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: dict
+    ) -> None:
         async with write_lock:
             if writer.is_closing():
                 return  # client went away while we were handling the request
@@ -182,20 +258,6 @@ class JsonLinesServer:
                 await writer.drain()
             except ConnectionError:
                 pass
-
-
-class RpcServer(JsonLinesServer):
-    """Per-node RPC listener."""
-
-    def __init__(self, node: "ThetacryptNode", host: str, port: int):
-        super().__init__(
-            self._dispatch_traced,
-            host,
-            port,
-            node.config.rpc_auth_token,
-            node.registry,
-        )
-        self._node = node
 
     async def _dispatch_traced(self, method: str, params: dict) -> dict:
         if method in _PROTOCOL_METHODS:
@@ -215,9 +277,9 @@ class RpcServer(JsonLinesServer):
             started = time.monotonic()
             result = await node.run_request(
                 kind,
-                params["key_id"],
-                unhexlify(params["data"]),
-                unhexlify(params.get("label", "")),
+                _param(params, "key_id", str),
+                _param(params, "data", bytes),
+                _param(params, "label", bytes, ""),
             )
             return {
                 "result": hexlify(result),
@@ -225,31 +287,33 @@ class RpcServer(JsonLinesServer):
             }
         if method == "run_dkg":
             group_key = await node.run_dkg(
-                params["key_id"],
-                scheme=params.get("scheme", "cks05"),
-                group_name=params.get("group", "ed25519"),
+                _param(params, "key_id", str),
+                scheme=_param(params, "scheme", str, "cks05"),
+                group_name=_param(params, "group", str, "ed25519"),
             )
             return {"group_key": group_key}
         if method == "refresh_key":
-            group_key = await node.refresh_key(params["key_id"])
+            group_key = await node.refresh_key(_param(params, "key_id", str))
             return {"group_key": group_key}
         if method == "precompute":
             # Two families behind one method: kg20 nonce batches (count=N,
             # the original API) and the generic announce of upcoming
             # requests (items=[hex, ...]) that stages shares per instance.
+            key_id = _param(params, "key_id", str)
             if "items" in params:
                 report = await node.precompute_requests(
-                    params["key_id"],
-                    [unhexlify(item) for item in params["items"]],
-                    unhexlify(params.get("label", "")),
+                    key_id,
+                    _param(params, "items", list),
+                    _param(params, "label", bytes, ""),
                 )
                 return report
-            available = await node.precompute_frost(
-                params["key_id"], int(params["count"])
-            )
+            count = _param(params, "count", int)
+            if not 0 < count < 1 << 32:
+                raise _bad_request(f"count {count} outside 1..2**32-1")
+            available = await node.precompute_frost(key_id, count)
             return {"available": available}
         if method == "status":
-            record = node.instances.record(params["instance_id"])
+            record = node.instances.record(_param(params, "instance_id", str))
             return {
                 "instance_id": record.instance_id,
                 "scheme": record.scheme,
@@ -263,16 +327,16 @@ class RpcServer(JsonLinesServer):
         # ------ scheme API ------
         if method == "encrypt":
             ciphertext = node.scheme_encrypt(
-                params["key_id"],
-                unhexlify(params["data"]),
-                unhexlify(params.get("label", "")),
+                _param(params, "key_id", str),
+                _param(params, "data", bytes),
+                _param(params, "label", bytes, ""),
             )
             return {"ciphertext": hexlify(ciphertext)}
         if method == "verify_signature":
             valid = node.scheme_verify_signature(
-                params["key_id"],
-                unhexlify(params["data"]),
-                unhexlify(params["signature"]),
+                _param(params, "key_id", str),
+                _param(params, "data", bytes),
+                _param(params, "signature", bytes),
             )
             return {"valid": valid}
         if method == "list_keys":
@@ -288,3 +352,4 @@ class RpcServer(JsonLinesServer):
         if method == "ping":
             return {"node_id": node.config.node_id}
         raise ThetacryptError(f"unknown method {method!r}")
+

@@ -16,10 +16,8 @@ from .instruments import (
     CoreMetrics,
     EventLoopLagSampler,
     PrecomputeMetrics,
-    RouterMetrics,
     RpcMetrics,
     StorageMetrics,
-    client_redirects_counter,
     crypto_cache_snapshot,
     register_crypto_cache_collector,
     register_fixedbase_collector,
@@ -55,7 +53,6 @@ __all__ = [
     "MetricFamily",
     "MetricRegistry",
     "MetricsHttpServer",
-    "RouterMetrics",
     "RpcMetrics",
     "Sample",
     "StorageMetrics",
@@ -64,7 +61,6 @@ __all__ = [
     "TraceContext",
     "TraceEvent",
     "adopt_trace",
-    "client_redirects_counter",
     "counter",
     "crypto_cache_snapshot",
     "current_trace",

@@ -237,57 +237,6 @@ class PrecomputeMetrics:
         )
 
 
-class RouterMetrics:
-    """Front-end router instruments (held by :class:`repro.router.core.Router`).
-
-    One registry per router instance, mirroring the per-node registries:
-    a Prometheus server scraping each router sees exactly its own
-    traffic.  ``repro_router_requests_total`` is the scrapeable per-shard
-    throughput breakdown — its per-``group`` rate is each shard's served
-    request rate through this router.
-    """
-
-    def __init__(self, registry: MetricRegistry):
-        self.requests = registry.counter(
-            "repro_router_requests_total",
-            "Requests forwarded to a threshold group, by owning group, "
-            "method and outcome (ok / error / unroutable).",
-            ("group", "method", "outcome"),
-        )
-        self.upstream_seconds = registry.histogram(
-            "repro_router_upstream_seconds",
-            "Upstream latency of one routed request (fan-out to the "
-            "first group answer, redirects included), by group.",
-            ("group",),
-        )
-        self.inflight = registry.gauge(
-            "repro_router_inflight",
-            "Routed requests currently in flight, by owning group.",
-            ("group",),
-        )
-        self.redirects = registry.counter(
-            "repro_router_redirects_total",
-            "wrong_group redirects followed to the owning group named in "
-            "the error payload, by who followed them (router / client).",
-            ("source",),
-        )
-
-
-def client_redirects_counter():
-    """The topology-aware client's share of ``repro_router_redirects_total``.
-
-    Lives in the default registry (clients have no registry of their
-    own), labeled ``source="client"`` so router- and client-side
-    redirect-following stay distinguishable in one exposition.
-    """
-    return default_registry().counter(
-        "repro_router_redirects_total",
-        "wrong_group redirects followed to the owning group named in "
-        "the error payload, by who followed them (router / client).",
-        ("source",),
-    ).labels("client")
-
-
 class EventLoopLagSampler:
     """Heartbeat measuring asyncio scheduling delay.
 

@@ -101,16 +101,30 @@ class TestConfigFile:
 
     def test_config_written_before_the_worker_pool_was_removed(self):
         """``to_json`` is ``asdict``: every config ``tools/deal_keys.py``
-        wrote while the three fields existed carries all of them."""
-        document = json.loads(make_local_configs(4, 1)[0].to_json())
-        document.update(
-            crypto_workers=0, offload_policy="adaptive", coalesce_window=0.002
+        wrote while removed fields existed carries all of them, the worker
+        pool's three or a federated node's two."""
+        topology = {
+            "groups": [{"group_id": "alpha", "parties": 4, "threshold": 1}],
+            "vnodes": 64,
+            "assignments": {},
+        }
+        removed = (
+            (
+                dict(crypto_workers=0, offload_policy="adaptive", coalesce_window=0.002),
+                "unknown NodeConfig keys: coalesce_window, crypto_workers, "
+                "offload_policy",
+            ),
+            (
+                dict(group_id="alpha", topology=topology),
+                "unknown NodeConfig keys: group_id, topology",
+            ),
         )
-        with pytest.raises(ConfigurationError) as caught:
-            NodeConfig.from_json(json.dumps(document))
-        assert str(caught.value) == (
-            "unknown NodeConfig keys: coalesce_window, crypto_workers, offload_policy"
-        )
+        for keys, message in removed:
+            document = json.loads(make_local_configs(4, 1)[0].to_json())
+            document.update(keys)
+            with pytest.raises(ConfigurationError) as caught:
+                NodeConfig.from_json(json.dumps(document))
+            assert str(caught.value) == message
 
 
 @pytest.mark.integration

@@ -18,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-ENTRY_POINTS = ("repro.service.daemon", "repro.router.daemon")
+ENTRY_POINTS = ("repro.service.daemon",)
 
 _SIM = (
     "§4 simulator: Figs. 4/5 and Tables 2/4 (`EXPERIMENTS.md`, "
@@ -67,7 +67,7 @@ def _disk_files() -> list[Path]:
 
 @pytest.fixture(scope="module")
 def closure() -> set[str]:
-    """Every ``repro`` module either daemon entry point can import."""
+    """Every ``repro`` module the daemon entry point can import."""
     reached: set[str] = set()
     for entry in ENTRY_POINTS:
         finder = modulefinder.ModuleFinder(path=[str(SRC), *sys.path])

@@ -9,8 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.network.local import LocalHub
-from repro.router.daemon import RouterDaemon
-from repro.router.topology import GroupSpec, Topology
 from repro.service.client import ThetacryptClient
 from repro.service.config import make_local_configs
 from repro.service.node import ThetacryptNode, derive_instance_id
@@ -53,9 +51,9 @@ def _metric(parsed, name, **labels):
 
 
 def test_documented_metric_names_match_the_registries(tmp_path):
-    """docs/observability.md's catalog == what a started node and a started
-    router register: no row for a family that is gone, no family without a
-    row, and each row's type and label set are the family's."""
+    """docs/observability.md's catalog == what a started node registers: no
+    row for a family that is gone, no family without a row, and each row's
+    type and label set are the family's."""
     catalog = Path(__file__).parent.parent / "docs" / "observability.md"
     rows = {
         name: (metric_type, frozenset(re.findall(r"`(\w+)`", labels)))
@@ -71,23 +69,20 @@ def test_documented_metric_names_match_the_registries(tmp_path):
             data_dir=str(tmp_path),
         )
         node = ThetacryptNode(config, transport=LocalHub().endpoint(1))
-        router = RouterDaemon(Topology((GroupSpec("solo", 2, 1, rpc_base_port=1),)))
         await node.start()
-        await router.start()
         try:
-            registries = (node.registry, default_registry(), router.router.registry)
+            registries = (node.registry, default_registry())
             return {
                 (family.name, family.metric_type, frozenset(family.labelnames))
                 for r in registries
                 for family in r.collect()
             }
         finally:
-            await router.stop()
             await node.stop()
 
     families = asyncio.run(registered())
     found = {name for name, _, _ in families}
-    assert documented - found == set(), "documented, but no node or router registers it"
+    assert documented - found == set(), "documented, but no node registers it"
     assert found - documented == set(), "registered, but missing from the catalog"
     drifted = {
         name: (rows[name], (metric_type, set(labels)))

@@ -40,29 +40,27 @@ def deal_keys(*args: str) -> None:
     assert deal.returncode == 0, deal.stderr
 
 
-def spawn(module: str, log: Path, *args: str) -> subprocess.Popen:
-    """``python -m module args`` with stdout and stderr appended to ``log``
-    (kept on the returned process as ``.log`` for :func:`wait_for_ping`)."""
+def spawn_daemon(node_dir: Path, *flags: str) -> subprocess.Popen:
+    """One node daemon on ``node_dir``'s dealt config and keystore, its
+    stdout and stderr appended to ``node_dir/daemon.log`` (kept on the
+    returned process as ``.log`` for :func:`wait_for_ping`)."""
+    log = node_dir / "daemon.log"
     with open(log, "ab") as sink:
         process = subprocess.Popen(
-            [sys.executable, "-m", module, *args],
+            [
+                sys.executable,
+                "-m",
+                "repro.service.daemon",
+                "--config", str(node_dir / "config.json"),
+                "--keystore", str(node_dir / "keystore.json"),
+                *flags,
+            ],
             stdout=sink,
             stderr=sink,
             env=CHILD_ENV,
         )
     process.log = log
     return process
-
-
-def spawn_daemon(node_dir: Path, *flags: str) -> subprocess.Popen:
-    """One node daemon on ``node_dir``'s dealt config and keystore."""
-    return spawn(
-        "repro.service.daemon",
-        node_dir / "daemon.log",
-        "--config", str(node_dir / "config.json"),
-        "--keystore", str(node_dir / "keystore.json"),
-        *flags,
-    )
 
 
 async def wait_for_ping(

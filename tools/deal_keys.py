@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Trusted-dealer CLI: generate configs and keystores for a Θ-network.
 
-Single-group mode (the original deployment shape)::
+Usage::
 
     python3 tools/deal_keys.py --parties 4 --threshold 1 \
         --schemes bls04,sg02,cks05 --out deployment/
@@ -10,22 +10,11 @@ writes, under ``deployment/``:
 
 * ``node<i>/config.json``   — NodeConfig for each node (TCP transport);
 * ``node<i>/keystore.json`` — that node's private key shares;
-* ``public_keys.json``     — key id → public key + owner, for clients.
+* ``public_keys.json``     — key id → public key, for clients.
 
-Federation mode deals one *sharded* deployment from a topology
-descriptor (see ``docs/federation.md``)::
-
-    python3 tools/deal_keys.py --topology deployment/topology.json \
-        --keys tenant-a/sg02,tenant-a/bls04,tenant-b/sg02 --out deployment/
-
-Each key id's scheme is the segment after its last ``/`` (bare scheme
-names work too); every key is dealt **only** to the group that owns it
-under the topology's ring/assignments, so groups hold disjoint key sets.
-Per group ``<gid>``, configs and keystores land under
-``out/group-<gid>/node<i>/`` with ``group_id``/``topology`` embedded, so
-nodes answer requests for foreign keys with a structured ``wrong_group``
-redirect.  Start nodes with ``python3 -m repro.service.daemon`` and any
-number of routers with ``python3 -m repro.router.daemon``.
+``--keys tenant-a/sg02,tenant-b/sg02`` deals namespaced key ids instead;
+each key id's scheme is the segment after its last ``/``.  Start the
+nodes with ``python3 -m repro.service.daemon``.
 """
 
 from __future__ import annotations
@@ -39,7 +28,6 @@ from dataclasses import replace
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import ConfigurationError  # noqa: E402
-from repro.router.topology import Topology  # noqa: E402
 from repro.schemes import generate_keys  # noqa: E402
 from repro.schemes.keystore import export_public_key, node_keystore  # noqa: E402
 from repro.serialization import hexlify  # noqa: E402
@@ -51,24 +39,7 @@ def scheme_of(key_id: str) -> str:
     return key_id.rsplit("/", 1)[-1]
 
 
-def write_group(out, configs, material, data_dir):
-    """Write one group's per-node config + keystore files."""
-    if data_dir:
-        configs = [
-            replace(c, data_dir=str(out / f"node{c.node_id}" / "data"))
-            for c in configs
-        ]
-    for config in configs:
-        node_dir = out / f"node{config.node_id}"
-        node_dir.mkdir(parents=True, exist_ok=True)
-        (node_dir / "config.json").write_text(config.to_json())
-        (node_dir / "keystore.json").write_text(
-            node_keystore(material, config.node_id)
-        )
-    return configs
-
-
-def deal_single(args, key_ids) -> None:
+def deal(args, key_ids) -> None:
     material = {
         key_id: generate_keys(
             scheme_of(key_id), args.threshold, args.parties, rsa_bits=args.rsa_bits
@@ -83,7 +54,18 @@ def deal_single(args, key_ids) -> None:
         host=args.host,
     )
     out = pathlib.Path(args.out)
-    configs = write_group(out, configs, material, args.data_dir)
+    if args.data_dir:
+        configs = [
+            replace(c, data_dir=str(out / f"node{c.node_id}" / "data"))
+            for c in configs
+        ]
+    for config in configs:
+        node_dir = out / f"node{config.node_id}"
+        node_dir.mkdir(parents=True, exist_ok=True)
+        (node_dir / "config.json").write_text(config.to_json())
+        (node_dir / "keystore.json").write_text(
+            node_keystore(material, config.node_id)
+        )
     public = {
         key_id: {
             "scheme": km.scheme,
@@ -105,64 +87,6 @@ def deal_single(args, key_ids) -> None:
         )
 
 
-def deal_federation(args, key_ids) -> None:
-    topology = Topology.from_json(pathlib.Path(args.topology).read_text())
-    owned = topology.partition_keys(key_ids)
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    public: dict[str, dict] = {}
-    commands: list[str] = []
-    for spec in topology.groups:
-        group_keys = owned[spec.group_id]
-        material = {
-            key_id: generate_keys(
-                scheme_of(key_id),
-                spec.threshold,
-                spec.parties,
-                rsa_bits=args.rsa_bits,
-            )
-            for key_id in group_keys
-        }
-        configs = make_local_configs(
-            spec.parties,
-            spec.threshold,
-            base_port=spec.base_port or args.base_port,
-            rpc_base_port=spec.rpc_base_port or args.rpc_base_port,
-            host=spec.host,
-            group_id=spec.group_id,
-            topology=topology,
-        )
-        group_dir = out / f"group-{spec.group_id}"
-        configs = write_group(group_dir, configs, material, args.data_dir)
-        for key_id, km in material.items():
-            public[key_id] = {
-                "scheme": km.scheme,
-                "group": spec.group_id,
-                "public_key": hexlify(
-                    export_public_key(km.scheme, km.public_key)
-                ),
-            }
-        for config in configs:
-            commands.append(
-                f"  python3 -m repro.service.daemon "
-                f"--config {group_dir}/node{config.node_id}/config.json "
-                f"--keystore {group_dir}/node{config.node_id}/keystore.json"
-            )
-        print(
-            f"group {spec.group_id}: dealt {len(group_keys)} keys "
-            f"({', '.join(group_keys) or 'none'}) "
-            f"as {spec.threshold + 1}-of-{spec.parties}"
-        )
-    (out / "public_keys.json").write_text(json.dumps(public, indent=2))
-    # The same document the nodes embed, for routers and clients to load.
-    (out / "topology.json").write_text(topology.to_json())
-    print("start nodes with:")
-    for command in commands:
-        print(command)
-    print("start a router with:")
-    print(f"  python3 -m repro.router.daemon --topology {out}/topology.json")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--parties", type=int, default=4)
@@ -176,11 +100,6 @@ def main() -> None:
         help="comma-separated key ids, e.g. tenant-a/sg02 (scheme = last "
         "path segment); overrides --schemes",
     )
-    parser.add_argument(
-        "--topology", default="",
-        help="federation Topology JSON: deal keys disjointly across its "
-        "groups instead of one flat network",
-    )
     parser.add_argument("--rsa-bits", type=int, default=2048)
     parser.add_argument("--base-port", type=int, default=17000)
     parser.add_argument("--rpc-base-port", type=int, default=18000)
@@ -189,7 +108,7 @@ def main() -> None:
     parser.add_argument(
         "--data-dir",
         action="store_true",
-        help="give every node a durable data_dir (out/.../node<i>/data) so "
+        help="give every node a durable data_dir (out/node<i>/data) so "
         "it persists keys/results and runs crash recovery on restart "
         "(docs/robustness.md)",
     )
@@ -199,10 +118,7 @@ def main() -> None:
     key_ids = [k.strip() for k in raw.split(",") if k.strip()]
     if not key_ids:
         raise ConfigurationError("no keys requested")
-    if args.topology:
-        deal_federation(args, key_ids)
-    else:
-        deal_single(args, key_ids)
+    deal(args, key_ids)
 
 
 if __name__ == "__main__":
