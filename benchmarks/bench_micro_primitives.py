@@ -14,10 +14,11 @@ from repro.core.protocols import (
     OperationRequest,
     make_operation,
 )
-from repro.errors import InvalidShareError
+from repro.errors import InvalidShareError, SerializationError
 from repro.groups import fixed_base_table, get_group, precompute_stats
 from repro.groups.bn254 import bn254_pairing
 from repro.groups.bn254.pairing import _build_lines
+from repro.groups.ed25519 import P as ED25519_P
 from repro.mathutils.lagrange import (
     clear_lagrange_cache,
     lagrange_cache_stats,
@@ -56,6 +57,21 @@ def test_ed25519_element_from_bytes(benchmark):
     group = get_group("ed25519")
     encoded = (group.generator() ** SCALAR).to_bytes()
     benchmark(lambda: group.element_from_bytes(encoded))
+
+
+def test_ed25519_element_from_bytes_mixed_order(benchmark):
+    """A hostile share's price: a prime-order point plus the point of order
+    2, which survives the halving and is refused by the last ``pow``."""
+    group = get_group("ed25519")
+    x, y, _, _ = (group.generator() ** SCALAR).point  # Z = 1
+    minus_x, minus_y = ED25519_P - x, ED25519_P - y  # + (0, −1)
+    encoded = (minus_y | ((minus_x & 1) << 255)).to_bytes(32, "little")
+
+    def decode():
+        with pytest.raises(SerializationError):
+            group.element_from_bytes(encoded)
+
+    benchmark(decode)
 
 
 def test_dleq_round_on_fresh_base(benchmark):

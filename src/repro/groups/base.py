@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import secrets
 from abc import ABC, abstractmethod
-from typing import Sequence
+from functools import reduce
+from operator import mul
+from typing import Iterable, Sequence
 
 from ..errors import SerializationError
 
@@ -149,6 +151,18 @@ class Group(ABC):
                 if digit:
                     acc = acc * row[digit]
         return acc
+
+    def _fixed_base_form(self, rows: Iterable[list[GroupElement]]):
+        """A fixed-base table's rows as stored, and the product of a list of
+        stored entries (an element).
+
+        The hook behind :class:`~repro.groups.precompute.FixedBaseTable`,
+        which hands over its rows one at a time: the default keeps the
+        elements and multiplies with ``*``; a group with a flat kernel
+        stores that kernel's operands instead, so that no table ever holds
+        both forms.
+        """
+        return list(rows), lambda entries: reduce(mul, entries, self.identity())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Group {self.name} order={self.order:#x}>"

@@ -19,6 +19,7 @@ P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
 D = (-121665 * pow(121666, -1, P)) % P
 _2D = (2 * D) % P
+_INV_D = pow(D, -1, P)
 COFACTOR = 8
 
 # Base point from RFC 8032.
@@ -26,18 +27,24 @@ _BASE_Y = 4 * pow(5, -1, P) % P
 _SQRT_M1 = pow(2, (P - 1) // 4, P)
 
 
+def _sqrt_ratio(u: int, v: int) -> int | None:
+    """A square root of u/v (v ≠ 0) for one ``pow``, or None if there is none."""
+    v3 = v * v % P * v % P
+    # Candidate u·v³·(u·v⁷)^((p-5)/8), the p = 5 (mod 8) shortcut.
+    x = u * v3 * pow(u * v3 * v3 * v % P, (P - 5) // 8, P) % P
+    vx2 = v * x * x % P
+    if vx2 == u % P:
+        return x
+    if vx2 == -u % P:
+        return x * _SQRT_M1 % P
+    return None
+
+
 def _recover_x(y: int, sign: int) -> int | None:
     """Recover the x coordinate with the given sign bit, or None."""
     y2 = (y * y) % P
-    u = (y2 - 1) % P
-    v = (D * y2 + 1) % P
-    # Candidate root x = u·v³·(u·v⁷)^((p-5)/8), the p = 5 (mod 8) shortcut.
-    x = (u * pow(v, 3, P) * pow(u * pow(v, 7, P), (P - 5) // 8, P)) % P
-    vx2 = (v * x * x) % P
-    if vx2 == (P - u) % P:
-        x = (x * _SQRT_M1) % P
-        vx2 = (v * x * x) % P
-    if vx2 != u % P:
+    x = _sqrt_ratio(y2 - 1, D * y2 + 1)
+    if x is None:
         return None
     if x == 0 and sign == 1:
         return None
@@ -108,7 +115,7 @@ def _straus(pairs) -> tuple:
     """Σ [k]P over (point, k ≥ 0) pairs, interleaved on one doubling chain.
 
     The only scalar multiplication in this module: ``**`` is its one-base
-    case, the subgroup check on decode runs it with the unreduced L, and
+    case, ``_mul_raw`` (cofactor clearing) its unreduced one, and
     ``multi_exp`` hands it all k bases at once.  T is computed only where
     an addition will read it, so the (projective) result may lack it;
     :func:`_affine` rebuilds it.
@@ -146,6 +153,50 @@ def _affine(p: tuple) -> tuple:
     z_inv = pow(z, -1, P)
     x, y = x * z_inv % P, y * z_inv % P
     return x, y, 1, x * y % P
+
+
+# -- the prime-order check ---------------------------------------------------
+# edwards25519 maps to the Montgomery curve M: v² = u³ + A·u² + u by
+# u = (1+y)/(1−y), v = c·u/x with c² = −(A+2), and M(F_p) ≅ Z/8L is cyclic,
+# so P has odd order iff P ∈ 8M.  The 2-isogeny φ: M → M' with kernel (0, 0),
+# M': Y² = X(X² − 2A·X + A² − 4), has dual φ̂(X, Y) = (Y²/4X², …), and
+# [2] = φ̂∘φ.  The test halves once and then reads a quartic character, in
+# the spirit of Pornin, "Point-Halving and Subgroup Membership in Twisted
+# Edwards Curves" (IACR ePrint 2022/1164):
+#  1. P ∈ φ̂(M'(F_p)) iff u is a square.  With s = √u, R = (X, 2sX) for
+#     X = A + 2u + 2v/s is a φ̂-preimage, so this halving costs one root.
+#  2. M'(F_p) ≅ Z/2 × Z/4L, and P ∈ 8M iff R or R + (0, 0) lies in 4M', the
+#     kernel of the order-4 Tate pairing (4 | p − 1).  Against S, a rational
+#     point of order 4 with 2S = (A+2, 0), that pairing is χ₄(f(R)), where
+#     f = ℓ²/(X − A − 2) has divisor 4(S) − 4(O), ℓ is the tangent at S and
+#     χ₄(z) = z^((p−1)/4); against (0, 0) it is χ₂(X).  Adding (0, 0) flips
+#     both (t₄((0, 0), S) = −1), so either preimage is in 4M' iff
+#     χ₄(X²·f(R)) = 1: one more ``pow``, whichever preimage s picked.
+_A = 486662
+_C = _sqrt_ratio(-(_A + 2), 1)
+_S_X = (_A + 2 + 2 * _sqrt_ratio(_A + 2, 1)) % P
+_S_Y = _sqrt_ratio(_S_X * (_S_X * _S_X - 2 * _A * _S_X + _A * _A - 4), 1)
+_S_SLOPE = (3 * _S_X * _S_X - 4 * _A * _S_X + _A * _A - 4) * pow(2 * _S_Y, -1, P) % P
+_S_LINE = (_S_SLOPE * _S_X - _S_Y) % P  # ℓ(X, Y) = Y − slope·X + this
+
+
+def _in_prime_order_subgroup(x: int, y: int) -> bool:
+    """Whether the curve point (x, y) has order dividing L: two ``pow``s.
+
+    Step 1 and 2 above, over fractions with denominator x so that nothing
+    is inverted: X = N/x, ℓ(R) = M/x, X − A − 2 = K/x, and
+    χ₄(X²·f(R)) = χ₄(N²·M²·K³·x) because x⁸ is a fourth power.
+    """
+    if x == 0:
+        return y == 1  # (0, 1) is the identity, (0, −1) has order 2
+    s = _sqrt_ratio(1 + y, 1 - y)  # y ≠ ±1 once x ≠ 0
+    if s is None:
+        return False
+    n = (x * (_A + 2 * s * s) + 2 * _C * s) % P
+    m = (n * (2 * s - _S_SLOPE) + _S_LINE * x) % P
+    k = (n - (_A + 2) * x) % P
+    nm = n * m % P
+    return pow(nm * nm % P * k * k * k * x % P, (P - 1) // 4, P) == 1
 
 
 class Ed25519Element(GroupElement):
@@ -235,17 +286,36 @@ class Ed25519Group(Group):
         x = _recover_x(y, sign)
         if x is None:
             raise SerializationError("ed25519 encoding is not on the curve")
-        point = (x, y, 1, x * y % P)
-        # [L]P is the identity (0 : Z : Z) exactly for the prime-order subgroup.
-        lx, ly, lz, _ = _straus([(point, L)])
-        if lx != 0 or ly != lz:
+        if not _in_prime_order_subgroup(x, y):
             raise SerializationError("ed25519 point not in prime-order subgroup")
-        return Ed25519Element(self, point)
+        return Ed25519Element(self, (x, y, 1, x * y % P))
 
     def _multi_exp(self, pairs, window: int) -> Ed25519Element:
         """Straus over the flat kernel; its window shape is fixed."""
         points = [(base.point, exponent) for base, exponent in pairs]
         return Ed25519Element(self, _affine(_straus(points)))
+
+    def _fixed_base_form(self, rows):
+        """Rows of :func:`_cached` addends, summed on the flat kernel: no
+        element and no addend is rebuilt per lookup."""
+
+        def product(addends) -> Ed25519Element:
+            if not addends:
+                return self._identity
+            # The first addend (Y−X, Y+X, 2d·T, 2Z) is the point 2X : 2Y : 2Z.
+            y_minus_x, y_plus_x, t_2d, z = addends[0]
+            x, y = (y_plus_x - y_minus_x) % P, (y_plus_x + y_minus_x) % P
+            z, t = z % P, t_2d * _INV_D % P
+            for y_minus_x, y_plus_x, t_2d, z_2 in addends[1:]:  # _add, inlined
+                a = (y - x) * y_minus_x % P
+                b = (y + x) * y_plus_x % P
+                c = t * t_2d % P
+                d = z * z_2 % P
+                e, f, g, h = b - a, d - c, d + c, b + a
+                x, y, z, t = e * f % P, g * h % P, f * g % P, e * h % P
+            return Ed25519Element(self, (x, y, z, t))
+
+        return [[_cached(entry.point) for entry in row] for row in rows], product
 
     def hash_to_element(self, data: bytes) -> Ed25519Element:
         """Try-and-increment onto the curve, then clear the cofactor."""

@@ -3,9 +3,11 @@
 The evaluation hot paths (§4) are dominated by scalar multiplications whose
 bases barely change: every request exponentiates the group generator, the
 service public key, or a per-party verification key.  A windowed fixed-base
-table turns one such exponentiation from ~1.5·log₂(q) group operations into
-~log₂(q)/w table lookups and multiplications, at a one-time build cost of
-roughly three naive exponentiations.
+table turns one such exponentiation from a chain of ~log₂(q) doublings plus
+its additions into ~log₂(q)/w table lookups and additions, at a one-time
+build cost of 2^w·log₂(q)/w multiplications — four to five exponentiations
+on Ed25519, whose rows hold the flat kernel's addends
+(:meth:`~repro.groups.base.Group._fixed_base_form`).
 
 Because building a table only pays off for bases that recur, the cache uses
 *promotion*: a base is exponentiated naively until it has been seen
@@ -46,10 +48,12 @@ class FixedBaseTable:
 
     Precomputes ``base^(d·2^(w·b))`` for every window position ``b`` and
     digit ``d``; an exponentiation is then the product of one table entry
-    per nonzero window of the scalar — no doublings at all.
+    per nonzero window of the scalar — no doublings at all.  The rows hold
+    whatever :meth:`Group._fixed_base_form` stores: elements by default,
+    the flat kernel's addends on Ed25519.
     """
 
-    __slots__ = ("base", "order", "window", "_identity", "_rows")
+    __slots__ = ("base", "order", "window", "_rows", "_product")
 
     def __init__(self, base: "GroupElement", window: int = DEFAULT_WINDOW):
         if window < 1:
@@ -57,32 +61,34 @@ class FixedBaseTable:
         self.base = base
         self.order = base.group.order
         self.window = window
-        self._identity = base.group.identity()
         radix = 1 << window
         blocks = (self.order.bit_length() + window - 1) // window
-        rows = []
-        power = base  # base^(radix^block) at the top of each iteration
-        for _ in range(blocks):
-            row = [self._identity]
-            for _ in range(radix - 1):
-                row.append(row[-1] * power)
-            rows.append(row)
-            power = row[-1] * power
-        self._rows = rows
+
+        def rows():  # one row of elements at a time, for the group to store
+            power = base  # base^(radix^block) at the top of each iteration
+            for _ in range(blocks):
+                row = [base.group.identity()]
+                for _ in range(radix - 1):
+                    row.append(row[-1] * power)
+                yield row
+                power = row[-1] * power
+
+        self._rows, self._product = base.group._fixed_base_form(rows())
 
     def pow(self, scalar: int) -> "GroupElement":
         """``base ** scalar`` via table lookups; matches ``__pow__`` exactly."""
         scalar %= self.order
-        result = self._identity
+        rows = self._rows
         mask = (1 << self.window) - 1
+        entries = []
         block = 0
         while scalar:
             digit = scalar & mask
             if digit:
-                result = result * self._rows[block][digit]
+                entries.append(rows[block][digit])
             scalar >>= self.window
             block += 1
-        return result
+        return self._product(entries)
 
 
 class PrecomputeCache:

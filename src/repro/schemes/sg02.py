@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from ..errors import ConfigurationError, InvalidCiphertextError, InvalidShareError
@@ -38,6 +39,12 @@ _GBAR_TAG = b"repro-sg02-second-generator"
 def _kdf(element: GroupElement) -> bytes:
     """Derive the 32-byte symmetric-key mask from a group element."""
     return hashlib.sha256(_KDF_DOMAIN + element.to_bytes()).digest()
+
+
+@cache
+def _g_bar(group_name: str) -> GroupElement:
+    """SG02's second generator ḡ, hashed onto the group once per process."""
+    return get_group(group_name).hash_to_element(_GBAR_TAG)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -202,7 +209,7 @@ class Sg02Cipher(ThresholdCipher):
     ) -> Sg02Ciphertext:
         group = public_key.group
         g = group.generator()
-        g_bar = group.hash_to_element(_GBAR_TAG)
+        g_bar = _g_bar(group.name)
         sym_key = ChaCha20Poly1305.generate_key()
         nonce = secrets.token_bytes(ChaCha20Poly1305.NONCE_SIZE)
         payload = ChaCha20Poly1305(sym_key).encrypt(nonce, plaintext, aad=label)
@@ -222,7 +229,7 @@ class Sg02Cipher(ThresholdCipher):
     ) -> None:
         group = public_key.group
         g = group.generator()
-        g_bar = group.hash_to_element(_GBAR_TAG)
+        g_bar = _g_bar(group.name)
         w = fixed_pow(g, ciphertext.f) * ciphertext.u ** (-ciphertext.e)
         w_bar = fixed_pow(g_bar, ciphertext.f) * ciphertext.u_bar ** (-ciphertext.e)
         expected = self._challenge(

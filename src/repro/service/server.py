@@ -42,6 +42,19 @@ _PROTOCOL_METHODS = frozenset(
     {"decrypt", "sign", "flip_coin", "run_dkg", "refresh_key", "precompute"}
 )
 
+#: Every method :meth:`RpcServer._dispatch_inner` serves.  Any other name
+#: is counted under the one metric label ``<unknown>``: a label per string
+#: a client sends would grow the registry and the scrape without bound.
+_METHODS = _PROTOCOL_METHODS | {
+    "status",
+    "encrypt",
+    "verify_signature",
+    "list_keys",
+    "node_stats",
+    "metrics",
+    "ping",
+}
+
 #: Per-line stream limit for the JSON-lines framing.  The in-band
 #: ``metrics`` response carries a node's whole Prometheus exposition on
 #: one line, which outgrows asyncio's 64 KiB default once label
@@ -240,10 +253,10 @@ class RpcServer:
                 response = {"id": request_id, "error": f"internal error: {exc}"}
         finally:
             self._metrics.inflight.dec()
-            self._metrics.requests.labels(method or "<unparsed>", outcome).inc()
-            self._metrics.latency.labels(method or "<unparsed>").observe(
-                time.perf_counter() - started
-            )
+            if method not in _METHODS:
+                method = "<unknown>" if method else "<unparsed>"
+            self._metrics.requests.labels(method, outcome).inc()
+            self._metrics.latency.labels(method).observe(time.perf_counter() - started)
         await self._write(writer, write_lock, response)
 
     @staticmethod

@@ -13,6 +13,8 @@ from repro.errors import InvalidShareError, SerializationError
 from repro.groups import ed25519 as kernel
 from repro.groups.ed25519 import _2D, COFACTOR, L, P, Ed25519Element, ed25519
 from repro.schemes import cks05, kg20, sg02
+from tests import ed25519_subgroup_oracle as oracle
+from tests.ed25519_subgroup_oracle import curve_point
 
 GROUP = ed25519()
 G = GROUP.generator()
@@ -46,18 +48,6 @@ def ref_mul(p, k):
 
 def element(p) -> Ed25519Element:
     return Ed25519Element(GROUP, p)
-
-
-def curve_point(tag: bytes):
-    """A point of the full curve group (cofactor not cleared)."""
-    counter = 0
-    while True:
-        digest = hashlib.sha512(tag + bytes([counter])).digest()
-        y = int.from_bytes(digest[:32], "little") % P
-        x = kernel._recover_x(y, digest[32] & 1)
-        counter += 1
-        if x is not None:
-            return x, y, 1, x * y % P
 
 
 def torsion_points():
@@ -178,6 +168,175 @@ class TestSubgroupCheck:
     def test_hash_to_element_clears_the_cofactor(self):
         for tag in (b"", b"a", b"coin name"):
             assert GROUP.hash_to_element(tag)._mul_raw(L).is_identity()
+
+
+#: (case, accepted?, encoding) as ``ed25519_subgroup_oracle.table()`` generates it.
+_SUBGROUP_TABLE = [
+    ('small order: 0·T8', True,
+     '0100000000000000000000000000000000000000000000000000000000000000'),
+    ('small order: 1·T8', False,
+     'c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a'),
+    ('small order: 2·T8', False,
+     '0000000000000000000000000000000000000000000000000000000000000080'),
+    ('small order: 3·T8', False,
+     '26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05'),
+    ('small order: 4·T8', False,
+     'ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('small order: 5·T8', False,
+     '26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85'),
+    ('small order: 6·T8', False,
+     '0000000000000000000000000000000000000000000000000000000000000000'),
+    ('small order: 7·T8', False,
+     'c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa'),
+    ('prime order: [8]·curve point', True,
+     '889af993f1d437146cb84cf3f33e5929b3446ac2ffed4653db887c9ccec4494a'),
+    ('mixed order: prime-order point + 1·T8', False,
+     '0a0007c45dba21171c1cae817f3f3c8c89e512b39d11c302fed4f2d8e5ba787f'),
+    ('mixed order: prime-order point + 2·T8', False,
+     '3586b3c63d4a2aed609737fd28725c72609bbdfbca161009bcb8d74a0cd618e0'),
+    ('mixed order: prime-order point + 3·T8', False,
+     '42239a118485ce6c7dc9c2f8c257532d7238c9d999d0b7ebd3177270eeed4ccc'),
+    ('mixed order: prime-order point + 4·T8', False,
+     '6565066c0e2bc8eb9347b30c0cc1a6d64cbb953d0012b9ac24778363313bb6b5'),
+    ('mixed order: prime-order point + 5·T8', False,
+     'e3fff83ba245dee8e3e3517e80c0c373761aed4c62ee3cfd012b0d271a458780'),
+    ('mixed order: prime-order point + 6·T8', False,
+     'b8794c39c2b5d5129f68c802d78da38d9f64420435e9eff6434728b5f329e71f'),
+    ('mixed order: prime-order point + 7·T8', False,
+     'abdc65ee7b7a319382363d073da8acd28dc73626662f48142ce88d8f1112b333'),
+    ('order 8L: curve point, cofactor kept', False,
+     '9815ea6a3243259337cdf211c85f8229b5f3c67f7afdf500d988a7d470bfb906'),
+    ('non-canonical: y = p + 0, sign 0', False,
+     'edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 0, sign 1', False,
+     'edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 1, sign 0', False,
+     'eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 1, sign 1', False,
+     'eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 2, sign 0', False,
+     'efffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 2, sign 1', False,
+     'efffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 3, sign 0', False,
+     'f0ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 3, sign 1', False,
+     'f0ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 4, sign 0', False,
+     'f1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 4, sign 1', False,
+     'f1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 5, sign 0', False,
+     'f2ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 5, sign 1', False,
+     'f2ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 6, sign 0', False,
+     'f3ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 6, sign 1', False,
+     'f3ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 7, sign 0', False,
+     'f4ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 7, sign 1', False,
+     'f4ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 8, sign 0', False,
+     'f5ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 8, sign 1', False,
+     'f5ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 9, sign 0', False,
+     'f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 9, sign 1', False,
+     'f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 10, sign 0', False,
+     'f7ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 10, sign 1', False,
+     'f7ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 11, sign 0', False,
+     'f8ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 11, sign 1', False,
+     'f8ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 12, sign 0', False,
+     'f9ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 12, sign 1', False,
+     'f9ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 13, sign 0', False,
+     'faffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 13, sign 1', False,
+     'faffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 14, sign 0', False,
+     'fbffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 14, sign 1', False,
+     'fbffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 15, sign 0', False,
+     'fcffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 15, sign 1', False,
+     'fcffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 16, sign 0', False,
+     'fdffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 16, sign 1', False,
+     'fdffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 17, sign 0', False,
+     'feffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 17, sign 1', False,
+     'feffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: y = p + 18, sign 0', False,
+     'ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f'),
+    ('non-canonical: y = p + 18, sign 1', False,
+     'ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('non-canonical: x = 0, y = 1, sign 1', False,
+     '0100000000000000000000000000000000000000000000000000000000000080'),
+    ('non-canonical: x = 0, y = p - 1, sign 1', False,
+     'ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff'),
+    ('off the curve: y = 2', False,
+     '0200000000000000000000000000000000000000000000000000000000000000'),
+]
+
+
+class TestSubgroupOracle:
+    """The two-``pow`` prime-order check against ``[L]P = O``
+    (``tests/ed25519_subgroup_oracle.py``): the same bytes are accepted."""
+
+    def test_frozen_table_is_the_oracles(self):
+        generated = [(name, ok, data) for name, data, ok in oracle.table()]
+        assert generated == _SUBGROUP_TABLE
+
+    @pytest.mark.parametrize(
+        "accepted,data",
+        [row[1:] for row in _SUBGROUP_TABLE],
+        ids=[row[0] for row in _SUBGROUP_TABLE],
+    )
+    def test_decoder_follows_the_frozen_table(self, accepted, data):
+        encoded = bytes.fromhex(data)
+        if accepted:
+            assert GROUP.element_from_bytes(encoded).to_bytes() == encoded
+        else:
+            with pytest.raises(SerializationError):
+                GROUP.element_from_bytes(encoded)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.binary(max_size=16))
+    def test_decoder_accepts_exactly_what_the_oracle_accepts(self, tag):
+        subgroup = GROUP.hash_to_element(tag).point
+        candidates = [curve_point(b"full" + tag), subgroup]
+        candidates += [ref_add(subgroup, torsion) for torsion in TORSION]
+        for point in candidates:
+            encoded = oracle.encode(point)
+            expected = oracle.decode(encoded)
+            try:
+                decoded = GROUP.element_from_bytes(encoded)
+            except SerializationError:
+                assert expected is None
+            else:
+                assert expected is not None and decoded == element(expected)
+
+    def test_the_checks_constants(self):
+        """c² = −(A+2); S lies on M' with 2S = (A+2, 0); t₄((0, 0), S) = −1."""
+        a, s_x, s_y = kernel._A, kernel._S_X, kernel._S_Y
+        assert kernel._C**2 % P == -(a + 2) % P
+        assert s_y**2 % P == s_x * (s_x * s_x - 2 * a * s_x + a * a - 4) % P
+        # The tangent at S meets M' again at −2S = 2S = (A+2, 0).
+        assert (0 - kernel._S_SLOPE * (a + 2) + kernel._S_LINE) % P == 0
+        value = kernel._S_LINE**2 * pow(-(a + 2), 3, P) % P
+        assert pow(value, (P - 1) // 4, P) == P - 1
 
 
 class TestEncoding:

@@ -129,6 +129,46 @@ class TestFixedBaseTable:
             assert key in stats
 
 
+_ED25519 = get_group("ed25519")
+_ED_BASES = {
+    "generator": _ED25519.generator(),
+    "other base": _ED25519.hash_to_element(b"flat table base"),
+}
+_ED_TABLES = {name: FixedBaseTable(base) for name, base in _ED_BASES.items()}
+_L = _ED25519.order
+
+
+class TestEd25519FlatTable:
+    """Ed25519 rows hold the flat kernel's cached addends, not elements, and
+    ``pow`` sums them on the kernel: the same element as ``__pow__``."""
+
+    @pytest.mark.parametrize("name", sorted(_ED_BASES))
+    @pytest.mark.parametrize(
+        "scalar", [0, 1, _L - 1, _L, _L + 1, -1, 2**256 - 1], ids=str
+    )
+    def test_edge_scalars(self, name, scalar):
+        result = _ED_TABLES[name].pow(scalar)
+        expected = _ED_BASES[name] ** scalar
+        assert result == expected
+        assert result.to_bytes() == expected.to_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(_ED_BASES)),
+        st.integers(min_value=-(2**300), max_value=2**300),
+    )
+    def test_random_scalars(self, name, scalar):
+        assert _ED_TABLES[name].pow(scalar) == _ED_BASES[name] ** scalar
+
+    def test_rows_hold_addends_only(self):
+        for table in _ED_TABLES.values():
+            for row in table._rows:
+                assert len(row) == 16
+                for entry in row:
+                    assert type(entry) is tuple and len(entry) == 4
+                    assert all(type(value) is int for value in entry)
+
+
 class TestBatchVerification:
     def test_bls04_batch_identifies_culprits(self):
         from repro.schemes import bls04

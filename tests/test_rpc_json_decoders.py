@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.server import RPC_LINE_LIMIT
+from repro.telemetry import parse_text
 from tests.test_scheme_sh00 import _mutants
 from tests.test_telemetry_service import _start_network, _teardown
 
@@ -87,6 +88,13 @@ _TABLE = [
     ("instance_id a number", _call(28, "status", instance_id=1), 28, _BAD),
     ("dkg scheme a number", _call(29, "run_dkg", key_id="new", scheme=5), 29, _BAD),
 ]
+
+#: Every method the server dispatches, each its own metric label.
+_SERVED = (
+    "decrypt", "sign", "flip_coin", "run_dkg", "refresh_key", "precompute",
+    "status", "encrypt", "verify_signature", "list_keys", "node_stats",
+    "metrics", "ping",
+)
 
 _OVERSIZED = b"x" * (RPC_LINE_LIMIT + 1)
 
@@ -211,6 +219,30 @@ class TestHostileRpcLines:
             connection.close()
         assert network.requests("error", "<unparsed>") == before + 1
         assert network.requests("internal") == 0
+
+    def test_unknown_methods_share_one_metric_label(self, network):
+        """300 invented method names leave the scrape's ``method`` label
+        within the served methods plus ``<unknown>`` and ``<unparsed>``."""
+        connection = _Connection(network.address)
+        try:
+            for method in _SERVED:  # each is dispatched, not "unknown method"
+                response = connection.send(_call(0, method))
+                assert "unknown method" not in response.get("error", ""), response
+            for i in range(300):
+                response = connection.send(_call(i, f"invented-{i}"))
+                assert response["error"] == f"unknown method 'invented-{i}'"
+            connection.send(b"not json")
+            text = connection.send(_call(1, "metrics"))["result"]["text"]
+        finally:
+            connection.close()
+        methods = {
+            dict(labels)["method"]
+            for name, labels in parse_text(text)
+            if name.startswith(("repro_rpc_requests_total", "repro_rpc_latency"))
+        }
+        assert len(methods) <= len(_SERVED) + 2, sorted(methods)
+        assert {"<unknown>", "<unparsed>"} <= methods
+        assert network.requests("error", "<unknown>") >= 300
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
