@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast bench bench-fast check metrics-smoke chaos-smoke recovery-smoke precompute-smoke thetabench-smoke examples fixtures clean
+.PHONY: install test test-fast bench bench-fast check recovery-smoke precompute-smoke thetabench-smoke examples fixtures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) tools/install_editable.py
@@ -25,18 +25,6 @@ check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src REPRO_FAST=1 $(PYTHON) -m pytest \
 		benchmarks/bench_micro_primitives.py --benchmark-disable -q
-
-# Telemetry gate: boot a 4-node cluster, run one request per scheme API,
-# and assert the Prometheus scrape output parses (docs/observability.md).
-metrics-smoke:
-	PYTHONPATH=src $(PYTHON) tools/metrics_smoke.py
-
-# Robustness gate: a seeded 4-node cluster with one crashed and one
-# byzantine node must still finalize SG02 decryption and BLS04 signing,
-# with the injected faults visible in the Prometheus scrape and the same
-# seed reproducing the same fault schedule (docs/robustness.md).
-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) tools/chaos_smoke.py
 
 # Durability gate: a 4-node daemon cluster with per-node data_dir; node 4
 # is SIGKILLed mid-protocol and restarted from disk, which must recover

@@ -9,34 +9,13 @@
 import asyncio
 import time
 
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys, get_scheme
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service.cluster import LocalCluster
 from repro.sim.deployments import Deployment
 from repro.sim.experiments import run_once
 from repro.sim.latency import Region
 
 from _common import ms, print_table
-
-
-async def _network(keys_by_id, parties=4, threshold=1, latency=0.001):
-    configs = make_local_configs(parties, threshold, transport="local", rpc_base_port=0)
-    hub = LocalHub(latency=lambda a, b: latency)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in keys_by_id.items():
-            node.install_key(key_id, km.scheme, km.public_key, km.share_for(config.node_id))
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return hub, nodes, client
-
-
-async def _shutdown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
 
 
 def test_ablation_tri_executor_overhead(benchmark, keys_by_scheme):
@@ -55,13 +34,11 @@ def test_ablation_tri_executor_overhead(benchmark, keys_by_scheme):
     raw = (time.perf_counter() - start) / 10
 
     async def service_flips():
-        hub, nodes, client = await _network({"coin": keys}, latency=0.0)
-        start = time.perf_counter()
-        for round_number in range(10):
-            await client.flip_coin("coin", b"svc-%d" % round_number)
-        elapsed = (time.perf_counter() - start) / 10
-        await _shutdown(nodes, client)
-        return elapsed
+        async with LocalCluster({"coin": keys}, latency=0.0) as cluster:
+            start = time.perf_counter()
+            for round_number in range(10):
+                await cluster.client.flip_coin("coin", b"svc-%d" % round_number)
+            return (time.perf_counter() - start) / 10
 
     service = asyncio.run(service_flips())
     print_table(
@@ -80,17 +57,17 @@ def test_ablation_frost_precomputation(benchmark):
 
     async def scenario():
         # 10 ms links make the saved round clearly visible.
-        hub, nodes, client = await _network({"wallet": keys}, latency=0.010)
-        # Two-round latency.
-        start = time.perf_counter()
-        await client.sign("wallet", b"cold path")
-        two_round = time.perf_counter() - start
-        # Precompute, then one-round latency.
-        await client.precompute("wallet", 4)
-        start = time.perf_counter()
-        await client.sign("wallet", b"hot path")
-        one_round = time.perf_counter() - start
-        await _shutdown(nodes, client)
+        async with LocalCluster({"wallet": keys}, latency=0.010) as cluster:
+            client = cluster.client
+            # Two-round latency.
+            start = time.perf_counter()
+            await client.sign("wallet", b"cold path")
+            two_round = time.perf_counter() - start
+            # Precompute, then one-round latency.
+            await client.precompute("wallet", 4)
+            start = time.perf_counter()
+            await client.sign("wallet", b"hot path")
+            one_round = time.perf_counter() - start
         return two_round, one_round
 
     two_round, one_round = asyncio.run(scenario())
@@ -133,26 +110,15 @@ def test_ablation_gossip_vs_full_mesh(benchmark):
     keys = generate_keys("cks05", 1, 6)
 
     async def measure(fanout):
-        configs = make_local_configs(
-            6, 1, transport="local", rpc_base_port=0, gossip_fanout=fanout
-        )
-        hub = LocalHub(latency=lambda a, b: 0.005)
-        nodes = []
-        for config in configs:
-            node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-            node.install_key(
-                "coin", keys.scheme, keys.public_key, keys.share_for(config.node_id)
-            )
-            await node.start()
-            nodes.append(node)
-        client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-        await client.flip_coin("coin", b"warmup")
-        start = time.perf_counter()
-        for k in range(5):
-            await client.flip_coin("coin", b"g%d" % k)
-        elapsed = (time.perf_counter() - start) / 5
-        await _shutdown(nodes, client)
-        return elapsed
+        async with LocalCluster(
+            {"coin": keys}, parties=6, latency=0.005, gossip_fanout=fanout
+        ) as cluster:
+            client = cluster.client
+            await client.flip_coin("coin", b"warmup")
+            start = time.perf_counter()
+            for k in range(5):
+                await client.flip_coin("coin", b"g%d" % k)
+            return (time.perf_counter() - start) / 5
 
     async def scenario():
         return await measure(None), await measure(2)

@@ -29,9 +29,8 @@ from repro.core.orchestration.precompute import (
     PrecomputeConfig,
     derive_instance_id,
 )
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
-from repro.service.config import make_local_configs
+from repro.service.cluster import LocalCluster
 from repro.service.node import ThetacryptNode
 
 from _common import fast_mode, host_cores, print_table, requires_cores
@@ -43,32 +42,6 @@ PARTIES, THRESHOLD = 4, 1
 
 #: Keep a bounded trajectory of prior runs in the JSON.
 HISTORY_LIMIT = 20
-
-
-async def _start_cluster(materials: dict, precompute) -> list[ThetacryptNode]:
-    configs = make_local_configs(
-        PARTIES,
-        THRESHOLD,
-        transport="local",
-        rpc_base_port=0,
-        precompute=precompute,
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in materials.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    return nodes
-
-
-async def _stop_cluster(nodes: list[ThetacryptNode]) -> None:
-    for node in nodes:
-        await node.stop()
 
 
 async def _timed_request(
@@ -97,8 +70,8 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
     materials = {key_id: km}
 
     # -- cold: the pre-pipeline on-demand path --------------------------------
-    nodes = await _start_cluster(materials, None)
-    try:
+    async with LocalCluster(materials) as cluster:
+        nodes = cluster.nodes
         datas = [f"cold {kind} {i}".encode() for i in range(requests)]
         if kind == "decrypt":
             datas = [
@@ -106,14 +79,12 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
                 for payload in datas
             ]
         cold = await _measure_requests(nodes, kind, key_id, datas)
-    finally:
-        await _stop_cluster(nodes)
 
     # -- warm: announce, let the pipeline finish, then request ----------------
-    nodes = await _start_cluster(
-        materials, PrecomputeConfig(depth=requests, eager=True)
-    )
-    try:
+    async with LocalCluster(
+        materials, precompute=PrecomputeConfig(depth=requests, eager=True)
+    ) as cluster:
+        nodes = cluster.nodes
         datas = [f"warm {kind} {i}".encode() for i in range(requests)]
         if kind == "decrypt":
             datas = [
@@ -134,8 +105,6 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
         warm = await _measure_requests(nodes, kind, key_id, datas)
         served = nodes[0].stats()["precompute"]["served"]
         assert served.get(f"{kind}/pool", 0) == requests, served
-    finally:
-        await _stop_cluster(nodes)
 
     return {
         "scheme": km.scheme,
@@ -162,8 +131,8 @@ async def _foreground_run(
         if busy_refill
         else None
     )
-    nodes = await _start_cluster({key_id: km}, precompute)
-    try:
+    async with LocalCluster({key_id: km}, precompute=precompute) as cluster:
+        nodes = cluster.nodes
         # One untimed warm-up request: excludes cold-start costs from both
         # modes and — in the busy-refill mode — arms the refill loop's
         # idle-grace window, as any live service's traffic would, so the
@@ -202,8 +171,6 @@ async def _foreground_run(
             "p50": statistics.median(latencies),
             "refills": refills,
         }
-    finally:
-        await _stop_cluster(nodes)
 
 
 def _load_history() -> list[dict]:

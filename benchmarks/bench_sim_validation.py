@@ -15,10 +15,9 @@ rate region.
 import asyncio
 import time
 
-from repro.network.local import LocalHub
+from repro.core.orchestration import derive_instance_id
 from repro.schemes import generate_keys
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
-from repro.service.node import derive_instance_id
+from repro.service.cluster import LocalCluster
 from repro.sim.cluster import SimulatedThetaNetwork
 from repro.sim.deployments import Deployment
 from repro.sim.latency import LatencyModel, Region
@@ -34,20 +33,12 @@ SECONDS_PER_RATE = 2.0
 
 async def _measure_live(rates):
     keys = generate_keys("cks05", THRESHOLD, PARTIES)
-    configs = make_local_configs(PARTIES, THRESHOLD, transport="local", rpc_base_port=0)
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            "coin", keys.scheme, keys.public_key, keys.share_for(config.node_id)
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
     results = {}
     sequence = 0
-    try:
+    async with LocalCluster(
+        {"coin": keys}, parties=PARTIES, threshold=THRESHOLD
+    ) as cluster:
+        nodes, client = cluster.nodes, cluster.client
         await client.flip_coin("coin", b"warmup")
         for rate in rates:
             count = max(4, int(rate * SECONDS_PER_RATE))
@@ -76,10 +67,6 @@ async def _measure_live(rates):
                 count / elapsed,
                 latency_percentile(latencies, 95),
             )
-    finally:
-        await client.close()
-        for node in nodes:
-            await node.stop()
     return results
 
 

@@ -15,9 +15,8 @@ Run from the repository root:
 
 import asyncio
 
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service.cluster import LocalCluster
 
 PARTIES = 4
 THRESHOLD = 1
@@ -33,23 +32,13 @@ TRANSACTIONS = [
 
 async def main() -> None:
     key_material = generate_keys("sg02", THRESHOLD, PARTIES)
-    configs = make_local_configs(
-        PARTIES, THRESHOLD, transport="local", rpc_base_port=0
-    )
-    hub = LocalHub(latency=lambda src, dst: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            "mempool-key",
-            key_material.scheme,
-            key_material.public_key,
-            key_material.share_for(config.node_id),
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
+    async with LocalCluster(
+        {"mempool-key": key_material}, parties=PARTIES, threshold=THRESHOLD
+    ) as cluster:
+        await run_mempool(cluster.client)
 
+
+async def run_mempool(client) -> None:
     # --- phase 1: users submit encrypted transactions ----------------------
     # The label binds the ciphertext to its consensus epoch, so decryption
     # shares for one epoch are useless in another.
@@ -99,10 +88,6 @@ async def main() -> None:
         raise AssertionError("tampered ciphertext must not decrypt")
     except RpcError:
         print("tampered KEM rejected before any share was produced (CCA) ✓")
-
-    await client.close()
-    for node in nodes:
-        await node.stop()
 
 
 if __name__ == "__main__":

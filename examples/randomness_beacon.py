@@ -13,9 +13,9 @@ Run from the repository root:
 
 import asyncio
 
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service import ThetacryptClient
+from repro.service.cluster import LocalCluster
 
 PARTIES = 7
 THRESHOLD = 2  # 3-of-7, the paper's small deployment shape
@@ -24,59 +24,39 @@ ROUNDS = 5
 
 async def main() -> None:
     key_material = generate_keys("cks05", THRESHOLD, PARTIES)
-    configs = make_local_configs(
-        PARTIES, THRESHOLD, transport="local", rpc_base_port=0
-    )
-    hub = LocalHub(latency=lambda src, dst: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            "beacon-key",
-            key_material.scheme,
-            key_material.public_key,
-            key_material.share_for(config.node_id),
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
+    async with LocalCluster(
+        {"beacon-key": key_material}, parties=PARTIES, threshold=THRESHOLD
+    ) as cluster:
+        client = cluster.client
+        print(f"beacon online: {THRESHOLD + 1}-of-{PARTIES} threshold coin\n")
 
-    print(f"beacon online: {THRESHOLD + 1}-of-{PARTIES} threshold coin\n")
+        # --- emit a chain of beacon values -----------------------------------
+        previous = b"genesis"
+        chain = []
+        for round_number in range(1, ROUNDS + 1):
+            name = b"round-%d|" % round_number + previous
+            value = await client.flip_coin("beacon-key", name)
+            chain.append((round_number, name, value))
+            print(f"round {round_number}: {value.hex()}")
+            previous = value
 
-    # --- emit a chain of beacon values ---------------------------------------
-    previous = b"genesis"
-    chain = []
-    for round_number in range(1, ROUNDS + 1):
-        name = b"round-%d|" % round_number + previous
-        value = await client.flip_coin("beacon-key", name)
-        chain.append((round_number, name, value))
-        print(f"round {round_number}: {value.hex()}")
-        previous = value
+        # --- uniqueness: re-evaluate a past round, must match exactly --------
+        replay_round, replay_name, original = chain[2]
+        replayed = await client.flip_coin("beacon-key", replay_name)
+        assert replayed == original
+        print(f"\nround {replay_round} re-evaluated by a fresh quorum: identical ✓")
 
-    # --- uniqueness: re-evaluate a past round, must match exactly ------------
-    replay_round, replay_name, original = chain[2]
-    replayed = await client.flip_coin("beacon-key", replay_name)
-    assert replayed == original
-    print(f"\nround {replay_round} re-evaluated by a fresh quorum: identical ✓")
-
-    # --- liveness under faults: a crashed node does not stop the beacon ------
-    await nodes[-1].stop()
-    await nodes[-2].stop()
-    survivors = ThetacryptClient(
-        {n.config.node_id: n.rpc_address for n in nodes[:-2]}
-    )
-    name = b"round-%d|" % (ROUNDS + 1) + previous
-    value = await survivors.flip_coin("beacon-key", name)
-    print(f"round {ROUNDS + 1} with 2 of 7 nodes down: {value.hex()} ✓")
-    await survivors.close()
+        # --- liveness under faults: a crashed node does not stop the beacon --
+        await cluster.stop(PARTIES, PARTIES - 1)
+        survivors = ThetacryptClient(cluster.addresses)
+        name = b"round-%d|" % (ROUNDS + 1) + previous
+        value = await survivors.flip_coin("beacon-key", name)
+        print(f"round {ROUNDS + 1} with 2 of 7 nodes down: {value.hex()} ✓")
+        await survivors.close()
 
     # --- applications: unbiased dice for a blockchain game -------------------
     dice = value[0] % 6 + 1
     print(f"\nprovably fair dice roll from the beacon: {dice}")
-
-    await client.close()
-    for node in nodes[:-2]:
-        await node.stop()
 
 
 if __name__ == "__main__":

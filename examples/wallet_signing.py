@@ -15,10 +15,9 @@ Run from the repository root:
 import asyncio
 import time
 
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
 from repro.schemes.kg20 import Kg20Signature, Kg20SignatureScheme
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service.cluster import LocalCluster
 
 PARTIES = 5
 THRESHOLD = 2
@@ -32,41 +31,32 @@ WITHDRAWALS = [
 
 async def main() -> None:
     key_material = generate_keys("kg20", THRESHOLD, PARTIES)
-    configs = make_local_configs(
-        PARTIES, THRESHOLD, transport="local", rpc_base_port=0
-    )
-    hub = LocalHub(latency=lambda src, dst: 0.002)  # 2 ms data-center links
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            "wallet-key",
-            key_material.scheme,
-            key_material.public_key,
-            key_material.share_for(config.node_id),
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
+    async with LocalCluster(
+        {"wallet-key": key_material},
+        parties=PARTIES,
+        threshold=THRESHOLD,
+        latency=0.002,  # 2 ms data-center links
+    ) as cluster:
+        client = cluster.client
 
-    print(f"wallet online: FROST {THRESHOLD + 1}-of-{PARTIES}")
-    print(f"wallet public key: {key_material.public_key.y.to_bytes().hex()[:32]}…\n")
+        print(f"wallet online: FROST {THRESHOLD + 1}-of-{PARTIES}")
+        print(f"wallet public key: {key_material.public_key.y.to_bytes().hex()[:32]}…\n")
 
-    # --- cold path: two-round signing ----------------------------------------
-    start = time.perf_counter()
-    signature = await client.sign("wallet-key", WITHDRAWALS[0])
-    two_round_ms = (time.perf_counter() - start) * 1000
-    print(f"two-round signing: {two_round_ms:7.1f} ms  {WITHDRAWALS[0].decode()}")
-
-    # --- hot path: precompute nonces during a quiet period --------------------
-    await client.precompute("wallet-key", count=8)
-    print("precomputed a batch of 8 nonce commitments\n")
-
-    for withdrawal in WITHDRAWALS[1:]:
+        # --- cold path: two-round signing ------------------------------------
         start = time.perf_counter()
-        signature = await client.sign("wallet-key", withdrawal)
-        one_round_ms = (time.perf_counter() - start) * 1000
-        print(f"one-round signing:  {one_round_ms:7.1f} ms  {withdrawal.decode()}")
+        signature = await client.sign("wallet-key", WITHDRAWALS[0])
+        two_round_ms = (time.perf_counter() - start) * 1000
+        print(f"two-round signing: {two_round_ms:7.1f} ms  {WITHDRAWALS[0].decode()}")
+
+        # --- hot path: precompute nonces during a quiet period ----------------
+        await client.precompute("wallet-key", count=8)
+        print("precomputed a batch of 8 nonce commitments\n")
+
+        for withdrawal in WITHDRAWALS[1:]:
+            start = time.perf_counter()
+            signature = await client.sign("wallet-key", withdrawal)
+            one_round_ms = (time.perf_counter() - start) * 1000
+            print(f"one-round signing:  {one_round_ms:7.1f} ms  {withdrawal.decode()}")
 
     # --- the chain-side verifier needs no threshold machinery ----------------
     scheme = Kg20SignatureScheme()
@@ -79,10 +69,6 @@ async def main() -> None:
     c = scheme.challenge(group, sig.r, key_material.public_key.y, WITHDRAWALS[-1])
     assert group.generator() ** sig.z == sig.r * key_material.public_key.y**c
     print("Schnorr equation g^z = R·Y^c holds ✓")
-
-    await client.close()
-    for node in nodes:
-        await node.stop()
 
 
 if __name__ == "__main__":

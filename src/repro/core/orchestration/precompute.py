@@ -333,9 +333,10 @@ class PrecomputeService:
         without foreground instances, so a stream of back-to-back
         requests is never interleaved with refill crypto.
         """
+        loop = asyncio.get_running_loop()
         while True:
             if self._active_probe is not None:
-                now = time.monotonic()
+                now = loop.time()
                 if self._active_probe() - self._eager_inflight > 0:
                     self._last_busy = now
                     await asyncio.sleep(_IDLE_POLL)

@@ -26,7 +26,6 @@ class LocalHub:
         self._endpoints: dict[int, "LocalP2P"] = {}
         self._latency = latency
         self._tasks: set[asyncio.Task] = set()
-        self.dropped_links: set[tuple[int, int]] = set()
 
     def endpoint(self, node_id: int) -> "LocalP2P":
         """Create (or fetch) the endpoint for ``node_id``."""
@@ -37,16 +36,7 @@ class LocalHub:
     def node_ids(self) -> list[int]:
         return sorted(self._endpoints)
 
-    def drop_link(self, src: int, dst: int) -> None:
-        """Fault injection: silently drop messages src → dst."""
-        self.dropped_links.add((src, dst))
-
-    def restore_link(self, src: int, dst: int) -> None:
-        self.dropped_links.discard((src, dst))
-
     def _deliver(self, src: int, dst: int, data: bytes) -> None:
-        if (src, dst) in self.dropped_links:
-            return
         endpoint = self._endpoints.get(dst)
         if endpoint is None:
             raise NetworkError(f"no endpoint for node {dst}")
@@ -75,6 +65,11 @@ class LocalP2P(P2PNetwork):
     def set_handler(self, handler: MessageHandler) -> None:
         self._handler = handler
 
+    async def stop(self) -> None:
+        # A stopped node is gone from the medium: frames sent to it are
+        # lost, uncounted, until a restarted node attaches a new handler.
+        self._handler = None
+
     def peer_ids(self) -> list[int]:
         return [i for i in self._hub.node_ids() if i != self.node_id]
 
@@ -94,6 +89,8 @@ class LocalP2P(P2PNetwork):
     async def _receive_after(self, delay: float, sender: int, data: bytes) -> None:
         if delay > 0:
             await asyncio.sleep(delay)
+        handler = self._handler
+        if handler is None:
+            return
         self._metrics.received(len(data))
-        if self._handler is not None:
-            await self._handler(sender, data)
+        await handler(sender, data)

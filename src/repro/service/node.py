@@ -21,8 +21,8 @@ from ..core.orchestration import (
     KeyManager,
     PrecomputeJob,
     PrecomputeService,
+    derive_instance_id,
 )
-from ..core.orchestration.precompute import derive_instance_id
 from ..core.protocols import (
     DkgProtocol,
     FrostPrecomputeProtocol,
@@ -35,7 +35,6 @@ from ..groups.registry import get_group
 from ..errors import ConfigurationError, KeyManagementError, RpcError
 from ..network.faults import FaultyNetwork
 from ..network.interfaces import P2PNetwork
-from ..network.local import LocalHub
 from ..network.manager import NetworkManager
 from ..network.tcp import TcpP2P
 from ..schemes.base import SCHEME_TABLE, SchemeKind, get_scheme
@@ -57,9 +56,7 @@ from .server import RpcServer
 
 logger = logging.getLogger(__name__)
 
-# derive_instance_id moved to core.orchestration.precompute (the pool is
-# keyed by it); re-exported here for its long-standing import path.
-__all__ = ["ThetacryptNode", "derive_instance_id"]
+__all__ = ["ThetacryptNode"]
 
 #: Scheme kind → the protocol-API operation it serves.
 _KIND_TO_OP = {

@@ -6,8 +6,8 @@ more registries into the text format any Prometheus server parses;
 :class:`MetricsHttpServer` serves it over plain HTTP (``GET /metrics``) so
 an unmodified Prometheus can scrape a Thetacrypt node, and the ``metrics``
 RPC method returns the same document in-band for clients that already hold
-an RPC connection.  :func:`parse_text` is the minimal inverse used by tests
-and the ``make metrics-smoke`` gate.
+an RPC connection.  :func:`parse_text` is the minimal inverse the tests
+use to read both scrapes back.
 """
 
 from __future__ import annotations

@@ -6,65 +6,36 @@ import time
 import pytest
 
 from repro.errors import RpcError
-from repro.network.local import LocalHub
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
-
-
-async def _network(keys, token=""):
-    configs = [
-        c.with_auth(token) if token else c
-        for c in make_local_configs(4, 1, transport="local", rpc_base_port=0)
-    ]
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            "coin", keys.scheme, keys.public_key, keys.share_for(config.node_id)
-        )
-        await node.start()
-        nodes.append(node)
-    return nodes
-
-
-async def _stop(nodes, *clients):
-    for client in clients:
-        await client.close()
-    for node in nodes:
-        await node.stop()
+from repro.service import ThetacryptClient, make_local_configs
+from repro.service.cluster import LocalCluster
 
 
 @pytest.mark.integration
 class TestRpcAuthentication:
     def test_wrong_token_rejected(self, keys_cks05):
         async def scenario():
-            nodes = await _network(keys_cks05, token="domain-secret")
-            addresses = {n.config.node_id: n.rpc_address for n in nodes}
-            intruder = ThetacryptClient(addresses)  # no token
-            wrong = ThetacryptClient(addresses, auth_token="guess")
-            authorized = ThetacryptClient(addresses, auth_token="domain-secret")
-            try:
-                with pytest.raises(RpcError, match="unauthorized"):
-                    await intruder.call(1, "ping", {})
-                with pytest.raises(RpcError, match="unauthorized"):
-                    await wrong.flip_coin("coin", b"x")
-                value = await authorized.flip_coin("coin", b"x")
-                assert len(value) == 32
-            finally:
-                await _stop(nodes, intruder, wrong, authorized)
+            async with LocalCluster(
+                {"coin": keys_cks05}, rpc_auth_token="domain-secret"
+            ) as cluster:
+                intruder = ThetacryptClient(cluster.addresses)  # no token
+                wrong = ThetacryptClient(cluster.addresses, auth_token="guess")
+                try:
+                    with pytest.raises(RpcError, match="unauthorized"):
+                        await intruder.call(1, "ping", {})
+                    with pytest.raises(RpcError, match="unauthorized"):
+                        await wrong.flip_coin("coin", b"x")
+                    value = await cluster.client.flip_coin("coin", b"x")
+                    assert len(value) == 32
+                finally:
+                    await intruder.close()
+                    await wrong.close()
 
         asyncio.run(scenario())
 
     def test_no_token_configured_means_open(self, keys_cks05):
         async def scenario():
-            nodes = await _network(keys_cks05)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
-            )
-            try:
-                assert (await client.call(1, "ping", {}))["node_id"] == 1
-            finally:
-                await _stop(nodes, client)
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                assert (await cluster.client.call(1, "ping", {}))["node_id"] == 1
 
         asyncio.run(scenario())
 
@@ -81,11 +52,8 @@ class TestIdempotency:
         """Same request → same instance id → the second call is a cache hit."""
 
         async def scenario():
-            nodes = await _network(keys_cks05)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
-            )
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client, nodes = cluster.client, cluster.nodes
                 first = await client.flip_coin("coin", b"idem")
                 start = time.perf_counter()
                 second = await client.flip_coin("coin", b"idem")
@@ -103,24 +71,16 @@ class TestIdempotency:
                 # A different name is a different instance.
                 await client.flip_coin("coin", b"other")
                 assert len(nodes[0].instances.records()) == 2
-            finally:
-                await _stop(nodes, client)
 
         asyncio.run(scenario())
 
     def test_concurrent_duplicate_requests_converge(self, keys_cks05):
         async def scenario():
-            nodes = await _network(keys_cks05)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
-            )
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
                 values = await asyncio.gather(
-                    *(client.flip_coin("coin", b"dup") for _ in range(5))
+                    *(cluster.client.flip_coin("coin", b"dup") for _ in range(5))
                 )
                 assert len({bytes(v) for v in values}) == 1
-                assert len(nodes[0].instances.records()) == 1
-            finally:
-                await _stop(nodes, client)
+                assert len(cluster.nodes[0].instances.records()) == 1
 
         asyncio.run(scenario())

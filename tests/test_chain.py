@@ -7,6 +7,8 @@ import pytest
 from repro.chain import AccountState, Block, Transaction, ValidatorNode, block_hash
 from repro.chain.types import genesis_parent
 from repro.network.local import LocalHub
+from repro.schemes import get_scheme
+from repro.service.cluster import LocalCluster
 
 
 class TestTypes:
@@ -202,64 +204,42 @@ class TestFrontRunningProtectedChain:
         """Fig. 1 + §2.3: ciphertexts ordered first, decrypted after, by Θ."""
 
         async def scenario():
-            from repro.schemes import get_scheme
-            from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
-            from repro.network.local import LocalHub as ThetaHub
-
             n = 4
             # The Θ-network (in-process transport, co-located with validators).
-            theta_hub = ThetaHub(latency=lambda a, b: 0.001)
-            theta_nodes = []
-            for config in make_local_configs(n, 1, transport="local", rpc_base_port=0):
-                node = ThetacryptNode(config, transport=theta_hub.endpoint(config.node_id))
-                node.install_key(
-                    "mempool",
-                    keys_sg02.scheme,
-                    keys_sg02.public_key,
-                    keys_sg02.share_for(config.node_id),
-                )
-                await node.start()
-                theta_nodes.append(node)
-            theta_client = ThetacryptClient(
-                {t.config.node_id: t.rpc_address for t in theta_nodes}
-            )
+            async with LocalCluster({"mempool": keys_sg02}, parties=n) as theta:
 
-            async def decryptor(ciphertext: bytes) -> bytes:
-                return await theta_client.decrypt("mempool", ciphertext)
+                async def decryptor(ciphertext: bytes) -> bytes:
+                    return await theta.client.decrypt("mempool", ciphertext)
 
-            hub, validators = (None, None)
-            chain_hub = LocalHub(latency=lambda a, b: 0.001)
-            validators = [
-                ValidatorNode(i, n, chain_hub.endpoint(i), decryptor=decryptor)
-                for i in range(1, n + 1)
-            ]
-            for validator in validators:
-                await validator.start()
-            try:
-                cipher = get_scheme("sg02")
-                commands = [b"mint alice 1000", b"transfer alice bob 400"]
-                for command in commands:
-                    ciphertext = cipher.encrypt(
-                        keys_sg02.public_key, command, b""
-                    ).to_bytes()
-                    validators[0].submit_transaction(
-                        Transaction("user", ciphertext, encrypted=True)
-                    )
-                # Nothing about the plaintext is visible in the mempool.
-                for tx in validators[0].mempool:
-                    assert b"alice" not in tx.payload
-                await validators[0].propose()
-                await asyncio.gather(*(v.await_height(1) for v in validators))
-                assert all(
-                    v.state.balances == {"alice": 600, "bob": 400}
-                    for v in validators
-                )
-                assert len({v.state_root() for v in validators}) == 1
-            finally:
+                chain_hub = LocalHub(latency=lambda a, b: 0.001)
+                validators = [
+                    ValidatorNode(i, n, chain_hub.endpoint(i), decryptor=decryptor)
+                    for i in range(1, n + 1)
+                ]
                 for validator in validators:
-                    await validator.stop()
-                await theta_client.close()
-                for node in theta_nodes:
-                    await node.stop()
+                    await validator.start()
+                try:
+                    cipher = get_scheme("sg02")
+                    commands = [b"mint alice 1000", b"transfer alice bob 400"]
+                    for command in commands:
+                        ciphertext = cipher.encrypt(
+                            keys_sg02.public_key, command, b""
+                        ).to_bytes()
+                        validators[0].submit_transaction(
+                            Transaction("user", ciphertext, encrypted=True)
+                        )
+                    # Nothing about the plaintext is visible in the mempool.
+                    for tx in validators[0].mempool:
+                        assert b"alice" not in tx.payload
+                    await validators[0].propose()
+                    await asyncio.gather(*(v.await_height(1) for v in validators))
+                    assert all(
+                        v.state.balances == {"alice": 600, "bob": 400}
+                        for v in validators
+                    )
+                    assert len({v.state_root() for v in validators}) == 1
+                finally:
+                    for validator in validators:
+                        await validator.stop()
 
         asyncio.run(scenario())

@@ -9,8 +9,7 @@ import sys
 import pytest
 
 import repro
-from repro.network.local import LocalHub
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service.cluster import LocalCluster
 
 # The subprocess needs to import ``repro`` like this process does; derive the
 # source root from the imported package instead of hardcoding a layout.
@@ -69,23 +68,8 @@ class TestSimCli:
 class TestNodeStats:
     def test_stats_reflect_work(self, keys_cks05):
         async def scenario():
-            configs = make_local_configs(4, 1, transport="local", rpc_base_port=0)
-            hub = LocalHub()
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                node.install_key(
-                    "coin",
-                    keys_cks05.scheme,
-                    keys_cks05.public_key,
-                    keys_cks05.share_for(config.node_id),
-                )
-                await node.start()
-                nodes.append(node)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
-            )
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client
                 before = await client.call(1, "node_stats", {})
                 assert before["instances"] == {}
                 assert before["keys"] == 1
@@ -98,10 +82,6 @@ class TestNodeStats:
                 assert after["latency"]["count"] == 3
                 assert after["latency"]["p50"] > 0
                 assert after["node_id"] == 1
-            finally:
-                await client.close()
-                for node in nodes:
-                    await node.stop()
 
         asyncio.run(scenario())
 
@@ -110,15 +90,8 @@ class TestNodeStats:
         async def scenario2():
             import json
 
-            configs = make_local_configs(2, 1, transport="local", rpc_base_port=0)
-            hub = LocalHub()
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                await node.start()
-                nodes.append(node)
-            try:
-                host, port = nodes[0].rpc_address
+            async with LocalCluster({}, parties=2) as cluster:
+                host, port = cluster.nodes[0].rpc_address
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(b"this is not json\n")
                 await writer.drain()
@@ -133,8 +106,5 @@ class TestNodeStats:
                 response = json.loads(await reader.readline())
                 assert response["result"]["node_id"] == 1
                 writer.close()
-            finally:
-                for node in nodes:
-                    await node.stop()
 
         asyncio.run(scenario2())

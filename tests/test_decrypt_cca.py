@@ -14,18 +14,15 @@ import secrets
 
 import pytest
 
-from repro.core.orchestration.precompute import PrecomputeConfig
+from repro.core.orchestration import PrecomputeConfig, derive_instance_id
 from repro.core.protocols.operations import (
     DecryptOperation,
     OperationRequest,
     make_operation,
 )
 from repro.errors import InvalidCiphertextError, RpcError
-from repro.network.local import LocalHub
 from repro.schemes import bz03, sg02
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode, derive_instance_id
+from repro.service.cluster import LocalCluster
 
 
 def test_decryption_admits_peer_shares_eagerly():
@@ -88,31 +85,6 @@ _CASES = [
 ]
 
 
-async def _cluster(keys, precompute):
-    configs = make_local_configs(
-        4, 1, transport="local", rpc_base_port=0, precompute=precompute
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    frames: list[tuple[int, int]] = []
-    deliver = hub._deliver
-
-    def spy(src, dst, data):
-        frames.append((src, dst))
-        deliver(src, dst, data)
-
-    hub._deliver = spy
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            keys.scheme, keys.scheme, keys.public_key, keys.share_for(config.node_id)
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return frames, nodes, client
-
-
 @pytest.mark.integration
 @pytest.mark.parametrize("path", ["inline", "pool"])
 @pytest.mark.parametrize("scheme,case", _CASES)
@@ -128,8 +100,16 @@ def test_hostile_ciphertext_earns_no_share(scheme, case, path, keys_sg02, keys_b
     precompute = PrecomputeConfig(depth=4, eager=True) if path == "pool" else None
 
     async def scenario():
-        frames, nodes, client = await _cluster(keys, precompute)
-        try:
+        async with LocalCluster({scheme: keys}, precompute=precompute) as cluster:
+            nodes, client = cluster.nodes, cluster.client
+            frames: list[tuple[int, int]] = []
+            deliver = cluster.hub._deliver
+
+            def spy(src, dst, data):
+                frames.append((src, dst))
+                deliver(src, dst, data)
+
+            cluster.hub._deliver = spy
             if path == "pool":
                 reports = await client.precompute(scheme, items=[hostile])
                 assert all(r.get("failed") == 1 for r in reports.values()), reports
@@ -143,10 +123,6 @@ def test_hostile_ciphertext_earns_no_share(scheme, case, path, keys_sg02, keys_b
                 assert record.abort_reason == "byzantine_detected"
                 assert "ciphertext" in record.error
             assert frames == []
-        finally:
-            await client.close()
-            for node in nodes:
-                await node.stop()
 
     asyncio.run(scenario())
 

@@ -13,7 +13,8 @@ from repro.errors import ThetacryptError
 from repro.network.local import LocalHub
 from repro.network.tob import SequencerTob
 from repro.schemes import generate_keys
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service import ThetacryptClient
+from repro.service.cluster import LocalCluster
 from repro.sim.latency import Region, rtt
 from repro.sim.workload import Workload
 
@@ -78,36 +79,17 @@ class TestPaperShapedDeployment:
         keys = generate_keys("cks05", 2, 7)
 
         async def scenario():
-            configs = make_local_configs(7, 2, transport="local", rpc_base_port=0)
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                node.install_key(
-                    "coin", keys.scheme, keys.public_key,
-                    keys.share_for(config.node_id),
-                )
-                await node.start()
-                nodes.append(node)
-            try:
-                client = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes}
-                )
-                value = await client.flip_coin("coin", b"paper-shape")
+            async with LocalCluster({"coin": keys}, parties=7, threshold=2) as cluster:
+                value = await cluster.client.flip_coin("coin", b"paper-shape")
                 assert len(value) == 32
                 # Crash t = 2 nodes; the quorum of 3 still works.
-                await nodes[6].stop()
-                await nodes[5].stop()
-                survivors = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes[:5]}
-                )
-                value2 = await survivors.flip_coin("coin", b"degraded")
+                await cluster.stop(7, 6)
+                survivors = ThetacryptClient(cluster.addresses)
+                try:
+                    value2 = await survivors.flip_coin("coin", b"degraded")
+                finally:
+                    await survivors.close()
                 assert len(value2) == 32
-                await survivors.close()
-                await client.close()
-            finally:
-                for node in nodes[:5]:
-                    await node.stop()
 
         asyncio.run(scenario())
 

@@ -16,18 +16,19 @@ it only appears under the lossless fault kinds (delay/duplicate/reorder).
 """
 
 import asyncio
-from dataclasses import replace
 
 import pytest
 
-from repro.core.orchestration.precompute import PrecomputeConfig
+from repro.core.messages import Channel, ProtocolMessage
+from repro.core.orchestration import PrecomputeConfig, derive_instance_id
 from repro.errors import RpcError
 from repro.network.faults import Crash, FaultPlan, LinkFaults, Partition
-from repro.network.local import LocalHub
+from repro.schemes import get_scheme
 from repro.serialization import hexlify
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode, derive_instance_id
+from repro.service.cluster import LocalCluster
+from repro.telemetry import parse_text
+
+from tests.test_telemetry_service import _metric
 
 ALL_SCHEMES = ("sg02", "bz03", "sh00", "bls04", "kg20", "cks05")
 
@@ -52,31 +53,6 @@ PLANS = {
 }
 
 
-async def _chaos_network(all_keys, plan, **overrides):
-    """A 4-node t=1 local-transport cluster with ``plan`` on every node."""
-    configs = make_local_configs(
-        4, 1, transport="local", rpc_base_port=0, fault_plan=plan, **overrides
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in all_keys.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return hub, nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
-
-
 async def _exercise(client, scheme, tag):
     """One end-to-end threshold operation appropriate for ``scheme``."""
     data = f"chaos {tag} {scheme}".encode()
@@ -96,36 +72,63 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("kind", sorted(PLANS))
     def test_all_schemes_finalize_under_fault(self, all_keys, kind):
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, PLANS[kind], instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=PLANS[kind], instance_timeout=10.0
+            ) as cluster:
+                client = cluster.client
                 for scheme in ALL_SCHEMES:
                     if scheme == "kg20" and kind not in LOSSLESS:
                         continue  # FROST needs all n parties (§4.5)
                     await _exercise(client, scheme, kind)
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_crash_plus_byzantine_within_tolerance(self, all_keys):
-        """1 crashed + 1 byzantine of 4 (t=1 ⇒ quorum 2): still finalizes."""
+        """1 crashed + 1 byzantine of 4 (t=1 ⇒ quorum 2): still finalizes,
+        and both faults show in node 1's scrape.
+
+        The plan's byte flips do not survive BLS04's G1 decode.  What drives
+        the sign path's verify-after-combine failure is a well-formed share
+        of another message under node 3's id, planted at node 1 ahead of
+        the request: it forms the quorum with node 1's own share, fails the
+        combined check and is evicted before node 2's share completes it."""
         plan = FaultPlan(
             seed=23, crashes=(Crash(node=4, at=0.0),), byzantine=(3,)
         )
+        message = b"chaos tolerated bls04"
+        forged = get_scheme("bls04").partial_sign(
+            all_keys["bls04"].share_for(3), b"not the message"
+        )
+        instance_id = derive_instance_id("sign", "bls04", message, b"")
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=10.0
+            ) as cluster:
+                client = cluster.client
                 await _exercise(client, "sg02", "tolerated")
+                await cluster.nodes[0].instances.handle_network_message(
+                    ProtocolMessage(
+                        instance_id, 3, 0, Channel.P2P, forged.to_bytes()
+                    )
+                )
                 await _exercise(client, "bls04", "tolerated")
-            finally:
-                await _teardown(nodes, client)
+                hops = cluster.nodes[0].instances.record(instance_id).trace.events
+                return parse_text(await client.metrics(1)), [
+                    (e.attributes["sender"], e.attributes["outcome"])
+                    for e in hops
+                    if e.name == "hop"
+                ]
 
-        asyncio.run(scenario())
+        parsed, hops = asyncio.run(scenario())
+        # The planted share waited in node 1's backlog, so it is the first
+        # hop the instance judged.
+        assert hops[0] == (3, "rejected")
+        for kind in ("crash", "corrupt"):
+            assert _metric(parsed, "repro_faults_injected", kind=kind) >= 1
+        assert _metric(
+            parsed, "repro_tri_messages_total", scheme="bls04", outcome="rejected"
+        ) >= 1
 
 
 @pytest.mark.integration
@@ -138,10 +141,10 @@ class TestStructuredAborts:
         data = b"abort: not enough shares"
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=1.5
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=1.5
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 with pytest.raises(RpcError) as err:
                     await client.call(
                         1, "flip_coin", {"key_id": "cks05", "data": hexlify(data)}
@@ -155,8 +158,6 @@ class TestStructuredAborts:
 
                 stats = nodes[0].stats()
                 assert stats["aborts"].get("insufficient_shares", 0) >= 1
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -167,10 +168,10 @@ class TestStructuredAborts:
         data = b"abort: corrupted quorum"
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=1.5
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=1.5
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 # Fan the request out so peers actually send (bad) shares.
                 results = await client.broadcast(
                     "flip_coin", {"key_id": "cks05", "data": hexlify(data)}
@@ -183,8 +184,6 @@ class TestStructuredAborts:
                 status = await client.status(instance_id, node_id=1)
                 assert status["abort_reason"] == "byzantine_detected"
                 assert nodes[0].stats()["aborts"].get("byzantine_detected", 0) >= 1
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -200,39 +199,19 @@ class TestPrecomputeUnderChaos:
     def test_warm_pool_serves_through_crash_window_and_restart(
         self, all_keys, tmp_path
     ):
+        # Node 4 is crash-windowed by a seeded plan: silent from the start,
+        # back after 0.6s of fault-clock time.
+        plan = FaultPlan(seed=41, crashes=(Crash(node=4, at=0.0, recover=0.6),))
+
         async def scenario():
-            # Node 4 is crash-windowed by a seeded plan: silent from the
-            # start, back after 0.6s of fault-clock time.
-            plan = FaultPlan(seed=41, crashes=(Crash(node=4, at=0.0, recover=0.6),))
-            configs = [
-                replace(c, data_dir=str(tmp_path / f"node{c.node_id}"))
-                for c in make_local_configs(
-                    4,
-                    1,
-                    transport="local",
-                    rpc_base_port=0,
-                    fault_plan=plan,
-                    precompute=PrecomputeConfig(depth=4, eager=False),
-                    instance_timeout=10.0,
-                )
-            ]
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                for key_id, km in all_keys.items():
-                    node.install_key(
-                        key_id,
-                        km.scheme,
-                        km.public_key,
-                        km.share_for(config.node_id),
-                    )
-                await node.start()
-                nodes.append(node)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
-            )
-            try:
+            async with LocalCluster(
+                all_keys,
+                data_root=tmp_path,
+                fault_plan=plan,
+                precompute=PrecomputeConfig(depth=4, eager=False),
+                instance_timeout=10.0,
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 # Warm the pools everywhere.  RPC is unaffected by the
                 # transport-level crash, so node 4 stages (and journals)
                 # its share even while its network is dark.
@@ -277,20 +256,14 @@ class TestPrecomputeUnderChaos:
                     if nodes[3].instances.known(pending_id):
                         break
                     await asyncio.sleep(0.01)
-                await nodes[3].stop()
                 submit.cancel()
                 await asyncio.gather(submit, return_exceptions=True)
 
-                # Fresh life over the same data_dir (no fault plan this
-                # time: the window is over).
-                reborn_config = replace(configs[3], fault_plan=None)
-                reborn = ThetacryptNode(reborn_config, transport=hub.endpoint(4))
-                for key_id, km in all_keys.items():
-                    reborn.install_key(
-                        key_id, km.scheme, km.public_key, km.share_for(4)
-                    )
-                await reborn.start()
-                nodes[3] = reborn
+                # Fresh life over the same data_dir.  The plan's clock
+                # starts again with it, so node 4 is dark for another
+                # window; its RPC still serves.
+                await cluster.restart(4)
+                reborn = cluster.nodes[3]
 
                 # Structured crash_recovery abort is still correct with a
                 # warm pool in play.
@@ -303,31 +276,18 @@ class TestPrecomputeUnderChaos:
                 assert restored["staged"].get("sg02/decrypt", 0) == 1
                 assert restored["restored"] == 1
 
-                await client.close()
-                client2 = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes}
+                # The restored entry serves the announced request; the
+                # consumed one is gone for good (the same request is a
+                # duplicate answered from the durable result cache).
+                assert (
+                    await cluster.client.decrypt("sg02", survivor)
+                    == b"after the restart"
                 )
-                try:
-                    # The restored entry serves the announced request; the
-                    # consumed one is gone for good (the same request is a
-                    # duplicate answered from the durable result cache).
-                    assert (
-                        await client2.decrypt("sg02", survivor)
-                        == b"after the restart"
-                    )
-                    assert (
-                        reborn.stats()["precompute"]["served"].get(
-                            "decrypt/pool", 0
-                        )
-                        == 1
-                    )
-                    assert reborn.stats()["precompute"]["staged"] == {}
-                finally:
-                    await client2.close()
-                    client2 = None
-            finally:
-                for node in nodes:
-                    await node.stop()
+                assert (
+                    reborn.stats()["precompute"]["served"].get("decrypt/pool", 0)
+                    == 1
+                )
+                assert reborn.stats()["precompute"]["staged"] == {}
 
         asyncio.run(scenario())
 
@@ -341,32 +301,8 @@ class TestCrashRecoveryRestart:
 
     def test_restart_recovers_state_and_aborts_in_flight(self, all_keys, tmp_path):
         async def scenario():
-            configs = [
-                replace(c, data_dir=str(tmp_path / f"node{c.node_id}"))
-                for c in make_local_configs(
-                    4, 1, transport="local", rpc_base_port=0
-                )
-            ]
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(
-                    config, transport=hub.endpoint(config.node_id)
-                )
-                for key_id, km in all_keys.items():
-                    node.install_key(
-                        key_id,
-                        km.scheme,
-                        km.public_key,
-                        km.share_for(config.node_id),
-                    )
-                await node.start()
-                nodes.append(node)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
-            )
-            restarted = None
-            try:
+            async with LocalCluster(all_keys, data_root=tmp_path) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 # One fully finalized operation: its result must land in
                 # node 4's durable cache.
                 data = b"finalized before the crash"
@@ -400,22 +336,15 @@ class TestCrashRecoveryRestart:
                     "created",
                     "running",
                 )
-
-                # "kill -9": abrupt teardown — executors cancelled, no
-                # terminal journal record for the pending instance.
-                await nodes[3].stop()
                 submit.cancel()
                 await asyncio.gather(submit, return_exceptions=True)
 
-                # Fresh process life over the same data_dir and hub slot.
-                restarted = ThetacryptNode(configs[3], transport=hub.endpoint(4))
-                # The dealer re-installs identical material: must be a no-op.
-                for key_id, km in all_keys.items():
-                    restarted.install_key(
-                        key_id, km.scheme, km.public_key, km.share_for(4)
-                    )
-                await restarted.start()
-                nodes[3] = restarted
+                # "kill -9": abrupt teardown — executors cancelled, no
+                # terminal journal record for the pending instance — then
+                # a fresh process life over the same data_dir and hub slot.
+                # The dealer's re-install of identical material is a no-op.
+                await cluster.restart(4)
+                restarted = cluster.nodes[3]
 
                 # Keys came back from the durable keystore.
                 assert len(restarted.keys) == len(all_keys)
@@ -425,33 +354,24 @@ class TestCrashRecoveryRestart:
                 assert stats["recovery"]["aborted"] >= 1
                 assert stats["aborts"].get("crash_recovery", 0) >= 1
 
-                # Reconnect (the restarted node has a fresh RPC port).
-                await client.close()
-                client2 = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes}
+                # The restarted node has a fresh RPC port: the reopened
+                # client.  A duplicate of the finalized request is served
+                # from the durable cache, without re-running the protocol.
+                client = cluster.client
+                result = await client.call(
+                    4, "sign", {"key_id": "bls04", "data": hexlify(data)}
                 )
-                try:
-                    # A duplicate of the finalized request is served from
-                    # the durable cache, without re-running the protocol.
-                    result = await client2.call(
-                        4, "sign", {"key_id": "bls04", "data": hexlify(data)}
-                    )
-                    assert result["result"] == hexlify(signature)
+                assert result["result"] == hexlify(signature)
 
-                    # The in-flight instance is aborted with the structured
-                    # crash_recovery reason, visible over the status RPC.
-                    status = await client2.status(pending_id, node_id=4)
-                    assert status["status"] == "failed"
-                    assert status["abort_reason"] == "crash_recovery"
+                # The in-flight instance is aborted with the structured
+                # crash_recovery reason, visible over the status RPC.
+                status = await client.status(pending_id, node_id=4)
+                assert status["status"] == "failed"
+                assert status["abort_reason"] == "crash_recovery"
 
-                    # The recovered node participates in new protocol runs.
-                    after = b"signed after recovery"
-                    sig2 = await client2.sign("bls04", after)
-                    assert await client2.verify_signature("bls04", after, sig2)
-                finally:
-                    await client2.close()
-            finally:
-                for node in nodes:
-                    await node.stop()
+                # The recovered node participates in new protocol runs.
+                after = b"signed after recovery"
+                sig2 = await client.sign("bls04", after)
+                assert await client.verify_signature("bls04", after, sig2)
 
         asyncio.run(scenario())

@@ -23,13 +23,11 @@ from repro.network.faults import (
     Partition,
     corrupt_frame,
 )
-from repro.network.local import LocalHub
+from repro.service.cluster import LocalCluster
 from repro.sim.cluster import SimulatedThetaNetwork
 from repro.sim.deployments import Deployment
 from repro.sim.latency import Region
 from repro.sim.workload import Workload
-
-from tests.test_faults_chaos import _chaos_network, _teardown
 
 _BUSY = LinkFaults(
     drop=0.2, delay=0.005, jitter=0.01, duplicate=0.15, reorder=0.15, corrupt=0.1
@@ -52,8 +50,9 @@ class TestInjectorDeterminism:
 
     def test_links_independent_of_interleaving(self):
         """Per-link streams do not bleed into each other: drawing links in a
-        different global order yields the same per-link schedule."""
-        plan = FaultPlan(seed=7, default=_BUSY)
+        different global order yields the same per-link schedule.  A
+        ``links`` override applies to its one direction only."""
+        plan = FaultPlan(seed=7, default=_BUSY, links={"2->1": LinkFaults(drop=1.0)})
         a, b = FaultInjector(plan), FaultInjector(plan)
         interleaved = {(1, 2): [], (1, 3): [], (2, 1): []}
         for _ in range(100):
@@ -63,6 +62,8 @@ class TestInjectorDeterminism:
             link: [b.decide(*link) for _ in range(100)] for link in interleaved
         }
         assert interleaved == sequential
+        assert all(d.drop for d in sequential[(2, 1)])
+        assert not all(d.drop for d in sequential[(1, 2)])
 
     def test_different_seeds_differ(self):
         a = FaultInjector(FaultPlan(seed=1, default=_BUSY))
@@ -180,16 +181,14 @@ class TestEndToEndDeterminism:
         plan = FaultPlan(seed=77, byzantine=(2,), default=LinkFaults(drop=0.1))
 
         async def one_run():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=10.0
+            ) as cluster:
+                client = cluster.client
                 ciphertext = await client.encrypt(
                     "sg02", b"same seed, same story", b"l", node_id=1
                 )
                 return await client.decrypt("sg02", ciphertext, b"l")
-            finally:
-                await _teardown(nodes, client)
 
         first = asyncio.run(one_run())
         second = asyncio.run(one_run())
@@ -200,16 +199,14 @@ class TestEndToEndDeterminism:
         plan = FaultPlan(seed=5, default=LinkFaults(drop=0.5))
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=10.0
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 await client.flip_coin("cks05", b"count-faults")
                 text = "\n".join(n.render_metrics() for n in nodes)
                 assert 'repro_faults_injected{kind="drop"' in text or (
                     'kind="drop"' in text
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())

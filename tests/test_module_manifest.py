@@ -9,6 +9,7 @@ longer says why the module is kept.  DESIGN.md's "Repository layout" block
 is checked against the same tree.
 """
 
+import ast
 import modulefinder
 import re
 import sys
@@ -52,6 +53,11 @@ OWNERS = {
     ),
     "repro.mathutils.backends": (
         "thetabench reader, goes in ROADMAP 10 (`benchmarks/thetabench/layers.py`)"
+    ),
+    "repro.service.cluster": (
+        "§3.2's n-node Θ-network in one process, for tests, benchmarks and "
+        "examples (`tests/test_service.py`, `benchmarks/bench_sim_validation.py`, "
+        "`examples/randomness_beacon.py`)"
     ),
 }
 
@@ -133,3 +139,61 @@ def test_design_layout_lists_the_tree():
         if path.name != "__init__.py":
             files.add(path.name)
     assert _design_layout() == on_disk
+
+
+# -- one in-process cluster builder ---------------------------------------------
+
+_FIG1_PROXIES = "Fig. 1: each node's transport and TOB are proxies to its validator"
+
+#: Files that may still wire ``LocalHub`` and ``ThetacryptNode`` by hand,
+#: and why; everything else builds its network with ``LocalCluster``.
+HAND_WIRED = {
+    "examples/quickstart.py": "the documented walk-through of the three layers",
+    "examples/blockchain_integration.py": _FIG1_PROXIES,
+    "tests/test_fig1_deployment.py": _FIG1_PROXIES,
+    "benchmarks/thetabench/": "frozen: only a benchmark PR edits it (ROADMAP 10)",
+}
+
+
+def _hand_wires_a_cluster(path: Path) -> bool:
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    }
+    return {"LocalHub", "ThetacryptNode"} <= called
+
+
+def _hand_wired_files(root: Path) -> list[str]:
+    found = []
+    for top in ("tests", "tools", "benchmarks", "examples"):
+        for path in sorted((root / top).rglob("*.py")):
+            name = path.relative_to(root).as_posix()
+            if not name.startswith(tuple(HAND_WIRED)) and _hand_wires_a_cluster(path):
+                found.append(name)
+    return found
+
+
+def test_only_local_cluster_wires_an_in_process_network():
+    assert _hand_wired_files(ROOT) == [], (
+        "build the network with repro.service.cluster.LocalCluster"
+    )
+
+
+def test_every_hand_wired_exception_still_applies():
+    for name in HAND_WIRED:
+        assert (ROOT / name).exists(), f"{name} is gone: drop its entry"
+        if name.endswith(".py"):
+            assert _hand_wires_a_cluster(ROOT / name), (
+                f"{name} no longer wires a cluster by hand: drop its entry"
+            )
+
+
+def test_a_planted_copy_is_caught(tmp_path):
+    planted = tmp_path / "tests" / "test_copy.py"
+    planted.parent.mkdir()
+    planted.write_text(
+        "hub = LocalHub()\n"
+        "node = ThetacryptNode(config, transport=hub.endpoint(1))\n"
+    )
+    assert _hand_wired_files(tmp_path) == ["tests/test_copy.py"]

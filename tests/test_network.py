@@ -11,6 +11,7 @@ from repro.network.local import LocalHub
 from repro.network.manager import NetworkManager
 from repro.network.tcp import TcpP2P
 from repro.network.tob import SequencerTob
+from repro.telemetry import default_registry
 
 
 def collect_handler(store):
@@ -68,20 +69,28 @@ class TestLocalHub:
 
         asyncio.run(scenario())
 
-    def test_drop_link_fault_injection(self):
+    def test_stopped_endpoint_receives_nothing_until_reattached(self):
+        """A stopped node is gone from the hub: a frame sent to it is lost
+        and not counted as received, until a restarted node's handler
+        attaches to the same endpoint."""
+
         async def scenario():
             hub = LocalHub()
             received = []
             hub.endpoint(1)
             hub.endpoint(2).set_handler(collect_handler(received))
-            hub.drop_link(1, 2)
+            counted = default_registry().get("repro_network_messages_total").labels(
+                "2", "local", "received"
+            )
+            await hub.endpoint(2).stop()
+            before = counted.value
             await hub.endpoint(1).send(2, b"lost")
             await hub.drain()
-            assert received == []
-            hub.restore_link(1, 2)
+            assert received == [] and counted.value == before
+            hub.endpoint(2).set_handler(collect_handler(received))
             await hub.endpoint(1).send(2, b"found")
             await hub.drain()
-            assert received == [(1, b"found")]
+            assert received == [(1, b"found")] and counted.value == before + 1
 
         asyncio.run(scenario())
 

@@ -6,12 +6,14 @@ import asyncio
 import pytest
 
 from repro.core.messages import Channel, ProtocolMessage
-from repro.network.gossip import GossipOverlay
+from repro.network.faults import FaultPlan, FaultyNetwork, LinkFaults, Partition
+from repro.network.gossip import GossipOverlay, _overlay_neighbors
 from repro.network.local import LocalHub
 from repro.network.manager import NetworkManager
 from repro.network.tob import SequencerTob
 from repro.schemes import generate_keys
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service import ThetacryptClient
+from repro.service.cluster import LocalCluster
 
 
 def collect_handler(store):
@@ -79,15 +81,19 @@ class TestGossipFaults:
 
         async def scenario():
             hub = LocalHub()
+            # Cut the link from node 1 to its first overlay neighbour; the
+            # mesh has other routes.
+            cut = min(_overlay_neighbors(list(range(1, 9)), 1, 3, None))
+            plan = FaultPlan(links={f"1->{cut}": LinkFaults(drop=1.0)})
+            bases = {i: hub.endpoint(i) for i in range(1, 9)}
+            bases[1] = FaultyNetwork(bases[1], plan)
             overlays = {
-                i: GossipOverlay(hub.endpoint(i), fanout=3) for i in range(1, 9)
+                i: GossipOverlay(base, fanout=3) for i, base in bases.items()
             }
+            assert cut in overlays[1].neighbors
             received = {i: [] for i in overlays}
             for i, overlay in overlays.items():
                 overlay.set_handler(collect_handler(received[i]))
-            # Cut several links out of node 1; the mesh has other routes.
-            neighbors = overlays[1].neighbors
-            hub.drop_link(1, neighbors[0])
             await overlays[1].broadcast(b"resilient")
             await hub.drain()
             delivered_to = [i for i in range(2, 9) if received[i]]
@@ -99,65 +105,29 @@ class TestGossipFaults:
         keys = generate_keys("cks05", 1, 6)
 
         async def scenario():
-            configs = make_local_configs(
-                6, 1, transport="local", rpc_base_port=0, gossip_fanout=3
-            )
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                node.install_key(
-                    "coin", keys.scheme, keys.public_key,
-                    keys.share_for(config.node_id),
-                )
-                await node.start()
-                nodes.append(node)
-            try:
-                await nodes[5].stop()  # crash node 6 (a gossip relay)
-                client = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes[:5]}
-                )
-                value = await client.flip_coin("coin", b"lossy")
+            async with LocalCluster(
+                {"coin": keys}, parties=6, gossip_fanout=3
+            ) as cluster:
+                await cluster.stop(6)  # crash node 6 (a gossip relay)
+                survivors = ThetacryptClient(cluster.addresses)
+                try:
+                    value = await survivors.flip_coin("coin", b"lossy")
+                finally:
+                    await survivors.close()
                 assert len(value) == 32
-                await client.close()
-            finally:
-                for node in nodes[:5]:
-                    await node.stop()
 
         asyncio.run(scenario())
 
 
 class TestServiceUnderMessageLoss:
     def test_noninteractive_tolerates_partitioned_node(self, keys_cks05):
-        """Drop every link to one node: 3 healthy of 4 still reach quorum."""
+        """Cut every link to one node: 3 healthy of 4 still reach quorum."""
+        plan = FaultPlan(partitions=(Partition(groups=((1, 2, 3), (4,))),))
 
         async def scenario():
-            configs = make_local_configs(4, 1, transport="local", rpc_base_port=0)
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                node.install_key(
-                    "coin",
-                    keys_cks05.scheme,
-                    keys_cks05.public_key,
-                    keys_cks05.share_for(config.node_id),
-                )
-                await node.start()
-                nodes.append(node)
-            try:
-                for other in (1, 2, 3):
-                    hub.drop_link(4, other)
-                    hub.drop_link(other, 4)
-                client = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes[:3]}
-                )
-                value = await client.flip_coin("coin", b"partitioned")
+            async with LocalCluster({"coin": keys_cks05}, fault_plan=plan) as cluster:
+                value = await cluster.client.flip_coin("coin", b"partitioned")
                 assert len(value) == 32
-                await client.close()
-            finally:
-                for node in nodes:
-                    await node.stop()
 
         asyncio.run(scenario())
 

@@ -34,12 +34,10 @@ from repro.core.protocols import (
 )
 from repro.core.protocols.frost import FrostPrecomputationPool
 from repro.errors import ConfigurationError, ProtocolError, RpcError
-from repro.network.local import LocalHub
 from repro.schemes.kg20 import Kg20SignatureScheme
 from repro.serialization import hexlify
-from repro.service.client import ThetacryptClient
+from repro.service.cluster import LocalCluster
 from repro.service.config import NodeConfig, make_local_configs
-from repro.service.node import ThetacryptNode
 from repro.storage.pool_journal import PoolJournal
 from repro.telemetry import MetricRegistry
 
@@ -303,35 +301,6 @@ class TestStandaloneService:
 # ---------------------------------------------------------------------------
 
 
-async def _pipeline_network(all_keys, precompute, **overrides):
-    configs = make_local_configs(
-        4,
-        1,
-        transport="local",
-        rpc_base_port=0,
-        precompute=precompute,
-        **overrides,
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in all_keys.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return hub, nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
-
-
 @pytest.mark.integration
 class TestPipelineService:
     def test_warm_pool_serves_from_pool(self, all_keys):
@@ -339,10 +308,10 @@ class TestPipelineService:
         identical to what the on-demand path produces."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 secret = b"announced secret"
                 ciphertext = await client.encrypt("sg02", secret, b"lbl")
                 reports = await client.precompute("sg02", items=[ciphertext], label=b"lbl")
@@ -366,8 +335,6 @@ class TestPipelineService:
                 text = nodes[0].render_metrics()
                 assert "repro_precompute_pool_depth" in text
                 assert 'repro_precompute_served_total{op="decrypt",source="pool"}' in text
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -379,10 +346,10 @@ class TestPipelineService:
         their announce stages (a coin's kind is ``randomness``, not ``coin``)."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 data = b"announced " + kind.encode()
                 if kind == "decrypt":
                     data = await client.encrypt(key_id, data, b"")
@@ -395,8 +362,6 @@ class TestPipelineService:
                     stats = node.stats()["precompute"]
                     assert stats["served"] == {f"{kind}/pool": 1}
                     assert stats["staged"] == {}
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -405,10 +370,10 @@ class TestPipelineService:
         already running or already answered: the announce says so."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 await client.flip_coin("cks05", b"finished")
                 reports = await client.precompute("cks05", items=[b"finished"])
                 assert all(r == {"duplicate": 1, "depth": {}} for r in reports.values())
@@ -417,8 +382,6 @@ class TestPipelineService:
                 report = await nodes[0].precompute_requests("cks05", [b"in flight"])
                 assert report == {"duplicate": 1, "depth": {}}
                 assert nodes[0].stats()["precompute"]["staged"] == {}
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -427,10 +390,10 @@ class TestPipelineService:
         path with visible source=inline accounting, never an error."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 announced = await client.encrypt("sg02", b"pooled one", b"")
                 cold_a = await client.encrypt("sg02", b"cold one", b"")
                 cold_b = await client.encrypt("sg02", b"cold two", b"")
@@ -443,17 +406,15 @@ class TestPipelineService:
                 served = nodes[0].stats()["precompute"]["served"]
                 assert served.get("decrypt/pool", 0) == 1
                 assert served.get("decrypt/inline", 0) == 2
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_eager_pipelining_runs_ahead_of_demand(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=True)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=True)
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 secret = b"eagerly pipelined"
                 ciphertext = await client.encrypt("sg02", secret, b"")
                 await client.precompute("sg02", items=[ciphertext])
@@ -474,8 +435,6 @@ class TestPipelineService:
                 assert served.get("decrypt/pool", 0) == 1
                 # The eager submission itself is not client-visible traffic.
                 assert sum(served.values()) == 1
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -485,8 +444,8 @@ class TestPipelineService:
         and the next signature fails on every node."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(all_keys, None)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 pre = await client.precompute("kg20", 3)
                 assert all(r["available"] == 3 for r in pre.values())
                 await asyncio.gather(
@@ -499,8 +458,6 @@ class TestPipelineService:
                 signature = await client.sign("kg20", b"m2")
                 assert await client.verify_signature("kg20", b"m2", signature)
                 assert all(n.stats()["aborts"] == {} for n in nodes)
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -509,10 +466,10 @@ class TestPipelineService:
         folds into an existing record consumes nothing."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 secret = b"decrypted while its announce was queued"
                 ciphertext = await client.encrypt("sg02", secret, b"")
                 # The request overtakes its announce: refill is held while
@@ -541,17 +498,15 @@ class TestPipelineService:
                     stats = node.stats()["precompute"]
                     assert stats["staged"] == {"sg02/decrypt": 1}
                     assert "decrypt/pool" not in stats["served"]
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_kg20_announce_is_rejected_with_reason(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                client = cluster.client
                 results = await client.precompute("kg20", items=[b"message"])
                 for result in results.values():
                     assert isinstance(result, RpcError)
@@ -559,15 +514,13 @@ class TestPipelineService:
                 # The count-based kg20 preprocessing still works alongside.
                 pre = await client.precompute("kg20", 2)
                 assert all(r["available"] == 2 for r in pre.values())
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_disabled_pipeline_keeps_on_demand_semantics(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(all_keys, None)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 results = await client.precompute("sg02", items=[b"x"])
                 for result in results.values():
                     assert isinstance(result, RpcError)
@@ -581,23 +534,19 @@ class TestPipelineService:
                     "kg20", b"pooled while disabled", sig
                 )
                 assert nodes[0].stats()["precompute"]["enabled"] is False
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_client_rejects_ambiguous_precompute_call(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                client = cluster.client
                 with pytest.raises(RpcError):
                     await client.precompute("sg02")
                 with pytest.raises(RpcError):
                     await client.precompute("sg02", count=2, items=[b"x"])
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 

@@ -7,43 +7,21 @@ import pytest
 
 from repro.errors import KeyManagementError, RpcError, StorageError
 from repro.groups import get_group
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
 from repro.schemes.cks05 import Cks05Coin
 from repro.schemes.keystore import node_keystore
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service import ThetacryptClient, make_local_configs
+from repro.service.cluster import LocalCluster
 from repro.service.daemon import load_node
 from repro.storage import DurableKeystore, durable_keystore
-
-
-async def _network(all_keys, parties=4, threshold=1):
-    configs = make_local_configs(parties, threshold, transport="local", rpc_base_port=0)
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in all_keys.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
 
 
 @pytest.mark.integration
 class TestRefreshRpc:
     def test_refresh_preserves_key_and_function(self, keys_cks05):
         async def scenario():
-            nodes, client = await _network({"coin": keys_cks05})
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 value_before = await client.flip_coin("coin", b"epoch-test")
                 old_shares = {
                     n.config.node_id: n.keys.get("coin").key_share.value
@@ -63,50 +41,42 @@ class TestRefreshRpc:
                 # is identical — same key, new shares.
                 value_after = await client.flip_coin("coin", b"epoch-test")
                 assert value_after == value_before
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_repeated_refreshes(self, keys_cks05):
         async def scenario():
-            nodes, client = await _network({"coin": keys_cks05})
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client
                 for _ in range(3):
                     await client.refresh_key("coin")
                 value = await client.flip_coin("coin", b"after-three")
                 assert len(value) == 32
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_refresh_sg02_key_keeps_old_ciphertexts_decryptable(self, keys_sg02):
         async def scenario():
-            nodes, client = await _network({"enc": keys_sg02})
-            try:
+            async with LocalCluster({"enc": keys_sg02}) as cluster:
+                client = cluster.client
                 ciphertext = await client.encrypt("enc", b"pre-refresh secret", b"l")
                 await client.refresh_key("enc")
                 # Ciphertexts made before the refresh still decrypt: the
                 # public key never changed.
                 plaintext = await client.decrypt("enc", ciphertext, b"l")
                 assert plaintext == b"pre-refresh secret"
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_refresh_kg20_key(self, keys_kg20):
         async def scenario():
-            nodes, client = await _network({"wallet": keys_kg20})
-            try:
+            async with LocalCluster({"wallet": keys_kg20}) as cluster:
+                client = cluster.client
                 await client.refresh_key("wallet")
                 signature = await client.sign("wallet", b"post-refresh")
                 assert await client.verify_signature(
                     "wallet", b"post-refresh", signature
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -115,8 +85,8 @@ class TestRefreshRpc:
         result of the protocol that ran, not of its own that never did."""
 
         async def scenario():
-            nodes, client = await _network({"coin": keys_cks05})
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 value_before = await client.flip_coin("coin", b"concurrent")
                 old_shares = [n.keys.get("coin").key_share.value for n in nodes]
                 answers = await asyncio.gather(
@@ -127,15 +97,13 @@ class TestRefreshRpc:
                 assert all(new != old for new, old in zip(new_shares, old_shares))
                 # Refreshed exactly once: the shares still reconstruct the coin.
                 assert await client.flip_coin("coin", b"concurrent") == value_before
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_concurrent_dkg_calls_share_one_dkg(self):
         async def scenario():
-            nodes, client = await _network({})
-            try:
+            async with LocalCluster({}) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 answers = await asyncio.gather(
                     *(n.run_dkg("k", "cks05") for n in nodes for _ in range(2))
                 )
@@ -144,19 +112,15 @@ class TestRefreshRpc:
                     set(answers)
                 )
                 assert len(await client.flip_coin("k", b"after the dkg")) == 32
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_refresh_rejects_non_dl_schemes(self, keys_bls04):
         async def scenario():
-            nodes, client = await _network({"sig": keys_bls04})
-            try:
+            async with LocalCluster({"sig": keys_bls04}) as cluster:
+                client = cluster.client
                 with pytest.raises(RpcError):
                     await client.refresh_key("sig")
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -168,52 +132,6 @@ def _dealer_coin(km, name: bytes) -> bytes:
     return coin.combine(km.public_key, name, shares)
 
 
-class _DurableCluster:
-    """Four nodes over per-node ``data_dir``s; a restarted node gets its
-    keys from its keystore file, as a refreshed share exists nowhere else."""
-
-    def __init__(self, tmp_path):
-        self.hub = LocalHub(latency=lambda a, b: 0.001)
-        self.configs = [
-            replace(c, data_dir=str(tmp_path / f"node{c.node_id}"))
-            for c in make_local_configs(4, 1, transport="local", rpc_base_port=0)
-        ]
-        self.nodes = {}
-        self.client = None
-
-    async def boot(self, node_id, keys=None):
-        node = ThetacryptNode(
-            self.configs[node_id - 1], transport=self.hub.endpoint(node_id)
-        )
-        for key_id, km in (keys or {}).items():
-            node.install_key(key_id, km.scheme, km.public_key, km.share_for(node_id))
-        await node.start()
-        self.nodes[node_id] = node
-
-    async def restart(self, *node_ids):
-        await self.disconnect()
-        for node_id in node_ids:
-            await self.nodes[node_id].stop()
-        for node_id in node_ids:
-            await self.boot(node_id)
-
-    def connect(self):
-        self.client = ThetacryptClient(
-            {i: node.rpc_address for i, node in self.nodes.items()}
-        )
-        return self.client
-
-    async def disconnect(self):
-        if self.client is not None:
-            await self.client.close()
-            self.client = None
-
-    async def stop(self):
-        await self.disconnect()
-        for node in self.nodes.values():
-            await node.stop()
-
-
 @pytest.mark.integration
 class TestRefreshOnDurableNodes:
     def test_refresh_works_again_after_restarts(self, keys_cks05, tmp_path):
@@ -222,18 +140,15 @@ class TestRefreshOnDurableNodes:
         with the first epoch's finished instance."""
 
         async def scenario():
-            cluster = _DurableCluster(tmp_path)
-            try:
-                for node_id in (1, 2, 3, 4):
-                    await cluster.boot(node_id, {"coin": keys_cks05})
-                client = cluster.connect()
+            async with LocalCluster({"coin": keys_cks05}, data_root=tmp_path) as cluster:
+                client = cluster.client
                 assert await client.flip_coin("coin", b"epoch-0") == _dealer_coin(
                     keys_cks05, b"epoch-0"
                 )
                 await client.refresh_key("coin")
 
                 await cluster.restart(1, 2, 3, 4)
-                client = cluster.connect()
+                client = cluster.client
                 group_key = await client.refresh_key("coin")
                 assert group_key == keys_cks05.public_key.h.to_bytes()
                 assert await client.flip_coin("coin", b"epoch-2") == _dealer_coin(
@@ -241,17 +156,15 @@ class TestRefreshOnDurableNodes:
                 )
 
                 await cluster.restart(3)
-                client = cluster.connect()
+                client = cluster.client
                 await client.refresh_key("coin")
                 assert await client.flip_coin("coin", b"epoch-3") == _dealer_coin(
                     keys_cks05, b"epoch-3"
                 )
                 # Every epoch swapped the share: four distinct values per node.
-                assert cluster.nodes[3].keys.get("coin").key_share.value != (
+                assert cluster.nodes[2].keys.get("coin").key_share.value != (
                     keys_cks05.share_for(3).value
                 )
-            finally:
-                await cluster.stop()
 
         asyncio.run(scenario())
 
@@ -317,16 +230,11 @@ class TestRefreshOnDurableNodes:
             snapshots.append([key_id for key_id, _, _ in DurableKeystore(path).items()])
 
         async def scenario():
-            cluster = _DurableCluster(tmp_path)
-            try:
-                for node_id in (1, 2, 3, 4):
-                    await cluster.boot(node_id, {"coin": keys_cks05})
+            async with LocalCluster({"coin": keys_cks05}, data_root=tmp_path) as cluster:
                 monkeypatch.setattr(
                     durable_keystore, "write_versioned", recording_write
                 )
-                await cluster.connect().refresh_key("coin")
-            finally:
-                await cluster.stop()
+                await cluster.client.refresh_key("coin")
 
         asyncio.run(scenario())
         assert snapshots == [["coin"]] * 4
@@ -347,16 +255,13 @@ class TestRefreshOnDurableNodes:
             real_write(path, payload, version)
 
         async def scenario():
-            cluster = _DurableCluster(tmp_path)
-            try:
-                for node_id in (1, 2, 3, 4):
-                    await cluster.boot(node_id, {"coin": keys_cks05})
-                client = cluster.connect()
+            async with LocalCluster({"coin": keys_cks05}, data_root=tmp_path) as cluster:
+                client = cluster.client
                 monkeypatch.setattr(durable_keystore, "write_versioned", failing)
                 if failing_write == 1:
                     with pytest.raises(RpcError):
                         await client.refresh_key("coin")
-                    for node_id, node in cluster.nodes.items():
+                    for node_id, node in enumerate(cluster.nodes, 1):
                         assert node.keys.get("coin").key_share.value == (
                             keys_cks05.share_for(node_id).value
                         )
@@ -365,8 +270,6 @@ class TestRefreshOnDurableNodes:
                 assert await client.flip_coin("coin", b"after") == _dealer_coin(
                     keys_cks05, b"after"
                 )
-            finally:
-                await cluster.stop()
 
         asyncio.run(scenario())
 

@@ -21,10 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.cluster import LocalCluster
 from repro.service.server import RPC_LINE_LIMIT
 from repro.telemetry import parse_text
 from tests.test_scheme_sh00 import _mutants
-from tests.test_telemetry_service import _start_network, _teardown
 
 
 def _line(**request) -> bytes:
@@ -116,7 +116,8 @@ class _LiveNetwork:
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self.loop.run_forever, daemon=True)
         self._thread.start()
-        self.nodes, self._client = self.run(_start_network(keys, "coin"))
+        self._cluster = LocalCluster({"coin": keys})
+        self.nodes = self.run(self._cluster.__aenter__()).nodes
         self.address = self.nodes[0].rpc_address
 
     def run(self, coroutine):
@@ -138,7 +139,7 @@ class _LiveNetwork:
 
     def stop(self):
         async def stop_all():
-            await _teardown(self.nodes, self._client)
+            await self._cluster.__aexit__(None, None, None)
             # Connection handlers outlive the listener; end them here.
             tasks = asyncio.all_tasks() - {asyncio.current_task()}
             for task in tasks:

@@ -2,15 +2,15 @@
 
 import asyncio
 import multiprocessing
-from dataclasses import replace
 
 import pytest
 
+from repro.core.orchestration import derive_instance_id
 from repro.errors import ConfigurationError, RpcError
-from repro.network.local import LocalHub
 from repro.service.client import ThetacryptClient
+from repro.service.cluster import LocalCluster
 from repro.service.config import NodeConfig, PeerConfig, make_local_configs
-from repro.service.node import ThetacryptNode, derive_instance_id
+from repro.telemetry import default_registry
 
 
 class TestConfig:
@@ -67,40 +67,32 @@ class TestInstanceIdDerivation:
         )
 
 
-async def _start_network(
-    all_keys, parties=4, threshold=1, data_root=None, **overrides
-):
-    configs = make_local_configs(
-        parties, threshold, transport="local", rpc_base_port=0, **overrides
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        if data_root is not None:
-            config = replace(config, data_dir=str(data_root / f"node{config.node_id}"))
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in all_keys.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return hub, nodes, client
+class TestLocalCluster:
+    def test_exit_stops_every_node_when_one_stop_raises(self):
+        async def scenario():
+            stopped = []
+            with pytest.raises(RuntimeError, match="node 2"):
+                async with LocalCluster({}) as cluster:
+                    for node in cluster.nodes:
 
+                        async def stop(real=node.stop, node_id=node.config.node_id):
+                            await real()
+                            stopped.append(node_id)
+                            if node_id == 2:
+                                raise RuntimeError("node 2 failed to stop")
 
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
+                        node.stop = stop
+            return stopped
+
+        assert asyncio.run(scenario()) == [1, 2, 3, 4]
 
 
 @pytest.mark.integration
 class TestServiceEndToEnd:
     def test_protocol_api_all_kinds(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 signature = await client.sign("bls04", b"service sign")
                 assert await client.verify_signature("bls04", b"service sign", signature)
 
@@ -111,8 +103,6 @@ class TestServiceEndToEnd:
                 coin_a = await client.flip_coin("cks05", b"round-9")
                 coin_b = await client.flip_coin("cks05", b"round-9")
                 assert coin_a == coin_b and len(coin_a) == 32
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -121,8 +111,8 @@ class TestServiceEndToEnd:
         place share crypto runs, so a serving cluster has no child process."""
 
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 await client.sign("bls04", b"in-process sign")
                 ciphertext = await client.encrypt("sg02", b"in-process", b"")
                 await client.decrypt("sg02", ciphertext, b"")
@@ -132,16 +122,14 @@ class TestServiceEndToEnd:
                     stats = node.stats()
                     assert "crypto_pool" not in stats
                     assert stats["event_loop_lag"].get("count", 0) >= 1
-            finally:
-                await _teardown(nodes, client)
             assert multiprocessing.active_children() == []
 
         asyncio.run(scenario())
 
     def test_interactive_frost_and_precompute(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 sig = await client.sign("kg20", b"frost service")
                 assert await client.verify_signature("kg20", b"frost service", sig)
                 pre = await client.precompute("kg20", 3)
@@ -150,8 +138,6 @@ class TestServiceEndToEnd:
                 assert await client.verify_signature(
                     "kg20", b"frost precomputed", sig2
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -160,8 +146,8 @@ class TestServiceEndToEnd:
         sets twice yields six, not the first call's answer again."""
 
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 for expected in (3, 6):
                     pre = await client.precompute("kg20", 3)
                     assert [r["available"] for r in pre.values()] == [expected] * 4
@@ -172,50 +158,53 @@ class TestServiceEndToEnd:
                 assert all(
                     node.stats()["precompute"]["frost"] == {} for node in nodes
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_rsa_and_pairing_cipher(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 sig = await client.sign("sh00", b"rsa service")
                 assert await client.verify_signature("sh00", b"rsa service", sig)
                 ct = await client.encrypt("bz03", b"pairing ct", b"l")
                 assert await client.decrypt("bz03", ct, b"l") == b"pairing ct"
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_crash_fault_tolerance(self, all_keys):
-        """n=4, t=1: one crashed node must not prevent results."""
+        """n=4, t=1: one crashed node must not prevent results, and the
+        crashed node takes no part: no frame reaches it, none piles up."""
+
+        def frames_received_by_node_4():
+            return default_registry().get("repro_network_messages_total").labels(
+                "4", "local", "received"
+            ).value
 
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
-                await nodes[3].stop()  # crash node 4
-                survivors = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes[:3]}
-                )
-                signature = await survivors.sign("bls04", b"degraded mode")
-                assert await survivors.verify_signature(
-                    "bls04", b"degraded mode", signature
-                )
-                coin = await survivors.flip_coin("cks05", b"degraded coin")
-                assert len(coin) == 32
-                await survivors.close()
-            finally:
-                await _teardown(nodes[:3], client)
+            async with LocalCluster(all_keys) as cluster:
+                await cluster.stop(4)  # crash node 4
+                received = frames_received_by_node_4()
+                survivors = ThetacryptClient(cluster.addresses)
+                try:
+                    signature = await survivors.sign("bls04", b"degraded mode")
+                    assert await survivors.verify_signature(
+                        "bls04", b"degraded mode", signature
+                    )
+                    for k in range(5):
+                        coin = await survivors.flip_coin("cks05", b"coin %d" % k)
+                        assert len(coin) == 32
+                finally:
+                    await survivors.close()
+                assert frames_received_by_node_4() == received
+                assert cluster.nodes[3].instances._backlog == {}
 
         asyncio.run(scenario())
 
     def test_status_and_list_keys(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 await client.sign("bls04", b"status probe")
                 instance_id = derive_instance_id("sign", "bls04", b"status probe")
                 status = await client.call(1, "status", {"instance_id": instance_id})
@@ -226,15 +215,13 @@ class TestServiceEndToEnd:
                 assert set(listed) == set(all_keys)
                 assert listed["bls04"]["kind"] == "signature"
                 assert listed["sg02"]["threshold"] == 1
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_error_paths(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 with pytest.raises(RpcError):
                     await client.call(1, "sign", {"key_id": "missing", "data": "00"})
                 with pytest.raises(RpcError):
@@ -246,33 +233,27 @@ class TestServiceEndToEnd:
                     )
                 # Verification of garbage returns False, not an error.
                 assert not await client.verify_signature("bls04", b"m", b"\x00\x01")
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_ping_identifies_nodes(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 for node_id in client.node_ids:
                     pong = await client.call(node_id, "ping", {})
                     assert pong["node_id"] == node_id
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_concurrent_requests(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 coins = await asyncio.gather(
                     *(client.flip_coin("cks05", b"c%d" % k) for k in range(6))
                 )
                 assert len({bytes(c) for c in coins}) == 6
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -280,8 +261,8 @@ class TestServiceEndToEnd:
         """Dealerless setup through the service API (§2.2's alternative)."""
 
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 group_key = await client.run_dkg("fresh-coin", scheme="cks05")
                 assert len(group_key) == 32  # an ed25519 element
                 coin_a = await client.flip_coin("fresh-coin", b"dkg round")
@@ -297,8 +278,6 @@ class TestServiceEndToEnd:
                 await client.run_dkg("fresh-wallet", scheme="kg20")
                 sig = await client.sign("fresh-wallet", b"dkg signed")
                 assert await client.verify_signature("fresh-wallet", b"dkg signed", sig)
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -317,12 +296,10 @@ class TestServiceEndToEnd:
             leftovers[leftover] = leftover.read_bytes()
 
         async def life():
-            hub, nodes, client = await _start_network(keys, data_root=tmp_path)
-            try:
+            async with LocalCluster(keys, data_root=tmp_path) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 coin = await client.flip_coin("cks05", b"across the restart")
                 recovery = [node.stats()["recovery"] for node in nodes]
-            finally:
-                await _teardown(nodes, client)
             return coin, recovery
 
         first, _ = asyncio.run(life())
@@ -341,15 +318,13 @@ class TestServiceEndToEnd:
 
     def test_dkg_rejects_bad_targets(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _start_network(all_keys)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client
                 with pytest.raises(RpcError):
                     await client.run_dkg("rsa-key", scheme="sh00")
                 with pytest.raises(RpcError):
                     # Existing key id must not be overwritten.
                     await client.run_dkg("bls04", scheme="cks05")
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -359,13 +334,11 @@ class TestServiceEndToEnd:
         keys = {"bls04": generate_keys("bls04", 1, 5)}
 
         async def scenario():
-            hub, nodes, client = await _start_network(
+            async with LocalCluster(
                 keys, parties=5, threshold=1, gossip_fanout=2
-            )
-            try:
+            ) as cluster:
+                client = cluster.client
                 signature = await client.sign("bls04", b"over gossip")
                 assert await client.verify_signature("bls04", b"over gossip", signature)
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())

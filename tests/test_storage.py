@@ -870,27 +870,19 @@ class TestManagerOverTheTable:
 @pytest.mark.integration
 class TestOverloadShedding:
     def test_excess_submissions_rejected_with_hint(self, all_keys):
-        from dataclasses import replace
-
-        from repro.network.local import LocalHub
-        from repro.service.config import make_local_configs
-        from repro.service.node import ThetacryptNode
+        from repro.service.cluster import LocalCluster
 
         async def scenario():
-            # A lone node (its peers never start): every submission stays
-            # pending, so the third one must be shed.
-            config = replace(
-                make_local_configs(4, 1, transport="local", rpc_base_port=0)[0],
+            async with LocalCluster(
+                {"bls04": all_keys["bls04"]},
                 max_pending_instances=2,
                 overload_retry_after=0.125,
                 instance_timeout=30.0,
-            )
-            hub = LocalHub()
-            node = ThetacryptNode(config, transport=hub.endpoint(1))
-            km = all_keys["bls04"]
-            node.install_key("bls04", km.scheme, km.public_key, km.share_for(1))
-            await node.start()
-            try:
+            ) as cluster:
+                # A lone node (its peers are down): every submission stays
+                # pending, so the third one must be shed.
+                await cluster.stop(2, 3, 4)
+                node = cluster.nodes[0]
                 node.submit_request("sign", "bls04", b"pending-1")
                 node.submit_request("sign", "bls04", b"pending-2")
                 with pytest.raises(RpcError) as err:
@@ -903,8 +895,6 @@ class TestOverloadShedding:
                 # onto the existing instance.
                 node.submit_request("sign", "bls04", b"pending-1")
                 assert rejected.labels("overloaded").value == 1
-            finally:
-                await node.stop()
 
         asyncio.run(scenario())
 

@@ -3,39 +3,30 @@ and trace-context propagation across a full multi-node request."""
 
 import asyncio
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.network.local import LocalHub
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode, derive_instance_id
+from repro.core.orchestration import derive_instance_id
+from repro.service.cluster import LocalCluster
 from repro.telemetry import default_registry, parse_text
 
 
-async def _start_network(keys, key_id, *, metrics_port=None, parties=4):
-    configs = make_local_configs(parties, 1, transport="local", rpc_base_port=0)
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        if metrics_port is not None:
-            config = replace(config, metrics_port=metrics_port)
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            key_id, keys.scheme, keys.public_key, keys.share_for(config.node_id)
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
+#: Families a node's scrape carries once it has served a request.
+REQUIRED_FAMILIES = {
+    "repro_rpc_requests_total",
+    "repro_rpc_latency_seconds_count",
+    "repro_tri_round_seconds_count",
+    "repro_tri_messages_total",
+    "repro_instances_total",
+    "repro_instance_seconds_count",
+    "repro_network_messages_total",
+    "repro_network_bytes_total",
+    "repro_network_send_seconds_count",
+    "repro_network_dispatch_total",
+    "repro_network_delivered_total",
+    "repro_crypto_cache",
+}
 
 
 def _metric(parsed, name, **labels):
@@ -64,21 +55,13 @@ def test_documented_metric_names_match_the_registries(tmp_path):
     documented = set(rows)
 
     async def registered():
-        config = replace(
-            make_local_configs(4, 1, transport="local", rpc_base_port=0)[0],
-            data_dir=str(tmp_path),
-        )
-        node = ThetacryptNode(config, transport=LocalHub().endpoint(1))
-        await node.start()
-        try:
-            registries = (node.registry, default_registry())
+        async with LocalCluster({}, data_root=tmp_path) as cluster:
+            registries = (cluster.nodes[0].registry, default_registry())
             return {
                 (family.name, family.metric_type, frozenset(family.labelnames))
                 for r in registries
                 for family in r.collect()
             }
-        finally:
-            await node.stop()
 
     families = asyncio.run(registered())
     found = {name for name, _, _ in families}
@@ -96,8 +79,8 @@ def test_documented_metric_names_match_the_registries(tmp_path):
 class TestMetricsEndpoints:
     def test_multi_node_sign_exposes_metrics(self, keys_bls04):
         async def scenario():
-            nodes, client = await _start_network(keys_bls04, "sig")
-            try:
+            async with LocalCluster({"sig": keys_bls04}) as cluster:
+                client = cluster.client
                 signature = await client.sign("sig", b"observable")
                 assert await client.verify_signature("sig", b"observable", signature)
 
@@ -158,8 +141,6 @@ class TestMetricsEndpoints:
                 # The PR-1 crypto cache counters, now registry gauges.
                 assert ("repro_crypto_cache", (("cache", "fixed_base"), ("stat", "hits"))) in parsed
                 assert ("repro_crypto_cache", (("cache", "lagrange"), ("stat", "hits"))) in parsed
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -168,8 +149,8 @@ class TestMetricsEndpoints:
         metrics (each node owns a private registry)."""
 
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin")
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client
                 await client.call(1, "list_keys", {})
                 parsed_two = parse_text(await client.metrics(2))
                 samples = [
@@ -179,19 +160,25 @@ class TestMetricsEndpoints:
                     and ("method", "list_keys") in labels
                 ]
                 assert samples == []
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
-    def test_http_scrape_endpoint(self, keys_cks05):
+    def test_http_scrape_endpoint(self, keys_bls04, keys_sg02, keys_cks05):
+        """One request per protocol-API and scheme-API method; then node 1's
+        ``metrics`` RPC text and its HTTP ``GET /metrics`` text both parse
+        and both carry every family in :data:`REQUIRED_FAMILIES`."""
+        keys = {"sig": keys_bls04, "cipher": keys_sg02, "coin": keys_cks05}
+
         async def scenario():
-            nodes, client = await _start_network(
-                keys_cks05, "coin", metrics_port=0
-            )
-            try:
+            async with LocalCluster(keys, metrics_port=0) as cluster:
+                client = cluster.client
+                signature = await client.sign("sig", b"scrape-me")
+                assert await client.verify_signature("sig", b"scrape-me", signature)
+                ciphertext = await client.encrypt("cipher", b"scrape-me", b"l")
+                assert await client.decrypt("cipher", ciphertext, b"l") == b"scrape-me"
                 await client.flip_coin("coin", b"scrape-me")
-                host, port = nodes[0].metrics_address
+                assert len((await client.call(1, "list_keys", {}))["keys"]) == 3
+                host, port = cluster.nodes[0].metrics_address
                 assert port != 0  # ephemeral port was bound
 
                 async def get(path):
@@ -205,25 +192,32 @@ class TestMetricsEndpoints:
                     head, _, body = raw.partition(b"\r\n\r\n")
                     return head.decode("latin-1"), body.decode()
 
-                head, body = await get("/metrics")
+                head, http_text = await get("/metrics")
                 assert head.startswith("HTTP/1.1 200 OK")
                 assert "text/plain; version=0.0.4" in head
-                parsed = parse_text(body)
-                assert _metric(
-                    parsed, "repro_rpc_latency_seconds_count", method="flip_coin"
-                ) >= 1
-
                 head, _ = await get("/nope")
                 assert head.startswith("HTTP/1.1 404")
-            finally:
-                await _teardown(nodes, client)
+                return await client.metrics(1), http_text
 
-        asyncio.run(scenario())
+        for text in asyncio.run(scenario()):
+            parsed = parse_text(text)
+            assert {name for name, _ in parsed} >= REQUIRED_FAMILIES
+            for method in ("sign", "decrypt", "flip_coin"):
+                assert _metric(
+                    parsed, "repro_rpc_latency_seconds_count", method=method
+                ) >= 1
+            for scheme in ("bls04", "sg02", "cks05"):
+                assert _metric(
+                    parsed, "repro_tri_round_seconds_count", scheme=scheme
+                ) >= 1
+            assert _metric(
+                parsed, "repro_network_bytes_total", node="1", channel="local"
+            ) > 0
 
     def test_stats_percentiles_from_histogram(self, keys_cks05):
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin")
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                nodes, client = cluster.nodes, cluster.client
                 for i in range(4):
                     await client.flip_coin("coin", b"p%d" % i)
                 stats = await client.node_stats(1)
@@ -238,8 +232,6 @@ class TestMetricsEndpoints:
                 assert summary["p50"] == pytest.approx(
                     (ordered[1] + ordered[2]) / 2
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -248,8 +240,8 @@ class TestMetricsEndpoints:
 class TestTracePropagation:
     def test_sign_trace_spans_rounds_and_hops(self, keys_bls04):
         async def scenario():
-            nodes, client = await _start_network(keys_bls04, "sig")
-            try:
+            async with LocalCluster({"sig": keys_bls04}) as cluster:
+                client = cluster.client
                 await client.sign("sig", b"traced")
                 instance_id = derive_instance_id("sign", "sig", b"traced", b"")
 
@@ -285,8 +277,6 @@ class TestTracePropagation:
                         # sending peer stamped into the envelope.
                         assert attrs["origin_trace"] in peer_traces
                         assert attrs["sender"] in client.node_ids
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -297,25 +287,22 @@ class TestServerShutdownSemantics:
         """stop() must gather the cancelled handler tasks, not abandon them."""
 
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin", parties=4)
-            node = nodes[0]
-            # Park a request that will never finish (unknown peers only get
-            # one share) so a handler task is in flight during stop().
-            asyncio.get_running_loop().create_task(
-                client.call(1, "status", {"instance_id": "missing"})
-            )
-            await asyncio.sleep(0.05)
-            await client.close()
-            for n in nodes:
-                await n.stop()
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                node = cluster.nodes[0]
+                # Park a request that will never finish (unknown peers only
+                # get one share) so a handler task is in flight during stop().
+                asyncio.get_running_loop().create_task(
+                    cluster.client.call(1, "status", {"instance_id": "missing"})
+                )
+                await asyncio.sleep(0.05)
             assert not node.rpc._tasks  # gathered, not leaked
 
         asyncio.run(scenario())
 
     def test_abrupt_client_disconnect_closes_writer(self, keys_cks05):
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin", parties=4)
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                nodes = cluster.nodes
                 host, port = nodes[0].rpc_address
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(b'{"id": 1, "method": "ping", "params": {}}\n')
@@ -325,7 +312,5 @@ class TestServerShutdownSemantics:
                 # side rather than leak the writer.
                 writer.transport.abort()
                 await asyncio.sleep(0.05)
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())

@@ -12,15 +12,11 @@ of in a benchmark run.
 
 import asyncio
 import importlib.util
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.network.local import LocalHub
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode
+from repro.service.cluster import LocalCluster
 from repro.telemetry import parse_text
 
 _TRACING = Path(__file__).resolve().parent.parent / "benchmarks/thetabench/tracing.py"
@@ -51,21 +47,10 @@ def test_node_stats_and_scrape_carry_what_the_benchmark_reads(keys_cks05, tmp_pa
     ``measure.py`` (``keys``, ``active``, ``recovery.results``,
     ``crypto_backend.name``) and ``layers.py`` (the fixed-base build count)
     read them."""
-    config = make_local_configs(4, 1, transport="local", rpc_base_port=0)[0]
-    config = replace(config, data_dir=str(tmp_path))
 
     async def scenario():
-        node = ThetacryptNode(config, transport=LocalHub().endpoint(1))
-        node.install_key(
-            "cks05", "cks05", keys_cks05.public_key, keys_cks05.share_for(1)
-        )
-        await node.start()
-        client = ThetacryptClient({1: node.rpc_address})
-        try:
-            return await client.node_stats(1), await client.metrics(1)
-        finally:
-            await client.close()
-            await node.stop()
+        async with LocalCluster({"cks05": keys_cks05}, data_root=tmp_path) as cluster:
+            return await cluster.client.node_stats(1), await cluster.client.metrics(1)
 
     stats, text = asyncio.run(scenario())
     assert stats["keys"] == 1

@@ -38,10 +38,10 @@ from pathlib import Path
 
 from _daemons import deal_keys, spawn_daemon, stop_daemons, wait_for_ping
 
+from repro.core.orchestration import derive_instance_id
 from repro.errors import RpcError
 from repro.serialization import hexlify
 from repro.service.client import ThetacryptClient
-from repro.service.node import derive_instance_id
 from repro.telemetry import parse_text
 
 PARTIES, THRESHOLD = 4, 1
