@@ -51,7 +51,7 @@ thetabench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/thetabench/test_thetabench.py -q
 
 examples:
-	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script || exit 1; done
+	for script in examples/*.py; do echo "== $$script =="; PYTHONPATH=src $(PYTHON) $$script || exit 1; done
 
 fixtures:
 	$(PYTHON) tools/gen_rsa_fixtures.py 512 1024 2048 4096

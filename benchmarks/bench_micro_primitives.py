@@ -133,6 +133,14 @@ def test_bn254_g1_scalar_mult(benchmark):
     benchmark(lambda: base**SCALAR)
 
 
+def test_bn254_g1_two_base_multi_exp(benchmark):
+    """The BLS04 combine shape: σ₁^λ₁ · σ₂^λ₂ on one doubling chain."""
+    g1 = bn254_pairing().g1
+    bases = [g1.hash_to_element(b"bench-s1"), g1.hash_to_element(b"bench-s2")]
+    exponents = [SCALAR * SCALAR % g1.order, -SCALAR]
+    benchmark(lambda: g1.multi_exp(bases, exponents))
+
+
 def test_bn254_g2_scalar_mult(benchmark):
     g2 = bn254_pairing().g2
     base = g2.generator()

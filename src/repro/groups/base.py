@@ -18,6 +18,27 @@ from typing import Iterable, Sequence
 from ..errors import SerializationError
 
 
+def wnaf(k: int) -> list[tuple[int, int]]:
+    """Width-5 signed windows of k ≥ 0 as (bit position, digit) pairs.
+
+    Digits are odd with |d| < 16, positions ascend at least five apart,
+    and k = Σ d·2^position.  The recoding behind both flat kernels'
+    Straus loops.
+    """
+    digits = []
+    position = 0
+    while k:
+        if k & 1:
+            d = (k & 31) - ((k & 16) << 1)
+            digits.append((position, d))
+            k = (k - d) >> 5
+            position += 5
+        else:
+            k >>= 1
+            position += 1
+    return digits
+
+
 class GroupElement(ABC):
     """Immutable element of a prime-order group (multiplicative notation)."""
 
@@ -51,10 +72,9 @@ class GroupElement(ABC):
     def double(self) -> "GroupElement":
         """Square the element; backends override with a dedicated formula.
 
-        Jacobian-coordinate backends pay a multi-field-op equality probe in
-        ``__mul__`` before dispatching to their internal doubling, so the hot
-        doubling chains (``__pow__``, :meth:`Group.multi_exp`) go through this
-        method instead.
+        The generic :meth:`Group._multi_exp` (BN254 G2's) doubles through
+        it; no hot G1 or Ed25519 chain does, since both kernels double flat
+        tuples inside their own Straus loops.
         """
         return self * self
 

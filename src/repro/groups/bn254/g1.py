@@ -5,104 +5,216 @@ from __future__ import annotations
 import hashlib
 
 from ...errors import SerializationError
-from ..base import Group, GroupElement
+from ..base import Group, GroupElement, wnaf
 from .fp import P, R
 
 B = 3
 _GEN_X, _GEN_Y = 1, 2
 
+# -- the flat kernel --------------------------------------------------------
+# A point is three reduced ints (X, Y, Z), affine (X/Z², Y/Z³), and Z = 0 at
+# infinity; an addend is an affine pair (x, y).  Neither formula reads b, and
+# G1 has no point of order 2, so a doubling needs no special case.
+
+_INFINITY = (1, 1, 0)
+
+# The GLV endomorphism φ(x, y) = (β·x, y), β³ = 1 in Fp, is [λ] on G1, with
+# λ² + λ + 1 ≡ 0 (mod r): every point, since the cofactor is 1.  The rows
+# (a, b) are a reduced basis of the lattice a + b·λ ≡ 0 (mod r), of
+# determinant r.  All four are checked in tests/test_bn254_g1_kernel.py.
+BETA = 2203960485148121921418603742825762020974279258880205651966
+LAMBDA = 4407920970296243842393367215006156084916469457145843978461
+_BASIS = (
+    (9931322734385697763, -147946756881789319000765030803803410728),
+    (147946756881789319010696353538189108491, 9931322734385697763),
+)
+
+
+def _dbl(p: tuple) -> tuple:
+    """dbl-2009-l for a = 0 (2M + 5S); infinity doubles to infinity."""
+    x, y, z = p
+    a = x * x % P
+    b = y * y % P
+    c = b * b % P
+    d = 2 * ((x + b) ** 2 - a - c) % P
+    e = 3 * a
+    f = e * e % P
+    x3 = (f - 2 * d) % P
+    return x3, (e * (d - x3) - 8 * c) % P, 2 * y * z % P
+
+
+def _madd(p: tuple, q: tuple) -> tuple:
+    """madd-2007-bl, Jacobian p plus affine q (7M + 4S).
+
+    The two cases the formula cannot take are handled here: p at infinity
+    gives q, and H = 0 (x(p) = x(q)) gives 2p or infinity.
+    """
+    x1, y1, z1 = p
+    x2, y2 = q
+    if not z1:
+        return x2, y2, 1
+    z1z1 = z1 * z1 % P
+    h = (x2 * z1z1 - x1) % P
+    r = 2 * (y2 * z1 * z1z1 - y1) % P
+    if not h:
+        return _INFINITY if r else _dbl(p)
+    hh = h * h % P
+    i = 4 * hh
+    j = h * i % P
+    v = x1 * i % P
+    x3 = (r * r - j - 2 * v) % P
+    return x3, (r * (v - x3) - 2 * y1 * j) % P, ((z1 + h) ** 2 - z1z1 - hh) % P
+
+
+def _batch_affine(points: list) -> list:
+    """The addend (x, y) of every point, None at infinity: one inversion."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        if z:
+            acc = acc * z % P
+    inv = pow(acc, -1, P)
+    out: list = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        if z:
+            z_inv = inv * prefix[i] % P
+            inv = inv * z % P
+            z2 = z_inv * z_inv % P
+            out[i] = x * z2 % P, y * z2 * z_inv % P
+    return out
+
+
+def _split(k: int) -> tuple[int, int]:
+    """k₁, k₂ with k₁ + k₂·λ ≡ k (mod r) and |k₁|, |k₂| < 2¹²⁷, for 0 ≤ k < r.
+
+    (k, 0) minus the lattice point nearest to it: k·(b₂, −b₁)/r in the
+    basis's coordinates, each rounded, so |kᵢ| ≤ (|row 1ᵢ| + |row 2ᵢ|)/2.
+    """
+    (a1, b1), (a2, b2) = _BASIS
+    c1 = (2 * b2 * k + R) // (2 * R)
+    c2 = (-2 * b1 * k + R) // (2 * R)
+    return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
+
+
+def _straus(pairs) -> tuple:
+    """Σ [k]P over (affine P, 0 < k < r) pairs, on one chain of doublings.
+
+    The only scalar multiplication in this module: ``**`` is its one-base
+    case and ``multi_exp`` hands it all bases at once.  Each k is split as
+    k₁ + k₂·λ and both halves are recoded into width-5 signed windows, so
+    the chain is about 127 doublings long.  Both halves read the same odd
+    multiples P, 3P, …, 15P (only as far as the digits reach), taken to
+    affine with one inversion for all bases; the k₂ half reads them
+    through φ, as (β·x, y).  The result is Jacobian.
+    """
+    recoded = []
+    for point, k in pairs:
+        k1, k2 = _split(k)
+        recoded.append((point, ((wnaf(abs(k1)), k1 < 0), (wnaf(abs(k2)), k2 < 0))))
+    twice = _batch_affine([_dbl((*point, 1)) for point, _ in recoded])
+    chains = []
+    for (point, halves), two in zip(recoded, twice):
+        top = max(abs(d) for digits, _ in halves for _, d in digits) >> 1
+        chain = [(*point, 1)]
+        for _ in range(top):
+            chain.append(_madd(chain[-1], two))
+        chains.append(chain)
+    odd_multiples = iter(_batch_affine([p for chain in chains for p in chain[1:]]))
+    steps: list[list[tuple]] = []  # addends per bit position
+    for (point, halves), chain in zip(recoded, chains):
+        odd = [point] + [next(odd_multiples) for _ in chain[1:]]
+        (digits1, negative1), (digits2, negative2) = halves
+        odd_phi = [(BETA * x % P, y) for x, y in odd] if digits2 else []
+        for digits, negative, table in (
+            (digits1, negative1, odd),
+            (digits2, negative2, odd_phi),
+        ):
+            if digits:
+                steps.extend([] for _ in range(digits[-1][0] + 1 - len(steps)))
+            for position, d in digits:
+                x, y = table[abs(d) >> 1]
+                steps[position].append((x, P - y if (d < 0) != negative else y))
+    acc = _INFINITY
+    for addends in reversed(steps):
+        acc = _dbl(acc)
+        for addend in addends:
+            acc = _madd(acc, addend)
+    return acc
+
+
+def _normalized(p: tuple) -> tuple:
+    """The same point with Z = 1, or infinity (at most one inversion)."""
+    if p[2] in (0, 1):
+        return p
+    return (*_batch_affine([p])[0], 1)
+
 
 class BN254G1Element(GroupElement):
-    """Point in Jacobian coordinates (X : Y : Z), affine = (X/Z², Y/Z³)."""
+    """Point in Jacobian coordinates (X : Y : Z), affine = (X/Z², Y/Z³).
 
-    __slots__ = ("x", "y", "z", "group")
+    ``point`` is the kernel's flat tuple.  ``**`` and ``multi_exp`` results
+    come back with Z = 1; any other element is normalised in place the
+    first time it is read as an affine point (an addend of ``*``, an
+    encoding, a pairing argument), which leaves its value unchanged.
+    """
 
-    def __init__(self, group: "BN254G1Group", x: int, y: int, z: int):
+    __slots__ = ("point", "group")
+
+    def __init__(self, group: "BN254G1Group", point: tuple):
         self.group = group
-        self.x, self.y, self.z = x % P, y % P, z % P
+        self.point = point
 
     def is_infinity(self) -> bool:
-        return self.z == 0
+        return not self.point[2]
 
     def affine(self) -> tuple[int, int]:
-        if self.z == 0:
+        x, y, z = self.point
+        if z == 1:
+            return x, y
+        if not z:
             return 0, 0
-        z_inv = pow(self.z, -1, P)
-        z2 = z_inv * z_inv % P
-        return self.x * z2 % P, self.y * z2 * z_inv % P
-
-    def _double(self) -> "BN254G1Element":
-        if self.z == 0 or self.y == 0:
-            return self.group.identity()
-        x, y, z = self.x, self.y, self.z
-        a = x * x % P
-        b = y * y % P
-        c = b * b % P
-        d = 2 * ((x + b) * (x + b) - a - c) % P
-        e = 3 * a % P
-        f = e * e % P
-        x3 = (f - 2 * d) % P
-        y3 = (e * (d - x3) - 8 * c) % P
-        z3 = 2 * y * z % P
-        return BN254G1Element(self.group, x3, y3, z3)
+        self.point = _normalized(self.point)
+        return self.point[:2]
 
     def double(self) -> "BN254G1Element":
-        return self._double()
+        return BN254G1Element(self.group, _dbl(self.point))
+
+    _double = double
 
     def __mul__(self, other: GroupElement) -> "BN254G1Element":
         if not isinstance(other, BN254G1Element):
             return NotImplemented
-        if self.z == 0:
-            return other
-        if other.z == 0:
+        if not other.point[2]:
             return self
-        # Jacobian addition (add-2007-bl, simplified).
-        z1z1 = self.z * self.z % P
-        z2z2 = other.z * other.z % P
-        u1 = self.x * z2z2 % P
-        u2 = other.x * z1z1 % P
-        s1 = self.y * other.z * z2z2 % P
-        s2 = other.y * self.z * z1z1 % P
-        if u1 == u2:
-            if s1 != s2:
-                return self.group.identity()
-            return self._double()
-        h = (u2 - u1) % P
-        i = (2 * h) * (2 * h) % P
-        j = h * i % P
-        r = 2 * (s2 - s1) % P
-        v = u1 * i % P
-        x3 = (r * r - j - 2 * v) % P
-        y3 = (r * (v - x3) - 2 * s1 * j) % P
-        z3 = ((self.z + other.z) * (self.z + other.z) - z1z1 - z2z2) * h % P
-        return BN254G1Element(self.group, x3, y3, z3)
+        return BN254G1Element(self.group, _madd(self.point, other.affine()))
 
     def __pow__(self, scalar: int) -> "BN254G1Element":
         scalar %= R
-        result = self.group.identity()
-        if scalar == 0:
-            return result
-        for bit in bin(scalar)[2:]:
-            result = result._double()
-            if bit == "1":
-                result = result * self
-        return result
+        if not scalar or self.is_infinity():
+            return self.group.identity()
+        point = _normalized(_straus([(self.affine(), scalar)]))
+        return BN254G1Element(self.group, point)
 
     def inverse(self) -> "BN254G1Element":
-        if self.z == 0:
+        if self.is_infinity():
             return self
-        return BN254G1Element(self.group, self.x, -self.y, self.z)
+        x, y, z = self.point
+        return BN254G1Element(self.group, (x, P - y, z))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BN254G1Element):
             return NotImplemented
-        if self.z == 0 or other.z == 0:
-            return self.z == other.z
-        z1z1 = self.z * self.z % P
-        z2z2 = other.z * other.z % P
+        x1, y1, z1 = self.point
+        x2, y2, z2 = other.point
+        if not z1 or not z2:
+            return z1 == z2
+        z1z1 = z1 * z1 % P
+        z2z2 = z2 * z2 % P
         return (
-            self.x * z2z2 % P == other.x * z1z1 % P
-            and self.y * z2z2 * other.z % P == other.y * z1z1 * self.z % P
+            x1 * z2z2 % P == x2 * z1z1 % P
+            and y1 * z2z2 * z2 % P == y2 * z1z1 * z1 % P
         )
 
     def __hash__(self) -> int:
@@ -124,8 +236,8 @@ class BN254G1Group(Group):
     key_bits = 254
 
     def __init__(self) -> None:
-        self._generator = BN254G1Element(self, _GEN_X, _GEN_Y, 1)
-        self._identity = BN254G1Element(self, 1, 1, 0)
+        self._generator = BN254G1Element(self, (_GEN_X, _GEN_Y, 1))
+        self._identity = BN254G1Element(self, _INFINITY)
 
     def generator(self) -> BN254G1Element:
         return self._generator
@@ -145,7 +257,26 @@ class BN254G1Group(Group):
         if (y * y - x * x * x - B) % P != 0:
             raise SerializationError("bn254 G1 point not on curve")
         # Cofactor is 1: every curve point lies in the prime-order group.
-        return BN254G1Element(self, x, y, 1)
+        return BN254G1Element(self, (x, y, 1))
+
+    def _multi_exp(self, pairs, window: int) -> BN254G1Element:
+        """Straus over the flat kernel; its window shape is fixed."""
+        points = [(base.affine(), k) for base, k in pairs if not base.is_infinity()]
+        if not points:
+            return self._identity
+        return BN254G1Element(self, _normalized(_straus(points)))
+
+    def _fixed_base_form(self, rows):
+        """Rows of affine addends, one inversion per row, summed with
+        :func:`_madd`: no element is built per lookup."""
+
+        def product(addends) -> BN254G1Element:
+            acc = _INFINITY
+            for addend in addends:
+                acc = _madd(acc, addend)
+            return BN254G1Element(self, acc)
+
+        return [_batch_affine([entry.point for entry in row]) for row in rows], product
 
     def hash_to_element(self, data: bytes) -> BN254G1Element:
         """Try-and-increment; p ≡ 3 (mod 4) so sqrt is a single power."""
@@ -165,7 +296,7 @@ class BN254G1Group(Group):
                 y = P - y
             if x == 0 and y == 0:
                 continue
-            return BN254G1Element(self, x, y, 1)
+            return BN254G1Element(self, (x, y, 1))
 
 
 _GROUP = BN254G1Group()

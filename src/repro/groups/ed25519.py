@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import SerializationError
-from .base import Group, GroupElement
+from .base import Group, GroupElement, wnaf
 
 P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
@@ -91,26 +91,6 @@ def _add(p: tuple, addend: tuple, want_t: bool = True) -> tuple:
     return e * f % P, g * h % P, f * g % P, e * h % P if want_t else None
 
 
-def _wnaf(k: int) -> list[tuple[int, int]]:
-    """Width-5 signed windows of k ≥ 0 as (bit position, digit) pairs.
-
-    Digits are odd with |d| < 16, positions ascend at least five apart,
-    and k = Σ d·2^position.
-    """
-    digits = []
-    position = 0
-    while k:
-        if k & 1:
-            d = (k & 31) - ((k & 16) << 1)
-            digits.append((position, d))
-            k = (k - d) >> 5
-            position += 5
-        else:
-            k >>= 1
-            position += 1
-    return digits
-
-
 def _straus(pairs) -> tuple:
     """Σ [k]P over (point, k ≥ 0) pairs, interleaved on one doubling chain.
 
@@ -122,7 +102,7 @@ def _straus(pairs) -> tuple:
     """
     steps: list[list[tuple]] = []  # addends per bit position
     for point, k in pairs:
-        digits = _wnaf(k)
+        digits = wnaf(k)
         if not digits:
             continue
         odd = [_cached(point)]  # P, 3P, …, as far as the digits reach

@@ -7,7 +7,7 @@ table turns one such exponentiation from a chain of ~log₂(q) doublings plus
 its additions into ~log₂(q)/w table lookups and additions, at a one-time
 build cost of 2^w·log₂(q)/w multiplications — four to five exponentiations
 on Ed25519, whose rows hold the flat kernel's addends
-(:meth:`~repro.groups.base.Group._fixed_base_form`).
+(:meth:`~repro.groups.base.Group._fixed_base_form`), as BN254 G1's do.
 
 Because building a table only pays off for bases that recur, the cache uses
 *promotion*: a base is exponentiated naively until it has been seen
@@ -50,7 +50,7 @@ class FixedBaseTable:
     digit ``d``; an exponentiation is then the product of one table entry
     per nonzero window of the scalar — no doublings at all.  The rows hold
     whatever :meth:`Group._fixed_base_form` stores: elements by default,
-    the flat kernel's addends on Ed25519.
+    the flat kernels' addends on Ed25519 and BN254 G1.
     """
 
     __slots__ = ("base", "order", "window", "_rows", "_product")

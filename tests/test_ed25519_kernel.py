@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidShareError, SerializationError
 from repro.groups import ed25519 as kernel
+from repro.groups.base import wnaf
 from repro.groups.ed25519 import _2D, COFACTOR, L, P, Ed25519Element, ed25519
 from repro.schemes import cks05, kg20, sg02
 from tests import ed25519_subgroup_oracle as oracle
@@ -94,7 +95,7 @@ class TestScalarMultiplication:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=2**520))
     def test_signed_window_recoding(self, k):
-        digits = kernel._wnaf(k)
+        digits = wnaf(k)
         assert sum(d << position for position, d in digits) == k
         assert all(d & 1 and abs(d) < 16 for _, d in digits)
         positions = [position for position, _ in digits]

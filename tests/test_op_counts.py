@@ -1,0 +1,73 @@
+"""Exact per-request operation counts on a 4-node in-process Θ-network.
+
+Counts repeat exactly where timings do not, so a change that quietly adds
+a pairing check or a scalar multiplication to a request shows up here.
+Each row is one request shape; the counters are test-local wrappers around
+the kernel entry points, active only while the request runs.  A change
+that moves a count edits its row and says why.
+"""
+
+import asyncio
+import importlib
+from collections import Counter
+
+import pytest
+
+from repro.groups.base import Group
+from repro.groups.bn254.g1 import BN254G1Element
+from repro.serialization import hexlify, unhexlify
+from repro.service.cluster import LocalCluster
+
+# The package re-exports the function ``pairing_check`` over its submodule.
+_PAIRING = importlib.import_module("repro.groups.bn254.pairing")
+
+#: One BLS04 signature, t = 1, n = 4, asked of every node: each node signs
+#: its share (one G1 ``**``), combines t + 1 shares (one G1 ``multi_exp``)
+#: and verifies the result (one two-pair ``pairing_check``); shares are
+#: admitted unverified.
+BLS04_SIGN = {"g1_pow": 4, "g1_multi_exp": 4, "pairing_check": 4}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    counted = Counter()
+    pow_, multi_exp, pairing_check = (
+        BN254G1Element.__pow__,
+        Group.multi_exp,
+        _PAIRING.pairing_check,
+    )
+
+    def counting_pow(self, scalar):
+        counted["g1_pow"] += 1
+        return pow_(self, scalar)
+
+    def counting_multi_exp(self, *args, **kwargs):
+        if self.name == "bn254g1":
+            counted["g1_multi_exp"] += 1
+        return multi_exp(self, *args, **kwargs)
+
+    def counting_pairing_check(pairs):
+        counted["pairing_check"] += 1
+        return pairing_check(pairs)
+
+    monkeypatch.setattr(BN254G1Element, "__pow__", counting_pow)
+    monkeypatch.setattr(Group, "multi_exp", counting_multi_exp)
+    monkeypatch.setattr(_PAIRING, "pairing_check", counting_pairing_check)
+    return counted
+
+
+def test_one_bls04_signature(keys_bls04, counts):
+    message = b"count me once"
+
+    async def scenario():
+        async with LocalCluster({"bls04": keys_bls04}) as cluster:
+            counts.clear()  # booting the nodes is not the request
+            replies = await cluster.client.broadcast(
+                "sign", {"key_id": "bls04", "data": hexlify(message)}
+            )
+            return dict(counts), replies
+
+    counted, replies = asyncio.run(scenario())
+    signatures = {unhexlify(reply["result"]) for reply in replies.values()}
+    assert len(replies) == 4 and len(signatures) == 1
+    assert counted == BLS04_SIGN
