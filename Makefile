@@ -33,11 +33,12 @@ check:
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) tools/recovery_smoke.py
 
-# Precompute gate: 2 daemons with --precompute-depth 8 and journal-backed
-# pools.  Announced ciphertexts must be staged on every node and served
-# from the pool (repro_precompute_served_total{source="pool"} scraped),
-# an unannounced decrypt must fall back inline, and both daemons must
-# exit cleanly on SIGTERM — the refill loop cannot pin shutdown
+# Precompute gate: 2 daemons with --precompute-depth 8.  Announced
+# ciphertexts must run ahead on every node and be served from the
+# pipeline (repro_precompute_served_total{source="pool"} scraped), an
+# unannounced decrypt must fall back inline, its late announce must answer
+# duplicate, and both daemons must exit cleanly on SIGTERM — the
+# run-ahead loop cannot pin shutdown
 # (docs/performance.md, "Precompute pipeline").
 precompute-smoke:
 	PYTHONPATH=src $(PYTHON) tools/precompute_smoke.py

@@ -1,15 +1,15 @@
-"""Precompute pipeline: warm-pool latency vs cold, and refill neutrality.
+"""Precompute pipeline: warm latency vs cold, and run-ahead neutrality.
 
 The pipeline's claim (docs/performance.md, "Precompute pipeline") is
 two-sided:
 
-* **announced requests get cheap** — with eager pipelining the whole
-  threshold round runs ahead of demand, so a warm request's p50 must be
-  at least 2× below the cold on-demand p50 (SG02 decrypt and BLS04 sign,
+* **announced requests get cheap** — an announce runs the whole
+  threshold round ahead of demand, so a warm request's p50 must be at
+  least 2× below the cold on-demand p50 (SG02 decrypt and BLS04 sign,
   host-gated at 4 cores like the fig4 ablation);
-* **everyone else pays nothing** — refill is idle-gated, so foreground
-  throughput with a busy refill queue must stay within 5% of the
-  pipeline-disabled baseline (the neutrality gate, asserted on every
+* **everyone else pays nothing** — announced work is idle-gated, so
+  foreground throughput with a busy announce queue must stay within 5% of
+  the pipeline-disabled baseline (the neutrality gate, asserted on every
   host including 1-core runners).
 
 Results persist to ``BENCH_precompute.json`` at the repo root with a
@@ -25,10 +25,7 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.core.orchestration.precompute import (
-    PrecomputeConfig,
-    derive_instance_id,
-)
+from repro.core.orchestration.precompute import PrecomputeConfig
 from repro.schemes import generate_keys
 from repro.service.cluster import LocalCluster
 from repro.service.node import ThetacryptNode
@@ -82,7 +79,7 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
 
     # -- warm: announce, let the pipeline finish, then request ----------------
     async with LocalCluster(
-        materials, precompute=PrecomputeConfig(depth=requests, eager=True)
+        materials, precompute=PrecomputeConfig(depth=requests)
     ) as cluster:
         nodes = cluster.nodes
         datas = [f"warm {kind} {i}".encode() for i in range(requests)]
@@ -91,16 +88,10 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
                 nodes[0].scheme_encrypt(key_id, payload, b"")
                 for payload in datas
             ]
+        # The announce replies once every instance ran ahead of demand;
+        # the (untimed) wait here is the work the client no longer pays.
         await asyncio.gather(
             *(node.precompute_requests(key_id, datas) for node in nodes)
-        )
-        # Eager pipelining drives every announced instance to completion;
-        # the (untimed) wait here is the work the client no longer pays.
-        instance_ids = [
-            derive_instance_id(kind, key_id, data, b"") for data in datas
-        ]
-        await asyncio.gather(
-            *(nodes[0].instances.result(iid) for iid in instance_ids)
         )
         warm = await _measure_requests(nodes, kind, key_id, datas)
         served = nodes[0].stats()["precompute"]["served"]
@@ -125,25 +116,22 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
 async def _foreground_run(
     km, key_id: str, requests: int, busy_refill: bool, tag: str
 ) -> dict:
-    """Sequential foreground decrypts, optionally against a busy refill queue."""
-    precompute = (
-        PrecomputeConfig(depth=4 * requests, eager=False)
-        if busy_refill
-        else None
-    )
+    """Sequential foreground decrypts, optionally against a busy announce
+    queue."""
+    precompute = PrecomputeConfig(depth=4 * requests) if busy_refill else None
     async with LocalCluster({key_id: km}, precompute=precompute) as cluster:
         nodes = cluster.nodes
         # One untimed warm-up request: excludes cold-start costs from both
-        # modes and — in the busy-refill mode — arms the refill loop's
+        # modes and — in the busy mode — arms the run-ahead loop's
         # idle-grace window, as any live service's traffic would, so the
-        # announce below cannot slip one refill job in front of the first
-        # measured request.
+        # announce below cannot slip one announced instance in front of the
+        # first measured request.
         warmup = nodes[0].scheme_encrypt(key_id, f"{tag} warmup".encode(), b"")
         await _timed_request(nodes, "decrypt", key_id, warmup)
         if busy_refill:
-            # Announce a backlog of *other* requests: the refill loop has
-            # work queued for the whole foreground window, but idle gating
-            # must keep it out of the foreground's way.
+            # Announce a backlog of *other* requests: the run-ahead loop
+            # has work queued for the whole foreground window, but idle
+            # gating must keep it out of the foreground's way.
             backlog = [
                 nodes[0].scheme_encrypt(key_id, f"{tag} backlog {i}".encode(), b"")
                 for i in range(4 * requests)
@@ -295,8 +283,8 @@ def test_precompute_pipeline(benchmark):
     print(f"wrote {OUT}")
 
     # Correctness on every host: every warm request was served from the
-    # pipeline (asserted inside _warm_vs_cold) and the refill backlog
-    # eventually staged without errors.
+    # pipeline (asserted inside _warm_vs_cold) and the announced backlog
+    # eventually ran without errors.
     for run_stats in results["pipelined"]:
         refills = run_stats["refills"]
         assert refills.get("decrypt/error", 0) == 0, refills

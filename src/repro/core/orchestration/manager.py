@@ -100,8 +100,7 @@ class InstanceManager:
         ``protocol`` may be a zero-argument builder for the instance named
         ``instance_id``.  It runs only when this call creates the instance:
         after the idempotency and overload checks, so a duplicate request
-        consumes nothing its builder would (a precomputed share, a nonce
-        set), and before the ``submitted`` log record, so a request the
+        consumes nothing its builder would (a kg20 nonce set), and before the ``submitted`` log record, so a request the
         builder rejects leaves no trace.
 
         ``retain=False`` is for control-plane instances (refresh,

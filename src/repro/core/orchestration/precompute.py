@@ -1,31 +1,26 @@
-"""The precomputed-share pipeline: threshold latency hidden behind pools.
+"""The precompute pipeline: announced requests run ahead of demand.
 
 The paper serves every threshold operation strictly on-demand, so each
 request pays share creation, share verification, and combination in line
 with the caller.  "The Latency Price of Threshold Cryptosystems in
 Blockchains" (PAPERS.md) identifies preprocessing as the lever that
 removes that price; FROST's nonce pool (``core.protocols.frost``) is the
-design's own sketch of it.  This module generalizes that sketch to every
-scheme behind one per-(key, operation) **precompute pool**:
+design's own sketch of it.  For every other scheme the lever is the
+request itself, started early:
 
 * **Announce** — a client names upcoming requests (the ciphertexts an
   ordering layer has accepted, the messages awaiting signature slots).
-  Each node derives the same deterministic instance id it would derive
-  for the real request.
-* **Refill** — a background task materializes this node's own share for
-  each announced request during idle cycles and stages it in the pool.
-  With ``eager`` refill the node also starts the protocol instance
-  immediately, so share exchange, verification, and combination all run
-  ahead of demand and the real request folds into the finished instance
-  via the idempotent instance id (PR-4 result cache / in-flight
-  coalescing).
-* **Consume** — the real request takes the staged entry (strict
-  consume-once: the consumption is journaled durably *before* the entry
-  is served, so a crash-and-restart can never double-use it) into its
-  operation's own-share memo, and the first round's crypto is skipped.
-  A duplicate of a request already known to the instance manager takes
-  nothing.  Unannounced requests fall back to the on-demand path
-  untouched.
+  Each node queues them, at most ``depth`` queued or running per
+  (key, operation).
+* **Run ahead** — during idle cycles a background loop submits each
+  announced request through the node's own request path, so the real
+  request's protocol instance — share creation, exchange, verification
+  and combination — runs before anyone asks for it.
+* **Serve** — the real request derives the same deterministic instance id
+  and folds into that instance (in-flight coalescing or the outcome
+  table).  A request that overtakes its announce runs on demand, and the
+  announce then folds into it: nothing is computed twice and nothing is
+  left behind.  Unannounced requests take the on-demand path untouched.
 
 KG20 keeps its nonce-commitment pools (filled by the explicit
 preprocessing round); the service fronts them so depth telemetry is
@@ -37,35 +32,35 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import logging
-import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 from typing import Awaitable, Callable
 
 from ...errors import ConfigurationError
-from ...storage.pool_journal import PoolJournal
+from ...serialization import config_fields
 from ...telemetry import MetricRegistry, PrecomputeMetrics
 from ..protocols.frost import FrostPrecomputationPool
 
 logger = logging.getLogger(__name__)
 
-#: Refill yields to foreground instances; this is the re-check cadence
-#: while the node is busy (idle-cycles-only refill, docs/performance.md).
+#: The run-ahead loop yields to foreground instances; this is the re-check
+#: cadence while the node is busy (idle-cycles-only, docs/performance.md).
 _IDLE_POLL = 0.002
 
-#: Hysteresis for the idle gate: refill only starts after the node has
-#: been free of foreground instances this long.  Without it, the sub-ms
-#: gap between two back-to-back requests — or the tail of a fan-out this
-#: node finalized early — reads as "idle" and a refill job's synchronous
-#: share creation lands in front of the next request, exactly the
-#: starvation the idle gate exists to prevent.  Longer than a typical
-#: request so a steady stream never interleaves with refill.
+#: Hysteresis for the idle gate: an announced request only starts after
+#: the node has been free of foreground instances this long.  Without it,
+#: the sub-ms gap between two back-to-back requests — or the tail of a
+#: fan-out this node finalized early — reads as "idle" and an announced
+#: instance's synchronous share creation lands in front of the next
+#: request, exactly the starvation the idle gate exists to prevent.
+#: Longer than a typical request so a steady stream never interleaves
+#: with announced work.
 _IDLE_GRACE = 0.25
 
-#: Eagerly pipelined instances in flight at once.  All nodes process the
-#: same announce order, so the windows are prefixes of one sequence and
-#: always overlap — the cap bounds background load without deadlocking.
+#: Announced instances running at once.  All nodes process the same
+#: announce order, so the windows are prefixes of one sequence and always
+#: overlap — the cap bounds background load without deadlocking.
 _EAGER_WINDOW = 4
 
 
@@ -74,8 +69,8 @@ def derive_instance_id(
 ) -> str:
     """Deterministic instance id shared by all nodes for the same request.
 
-    Lives here (not in the service layer) because the precompute pool is
-    keyed by it: an announced request and the real request must collide.
+    Lives here (not in the service layer) because the pipeline is keyed by
+    it: an announced request and the real request must collide.
     """
     digest = hashlib.sha256(
         b"repro-instance" + kind.encode() + b"\x00" + key_id.encode() + b"\x00"
@@ -88,13 +83,9 @@ def derive_instance_id(
 class PrecomputeConfig:
     """Behaviour of one node's precompute pipeline (``NodeConfig.precompute``)."""
 
-    #: Maximum staged-but-unconsumed entries per (key, operation) pool;
+    #: Maximum announced requests queued or running per (key, operation);
     #: announces beyond it are deferred, never queued unboundedly.
     depth: int = 8
-    #: Start the protocol instance as soon as this node's share is staged,
-    #: so the whole threshold round (exchange + verify + combine) runs
-    #: ahead of the request, not just share creation.
-    eager: bool = True
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -103,97 +94,68 @@ class PrecomputeConfig:
             )
 
     def to_dict(self) -> dict:
-        return {"depth": self.depth, "eager": self.eager}
+        return {"depth": self.depth}
 
     @staticmethod
     def from_dict(payload: dict) -> "PrecomputeConfig":
-        unknown = sorted(set(payload) - {"depth", "eager"})
-        if unknown:
-            raise ConfigurationError(f"unknown precompute config keys {unknown}")
-        return PrecomputeConfig(**payload)
+        if isinstance(payload, dict) and "eager" in payload:
+            # Written while the pipeline could stop at staging one share:
+            # true is what every announce does now, false is gone.
+            if payload["eager"] is not True:
+                raise ConfigurationError(
+                    "precompute key 'eager' must be true: an announce always "
+                    f"runs its request ahead of demand, got {payload['eager']!r}"
+                )
+            payload = {k: v for k, v in payload.items() if k != "eager"}
+        return PrecomputeConfig(**config_fields(PrecomputeConfig, payload))
 
 
 @dataclass(frozen=True)
 class PrecomputeJob:
-    """One announced request, ready for refill.
-
-    ``operation_factory`` defers building the ShareOperation (ciphertext
-    parsing, point decompression) to the refill loop: announce handling
-    runs on the foreground event loop and must stay cheap, while the
-    factory call happens under the idle gate with the rest of the
-    refill crypto.
-    """
+    """One announced request, in the shape ``submit_request`` takes it."""
 
     instance_id: str
     key_id: str
     kind: str  # "decrypt" / "sign" / "coin" — the served operation
     data: bytes
     label: bytes
-    operation_factory: Callable[[], object]  # () -> ShareOperation
-    scheme: str
-
-
-@dataclass
-class _PoolEntry:
-    seq: int  # journal consume sequence (0 when unjournaled)
-    key_id: str
-    kind: str
-    payload: bytes
 
 
 class PrecomputeService:
-    """Per-node pools + refill loop + consume-once ledger.
+    """Per-node announce queue + run-ahead loop + KG20 nonce pools.
 
     Always constructed (the KG20 nonce pools live here regardless);
-    ``config=None`` disables the announce/refill pipeline and keeps the
-    node on the pre-pipeline behaviour.
+    ``config=None`` disables the announce pipeline and keeps the node
+    strictly on-demand.  ``submit`` starts one request's instance and
+    returns its result awaitable; ``known_probe`` says whether the
+    instance manager already holds an instance id; ``active_probe``
+    counts live instances for the idle gate (None: no gate).
     """
 
     def __init__(
         self,
         config: PrecomputeConfig | None,
         registry: MetricRegistry,
-        journal_dir: Path | str | None = None,
+        known_probe: Callable[[str], bool],
+        submit: Callable[[str, str, bytes, bytes], Awaitable[bytes]],
         active_probe: Callable[[], int] | None = None,
-        known_probe: Callable[[str], bool] | None = None,
-        submit: Callable[[str, str, bytes, bytes], Awaitable[bytes]] | None = None,
     ):
         self._config = config
         self._metrics = PrecomputeMetrics(registry)
-        self._active_probe = active_probe
-        #: Whether the instance manager already holds an instance id (live
-        #: or terminated): a share staged for it would never be consumed.
         self._known_probe = known_probe
         self._submit = submit
-        self._entries: dict[str, _PoolEntry] = {}
-        self._counts: dict[tuple[str, str], int] = {}
-        self._queued: dict[tuple[str, str], int] = {}
+        self._active_probe = active_probe
+        #: Announced requests queued or running, per (key, operation).
+        self._depth: dict[tuple[str, str], int] = {}
         self._pending_ids: set[str] = set()
         self._queue: deque[tuple[PrecomputeJob, asyncio.Future]] = deque()
         self._wake = asyncio.Event()
         self._task: asyncio.Task | None = None
-        # A fresh node refills immediately; the first foreground instance
-        # arms the idle-grace window (see _pace).
+        # A fresh node runs announced work immediately; the first
+        # foreground instance arms the idle-grace window (see _pace).
         self._last_busy = float("-inf")
-        self._eager_tasks: set[asyncio.Task] = set()
-        self._eager_inflight = 0
+        self._running: set[asyncio.Task] = set()
         self._frost_pools: dict[str, FrostPrecomputationPool] = {}
-        self._restored = 0
-        self._journal: PoolJournal | None = None
-        if journal_dir is not None and self.enabled:
-            # Staged entries and their consumption persist in the PR-4 WAL
-            # layer, so a restart restores unconsumed shares and can never
-            # re-serve consumed ones.
-            self._journal = PoolJournal(journal_dir)
-            for survivor in self._journal.survivors:
-                self._entries[survivor.instance_id] = _PoolEntry(
-                    survivor.seq,
-                    survivor.key_id,
-                    survivor.op,
-                    survivor.payload,
-                )
-                self._adjust_depth((survivor.key_id, survivor.op), 1)
-                self._restored += 1
 
     @property
     def enabled(self) -> bool:
@@ -217,59 +179,45 @@ class PrecomputeService:
             except asyncio.CancelledError:
                 pass
             self._task = None
-        for task in list(self._eager_tasks):
+        for task in list(self._running):
             task.cancel()
-        if self._eager_tasks:
-            await asyncio.gather(*self._eager_tasks, return_exceptions=True)
+        if self._running:
+            await asyncio.gather(*self._running, return_exceptions=True)
         while self._queue:
-            job, future = self._queue.popleft()
-            self._pending_ids.discard(job.instance_id)
-            if not future.done():
-                future.set_result("cancelled")
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+            self._settle(*self._queue.popleft(), "cancelled")
 
-    # -- announce / refill ---------------------------------------------------
+    # -- announce / run ahead ------------------------------------------------
 
     def announce(self, job: PrecomputeJob) -> "asyncio.Future[str]":
-        """Queue one refill; the future resolves to the staging outcome
-        (``staged`` / ``duplicate`` / ``deferred`` / ``failed: …``)."""
+        """Queue one announced request; the future resolves to its outcome
+        (``staged`` once its instance ran ahead and finished, ``duplicate``,
+        ``deferred``, ``failed: …``)."""
         future = asyncio.get_running_loop().create_future()
         if not self.enabled:
             future.set_result("disabled")
             return future
-        if (
-            job.instance_id in self._entries
-            or job.instance_id in self._pending_ids
-            or (self._known_probe is not None and self._known_probe(job.instance_id))
-        ):
+        if job.instance_id in self._pending_ids or self._known_probe(job.instance_id):
             future.set_result("duplicate")
             return future
         pool_key = (job.key_id, job.kind)
-        depth = self._counts.get(pool_key, 0) + self._queued.get(pool_key, 0)
-        if depth >= self._config.depth:
+        if self._depth.get(pool_key, 0) >= self._config.depth:
             self._count_refill(job.kind, "deferred")
             future.set_result("deferred")
             return future
-        self._queued[pool_key] = self._queued.get(pool_key, 0) + 1
+        self._adjust_depth(pool_key, 1)
         self._pending_ids.add(job.instance_id)
         self._queue.append((job, future))
         self._wake.set()
         return future
 
     async def warm(self, jobs: list[PrecomputeJob]) -> dict:
-        """Announce a batch and wait for its staging to settle."""
+        """Announce a batch and wait for every item's outcome."""
         outcomes = await asyncio.gather(*(self.announce(job) for job in jobs))
         tally: dict[str, int] = {}
         for outcome in outcomes:
             bucket = outcome.split(":", 1)[0]
             tally[bucket] = tally.get(bucket, 0) + 1
-        tally["depth"] = {
-            f"{key}/{kind}": count
-            for (key, kind), count in sorted(self._counts.items())
-            if count
-        }
+        tally["depth"] = self._depth_report()
         return tally
 
     async def _run(self) -> None:
@@ -279,116 +227,80 @@ class PrecomputeService:
                 await self._wake.wait()
                 continue
             job, future = self._queue.popleft()
-            pool_key = (job.key_id, job.kind)
             try:
                 await self._pace()
-                started = time.perf_counter()
-                payload = job.operation_factory().own_share()
             except asyncio.CancelledError:
-                self._release_queued(pool_key, job)
-                if not future.done():
-                    future.set_result("cancelled")
+                self._settle(job, future, "cancelled")
                 raise
-            except Exception as exc:  # noqa: BLE001 - one bad job must not kill refill
-                self._release_queued(pool_key, job)
-                self._count_refill(job.kind, "error")
-                logger.warning(
-                    "precompute refill failed for %s: %s", job.instance_id, exc
-                )
-                if not future.done():
-                    future.set_result(f"failed: {exc}")
+            if self._known_probe(job.instance_id):
+                # The request overtook its announce: its own instance is
+                # running or answered, and that is the one it is served by.
+                self._settle(job, future, "duplicate")
                 continue
-            self._release_queued(pool_key, job)
-            seq = 0
-            if self._journal is not None:
-                seq = self._journal.stage(
-                    job.instance_id, job.key_id, job.kind, payload
-                )
-            self._entries[job.instance_id] = _PoolEntry(
-                seq, job.key_id, job.kind, payload
+            try:
+                result = self._submit(job.kind, job.key_id, job.data, job.label)
+            except Exception as exc:  # noqa: BLE001 - overload/shedding must not kill the loop
+                self._count_refill(job.kind, "error")
+                self._settle(job, future, f"failed: {exc}")
+                continue
+            task = asyncio.get_running_loop().create_task(
+                self._watch(job, future, result)
             )
-            self._adjust_depth(pool_key, 1)
-            self._metrics.refill_seconds.labels(job.kind).observe(
-                time.perf_counter() - started
-            )
-            self._count_refill(job.kind, "ok")
-            if not future.done():
-                future.set_result("staged")
-            if self._config.eager and self._submit is not None:
-                self._start_eager(job)
+            self._running.add(task)
+            task.add_done_callback(partial(self._reap, job, future))
             # One explicit yield between jobs: a request arriving mid-batch
-            # must reach its executor before the next refill runs.
+            # must reach its executor before the next announced one starts.
             await asyncio.sleep(0)
 
-    def _release_queued(self, pool_key: tuple[str, str], job: PrecomputeJob) -> None:
-        self._queued[pool_key] = max(0, self._queued.get(pool_key, 0) - 1)
-        self._pending_ids.discard(job.instance_id)
-
     async def _pace(self) -> None:
-        """Idle-cycles gate: foreground instances and the eager window win.
+        """Idle-cycles gate: foreground instances and the window win.
 
-        The eager pipeline's own instances are discounted from the busy
-        probe (they *are* the refill).  Foreground activity arms a grace
-        window: refill resumes only after :data:`_IDLE_GRACE` seconds
-        without foreground instances, so a stream of back-to-back
-        requests is never interleaved with refill crypto.
+        The pipeline's own instances are discounted from the busy probe
+        (they *are* the announced work).  Foreground activity arms a grace
+        window: announced work resumes only after :data:`_IDLE_GRACE`
+        seconds without foreground instances, so a stream of back-to-back
+        requests is never interleaved with it.
         """
         loop = asyncio.get_running_loop()
         while True:
             if self._active_probe is not None:
                 now = loop.time()
-                if self._active_probe() - self._eager_inflight > 0:
+                if self._active_probe() - len(self._running) > 0:
                     self._last_busy = now
                     await asyncio.sleep(_IDLE_POLL)
                     continue
                 if now - self._last_busy < _IDLE_GRACE:
                     await asyncio.sleep(_IDLE_POLL)
                     continue
-            if self._eager_inflight < _EAGER_WINDOW:
+            if len(self._running) < _EAGER_WINDOW:
                 return
             await asyncio.sleep(_IDLE_POLL)
 
-    def _start_eager(self, job: PrecomputeJob) -> None:
+    async def _watch(self, job: PrecomputeJob, future, result) -> None:
         try:
-            awaitable = self._submit(job.kind, job.key_id, job.data, job.label)
-        except Exception:  # noqa: BLE001 - overload/shedding must not kill refill
-            logger.warning(
-                "eager start failed for %s", job.instance_id, exc_info=True
-            )
-            return
-        self._eager_inflight += 1
-        task = asyncio.get_running_loop().create_task(
-            self._watch_eager(job.instance_id, awaitable)
-        )
-        self._eager_tasks.add(task)
-        task.add_done_callback(self._eager_tasks.discard)
-
-    async def _watch_eager(self, instance_id: str, awaitable) -> None:
-        try:
-            await awaitable
-        except asyncio.CancelledError:
-            raise
+            await result
         except Exception as exc:  # noqa: BLE001 - the real request sees the abort
-            logger.warning("pipelined instance %s failed: %s", instance_id, exc)
-        finally:
-            self._eager_inflight -= 1
+            logger.warning("announced instance %s failed: %s", job.instance_id, exc)
+            self._count_refill(job.kind, "error")
+            self._settle(job, future, f"failed: {exc}")
+        else:
+            self._count_refill(job.kind, "ok")
+            self._settle(job, future, "staged")
 
-    # -- consume -------------------------------------------------------------
+    def _reap(self, job: PrecomputeJob, future, task: asyncio.Task) -> None:
+        # A watcher cancelled by stop() still settles its announce.
+        self._running.discard(task)
+        self._settle(job, future, "cancelled")
 
-    def take(self, instance_id: str) -> bytes | None:
-        """Pop the staged share for this instance id — exactly once, ever.
-
-        The consumption record is appended (and fsynced) to the pool
-        journal *before* the payload is returned: a SIGKILL anywhere after
-        this call replays as consumed, never as available again.
-        """
-        entry = self._entries.pop(instance_id, None)
-        if entry is None:
-            return None
-        if self._journal is not None and entry.seq:
-            self._journal.consume(entry.seq)
-        self._adjust_depth((entry.key_id, entry.kind), -1)
-        return entry.payload
+    def _settle(self, job: PrecomputeJob, future, outcome: str) -> None:
+        """Release one announce's slot and resolve it; the first outcome
+        wins, and a future its waiter cancelled still frees the slot."""
+        if job.instance_id not in self._pending_ids:
+            return
+        self._pending_ids.discard(job.instance_id)
+        self._adjust_depth((job.key_id, job.kind), -1)
+        if not future.done():
+            future.set_result(outcome)
 
     def record_served(self, op: str, source: str) -> None:
         self._metrics.served.labels(op, source).inc()
@@ -413,27 +325,25 @@ class PrecomputeService:
     # -- bookkeeping ---------------------------------------------------------
 
     def _adjust_depth(self, pool_key: tuple[str, str], delta: int) -> None:
-        count = self._counts.get(pool_key, 0) + delta
-        self._counts[pool_key] = max(0, count)
-        self._metrics.depth.labels(*pool_key).set(self._counts[pool_key])
+        self._depth[pool_key] = self._depth.get(pool_key, 0) + delta
+        self._metrics.depth.labels(*pool_key).set(self._depth[pool_key])
+
+    def _depth_report(self) -> dict[str, int]:
+        return {
+            f"{key}/{kind}": count
+            for (key, kind), count in sorted(self._depth.items())
+            if count
+        }
 
     def _count_refill(self, op: str, outcome: str) -> None:
         self._metrics.refills.labels(op, outcome).inc()
-
-    def staged_count(self, key_id: str, kind: str) -> int:
-        return self._counts.get((key_id, kind), 0)
 
     def stats(self) -> dict:
         """``stats()["precompute"]`` section (docs/observability.md)."""
         report = {
             "enabled": self.enabled,
-            "staged": {
-                f"{key}/{kind}": count
-                for (key, kind), count in sorted(self._counts.items())
-                if count
-            },
+            "depth": self._depth_report(),
             "queued": len(self._queue),
-            "restored": self._restored,
             "served": self._metrics.served.totals_by("op", "source"),
             "refills": self._metrics.refills.totals_by("op", "outcome"),
             "frost": {
@@ -444,6 +354,5 @@ class PrecomputeService:
         }
         if self.enabled:
             report["depth_limit"] = self._config.depth
-            report["eager"] = self._config.eager
-            report["pipelined_active"] = self._eager_inflight
+            report["pipelined_active"] = len(self._running)
         return report

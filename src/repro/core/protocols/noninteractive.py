@@ -42,7 +42,7 @@ class NonInteractiveProtocol(ThresholdRoundProtocol):
                 "has a single round"
             )
         self._started = True
-        payload = self.operation.own_share()
+        payload = self.operation.create_own_share()
         try:
             # The own share may complete a quorum of shares peers sent
             # ahead of it: judge them now.  Culprits are evicted inside

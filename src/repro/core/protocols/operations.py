@@ -17,7 +17,6 @@ from ...errors import (
     ConfigurationError,
     DuplicateShareError,
     InvalidShareError,
-    ProtocolError,
     ThetacryptError,
 )
 from ...schemes import bls04, bz03, cks05, sg02, sh00
@@ -49,11 +48,6 @@ class ShareOperation(ABC):
     output (``self_verifying``: the signature schemes) admits peer shares
     *unverified* and lets that one check judge the quorum — see
     :meth:`settle`.  Every other adapter verifies each share on arrival.
-
-    One memo slot lets the precompute cache hand over this party's share
-    payload ahead of the round (:meth:`supply_own_share`); it holds only
-    what :meth:`create_own_share` would return, and left empty
-    :meth:`own_share` computes it.
     """
 
     #: combine() verifies the result it assembled, so a per-share check
@@ -73,7 +67,6 @@ class ShareOperation(ABC):
         #: contend for one id; eager (verify on arrival) from then on.
         self._lazy = self.self_verifying
         self._result: bytes | None = None
-        self._own_payload: bytes | None = None
 
     @abstractmethod
     def create_own_share(self) -> bytes:
@@ -216,25 +209,6 @@ class ShareOperation(ABC):
                 culprits,
             )
 
-    def supply_own_share(self, payload: bytes) -> None:
-        """Pre-fill this party's share with the bytes ``create_own_share``
-        returned earlier (the precompute cache)."""
-        if self._own_payload is not None:
-            raise ProtocolError("own share already created")
-        self._store_own(self._decode(payload))
-        self._own_payload = payload
-
-    @property
-    def has_own_share(self) -> bool:
-        return self._own_payload is not None
-
-    def own_share(self) -> bytes:
-        """This party's serialized share: the supplied one, else created
-        now — once either way."""
-        if self._own_payload is None:
-            self._own_payload = self.create_own_share()
-        return self._own_payload
-
     def _store_own(self, share: object) -> None:
         self._shares[share.id] = share
 
@@ -275,7 +249,8 @@ class DecryptOperation(ShareOperation):
         self._scheme.verify_decryption_share(self.public_key, self._ciphertext, share)
 
     def combine(self) -> bytes:
-        # No CCA check here: finalize needs do_round, whose own_share() ran it.
+        # No CCA check here: finalize needs do_round, whose
+        # create_own_share() ran it.
         return self._scheme.combine(
             self.public_key, self._ciphertext, list(self._shares.values())
         )

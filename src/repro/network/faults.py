@@ -36,6 +36,7 @@ from typing import Callable, Mapping
 
 from ..core.messages import ProtocolMessage
 from ..errors import ConfigurationError
+from ..serialization import config_fields
 from ..telemetry import counter
 from .interfaces import MessageHandler, P2PNetwork
 
@@ -172,21 +173,26 @@ class FaultPlan:
 
     @staticmethod
     def from_dict(payload: dict) -> "FaultPlan":
-        data = dict(payload)
-        default = LinkFaults(**data.pop("default", {}))
+        data = config_fields(FaultPlan, payload)
+
+        def link_faults(value) -> LinkFaults:
+            return LinkFaults(**config_fields(LinkFaults, value))
+
+        def partition(value) -> Partition:
+            fields = config_fields(Partition, value)
+            if "groups" in fields:
+                fields["groups"] = tuple(tuple(g) for g in fields["groups"])
+            return Partition(**fields)
+
+        default = link_faults(data.pop("default", {}))
         links = {
-            key: LinkFaults(**value)
+            key: link_faults(value)
             for key, value in data.pop("links", {}).items()
         }
-        partitions = tuple(
-            Partition(
-                groups=tuple(tuple(g) for g in p["groups"]),
-                start=p.get("start", 0.0),
-                heal=p.get("heal"),
-            )
-            for p in data.pop("partitions", ())
+        partitions = tuple(map(partition, data.pop("partitions", ())))
+        crashes = tuple(
+            Crash(**config_fields(Crash, c)) for c in data.pop("crashes", ())
         )
-        crashes = tuple(Crash(**c) for c in data.pop("crashes", ()))
         byzantine = tuple(data.pop("byzantine", ()))
         return FaultPlan(
             default=default,

@@ -13,13 +13,17 @@ deterministic TLV-free format:
 The format is intentionally simple rather than self-describing; each decoder
 knows the exact shape it expects, mirroring how protobuf messages are used in
 the original Rust codebase.
+
+:func:`config_fields` is the JSON counterpart for the objects that configure
+a node (``config.json``): it checks one object against a config dataclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SerializationError
+from .errors import ConfigurationError, SerializationError
 
 _LEN_BYTES = 4
 _MAX_LEN = 2**32 - 1
@@ -141,3 +145,46 @@ def unhexlify(text: str) -> bytes:
         return bytes.fromhex(text)
     except ValueError as exc:
         raise SerializationError("invalid hex string") from exc
+
+
+#: JSON types a scalar config field accepts, by its annotation (a bool is
+#: an ``int`` to Python, never to a config file).
+_JSON_SCALARS = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "bool": (bool,),
+    "None": (type(None),),
+}
+
+
+def config_fields(cls, payload) -> dict:
+    """Check a decoded JSON object against the config dataclass ``cls``.
+
+    Returns the object as keyword arguments for ``cls``.  Raises
+    :class:`ConfigurationError` naming what is wrong: a payload that is not
+    an object, keys ``cls`` declares no field for, or a scalar field
+    (``int``, ``float``, ``str``, ``bool``, optionally ``| None``) holding
+    another JSON type.  Nested fields are left to their own decoder.
+    """
+    name = cls.__name__
+    if not isinstance(payload, dict):
+        raise ConfigurationError(
+            f"{name} must be a JSON object, got {type(payload).__name__}"
+        )
+    declared = {field.name: field.type for field in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(declared))
+    if unknown:
+        raise ConfigurationError(f"unknown {name} keys: {', '.join(unknown)}")
+    for key, value in payload.items():
+        options = str(declared[key]).split(" | ")
+        if not all(option in _JSON_SCALARS for option in options):
+            continue
+        accepted = tuple(t for option in options for t in _JSON_SCALARS[option])
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and "bool" not in options
+        ):
+            raise ConfigurationError(
+                f"{name}.{key} must be {declared[key]}, got {value!r}"
+            )
+    return dict(payload)

@@ -291,8 +291,8 @@ class ThetacryptClient:
 
         ``count=N`` runs the kg20 nonce preprocessing round; ``items``
         announces upcoming request payloads (ciphertexts to decrypt,
-        messages to sign, coin names) so the nodes stage — and with eager
-        pipelining, fully execute — them ahead of demand.
+        messages to sign, coin names) so the nodes run those requests
+        ahead of demand.
         """
         if (count is None) == (items is None):
             raise RpcError("precompute takes exactly one of count / items")

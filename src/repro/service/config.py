@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from ..core.orchestration.precompute import PrecomputeConfig
 from ..errors import ConfigurationError
 from ..network.faults import FaultPlan
+from ..serialization import config_fields
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ class NodeConfig:
     # to finish before tearing the node down.
     drain_timeout: float = 5.0
     # Precompute pipeline (docs/performance.md, "Precompute pipeline"):
-    # announce/refill/consume share pools that hide threshold latency for
-    # announced requests.  None keeps the node strictly on-demand (the
-    # pre-pipeline behaviour); kg20 nonce pools work either way.
+    # announced requests run ahead of demand, hiding threshold latency.
+    # None keeps the node strictly on-demand (the pre-pipeline
+    # behaviour); kg20 nonce pools work either way.
     precompute: PrecomputeConfig | None = None
 
     def __post_init__(self) -> None:
@@ -111,27 +112,18 @@ class NodeConfig:
 
     @staticmethod
     def from_json(text: str) -> "NodeConfig":
-        payload = json.loads(text)
-        unknown = sorted(set(payload) - {f.name for f in fields(NodeConfig)})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown NodeConfig keys: {', '.join(unknown)}"
-            )
-        peers = tuple(PeerConfig(**p) for p in payload.pop("peers", []))
-        fanout = payload.pop("gossip_fanout", None)
+        payload = config_fields(NodeConfig, json.loads(text))
+        peers = payload.pop("peers", [])
         plan_payload = payload.pop("fault_plan", None)
-        plan = FaultPlan.from_dict(plan_payload) if plan_payload else None
         precompute_payload = payload.pop("precompute", None)
-        precompute = (
-            PrecomputeConfig.from_dict(precompute_payload)
-            if precompute_payload
-            else None
-        )
         return NodeConfig(
-            peers=peers,
-            gossip_fanout=fanout,
-            fault_plan=plan,
-            precompute=precompute,
+            peers=tuple(PeerConfig(**config_fields(PeerConfig, p)) for p in peers),
+            fault_plan=FaultPlan.from_dict(plan_payload) if plan_payload else None,
+            precompute=(
+                PrecomputeConfig.from_dict(precompute_payload)
+                if precompute_payload
+                else None
+            ),
             **payload,
         )
 

@@ -119,9 +119,9 @@ def main(argv: list[str] | None = None) -> None:
         "--precompute-depth",
         type=int,
         default=None,
-        help="enable the precompute pipeline with this per-(key, op) pool "
-        "depth, overriding the config's precompute section (0 disables "
-        "the pipeline)",
+        help="enable the precompute pipeline with this per-(key, op) depth "
+        "(announced requests queued or running), overriding the config's "
+        "precompute section (0 disables the pipeline)",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)

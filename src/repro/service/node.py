@@ -153,18 +153,13 @@ class ThetacryptNode:
             self._metrics_http = MetricsHttpServer(
                 self.render_metrics, config.rpc_host, config.metrics_port
             )
-        # Precompute pipeline (docs/performance.md): per-(key, op) share
-        # pools with background refill, consume-once journaling under
-        # data_dir/precompute, and optional eager instance pipelining.
-        # Always constructed — the kg20 nonce pools live in it — but the
-        # announce/refill machinery only runs with config.precompute set.
-        journal_dir = None
-        if config.data_dir is not None and config.precompute is not None:
-            journal_dir = Path(config.data_dir) / "precompute"
+        # Precompute pipeline (docs/performance.md): announced requests
+        # run ahead of demand through submit_request.  Always constructed —
+        # the kg20 nonce pools live in it — but announces are only taken
+        # with config.precompute set.
         self._precompute = PrecomputeService(
             config.precompute,
             registry=self.registry,
-            journal_dir=journal_dir,
             active_probe=lambda: self.instances.active_count,
             known_probe=self.instances.known,
             submit=self._pipeline_submit,
@@ -229,9 +224,8 @@ class ThetacryptNode:
 
     async def stop(self) -> None:
         await self._lag_sampler.stop()
-        # Refill/eager tasks submit instances: stop them before the
-        # instance manager shuts down (also flushes + closes the pool
-        # journal, so every consumption taken so far is durable).
+        # The pipeline submits instances: stop it before the instance
+        # manager shuts down.
         await self._precompute.stop()
         if self._metrics_http is not None:
             await self._metrics_http.stop()
@@ -303,21 +297,19 @@ class ThetacryptNode:
     ) -> InstanceRecord:
         """Start (idempotently) the protocol instance for a request.
 
-        Precomputed material staged for this exact request (same
-        deterministic instance id) is consumed — once, ever — when the
-        instance is built, which the instance manager does only for a
-        request that is not a duplicate: a staged share goes into the
-        operation's own-share memo, a kg20 nonce set into the protocol's
-        constructor, and the first round's crypto is skipped.
-        ``_pipeline`` marks the pipeline's own eager submissions, which
-        consume pool entries but are not client-visible requests (no
-        served counter).
+        A kg20 nonce set staged for the key is consumed when the instance
+        is built, which the instance manager does only for a request that
+        is not a duplicate, and the first round's crypto is skipped.
+        ``_pipeline`` marks the precompute pipeline's own submission of an
+        announced request: its instance is marked ``precomputed`` and it
+        is not a client-visible request (no served counter).
         """
         entry = self.keys.get(key_id)
         if entry.scheme == "kg20" and kind != "sign":
             raise RpcError("kg20 keys only support signing")
         instance_id = derive_instance_id(kind, key_id, data, label)
-        #: The round the instance starts in, if it consumed staged material.
+        #: The round the instance starts in, if it runs on precomputed
+        #: material: an announce's own submission (0) or a kg20 nonce set.
         precomputed: int | None = None
 
         def build():
@@ -335,16 +327,14 @@ class ThetacryptNode:
                     precomputed = protocol.round
                     self._precompute.note_frost_depth(key_id)
                 return protocol
+            if _pipeline:
+                precomputed = 0
             operation = make_operation(
                 entry.scheme,
                 entry.public_key,
                 entry.key_share,
                 OperationRequest(kind, data, label),
             )
-            payload = self._precompute.take(instance_id)
-            if payload is not None:
-                operation.supply_own_share(payload)
-                precomputed = 0
             return NonInteractiveProtocol(
                 instance_id, self.config.node_id, operation, channel=channel
             )
@@ -355,8 +345,8 @@ class ThetacryptNode:
         if precomputed is not None:
             record.trace.event("precomputed", round=precomputed)
         if self._precompute.enabled and not _pipeline:
-            # "pool": this request consumed an entry, or folded into an
-            # instance that did (one the announce ran ahead of demand).
+            # "pool": this request folded into an instance its announce
+            # ran ahead of demand.
             pooled = record.trace is not None and any(
                 event.name == "precomputed" for event in record.trace.events
             )
@@ -364,7 +354,7 @@ class ThetacryptNode:
         return record
 
     def _pipeline_submit(self, kind: str, key_id: str, data: bytes, label: bytes):
-        """Eager-start callback for the precompute service: submit the
+        """Run-ahead callback for the precompute service: submit the
         announced request's instance now and hand back its result
         awaitable (the service tracks completion for pacing)."""
         record = self.submit_request(kind, key_id, data, label, _pipeline=True)
@@ -412,12 +402,12 @@ class ThetacryptNode:
     async def precompute_requests(
         self, key_id: str, items: list[bytes], label: bytes = b""
     ) -> dict:
-        """Announce upcoming requests; stage their shares ahead of demand.
+        """Announce upcoming requests; run them ahead of demand.
 
         Every node must receive the same announce (the client broadcasts
-        it) so all pools hold material for the same instance ids.  Returns
-        the staging tally (``staged`` / ``duplicate`` / ``deferred`` /
-        ``failed`` counts plus per-pool depths).
+        it) so all nodes start the same instances.  Returns the outcome
+        tally (``staged`` / ``duplicate`` / ``deferred`` / ``failed``
+        counts plus per-(key, op) depths).
         """
         entry = self.keys.get(key_id)
         if entry.scheme == "kg20":
@@ -433,31 +423,18 @@ class ThetacryptNode:
                 reason="precompute_disabled",
             )
         kind = _KIND_TO_OP[SCHEME_TABLE[entry.scheme].kind]
-        jobs = []
-        for data in items:
-            # Bind per-item via default args; the factory runs in the
-            # refill loop (announce handling must stay cheap, the
-            # operation construction parses ciphertexts).
-            def build(data=data, entry=entry):
-                return make_operation(
-                    entry.scheme,
-                    entry.public_key,
-                    entry.key_share,
-                    OperationRequest(kind, data, label),
-                )
-
-            jobs.append(
+        return await self._precompute.warm(
+            [
                 PrecomputeJob(
-                    instance_id=derive_instance_id(kind, key_id, data, label),
-                    key_id=key_id,
-                    kind=kind,
-                    data=data,
-                    label=label,
-                    operation_factory=build,
-                    scheme=entry.scheme,
+                    derive_instance_id(kind, key_id, data, label),
+                    key_id,
+                    kind,
+                    data,
+                    label,
                 )
-            )
-        return await self._precompute.warm(jobs)
+                for data in items
+            ]
+        )
 
     async def run_dkg(
         self, key_id: str, scheme: str = "cks05", group_name: str = "ed25519"

@@ -311,7 +311,7 @@ class RpcServer:
         if method == "precompute":
             # Two families behind one method: kg20 nonce batches (count=N,
             # the original API) and the generic announce of upcoming
-            # requests (items=[hex, ...]) that stages shares per instance.
+            # requests (items=[hex, ...]) that runs them ahead of demand.
             key_id = _param(params, "key_id", str)
             if "items" in params:
                 report = await node.precompute_requests(

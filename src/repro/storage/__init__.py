@@ -7,7 +7,6 @@ Everything under ``NodeConfig.data_dir`` flows through this package::
       keystore.bin   # CRC-checked snapshot of this node's key shares
       results/       # segmented WAL backing the outcome table: instance
                      # lifecycle and finalized results, one log
-      precompute/    # consume-once ledger of the precompute pools
 """
 
 from .atomic import (
@@ -19,7 +18,6 @@ from .atomic import (
     write_versioned,
 )
 from .durable_keystore import DurableKeystore
-from .pool_journal import PoolJournal, StagedEntry
 from .results import DurableResultCache, Outcome
 from .wal import WriteAheadLog
 
@@ -27,8 +25,6 @@ __all__ = [
     "DurableKeystore",
     "DurableResultCache",
     "Outcome",
-    "PoolJournal",
-    "StagedEntry",
     "WriteAheadLog",
     "atomic_write_bytes",
     "fsync_directory",

@@ -204,17 +204,17 @@ class PrecomputeMetrics:
     :class:`repro.core.orchestration.precompute.PrecomputeService`).
 
     ``source`` taxonomy of ``repro_precompute_served_total``: ``pool`` (the
-    request consumed staged material — a pooled share or an eagerly
-    pipelined instance), ``inline`` (nothing staged; the on-demand path
-    ran).  ``outcome`` taxonomy of ``repro_precompute_refills_total``:
-    ``ok`` / ``error`` / ``deferred`` (announce beyond the pool depth).
+    request folded into an instance its announce ran ahead of demand, or
+    popped a kg20 nonce set), ``inline`` (the on-demand path ran).
+    ``outcome`` taxonomy of ``repro_precompute_refills_total``: ``ok`` /
+    ``error`` / ``deferred`` (announce beyond the depth limit).
     """
 
     def __init__(self, registry: MetricRegistry):
         self.depth = registry.gauge(
             "repro_precompute_pool_depth",
-            "Staged-but-unconsumed precompute entries per key and "
-            "operation (kg20 nonce sets report op=\"kg20-nonce\").",
+            "Announced requests queued or running per key and operation "
+            "(kg20 nonce sets available report op=\"kg20-nonce\").",
             ("key", "op"),
         )
         self.served = registry.counter(
@@ -223,16 +223,11 @@ class PrecomputeMetrics:
             "(pool / inline).",
             ("op", "source"),
         )
-        self.refill_seconds = registry.histogram(
-            "repro_precompute_refill_seconds",
-            "Latency of one background refill (announce to staged), by "
-            "operation.",
-            ("op",),
-        )
         self.refills = registry.counter(
             "repro_precompute_refills_total",
-            "Background refill jobs by operation and outcome "
-            "(ok / error / deferred).",
+            "Announced requests by operation and outcome: ok (ran ahead "
+            "of demand) / error (its instance aborted) / deferred (beyond "
+            "the depth limit).",
             ("op", "outcome"),
         )
 

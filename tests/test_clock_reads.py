@@ -30,8 +30,6 @@ ALLOWED = {
         _INSTANCE_TIMES,
     ("core/orchestration/instance.py", "InstanceRecord.mark_failed", "monotonic"):
         _INSTANCE_TIMES,
-    ("core/orchestration/precompute.py", "PrecomputeService._run", "perf_counter"):
-        "repro_precompute_refill_seconds metric",
     ("service/server.py", "RpcServer._handle_line", "perf_counter"):
         "repro_rpc_latency_seconds metric",
     ("service/server.py", "RpcServer._dispatch_inner", "monotonic"):

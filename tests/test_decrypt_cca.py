@@ -91,13 +91,13 @@ _CASES = [
 def test_hostile_ciphertext_earns_no_share(scheme, case, path, keys_sg02, keys_bz03):
     """Every node aborts with a structured reason and sends no frame: no
     decryption share leaves any node, whether the request runs inline or
-    was announced to the precompute pool first (whose refill would hand
-    its share to ``supply_own_share``)."""
+    was announced to the precompute pipeline first (which runs the same
+    instance ahead of demand, and reports it ``failed``)."""
     keys = {"sg02": keys_sg02, "bz03": keys_bz03}[scheme]
     cipher, mutate = _HOSTILE[scheme]
     good = cipher.encrypt(keys.public_key, b"never decrypted", b"label")
     hostile = mutate(keys.public_key, good, case).to_bytes()
-    precompute = PrecomputeConfig(depth=4, eager=True) if path == "pool" else None
+    precompute = PrecomputeConfig(depth=4) if path == "pool" else None
 
     async def scenario():
         async with LocalCluster({scheme: keys}, precompute=precompute) as cluster:
@@ -113,7 +113,7 @@ def test_hostile_ciphertext_earns_no_share(scheme, case, path, keys_sg02, keys_b
             if path == "pool":
                 reports = await client.precompute(scheme, items=[hostile])
                 assert all(r.get("failed") == 1 for r in reports.values()), reports
-                assert all(n.stats()["precompute"]["staged"] == {} for n in nodes)
+                assert all(n.stats()["precompute"]["depth"] == {} for n in nodes)
             with pytest.raises(RpcError):
                 await client.decrypt(scheme, hostile)
             instance_id = derive_instance_id("decrypt", scheme, hostile, b"")
@@ -131,9 +131,9 @@ def test_hostile_ciphertext_earns_no_share(scheme, case, path, keys_sg02, keys_b
 def test_supplied_share_cannot_stand_in_for_the_check(
     scheme, case, keys_sg02, keys_bz03
 ):
-    """A pooled share is built by ``own_share()`` on an operation for the
-    same request bytes, so the check runs there: for a hostile ciphertext
-    there is no payload to supply."""
+    """Every share of this party is built by ``create_own_share()``, and
+    the check runs there first: for a hostile ciphertext it raises and
+    stores nothing, so there is no share any path could hand over."""
     keys = {"sg02": keys_sg02, "bz03": keys_bz03}[scheme]
     cipher, mutate = _HOSTILE[scheme]
     good = cipher.encrypt(keys.public_key, b"never decrypted", b"label")
@@ -145,8 +145,8 @@ def test_supplied_share_cannot_stand_in_for_the_check(
         OperationRequest("decrypt", hostile.to_bytes()),
     )
     with pytest.raises(InvalidCiphertextError):
-        operation.own_share()
-    assert not operation.has_own_share
+        operation.create_own_share()
+    assert operation.share_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_frozen_sg02_decrypt_through_the_operation(monkeypatch):
     first, second = (
         make_operation("sg02", public, key_shares[i], request) for i in (0, 2)
     )
-    first.own_share()
-    first.accept_share(second.own_share())
+    first.create_own_share()
+    first.accept_share(second.create_own_share())
     assert first.have_quorum
     assert first.result() == SG02_OPERATION_PLAINTEXT

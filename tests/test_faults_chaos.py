@@ -190,11 +190,12 @@ class TestStructuredAborts:
 
 @pytest.mark.integration
 class TestPrecomputeUnderChaos:
-    """The precompute pipeline against the chaos machinery: a warm pool
-    must keep serving through a seeded crash window, and a real restart
-    over the pool journal must keep both invariants — the structured
-    ``crash_recovery`` abort for in-flight instances AND consume-once for
-    pool entries taken before the crash."""
+    """The precompute pipeline against the chaos machinery: announced
+    requests must keep being served through a seeded crash window, and a
+    real restart must keep both invariants — the structured
+    ``crash_recovery`` abort for in-flight instances AND never running an
+    answered request twice (its announce is a ``duplicate``, on the
+    restarted node too)."""
 
     def test_warm_pool_serves_through_crash_window_and_restart(
         self, all_keys, tmp_path
@@ -208,22 +209,20 @@ class TestPrecomputeUnderChaos:
                 all_keys,
                 data_root=tmp_path,
                 fault_plan=plan,
-                precompute=PrecomputeConfig(depth=4, eager=False),
+                precompute=PrecomputeConfig(depth=4),
                 instance_timeout=10.0,
             ) as cluster:
                 nodes, client = cluster.nodes, cluster.client
-                # Warm the pools everywhere.  RPC is unaffected by the
-                # transport-level crash, so node 4 stages (and journals)
-                # its share even while its network is dark.
                 windowed = await client.encrypt("sg02", b"during the window", b"")
                 survivor = await client.encrypt("sg02", b"after the restart", b"")
-                reports = await client.precompute(
-                    "sg02", items=[windowed, survivor]
+                # Announce to the three live nodes (t=1 tolerates the dark
+                # one): they run the instance ahead of demand.
+                reports = await asyncio.gather(
+                    *(node.precompute_requests("sg02", [windowed]) for node in nodes[:3])
                 )
-                assert all(r["staged"] == 2 for r in reports.values())
+                assert all(r == {"staged": 1, "depth": {}} for r in reports), reports
 
-                # Mid-window request: t=1 tolerates the crashed node, and
-                # the three live nodes serve from their warm pools.
+                # Mid-window request: served by the instance that ran ahead.
                 plaintext = await client.decrypt("sg02", windowed)
                 assert plaintext == b"during the window"
                 assert (
@@ -231,17 +230,6 @@ class TestPrecomputeUnderChaos:
                     .stats()["precompute"]["served"]
                     .get("decrypt/pool", 0)
                     == 1
-                )
-                # The fan-out reached node 4's RPC too: wait for it to
-                # consume its windowed entry (journaled at submit) so the
-                # post-restart ledger is deterministic.
-                for _ in range(200):
-                    staged = nodes[3].stats()["precompute"]["staged"]
-                    if staged.get("sg02/decrypt", 0) == 1:
-                        break
-                    await asyncio.sleep(0.01)
-                assert (
-                    nodes[3].stats()["precompute"]["staged"]["sg02/decrypt"] == 1
                 )
 
                 # One instance in flight on node 4 only, then "kill -9".
@@ -263,33 +251,37 @@ class TestPrecomputeUnderChaos:
                 # starts again with it, so node 4 is dark for another
                 # window; its RPC still serves.
                 await cluster.restart(4)
-                reborn = cluster.nodes[3]
+                reborn, client = cluster.nodes[3], cluster.client
 
-                # Structured crash_recovery abort is still correct with a
-                # warm pool in play.
+                # Structured crash_recovery abort is still correct with
+                # the pipeline in play.
                 assert reborn.stats()["aborts"].get("crash_recovery", 0) >= 1
 
-                # Pool journal replay: the windowed entry — consumed at
-                # submit time, before node 4 died — must NOT be restored;
-                # the untouched survivor must be.
-                restored = reborn.stats()["precompute"]
-                assert restored["staged"].get("sg02/decrypt", 0) == 1
-                assert restored["restored"] == 1
+                # The answered request is known everywhere, the restarted
+                # node included (from its outcome log): announcing it
+                # again runs nothing.
+                reports = await client.precompute("sg02", items=[windowed])
+                assert all(
+                    r == {"duplicate": 1, "depth": {}} for r in reports.values()
+                ), reports
 
-                # The restored entry serves the announced request; the
-                # consumed one is gone for good (the same request is a
-                # duplicate answered from the durable result cache).
-                assert (
-                    await cluster.client.decrypt("sg02", survivor)
-                    == b"after the restart"
-                )
+                # Once node 4's new window is over, an announce runs on
+                # every node and serves the request there too.
+                await asyncio.sleep(0.7)
+                reports = await client.precompute("sg02", items=[survivor])
+                assert all(r["staged"] == 1 for r in reports.values()), reports
+                assert await client.decrypt("sg02", survivor) == b"after the restart"
                 assert (
                     reborn.stats()["precompute"]["served"].get("decrypt/pool", 0)
                     == 1
                 )
-                assert reborn.stats()["precompute"]["staged"] == {}
+                assert reborn.stats()["precompute"]["depth"] == {}
 
         asyncio.run(scenario())
+        # The pipeline keeps nothing on disk: each data_dir holds the
+        # outcome log and the keystore, and no precompute/ directory.
+        assert len(list(tmp_path.glob("*/results"))) == 4
+        assert list(tmp_path.glob("*/precompute")) == []
 
 
 @pytest.mark.integration

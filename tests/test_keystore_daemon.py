@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.core.orchestration import PrecomputeConfig
 from repro.errors import ConfigurationError, SerializationError
 from repro.schemes import generate_keys, get_scheme
 from repro.schemes.keystore import (
@@ -92,6 +93,52 @@ class TestKeystoreDocument:
             keystore_from_json(json.dumps({"version": 9, "keys": {}}))
 
 
+def _with(document, **keys):
+    document.update(keys)
+    return document
+
+
+def _peer_with(document, **keys):
+    document["peers"][0].update(keys)
+    return document
+
+
+#: Malformed ``config.json`` documents and the error each one gets: the
+#: offending field is named, never a raw ``TypeError`` from a constructor.
+MALFORMED = [
+    (
+        "unknown fault_plan key",
+        lambda d: _with(d, fault_plan={"seed": 1, "bogus": 2}),
+        "unknown FaultPlan keys: bogus",
+    ),
+    (
+        "unknown LinkFaults key",
+        lambda d: _with(d, fault_plan={"default": {"drop": 0.1, "loss": 0.2}}),
+        "unknown LinkFaults keys: loss",
+    ),
+    (
+        "unknown peer key",
+        lambda d: _peer_with(d, address="127.0.0.1:1"),
+        "unknown PeerConfig keys: address",
+    ),
+    (
+        "precompute depth a string",
+        lambda d: _with(d, precompute={"depth": "8"}),
+        "PrecomputeConfig.depth must be int, got '8'",
+    ),
+    (
+        "node_id a string",
+        lambda d: _with(d, node_id="1"),
+        "NodeConfig.node_id must be int, got '1'",
+    ),
+    (
+        "top-level list",
+        lambda d: [d],
+        "NodeConfig must be a JSON object, got list",
+    ),
+]
+
+
 class TestConfigFile:
     def test_unknown_key_is_named(self):
         document = json.loads(make_local_configs(4, 1)[0].to_json())
@@ -125,6 +172,34 @@ class TestConfigFile:
             with pytest.raises(ConfigurationError) as caught:
                 NodeConfig.from_json(json.dumps(document))
             assert str(caught.value) == message
+
+
+    def test_config_written_with_the_eager_switch(self):
+        """A config written while the precompute pipeline had an ``eager``
+        switch carries it: true is the only behaviour left and loads,
+        false is refused by name."""
+        document = json.loads(make_local_configs(4, 1)[0].to_json())
+        document["precompute"] = {"depth": 8, "eager": True}
+        config = NodeConfig.from_json(json.dumps(document))
+        assert config.precompute == PrecomputeConfig(depth=8)
+        document["precompute"]["eager"] = False
+        with pytest.raises(ConfigurationError) as caught:
+            NodeConfig.from_json(json.dumps(document))
+        assert str(caught.value) == (
+            "precompute key 'eager' must be true: an announce always runs "
+            "its request ahead of demand, got False"
+        )
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [row[1:] for row in MALFORMED],
+        ids=[row[0] for row in MALFORMED],
+    )
+    def test_malformed_config_names_the_field(self, edit, message):
+        document = json.loads(make_local_configs(4, 1)[0].to_json())
+        with pytest.raises(ConfigurationError) as caught:
+            NodeConfig.from_json(json.dumps(edit(document)))
+        assert str(caught.value) == message
 
 
 @pytest.mark.integration

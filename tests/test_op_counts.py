@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.orchestration import PrecomputeConfig
 from repro.groups.base import Group
 from repro.groups.bn254.g1 import BN254G1Element
 from repro.serialization import hexlify, unhexlify
@@ -71,3 +72,39 @@ def test_one_bls04_signature(keys_bls04, counts):
     signatures = {unhexlify(reply["result"]) for reply in replies.values()}
     assert len(replies) == 4 and len(signatures) == 1
     assert counted == BLS04_SIGN
+
+
+def test_one_bls04_signature_whose_announce_is_overtaken(keys_bls04, counts):
+    """The signature is requested while its announce is still queued (the
+    pipeline is held until every node has answered): the announce folds
+    into the request's instance and adds nothing to the row."""
+    message = b"count me once, announced"
+
+    async def scenario():
+        async with LocalCluster(
+            {"bls04": keys_bls04}, precompute=PrecomputeConfig(depth=4)
+        ) as cluster:
+            nodes = cluster.nodes
+            gate = asyncio.Event()
+            for node in nodes:
+                node._precompute._pace = gate.wait
+            counts.clear()
+            announce = asyncio.ensure_future(
+                cluster.client.precompute("bls04", items=[message])
+            )
+            for _ in range(400):
+                if all(node._precompute._pending_ids for node in nodes):
+                    break
+                await asyncio.sleep(0.01)
+            replies = await cluster.client.broadcast(
+                "sign", {"key_id": "bls04", "data": hexlify(message)}
+            )
+            gate.set()
+            reports = await announce
+            return dict(counts), replies, reports
+
+    counted, replies, reports = asyncio.run(scenario())
+    signatures = {unhexlify(reply["result"]) for reply in replies.values()}
+    assert len(replies) == 4 and len(signatures) == 1
+    assert counted == BLS04_SIGN
+    assert all(r == {"duplicate": 1, "depth": {}} for r in reports.values())

@@ -401,7 +401,7 @@ class TestAdmissionSchedule:
             _run_node(material, scheme, schedule)
         )
         reference = _operation(material, scheme, 1)
-        reference.own_share()
+        reference.create_own_share()
         for payload in honest.values():
             reference.accept_share(payload)
         assert result == reference.result()

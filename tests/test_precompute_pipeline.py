@@ -1,19 +1,19 @@
-"""The precomputed-share pipeline: pools, journal, memo staging, service wiring.
+"""The precompute pipeline: announce, run ahead, serve, and service wiring.
 
 The pipeline (docs/performance.md, "Precompute pipeline") hides threshold
-latency for *announced* requests: every node stages its own share — and,
-eagerly, the whole protocol instance — ahead of demand, keyed by the same
+latency for *announced* requests: every node submits the announced
+request's own protocol instance ahead of demand, keyed by the same
 deterministic instance id the real request derives.  These tests pin the
-three load-bearing invariants:
+load-bearing invariants:
 
-* **bit identity** — a pooled share is byte-identical to the share the
-  on-demand path would have produced (deterministic schemes), so pooling
-  can never change a protocol outcome;
-* **consume-once** — a staged entry is served at most once, ever, across
-  crash-and-restart (the consumption is journaled before the payload is
-  handed out);
-* **graceful exhaustion** — unannounced requests and drained pools fall
-  back to the on-demand path, visibly (``source="inline"`` counters).
+* **bit identity** — a request served by the instance its announce ran is
+  byte-identical to the on-demand result, so announcing can never change
+  a protocol outcome;
+* **nothing twice, nothing left** — a request that overtakes its announce
+  runs on demand, the announce folds into it (``duplicate``), and no slot
+  of the depth limit stays taken;
+* **graceful exhaustion** — unannounced requests fall back to the
+  on-demand path, visibly (``source="inline"`` counters).
 """
 
 import asyncio
@@ -26,132 +26,27 @@ from repro.core.orchestration.precompute import (
     PrecomputeService,
     derive_instance_id,
 )
-from repro.core.protocols import (
-    FrostProtocol,
-    NonInteractiveProtocol,
-    OperationRequest,
-    make_operation,
-)
+from repro.core.protocols import FrostProtocol
 from repro.core.protocols.frost import FrostPrecomputationPool
 from repro.errors import ConfigurationError, ProtocolError, RpcError
 from repro.schemes.kg20 import Kg20SignatureScheme
-from repro.serialization import hexlify
 from repro.service.cluster import LocalCluster
 from repro.service.config import NodeConfig, make_local_configs
-from repro.storage.pool_journal import PoolJournal
 from repro.telemetry import MetricRegistry
 
 
-def _operation(km, party_id, kind, data, label=b""):
-    return make_operation(
-        km.scheme,
-        km.public_key,
-        km.share_for(party_id),
-        OperationRequest(kind, data, label),
-    )
-
-
-def _job(km, party_id, kind, data, label=b"", key_id="k"):
+def _job(kind, data, key_id="k"):
     return PrecomputeJob(
-        instance_id=derive_instance_id(kind, key_id, data, label),
-        key_id=key_id,
-        kind=kind,
-        data=data,
-        label=label,
-        operation_factory=lambda: _operation(km, party_id, kind, data, label),
-        scheme=km.scheme,
+        derive_instance_id(kind, key_id, data), key_id, kind, data, b""
     )
 
 
 # ---------------------------------------------------------------------------
-# Pool journal: durable consume-once ledger
-# ---------------------------------------------------------------------------
-
-
-class TestPoolJournal:
-    def test_stage_then_replay_restores_unconsumed(self, tmp_path):
-        journal = PoolJournal(tmp_path / "pool")
-        seq_a = journal.stage("ins-a", "k", "decrypt", b"share-a")
-        seq_b = journal.stage("ins-b", "k", "decrypt", b"share-b")
-        journal.stage("ins-c", "k", "decrypt", b"share-c")
-        journal.consume(seq_b)
-        journal.close()
-
-        reopened = PoolJournal(tmp_path / "pool")
-        survivors = reopened.survivors
-        assert [s.instance_id for s in survivors] == ["ins-a", "ins-c"]
-        assert survivors[0].payload == b"share-a"
-        assert survivors[0].seq == seq_a
-        reopened.close()
-
-    def test_consumed_entry_never_comes_back(self, tmp_path):
-        journal = PoolJournal(tmp_path / "pool")
-        seq = journal.stage("ins", "k", "sign", b"payload")
-        journal.consume(seq)
-        journal.close()
-        # Two process lives later the entry must still be gone (the reload
-        # compacts, so the second reopen reads the rewritten log).
-        for _ in range(2):
-            reopened = PoolJournal(tmp_path / "pool")
-            assert reopened.survivors == []
-            reopened.close()
-
-    def test_volatile_entries_are_not_restored(self, tmp_path):
-        journal = PoolJournal(tmp_path / "pool")
-        journal.stage("nonce-batch", "k", "kg20-nonce", None)
-        journal.stage("ins", "k", "decrypt", b"durable")
-        journal.close()
-        reopened = PoolJournal(tmp_path / "pool")
-        assert [s.instance_id for s in reopened.survivors] == ["ins"]
-        reopened.close()
-
-    def test_sequence_numbers_stay_monotonic_across_restart(self, tmp_path):
-        journal = PoolJournal(tmp_path / "pool")
-        first = journal.stage("a", "k", "decrypt", b"a")
-        journal.close()
-        reopened = PoolJournal(tmp_path / "pool")
-        second = reopened.stage("b", "k", "decrypt", b"b")
-        assert second > first
-        # Consuming the restored entry by its original seq still works.
-        reopened.consume(first)
-        reopened.close()
-        final = PoolJournal(tmp_path / "pool")
-        assert [s.instance_id for s in final.survivors] == ["b"]
-        final.close()
-
-
-# ---------------------------------------------------------------------------
-# Precomputed material enters through the own-share memo / the constructor
+# KG20 nonce material enters through the protocol's constructor
 # ---------------------------------------------------------------------------
 
 
 class TestTriHooks:
-    def test_noninteractive_stage_and_consume_once(self, keys_cks05):
-        op = _operation(keys_cks05, 1, "coin", b"hook probe")
-        payload = _operation(keys_cks05, 1, "coin", b"hook probe").create_own_share()
-        op.supply_own_share(payload)
-        created = []
-        op.create_own_share = lambda: created.append(1)  # must not run
-        protocol = NonInteractiveProtocol("coin-x", 1, op)
-        first = protocol.do_round()
-        assert len(first) == 1 and first[0].payload == payload
-        assert not created
-        assert protocol.progress() == (1, 2)
-        # Used once: the single round cannot emit it again, and the slot
-        # takes no second share.
-        with pytest.raises(ProtocolError):
-            protocol.do_round()
-        with pytest.raises(ProtocolError):
-            op.supply_own_share(payload)
-
-    def test_noninteractive_rejects_staging_after_start(self, keys_cks05):
-        op = _operation(keys_cks05, 1, "coin", b"late stage")
-        protocol = NonInteractiveProtocol("coin-y", 1, op)
-        (message,) = protocol.do_round()
-        with pytest.raises(ProtocolError):
-            op.supply_own_share(message.payload)
-        assert protocol.progress() == (1, 2)
-
     def test_frost_nonce_staging_skips_round_zero(self, keys_kg20):
         scheme = Kg20SignatureScheme()
         shares = [keys_kg20.share_for(i) for i in range(1, 5)]
@@ -184,17 +79,45 @@ class TestTriHooks:
 
 
 # ---------------------------------------------------------------------------
-# Standalone service: refill, bit identity, consume-once across restart
+# Standalone service: queue, depth limit, outcomes, shutdown
 # ---------------------------------------------------------------------------
 
 
-async def _drained_service(config, jobs, journal_dir=None):
+class _Submissions:
+    """The node side of a standalone service: every submission is one
+    future the test resolves, and a submitted id is known from then on."""
+
+    def __init__(self, refuse: Exception | None = None):
+        self.futures: dict[str, asyncio.Future] = {}
+        self._refuse = refuse
+
+    def known(self, instance_id: str) -> bool:
+        return instance_id in self.futures
+
+    def submit(self, kind, key_id, data, label):
+        if self._refuse is not None:
+            raise self._refuse
+        future = asyncio.get_running_loop().create_future()
+        self.futures[derive_instance_id(kind, key_id, data, label)] = future
+        return future
+
+    async def wait_for(self, count: int) -> None:
+        for _ in range(400):
+            if len(self.futures) >= count:
+                return
+            await asyncio.sleep(0.005)
+        raise AssertionError(f"{len(self.futures)} of {count} submitted")
+
+
+def _service(depth, submissions):
     service = PrecomputeService(
-        config, MetricRegistry(), journal_dir=journal_dir
+        PrecomputeConfig(depth=depth),
+        MetricRegistry(),
+        known_probe=submissions.known,
+        submit=submissions.submit,
     )
     service.start()
-    report = await service.warm(jobs)
-    return service, report
+    return service
 
 
 class TestStandaloneService:
@@ -202,130 +125,121 @@ class TestStandaloneService:
         with pytest.raises(ConfigurationError):
             PrecomputeConfig(depth=0)
 
-    def test_pooled_share_is_bit_identical_to_inline(self, keys_bls04):
-        """Satellite: BLS04 share creation is deterministic, so the staged
-        payload must match the on-demand path byte for byte."""
-
+    def test_depth_limit_defers_excess_announces(self):
         async def scenario():
-            data = b"bit identity probe"
-            job = _job(keys_bls04, 1, "sign", data)
-            service, report = await _drained_service(
-                PrecomputeConfig(depth=4, eager=False), [job]
-            )
+            submissions = _Submissions()
+            service = _service(2, submissions)
             try:
-                assert report["staged"] == 1
-                pooled = service.take(job.instance_id)
-            finally:
-                await service.stop()
-            inline = _operation(keys_bls04, 1, "sign", data).create_own_share()
-            assert pooled == inline
-
-        asyncio.run(scenario())
-
-    def test_take_is_consume_once(self, keys_cks05):
-        async def scenario():
-            job = _job(keys_cks05, 1, "coin", b"once")
-            service, report = await _drained_service(
-                PrecomputeConfig(depth=2, eager=False), [job]
-            )
-            try:
-                assert report["staged"] == 1
-                assert service.take(job.instance_id) is not None
-                assert service.take(job.instance_id) is None
-                assert service.take("never-announced") is None
+                jobs = [_job("coin", f"burst {i}".encode()) for i in range(5)]
+                futures = [service.announce(job) for job in jobs]
+                assert [f.result() for f in futures[2:]] == ["deferred"] * 3
+                # A duplicate announce of a queued request is refused too.
+                assert service.announce(jobs[0]).result() == "duplicate"
+                await submissions.wait_for(2)
+                assert service.stats()["depth"] == {"k/coin": 2}
+                assert service.stats()["pipelined_active"] == 2
+                for future in submissions.futures.values():
+                    future.set_result(b"done")
+                assert await asyncio.gather(*futures[:2]) == ["staged"] * 2
+                # Finished instances free their slots; the node knows them.
+                assert service.stats()["depth"] == {}
+                assert service.announce(jobs[1]).result() == "duplicate"
+                assert service.stats()["refills"] == {
+                    "coin/ok": 2, "coin/deferred": 3
+                }
             finally:
                 await service.stop()
 
         asyncio.run(scenario())
 
-    def test_depth_limit_defers_excess_announces(self, keys_cks05):
+    def test_an_aborted_or_refused_instance_reports_failed(self):
         async def scenario():
-            jobs = [
-                _job(keys_cks05, 1, "coin", f"burst {i}".encode())
-                for i in range(5)
+            submissions = _Submissions()
+            service = _service(2, submissions)
+            refusing = _service(2, _Submissions(RpcError("node overloaded")))
+            try:
+                aborted = service.announce(_job("decrypt", b"hostile"))
+                await submissions.wait_for(1)
+                (future,) = submissions.futures.values()
+                future.set_exception(ProtocolError("byzantine_detected"))
+                assert (await aborted).startswith("failed: ")
+                refused = await refusing.warm([_job("decrypt", b"shed")])
+                assert refused == {"failed": 1, "depth": {}}
+                for each in (service, refusing):
+                    assert each.stats()["depth"] == {}
+                    assert each.stats()["refills"] == {"decrypt/error": 1}
+            finally:
+                await service.stop()
+                await refusing.stop()
+
+        asyncio.run(scenario())
+
+    def test_a_waiter_that_went_away_still_frees_the_slot(self):
+        """The RPC that announced may be gone (client disconnect): the
+        instance still runs, and its depth slot is still given back."""
+
+        async def scenario():
+            submissions = _Submissions()
+            service = _service(1, submissions)
+            try:
+                service.announce(_job("coin", b"orphaned")).cancel()
+                await submissions.wait_for(1)
+                (future,) = submissions.futures.values()
+                future.set_result(b"done")
+                for _ in range(100):
+                    if not service.stats()["depth"]:
+                        break
+                    await asyncio.sleep(0)
+                assert service.stats()["depth"] == {}
+                assert service.announce(_job("coin", b"next")).done() is False
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_stop_settles_every_announce(self):
+        async def scenario():
+            submissions = _Submissions()
+            service = _service(8, submissions)
+            futures = [
+                service.announce(_job("sign", f"m{i}".encode())) for i in range(6)
             ]
-            service, report = await _drained_service(
-                PrecomputeConfig(depth=2, eager=False), jobs
-            )
-            try:
-                assert report["staged"] == 2
-                assert report["deferred"] == 3
-                assert service.staged_count("k", "coin") == 2
-                # A duplicate announce of a staged instance is refused too.
-                again = await service.warm([jobs[0]])
-                assert again["duplicate"] == 1
-            finally:
-                await service.stop()
+            await submissions.wait_for(4)  # the window: four run, two queue
+            await service.stop()
+            assert [f.result() for f in futures] == ["cancelled"] * 6
+            assert service.stats()["depth"] == {}
 
         asyncio.run(scenario())
-
-    def test_restart_never_reserves_consumed_entries(self, keys_cks05, tmp_path):
-        """Satellite: SIGKILL between take() and the response must not
-        resurrect the entry — consumption is journaled before serving."""
-
-        async def scenario():
-            consumed = _job(keys_cks05, 1, "coin", b"consumed before crash")
-            survivor = _job(keys_cks05, 1, "coin", b"still pooled at crash")
-            config = PrecomputeConfig(depth=4, eager=False)
-            service, report = await _drained_service(
-                config, [consumed, survivor], journal_dir=tmp_path / "pool"
-            )
-            assert report["staged"] == 2
-            payload = service.take(consumed.instance_id)
-            assert payload is not None
-            # "kill -9": no clean stop, no journal close — the WAL on disk
-            # is all the next life gets.
-            service._task.cancel()  # noqa: SLF001 - simulate abrupt death
-            await asyncio.gather(service._task, return_exceptions=True)
-
-            reborn = PrecomputeService(
-                config, MetricRegistry(), journal_dir=tmp_path / "pool"
-            )
-            try:
-                assert reborn.stats()["restored"] == 1
-                assert reborn.take(consumed.instance_id) is None
-                restored = reborn.take(survivor.instance_id)
-                assert restored is not None
-                # The restored share is the exact bytes staged pre-crash.
-                assert reborn.take(survivor.instance_id) is None
-            finally:
-                await reborn.stop()
-            return payload, restored
-
-        payload, restored = asyncio.run(scenario())
-        assert payload != restored  # distinct requests, distinct shares
 
 
 # ---------------------------------------------------------------------------
-# Full service cluster: announce over RPC, pool/inline accounting, eager mode
+# Full service cluster: announce over RPC, pool/inline accounting
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.integration
 class TestPipelineService:
     def test_warm_pool_serves_from_pool(self, all_keys):
-        """Announced request: staged share consumed, source=pool, result
-        identical to what the on-demand path produces."""
+        """Announced request: its instance ran before the request came, and
+        the request folds into it (source=pool)."""
 
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+                all_keys, precompute=PrecomputeConfig(depth=4)
             ) as cluster:
                 nodes, client = cluster.nodes, cluster.client
                 secret = b"announced secret"
                 ciphertext = await client.encrypt("sg02", secret, b"lbl")
                 reports = await client.precompute("sg02", items=[ciphertext], label=b"lbl")
-                assert all(r["staged"] == 1 for r in reports.values())
+                # The reply comes once the instance ran: nothing is pending.
                 assert all(
-                    r["depth"].get("sg02/decrypt") == 1 for r in reports.values()
-                )
+                    r == {"staged": 1, "depth": {}} for r in reports.values()
+                ), reports
 
                 assert await client.decrypt("sg02", ciphertext, b"lbl") == secret
                 for node in nodes:
                     served = node.stats()["precompute"]["served"]
                     assert served.get("decrypt/pool", 0) == 1
-                    # The staged entry was consumed: the pool is empty again.
-                    assert node.stats()["precompute"]["staged"] == {}
                     record = node.instances.record(
                         derive_instance_id("decrypt", "sg02", ciphertext, b"lbl")
                     )
@@ -343,11 +257,11 @@ class TestPipelineService:
     )
     def test_announce_serves_every_scheme_kind(self, all_keys, key_id, kind):
         """A cipher, a signature and a coin key each map onto the operation
-        their announce stages (a coin's kind is ``randomness``, not ``coin``)."""
+        their announce runs (a coin's kind is ``randomness``, not ``coin``)."""
 
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+                all_keys, precompute=PrecomputeConfig(depth=4)
             ) as cluster:
                 nodes, client = cluster.nodes, cluster.client
                 data = b"announced " + kind.encode()
@@ -361,17 +275,17 @@ class TestPipelineService:
                 for node in nodes:
                     stats = node.stats()["precompute"]
                     assert stats["served"] == {f"{kind}/pool": 1}
-                    assert stats["staged"] == {}
+                    assert stats["depth"] == {}
 
         asyncio.run(scenario())
 
     def test_announce_for_a_known_instance_is_a_duplicate(self, all_keys):
-        """Nobody will consume a share staged for an instance that is
-        already running or already answered: the announce says so."""
+        """An instance that is already running or already answered is not
+        run again: the announce says so."""
 
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+                all_keys, precompute=PrecomputeConfig(depth=4)
             ) as cluster:
                 nodes, client = cluster.nodes, cluster.client
                 await client.flip_coin("cks05", b"finished")
@@ -381,17 +295,17 @@ class TestPipelineService:
                 nodes[0].submit_request("coin", "cks05", b"in flight")
                 report = await nodes[0].precompute_requests("cks05", [b"in flight"])
                 assert report == {"duplicate": 1, "depth": {}}
-                assert nodes[0].stats()["precompute"]["staged"] == {}
+                assert nodes[0].stats()["precompute"]["depth"] == {}
 
         asyncio.run(scenario())
 
     def test_exhausted_pool_falls_back_inline(self, all_keys):
-        """Satellite: draining faster than refill degrades to the on-demand
-        path with visible source=inline accounting, never an error."""
+        """Requests nobody announced take the on-demand path, with visible
+        source=inline accounting, never an error."""
 
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+                all_keys, precompute=PrecomputeConfig(depth=4)
             ) as cluster:
                 nodes, client = cluster.nodes, cluster.client
                 announced = await client.encrypt("sg02", b"pooled one", b"")
@@ -412,31 +326,45 @@ class TestPipelineService:
     def test_eager_pipelining_runs_ahead_of_demand(self, all_keys):
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=True)
+                all_keys, precompute=PrecomputeConfig(depth=4)
             ) as cluster:
                 nodes, client = cluster.nodes, cluster.client
                 secret = b"eagerly pipelined"
                 ciphertext = await client.encrypt("sg02", secret, b"")
                 await client.precompute("sg02", items=[ciphertext])
                 instance_id = derive_instance_id("decrypt", "sg02", ciphertext, b"")
-                # The announce alone drives the instance to completion.
-                for _ in range(400):
-                    if (
-                        nodes[0].instances.known(instance_id)
-                        and nodes[0].instances.record(instance_id).status.value
-                        == "finished"
-                    ):
-                        break
-                    await asyncio.sleep(0.01)
-                assert nodes[0].instances.record(instance_id).status.value == "finished"
+                # The announce alone drove the instance to completion.
+                for node in nodes:
+                    assert node.instances.record(instance_id).status.value == "finished"
 
                 assert await client.decrypt("sg02", ciphertext) == secret
                 served = nodes[0].stats()["precompute"]["served"]
                 assert served.get("decrypt/pool", 0) == 1
-                # The eager submission itself is not client-visible traffic.
+                # The pipeline's own submission is not client-visible traffic.
                 assert sum(served.values()) == 1
 
         asyncio.run(scenario())
+
+    def test_announced_result_is_bit_identical_to_inline(self, all_keys):
+        """BLS04 signing is deterministic: the signature an announce ran
+        ahead must be the one the on-demand path produces."""
+        message = b"bit identity probe"
+
+        async def sign(precompute):
+            async with LocalCluster(
+                {"bls04": all_keys["bls04"]}, precompute=precompute
+            ) as cluster:
+                if precompute is not None:
+                    reports = await cluster.client.precompute("bls04", items=[message])
+                    assert all(r["staged"] == 1 for r in reports.values())
+                signature = await cluster.client.sign("bls04", message)
+                served = cluster.nodes[0].stats()["precompute"]["served"]
+                return signature, served
+
+        announced, served = asyncio.run(sign(PrecomputeConfig(depth=1)))
+        assert served == {"sign/pool": 1}
+        inline, _ = asyncio.run(sign(None))
+        assert announced == inline
 
     def test_duplicate_kg20_request_burns_no_nonce_set(self, all_keys):
         """A client retry to one node folds into the finished record; it
@@ -461,21 +389,20 @@ class TestPipelineService:
 
         asyncio.run(scenario())
 
-    def test_duplicate_request_leaves_a_staged_share_alone(self, all_keys):
-        """Same rule for a staged non-interactive share: a request that
-        folds into an existing record consumes nothing."""
+    def test_overtaken_announce_leaves_nothing_behind(self, all_keys):
+        """A request that runs while its announce is still queued is served
+        on demand; the announce then folds into it, computes nothing, and
+        gives its depth slot back."""
 
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+                all_keys, precompute=PrecomputeConfig(depth=1)
             ) as cluster:
                 nodes, client = cluster.nodes, cluster.client
                 secret = b"decrypted while its announce was queued"
                 ciphertext = await client.encrypt("sg02", secret, b"")
-                # The request overtakes its announce: refill is held while
-                # the announce sits queued, the request runs on demand, and
-                # only then is the share it was asked for staged.  (An
-                # announce *after* the request would answer ``duplicate``.)
+                # Hold the pipeline while the announce sits queued, run the
+                # request on demand, then let the pipeline go.
                 gate = asyncio.Event()
                 for node in nodes:
                     node._precompute._pace = gate.wait
@@ -491,20 +418,26 @@ class TestPipelineService:
                 )
                 gate.set()
                 reports = await announce
-                assert all(r["staged"] == 1 for r in reports.values())
-                record = nodes[0].submit_request("decrypt", "sg02", ciphertext)
-                assert record.result == secret
+                assert all(
+                    r == {"duplicate": 1, "depth": {}} for r in reports.values()
+                ), reports
                 for node in nodes:
-                    stats = node.stats()["precompute"]
-                    assert stats["staged"] == {"sg02/decrypt": 1}
-                    assert "decrypt/pool" not in stats["served"]
+                    assert node.stats()["precompute"]["served"] == {
+                        "decrypt/inline": 1
+                    }
+                # At depth 1, a slot left taken would defer every announce.
+                fresh = await client.encrypt("sg02", b"announced later", b"")
+                reports = await client.precompute("sg02", items=[fresh])
+                assert all(
+                    r == {"staged": 1, "depth": {}} for r in reports.values()
+                ), reports
 
         asyncio.run(scenario())
 
     def test_kg20_announce_is_rejected_with_reason(self, all_keys):
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+                all_keys, precompute=PrecomputeConfig(depth=4)
             ) as cluster:
                 client = cluster.client
                 results = await client.precompute("kg20", items=[b"message"])
@@ -540,7 +473,7 @@ class TestPipelineService:
     def test_client_rejects_ambiguous_precompute_call(self, all_keys):
         async def scenario():
             async with LocalCluster(
-                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+                all_keys, precompute=PrecomputeConfig(depth=4)
             ) as cluster:
                 client = cluster.client
                 with pytest.raises(RpcError):
@@ -553,11 +486,9 @@ class TestPipelineService:
 
 class TestConfigPlumbing:
     def test_node_config_round_trips_precompute(self):
-        config = make_local_configs(
-            4, 1, precompute=PrecomputeConfig(depth=3, eager=False)
-        )[0]
+        config = make_local_configs(4, 1, precompute=PrecomputeConfig(depth=3))[0]
         clone = NodeConfig.from_json(config.to_json())
-        assert clone.precompute == PrecomputeConfig(depth=3, eager=False)
+        assert clone.precompute == PrecomputeConfig(depth=3)
 
     def test_daemon_flag_overrides_config(self, tmp_path):
         from repro.service.daemon import load_node

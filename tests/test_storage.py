@@ -33,13 +33,11 @@ from repro.errors import (
 )
 from repro.schemes.keystore import export_key_share
 from repro.serialization import hexlify
-from repro.storage import pool_journal
 from repro.storage import results as results_module
 from repro.storage import (
     DurableKeystore,
     DurableResultCache,
     Outcome,
-    PoolJournal,
     WriteAheadLog,
     atomic_write_bytes,
     pack_record,
@@ -584,32 +582,6 @@ class TestCrashPoints:
             assert list(view.items()) == [
                 (i, "crash_recovery") for i in ("id-1", "id-2", "id-3")
             ][-len(view) or 3 :]
-
-    def test_pool_journal_never_reserves_across_a_dead_compaction(self, tmp_path):
-        def prepare(directory):
-            with patch.object(pool_journal, "WriteAheadLog", _small_segments):
-                journal = PoolJournal(directory)
-                seqs = [
-                    journal.stage(f"inst-{i}", "k", "coin", bytes([i]) * 30)
-                    for i in range(6)
-                ]
-                for seq in seqs[::2]:
-                    journal.consume(seq)
-                journal.close()
-
-        def operate(directory):
-            with patch.object(pool_journal, "WriteAheadLog", _small_segments):
-                return PoolJournal(directory)
-
-        for directory in self._sweep(tmp_path, prepare, operate):
-            for _ in range(2):  # and the survivor set is stable afterwards
-                journal = operate(directory)
-                assert [e.instance_id for e in journal.survivors] == [
-                    "inst-1",
-                    "inst-3",
-                    "inst-5",
-                ]
-                journal.close()
 
 
 # ---------------------------------------------------------------------------

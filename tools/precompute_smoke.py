@@ -5,18 +5,22 @@ The docs/performance.md "Precompute pipeline" contract, exercised end to
 end on real daemon processes:
 
 * deal SG02 keys for a 2-node (t = 1) TCP cluster and start both daemons
-  with ``--precompute-depth 8`` — the announce/refill/consume pipeline
-  plus eager instance pipelining, per-node data dirs for the pool journal;
+  with ``--precompute-depth 8`` and per-node data dirs;
 * announce two upcoming ciphertexts over the ``precompute`` RPC (every
-  node must report them staged), then decrypt them: both must resolve
-  correctly and the Prometheus scrape must count them as
+  node must report them staged: their instances ran ahead of demand),
+  then decrypt them: both must resolve correctly and the Prometheus
+  scrape must count them as
   ``repro_precompute_served_total{op="decrypt",source="pool"}``;
 * decrypt one *unannounced* ciphertext: correct result, counted under
-  ``source="inline"`` — exhaustion degrades to the on-demand path;
-* the per-(key, op) depth gauge and refill histogram must appear in the
-  scrape, and ``node_stats`` must report the pipeline enabled;
+  ``source="inline"`` — the on-demand path is untouched;
+* announce that already-decrypted ciphertext: every node answers
+  ``duplicate`` and runs nothing;
+* the depth gauge must read 0 on both daemons at the end (nothing is
+  left queued or running), the ``ok`` outcome counter must count the
+  announced requests, and ``node_stats`` must report the pipeline
+  enabled;
 * SIGTERM both daemons and assert clean exit with nothing orphaned —
-  the refill loop must not pin the process past shutdown.
+  the run-ahead loop must not pin the process past shutdown.
 
 Exit status 0 on success; prints the offending assertion otherwise.
 """
@@ -80,8 +84,8 @@ async def drive(client: ThetacryptClient, daemons: list) -> None:
         await wait_for_ping(client, node_id, daemon)
     print(f"  {PARTIES} daemons up with --precompute-depth {PRECOMPUTE_DEPTH}")
 
-    # Announce two upcoming decrypts; every node stages its share (and,
-    # eagerly, runs the whole instance ahead of demand).
+    # Announce two upcoming decrypts; every node runs their instances
+    # ahead of demand.
     secrets = [b"precompute smoke one", b"precompute smoke two"]
     ciphertexts = [
         await client.encrypt("sg02", secret, b"smoke") for secret in secrets
@@ -106,16 +110,11 @@ async def drive(client: ThetacryptClient, daemons: list) -> None:
             op="decrypt",
             source="pool",
         )
-        depth_series = any(
-            metric == "repro_precompute_pool_depth"
-            for (metric, _) in parsed
+        ran_ahead = _counter(
+            parsed, "repro_precompute_refills_total", op="decrypt", outcome="ok"
         )
-        assert depth_series, f"node {node_id}: no pool depth gauge scraped"
-        refill_count = _counter(
-            parsed, "repro_precompute_refill_seconds_count", op="decrypt"
-        )
-        assert refill_count >= len(ciphertexts), (
-            f"node {node_id}: refill histogram counted {refill_count}"
+        assert ran_ahead == len(ciphertexts), (
+            f"node {node_id}: {ran_ahead} announced requests ran ahead"
         )
         stats = await client.node_stats(node_id)
         pipeline = stats.get("precompute", {})
@@ -138,6 +137,21 @@ async def drive(client: ThetacryptClient, daemons: list) -> None:
             source="inline",
         )
     print("  cold decrypt fell back inline (counter scraped)")
+
+    # The request overtook any announce of it: the announce runs nothing.
+    reports = await client.precompute("sg02", items=[cold], label=b"smoke")
+    for node_id, report in reports.items():
+        assert report == {"duplicate": 1, "depth": {}}, f"node {node_id}: {report}"
+    for node_id in range(1, PARTIES + 1):
+        parsed = parse_text(await client.metrics(node_id))
+        depth = [
+            value
+            for (metric, labels), value in parsed.items()
+            if metric == "repro_precompute_pool_depth"
+            and dict(labels).get("op") == "decrypt"
+        ]
+        assert depth == [0], f"node {node_id}: depth gauge reads {depth}"
+    print("  announce of a decrypted ciphertext: duplicate; depth gauge 0")
 
 
 def main() -> None:
@@ -174,10 +188,10 @@ def main() -> None:
 
             asyncio.run(run())
         finally:
-            # The orphan check: the refill task must not pin the daemon
+            # The orphan check: the run-ahead task must not pin the daemon
             # past SIGTERM — both processes must exit on their own.
             assert not stop_daemons(daemons), (
-                "daemon survived SIGTERM: refill loop pinned shutdown"
+                "daemon survived SIGTERM: run-ahead loop pinned shutdown"
             )
         print("  both daemons exited cleanly after SIGTERM")
     print("precompute smoke OK")
