@@ -175,7 +175,8 @@ def test_bn254_pairing_check_two_pairs(benchmark, g2_points):
 
 
 def test_bn254_miller_lines_build(benchmark):
-    """What a G2 point pays once, in its first pairing: its 102 lines."""
+    """What a G2 point pays once, in its first pairing: its 88 lines,
+    stepped in Jacobian coordinates and normalized with one inversion."""
     q = (bn254_pairing().g2.generator() ** SCALAR).affine()
     benchmark(lambda: _build_lines(q))
 

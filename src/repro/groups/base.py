@@ -18,21 +18,23 @@ from typing import Iterable, Sequence
 from ..errors import SerializationError
 
 
-def wnaf(k: int) -> list[tuple[int, int]]:
-    """Width-5 signed windows of k ≥ 0 as (bit position, digit) pairs.
+def wnaf(k: int, width: int = 5) -> list[tuple[int, int]]:
+    """Signed windows of k ≥ 0 as (bit position, digit) pairs.
 
-    Digits are odd with |d| < 16, positions ascend at least five apart,
-    and k = Σ d·2^position.  The recoding behind both flat kernels'
-    Straus loops.
+    Digits are odd with |d| < 2^(width − 1), positions ascend at least
+    ``width`` apart, and k = Σ d·2^position.  Width 5 is the recoding
+    behind both flat kernels' Straus loops; the BN254 final exponentiation
+    recodes x at width 4.
     """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
     digits = []
     position = 0
     while k:
         if k & 1:
-            d = (k & 31) - ((k & 16) << 1)
+            d = (k & mask) - ((k & half) << 1)
             digits.append((position, d))
-            k = (k - d) >> 5
-            position += 5
+            k = (k - d) >> width
+            position += width
         else:
             k >>= 1
             position += 1

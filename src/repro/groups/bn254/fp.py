@@ -81,6 +81,27 @@ def fp2_inv(a):
     return a0 * inv % P, -a1 * inv % P
 
 
+def fp2_batch_inv(values: list) -> list:
+    """The inverses of the Fp2 ``values`` for one ``pow``: 1/a = ā/N(a), with
+    Montgomery's trick on the norms N(a) ∈ Fp.  A zero among them raises
+    :class:`CryptoError`, as :func:`fp2_inv` does."""
+    norms = [(a0 * a0 + a1 * a1) % P for a0, a1 in values]
+    prefix, acc = [], 1
+    for norm in norms:
+        prefix.append(acc)
+        acc = acc * norm % P
+    if not acc:
+        raise CryptoError("inversion of zero in Fp2")
+    inv = pow(acc, -1, P)
+    out = [None] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        norm_inv = inv * prefix[i] % P
+        inv = inv * norms[i] % P
+        a0, a1 = values[i]
+        out[i] = a0 * norm_inv % P, -a1 * norm_inv % P
+    return out
+
+
 def fp2_is_square(a) -> bool:
     """Euler criterion: a^((p²−1)/2) = N(a)^((p−1)/2) for the norm N(a) ∈ Fp."""
     norm = (a[0] * a[0] + a[1] * a[1]) % P
@@ -215,33 +236,21 @@ def fp12_sqr(a):
     )
 
 
-def fp12_mul_sparse(f, a, b, c):
-    """f·(a + b·w + c·w³) for a, b, c ∈ Fp2 — the Miller-loop line shape.
+def fp12_mul_line(f, b0, b1, c0, c1):
+    """f·(1 + b·w + c·w³) for b = (b0, b1), c = (c0, c1) ∈ Fp2: a Miller line
+    divided by its constant term.
 
-    With L0 = (a, 0, 0) and L1 = (b, c, 0): F0·L0 costs 3 Fp2 products and the
-    two sparse Fp6 products 5 each, 13 instead of the dense 18.
+    With L = 1 + (b, c, 0)·w, (F0 + F1·w)·L = F0 + v·F1·(b, c, 0) +
+    (F1 + F0·(b, c, 0))·w: two sparse Fp6 products of 5 Fp2 products each.
     """
     f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11 = f
-    a0, a1 = a
-    b0, b1 = b
-    c0, c1 = c
-    ts = a0 + a1
-    p, q = f0 * a0, f1 * a1
-    t0, t1 = p - q, (f0 + f1) * ts - p - q
-    p, q = f2 * a0, f3 * a1
-    t2, t3 = p - q, (f2 + f3) * ts - p - q
-    p, q = f4 * a0, f5 * a1
-    t4, t5 = p - q, (f4 + f5) * ts - p - q
     s0, s1, s2, s3, s4, s5 = _mul6_sparse(f6, f7, f8, f9, f10, f11, b0, b1, c0, c1)
-    m0, m1, m2, m3, m4, m5 = _mul6_sparse(
-        f0 + f6, f1 + f7, f2 + f8, f3 + f9, f4 + f10, f5 + f11,
-        a0 + b0, a1 + b1, c0, c1,
-    )
+    m0, m1, m2, m3, m4, m5 = _mul6_sparse(f0, f1, f2, f3, f4, f5, b0, b1, c0, c1)
     return (
-        (t0 + 9 * s4 - s5) % P, (t1 + s4 + 9 * s5) % P,
-        (t2 + s0) % P, (t3 + s1) % P, (t4 + s2) % P, (t5 + s3) % P,
-        (m0 - t0 - s0) % P, (m1 - t1 - s1) % P, (m2 - t2 - s2) % P,
-        (m3 - t3 - s3) % P, (m4 - t4 - s4) % P, (m5 - t5 - s5) % P,
+        (f0 + 9 * s4 - s5) % P, (f1 + s4 + 9 * s5) % P,
+        (f2 + s0) % P, (f3 + s1) % P, (f4 + s2) % P, (f5 + s3) % P,
+        (f6 + m0) % P, (f7 + m1) % P, (f8 + m2) % P,
+        (f9 + m3) % P, (f10 + m4) % P, (f11 + m5) % P,
     )
 
 

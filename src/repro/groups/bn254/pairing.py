@@ -1,21 +1,27 @@
 """Optimal ate pairing on BN254.
 
-The Miller loop steps T on the twist E′(Fp2) in Jacobian coordinates and
-never inverts: each step yields a line a + b·w + c·w³ (a, b, c ∈ Fp2) that
-differs from the affine line through the untwisted points only by an Fp2
-factor, which the final exponentiation kills, and is multiplied into f by
-the sparse product of :func:`fp.fp12_mul_sparse`.  The stepping depends on
-the G2 argument Q alone, so it runs once per point: the first loop that
-meets Q stores its 102 line coefficients on the element, and every loop
-evaluates them at P.  All pairs of a product share one squaring of f per
-loop bit.  The final exponentiation is the
-Devegili–Scott–Dahab chain with Granger–Scott cyclotomic squarings for its
-three 63-bit powers of the BN parameter x.
+The Miller loop steps T on the twist E′(Fp2) in Jacobian coordinates along
+the signed (non-adjacent) digits of 6x + 2, adding Q or −Q at each of its
+21 nonzero digits below the leading one.  Each step yields a line
+a + b·w + c·w³ (a, b, c ∈ Fp2) that differs from the affine line through
+the untwisted points only by an Fp2 factor; the vertical lines a signed
+loop leaves out lie in Fp6.  The final exponentiation kills both.  The
+stepping depends on the G2 argument Q alone, so it runs once per point:
+the first loop that meets Q stores its 88 lines on the element, each
+divided by its a (one batched inversion) and kept as (b/a, c/a).  A loop
+evaluates them at P as 1 + (b/a)·(x_P/y_P)·w + (c/a)·(1/y_P)·w³, for one
+inversion of y_P per pair, and multiplies them into f with
+:func:`fp.fp12_mul_line`.  All pairs of a product share one squaring of f
+per loop digit.  The final exponentiation is the Devegili–Scott–Dahab
+chain; its three powers of the BN parameter x run on Granger–Scott
+cyclotomic squarings and x's width-4 signed windows, whose negative
+digits are conjugations.
 """
 
 from __future__ import annotations
 
 from ...errors import CryptoError
+from ..base import wnaf
 from .fp import (
     BN_X,
     FP2_ONE,
@@ -26,6 +32,7 @@ from .fp import (
     TWIST_FROB_X,
     TWIST_FROB_Y,
     Fp12,
+    fp2_batch_inv,
     fp2_conj,
     fp2_mul,
     fp2_sqr,
@@ -34,48 +41,57 @@ from .fp import (
     fp12_frobenius,
     fp12_inv,
     fp12_mul,
-    fp12_mul_sparse,
+    fp12_mul_line,
     fp12_sqr,
     vec_neg,
     vec_sub,
 )
 from .g1 import BN254G1Element, BN254G1Group, bn254_g1
-from .g2 import BN254G2Element, BN254G2Group, bn254_g2, jac_double
+from .g2 import BN254G2Element, BN254G2Group, bn254_g2
 
 #: Optimal ate loop count 6x + 2.
 ATE_LOOP_COUNT = 6 * BN_X + 2
 
-_LOOP_BITS = bin(ATE_LOOP_COUNT)[3:]  # below the most-significant bit
-_X_BITS = bin(BN_X)[3:]
+
+def _digits(k: int, width: int) -> list[int]:
+    """k's signed windows of ``width`` as one digit per bit, top first."""
+    windows = wnaf(k, width)
+    digits = [0] * (windows[-1][0] + 1)
+    for position, d in windows:
+        digits[position] = d
+    return digits[::-1]
+
+
+_LOOP_NAF = _digits(ATE_LOOP_COUNT, 2)[1:]  # below the leading 1
+_X_DIGITS = _digits(BN_X, 4)[1:]  # below the leading 1; 13 odd digits, |d| ≤ 7
 _TWIST_FROB = (TWIST_FROB_X.v, TWIST_FROB_Y.v)
 
 
-def _evaluate(z3, slope, const, xp: int, yp: int):
-    """(a, b, c) of −z3·y_P + slope·x_P·w + const·w³."""
-    return (
-        (-z3[0] * yp % P, -z3[1] * yp % P),
-        (slope[0] * xp % P, slope[1] * xp % P),
-        const,
-    )
-
-
-def _double_step(t, xp: int, yp: int):
-    """T ← 2T and the tangent at T=(X, Y, Z), scaled by Z₃Z² (Z₃ = 2YZ):
-    −(Z₃Z²)·y_P + (3X²Z²)·x_P·w + (2Y² − 3X³)·w³."""
+def _double_step(t):
+    """T ← 2T (dbl-2009-l, Z₃ = 2YZ) and the tangent at T=(X, Y, Z), scaled
+    by Z₃Z²: −(Z₃Z²)·y_P + (3X²Z²)·x_P·w + (2Y² − 3X³)·w³, as its (a, b, c)."""
     x, y, z = t
-    doubled = jac_double(t)
-    if doubled[2] == FP2_ZERO:
+    xx, yy = fp2_sqr(x), fp2_sqr(y)
+    z3 = fp2_mul((2 * y[0], 2 * y[1]), z)
+    if z3 == FP2_ZERO:
         raise CryptoError("degenerate pairing input: vertical tangent")
-    e = fp2_sqr(x)
-    e = (3 * e[0], 3 * e[1])
-    zz, yy, ex = fp2_sqr(z), fp2_sqr(y), fp2_mul(e, x)
+    yyyy = fp2_sqr(yy)
+    s = fp2_sqr((x[0] + yy[0], x[1] + yy[1]))
+    d0, d1 = 2 * (s[0] - xx[0] - yyyy[0]), 2 * (s[1] - xx[1] - yyyy[1])
+    e = (3 * xx[0], 3 * xx[1])
+    ee = fp2_sqr(e)
+    x3 = ((ee[0] - 2 * d0) % P, (ee[1] - 2 * d1) % P)
+    m = fp2_mul(e, (d0 - x3[0], d1 - x3[1]))
+    y3 = ((m[0] - 8 * yyyy[0]) % P, (m[1] - 8 * yyyy[1]) % P)
+    zz, ex = fp2_sqr(z), fp2_mul(e, x)
     const = (2 * yy[0] - ex[0], 2 * yy[1] - ex[1])
-    return doubled, _evaluate(fp2_mul(doubled[2], zz), fp2_mul(e, zz), const, xp, yp)
+    return (x3, y3, z3), (vec_neg(fp2_mul(z3, zz)), fp2_mul(e, zz), const)
 
 
-def _add_step(t, q, xp: int, yp: int):
+def _add_step(t, q):
     """T ← T + Q for affine Q=(x₂, y₂) and the chord, scaled by Z₃ = Z·H:
-    −Z₃·y_P + r·x_P·w + (Z₃y₂ − r·x₂)·w³ with H = x₂Z² − X, r = y₂Z³ − Y."""
+    −Z₃·y_P + r·x_P·w + (Z₃y₂ − r·x₂)·w³ with H = x₂Z² − X, r = y₂Z³ − Y,
+    as its (a, b, c)."""
     x, y, z = t
     x2, y2 = q
     zz = fp2_sqr(z)
@@ -89,33 +105,44 @@ def _add_step(t, q, xp: int, yp: int):
     y3 = vec_sub(fp2_mul(r, (v[0] - x3[0], v[1] - x3[1])), fp2_mul(y, hhh))
     z3 = fp2_mul(z, h)
     const = vec_sub(fp2_mul(z3, y2), fp2_mul(r, x2))
-    return (x3, y3, z3), _evaluate(z3, r, const, xp, yp)
+    return (x3, y3, z3), (vec_neg(z3), r, const)
+
+
+def _normalize(steps: list) -> list:
+    """Each line (a, b, c) of ``steps`` as the flat (b/a, c/a), one inversion
+    for all of them; a zero a raises :class:`CryptoError`."""
+    lines = [line for step in steps for line in step]
+    inverses = fp2_batch_inv([a for a, _, _ in lines])
+    normalized = iter(
+        [fp2_mul(b, inv) + fp2_mul(c, inv) for (_, b, c), inv in zip(lines, inverses)]
+    )
+    return [tuple([next(normalized) for _ in step]) for step in steps]
 
 
 def _build_lines(q) -> list:
-    """The Miller lines of affine Q, as coefficient triples (A, B, C).
+    """The Miller lines of affine Q, each as (b/a, c/a) ∈ Fp2², flattened.
 
-    Entry k < 64 holds loop bit k's tangent, then its chord if the bit is
-    set; the last entry holds the two Frobenius chords.  None of the
-    stepping depends on P: a line evaluated at x_P = y_P = 1 is its
-    coefficients, and at P it is (A·y_P, B·x_P, C).
+    Entry k < 65 holds loop digit k's tangent, then its chord with Q or −Q
+    if the digit is ±1; the last entry holds the two Frobenius chords.
+    None of the stepping depends on P.
     """
     t = (*q, FP2_ONE)
-    lines = []
-    for bit in _LOOP_BITS:
-        t, tangent = _double_step(t, 1, 1)
-        if bit == "1":
-            t, chord = _add_step(t, q, 1, 1)
-            lines.append((tangent, chord))
+    addends = {1: q, -1: (q[0], vec_neg(q[1]))}
+    steps = []
+    for digit in _LOOP_NAF:
+        t, tangent = _double_step(t)
+        if digit:
+            t, chord = _add_step(t, addends[digit])
+            steps.append((tangent, chord))
         else:
-            lines.append((tangent,))
+            steps.append((tangent,))
     # π(Q) and −π²(Q): the untwist–Frobenius–twist endomorphism on E′.
     x1, y1 = (fp2_mul(fp2_conj(c), g) for c, g in zip(q, _TWIST_FROB))
     x2, y2 = (fp2_mul(fp2_conj(c), g) for c, g in zip((x1, y1), _TWIST_FROB))
-    t, first = _add_step(t, (x1, y1), 1, 1)
-    _, second = _add_step(t, (x2, vec_neg(y2)), 1, 1)
-    lines.append((first, second))
-    return lines
+    t, first = _add_step(t, (x1, y1))
+    _, second = _add_step(t, (x2, vec_neg(y2)))
+    steps.append((first, second))
+    return _normalize(steps)
 
 
 def _lines(q: BN254G2Element) -> list:
@@ -130,28 +157,41 @@ def _lines(q: BN254G2Element) -> list:
     return lines
 
 
-def _multiply_lines(f: tuple, lines, xp: int, yp: int) -> tuple:
-    """f times each of ``lines`` evaluated at P = (x_P, y_P)."""
-    for (a0, a1), (b0, b1), c in lines:
-        f = fp12_mul_sparse(f, (a0 * yp % P, a1 * yp % P), (b0 * xp % P, b1 * xp % P), c)
+def _line_scalars(p: BN254G1Element) -> tuple[int, int]:
+    """(x_P/y_P, 1/y_P) for P = (X/Z², Y/Z³): X·Z/Y and Z³/Y, one inversion."""
+    x, y, z = p.point
+    if not y % P:
+        raise CryptoError("degenerate pairing input: G1 point with y = 0")
+    y_inv = pow(y, -1, P)
+    if z == 1:
+        return x * y_inv % P, y_inv
+    return x * z * y_inv % P, z * z * z * y_inv % P
+
+
+def _multiply_lines(f: tuple, lines, s: int, t: int) -> tuple:
+    """f times each of ``lines`` evaluated at P, given (s, t) = (x_P/y_P, 1/y_P)."""
+    for b0, b1, c0, c1 in lines:
+        f = fp12_mul_line(f, b0 * s % P, b1 * s % P, c0 * t % P, c1 * t % P)
     return f
 
 
 def _miller(pairs) -> tuple:
     """Π f_{6x+2,Q}(P)·l_{[6x+2]Q,π(Q)}(P)·l_{[6x+2]Q+π(Q),−π²(Q)}(P) over the
-    pairs with no infinity member, as a flat Fp12 value."""
+    pairs with no infinity member, as a flat Fp12 value, up to a factor in
+    Fp6 that the final exponentiation kills."""
     terms = [
-        (_lines(q), *p.affine())
+        (_lines(q), *_line_scalars(p))
         for p, q in pairs
         if not (p.is_infinity() or q.infinity)
     ]
     f = FP12_ONE
-    for k in range(len(_LOOP_BITS)):
-        f = fp12_sqr(f)
-        for lines, xp, yp in terms:
-            f = _multiply_lines(f, lines[k], xp, yp)
-    for lines, xp, yp in terms:
-        f = _multiply_lines(f, lines[-1], xp, yp)
+    for k in range(len(_LOOP_NAF)):
+        if k:
+            f = fp12_sqr(f)
+        for lines, s, t in terms:
+            f = _multiply_lines(f, lines[k], s, t)
+    for lines, s, t in terms:
+        f = _multiply_lines(f, lines[-1], s, t)
     return f
 
 
@@ -160,11 +200,17 @@ def _miller_loop(q: BN254G2Element, p: BN254G1Element) -> Fp12:
 
 
 def _cyclotomic_pow_x(f: tuple) -> tuple:
+    """f^x in the cyclotomic subgroup, from f, f³, f⁵, f⁷ and their conjugates."""
+    f2 = fp12_cyclotomic_sqr(f)
+    odd = [f]
+    for _ in range(3):
+        odd.append(fp12_mul(odd[-1], f2))
     result = f
-    for bit in _X_BITS:
+    for digit in _X_DIGITS:
         result = fp12_cyclotomic_sqr(result)
-        if bit == "1":
-            result = fp12_mul(result, f)
+        if digit:
+            power = odd[abs(digit) >> 1]
+            result = fp12_mul(result, power if digit > 0 else fp12_conj(power))
     return result
 
 

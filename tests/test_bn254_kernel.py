@@ -17,6 +17,7 @@ from repro.groups.bn254.fp import (
     R,
     Fp2,
     Fp12,
+    fp2_batch_inv,
     fp2_inv,
     fp2_mul,
     fp2_sqr,
@@ -28,12 +29,12 @@ from repro.groups.bn254.fp import (
     fp12_frobenius,
     fp12_inv,
     fp12_mul,
-    fp12_mul_sparse,
+    fp12_mul_line,
     fp12_sqr,
     vec_add,
 )
 from repro.groups.bn254.g2 import BN254G2Element
-from repro.groups.bn254.pairing import _LOOP_BITS, _final_exp, _miller
+from repro.groups.bn254.pairing import ATE_LOOP_COUNT, _LOOP_NAF, _final_exp, _miller
 from repro.schemes import bls04
 from tests import bn254_miller_oracle as oracle
 
@@ -70,6 +71,15 @@ class TestRingLaws:
                 assert mul(a, inv(a)) == one
 
     @settings(max_examples=10, deadline=None)
+    @given(st.lists(flat(2), min_size=1, max_size=6))
+    def test_batch_inverse_is_elementwise_inverse(self, values):
+        if all(any(a) for a in values):
+            assert fp2_batch_inv(values) == [fp2_inv(a) for a in values]
+        else:
+            with pytest.raises(CryptoError):
+                fp2_batch_inv(values)
+
+    @settings(max_examples=10, deadline=None)
     @given(flat(12))
     def test_outputs_are_reduced(self, a):
         for value in (fp12_mul(a, a), fp12_sqr(a), fp12_frobenius(a), fp12_conj(a)):
@@ -84,10 +94,10 @@ class TestFp12Shapes:
         assert fp12_frobenius(a, 12) == a
 
     @settings(max_examples=25, deadline=None)
-    @given(flat(12), flat(2), flat(2), flat(2))
-    def test_sparse_product_is_dense_product(self, f, a, b, c):
-        line = a + (0,) * 4 + b + c + (0, 0)  # a + b·w + c·w³ = (a, 0, 0 | b, c, 0)
-        assert fp12_mul_sparse(f, a, b, c) == fp12_mul(f, line)
+    @given(flat(12), flat(2), flat(2))
+    def test_sparse_product_is_dense_product(self, f, b, c):
+        line = FP2_ONE + (0,) * 4 + b + c + (0, 0)  # 1 + b·w + c·w³ = (1, 0, 0 | b, c, 0)
+        assert fp12_mul_line(f, *b, *c) == fp12_mul(f, line)
 
     @settings(max_examples=10, deadline=None)
     @given(flat(12))
@@ -110,6 +120,14 @@ class TestMillerLoop:
         for pair in pairs:
             product = fp12_mul(product, _miller([pair]))
         assert _final_exp(_miller(pairs)) == _final_exp(product)
+
+    def test_jacobian_g1_argument(self):
+        # P with Z ≠ 1 gives its line scalars (x/y, 1/y) as (XZ/Y, Z³/Y).
+        g1, g2 = bn254_g1().generator(), bn254_g2().generator()
+        p = (g1**5) * (g1**6)
+        assert p.point[2] != 1
+        assert _miller([(p, g2)]) == _miller([(g1**11, g2)])
+        assert p.point[2] != 1
 
     def test_infinity_members_are_skipped(self):
         g1, g2 = bn254_g1(), bn254_g2()
@@ -160,9 +178,18 @@ def builds(monkeypatch):
 
 
 class TestMillerLines:
-    """The loop reads each Q's lines from a table kept on the element; the
+    """The loop reads each Q's normalized lines from a table kept on the
+    element and steps along the signed digits of 6x + 2; the binary
     per-step loop it replaced (``tests/bn254_miller_oracle.py``) is the
-    oracle, and the two must agree bit for bit."""
+    oracle.  The two Miller values differ by a factor in Fp6* — the lines'
+    dropped Fp2 factors and the signed loop's vertical lines — so the
+    quotient has no w-part and the final exponentiations agree bit for bit."""
+
+    @staticmethod
+    def _assert_equal_up_to_fp6(value, expected):
+        quotient = fp12_mul(value, fp12_inv(expected))
+        assert quotient[6:] == (0,) * 6 and any(quotient[:6])
+        assert _final_exp(value) == _final_exp(expected)
 
     @settings(max_examples=12, deadline=None)
     @given(_miller_inputs())
@@ -170,15 +197,22 @@ class TestMillerLines:
         for q in _WARM:
             _miller([(bn254_g1().generator(), q)])
         expected = oracle.miller(pairs)
-        assert _miller(pairs) == expected  # fresh Q build their lines here
-        assert _miller(pairs) == expected  # ... and every Q is warm now
+        cold = _miller(pairs)  # fresh Q build their lines here
+        self._assert_equal_up_to_fp6(cold, expected)
+        assert _miller(pairs) == cold  # ... and every Q is warm now
 
     def test_table_shape(self):
+        # The loop's digits are the non-adjacent form of 6x + 2 below its
+        # leading 1: 65 digits, 21 of them ±1.
+        value = 1
+        for digit in _LOOP_NAF:
+            value = 2 * value + digit
+        assert value == ATE_LOOP_COUNT and set(_LOOP_NAF) == {-1, 0, 1}
+        assert all(not (a and b) for a, b in zip(_LOOP_NAF, _LOOP_NAF[1:]))
         lines = _PAIRING._build_lines(bn254_g2().generator().affine())
-        assert [len(step) for step in lines[:-1]] == [
-            1 + (bit == "1") for bit in _LOOP_BITS
-        ]
-        assert len(lines) == 65 and sum(len(step) for step in lines) == 102
+        assert [len(step) for step in lines[:-1]] == [1 + abs(d) for d in _LOOP_NAF]
+        assert all(len(line) == 4 for step in lines for line in step)
+        assert len(lines) == 66 and sum(len(step) for step in lines) == 88
 
     def test_an_element_builds_its_lines_once(self, builds):
         g1, q = bn254_g1().generator(), bn254_g2().generator() ** 11

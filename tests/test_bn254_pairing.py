@@ -3,19 +3,23 @@
 import hashlib
 import importlib
 import random
+from math import gcd
 
 import pytest
 
 from repro.errors import CryptoError
 from repro.groups.bn254 import bn254_pairing, pairing, pairing_check
-from repro.groups.bn254.fp import Fp2, Fp12, P, R
+from repro.groups.bn254.fp import FP2_ONE, FP2_ZERO, Fp2, Fp12, P, R
+from repro.groups.bn254.g1 import BN254G1Element
 from repro.groups.bn254.g2 import B2, G2_COFACTOR, BN254G2Element
 from repro.groups.bn254.pairing import (
     ATE_LOOP_COUNT,
     BN_X,
+    _LOOP_NAF,
     _add_step,
     _final_exponentiation,
     _miller_loop,
+    _normalize,
 )
 from repro.schemes import bls04, bz03
 
@@ -257,10 +261,11 @@ class TestDegenerateInputs:
     """Every degenerate input ends in CryptoError, never ZeroDivisionError/ValueError.
 
     A chord with H = 0 needs T = ±Q at an addition step, i.e. ord(Q) dividing
-    2k ± 1 for a loop prefix k; no element order of E′(Fp2) does, so on-twist
-    points reach it only by calling the step directly.  The element
-    constructor does not validate, though, and an off-curve order-3 "point"
-    walks into it through ``pairing_check``.
+    2k ± 1 for a prefix k of the signed loop (the addend's sign does not
+    matter); no element order of E′(Fp2) does, so on-twist points reach it
+    only by calling the step directly.  The element constructor does not
+    validate, though, and an off-curve order-3 "point" walks into it through
+    ``pairing_check``, as a G1 "point" with y = 0 walks into 1/y_P.
     """
 
     @staticmethod
@@ -277,10 +282,24 @@ class TestDegenerateInputs:
     def test_chord_through_equal_or_opposite_points(self, ctx):
         bilinear, _ = ctx
         point = self._off_subgroup_point(bilinear.g2)
-        xp, yp = bilinear.g1.generator().affine()
         for q in (point, point.inverse()):
             with pytest.raises(CryptoError):
-                _add_step(point._point, q.affine(), xp, yp)
+                _add_step(point._point, q.affine())
+
+    def test_signed_loop_prefixes_meet_no_element_order(self):
+        # T = [k]Q before each doubling, [2k]Q before the addition of ±Q
+        # that follows a nonzero digit; #E′(Fp2) = r·(2p − r), 10069 | 2p − r.
+        order = R * G2_COFACTOR
+        assert G2_COFACTOR % 10069 == 0
+        k, additions = 1, 0
+        for digit in _LOOP_NAF:
+            assert gcd(k, order) == 1
+            if digit:
+                additions += 1
+                for m in (2 * k - 1, 2 * k + 1):
+                    assert m % R and m % 10069 and gcd(m, order) == 1
+            k = 2 * k + digit
+        assert k == ATE_LOOP_COUNT and additions == 21
 
     def test_small_order_twist_points_give_an_answer(self, ctx):
         bilinear, _ = ctx
@@ -305,6 +324,21 @@ class TestDegenerateInputs:
         rogue = BN254G2Element(bilinear.g2, Fp2(5, 0), Fp2.zero())
         with pytest.raises(CryptoError):
             pairing_check([(bilinear.g1.generator(), rogue)])
+
+    def test_g1_point_with_y_zero(self, ctx):
+        bilinear, _ = ctx
+        for z in (1, 7):  # affine, and Jacobian (X, 0, Z)
+            rogue = BN254G1Element(bilinear.g1, (5 * z * z % P, 0, z))
+            with pytest.raises(CryptoError):
+                pairing_check([(rogue, bilinear.g2.generator())])
+            with pytest.raises(CryptoError):
+                bilinear.pair(rogue, bilinear.g2.generator())
+
+    def test_zero_line_coefficient_reaching_the_batched_inversion(self):
+        line, normalized = (FP2_ONE, (2, 3), (4, 5)), (2, 3, 4, 5)
+        assert _normalize([(line,), (line, line)]) == [(normalized,), (normalized,) * 2]
+        with pytest.raises(CryptoError):
+            _normalize([(line,), (line, (FP2_ZERO, (2, 3), (4, 5)))])
 
     def test_zero_miller_value(self):
         with pytest.raises(CryptoError):

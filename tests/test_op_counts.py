@@ -3,8 +3,10 @@
 Counts repeat exactly where timings do not, so a change that quietly adds
 a pairing check or a scalar multiplication to a request shows up here.
 Each row is one request shape; the counters are test-local wrappers around
-the kernel entry points, active only while the request runs.  A change
-that moves a count edits its row and says why.
+the kernel entry points, active only while the request runs.  One more row
+counts the field-arithmetic calls inside one pairing check, the operation
+the pairing schemes' requests are made of.  A change that moves a count
+edits its row and says why.
 """
 
 import asyncio
@@ -15,11 +17,16 @@ import pytest
 
 from repro.core.orchestration import PrecomputeConfig
 from repro.groups.base import Group
+from repro.groups.bn254 import bn254_g1, bn254_g2
 from repro.groups.bn254.g1 import BN254G1Element
+from repro.groups.ed25519 import Ed25519Element, Ed25519Group
+from repro.groups.precompute import PrecomputeCache
+from repro.schemes import get_scheme
 from repro.serialization import hexlify, unhexlify
 from repro.service.cluster import LocalCluster
 
-# The package re-exports the function ``pairing_check`` over its submodule.
+# The package re-exports the functions ``pairing`` and ``pairing_check``
+# over their submodule.
 _PAIRING = importlib.import_module("repro.groups.bn254.pairing")
 
 #: One BLS04 signature, t = 1, n = 4, asked of every node: each node signs
@@ -28,50 +35,152 @@ _PAIRING = importlib.import_module("repro.groups.bn254.pairing")
 #: admitted unverified.
 BLS04_SIGN = {"g1_pow": 4, "g1_multi_exp": 4, "pairing_check": 4}
 
+#: One BZ03 decryption, t = 1, n = 4, asked of every node: each node checks
+#: the ciphertext once (one two-pair ``pairing_check``), makes its share
+#: (one G1 ``**``), checks the one peer share it combines with it (one
+#: two-pair ``pairing_check``), combines them (one G1 ``multi_exp``) and
+#: unmasks the key with one ``pair``.  BZ03 is the other scheme on the
+#: BN254 pairing kernel.
+BZ03_DECRYPT = {"pairing_check": 8, "pair": 4, "g1_pow": 4, "g1_multi_exp": 4}
+
+#: One CKS05 coin, t = 1, n = 4, asked of every node: each node makes its
+#: share with a DLEQ proof and verifies the one peer share it combines.
+#: The same counts as thetabench's ``coin_fresh`` trace (8 / 4 / 12).
+CKS05_COIN = {"ed25519_pow": 8, "ed25519_decode": 4, "fixed_pow": 12}
+
+#: One SG02 decryption, t = 1, n = 4, asked of every node: each node checks
+#: the ciphertext's CCA proof once, makes its share with a DLEQ proof and
+#: verifies the one peer share it combines.  The same counts as
+#: thetabench's ``decrypt_durable`` trace (16 / 12 / 20).
+SG02_DECRYPT = {"ed25519_pow": 16, "ed25519_decode": 12, "fixed_pow": 20}
+
+#: Requests of the same shape that run before an Ed25519 row's counted one:
+#: until a base has recurred, ``fixed_pow`` runs a plain ``**`` on it.
+WARM_UP = (b"warm-up 1", b"warm-up 2")
+
+#: Kernel calls of one two-pair ``pairing_check`` whose G2 arguments have
+#: their lines: the Miller loop squares f at 64 of its 65 signed digits
+#: (f = 1 at the first) and multiplies in 88 lines per pair; the final
+#: exponentiation raises to x three times (62 squarings down the signed
+#: windows, one for f², 3 products for f³, f⁵, f⁷, 13 for the digits)
+#: around the Devegili–Scott–Dahab chain's 4 squarings and 15 products.
+PAIRING_CHECK_KERNEL = {
+    "fp12_sqr": 64,
+    "line_product": 176,
+    "cyclotomic_sqr": 3 * 63 + 4,
+    "fp12_mul": 3 * 16 + 15,
+}
+
+
+def _count(monkeypatch, counted, key, owner, name, when=lambda *args: True):
+    """Count the calls of ``owner.name`` (those ``when`` accepts) under ``key``."""
+    original = getattr(owner, name)
+
+    def counting(*args):
+        if when(*args):
+            counted[key] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
 
 @pytest.fixture
 def counts(monkeypatch):
     counted = Counter()
-    pow_, multi_exp, pairing_check = (
-        BN254G1Element.__pow__,
-        Group.multi_exp,
-        _PAIRING.pairing_check,
+    for key, owner, name in (
+        ("g1_pow", BN254G1Element, "__pow__"),
+        ("pairing_check", _PAIRING, "pairing_check"),
+        ("pair", _PAIRING, "pairing"),
+        ("ed25519_pow", Ed25519Element, "__pow__"),
+        ("ed25519_decode", Ed25519Group, "element_from_bytes"),
+        ("fixed_pow", PrecomputeCache, "pow"),
+    ):
+        _count(monkeypatch, counted, key, owner, name)
+    _count(
+        monkeypatch, counted, "g1_multi_exp", Group, "multi_exp",
+        when=lambda group, *args: group.name == "bn254g1",
     )
-
-    def counting_pow(self, scalar):
-        counted["g1_pow"] += 1
-        return pow_(self, scalar)
-
-    def counting_multi_exp(self, *args, **kwargs):
-        if self.name == "bn254g1":
-            counted["g1_multi_exp"] += 1
-        return multi_exp(self, *args, **kwargs)
-
-    def counting_pairing_check(pairs):
-        counted["pairing_check"] += 1
-        return pairing_check(pairs)
-
-    monkeypatch.setattr(BN254G1Element, "__pow__", counting_pow)
-    monkeypatch.setattr(Group, "multi_exp", counting_multi_exp)
-    monkeypatch.setattr(_PAIRING, "pairing_check", counting_pairing_check)
     return counted
+
+
+async def _broadcast(
+    keys: dict, method: str, data: bytes, counted: Counter, warm_up=()
+) -> tuple[dict, dict]:
+    """The counts and per-node replies of ``method`` on ``data`` asked of
+    every node; the counts cover only that request.
+
+    The requests on ``warm_up`` run first, so that the counted one meets
+    the fixed-base tables a warm node has promoted, as thetabench's do.
+    """
+    (key_id,) = keys
+    async with LocalCluster(keys) as cluster:
+
+        def ask(item: bytes):
+            return cluster.client.broadcast(method, {"key_id": key_id, "data": hexlify(item)})
+
+        for item in warm_up:
+            await ask(item)
+        counted.clear()  # booting the nodes is not the request
+        replies = await ask(data)
+        return dict(counted), replies
 
 
 def test_one_bls04_signature(keys_bls04, counts):
     message = b"count me once"
-
-    async def scenario():
-        async with LocalCluster({"bls04": keys_bls04}) as cluster:
-            counts.clear()  # booting the nodes is not the request
-            replies = await cluster.client.broadcast(
-                "sign", {"key_id": "bls04", "data": hexlify(message)}
-            )
-            return dict(counts), replies
-
-    counted, replies = asyncio.run(scenario())
+    counted, replies = asyncio.run(
+        _broadcast({"bls04": keys_bls04}, "sign", message, counts)
+    )
     signatures = {unhexlify(reply["result"]) for reply in replies.values()}
     assert len(replies) == 4 and len(signatures) == 1
     assert counted == BLS04_SIGN
+
+
+def test_one_bz03_decryption(keys_bz03, counts):
+    ciphertext = get_scheme("bz03").encrypt(keys_bz03.public_key, b"count me", b"")
+    counted, replies = asyncio.run(
+        _broadcast({"bz03": keys_bz03}, "decrypt", ciphertext.to_bytes(), counts)
+    )
+    assert {unhexlify(reply["result"]) for reply in replies.values()} == {b"count me"}
+    assert len(replies) == 4 and counted == BZ03_DECRYPT
+
+
+def test_one_cks05_coin(keys_cks05, counts):
+    counted, replies = asyncio.run(
+        _broadcast({"cks05": keys_cks05}, "flip_coin", b"coin", counts, WARM_UP)
+    )
+    assert len(replies) == 4 and len({r["result"] for r in replies.values()}) == 1
+    assert counted == CKS05_COIN
+
+
+def test_one_sg02_decryption(keys_sg02, counts):
+    plaintext = bytes(range(256)) * 16  # thetabench's 4 KiB payload
+    cipher = get_scheme("sg02")
+    ciphertext, *warm_up = (
+        cipher.encrypt(keys_sg02.public_key, plaintext, b"").to_bytes()
+        for _ in range(1 + len(WARM_UP))
+    )
+    counted, replies = asyncio.run(
+        _broadcast({"sg02": keys_sg02}, "decrypt", ciphertext, counts, warm_up)
+    )
+    assert {unhexlify(reply["result"]) for reply in replies.values()} == {plaintext}
+    assert len(replies) == 4 and counted == SG02_DECRYPT
+
+
+def test_one_two_pair_pairing_check_in_the_kernel(monkeypatch):
+    g1, g2 = bn254_g1().generator(), bn254_g2().generator()
+    y = g2**0xC0FFEE
+    pairs = [(g1**0xC0FFEE, g2), (g1.inverse(), y)]
+    assert _PAIRING.pairing_check(pairs)  # builds both tables
+    counted = Counter()
+    for key, name in (
+        ("fp12_sqr", "fp12_sqr"),
+        ("line_product", "fp12_mul_line"),
+        ("cyclotomic_sqr", "fp12_cyclotomic_sqr"),
+        ("fp12_mul", "fp12_mul"),
+    ):
+        _count(monkeypatch, counted, key, _PAIRING, name)
+    assert _PAIRING.pairing_check(pairs)
+    assert counted == PAIRING_CHECK_KERNEL
 
 
 def test_one_bls04_signature_whose_announce_is_overtaken(keys_bls04, counts):
