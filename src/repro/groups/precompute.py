@@ -9,23 +9,20 @@ build cost of 2^w·log₂(q)/w multiplications — four to five exponentiations
 on Ed25519, whose rows hold the flat kernel's addends
 (:meth:`~repro.groups.base.Group._fixed_base_form`), as BN254 G1's do.
 
-Because building a table only pays off for bases that recur, the cache uses
-*promotion*: a base is exponentiated naively until it has been seen
-``promotion_threshold`` times, after which a table is built and cached in a
-bounded LRU.  Generators, public keys, and verification keys are promoted
-within the first few requests.  The threshold counts sightings, not
-requests: a per-request base (a ciphertext ``u``-value, the hash point of a
-coin name) that one request exponentiates three times *is* promoted, and its
-table — four to five exponentiations to build on Ed25519 — is never used
-again.  Callers therefore keep such bases away from :func:`fixed_pow` and use
+Only long-lived bases reach the cache: generators, public keys and
+verification keys.  :func:`fixed_pow` builds a base's table the first time
+it sees that base and keeps it in a bounded LRU, so every later
+exponentiation of the base is a table lookup.  A per-request base (a
+ciphertext ``u``-value, the hash point of a coin name) would earn a table
+it never uses again — four to five exponentiations to build on Ed25519 —
+so callers keep such bases away from :func:`fixed_pow` and use
 ``base ** scalar`` or ``Group.multi_exp``; ``tests/test_precompute.py``
 holds the schemes to that.
 
 The cache lives in process memory only: it is built on demand and lost with
-the process, so a restarted node rebuilds the tables its traffic earns.
-
-All counters are exposed via :func:`precompute_stats` and surfaced through
-``ThetacryptNode.stats()`` so benchmarks can report hit rates.
+the process, so a restarted node rebuilds the tables its traffic needs.
+Its counters (:func:`precompute_stats`) reach the node's metric scrape
+through ``telemetry.register_crypto_cache_collector``.
 """
 
 from __future__ import annotations
@@ -92,38 +89,24 @@ class FixedBaseTable:
 
 
 class PrecomputeCache:
-    """Promotion-based LRU cache of :class:`FixedBaseTable` instances."""
+    """Bounded LRU of :class:`FixedBaseTable` instances, one per base."""
 
-    def __init__(
-        self,
-        table_capacity: int = 128,
-        seen_capacity: int = 4096,
-        promotion_threshold: int = 3,
-    ):
+    def __init__(self, table_capacity: int = 128):
         self.table_capacity = table_capacity
-        self.seen_capacity = seen_capacity
-        self.promotion_threshold = promotion_threshold
         self._tables: "OrderedDict[tuple[str, bytes], FixedBaseTable]" = OrderedDict()
-        self._seen: "OrderedDict[tuple[str, bytes], int]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
-        self.misses = 0
         self.tables_built = 0
         self.evictions = 0
-        self.promotions = 0
-        self.loads = 0
-
-    @staticmethod
-    def _key(base: "GroupElement") -> tuple[str, bytes]:
-        return (base.group.name, base.to_bytes())
 
     def table_for(self, base: "GroupElement") -> FixedBaseTable:
-        """Return the cached table for ``base``, building it unconditionally."""
-        key = self._key(base)
+        """Return the cached table for ``base``, building it on first use."""
+        key = (base.group.name, base.to_bytes())
         with self._lock:
             table = self._tables.get(key)
             if table is not None:
                 self._tables.move_to_end(key)
+                self.hits += 1
                 return table
         table = FixedBaseTable(base)
         with self._lock:
@@ -136,38 +119,15 @@ class PrecomputeCache:
         return table
 
     def pow(self, base: "GroupElement", scalar: int) -> "GroupElement":
-        """``base ** scalar``, through a table once the base has recurred."""
-        key = self._key(base)
-        build = False
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-                count = self._seen.get(key, 0) + 1
-                self._seen[key] = count
-                self._seen.move_to_end(key)
-                while len(self._seen) > self.seen_capacity:
-                    self._seen.popitem(last=False)
-                build = count >= self.promotion_threshold
-        if table is not None:
-            return table.pow(scalar)
-        if build:
-            with self._lock:
-                self.promotions += 1
-            return self.table_for(base).pow(scalar)
-        return base**scalar
+        """``base ** scalar`` through ``base``'s table."""
+        return self.table_for(base).pow(scalar)
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "hits": self.hits,
-                "misses": self.misses,
                 "tables_built": self.tables_built,
                 "evictions": self.evictions,
-                "promotions": self.promotions,
                 "tables": len(self._tables),
                 "capacity": self.table_capacity,
             }
@@ -175,9 +135,7 @@ class PrecomputeCache:
     def clear(self) -> None:
         with self._lock:
             self._tables.clear()
-            self._seen.clear()
-            self.hits = self.misses = self.tables_built = self.evictions = 0
-            self.promotions = 0
+            self.hits = self.tables_built = self.evictions = 0
 
 
 _CACHE = PrecomputeCache()
@@ -189,7 +147,7 @@ def fixed_pow(base: "GroupElement", scalar: int) -> "GroupElement":
 
 
 def fixed_base_table(base: "GroupElement") -> FixedBaseTable:
-    """Force-build (or fetch) the table for ``base`` in the shared cache."""
+    """The shared cache's table for ``base``, built on first use."""
     return _CACHE.table_for(base)
 
 

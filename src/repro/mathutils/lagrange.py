@@ -12,8 +12,7 @@ Two flavours are needed:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -25,72 +24,6 @@ from .modular import batch_inverse, inverse_mod
 def _check_distinct(xs: Sequence[int]) -> None:
     if len(set(xs)) != len(xs):
         raise DuplicateShareError(f"duplicate interpolation points in {list(xs)}")
-
-
-class _CoefficientCache:
-    """Bounded LRU cache for at-zero coefficient sets.
-
-    Every ``combine()`` in the discrete-log schemes interpolates at zero over
-    the same handful of signer sets, so the coefficient map is keyed by
-    ``(sorted ids, modulus)`` and reused across requests.  Entries are
-    immutable mapping proxies, safe to hand to concurrent callers.
-    """
-
-    def __init__(self, capacity: int = 1024):
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple[tuple[int, ...], int], Mapping[int, int]]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: tuple[tuple[int, ...], int]) -> Mapping[int, int] | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: tuple[tuple[int, ...], int], value: Mapping[int, int]) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "capacity": self.capacity,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-
-_CACHE = _CoefficientCache()
-
-
-def lagrange_cache_stats() -> dict:
-    """Hit/size counters for the at-zero coefficient cache (node stats)."""
-    return _CACHE.stats()
-
-
-def clear_lagrange_cache() -> None:
-    """Drop all cached coefficient sets and reset counters (tests/benchmarks)."""
-    _CACHE.clear()
 
 
 def lagrange_coefficient(xs: Sequence[int], i: int, x: int, modulus: int) -> int:
@@ -107,9 +40,8 @@ def lagrange_coefficient(xs: Sequence[int], i: int, x: int, modulus: int) -> int
     return (num * inverse_mod(den, modulus)) % modulus
 
 
-def _coefficients_at_zero_uncached(
-    xs: Sequence[int], modulus: int
-) -> dict[int, int]:
+@lru_cache(maxsize=1024)
+def _coefficients_at_zero(xs: tuple[int, ...], modulus: int) -> Mapping[int, int]:
     """One-pass computation: a single inversion serves all coefficients."""
     numerators: list[int] = []
     denominators: list[int] = []
@@ -123,9 +55,9 @@ def _coefficients_at_zero_uncached(
         numerators.append(num)
         denominators.append(den)
     inverses = batch_inverse(denominators, modulus)
-    return {
-        i: num * inv % modulus for i, num, inv in zip(xs, numerators, inverses)
-    }
+    return MappingProxyType(
+        {i: num * inv % modulus for i, num, inv in zip(xs, numerators, inverses)}
+    )
 
 
 def lagrange_coefficients_at_zero(
@@ -133,21 +65,31 @@ def lagrange_coefficients_at_zero(
 ) -> Mapping[int, int]:
     """All coefficients λ_i for recovering f(0) from points ``xs``.
 
-    Results are served from a bounded LRU cache keyed by the (unordered) set
-    of points and the modulus; the uncached path uses Montgomery batch
-    inversion so the whole set costs one ``inverse_mod``.  The returned
-    mapping is read-only.
+    Every ``combine()`` in the discrete-log schemes interpolates over the
+    same handful of signer sets, so results are served from a bounded LRU
+    cache keyed by the sorted points and the modulus; the uncached path
+    uses Montgomery batch inversion so the whole set costs one
+    ``inverse_mod``.  The returned mapping is read-only, safe to hand to
+    concurrent callers.
     """
     _check_distinct(xs)
-    key = (tuple(sorted(xs)), modulus)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    entry: Mapping[int, int] = MappingProxyType(
-        _coefficients_at_zero_uncached(xs, modulus)
-    )
-    _CACHE.put(key, entry)
-    return entry
+    return _coefficients_at_zero(tuple(sorted(xs)), modulus)
+
+
+def lagrange_cache_stats() -> dict:
+    """Hit/size counters for the at-zero coefficient cache."""
+    info = _coefficients_at_zero.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "size": info.currsize,
+        "capacity": info.maxsize,
+    }
+
+
+def clear_lagrange_cache() -> None:
+    """Drop all cached coefficient sets and reset counters (tests/benchmarks)."""
+    _coefficients_at_zero.cache_clear()
 
 
 def interpolate_at(

@@ -101,8 +101,6 @@ class NetworkManager:
         self,
         transport: P2PNetwork,
         enable_tob: bool = False,
-        sequencer_id: int = 1,
-        tob_block_interval: float = 0.0,
         gossip_fanout: int | None = None,
         tob: TotalOrderBroadcast | None = None,
     ):
@@ -117,11 +115,7 @@ class NetworkManager:
             self._tob: TotalOrderBroadcast | None = tob
             self._owns_tob_transport = False
         elif enable_tob:
-            self._tob = SequencerTob(
-                self._mux.channel(_TAG_TOB),
-                sequencer_id=sequencer_id,
-                block_interval=tob_block_interval,
-            )
+            self._tob = SequencerTob(self._mux.channel(_TAG_TOB))
             self._owns_tob_transport = True
         else:
             self._tob = None

@@ -5,15 +5,9 @@ platform (a blockchain's consensus, §3.6).  For standalone deployments this
 module supplies a simple sequencer: node ``sequencer_id`` stamps submissions
 with consecutive sequence numbers and re-broadcasts them; every node buffers
 and delivers in stamp order, so all nodes observe the same message sequence.
-
-An optional ``block_interval`` batches submissions into "blocks" before
-stamping, mimicking the delivery rhythm of a ledger — useful for the
-TOB-vs-P2P ablation benchmark.
 """
 
 from __future__ import annotations
-
-import asyncio
 
 from ..serialization import Reader, encode_bytes, encode_int
 from ..telemetry import ChannelMetrics
@@ -26,21 +20,13 @@ _ORDERED = 1
 class SequencerTob(TotalOrderBroadcast):
     """Sequencer-stamped total order over a P2P transport."""
 
-    def __init__(
-        self,
-        transport: P2PNetwork,
-        sequencer_id: int = 1,
-        block_interval: float = 0.0,
-    ):
+    def __init__(self, transport: P2PNetwork, sequencer_id: int = 1):
         self._transport = transport
         self._sequencer_id = sequencer_id
-        self._block_interval = block_interval
         self._handler: MessageHandler | None = None
         self._next_stamp = 0  # sequencer state
         self._next_delivery = 0
         self._pending: dict[int, tuple[int, bytes]] = {}
-        self._block_queue: list[tuple[int, bytes]] = []
-        self._block_task: asyncio.Task | None = None
         self._metrics = ChannelMetrics(transport.node_id, "tob")
         transport.set_handler(self._on_frame)
 
@@ -55,8 +41,6 @@ class SequencerTob(TotalOrderBroadcast):
         await self._transport.start()
 
     async def stop(self) -> None:
-        if self._block_task is not None:
-            self._block_task.cancel()
         await self._transport.stop()
 
     # -- submission -----------------------------------------------------------
@@ -73,22 +57,6 @@ class SequencerTob(TotalOrderBroadcast):
     # -- sequencer side ------------------------------------------------------------
 
     async def _sequence(self, origin: int, data: bytes) -> None:
-        if self._block_interval > 0:
-            self._block_queue.append((origin, data))
-            if self._block_task is None or self._block_task.done():
-                self._block_task = asyncio.get_running_loop().create_task(
-                    self._flush_block_later()
-                )
-            return
-        await self._stamp_and_broadcast(origin, data)
-
-    async def _flush_block_later(self) -> None:
-        await asyncio.sleep(self._block_interval)
-        queue, self._block_queue = self._block_queue, []
-        for origin, data in queue:
-            await self._stamp_and_broadcast(origin, data)
-
-    async def _stamp_and_broadcast(self, origin: int, data: bytes) -> None:
         stamp = self._next_stamp
         self._next_stamp += 1
         frame = (

@@ -34,9 +34,7 @@ class NodeConfig:
     rpc_port: int = 0
     peers: tuple[PeerConfig, ...] = ()
     transport: str = "tcp"  # "tcp" or "local"
-    enable_tob: bool = True
-    tob_sequencer: int = 1
-    tob_block_interval: float = 0.0
+    enable_tob: bool = True  # built-in sequencer TOB; node 1 sequences
     gossip_fanout: int | None = None
     instance_timeout: float = 60.0
     # §3.2: "RPC requests can be authenticated by exploiting the common
@@ -75,8 +73,19 @@ class NodeConfig:
             raise ConfigurationError(
                 f"node id {self.node_id} outside 1..{self.parties}"
             )
+        if self.threshold < 0:
+            raise ConfigurationError(f"threshold must be >= 0, got {self.threshold}")
         if self.threshold >= self.parties:
             raise ConfigurationError("threshold must be below the party count")
+        if self.instance_timeout <= 0:
+            raise ConfigurationError(
+                f"instance_timeout must be > 0, got {self.instance_timeout}"
+            )
+        if self.gossip_fanout is not None and self.gossip_fanout < 2:
+            raise ConfigurationError(
+                f"gossip_fanout must be >= 2 (or None to disable), "
+                f"got {self.gossip_fanout}"
+            )
         if self.transport not in ("tcp", "local"):
             raise ConfigurationError(f"unknown transport {self.transport!r}")
         if self.metrics_port is not None and self.metrics_port < 0:
@@ -112,7 +121,10 @@ class NodeConfig:
 
     @staticmethod
     def from_json(text: str) -> "NodeConfig":
-        payload = config_fields(NodeConfig, json.loads(text))
+        payload = json.loads(text)
+        if isinstance(payload, dict):
+            payload = _drop_retired(payload)
+        payload = config_fields(NodeConfig, payload)
         peers = payload.pop("peers", [])
         plan_payload = payload.pop("fault_plan", None)
         precompute_payload = payload.pop("precompute", None)
@@ -132,6 +144,26 @@ class NodeConfig:
         from dataclasses import replace
 
         return replace(self, rpc_auth_token=token)
+
+
+#: Removed fields that every ``config.json`` written while they existed
+#: carries (``to_json`` is ``asdict``): the one value each may still hold,
+#: and why no other value has a meaning now.
+_RETIRED = {
+    "tob_sequencer": (1, "node 1 sequences the built-in TOB"),
+    "tob_block_interval": (0.0, "the built-in TOB stamps each submission at once"),
+}
+
+
+def _drop_retired(payload: dict) -> dict:
+    for key, (value, reason) in _RETIRED.items():
+        if key in payload and (
+            isinstance(payload[key], bool) or payload[key] != value
+        ):
+            raise ConfigurationError(
+                f"config key {key!r} must be {value}: {reason}, got {payload[key]!r}"
+            )
+    return {k: v for k, v in payload.items() if k not in _RETIRED}
 
 
 def make_local_configs(

@@ -59,13 +59,11 @@ def load_node(
     return node
 
 
-async def run_until_signal(
-    node: ThetacryptNode, drain_timeout: float | None = None
-) -> None:
+async def run_until_signal(node: ThetacryptNode) -> None:
     """Start the node and serve until SIGINT/SIGTERM.
 
     Graceful shutdown: on signal the daemon first *drains* — waits up to
-    the configured timeout for in-flight instances to terminate (their
+    the config's ``drain_timeout`` for in-flight instances to terminate (their
     results then land in the durable cache and the journal carries their
     terminal records) — and only then tears down RPC, transports, and the
     storage handles.  Instances still pending when the budget runs out are
@@ -88,13 +86,12 @@ async def run_until_signal(
         except NotImplementedError:  # pragma: no cover - non-POSIX platforms
             pass
     await stop.wait()
-    budget = drain_timeout if drain_timeout is not None else node.config.drain_timeout
     logger.info(
         "shutting down node %d (draining up to %.1fs)",
         node.config.node_id,
-        budget,
+        node.config.drain_timeout,
     )
-    drained = await node.drain(budget)
+    drained = await node.drain()
     if not drained:
         logger.warning(
             "node %d: %d instances still in flight after drain timeout",
@@ -108,13 +105,6 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description="Run one Thetacrypt node")
     parser.add_argument("--config", required=True, help="NodeConfig JSON file")
     parser.add_argument("--keystore", required=True, help="keystore JSON file")
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=None,
-        help="seconds to wait for in-flight instances on shutdown "
-        "(default: the config's drain_timeout)",
-    )
     parser.add_argument(
         "--precompute-depth",
         type=int,
@@ -130,7 +120,7 @@ def main(argv: list[str] | None = None) -> None:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     node = load_node(args.config, args.keystore, precompute_depth=args.precompute_depth)
-    asyncio.run(run_until_signal(node, drain_timeout=args.drain_timeout))
+    asyncio.run(run_until_signal(node))
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ from ..telemetry import (
     StorageMetrics,
     default_registry,
     register_crypto_cache_collector,
-    register_fixedbase_collector,
     render_text,
     summarize,
 )
@@ -122,8 +121,6 @@ class ThetacryptNode:
         self.network = NetworkManager(
             transport,
             enable_tob=config.enable_tob,
-            sequencer_id=config.tob_sequencer,
-            tob_block_interval=config.tob_block_interval,
             gossip_fanout=config.gossip_fanout,
             tob=tob,
         )
@@ -133,7 +130,6 @@ class ThetacryptNode:
         # registry and are merged into this node's exposition.
         self.registry = MetricRegistry()
         register_crypto_cache_collector(default_registry())
-        register_fixedbase_collector(default_registry())
         # Event-loop lag heartbeat: the direct measure of how long inline
         # crypto blocks everything else on this node's loop.
         self._lag_sampler = EventLoopLagSampler(self.registry)
@@ -208,16 +204,15 @@ class ThetacryptNode:
                 *self._recovery.values(),
             )
 
-    async def drain(self, timeout: float | None = None) -> bool:
+    async def drain(self) -> bool:
         """Wait (bounded) for in-flight instances to terminate.
 
         Graceful-shutdown hook: returns True when the node went idle
-        within ``timeout`` seconds (default ``config.drain_timeout``),
-        False if instances were still pending when the budget ran out.
+        within ``config.drain_timeout`` seconds, False if instances were
+        still pending when the budget ran out.
         """
-        budget = timeout if timeout is not None else self.config.drain_timeout
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + budget
+        deadline = loop.time() + self.config.drain_timeout
         while self.instances.active_count > 0 and loop.time() < deadline:
             await asyncio.sleep(0.02)
         return self.instances.active_count == 0
@@ -571,8 +566,6 @@ class ThetacryptNode:
         and latency digests are read from the metric registry — the source
         Prometheus scrapes — so the two views cannot disagree.
         """
-        from ..telemetry import crypto_cache_snapshot
-
         return {
             "node_id": self.config.node_id,
             # Terminated instances by final status, from
@@ -588,7 +581,6 @@ class ThetacryptNode:
             # memory-only nodes and for clean first boots).
             "recovery": dict(self._recovery),
             "latency": dict(summarize(self.registry.get("repro_instance_seconds"))),
-            "crypto_cache": crypto_cache_snapshot(),
             # Constant: big integers are CPython's pow.  Kept only because
             # benchmarks/thetabench/measure.py reads its "name".
             "crypto_backend": {"name": "python"},

@@ -18,9 +18,7 @@ from .instruments import (
     PrecomputeMetrics,
     RpcMetrics,
     StorageMetrics,
-    crypto_cache_snapshot,
     register_crypto_cache_collector,
-    register_fixedbase_collector,
 )
 from .registry import (
     DEFAULT_BUCKETS,
@@ -62,14 +60,12 @@ __all__ = [
     "TraceEvent",
     "adopt_trace",
     "counter",
-    "crypto_cache_snapshot",
     "current_trace",
     "default_registry",
     "gauge",
     "histogram",
     "parse_text",
     "register_crypto_cache_collector",
-    "register_fixedbase_collector",
     "render_text",
     "start_trace",
     "summarize",

@@ -272,19 +272,10 @@ class EventLoopLagSampler:
             self.histogram.observe(max(0.0, loop.time() - deadline))
 
 
-def crypto_cache_snapshot() -> dict:
-    """Live counters of the process-wide crypto caches (one source of truth
-    for ``stats()``, the registry collector, and the benchmark suites)."""
-    from ..groups.precompute import precompute_stats
-    from ..mathutils.lagrange import lagrange_cache_stats
-
-    return {"fixed_base": precompute_stats(), "lagrange": lagrange_cache_stats()}
-
-
 def register_crypto_cache_collector(
     registry: MetricRegistry | None = None,
 ) -> None:
-    """Expose the PR-1 crypto-cache counters as registry gauges.
+    """Expose the process-wide crypto-cache counters as registry gauges.
 
     Pull-style: the gauges are refreshed from the caches at collect time,
     so the caches themselves stay instrumentation-free. Idempotent per
@@ -295,51 +286,28 @@ def register_crypto_cache_collector(
         return
     family = registry.gauge(
         "repro_crypto_cache",
-        "Precompute-cache counters (fixed-base tables, Lagrange "
-        "coefficients) mirrored from the live caches at scrape time.",
+        "Crypto-cache counters (fixed-base tables, Lagrange "
+        "coefficients) read from the live caches at scrape time.",
         ("cache", "stat"),
+    )
+    # The same count as repro_crypto_cache{cache="fixed_base",
+    # stat="tables_built"}, under the name thetabench reads.
+    built = registry.gauge(
+        "repro_fixedbase_tables_built_total",
+        "Fixed-base tables built from scratch in this process.",
     )
 
     def collect() -> None:
-        for cache_name, stats in crypto_cache_snapshot().items():
+        from ..groups.precompute import precompute_stats
+        from ..mathutils.lagrange import lagrange_cache_stats
+
+        fixed_base = precompute_stats()
+        built.set(fixed_base["tables_built"])
+        for cache_name, stats in (
+            ("fixed_base", fixed_base),
+            ("lagrange", lagrange_cache_stats()),
+        ):
             for stat, value in stats.items():
                 family.labels(cache_name, stat).set(value)
-
-    registry.register_collector(collect)
-
-
-#: Fixed-base table-lifecycle gauge names, in ``precompute_stats()`` order.
-_FIXEDBASE_GAUGES = (
-    ("repro_fixedbase_tables_built_total", "tables_built",
-     "Fixed-base tables built from scratch in this process."),
-    ("repro_fixedbase_tables_hits_total", "hits",
-     "Fixed-base cache hits: exponentiations answered from a table."),
-    ("repro_fixedbase_tables_promotions_total", "promotions",
-     "Bases promoted to a table after recurring past the threshold."),
-)
-
-
-def register_fixedbase_collector(registry: MetricRegistry | None = None) -> None:
-    """Expose the fixed-base table lifecycle as dedicated scrape series.
-
-    The aggregate ``repro_crypto_cache`` family already mirrors these
-    counters as labels; these flat series exist so dashboards and
-    benchmarks can read them directly.  Pull-style and idempotent per
-    registry, like the cache collector.
-    """
-    registry = registry if registry is not None else default_registry()
-    if registry.get(_FIXEDBASE_GAUGES[0][0]) is not None:
-        return
-    gauges = [
-        (registry.gauge(name, help_text), stat)
-        for name, stat, help_text in _FIXEDBASE_GAUGES
-    ]
-
-    def collect() -> None:
-        from ..groups.precompute import precompute_stats
-
-        stats = precompute_stats()
-        for gauge, stat in gauges:
-            gauge.set(stats[stat])
 
     registry.register_collector(collect)

@@ -136,6 +136,21 @@ MALFORMED = [
         lambda d: [d],
         "NodeConfig must be a JSON object, got list",
     ),
+    (
+        "threshold negative",
+        lambda d: _with(d, threshold=-1),
+        "threshold must be >= 0, got -1",
+    ),
+    (
+        "instance_timeout zero",
+        lambda d: _with(d, instance_timeout=0),
+        "instance_timeout must be > 0, got 0",
+    ),
+    (
+        "gossip_fanout below two",
+        lambda d: _with(d, gossip_fanout=1),
+        "gossip_fanout must be >= 2 (or None to disable), got 1",
+    ),
 ]
 
 
@@ -189,6 +204,33 @@ class TestConfigFile:
             "precompute key 'eager' must be true: an announce always runs "
             "its request ahead of demand, got False"
         )
+
+    @pytest.mark.parametrize(
+        "key,written,refused,message",
+        [
+            (
+                "tob_sequencer", 1, 2,
+                "config key 'tob_sequencer' must be 1: node 1 sequences the "
+                "built-in TOB, got 2",
+            ),
+            (
+                "tob_block_interval", 0.0, 0.02,
+                "config key 'tob_block_interval' must be 0.0: the built-in TOB "
+                "stamps each submission at once, got 0.02",
+            ),
+        ],
+    )
+    def test_config_written_with_the_tob_knobs(self, key, written, refused, message):
+        """Every config ``tools/deal_keys.py`` wrote while ``NodeConfig`` had
+        ``tob_sequencer`` and ``tob_block_interval`` carries both at their
+        defaults: those still load, any other value is refused by name."""
+        document = json.loads(make_local_configs(4, 1)[0].to_json())
+        document[key] = written
+        assert NodeConfig.from_json(json.dumps(document)) == make_local_configs(4, 1)[0]
+        document[key] = refused
+        with pytest.raises(ConfigurationError) as caught:
+            NodeConfig.from_json(json.dumps(document))
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "edit,message",

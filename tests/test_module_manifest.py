@@ -6,10 +6,13 @@ a paper section, an EXPERIMENTS.md row or a benchmark, naming the files
 that show the claim.  A module that is neither fails here, and so does an
 ``OWNERS`` row for a module the daemons now reach, because that row no
 longer says why the module is kept.  DESIGN.md's "Repository layout" block
-is checked against the same tree.
+is checked against the same tree, and the options a deployment can set
+(``NodeConfig``, ``PrecomputeConfig``, the daemon's flags) against a
+pinned budget.
 """
 
 import ast
+import dataclasses
 import modulefinder
 import re
 import sys
@@ -197,3 +200,43 @@ def test_a_planted_copy_is_caught(tmp_path):
         "node = ThetacryptNode(config, transport=hub.endpoint(1))\n"
     )
     assert _hand_wired_files(tmp_path) == ["tests/test_copy.py"]
+
+
+# -- the options budget -----------------------------------------------------------
+
+#: Every option a deployment can set.  A new knob fails here until its PR
+#: edits the list and names, in CHANGES.md, two non-test callers that need
+#: different values of it; a knob no deployment sets is deleted instead.
+NODE_CONFIG_FIELDS = (
+    "node_id", "parties", "threshold", "listen_host", "listen_port",
+    "rpc_host", "rpc_port", "peers", "transport", "enable_tob",
+    "gossip_fanout", "instance_timeout", "rpc_auth_token", "metrics_port",
+    "fault_plan", "data_dir", "max_pending_instances",
+    "overload_retry_after", "drain_timeout", "precompute",
+)
+PRECOMPUTE_CONFIG_FIELDS = ("depth",)
+DAEMON_FLAGS = ("--config", "--keystore", "--precompute-depth", "--verbose")
+
+
+def test_node_config_fields_are_the_budget():
+    from repro.service.config import NodeConfig
+
+    assert tuple(f.name for f in dataclasses.fields(NodeConfig)) == NODE_CONFIG_FIELDS
+
+
+def test_precompute_config_fields_are_the_budget():
+    from repro.core.orchestration.precompute import PrecomputeConfig
+
+    fields = tuple(f.name for f in dataclasses.fields(PrecomputeConfig))
+    assert fields == PRECOMPUTE_CONFIG_FIELDS
+
+
+def test_daemon_flags_are_the_budget():
+    daemon = SRC / "repro" / "service" / "daemon.py"
+    flags = tuple(
+        node.args[0].value
+        for node in ast.walk(ast.parse(daemon.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+    )
+    assert flags == DAEMON_FLAGS

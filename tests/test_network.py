@@ -230,12 +230,9 @@ class TestGossip:
 
 
 class TestSequencerTob:
-    def _network(self, n, block_interval=0.0):
+    def _network(self, n):
         hub = LocalHub()
-        tobs = {
-            i: SequencerTob(hub.endpoint(i), sequencer_id=1, block_interval=block_interval)
-            for i in range(1, n + 1)
-        }
+        tobs = {i: SequencerTob(hub.endpoint(i), sequencer_id=1) for i in range(1, n + 1)}
         return hub, tobs
 
     def test_total_order_identical_everywhere(self):
@@ -270,21 +267,6 @@ class TestSequencerTob:
             await tobs[3].submit(b"payload")
             await hub.drain()
             assert delivered == [(3, b"payload")]
-
-        asyncio.run(scenario())
-
-    def test_block_batching_preserves_order(self):
-        async def scenario():
-            hub, tobs = self._network(3, block_interval=0.02)
-            delivered = {i: [] for i in tobs}
-            for i, tob in tobs.items():
-                tob.set_handler(collect_handler(delivered[i]))
-            for k in range(5):
-                await tobs[2].submit(b"m%d" % k)
-            await asyncio.sleep(0.1)
-            await hub.drain()
-            assert delivered[1] == delivered[2] == delivered[3]
-            assert len(delivered[1]) == 5
 
         asyncio.run(scenario())
 
@@ -335,7 +317,7 @@ class TestNetworkManager:
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(hub.endpoint(i), enable_tob=True, sequencer_id=1)
+                i: NetworkManager(hub.endpoint(i), enable_tob=True)
                 for i in (1, 2, 3)
             }
             seen = {i: [] for i in managers}

@@ -20,7 +20,7 @@ from repro.groups.base import Group
 from repro.groups.bn254 import bn254_g1, bn254_g2
 from repro.groups.bn254.g1 import BN254G1Element
 from repro.groups.ed25519 import Ed25519Element, Ed25519Group
-from repro.groups.precompute import PrecomputeCache
+from repro.groups.precompute import PrecomputeCache, clear_precompute_cache
 from repro.schemes import get_scheme
 from repro.serialization import hexlify, unhexlify
 from repro.service.cluster import LocalCluster
@@ -53,10 +53,6 @@ CKS05_COIN = {"ed25519_pow": 8, "ed25519_decode": 4, "fixed_pow": 12}
 #: verifies the one peer share it combines.  The same counts as
 #: thetabench's ``decrypt_durable`` trace (16 / 12 / 20).
 SG02_DECRYPT = {"ed25519_pow": 16, "ed25519_decode": 12, "fixed_pow": 20}
-
-#: Requests of the same shape that run before an Ed25519 row's counted one:
-#: until a base has recurred, ``fixed_pow`` runs a plain ``**`` on it.
-WARM_UP = (b"warm-up 1", b"warm-up 2")
 
 #: Kernel calls of one two-pair ``pairing_check`` whose G2 arguments have
 #: their lines: the Miller loop squares f at 64 of its 65 signed digits
@@ -104,24 +100,21 @@ def counts(monkeypatch):
 
 
 async def _broadcast(
-    keys: dict, method: str, data: bytes, counted: Counter, warm_up=()
+    keys: dict, method: str, data: bytes, counted: Counter
 ) -> tuple[dict, dict]:
     """The counts and per-node replies of ``method`` on ``data`` asked of
     every node; the counts cover only that request.
 
-    The requests on ``warm_up`` run first, so that the counted one meets
-    the fixed-base tables a warm node has promoted, as thetabench's do.
+    The nodes are cold: ``fixed_pow`` builds a long-lived base's table on
+    its first use, from ``*`` alone, so a cold request counts as a warm one.
     """
     (key_id,) = keys
     async with LocalCluster(keys) as cluster:
-
-        def ask(item: bytes):
-            return cluster.client.broadcast(method, {"key_id": key_id, "data": hexlify(item)})
-
-        for item in warm_up:
-            await ask(item)
+        clear_precompute_cache()
         counted.clear()  # booting the nodes is not the request
-        replies = await ask(data)
+        replies = await cluster.client.broadcast(
+            method, {"key_id": key_id, "data": hexlify(data)}
+        )
         return dict(counted), replies
 
 
@@ -146,7 +139,7 @@ def test_one_bz03_decryption(keys_bz03, counts):
 
 def test_one_cks05_coin(keys_cks05, counts):
     counted, replies = asyncio.run(
-        _broadcast({"cks05": keys_cks05}, "flip_coin", b"coin", counts, WARM_UP)
+        _broadcast({"cks05": keys_cks05}, "flip_coin", b"coin", counts)
     )
     assert len(replies) == 4 and len({r["result"] for r in replies.values()}) == 1
     assert counted == CKS05_COIN
@@ -154,13 +147,9 @@ def test_one_cks05_coin(keys_cks05, counts):
 
 def test_one_sg02_decryption(keys_sg02, counts):
     plaintext = bytes(range(256)) * 16  # thetabench's 4 KiB payload
-    cipher = get_scheme("sg02")
-    ciphertext, *warm_up = (
-        cipher.encrypt(keys_sg02.public_key, plaintext, b"").to_bytes()
-        for _ in range(1 + len(WARM_UP))
-    )
+    ciphertext = get_scheme("sg02").encrypt(keys_sg02.public_key, plaintext, b"")
     counted, replies = asyncio.run(
-        _broadcast({"sg02": keys_sg02}, "decrypt", ciphertext, counts, warm_up)
+        _broadcast({"sg02": keys_sg02}, "decrypt", ciphertext.to_bytes(), counts)
     )
     assert {unhexlify(reply["result"]) for reply in replies.values()} == {plaintext}
     assert len(replies) == 4 and counted == SG02_DECRYPT

@@ -26,6 +26,7 @@ REQUIRED_FAMILIES = {
     "repro_network_dispatch_total",
     "repro_network_delivered_total",
     "repro_crypto_cache",
+    "repro_fixedbase_tables_built_total",
 }
 
 
@@ -138,9 +139,20 @@ class TestMetricsEndpoints:
                     parsed, "repro_network_dispatch_total", node="1"
                 ) >= 1
 
-                # The PR-1 crypto cache counters, now registry gauges.
-                assert ("repro_crypto_cache", (("cache", "fixed_base"), ("stat", "hits"))) in parsed
-                assert ("repro_crypto_cache", (("cache", "lagrange"), ("stat", "hits"))) in parsed
+                # The crypto-cache counters: one family, plus the built
+                # count under the name thetabench reads.
+                cache_stats = {}
+                for name, labels in parsed:
+                    if name == "repro_crypto_cache":
+                        cache, stat = dict(labels)["cache"], dict(labels)["stat"]
+                        cache_stats.setdefault(cache, set()).add(stat)
+                assert cache_stats == {
+                    "fixed_base": {"hits", "tables_built", "evictions", "tables", "capacity"},
+                    "lagrange": {"hits", "misses", "size", "capacity"},
+                }
+                assert parsed[("repro_fixedbase_tables_built_total", ())] == parsed[
+                    ("repro_crypto_cache", (("cache", "fixed_base"), ("stat", "tables_built")))
+                ]
 
         asyncio.run(scenario())
 
