@@ -54,6 +54,19 @@ CKS05_COIN = {"ed25519_pow": 8, "ed25519_decode": 4, "fixed_pow": 12}
 #: thetabench's ``decrypt_durable`` trace (16 / 12 / 20).
 SG02_DECRYPT = {"ed25519_pow": 16, "ed25519_decode": 12, "fixed_pow": 20}
 
+#: One DKG, t = 1, n = 4, run by every node for a new cks05 key: each
+#: node deals a degree-1 polynomial (2 ``**``), decodes the 2 commitments of
+#: each of its 3 peers' deals, checks the 4 sub-shares it holds (3 ``**``
+#: each) and derives the 4 verification keys (2 ``**`` each): 22 ``**`` and
+#: 6 decodes a node.  No base is long-lived enough for a fixed-base table.
+DKG_RUN = {"ed25519_pow": 88, "ed25519_decode": 24, "fixed_pow": 0}
+
+#: One proactive refresh of a cks05 key, t = 1, n = 4: dealers 1 and 2
+#: deal (2 ``**`` each); every node checks the 2 sub-shares it holds
+#: (3 ``**`` each) and derives the 4 verification keys (2 ``**`` each).
+#: A dealer decodes its one peer deal, a non-dealer both.
+REFRESH_RUN = {"ed25519_pow": 60, "ed25519_decode": 12, "fixed_pow": 0}
+
 #: Kernel calls of one two-pair ``pairing_check`` whose G2 arguments have
 #: their lines: the Miller loop squares f at 64 of its 65 signed digits
 #: (f = 1 at the first) and multiplies in 88 lines per pair; the final
@@ -153,6 +166,31 @@ def test_one_sg02_decryption(keys_sg02, counts):
     )
     assert {unhexlify(reply["result"]) for reply in replies.values()} == {plaintext}
     assert len(replies) == 4 and counted == SG02_DECRYPT
+
+
+async def _cold_call(keys: dict, call, counted: Counter) -> dict:
+    """The counts of ``call(client)`` alone on a cold cluster."""
+    async with LocalCluster(keys) as cluster:
+        clear_precompute_cache()
+        counted.clear()
+        await call(cluster.client)
+        return dict(counted)
+
+
+def test_one_dkg(counts):
+    counted = asyncio.run(
+        _cold_call({}, lambda client: client.run_dkg("dkg", scheme="cks05"), counts)
+    )
+    assert Counter(counted) == Counter(DKG_RUN)
+
+
+def test_one_refresh(keys_cks05, counts):
+    counted = asyncio.run(
+        _cold_call(
+            {"coin": keys_cks05}, lambda client: client.refresh_key("coin"), counts
+        )
+    )
+    assert Counter(counted) == Counter(REFRESH_RUN)
 
 
 def test_one_two_pair_pairing_check_in_the_kernel(monkeypatch):
