@@ -4,8 +4,9 @@
 The paper's evaluation assumes a trusted dealer, but notes setup can instead
 run "through a distributed key-generation protocol, which is run by the
 parties themselves".  This example runs the Joint-Feldman DKG over the
-network layer — each party deals sub-shares in directed P2P messages — and
-then uses the resulting dealerless key for a threshold coin.
+network layer — every party deals a random secret, its sub-shares in
+directed P2P messages, and t+1 dealers must pass the VSS check — and then
+uses the resulting dealerless key for a threshold coin.
 
 Run from the repository root:
 
@@ -15,7 +16,7 @@ Run from the repository root:
 import asyncio
 
 from repro.core.orchestration import InstanceManager
-from repro.core.protocols import DkgProtocol
+from repro.core.protocols import DealProtocol
 from repro.groups import get_group
 from repro.network.local import LocalHub
 from repro.network.manager import NetworkManager
@@ -42,7 +43,12 @@ async def main() -> None:
 
     # Each node runs its DKG protocol instance; no dealer anywhere.
     protocols = {
-        i: DkgProtocol("dkg-ceremony-1", i, THRESHOLD, PARTIES, group)
+        i: DealProtocol(
+            "dkg-ceremony-1", i, THRESHOLD, PARTIES, group,
+            dealers=range(1, PARTIES + 1),
+            secret=group.random_scalar(),
+            need=THRESHOLD + 1,
+        )
         for i in managers
     }
     for i, protocol in protocols.items():
@@ -64,7 +70,7 @@ async def main() -> None:
         tuple(result_1.verification_keys),
     )
     shares = {
-        i: Cks05KeyShare(i, protocols[i].result.key_share, public)
+        i: Cks05KeyShare(i, protocols[i].result.share_value, public)
         for i in protocols
     }
 

@@ -4,14 +4,14 @@
   non-interactive schemes (partial result → t+1 valid shares → combine);
 * :mod:`frost` — the two-round KG20/FROST signing protocol (with the
   optional precomputation mode);
-* :mod:`dkg_protocol` — distributed key generation as a TRI protocol.
+* :mod:`dealing` — distributed key generation and proactive refresh, one
+  Feldman dealing round.
 """
 
 from .operations import OperationRequest, make_operation
 from .noninteractive import NonInteractiveProtocol
 from .frost import FrostProtocol, FrostPrecomputationPool, FrostPrecomputeProtocol
-from .dkg_protocol import DkgProtocol
-from .reshare_protocol import ReshareProtocol
+from .dealing import DealProtocol
 
 __all__ = [
     "OperationRequest",
@@ -20,6 +20,5 @@ __all__ = [
     "FrostProtocol",
     "FrostPrecomputationPool",
     "FrostPrecomputeProtocol",
-    "DkgProtocol",
-    "ReshareProtocol",
+    "DealProtocol",
 ]

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from ...errors import CryptoError, ProtocolAbortedError, ProtocolError
+from ...errors import (
+    CryptoError,
+    InvalidShareError,
+    ProtocolAbortedError,
+    ProtocolError,
+)
 from ...schemes import kg20
 from ..messages import Channel, ProtocolMessage
 from ..tri import ThresholdRoundProtocol
@@ -142,7 +147,7 @@ class FrostProtocol(ThresholdRoundProtocol):
             # buffering; FROST is not robust anyway.
             self._share_payloads[message.sender] = message.payload
         else:
-            raise ProtocolError(f"unexpected FROST round {message.round}")
+            raise InvalidShareError(f"unexpected FROST round {message.round}")
 
     def is_ready_for_next_round(self) -> bool:
         return (

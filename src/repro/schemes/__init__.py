@@ -30,7 +30,7 @@ from .base import (
 )
 from .dleq import DleqProof, dleq_prove, dleq_verify
 from . import bls04, bz03, cks05, kg20, sg02, sh00
-from . import dkg, keystore, resharing
+from . import dealing, keystore
 from .keygen import generate_keys
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "bls04",
     "kg20",
     "cks05",
-    "dkg",
+    "dealing",
     "keystore",
-    "resharing",
 ]

@@ -3,7 +3,7 @@
 The paper's methodology assumes "a setup phase during which a trusted dealer
 distributes the key material for all schemes" (§4.4).  This module is that
 dealer.  A distributed alternative (no dealer) is provided by
-:mod:`repro.schemes.dkg`.
+:mod:`repro.schemes.dealing`.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from ..core.orchestration import (
     derive_instance_id,
 )
 from ..core.protocols import (
-    DkgProtocol,
+    DealProtocol,
     FrostPrecomputeProtocol,
     FrostProtocol,
     NonInteractiveProtocol,
@@ -37,7 +37,9 @@ from ..network.faults import FaultyNetwork
 from ..network.interfaces import P2PNetwork
 from ..network.manager import NetworkManager
 from ..network.tcp import TcpP2P
+from ..schemes import cks05, kg20, sg02
 from ..schemes.base import SCHEME_TABLE, SchemeKind, get_scheme
+from ..schemes.dealing import refresh_secret
 from ..serialization import hexlify
 from ..storage import DurableKeystore, DurableResultCache
 from ..telemetry import (
@@ -62,6 +64,15 @@ _KIND_TO_OP = {
     SchemeKind.CIPHER: "decrypt",
     SchemeKind.SIGNATURE: "sign",
     SchemeKind.RANDOMNESS: "coin",
+}
+
+
+#: The schemes whose key material a dealing yields, ``(Y = g^x, Y_i =
+#: g^{x_i})``: scheme → (public key class, key share class).
+_DEALT_KEYS = {
+    "cks05": (cks05.Cks05PublicKey, cks05.Cks05KeyShare),
+    "sg02": (sg02.Sg02PublicKey, sg02.Sg02KeyShare),
+    "kg20": (kg20.Kg20PublicKey, kg20.Kg20KeyShare),
 }
 
 
@@ -431,101 +442,97 @@ class ThetacryptNode:
             ]
         )
 
+    async def _deal(
+        self, instance_id, scheme, group, threshold, parties, dealers, secret
+    ):
+        """Run one Feldman dealing among ``dealers`` (a DKG or a refresh) to
+        its end, t+1 of them to qualify.  Returns this node's new ``scheme``
+        key share, whose ``public`` is the new public key, and the group key
+        in hex."""
+        protocol = DealProtocol(
+            instance_id, self.config.node_id, threshold, parties, group,
+            dealers, secret, need=threshold + 1,
+        )
+        result = (await self._run_control(protocol, scheme)).result
+        public_cls, share_cls = _DEALT_KEYS[scheme]
+        public = public_cls(
+            group.name, threshold, parties, result.group_key,
+            result.verification_keys,
+        )
+        share = share_cls(self.config.node_id, result.share_value, public)
+        return share, hexlify(result.group_key.to_bytes())
+
     async def run_dkg(
         self, key_id: str, scheme: str = "cks05", group_name: str = "ed25519"
     ) -> str:
         """Generate a key *without a dealer* and install it under ``key_id``.
 
         All nodes must call this with the same arguments (the instance id is
-        derived from them).  The Joint-Feldman output has the shape
-        ``(Y = g^x, Y_i = g^{x_i})``, which is exactly the key material of
-        the discrete-log schemes; supported targets: cks05, sg02, kg20.
-        Returns the hex group public key.
+        derived from them); every node deals a random secret.  The
+        Joint-Feldman output has the shape ``(Y = g^x, Y_i = g^{x_i})``,
+        which is exactly the key material of the discrete-log schemes;
+        supported targets: cks05, sg02, kg20.  Returns the hex group public
+        key.
         """
-        from ..schemes import cks05 as cks05_mod
-        from ..schemes import kg20 as kg20_mod
-        from ..schemes import sg02 as sg02_mod
-
-        key_types = {
-            "cks05": (cks05_mod.Cks05PublicKey, cks05_mod.Cks05KeyShare),
-            "sg02": (sg02_mod.Sg02PublicKey, sg02_mod.Sg02KeyShare),
-            "kg20": (kg20_mod.Kg20PublicKey, kg20_mod.Kg20KeyShare),
-        }
-        if scheme not in key_types:
+        if scheme not in _DEALT_KEYS:
             raise RpcError(
-                f"DKG output fits DL schemes only ({sorted(key_types)}), "
+                f"DKG output fits DL schemes only ({sorted(_DEALT_KEYS)}), "
                 f"not {scheme!r}"
             )
         if key_id in self.keys:
             raise RpcError(f"key id {key_id!r} already installed")
         group = get_group(group_name)
-        instance_id = derive_instance_id(
-            "dkg", key_id, group_name.encode(), scheme.encode()
-        )
-        protocol = DkgProtocol(
-            instance_id,
-            self.config.node_id,
-            self.config.threshold,
-            self.config.parties,
+        parties = self.config.parties
+        share, group_key = await self._deal(
+            derive_instance_id("dkg", key_id, group_name.encode(), scheme.encode()),
+            scheme,
             group,
-        )
-        result = (await self._run_control(protocol, scheme)).result
-        public_cls, share_cls = key_types[scheme]
-        public = public_cls(
-            group_name,
             self.config.threshold,
-            self.config.parties,
-            result.group_key,
-            tuple(result.verification_keys),
+            parties,
+            dealers=range(1, parties + 1),
+            secret=group.random_scalar(),
         )
-        share = share_cls(self.config.node_id, result.key_share, public)
-        self.install_key(key_id, scheme, public, share)
-        return hexlify(result.group_key.to_bytes())
+        self.install_key(key_id, scheme, share.public, share)
+        return group_key
 
     async def refresh_key(self, key_id: str) -> str:
         """Proactively refresh an installed DL key's shares (same public key).
 
         All nodes must call this with the same ``key_id``.  The first t+1
-        nodes re-deal; every node ends up with a fresh share of the same
-        secret, and the entry in the key manager is swapped atomically once
-        the protocol finishes.  Returns the (unchanged) group key in hex.
+        nodes re-deal their Lagrange-weighted shares; every node ends up
+        with a fresh share of the same secret, and the entry in the key
+        manager is swapped atomically once the protocol finishes.  Returns
+        the (unchanged) group key in hex.
         """
-        from ..core.protocols import ReshareProtocol
-
         entry = self.keys.get(key_id)
-        if entry.scheme not in ("cks05", "sg02", "kg20"):
+        if entry.scheme not in _DEALT_KEYS:
             raise RpcError(
                 f"refresh supports the DL schemes, not {entry.scheme!r}"
             )
         public = entry.public_key
+        dealers = range(1, public.threshold + 2)
+        node_id = self.config.node_id
         # The public key carries every party's verification key, so it
         # changes with each refresh and names the epoch: repeated refreshes
         # are distinct, the name is as durable as the keystore, and a node
         # still on the old epoch derives another id instead of mixing shares.
-        instance_id = derive_instance_id("refresh", key_id, public.to_bytes())
-        protocol = ReshareProtocol(
-            instance_id,
-            self.config.node_id,
-            public.threshold,
-            public.parties,
+        share, group_key = await self._deal(
+            derive_instance_id("refresh", key_id, public.to_bytes()),
+            entry.scheme,
             public.group,
-            entry.key_share.value,
-        )
-        result = (await self._run_control(protocol, entry.scheme)).result
-        new_public = type(public)(
-            public.group_name,
             public.threshold,
             public.parties,
-            result.group_key,
-            tuple(result.verification_keys),
+            dealers,
+            secret=(
+                refresh_secret(node_id, entry.key_share.value, dealers, public.group)
+                if node_id in dealers
+                else None
+            ),
         )
-        if _group_key(new_public) != _group_key(public):
+        if _group_key(share.public) != _group_key(public):
             raise RpcError("refresh produced a different group key; aborting swap")
-        new_share = type(entry.key_share)(
-            self.config.node_id, result.share_value, new_public
-        )
-        self.keys.replace(key_id, new_public, new_share)
-        return hexlify(result.group_key.to_bytes())
+        self.keys.replace(key_id, share.public, share)
+        return group_key
 
     # -- scheme API (direct primitive access) ----------------------------------
 

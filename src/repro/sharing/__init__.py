@@ -1,9 +1,8 @@
-"""Secret sharing: Shamir over fields and integers, Feldman/Pedersen VSS."""
+"""Secret sharing: Shamir over fields and integers, Feldman VSS."""
 
 from .shamir import ShamirShare, share_secret, reconstruct_secret
 from .integer_shamir import share_integer_secret
 from .feldman import FeldmanCommitment, feldman_share
-from .pedersen import PedersenCommitment, pedersen_share, pedersen_verify
 
 __all__ = [
     "ShamirShare",
@@ -12,7 +11,4 @@ __all__ = [
     "share_integer_secret",
     "FeldmanCommitment",
     "feldman_share",
-    "PedersenCommitment",
-    "pedersen_share",
-    "pedersen_verify",
 ]

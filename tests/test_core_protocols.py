@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.messages import Channel, ProtocolMessage
 from repro.core.protocols import (
-    DkgProtocol,
+    DealProtocol,
     FrostPrecomputationPool,
     FrostPrecomputeProtocol,
     FrostProtocol,
@@ -14,6 +14,7 @@ from repro.core.protocols import (
 )
 from repro.errors import (
     ConfigurationError,
+    InvalidShareError,
     ProtocolAbortedError,
     ProtocolError,
 )
@@ -246,12 +247,18 @@ class TestFrostProtocol:
             protocol.update(message)
 
 
+def _dkg(instance_id, party_id, group, threshold=1, parties=4):
+    """A DKG at one party: dealers 1..n, a random secret, t+1 to qualify."""
+    return DealProtocol(
+        instance_id, party_id, threshold, parties, group,
+        range(1, parties + 1), group.random_scalar(), need=threshold + 1,
+    )
+
+
 class TestDkgProtocol:
     def test_full_dkg_run(self):
         group = get_group("ed25519")
-        protocols = [
-            DkgProtocol(f"dkg-1", i, 1, 4, group) for i in range(1, 5)
-        ]
+        protocols = [_dkg("dkg-1", i, group) for i in range(1, 5)]
         results = pump(protocols)
         assert len(set(results.values())) == 1  # same group key everywhere
         shares = {p.party_id: p.result for p in protocols}
@@ -259,27 +266,27 @@ class TestDkgProtocol:
         from repro.mathutils.lagrange import lagrange_coefficients_at_zero
 
         lam = lagrange_coefficients_at_zero(ids, group.order)
-        x = sum(shares[i].key_share * lam[i] for i in ids) % group.order
+        x = sum(shares[i].share_value * lam[i] for i in ids) % group.order
         assert group.generator() ** x == shares[1].group_key
 
     def test_directed_messages_have_recipients(self):
         group = get_group("ed25519")
-        protocol = DkgProtocol("dkg-2", 1, 1, 4, group)
+        protocol = _dkg("dkg-2", 1, group)
         messages = protocol.do_round()
         assert sorted(m.recipient for m in messages) == [2, 3, 4]
 
     def test_misaddressed_share_rejected(self):
         group = get_group("ed25519")
-        p1 = DkgProtocol("dkg-3", 1, 1, 4, group)
-        p2 = DkgProtocol("dkg-3", 2, 1, 4, group)
+        p1 = _dkg("dkg-3", 1, group)
+        p2 = _dkg("dkg-3", 2, group)
         p1.do_round()
         messages = p2.do_round()
         to_party_3 = next(m for m in messages if m.recipient == 3)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(InvalidShareError, match="addressed to party 3"):
             p1.update(to_party_3)
 
     def test_result_before_finalize_rejected(self):
         group = get_group("ed25519")
-        protocol = DkgProtocol("dkg-4", 1, 1, 4, group)
+        protocol = _dkg("dkg-4", 1, group)
         with pytest.raises(ProtocolError):
             protocol.result

@@ -275,50 +275,46 @@ class TestRefreshOnDurableNodes:
 
 
 class TestReshareProtocolUnit:
-    def test_non_dealers_send_nothing(self):
-        from repro.core.protocols import ReshareProtocol
+    """A refresh at one party: dealers 1..t+1, each to qualify."""
+
+    @staticmethod
+    def _refresh(party_id, secret, dealers=(1, 2)):
+        from repro.core.protocols import DealProtocol
 
         group = get_group("ed25519")
-        protocol = ReshareProtocol("ref", 4, 1, 4, group, current_share_value=5)
-        assert not protocol.is_dealer
+        return DealProtocol("ref", party_id, 1, 4, group, dealers, secret, need=2)
+
+    def test_non_dealers_send_nothing(self):
+        protocol = self._refresh(4, None)
         assert protocol.do_round() == []
 
     def test_dealer_sends_directed_deals(self):
-        from repro.core.protocols import ReshareProtocol
-
-        group = get_group("ed25519")
-        protocol = ReshareProtocol("ref", 1, 1, 4, group, current_share_value=5)
-        assert protocol.is_dealer
+        protocol = self._refresh(1, 5)
         messages = protocol.do_round()
         assert sorted(m.recipient for m in messages) == [2, 3, 4]
 
     def test_deal_from_non_dealer_rejected(self):
         # A rogue non-dealer (party 3 in a t=1 refresh, dealers = {1, 2})
         # forges a deal; the receiver must reject it.
-        from repro.core.protocols import ReshareProtocol
-        from repro.errors import ProtocolError
+        from repro.errors import InvalidShareError
 
-        group = get_group("ed25519")
-        receiver = ReshareProtocol("ref", 1, 1, 4, group, 5)
+        receiver = self._refresh(1, 5)
         receiver.do_round()
-        rogue = ReshareProtocol("ref", 3, 1, 4, group, 7)
-        rogue._dealers = (1, 3)  # pretends dealership it does not have
+        rogue = self._refresh(3, 7, dealers=(1, 3))  # claims a dealership
         forged = next(m for m in rogue.do_round() if m.recipient == 1)
-        with pytest.raises(ProtocolError, match="not a refresh dealer"):
+        with pytest.raises(InvalidShareError, match="not a dealer"):
             receiver.update(forged)
 
     def test_mismatched_sender_rejected(self):
         from repro.core.messages import ProtocolMessage
-        from repro.core.protocols import ReshareProtocol
-        from repro.errors import ProtocolError
+        from repro.errors import InvalidShareError
 
-        group = get_group("ed25519")
-        receiver = ReshareProtocol("ref", 3, 1, 4, group, 5)
+        receiver = self._refresh(3, None)
         receiver.do_round()
-        dealer = ReshareProtocol("ref", 1, 1, 4, group, 9)
+        dealer = self._refresh(1, 9)
         message = next(m for m in dealer.do_round() if m.recipient == 3)
         spoofed = ProtocolMessage(
             message.instance_id, 2, 0, message.channel, message.payload, 3
         )
-        with pytest.raises(ProtocolError, match="sender"):
+        with pytest.raises(InvalidShareError, match="claims dealer 1"):
             receiver.update(spoofed)

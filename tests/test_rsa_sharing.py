@@ -1,4 +1,4 @@
-"""RSA substrate and secret sharing: Shamir, integer Shamir, Feldman, Pedersen."""
+"""RSA substrate and secret sharing: Shamir, integer Shamir, Feldman."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +15,6 @@ from repro.rsa.keygen import FIXTURE_MODULI, generate_shoup_modulus, modulus_for
 from repro.sharing import (
     FeldmanCommitment,
     feldman_share,
-    pedersen_share,
-    pedersen_verify,
     reconstruct_secret,
     share_integer_secret,
     share_secret,
@@ -171,29 +169,3 @@ class TestFeldman:
         group = get_group("ed25519")
         _, commitment = feldman_share(5, 3, 6, group)
         assert commitment.threshold == 3
-
-
-class TestPedersen:
-    def test_shares_verify(self):
-        group = get_group("ed25519")
-        shares, blinding, commitment = pedersen_share(555, 2, 5, group)
-        for share, blind in zip(shares, blinding):
-            pedersen_verify(commitment, share, blind, group)
-
-    def test_tampered_share_rejected(self):
-        group = get_group("ed25519")
-        shares, blinding, commitment = pedersen_share(555, 2, 5, group)
-        bad = ShamirShare(shares[0].id, (shares[0].value + 1) % group.order)
-        with pytest.raises(InvalidShareError):
-            pedersen_verify(commitment, bad, blinding[0], group)
-
-    def test_mismatched_ids_rejected(self):
-        group = get_group("ed25519")
-        shares, blinding, commitment = pedersen_share(555, 2, 5, group)
-        with pytest.raises(InvalidShareError):
-            pedersen_verify(commitment, shares[0], blinding[1], group)
-
-    def test_reconstruction(self):
-        group = get_group("ed25519")
-        shares, _, _ = pedersen_share(31337, 2, 5, group)
-        assert reconstruct_secret(shares[:3], 2, group.order) == 31337

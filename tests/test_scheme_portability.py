@@ -47,9 +47,10 @@ class TestSchemePortability:
         scheme.verify(public, b"g1-message", signature)
 
     def test_dkg_on_bn254g1(self):
-        from repro.schemes.dkg import dkg_all_parties
+        from repro.groups import get_group
+        from tests.test_keygen_dkg import deal_all
 
-        results = dkg_all_parties(1, 4, group_name="bn254g1")
+        results = deal_all(get_group("bn254g1"), 1, 4)
         assert len({r.group_key.to_bytes() for r in results}) == 1
 
     def test_serialization_round_trips_via_registry(self):
