@@ -130,16 +130,11 @@ class ProtocolExecutor:
         with only clean messages means not enough parties answered; an
         apparent quorum that still timed out stays a plain ``timeout``.
         """
-        progress = self.protocol.progress()
-        detail = (
-            f"{progress[0]}/{progress[1]} shares"
-            if progress is not None
-            else "progress unknown"
-        )
-        detail += f", {self.rejected} rejected"
+        have, need = self.protocol.progress()
+        detail = f"{have}/{need} shares, {self.rejected} rejected"
         if self.rejected > 0:
             return "byzantine_detected", detail
-        if progress is not None and progress[0] < progress[1]:
+        if have < need:
             return "insufficient_shares", detail
         return "timeout", detail
 
@@ -156,14 +151,11 @@ class ProtocolExecutor:
             return
         if self.protocol.finalized or not self._last_outgoing:
             return
-        progress = self.protocol.progress()
-        if progress is not None and progress[0] >= progress[1]:
+        have, need = self.protocol.progress()
+        if have >= need:
             return  # quorum already reached; finalization is in flight
         self.trace.event(
-            "rebroadcast",
-            round=self.protocol.round,
-            have=progress[0] if progress else -1,
-            need=progress[1] if progress else -1,
+            "rebroadcast", round=self.protocol.round, have=have, need=need
         )
         if self._metrics is not None:
             self._metrics.rebroadcasts.labels(self.record.scheme).inc()

@@ -97,6 +97,9 @@ class DealProtocol(ThresholdRoundProtocol):
     def is_ready_to_finalize(self) -> bool:
         return self._started and len(self._deals) == len(self._dealers)
 
+    def progress(self) -> tuple[int, int]:
+        return len(self._deals), len(self._dealers)
+
     def finalize(self) -> bytes:
         if not self.is_ready_to_finalize():
             raise ProtocolError("dealing finalized before every deal arrived")

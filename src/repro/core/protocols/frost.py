@@ -266,6 +266,9 @@ class FrostPrecomputeProtocol(ThresholdRoundProtocol):
     def is_ready_to_finalize(self) -> bool:
         return self._started and len(self._batches) == self._parties
 
+    def progress(self) -> tuple[int, int]:
+        return len(self._batches), self._parties
+
     def finalize(self) -> bytes:
         if not self.is_ready_to_finalize():
             raise ProtocolError("precompute finalize before all batches arrived")

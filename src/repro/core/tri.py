@@ -64,14 +64,14 @@ class ThresholdRoundProtocol(ABC):
     def finalize(self) -> bytes:
         """Compute the final result locally (e.g. assemble partial shares)."""
 
-    def progress(self) -> tuple[int, int] | None:
-        """(collected, needed) for the current round, or None if unknown.
+    @abstractmethod
+    def progress(self) -> tuple[int, int]:
+        """(collected, needed) for the current round.
 
-        Optional: lets the executor classify a timeout as
-        ``insufficient_shares`` (quorum never formed) versus a plain
-        ``timeout`` (stalled despite apparent progress).
+        Lets the executor classify a timeout as ``insufficient_shares``
+        (quorum never formed) versus a plain ``timeout`` (stalled despite
+        apparent progress), and skip its re-broadcast once a quorum is in.
         """
-        return None
 
     # -- shared bookkeeping --------------------------------------------------
 

@@ -119,10 +119,6 @@ class Group(ABC):
         """Reduce a byte string into Z_q (used for Fiat-Shamir challenges)."""
         return int.from_bytes(data, "big") % self.order
 
-    def element_size(self) -> int:
-        """Length in bytes of the canonical element encoding."""
-        return len(self.generator().to_bytes())
-
     def multi_exp(
         self, bases: Sequence[GroupElement], exponents: Sequence[int], window: int = 4
     ) -> GroupElement:

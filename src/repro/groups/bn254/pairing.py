@@ -280,9 +280,6 @@ class BilinearGroup:
     ) -> bool:
         return pairing_check(pairs)
 
-    def gt_identity(self) -> Fp12:
-        return Fp12.one()
-
 
 _BILINEAR = BilinearGroup()
 

@@ -218,21 +218,6 @@ class FaultDecision:
     corrupt: bool = False
     delay: float = 0.0
 
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        kinds = []
-        if self.drop:
-            kinds.append("drop")
-        if self.delay > 0:
-            kinds.append("delay")
-        if self.duplicate:
-            kinds.append("duplicate")
-        if self.reorder:
-            kinds.append("reorder")
-        if self.corrupt:
-            kinds.append("corrupt")
-        return tuple(kinds)
-
 
 def corrupt_frame(data: bytes, rng: random.Random) -> bytes:
     """Byzantine corruption of one wire frame.

@@ -9,7 +9,6 @@ dealer.  A distributed alternative (no dealer) is provided by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..errors import ConfigurationError
 from . import bls04, bz03, cks05, kg20, sg02, sh00
@@ -73,15 +72,3 @@ def generate_keys(
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     return KeyMaterial(scheme, public, tuple(shares))
 
-
-def deal_all_schemes(
-    threshold: int,
-    parties: int,
-    schemes: Sequence[str] = ("sg02", "bz03", "sh00", "bls04", "kg20", "cks05"),
-    rsa_bits: int = 2048,
-) -> dict[str, KeyMaterial]:
-    """Deal one key per scheme — the setup used before every benchmark run."""
-    return {
-        name: generate_keys(name, threshold, parties, rsa_bits=rsa_bits)
-        for name in schemes
-    }

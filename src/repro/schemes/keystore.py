@@ -21,28 +21,20 @@ from ..serialization import Reader, encode_bytes, encode_int, encode_str, hexlif
 from . import bls04, bz03, cks05, kg20, sg02, sh00
 from .keygen import KeyMaterial
 
-_PUBLIC_DECODERS = {
-    "sg02": sg02.Sg02PublicKey.from_bytes,
-    "bz03": bz03.Bz03PublicKey.from_bytes,
-    "sh00": sh00.Sh00PublicKey.from_bytes,
-    "bls04": bls04.Bls04PublicKey.from_bytes,
-    "kg20": kg20.Kg20PublicKey.from_bytes,
-    "cks05": cks05.Cks05PublicKey.from_bytes,
-}
-
-_SHARE_TYPES = {
-    "sg02": sg02.Sg02KeyShare,
-    "bz03": bz03.Bz03KeyShare,
-    "sh00": sh00.Sh00KeyShare,
-    "bls04": bls04.Bls04KeyShare,
-    "kg20": kg20.Kg20KeyShare,
-    "cks05": cks05.Cks05KeyShare,
+#: Scheme → (public key class, key share class).
+KEY_CLASSES = {
+    "sg02": (sg02.Sg02PublicKey, sg02.Sg02KeyShare),
+    "bz03": (bz03.Bz03PublicKey, bz03.Bz03KeyShare),
+    "sh00": (sh00.Sh00PublicKey, sh00.Sh00KeyShare),
+    "bls04": (bls04.Bls04PublicKey, bls04.Bls04KeyShare),
+    "kg20": (kg20.Kg20PublicKey, kg20.Kg20KeyShare),
+    "cks05": (cks05.Cks05PublicKey, cks05.Cks05KeyShare),
 }
 
 
 def export_key_share(scheme: str, key_share) -> bytes:
     """Serialize one party's share (public part included, self-contained)."""
-    if scheme not in _SHARE_TYPES:
+    if scheme not in KEY_CLASSES:
         raise KeyManagementError(f"unknown scheme {scheme!r}")
     return (
         encode_str(scheme)
@@ -56,19 +48,23 @@ def import_key_share(data: bytes):
     """Inverse of :func:`export_key_share`; returns (scheme, key_share)."""
     reader = Reader(data)
     scheme = reader.read_str()
-    if scheme not in _PUBLIC_DECODERS:
+    if scheme not in KEY_CLASSES:
         raise SerializationError(f"unknown scheme {scheme!r} in key share")
-    public = _PUBLIC_DECODERS[scheme](reader.read_bytes())
+    public_cls, share_cls = KEY_CLASSES[scheme]
+    public = public_cls.from_bytes(reader.read_bytes())
     share_id = reader.read_int()
     value = reader.read_int()
     reader.finish()
-    share = _SHARE_TYPES[scheme](share_id, value, public)
-    return scheme, share
+    if not 1 <= share_id <= public.parties:
+        raise SerializationError(
+            f"share id {share_id} outside 1..{public.parties} in key share"
+        )
+    return scheme, share_cls(share_id, value, public)
 
 
 def export_public_key(scheme: str, public_key) -> bytes:
     """Serialize just the public part (for encrypt/verify-only clients)."""
-    if scheme not in _PUBLIC_DECODERS:
+    if scheme not in KEY_CLASSES:
         raise KeyManagementError(f"unknown scheme {scheme!r}")
     return encode_str(scheme) + encode_bytes(public_key.to_bytes())
 
@@ -77,9 +73,9 @@ def import_public_key(data: bytes):
     """Inverse of :func:`export_public_key`; returns (scheme, public_key)."""
     reader = Reader(data)
     scheme = reader.read_str()
-    if scheme not in _PUBLIC_DECODERS:
+    if scheme not in KEY_CLASSES:
         raise SerializationError(f"unknown scheme {scheme!r} in public key")
-    public = _PUBLIC_DECODERS[scheme](reader.read_bytes())
+    public = KEY_CLASSES[scheme][0].from_bytes(reader.read_bytes())
     reader.finish()
     return scheme, public
 
@@ -98,18 +94,40 @@ def keystore_to_json(shares: Mapping[str, tuple[str, object]]) -> str:
     return json.dumps({"version": 1, "keys": entries}, indent=2)
 
 
-def keystore_from_json(text: str) -> dict[str, tuple[str, object]]:
-    """Decode a keystore document back to {key_id: (scheme, key_share)}."""
+def keystore_from_json(
+    text: str | bytes, source: str = "keystore"
+) -> dict[str, tuple[str, object]]:
+    """Decode a keystore document back to {key_id: (scheme, key_share)}.
+
+    Anything but a version 1 object whose ``keys`` object maps ids to hex
+    share blobs is refused with a :class:`SerializationError` that names
+    ``source`` and the problem (and the key id, for a bad share).
+    """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"keystore is not valid JSON: {exc}") from exc
-    if document.get("version") != 1:
-        raise SerializationError("unsupported keystore version")
-    return {
-        key_id: import_key_share(unhexlify(blob))
-        for key_id, blob in document.get("keys", {}).items()
-    }
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
+        raise SerializationError(f"{source} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SerializationError(
+            f"{source} is a JSON {type(document).__name__}, not an object"
+        )
+    version = document.get("version")
+    if type(version) is not int or version != 1:
+        raise SerializationError(f"{source}: unsupported keystore version {version!r}")
+    keys = document.get("keys", {})
+    if not isinstance(keys, dict):
+        raise SerializationError(
+            f"{source}: keys are a JSON {type(keys).__name__}, not an object"
+        )
+    shares = {}
+    for key_id, blob in keys.items():
+        if not isinstance(blob, str):
+            raise SerializationError(f"{source}: key {key_id!r} is not a hex string")
+        try:
+            shares[key_id] = import_key_share(unhexlify(blob))
+        except SerializationError as exc:
+            raise SerializationError(f"{source}: key {key_id!r}: {exc}") from exc
+    return shares
 
 
 def node_keystore(key_material: Mapping[str, KeyMaterial], node_id: int) -> str:

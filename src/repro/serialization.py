@@ -21,7 +21,6 @@ a node (``config.json``): it checks one object against a config dataclass.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, SerializationError
 
@@ -47,14 +46,6 @@ def encode_int(value: int) -> bytes:
 def encode_str(value: str) -> bytes:
     """Encode a unicode string as length-prefixed UTF-8."""
     return encode_bytes(value.encode("utf-8"))
-
-
-def encode_seq(items: Iterable[bytes]) -> bytes:
-    """Encode a sequence of already-encoded chunks with a count prefix."""
-    chunks = list(items)
-    if len(chunks) > _MAX_LEN:
-        raise SerializationError("sequence too long to encode")
-    return len(chunks).to_bytes(_LEN_BYTES, "big") + b"".join(chunks)
 
 
 class Reader:
@@ -97,15 +88,6 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise SerializationError("invalid UTF-8 string") from exc
 
-    def read_count(self) -> int:
-        return int.from_bytes(self._take(_LEN_BYTES), "big")
-
-    def iter_seq(self) -> Iterator[None]:
-        """Yield once per declared sequence item; caller reads each body."""
-        count = self.read_count()
-        for _ in range(count):
-            yield None
-
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
@@ -113,26 +95,6 @@ class Reader:
     def finish(self) -> None:
         if self.remaining:
             raise SerializationError(f"{self.remaining} trailing bytes after decode")
-
-
-def int_to_fixed(value: int, size: int) -> bytes:
-    """Encode an integer into exactly ``size`` big-endian bytes."""
-    try:
-        return value.to_bytes(size, "big")
-    except OverflowError as exc:
-        raise SerializationError(f"integer does not fit in {size} bytes") from exc
-
-
-def fixed_to_int(data: bytes, size: int) -> int:
-    """Decode an integer from exactly ``size`` big-endian bytes."""
-    if len(data) != size:
-        raise SerializationError(f"expected {size} bytes, got {len(data)}")
-    return int.from_bytes(data, "big")
-
-
-def encode_fields(*fields: bytes) -> bytes:
-    """Concatenate pre-encoded fields (readability helper for encoders)."""
-    return b"".join(fields)
 
 
 def hexlify(data: bytes) -> str:

@@ -139,12 +139,6 @@ class NodeConfig:
             **payload,
         )
 
-    def with_auth(self, token: str) -> "NodeConfig":
-        """Copy of this config with RPC authentication enabled."""
-        from dataclasses import replace
-
-        return replace(self, rpc_auth_token=token)
-
 
 #: Removed fields that every ``config.json`` written while they existed
 #: carries (``to_json`` is ``asdict``): the one value each may still hold,

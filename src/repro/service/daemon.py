@@ -16,9 +16,12 @@ import argparse
 import asyncio
 import logging
 import signal
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from ..core.orchestration.precompute import PrecomputeConfig
+from ..errors import ThetacryptError
 from ..schemes.keystore import keystore_from_json
 from .config import NodeConfig
 from .node import ThetacryptNode
@@ -52,8 +55,7 @@ def load_node(
             ),
         )
     node = ThetacryptNode(config)
-    with open(keystore_path) as handle:
-        shares = keystore_from_json(handle.read())
+    shares = keystore_from_json(Path(keystore_path).read_bytes(), keystore_path)
     for key_id, (scheme, share) in shares.items():
         node.install_key(key_id, scheme, share.public, share)
     return node
@@ -119,7 +121,12 @@ def main(argv: list[str] | None = None) -> None:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    node = load_node(args.config, args.keystore, precompute_depth=args.precompute_depth)
+    try:
+        node = load_node(
+            args.config, args.keystore, precompute_depth=args.precompute_depth
+        )
+    except (ThetacryptError, OSError) as exc:  # a bad file: say which, no traceback
+        sys.exit(f"cannot start node: {type(exc).__name__}: {exc}")
     asyncio.run(run_until_signal(node))
 
 

@@ -10,7 +10,6 @@ instance without extra coordination.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import logging
 from pathlib import Path
 
@@ -32,16 +31,16 @@ from ..core.protocols import (
     make_operation,
 )
 from ..groups.registry import get_group
-from ..errors import ConfigurationError, KeyManagementError, RpcError
+from ..errors import ConfigurationError, RpcError
 from ..network.faults import FaultyNetwork
 from ..network.interfaces import P2PNetwork
 from ..network.manager import NetworkManager
 from ..network.tcp import TcpP2P
-from ..schemes import cks05, kg20, sg02
 from ..schemes.base import SCHEME_TABLE, SchemeKind, get_scheme
 from ..schemes.dealing import refresh_secret
+from ..schemes.keystore import KEY_CLASSES
 from ..serialization import hexlify
-from ..storage import DurableKeystore, DurableResultCache
+from ..storage import DurableResultCache
 from ..telemetry import (
     EventLoopLagSampler,
     MetricRegistry,
@@ -68,22 +67,8 @@ _KIND_TO_OP = {
 
 
 #: The schemes whose key material a dealing yields, ``(Y = g^x, Y_i =
-#: g^{x_i})``: scheme → (public key class, key share class).
-_DEALT_KEYS = {
-    "cks05": (cks05.Cks05PublicKey, cks05.Cks05KeyShare),
-    "sg02": (sg02.Sg02PublicKey, sg02.Sg02KeyShare),
-    "kg20": (kg20.Kg20PublicKey, kg20.Kg20KeyShare),
-}
-
-
-def _group_key(public_key) -> dict:
-    """What a refresh leaves unchanged: every public-key field (group key,
-    threshold, parties, ...) but the per-party verification keys."""
-    return {
-        field.name: getattr(public_key, field.name)
-        for field in dataclasses.fields(public_key)
-        if field.name != "verification_keys"
-    }
+#: g^{x_i})``; their classes are in :data:`KEY_CLASSES`.
+_DEALT_KEYS = ("cks05", "sg02", "kg20")
 
 
 class ThetacryptNode:
@@ -105,10 +90,10 @@ class ThetacryptNode:
         if config.data_dir is not None:
             data_dir = Path(config.data_dir)
             data_dir.mkdir(parents=True, exist_ok=True)
-            keystore = DurableKeystore(data_dir / "keystore.bin")
+            keystore = data_dir / "keystore.bin"
             outcome_dir = data_dir / "results"
         self._outcomes = DurableResultCache(outcome_dir)
-        self.keys = KeyManager(store=keystore)
+        self.keys = KeyManager(keystore)
         if transport is None:
             if config.transport != "tcp":
                 raise ConfigurationError(
@@ -264,24 +249,9 @@ class ThetacryptNode:
     def install_key(
         self, key_id: str, scheme: str, public_key, key_share
     ) -> None:
-        """Register dealer output for this node (done before start).
-
-        A no-op when the node already holds a share of the *same key*: a
-        durable node restarting from its ``data_dir`` is handed the dealer
-        output again at every boot, and the share its keystore file holds —
-        the dealt one, or the one a ``refresh_key`` replaced it with — is
-        the one to keep.  Another key under a held id stays an error
-        (silently replacing a key share would be a custody bug).
-        """
-        if key_id in self.keys:
-            held = self.keys.get(key_id)
-            if held.scheme == scheme and _group_key(held.public_key) == _group_key(
-                public_key
-            ):
-                return
-            raise KeyManagementError(
-                f"key id {key_id!r} already installed with a different group key"
-            )
+        """Register dealer output for this node (done before start): a
+        no-op for a share of a key already held, refused for another key
+        under a held id (:meth:`KeyManager.register`)."""
         self.keys.register(key_id, scheme, public_key, key_share)
 
     # -- protocol API ----------------------------------------------------------
@@ -454,7 +424,7 @@ class ThetacryptNode:
             dealers, secret, need=threshold + 1,
         )
         result = (await self._run_control(protocol, scheme)).result
-        public_cls, share_cls = _DEALT_KEYS[scheme]
+        public_cls, share_cls = KEY_CLASSES[scheme]
         public = public_cls(
             group.name, threshold, parties, result.group_key,
             result.verification_keys,
@@ -529,8 +499,6 @@ class ThetacryptNode:
                 else None
             ),
         )
-        if _group_key(share.public) != _group_key(public):
-            raise RpcError("refresh produced a different group key; aborting swap")
         self.keys.replace(key_id, share.public, share)
         return group_key
 

@@ -28,10 +28,6 @@ class Deployment:
     def node_regions(self) -> list[Region]:
         return assign_regions(self.parties, list(self.regions))
 
-    @property
-    def is_global(self) -> bool:
-        return len(self.regions) > 1
-
     def rates(self) -> list[int]:
         """The capacity-test request rates: 1, 2, 4, ... max_rate (§4.2)."""
         rates, rate = [], 1

@@ -95,10 +95,6 @@ class FifoCpu:
             done()
         self._start_next()
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:
             return 0.0

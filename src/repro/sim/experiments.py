@@ -20,7 +20,7 @@ import os
 from .cluster import SimulatedThetaNetwork
 from .costs import CostModel
 from .deployments import Deployment
-from .metrics import ExperimentMetrics, find_knee, summarize
+from .metrics import ExperimentMetrics, summarize
 from .workload import Workload
 
 #: Paper payload sweep (§4.2): 256 B to 4 KiB.
@@ -96,16 +96,6 @@ def capacity_test(
             )
         )
     return points
-
-
-def knee_capacity(
-    deployment: Deployment,
-    scheme: str,
-    cost_model: CostModel | None = None,
-    duration: float = 10.0,
-) -> ExperimentMetrics:
-    """The knee point of a capacity test (§4.4's 'knee capacity')."""
-    return find_knee(capacity_test(deployment, scheme, cost_model=cost_model, duration=duration))
 
 
 def steady_state(

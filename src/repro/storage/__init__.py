@@ -1,10 +1,11 @@
-"""Durable node state: atomic snapshots, the write-ahead log, keystore,
-and the outcome table (docs/robustness.md, "Durability & recovery").
+"""Durable node state: atomic snapshots, the write-ahead log and the
+outcome table (docs/robustness.md, "Durability & recovery").
 
 Everything under ``NodeConfig.data_dir`` flows through this package::
 
     data_dir/
-      keystore.bin   # CRC-checked snapshot of this node's key shares
+      keystore.bin   # CRC-checked snapshot of this node's key shares,
+                     # written by core.orchestration.KeyManager
       results/       # segmented WAL backing the outcome table: instance
                      # lifecycle and finalized results, one log
 """
@@ -17,12 +18,10 @@ from .atomic import (
     unpack_record,
     write_versioned,
 )
-from .durable_keystore import DurableKeystore
 from .results import DurableResultCache, Outcome
 from .wal import WriteAheadLog
 
 __all__ = [
-    "DurableKeystore",
     "DurableResultCache",
     "Outcome",
     "WriteAheadLog",

@@ -79,8 +79,9 @@ def pack_record(payload: bytes, version: int = 1) -> bytes:
 def unpack_record(data: bytes, source: str = "<bytes>") -> tuple[int, bytes]:
     """Inverse of :func:`pack_record`; returns ``(version, payload)``.
 
-    Raises :class:`StorageError` on a bad magic, a truncated container, or
-    a CRC mismatch — the caller decides whether that is fatal.
+    Raises :class:`StorageError` on a bad magic, a truncated container,
+    bytes past the declared payload, or a CRC mismatch — the caller decides
+    whether that is fatal.
     """
     if len(data) < _HEADER_LEN:
         raise StorageError(f"{source}: truncated container header")
@@ -93,6 +94,11 @@ def unpack_record(data: bytes, source: str = "<bytes>") -> tuple[int, bytes]:
     if len(payload) != length:
         raise StorageError(
             f"{source}: payload truncated ({len(payload)}/{length} bytes)"
+        )
+    if len(data) > _HEADER_LEN + length:
+        raise StorageError(
+            f"{source}: {len(data) - _HEADER_LEN - length} trailing bytes "
+            "after the payload"
         )
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise StorageError(f"{source}: CRC32 mismatch")

@@ -126,7 +126,6 @@ class HistogramChild(_Child):
         self._buckets = [0] * (len(family.buckets) + 1)  # + the +Inf bucket
         self._sum = 0.0
         self._count = 0
-        self._min = math.inf
         self._max = -math.inf
         self._samples: deque[float] = deque(maxlen=family.sample_window)
 
@@ -136,7 +135,6 @@ class HistogramChild(_Child):
             self._buckets[bisect_left(self._family.buckets, value)] += 1
             self._sum += value
             self._count += 1
-            self._min = min(self._min, value)
             self._max = max(self._max, value)
             self._samples.append(value)
 
@@ -147,10 +145,6 @@ class HistogramChild(_Child):
     @property
     def sum(self) -> float:
         return self._sum
-
-    @property
-    def minimum(self) -> float | None:
-        return None if self._count == 0 else self._min
 
     @property
     def maximum(self) -> float | None:

@@ -2,12 +2,14 @@
 
 import asyncio
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import RpcError
 from repro.service import ThetacryptClient, make_local_configs
 from repro.service.cluster import LocalCluster
+from repro.service.config import NodeConfig
 
 
 @pytest.mark.integration
@@ -40,9 +42,7 @@ class TestRpcAuthentication:
         asyncio.run(scenario())
 
     def test_config_json_round_trips_token(self):
-        config = make_local_configs(4, 1)[0].with_auth("tok")
-        from repro.service.config import NodeConfig
-
+        config = replace(make_local_configs(4, 1)[0], rpc_auth_token="tok")
         assert NodeConfig.from_json(config.to_json()).rpc_auth_token == "tok"
 
 

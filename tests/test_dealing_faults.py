@@ -12,6 +12,7 @@ import importlib
 
 import pytest
 
+from repro.errors import RpcError
 from repro.schemes.dealing import Deal
 from repro.service.cluster import LocalCluster
 from repro.sharing.shamir import ShamirShare
@@ -79,6 +80,32 @@ def test_18b_dkg_finishes_with_one_node_down():
     replies = asyncio.run(scenario())
     assert not any(isinstance(r, Exception) for r in replies), replies
     assert len({r["group_key"] for r in replies}) == 1
+
+
+def test_dkg_stalled_on_a_stopped_node_aborts_as_insufficient_shares():
+    """Until item 18 finishes a DKG on n - t deals, a DKG with node 4
+    stopped times out; the dealing reports its deals (3 of 4), so the abort
+    is ``insufficient_shares``, not a timeout of unknown progress."""
+
+    async def scenario():
+        async with LocalCluster({}, instance_timeout=_INSTANCE_TIMEOUT) as cluster:
+            await cluster.stop(4)
+            replies = await asyncio.gather(
+                *(
+                    cluster.client.call(i, "run_dkg", _dkg_params("dkg"))
+                    for i in (1, 2, 3)
+                ),
+                return_exceptions=True,
+            )
+            aborts = [node.stats()["aborts"] for node in cluster.nodes[:3]]
+            return replies, aborts
+
+    replies, aborts = asyncio.run(scenario())
+    for reply in replies:
+        assert isinstance(reply, RpcError), reply
+        assert reply.reason == "insufficient_shares", reply
+        assert "3/4 shares" in str(reply), reply
+    assert aborts == [{"insufficient_shares": 1}] * 3
 
 
 @pytest.mark.xfail(

@@ -138,9 +138,6 @@ class TestScalars:
     def test_scalar_from_bytes_reduces(self, group):
         assert group.scalar_from_bytes(b"\xff" * 64) < L
 
-    def test_element_size(self, group):
-        assert group.element_size() == 32
-
     def test_multi_exp_matches_naive(self, group):
         g = group.generator()
         bases = [g**2, g**3, g**5]

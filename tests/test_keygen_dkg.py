@@ -7,7 +7,6 @@ from repro.groups import get_group
 from repro.mathutils.lagrange import lagrange_coefficients_at_zero
 from repro.schemes import generate_keys
 from repro.schemes.dealing import Deal, deal, finalize
-from repro.schemes.keygen import deal_all_schemes
 from repro.sharing.shamir import ShamirShare
 
 
@@ -44,11 +43,6 @@ class TestDealer:
     def test_group_override(self):
         km = generate_keys("sg02", 1, 4, group_name="ed25519")
         assert km.public_key.group_name == "ed25519"
-
-    def test_deal_all_schemes(self, small_modulus):
-        # Restrict to fast schemes plus sh00 via a tiny modulus by hand.
-        keys = deal_all_schemes(1, 4, schemes=("sg02", "cks05", "kg20"))
-        assert set(keys) == {"sg02", "cks05", "kg20"}
 
     def test_share_ids_are_one_based(self):
         km = generate_keys("cks05", 1, 4)

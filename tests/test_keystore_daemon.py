@@ -20,6 +20,7 @@ from repro.schemes.keystore import (
     node_keystore,
 )
 from repro.service.config import NodeConfig, make_local_configs
+from repro.service.daemon import main as daemon_main
 
 
 class TestKeyShareSerialization:
@@ -242,6 +243,27 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError) as caught:
             NodeConfig.from_json(json.dumps(edit(document)))
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "keystore,problem",
+    [
+        ("[1]", "keystore.json is a JSON list, not an object"),
+        ('{"version": 1, "keys": {"c": 5}}', "keystore.json: key 'c' is not a hex string"),
+    ],
+    ids=["a list", "a number for a share"],
+)
+def test_daemon_refuses_a_malformed_keystore_by_name(tmp_path, keystore, problem):
+    """The daemon exits with one line naming the file and the problem."""
+    (tmp_path / "config.json").write_text(make_local_configs(4, 1)[0].to_json())
+    (tmp_path / "keystore.json").write_text(keystore)
+    with pytest.raises(SystemExit) as caught:
+        daemon_main(
+            ["--config", str(tmp_path / "config.json"),
+             "--keystore", str(tmp_path / "keystore.json")]
+        )
+    assert caught.value.code.startswith("cannot start node: SerializationError: ")
+    assert problem in caught.value.code
 
 
 @pytest.mark.integration

@@ -1,14 +1,17 @@
-"""Every module under ``src/repro/`` has an owner.
+"""Every module and every symbol under ``src/repro/`` has an owner.
 
 A module is owned when a daemon entry point imports it (statically, lazy
 imports inside functions included) or when ``OWNERS`` says what claims it:
 a paper section, an EXPERIMENTS.md row or a benchmark, naming the files
 that show the claim.  A module that is neither fails here, and so does an
 ``OWNERS`` row for a module the daemons now reach, because that row no
-longer says why the module is kept.  DESIGN.md's "Repository layout" block
-is checked against the same tree, and the options a deployment can set
-(``NodeConfig``, ``PrecomputeConfig``, the daemon's flags) against a
-pinned budget.
+longer says why the module is kept.  The same rule holds one level down:
+a top-level function or class, or a non-dunder method, is owned when its
+name appears outside its own definition somewhere in ``src/``, ``tools/``,
+``benchmarks/`` or ``examples/``, or when ``SYMBOL_OWNERS`` says what keeps
+it.  DESIGN.md's "Repository layout" block is checked against the same
+tree, and the options a deployment can set (``NodeConfig``,
+``PrecomputeConfig``, the daemon's flags) against a pinned budget.
 """
 
 import ast
@@ -16,6 +19,7 @@ import dataclasses
 import modulefinder
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,11 +102,114 @@ def test_no_owner_row_for_a_module_a_daemon_imports(closure):
 
 
 def test_every_path_an_owner_names_exists():
-    for module, owner in OWNERS.items():
+    for name, owner in {**OWNERS, **SYMBOL_OWNERS}.items():
         paths = re.findall(r"`([^`]+)`", owner)
-        assert paths, f"{module}: owner names no file"
+        assert paths, f"{name}: owner names no file"
         for path in paths:
-            assert (ROOT / path).exists(), f"{module}: {path} does not exist"
+            assert (ROOT / path).exists(), f"{name}: {path} does not exist"
+
+
+# -- every symbol has an owner ----------------------------------------------------
+
+_BN254_ORACLE = (
+    "test oracle: BN254 tower and pairing identities "
+    "(`tests/test_bn254_fields.py`, `tests/test_bn254_pairing.py`)"
+)
+
+#: Symbol → what keeps it, for every symbol that nothing in the scanned
+#: trees names outside its own definition.  Test oracles count.
+SYMBOL_OWNERS = {
+    "repro.groups.bn254.fp._Tower.is_zero": _BN254_ORACLE,
+    "repro.groups.bn254.fp.Fp2.mul_xi": _BN254_ORACLE,
+    "repro.groups.bn254.fp.Fp2.is_square": _BN254_ORACLE,
+    "repro.groups.bn254.fp.Fp6.mul_by_v": _BN254_ORACLE,
+    "repro.groups.bn254.fp.Fp12.from_int": _BN254_ORACLE,
+    "repro.groups.bn254.fp.Fp12.is_one": _BN254_ORACLE,
+    "repro.groups.bn254.fp.Fp12.frobenius2": _BN254_ORACLE,
+    "repro.groups.bn254.pairing._miller_loop": _BN254_ORACLE,
+    "repro.groups.bn254.pairing._final_exponentiation": _BN254_ORACLE,
+    "repro.mathutils.lagrange.interpolate_at": (
+        "test oracle: interpolation at any x checks lagrange_coefficient "
+        "off zero (`tests/test_mathutils.py`)"
+    ),
+    "repro.core.protocols.operations.ShareOperation.admits_unverified": (
+        "test oracle: which admission mode a share operation is in "
+        "(`tests/test_lazy_admission.py`)"
+    ),
+    "repro.network.gossip.GossipOverlay.neighbors": (
+        "test oracle: the overlay's chosen fan-out (`tests/test_network_variants.py`)"
+    ),
+    "repro.chain.validator.ValidatorNode.head": _CHAIN,
+    "repro.schemes.keystore.import_public_key": (
+        "inverse of export_public_key, the public-key file format "
+        "(`tests/test_keystore_daemon.py`, `tests/test_keystore_format.py`)"
+    ),
+    "repro.sim.metrics.usable_capacity": _SIM,
+}
+
+_SCANNED = ("src", "tools", "benchmarks", "examples")
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _symbols(tree: ast.Module, module: str):
+    """``(qualified name, node)`` for each top-level function and class,
+    and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, _DEFS[:2]) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{method.name}", method
+
+
+def _unnamed_symbols(root: Path) -> list[str]:
+    """Symbols whose name appears in the scanned trees only inside their own
+    definition."""
+    counts: Counter[str] = Counter()
+    for top in _SCANNED:
+        for path in (root / top).rglob("*.py"):
+            counts.update(_WORD.findall(path.read_text()))
+    unnamed = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        parts = path.relative_to(root / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for name, node in _symbols(ast.parse(text), module):
+            own = lines[node.lineno - 1 : node.end_lineno]
+            if counts[node.name] == sum(_WORD.findall(line).count(node.name) for line in own):
+                unnamed.append(name)
+    return unnamed
+
+
+@pytest.fixture(scope="module")
+def unnamed() -> set[str]:
+    return set(_unnamed_symbols(ROOT))
+
+
+def test_every_symbol_is_named_or_owned(unnamed):
+    orphans = sorted(unnamed - set(SYMBOL_OWNERS))
+    assert not orphans, f"symbols nothing names, with no SYMBOL_OWNERS row: {orphans}"
+
+
+def test_no_owner_row_for_a_named_or_missing_symbol(unnamed):
+    stale = sorted(set(SYMBOL_OWNERS) - unnamed)
+    assert not stale, f"named elsewhere or gone; drop their SYMBOL_OWNERS rows: {stale}"
+
+
+def test_a_planted_unnamed_symbol_is_caught(tmp_path):
+    planted = tmp_path / "src" / "repro" / "planted.py"
+    planted.parent.mkdir(parents=True)
+    planted.write_text(
+        "def helper():\n    return 1\n\n\n"
+        "class Lonely:\n    def __init__(self):\n        self.x = helper()\n\n"
+        "    def lonely(self):\n        return self.lonely\n"
+    )
+    assert _unnamed_symbols(tmp_path) == ["repro.planted.Lonely", "repro.planted.Lonely.lonely"]
 
 
 def _design_layout() -> dict[str, set[str]]:

@@ -32,11 +32,28 @@ class TestKeyManager:
         assert entry.kind == "signature"
         assert "k1" in km and len(km) == 1
 
-    def test_duplicate_rejected(self, keys_bls04):
+    def test_duplicate_rejected(self, keys_cks05):
+        """Another key under a held id is refused; the same key again is a
+        no-op that keeps the held share."""
         km = KeyManager()
-        km.register("k1", "bls04", keys_bls04.public_key, keys_bls04.key_shares[0])
-        with pytest.raises(KeyManagementError):
-            km.register("k1", "bls04", keys_bls04.public_key, keys_bls04.key_shares[0])
+        km.register("k1", "cks05", keys_cks05.public_key, keys_cks05.key_shares[0])
+        km.register("k1", "cks05", keys_cks05.public_key, keys_cks05.key_shares[1])
+        assert km.get("k1").key_share is keys_cks05.key_shares[0]
+        other = generate_keys("cks05", 1, 4)
+        with pytest.raises(KeyManagementError, match="different group key"):
+            km.register("k1", "cks05", other.public_key, other.key_shares[0])
+        with pytest.raises(KeyManagementError, match="different group key"):
+            km.register("k1", "sg02", keys_cks05.public_key, keys_cks05.key_shares[0])
+
+    def test_replace_keeps_the_group_key(self, keys_cks05):
+        km = KeyManager()
+        km.register("k1", "cks05", keys_cks05.public_key, keys_cks05.key_shares[0])
+        km.replace("k1", keys_cks05.public_key, keys_cks05.key_shares[1])
+        assert km.get("k1").key_share is keys_cks05.key_shares[1]
+        other = generate_keys("cks05", 1, 4)
+        with pytest.raises(KeyManagementError, match="different group key"):
+            km.replace("k1", other.public_key, other.key_shares[1])
+        assert km.get("k1").key_share is keys_cks05.key_shares[1]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(KeyManagementError):
@@ -46,25 +63,11 @@ class TestKeyManager:
         with pytest.raises(KeyManagementError):
             KeyManager().register("k", "bogus", keys_bls04.public_key, None)
 
-    def test_list_and_filter(self, keys_bls04, keys_cks05):
+    def test_list_sorted_by_id(self, keys_bls04, keys_cks05):
         km = KeyManager()
         km.register("sig", "bls04", keys_bls04.public_key, keys_bls04.key_shares[0])
         km.register("coin", "cks05", keys_cks05.public_key, keys_cks05.key_shares[0])
         assert [e.key_id for e in km.list_keys()] == ["coin", "sig"]
-        assert [e.key_id for e in km.list_keys("bls04")] == ["sig"]
-        assert km.first_for_scheme("cks05").key_id == "coin"
-
-    def test_first_for_scheme_missing(self):
-        with pytest.raises(KeyManagementError):
-            KeyManager().first_for_scheme("bls04")
-
-    def test_remove(self, keys_bls04):
-        km = KeyManager()
-        km.register("k1", "bls04", keys_bls04.public_key, keys_bls04.key_shares[0])
-        km.remove("k1")
-        assert "k1" not in km
-        with pytest.raises(KeyManagementError):
-            km.remove("k1")
 
 
 class TestInstanceRecord:

@@ -29,7 +29,7 @@ from repro.core.orchestration.precompute import (
 from repro.core.protocols import FrostProtocol
 from repro.core.protocols.frost import FrostPrecomputationPool
 from repro.errors import ConfigurationError, ProtocolError, RpcError
-from repro.schemes.kg20 import Kg20SignatureScheme
+from repro.schemes.kg20 import Kg20Signature, Kg20SignatureScheme
 from repro.service.cluster import LocalCluster
 from repro.service.config import NodeConfig, make_local_configs
 from repro.telemetry import MetricRegistry
@@ -388,6 +388,40 @@ class TestPipelineService:
                 assert all(n.stats()["aborts"] == {} for n in nodes)
 
         asyncio.run(scenario())
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP 21: a node pairs a request with the nonce set it pops first",
+    )
+    def test_precomputed_kg20_signs_requests_in_any_arrival_order(self, keys_kg20):
+        """Nodes 1-2 get X then Y, nodes 3-4 get Y then X.  The pool is
+        FIFO, so nodes 1-2 sign X with the first commitment list and nodes
+        3-4 with the second: every share of both signatures fails its check
+        and names an honest node.  The same orders on an empty pool finish."""
+        first, second = b"X", b"Y"
+        orders = {1: (first, second), 2: (first, second),
+                  3: (second, first), 4: (second, first)}
+
+        async def scenario():
+            async with LocalCluster({"kg20": keys_kg20}) as cluster:
+                await cluster.client.precompute("kg20", 2)
+                runs = [
+                    (message, node.submit_request("sign", "kg20", message), node)
+                    for node in cluster.nodes
+                    for message in orders[node.config.node_id]
+                ]
+                results = await asyncio.gather(
+                    *(node.instances.result(record) for _, record, node in runs),
+                    return_exceptions=True,
+                )
+                return [(message, result) for (message, _, _), result in zip(runs, results)]
+
+        scheme = Kg20SignatureScheme()
+        public = keys_kg20.public_key
+        for message, result in asyncio.run(scenario()):
+            assert isinstance(result, bytes), (message, result)
+            scheme.verify(public, message, Kg20Signature.from_bytes(result, public.group))
 
     def test_overtaken_announce_leaves_nothing_behind(self, all_keys):
         """A request that runs while its announce is still queued is served

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.orchestration import KeyManager, keymanager
 from repro.errors import KeyManagementError, RpcError, StorageError
 from repro.groups import get_group
 from repro.schemes import generate_keys
@@ -13,7 +14,6 @@ from repro.schemes.keystore import node_keystore
 from repro.service import ThetacryptClient, make_local_configs
 from repro.service.cluster import LocalCluster
 from repro.service.daemon import load_node
-from repro.storage import DurableKeystore, durable_keystore
 
 
 @pytest.mark.integration
@@ -223,17 +223,15 @@ class TestRefreshOnDurableNodes:
         """The swap is one atomic overwrite: a process killed at any point
         of a refresh finds exactly one share for the key in its keystore."""
         snapshots = []
-        real_write = durable_keystore.write_versioned
+        real_write = keymanager.write_versioned
 
         def recording_write(path, payload, version):
             real_write(path, payload, version)
-            snapshots.append([key_id for key_id, _, _ in DurableKeystore(path).items()])
+            snapshots.append([entry.key_id for entry in KeyManager(path).list_keys()])
 
         async def scenario():
             async with LocalCluster({"coin": keys_cks05}, data_root=tmp_path) as cluster:
-                monkeypatch.setattr(
-                    durable_keystore, "write_versioned", recording_write
-                )
+                monkeypatch.setattr(keymanager, "write_versioned", recording_write)
                 await cluster.client.refresh_key("coin")
 
         asyncio.run(scenario())
@@ -245,7 +243,7 @@ class TestRefreshOnDurableNodes:
     ):
         """Whichever keystore write of a refresh fails (there is only one
         now), every node still holds a share that works: the old one."""
-        real_write = durable_keystore.write_versioned
+        real_write = keymanager.write_versioned
         writes = {}
 
         def failing(path, payload, version):
@@ -257,7 +255,7 @@ class TestRefreshOnDurableNodes:
         async def scenario():
             async with LocalCluster({"coin": keys_cks05}, data_root=tmp_path) as cluster:
                 client = cluster.client
-                monkeypatch.setattr(durable_keystore, "write_versioned", failing)
+                monkeypatch.setattr(keymanager, "write_versioned", failing)
                 if failing_write == 1:
                     with pytest.raises(RpcError):
                         await client.refresh_key("coin")

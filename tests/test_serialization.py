@@ -9,11 +9,8 @@ from repro.serialization import (
     Reader,
     encode_bytes,
     encode_int,
-    encode_seq,
     encode_str,
-    fixed_to_int,
     hexlify,
-    int_to_fixed,
     unhexlify,
 )
 
@@ -93,33 +90,6 @@ class TestEncodeStr:
     def test_invalid_utf8(self):
         with pytest.raises(SerializationError):
             Reader(encode_bytes(b"\xff\xfe")).read_str()
-
-
-class TestSequences:
-    def test_seq_count(self):
-        data = encode_seq([encode_int(1), encode_int(2), encode_int(3)])
-        reader = Reader(data)
-        values = [reader.read_int() for _ in reader.iter_seq()]
-        assert values == [1, 2, 3]
-        reader.finish()
-
-    def test_empty_seq(self):
-        reader = Reader(encode_seq([]))
-        assert list(reader.iter_seq()) == []
-        reader.finish()
-
-
-class TestFixedWidth:
-    def test_round_trip(self):
-        assert fixed_to_int(int_to_fixed(0xDEAD, 4), 4) == 0xDEAD
-
-    def test_overflow(self):
-        with pytest.raises(SerializationError):
-            int_to_fixed(256, 1)
-
-    def test_wrong_width(self):
-        with pytest.raises(SerializationError):
-            fixed_to_int(b"\x00\x01", 4)
 
 
 class TestHex:

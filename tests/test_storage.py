@@ -23,10 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.orchestration import InstanceManager, InstanceRecord
+from repro.core.orchestration import InstanceManager, InstanceRecord, KeyManager
 from repro.core.tri import ThresholdRoundProtocol
 from repro.errors import (
-    KeyManagementError,
     RpcError,
     StorageError,
     WalCorruptionError,
@@ -35,7 +34,6 @@ from repro.schemes.keystore import export_key_share
 from repro.serialization import hexlify
 from repro.storage import results as results_module
 from repro.storage import (
-    DurableKeystore,
     DurableResultCache,
     Outcome,
     WriteAheadLog,
@@ -182,42 +180,31 @@ class TestWriteAheadLog:
 
 
 class TestDurableKeystore:
+    """``KeyManager(path)``: the node's key shares on disk."""
+
     def test_round_trip_across_simulated_kill(self, tmp_path, keys_bls04):
         path = tmp_path / "keystore.bin"
-        store = DurableKeystore(path)
         share = keys_bls04.share_for(2)
-        store.put("bls04", "bls04", share)
-        assert "bls04" in store and len(store) == 1
-        # kill -9: no close/flush call — a fresh instance over the same
-        # path must see the complete snapshot (every put is atomic).
-        revived = DurableKeystore(path)
-        items = revived.items()
-        assert len(items) == 1
-        key_id, scheme, loaded = items[0]
-        assert (key_id, scheme) == ("bls04", "bls04")
-        assert export_key_share("bls04", loaded) == export_key_share(
+        keys = KeyManager(path)
+        keys.register("bls04", "bls04", share.public, share)
+        assert "bls04" in keys and len(keys) == 1
+        # kill -9: no close/flush call — a fresh manager over the same path
+        # must see the complete snapshot (every mutation is atomic).
+        (entry,) = KeyManager(path).list_keys()
+        assert (entry.key_id, entry.scheme) == ("bls04", "bls04")
+        assert export_key_share("bls04", entry.key_share) == export_key_share(
             "bls04", share
         )
 
-    def test_remove_persists(self, tmp_path, keys_bls04):
-        path = tmp_path / "keystore.bin"
-        store = DurableKeystore(path)
-        store.put("a", "bls04", keys_bls04.share_for(1))
-        store.put("b", "bls04", keys_bls04.share_for(1))
-        store.remove("a")
-        assert [key_id for key_id, _, _ in DurableKeystore(path).items()] == ["b"]
-        with pytest.raises(KeyManagementError):
-            store.remove("a")
-
     def test_corrupt_snapshot_rejected(self, tmp_path, keys_bls04):
         path = tmp_path / "keystore.bin"
-        store = DurableKeystore(path)
-        store.put("bls04", "bls04", keys_bls04.share_for(1))
+        share = keys_bls04.share_for(1)
+        KeyManager(path).register("bls04", "bls04", share.public, share)
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(StorageError):
-            DurableKeystore(path)
+            KeyManager(path)
 
 
 class TestDurableResultCache:
@@ -726,6 +713,9 @@ class _Instant(ThresholdRoundProtocol):
 
     def is_ready_to_finalize(self):
         return True
+
+    def progress(self):
+        return 1, 1
 
     def finalize(self):
         return b"result of " + self.instance_id.encode()
