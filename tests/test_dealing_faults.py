@@ -4,7 +4,8 @@ The dealing protocol behind ``run_dkg`` and ``refresh_key`` waits for a
 deal from every dealer and decides its outcome at each node alone.  Each
 test below is one of item 18's probes on a 4-node ``LocalCluster`` (t = 1);
 they are strict expected failures until item 18 lands, which turns them
-green and removes the markers.
+green and removes the markers.  One more test pins how a DKG stalled on a
+stopped node is reported until then.
 """
 
 import asyncio
