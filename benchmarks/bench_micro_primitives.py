@@ -52,6 +52,25 @@ def test_ed25519_two_base_multi_exp(benchmark):
     benchmark(lambda: group.multi_exp(bases, exponents))
 
 
+@pytest.mark.parametrize("count", [2, 3])
+def test_ed25519_powers(benchmark, count):
+    """One per-request base raised to ``count`` scalars on one shared
+    doubling run: SG02's share creation raises u to −e, x_i and r."""
+    group = get_group("ed25519")
+    base = group.hash_to_element(b"bench-u")
+    scalars = [SCALAR * (i + 3) ** 40 % group.order for i in range(count)]
+    benchmark(lambda: base.powers(*scalars))
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_ed25519_separate_pows(benchmark, count):
+    """The same powers as ``test_ed25519_powers``, one ``**`` each."""
+    group = get_group("ed25519")
+    base = group.hash_to_element(b"bench-u")
+    scalars = [SCALAR * (i + 3) ** 40 % group.order for i in range(count)]
+    benchmark(lambda: [base**k for k in scalars])
+
+
 def test_ed25519_element_from_bytes(benchmark):
     """Decode + on-curve + subgroup check, paid per share on the wire."""
     group = get_group("ed25519")
@@ -261,6 +280,17 @@ def test_cks05_coin_share(benchmark, keys_by_scheme):
     keys = keys_by_scheme["cks05"]
     scheme = get_scheme("cks05")
     benchmark(lambda: scheme.create_coin_share(keys.share_for(1), b"bench"))
+
+
+@pytest.mark.parametrize("ids", [(1, 2), (1, 3)], ids=["ids-1-2", "ids-1-3"])
+def test_cks05_combine(benchmark, keys_by_scheme, ids):
+    """A node's CKS05 combine at t = 1: ids {1, 2} have Lagrange
+    coefficients (2, −1), a few group operations with signed exponents;
+    ids {1, 3} have (3/2, −1/2), two full-length exponents."""
+    keys = keys_by_scheme["cks05"]
+    scheme = get_scheme("cks05")
+    shares = [scheme.create_coin_share(keys.share_for(i), b"bench") for i in ids]
+    benchmark(lambda: scheme.combine(keys.public_key, b"bench", shares))
 
 
 def test_kg20_sign_round(benchmark, keys_by_scheme):

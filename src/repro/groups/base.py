@@ -71,6 +71,11 @@ class GroupElement(ABC):
     def __truediv__(self, other: "GroupElement") -> "GroupElement":
         return self * other.inverse()
 
+    def powers(self, *scalars: int) -> list["GroupElement"]:
+        """``[self ** k for k in scalars]``; a backend whose chain of
+        doublings can be shared between the scalars overrides this."""
+        return [self**k for k in scalars]
+
     def double(self) -> "GroupElement":
         """Square the element; backends override with a dedicated formula.
 
@@ -126,15 +131,22 @@ class Group(ABC):
 
         The entry point for every group: lengths are checked, exponents
         reduced and zero terms dropped here, then :meth:`_multi_exp` does
-        the arithmetic — the hot step of every ``combine()``.
+        the arithmetic — the hot step of every ``combine()``.  Each
+        exponent is reduced to its representative in (−q/2, q/2], and a
+        negative one raises the inverse base (a negation on every curve
+        here) to |k|: a small Lagrange coefficient such as −1 or −2 then
+        costs a few group operations instead of a full-length chain.
         """
         if len(bases) != len(exponents):
             raise SerializationError("multi_exp length mismatch")
-        pairs = [
-            (base, exp % self.order)
-            for base, exp in zip(bases, exponents)
-            if exp % self.order
-        ]
+        order, half = self.order, self.order >> 1
+        pairs = []
+        for base, exp in zip(bases, exponents):
+            exp %= order
+            if exp > half:
+                pairs.append((base.inverse(), order - exp))
+            elif exp:
+                pairs.append((base, exp))
         if not pairs:
             return self.identity()
         return self._multi_exp(pairs, window)
@@ -142,7 +154,7 @@ class Group(ABC):
     def _multi_exp(
         self, pairs: Sequence[tuple[GroupElement, int]], window: int
     ) -> GroupElement:
-        """Interleaved windowed Straus over (base, exponent in [1, q)) pairs.
+        """Interleaved windowed Straus over (base, exponent in [1, q/2]) pairs.
 
         ~log₂(q) squarings + k·(2^w + log₂(q)/w) multiplications instead of
         k·1.5·log₂(q) operations.  A group with a cheaper kernel overrides

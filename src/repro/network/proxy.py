@@ -19,13 +19,80 @@ import asyncio
 import json
 
 from ..errors import NetworkError
-from ..serialization import hexlify, unhexlify
+from ..serialization import hexlify
 from .interfaces import MessageHandler, P2PNetwork, TotalOrderBroadcast
 
 
 async def _write_line(writer: asyncio.StreamWriter, obj: dict) -> None:
     writer.write(json.dumps(obj).encode("utf-8") + b"\n")
     await writer.drain()
+
+
+# -- reading lines -------------------------------------------------------------
+# Every reader drops a line that is not a JSON object carrying its kind's
+# fields with their types, and reads on: one bad line must not end a link.
+
+#: The fields of an event line (``"event"`` is "p2p" or "tob").
+_EVENT = {"event": str, "sender": int, "data": bytes}
+
+#: The fields of each request line, by its ``"method"``.
+_REQUESTS = {
+    "attach": {"node": int},
+    "attach_tob": {"node": int},
+    "p2p_send": {"recipient": int, "data": bytes},
+    "p2p_broadcast": {"data": bytes},
+    "tob_submit": {"data": bytes},
+}
+
+
+async def _lines(reader: asyncio.StreamReader):
+    """The lines ``reader`` yields until EOF; one longer than the reader's
+    limit is skipped (its tail arrives as a line of its own, not JSON)."""
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError:
+            continue
+        if not line:
+            return
+        yield line
+
+
+def _json_object(line: bytes) -> dict | None:
+    try:
+        value = json.loads(line)
+    except (ValueError, RecursionError):  # bad JSON, bad UTF-8, too deep
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _fields(obj: dict | None, spec: dict) -> dict | None:
+    """``obj``'s fields named in ``spec``, hex ``bytes`` decoded, or None
+    if one is missing or of another type (a bool is not an int here)."""
+    if obj is None:
+        return None
+    fields = {}
+    for name, kind in spec.items():
+        value = obj.get(name)
+        if kind is bytes:
+            if not isinstance(value, str):
+                return None
+            try:
+                value = bytes.fromhex(value)
+            except ValueError:
+                return None
+        elif type(value) is not kind:
+            return None
+        fields[name] = value
+    return fields
+
+
+async def _listen(reader: asyncio.StreamReader, kind: str, component) -> None:
+    """Hand each well-formed ``kind`` event line to ``component``'s handler."""
+    async for line in _lines(reader):
+        event = _fields(_json_object(line), _EVENT)
+        if event is not None and event["event"] == kind and component._handler:
+            await component._handler(event["sender"], event["data"])
 
 
 class P2PProxy(P2PNetwork):
@@ -51,7 +118,7 @@ class P2PProxy(P2PNetwork):
         self._writer = writer
         await _write_line(writer, {"method": "attach", "node": self.node_id})
         self._listen_task = asyncio.get_running_loop().create_task(
-            self._listen(reader)
+            _listen(reader, "p2p", self)
         )
 
     async def stop(self) -> None:
@@ -59,15 +126,6 @@ class P2PProxy(P2PNetwork):
             self._listen_task.cancel()
         if self._writer is not None:
             self._writer.close()
-
-    async def _listen(self, reader: asyncio.StreamReader) -> None:
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            event = json.loads(line)
-            if event.get("event") == "p2p" and self._handler is not None:
-                await self._handler(event["sender"], unhexlify(event["data"]))
 
     async def _call(self, obj: dict) -> None:
         if self._writer is None:
@@ -102,7 +160,7 @@ class TobProxy(TotalOrderBroadcast):
         self._writer = writer
         await _write_line(writer, {"method": "attach_tob", "node": self._node_id})
         self._listen_task = asyncio.get_running_loop().create_task(
-            self._listen(reader)
+            _listen(reader, "tob", self)
         )
 
     async def stop(self) -> None:
@@ -110,15 +168,6 @@ class TobProxy(TotalOrderBroadcast):
             self._listen_task.cancel()
         if self._writer is not None:
             self._writer.close()
-
-    async def _listen(self, reader: asyncio.StreamReader) -> None:
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            event = json.loads(line)
-            if event.get("event") == "tob" and self._handler is not None:
-                await self._handler(event["sender"], unhexlify(event["data"]))
 
     async def submit(self, data: bytes) -> None:
         if self._writer is None:
@@ -186,26 +235,38 @@ class HostPlatformBridge:
         except (asyncio.CancelledError, ConnectionError):
             # Loop teardown or a proxy that vanished: nothing to clean up
             # beyond dropping the connection.
-            return
+            pass
+        finally:
+            # A gone proxy receives no more events.
+            for clients in (self._p2p_clients, self._tob_clients):
+                if writer in clients:
+                    clients.remove(writer)
 
     async def _client_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            request = json.loads(line)
-            method = request.get("method")
-            if method == "attach":
-                self._p2p_clients.append(writer)
-            elif method == "attach_tob":
-                self._tob_clients.append(writer)
-            elif method == "p2p_send":
-                await self._transport.send(
-                    request["recipient"], unhexlify(request["data"])
-                )
-            elif method == "p2p_broadcast":
-                await self._transport.broadcast(unhexlify(request["data"]))
-            elif method == "tob_submit" and self._tob is not None:
-                await self._tob.submit(unhexlify(request["data"]))
+        async for line in _lines(reader):
+            request = _json_object(line)
+            method = request.get("method") if request is not None else None
+            spec = _REQUESTS.get(method) if isinstance(method, str) else None
+            fields = _fields(request, spec) if spec is not None else None
+            if fields is None:
+                continue
+            try:
+                await self._serve(method, fields, writer)
+            except NetworkError:
+                continue  # the transport refused it (self-send, no such node)
+
+    async def _serve(
+        self, method: str, fields: dict, writer: asyncio.StreamWriter
+    ) -> None:
+        if method == "attach" and writer not in self._p2p_clients:
+            self._p2p_clients.append(writer)
+        elif method == "attach_tob" and writer not in self._tob_clients:
+            self._tob_clients.append(writer)
+        elif method == "p2p_send":
+            await self._transport.send(fields["recipient"], fields["data"])
+        elif method == "p2p_broadcast":
+            await self._transport.broadcast(fields["data"])
+        elif method == "tob_submit" and self._tob is not None:
+            await self._tob.submit(fields["data"])

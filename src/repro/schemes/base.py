@@ -20,6 +20,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from .keygen import KeyMaterial
 
 
+#: Entries of each scheme's memo of a hash onto its group (CKS05 coin names,
+#: BLS04 messages).  One request hashes its input when the node makes its
+#: share and again when it checks a peer share or the combined result, so
+#: the memo needs an entry per request in flight; the bound also caps the
+#: inputs it keeps alive (they are its keys) once their requests are gone.
+HASH_MEMO_SIZE = 128
+
+
+def memo_stats(memo) -> dict:
+    """Hit/size counters of an ``lru_cache``-wrapped function."""
+    info = memo.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "size": info.currsize,
+        "capacity": info.maxsize,
+    }
+
+
 class SchemeKind(enum.Enum):
     """Top-level categories exposed by the high-level API (§3.5)."""
 

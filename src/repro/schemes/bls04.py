@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from ..errors import InvalidShareError, InvalidSignatureError, SerializationError
@@ -23,7 +24,9 @@ from ..groups.precompute import fixed_pow
 from ..mathutils.lagrange import lagrange_coefficients_at_zero
 from ..serialization import Reader, encode_bytes, encode_int
 from ..sharing.shamir import share_secret
-from .base import SCHEME_TABLE, ThresholdSignature, select_shares
+from .base import (
+    HASH_MEMO_SIZE, SCHEME_TABLE, ThresholdSignature, memo_stats, select_shares,
+)
 
 _H_DOMAIN = b"repro-bls04-message"
 
@@ -130,8 +133,16 @@ def keygen(threshold: int, parties: int) -> tuple[Bls04PublicKey, list[Bls04KeyS
     return public, [Bls04KeyShare(s.id, s.value, public) for s in shares]
 
 
+@lru_cache(maxsize=HASH_MEMO_SIZE)
 def _hash_message(message: bytes) -> BN254G1Element:
+    """H(m); memoized, so a node that signs its share and then verifies the
+    combined signature hashes the message once."""
     return bn254_pairing().g1.hash_to_element(_H_DOMAIN + message)
+
+
+def hash_memo_stats() -> dict:
+    """Hit/size counters for the message hash memo."""
+    return memo_stats(_hash_message)
 
 
 class Bls04SignatureScheme(ThresholdSignature):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from ..errors import ConfigurationError, InvalidShareError, SerializationError
@@ -25,7 +26,9 @@ from ..groups.registry import get_group
 from ..mathutils.lagrange import lagrange_coefficients_at_zero
 from ..serialization import Reader, encode_bytes, encode_int, encode_str
 from ..sharing.shamir import share_secret
-from .base import SCHEME_TABLE, ThresholdCoin, select_shares
+from .base import (
+    HASH_MEMO_SIZE, SCHEME_TABLE, ThresholdCoin, memo_stats, select_shares,
+)
 from .dleq import DleqProof, dleq_prove, dleq_verify
 
 _NAME_DOMAIN = b"repro-cks05-name"
@@ -127,8 +130,16 @@ def keygen(
     return public, [Cks05KeyShare(s.id, s.value, public) for s in shares]
 
 
+@lru_cache(maxsize=HASH_MEMO_SIZE)
 def _hash_name(group: Group, name: bytes) -> GroupElement:
+    """ĝ = H(name); memoized, so a node that creates its share and then
+    verifies its peers' shares of one coin hashes the name once."""
     return group.hash_to_element(_NAME_DOMAIN + name)
+
+
+def hash_memo_stats() -> dict:
+    """Hit/size counters for the coin-name hash memo."""
+    return memo_stats(_hash_name)
 
 
 class Cks05Coin(ThresholdCoin):
@@ -141,7 +152,8 @@ class Cks05Coin(ThresholdCoin):
     ) -> Cks05CoinShare:
         group = key_share.public.group
         g_hat = _hash_name(group, name)
-        sigma = g_hat**key_share.value
+        r = group.random_scalar()
+        sigma, commitment = g_hat.powers(key_share.value, r)
         proof = dleq_prove(
             group,
             group.generator(),
@@ -150,6 +162,7 @@ class Cks05Coin(ThresholdCoin):
             context=name,
             h1=key_share.public.verification_key(key_share.id),
             h2=sigma,
+            commitment=(r, commitment),
         )
         return Cks05CoinShare(key_share.id, sigma, proof)
 

@@ -66,20 +66,26 @@ def dleq_prove(
     context: bytes = b"",
     h1: GroupElement | None = None,
     h2: GroupElement | None = None,
+    commitment: tuple[int, GroupElement] | None = None,
 ) -> DleqProof:
     """Prove knowledge of ``secret`` with h1 = g1^secret, h2 = g2^secret.
 
     Callers that already hold ``h1``/``h2`` (every scheme does: they are the
     verification key and the share being proven) pass them in to skip the
-    two recomputation exponentiations.
+    two recomputation exponentiations.  A caller that raised g2 to a nonce
+    r on the same chain as h2 (``g2.powers(secret, r)``) passes
+    ``commitment=(r, g2^r)``; otherwise the nonce is drawn here.
     """
     if h1 is None:
         h1 = fixed_pow(g1, secret)
     if h2 is None:
         h2 = g2**secret
-    r = group.random_scalar()
+    if commitment is None:
+        r = group.random_scalar()
+        a2 = g2**r
+    else:
+        r, a2 = commitment
     a1 = fixed_pow(g1, r)
-    a2 = g2**r
     c = _challenge(group, g1, h1, g2, h2, a1, a2, context)
     z = (r + c * secret) % group.order
     return DleqProof(c, z)

@@ -94,6 +94,19 @@ def keystore_to_json(shares: Mapping[str, tuple[str, object]]) -> str:
     return json.dumps({"version": 1, "keys": entries}, indent=2)
 
 
+def _unique_members(pairs: list, source: str) -> dict:
+    """One JSON object's members; ``json`` alone keeps the last of a
+    repeated name, so a repeat is refused."""
+    document = dict(pairs)
+    if len(document) != len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise SerializationError(f"{source}: key {name!r} appears twice")
+            seen.add(name)
+    return document
+
+
 def keystore_from_json(
     text: str | bytes, source: str = "keystore"
 ) -> dict[str, tuple[str, object]]:
@@ -101,10 +114,13 @@ def keystore_from_json(
 
     Anything but a version 1 object whose ``keys`` object maps ids to hex
     share blobs is refused with a :class:`SerializationError` that names
-    ``source`` and the problem (and the key id, for a bad share).
+    ``source`` and the problem (and the key id, for a bad share or one
+    given twice: ``json`` alone would keep the last share of a repeated id).
     """
     try:
-        document = json.loads(text)
+        document = json.loads(
+            text, object_pairs_hook=lambda pairs: _unique_members(pairs, source)
+        )
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise SerializationError(f"{source} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):

@@ -225,12 +225,23 @@ class Sg02Cipher(ThresholdCipher):
         return Sg02Ciphertext(label, masked_key, u, u_bar, e, f, nonce, payload)
 
     def verify_ciphertext(
-        self, public_key: Sg02PublicKey, ciphertext: Sg02Ciphertext
+        self,
+        public_key: Sg02PublicKey,
+        ciphertext: Sg02Ciphertext,
+        *,
+        u_minus_e: GroupElement | None = None,
     ) -> None:
+        """Check the ciphertext's proof; raise InvalidCiphertextError if not.
+
+        A caller that raised u to −e on a shared chain passes it as
+        ``u_minus_e``.
+        """
         group = public_key.group
         g = group.generator()
         g_bar = _g_bar(group.name)
-        w = fixed_pow(g, ciphertext.f) * ciphertext.u ** (-ciphertext.e)
+        if u_minus_e is None:
+            u_minus_e = ciphertext.u ** (-ciphertext.e)
+        w = fixed_pow(g, ciphertext.f) * u_minus_e
         w_bar = fixed_pow(g_bar, ciphertext.f) * ciphertext.u_bar ** (-ciphertext.e)
         expected = self._challenge(
             group,
@@ -248,11 +259,17 @@ class Sg02Cipher(ThresholdCipher):
         self, key_share: Sg02KeyShare, ciphertext: Sg02Ciphertext
     ) -> Sg02DecryptionShare:
         public_key = key_share.public
+        group = public_key.group
+        # u^−e (the proof check), u^{x_i} (the share) and u^r (the DLEQ
+        # commitment) on one shared chain.
+        r = group.random_scalar()
+        u_minus_e, u_i, commitment = ciphertext.u.powers(
+            -ciphertext.e, key_share.value, r
+        )
         # Nodes must refuse to decrypt malformed ciphertexts — this check is
         # exactly what makes the scheme CCA secure in the threshold setting.
-        self.verify_ciphertext(public_key, ciphertext)
-        group = public_key.group
-        u_i = ciphertext.u**key_share.value
+        # It runs before anything derived from x_i leaves this method.
+        self.verify_ciphertext(public_key, ciphertext, u_minus_e=u_minus_e)
         proof = dleq_prove(
             group,
             group.generator(),
@@ -261,6 +278,7 @@ class Sg02Cipher(ThresholdCipher):
             context=ciphertext.label,
             h1=public_key.verification_key(key_share.id),
             h2=u_i,
+            commitment=(r, commitment),
         )
         return Sg02DecryptionShare(key_share.id, u_i, proof)
 

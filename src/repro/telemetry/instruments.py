@@ -287,7 +287,7 @@ def register_crypto_cache_collector(
     family = registry.gauge(
         "repro_crypto_cache",
         "Crypto-cache counters (fixed-base tables, Lagrange "
-        "coefficients) read from the live caches at scrape time.",
+        "coefficients, hash points) read from the live caches at scrape time.",
         ("cache", "stat"),
     )
     # The same count as repro_crypto_cache{cache="fixed_base",
@@ -300,12 +300,15 @@ def register_crypto_cache_collector(
     def collect() -> None:
         from ..groups.precompute import precompute_stats
         from ..mathutils.lagrange import lagrange_cache_stats
+        from ..schemes import bls04, cks05
 
         fixed_base = precompute_stats()
         built.set(fixed_base["tables_built"])
         for cache_name, stats in (
             ("fixed_base", fixed_base),
             ("lagrange", lagrange_cache_stats()),
+            ("cks05_name_hash", cks05.hash_memo_stats()),
+            ("bls04_message_hash", bls04.hash_memo_stats()),
         ):
             for stat, value in stats.items():
                 family.labels(cache_name, stat).set(value)

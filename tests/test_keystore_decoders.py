@@ -82,6 +82,14 @@ _DOCUMENT_TABLE = [
     ("share truncated", _document({"c": _SHARE[:-1].hex()}),
      "keystore: key 'c': truncated"),
     ("second share bad", _document({"a": _SHARE.hex(), "b": "00"}), "keystore: key 'b'"),
+    ("key id repeated",
+     '{"version": 1, "keys": {"c": "%s", "c": "00"}}' % _SHARE.hex(),
+     "keystore: key 'c' appears twice"),
+    ("key id repeated, same share",
+     '{"version": 1, "keys": {"c": "%s", "c": "%s"}}' % (_SHARE.hex(), _SHARE.hex()),
+     "keystore: key 'c' appears twice"),
+    ("version repeated", '{"version": 1, "version": 1, "keys": {}}',
+     "keystore: key 'version' appears twice"),
 ]
 
 
@@ -119,6 +127,10 @@ _CONTAINER_TABLE = [
     ("frozen plus a byte", _FROZEN + b"\n", "1 trailing bytes after the payload"),
     ("payload not JSON", _container(b"\xff"), "keystore.bin is not valid JSON"),
     ("payload a list", _container(b"[1]"), "keystore.bin is a JSON list"),
+    ("payload repeats a key id",
+     _container(b'{"version": 1, "keys": {"c": "%s", "c": "%s"}}'
+                % (_SHARE.hex().encode(), _SHARE.hex().encode())),
+     "keystore.bin: key 'c' appears twice"),
 ]
 
 

@@ -18,10 +18,10 @@ import pytest
 from repro.core.orchestration import PrecomputeConfig
 from repro.groups.base import Group
 from repro.groups.bn254 import bn254_g1, bn254_g2
-from repro.groups.bn254.g1 import BN254G1Element
+from repro.groups.bn254.g1 import BN254G1Element, BN254G1Group
 from repro.groups.ed25519 import Ed25519Element, Ed25519Group
 from repro.groups.precompute import PrecomputeCache, clear_precompute_cache
-from repro.schemes import get_scheme
+from repro.schemes import bls04, cks05, get_scheme
 from repro.serialization import hexlify, unhexlify
 from repro.service.cluster import LocalCluster
 
@@ -45,14 +45,26 @@ BZ03_DECRYPT = {"pairing_check": 8, "pair": 4, "g1_pow": 4, "g1_multi_exp": 4}
 
 #: One CKS05 coin, t = 1, n = 4, asked of every node: each node makes its
 #: share with a DLEQ proof and verifies the one peer share it combines.
-#: The same counts as thetabench's ``coin_fresh`` trace (8 / 4 / 12).
-CKS05_COIN = {"ed25519_pow": 8, "ed25519_decode": 4, "fixed_pow": 12}
+#: Was 8 ``**`` and is none: ĝ^{x_i} and the DLEQ commitment ĝ^r were two
+#: ``**`` a node and are now one ``powers`` call on a shared doubling run.
+CKS05_COIN = {"ed25519_powers": 4, "ed25519_decode": 4, "fixed_pow": 12}
 
 #: One SG02 decryption, t = 1, n = 4, asked of every node: each node checks
 #: the ciphertext's CCA proof once, makes its share with a DLEQ proof and
-#: verifies the one peer share it combines.  The same counts as
-#: thetabench's ``decrypt_durable`` trace (16 / 12 / 20).
-SG02_DECRYPT = {"ed25519_pow": 16, "ed25519_decode": 12, "fixed_pow": 20}
+#: verifies the one peer share it combines.  Was 16 ``**``: u^−e (the
+#: proof check), u^{x_i} and the DLEQ commitment u^r were three of a
+#: node's four; they are now one ``powers`` call, and ū^−e stays ``**``.
+SG02_DECRYPT = {"ed25519_pow": 4, "ed25519_powers": 4, "ed25519_decode": 12, "fixed_pow": 20}
+
+#: One node's own part of one CKS05 coin: it makes its share, verifies the
+#: one peer share it combines with it and combines them.  The coin name is
+#: hashed onto the group once; the verify reads the memoized point.
+CKS05_NODE_HASHES = {"ed25519_hash": 1}
+
+#: One node's own part of one BLS04 signature: it signs its share and
+#: combines it with one peer share, verifying the result.  The message is
+#: hashed onto G1 once; the verify reads the memoized point.
+BLS04_NODE_HASHES = {"g1_hash": 1}
 
 #: One DKG, t = 1, n = 4, run by every node for a new cks05 key: each
 #: node deals a degree-1 polynomial (2 ``**``), decodes the 2 commitments of
@@ -101,6 +113,7 @@ def counts(monkeypatch):
         ("pairing_check", _PAIRING, "pairing_check"),
         ("pair", _PAIRING, "pairing"),
         ("ed25519_pow", Ed25519Element, "__pow__"),
+        ("ed25519_powers", Ed25519Element, "powers"),
         ("ed25519_decode", Ed25519Group, "element_from_bytes"),
         ("fixed_pow", PrecomputeCache, "pow"),
     ):
@@ -166,6 +179,47 @@ def test_one_sg02_decryption(keys_sg02, counts):
     )
     assert {unhexlify(reply["result"]) for reply in replies.values()} == {plaintext}
     assert len(replies) == 4 and counted == SG02_DECRYPT
+
+
+def _one_node(monkeypatch, key, owner, memo, peer_share, node_share) -> dict:
+    """The hash counts of ``node_share()`` alone, with ``peer_share()``'s
+    work done before and the process-wide memo (which every in-process
+    node shares) emptied in between."""
+    peer = peer_share()
+    memo.cache_clear()
+    counted = Counter()
+    _count(monkeypatch, counted, key, owner, "hash_to_element")
+    node_share(peer)
+    return dict(counted)
+
+
+def test_one_node_hashes_a_coin_name_once(keys_cks05, monkeypatch):
+    coin, name = get_scheme("cks05"), b"hashed once at node 1"
+
+    def node_1(peer):
+        own = coin.create_coin_share(keys_cks05.share_for(1), name)
+        coin.verify_coin_share(keys_cks05.public_key, name, peer)
+        coin.combine(keys_cks05.public_key, name, [own, peer])
+
+    counted = _one_node(
+        monkeypatch, "ed25519_hash", Ed25519Group, cks05._hash_name,
+        lambda: coin.create_coin_share(keys_cks05.share_for(2), name), node_1,
+    )
+    assert counted == CKS05_NODE_HASHES
+
+
+def test_one_node_hashes_a_bls04_message_once(keys_bls04, monkeypatch):
+    bls, message = get_scheme("bls04"), b"hashed once at node 1"
+
+    def node_1(peer):
+        own = bls.partial_sign(keys_bls04.share_for(1), message)
+        bls.combine(keys_bls04.public_key, message, [own, peer])
+
+    counted = _one_node(
+        monkeypatch, "g1_hash", BN254G1Group, bls04._hash_message,
+        lambda: bls.partial_sign(keys_bls04.share_for(2), message), node_1,
+    )
+    assert counted == BLS04_NODE_HASHES
 
 
 async def _cold_call(keys: dict, call, counted: Counter) -> dict:

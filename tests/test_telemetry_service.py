@@ -149,6 +149,8 @@ class TestMetricsEndpoints:
                 assert cache_stats == {
                     "fixed_base": {"hits", "tables_built", "evictions", "tables", "capacity"},
                     "lagrange": {"hits", "misses", "size", "capacity"},
+                    "cks05_name_hash": {"hits", "misses", "size", "capacity"},
+                    "bls04_message_hash": {"hits", "misses", "size", "capacity"},
                 }
                 assert parsed[("repro_fixedbase_tables_built_total", ())] == parsed[
                     ("repro_crypto_cache", (("cache", "fixed_base"), ("stat", "tables_built")))
