@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast bench bench-fast check recovery-smoke precompute-smoke thetabench-smoke examples fixtures clean
+.PHONY: install test test-fast bench bench-fast check recovery-smoke thetabench-smoke examples fixtures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) tools/install_editable.py
@@ -29,19 +29,10 @@ check:
 # Durability gate: a 4-node daemon cluster with per-node data_dir; node 4
 # is SIGKILLed mid-protocol and restarted from disk, which must recover
 # its keys, serve cached results, and abort the in-flight instance with
-# the structured crash_recovery reason (docs/robustness.md).
+# the structured crash_recovery reason (docs/robustness.md); every
+# daemon must then exit on SIGTERM by itself.
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) tools/recovery_smoke.py
-
-# Precompute gate: 2 daemons with --precompute-depth 8.  Announced
-# ciphertexts must run ahead on every node and be served from the
-# pipeline (repro_precompute_served_total{source="pool"} scraped), an
-# unannounced decrypt must fall back inline, its late announce must answer
-# duplicate, and both daemons must exit cleanly on SIGTERM — the
-# run-ahead loop cannot pin shutdown
-# (docs/performance.md, "Precompute pipeline").
-precompute-smoke:
-	PYTHONPATH=src $(PYTHON) tools/precompute_smoke.py
 
 # Benchmark-harness gate: thetabench's own test at --scale 0.05 (daemons,
 # oracles, trace pass).  The per-layer metrics wrap library functions by

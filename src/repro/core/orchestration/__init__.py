@@ -8,22 +8,13 @@ over the TRI), with key material served by the *key manager*.
 from .instance import InstanceRecord, InstanceStatus
 from .keymanager import KeyEntry, KeyManager
 from .executor import ProtocolExecutor
-from .manager import InstanceManager
-from .precompute import (
-    PrecomputeConfig,
-    PrecomputeJob,
-    PrecomputeService,
-    derive_instance_id,
-)
+from .manager import InstanceManager, derive_instance_id
 
 __all__ = [
     "InstanceRecord",
     "InstanceStatus",
     "KeyEntry",
     "KeyManager",
-    "PrecomputeConfig",
-    "PrecomputeJob",
-    "PrecomputeService",
     "ProtocolExecutor",
     "InstanceManager",
     "derive_instance_id",

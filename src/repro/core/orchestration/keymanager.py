@@ -63,12 +63,21 @@ class KeyManager:
         self._keys: dict[str, KeyEntry] = {}
         if self._path is not None and self._path.exists():
             _, payload = read_versioned(self._path, KEYSTORE_VERSION)
+            shares = keystore_from_json(payload, source=str(self._path))
+            for key_id in shares:
+                self.check_id(key_id)
             self._keys = {
                 key_id: KeyEntry(key_id, scheme, share.public, share)
-                for key_id, (scheme, share) in keystore_from_json(
-                    payload, source=str(self._path)
-                ).items()
+                for key_id, (scheme, share) in shares.items()
             }
+
+    @staticmethod
+    def check_id(key_id: str) -> None:
+        """Refuse a key id holding U+0000: ``derive_instance_id`` ends the
+        id at a NUL byte, so such an id could name another key's instances
+        and be answered with that key's results."""
+        if "\0" in key_id:
+            raise KeyManagementError(f"key id {key_id!r} contains U+0000")
 
     def register(
         self, key_id: str, scheme: str, public_key: object, key_share: object
@@ -79,8 +88,10 @@ class KeyManager:
         scheme and group key): a durable node is handed the dealer output
         again at every boot, and the share its keystore holds, the dealt one
         or the one a refresh replaced it with, is the one to keep.  Another
-        key under a held id is refused.
+        key under a held id is refused, and so is an id :meth:`check_id`
+        refuses.
         """
+        self.check_id(key_id)
         if key_id in self._keys:
             held = self._keys[key_id]
             if held.scheme == scheme and _group_key(held.public_key) == _group_key(

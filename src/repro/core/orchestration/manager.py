@@ -26,6 +26,7 @@ growing pile of doomed timeouts.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import logging
 from typing import Callable
 
@@ -47,6 +48,23 @@ _BACKLOG_LIMIT = 4096
 #: beats its request by milliseconds, so past this many ids the oldest is a
 #: request this node never sees or the tail of a forgotten control-plane run.
 _BACKLOG_IDS = 1024
+
+
+def derive_instance_id(
+    kind: str, key_id: str, data: bytes, label: bytes = b""
+) -> str:
+    """Deterministic instance id shared by all nodes for the same request.
+
+    The same request sent twice, or to every node, names one instance: the
+    manager folds the repeat into it (in flight) or answers it from the
+    outcome table.  ``key_id`` ends at a NUL byte, so the key manager
+    refuses ids that contain one (:meth:`KeyManager.check_id`).
+    """
+    digest = hashlib.sha256(
+        b"repro-instance" + kind.encode() + b"\x00" + key_id.encode() + b"\x00"
+        + len(label).to_bytes(4, "big") + label + data
+    ).hexdigest()
+    return f"{kind}-{digest[:24]}"
 
 
 class InstanceManager:
@@ -246,10 +264,6 @@ class InstanceManager:
         if record.finished_at is not None:
             return record.outcome()
         return await asyncio.shield(self._executors[record.instance_id].result_future)
-
-    def known(self, instance_id: str) -> bool:
-        """Whether a request for this id would fold into an existing instance."""
-        return instance_id in self._executors or instance_id in self._outcomes
 
     def protocol(self, instance_id: str) -> ThresholdRoundProtocol:
         """The protocol a live instance runs — for a caller that joined it,

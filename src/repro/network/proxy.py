@@ -21,6 +21,12 @@ import json
 from ..errors import NetworkError
 from ..serialization import hexlify
 from .interfaces import MessageHandler, P2PNetwork, TotalOrderBroadcast
+from .tcp import _MAX_FRAME
+
+#: Stream limit of both ends of a proxy link: a line carries one frame of
+#: up to the TCP transport's ``_MAX_FRAME`` bytes, written as hex, plus its
+#: JSON envelope (method or event, peer id, newline; under 256 bytes).
+LINE_LIMIT = 2 * _MAX_FRAME + 256
 
 
 async def _write_line(writer: asyncio.StreamWriter, obj: dict) -> None:
@@ -114,7 +120,9 @@ class P2PProxy(P2PNetwork):
         return [i for i in range(1, self._peer_count + 1) if i != self.node_id]
 
     async def start(self) -> None:
-        reader, writer = await asyncio.open_connection(self._host, self._port)
+        reader, writer = await asyncio.open_connection(
+            self._host, self._port, limit=LINE_LIMIT
+        )
         self._writer = writer
         await _write_line(writer, {"method": "attach", "node": self.node_id})
         self._listen_task = asyncio.get_running_loop().create_task(
@@ -156,7 +164,9 @@ class TobProxy(TotalOrderBroadcast):
         self._handler = handler
 
     async def start(self) -> None:
-        reader, writer = await asyncio.open_connection(self._host, self._port)
+        reader, writer = await asyncio.open_connection(
+            self._host, self._port, limit=LINE_LIMIT
+        )
         self._writer = writer
         await _write_line(writer, {"method": "attach_tob", "node": self._node_id})
         self._listen_task = asyncio.get_running_loop().create_task(
@@ -206,7 +216,7 @@ class HostPlatformBridge:
     async def start(self) -> None:
         await self._transport.start()
         self._server = await asyncio.start_server(
-            self._on_client, self._listen_host, self._listen_port
+            self._on_client, self._listen_host, self._listen_port, limit=LINE_LIMIT
         )
 
     async def stop(self) -> None:

@@ -5,6 +5,12 @@ create and schedule requests to the Θ-network" (§4.1).  Because every node
 must participate in a threshold operation, a request is fanned out to the
 whole network; the client returns as soon as the first node reports the
 assembled result, which is when the Θ-network has produced it.
+
+To start work early, send the request early and do not await it (for
+instance ``asyncio.ensure_future(client.decrypt(...))``).  The same request
+sent later derives the same instance id, so every node folds it into the
+running instance or answers it from its outcome table, and nothing is
+computed twice.
 """
 
 from __future__ import annotations
@@ -280,31 +286,13 @@ class ThetacryptClient:
         )
         return bool(result["valid"])
 
-    async def precompute(
-        self,
-        key_id: str,
-        count: int | None = None,
-        items: list[bytes] | None = None,
-        label: bytes = b"",
-    ) -> dict[int, dict]:
-        """Fill this key's precompute pools on every node.
-
-        ``count=N`` runs the kg20 nonce preprocessing round; ``items``
-        announces upcoming request payloads (ciphertexts to decrypt,
-        messages to sign, coin names) so the nodes run those requests
-        ahead of demand.
-        """
-        if (count is None) == (items is None):
-            raise RpcError("precompute takes exactly one of count / items")
-        if items is not None:
-            params = {
-                "key_id": key_id,
-                "items": [hexlify(item) for item in items],
-                "label": hexlify(label),
-            }
-        else:
-            params = {"key_id": key_id, "count": count}
-        return await self.broadcast("precompute", params)
+    async def precompute(self, key_id: str, count: int) -> dict[int, dict]:
+        """Run the KG20 nonce preprocessing round on every node: each node
+        adds ``count`` nonce sets to this key's pool, and a signing request
+        that pops one skips the commitment round."""
+        return await self.broadcast(
+            "precompute", {"key_id": key_id, "count": count}
+        )
 
     async def refresh_key(self, key_id: str) -> bytes:
         """Proactive refresh on every node; returns the unchanged group key."""

@@ -26,7 +26,7 @@ class LocalCluster:
 
     ``latency`` is every link's one-way delay in seconds, and
     ``config_overrides`` go to :func:`make_local_configs` (``fault_plan``,
-    ``precompute``, ``metrics_port``, ...).  With a ``data_root`` each node
+    ``metrics_port``, ``instance_timeout``, ...).  With a ``data_root`` each node
     keeps its durable state under ``data_root/node<i>``.
     """
 

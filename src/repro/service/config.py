@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from ..core.orchestration.precompute import PrecomputeConfig
 from ..errors import ConfigurationError
 from ..network.faults import FaultPlan
 from ..serialization import config_fields
@@ -62,11 +61,6 @@ class NodeConfig:
     # Graceful shutdown: how long the daemon waits for in-flight instances
     # to finish before tearing the node down.
     drain_timeout: float = 5.0
-    # Precompute pipeline (docs/performance.md, "Precompute pipeline"):
-    # announced requests run ahead of demand, hiding threshold latency.
-    # None keeps the node strictly on-demand (the pre-pipeline
-    # behaviour); kg20 nonce pools work either way.
-    precompute: PrecomputeConfig | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.node_id <= self.parties:
@@ -115,8 +109,6 @@ class NodeConfig:
         payload["peers"] = [asdict(p) for p in self.peers]
         if self.fault_plan is not None:
             payload["fault_plan"] = self.fault_plan.to_dict()
-        if self.precompute is not None:
-            payload["precompute"] = self.precompute.to_dict()
         return json.dumps(payload, indent=2)
 
     @staticmethod
@@ -127,15 +119,9 @@ class NodeConfig:
         payload = config_fields(NodeConfig, payload)
         peers = payload.pop("peers", [])
         plan_payload = payload.pop("fault_plan", None)
-        precompute_payload = payload.pop("precompute", None)
         return NodeConfig(
             peers=tuple(PeerConfig(**config_fields(PeerConfig, p)) for p in peers),
             fault_plan=FaultPlan.from_dict(plan_payload) if plan_payload else None,
-            precompute=(
-                PrecomputeConfig.from_dict(precompute_payload)
-                if precompute_payload
-                else None
-            ),
             **payload,
         )
 
@@ -146,6 +132,9 @@ class NodeConfig:
 _RETIRED = {
     "tob_sequencer": (1, "node 1 sequences the built-in TOB"),
     "tob_block_interval": (0.0, "the built-in TOB stamps each submission at once"),
+    "precompute": (
+        None, "requests run when they are asked for; KG20 nonce pools need no setting"
+    ),
 }
 
 
@@ -155,7 +144,8 @@ def _drop_retired(payload: dict) -> dict:
             isinstance(payload[key], bool) or payload[key] != value
         ):
             raise ConfigurationError(
-                f"config key {key!r} must be {value}: {reason}, got {payload[key]!r}"
+                f"config key {key!r} must be {json.dumps(value)}: {reason}, "
+                f"got {payload[key]!r}"
             )
     return {k: v for k, v in payload.items() if k not in _RETIRED}
 

@@ -17,10 +17,8 @@ import asyncio
 import logging
 import signal
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from ..core.orchestration.precompute import PrecomputeConfig
 from ..errors import ThetacryptError
 from ..schemes.keystore import keystore_from_json
 from .config import NodeConfig
@@ -29,31 +27,16 @@ from .node import ThetacryptNode
 logger = logging.getLogger("repro.daemon")
 
 
-def load_node(
-    config_path: str,
-    keystore_path: str,
-    precompute_depth: int | None = None,
-) -> ThetacryptNode:
+def load_node(config_path: str, keystore_path: str) -> ThetacryptNode:
     """Build a node from its on-disk configuration and keystore.
 
     With a ``data_dir`` in the config, the node may already hold (durable)
     keys from a previous life; installing the dealer output again is a
     no-op (``install_key`` keeps the held share of the same key, which
     after a ``refresh_key`` is no longer the dealt one).
-    ``precompute_depth`` overrides the config's precompute pipeline (the
-    matching CLI flag).
     """
     with open(config_path) as handle:
         config = NodeConfig.from_json(handle.read())
-    if precompute_depth is not None:
-        config = replace(
-            config,
-            precompute=(
-                PrecomputeConfig(depth=precompute_depth)
-                if precompute_depth > 0
-                else None
-            ),
-        )
     node = ThetacryptNode(config)
     shares = keystore_from_json(Path(keystore_path).read_bytes(), keystore_path)
     for key_id, (scheme, share) in shares.items():
@@ -107,14 +90,6 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description="Run one Thetacrypt node")
     parser.add_argument("--config", required=True, help="NodeConfig JSON file")
     parser.add_argument("--keystore", required=True, help="keystore JSON file")
-    parser.add_argument(
-        "--precompute-depth",
-        type=int,
-        default=None,
-        help="enable the precompute pipeline with this per-(key, op) depth "
-        "(announced requests queued or running), overriding the config's "
-        "precompute section (0 disables the pipeline)",
-    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -122,9 +97,7 @@ def main(argv: list[str] | None = None) -> None:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     try:
-        node = load_node(
-            args.config, args.keystore, precompute_depth=args.precompute_depth
-        )
+        node = load_node(args.config, args.keystore)
     except (ThetacryptError, OSError) as exc:  # a bad file: say which, no traceback
         sys.exit(f"cannot start node: {type(exc).__name__}: {exc}")
     asyncio.run(run_until_signal(node))

@@ -18,12 +18,11 @@ from ..core.orchestration import (
     InstanceManager,
     InstanceRecord,
     KeyManager,
-    PrecomputeJob,
-    PrecomputeService,
     derive_instance_id,
 )
 from ..core.protocols import (
     DealProtocol,
+    FrostPrecomputationPool,
     FrostPrecomputeProtocol,
     FrostProtocol,
     NonInteractiveProtocol,
@@ -45,6 +44,7 @@ from ..telemetry import (
     EventLoopLagSampler,
     MetricRegistry,
     MetricsHttpServer,
+    PrecomputeMetrics,
     StorageMetrics,
     default_registry,
     register_crypto_cache_collector,
@@ -57,14 +57,6 @@ from .server import RpcServer
 logger = logging.getLogger(__name__)
 
 __all__ = ["ThetacryptNode"]
-
-#: Scheme kind → the protocol-API operation it serves.
-_KIND_TO_OP = {
-    SchemeKind.CIPHER: "decrypt",
-    SchemeKind.SIGNATURE: "sign",
-    SchemeKind.RANDOMNESS: "coin",
-}
-
 
 #: The schemes whose key material a dealing yields, ``(Y = g^x, Y_i =
 #: g^{x_i})``; their classes are in :data:`KEY_CLASSES`.
@@ -145,17 +137,11 @@ class ThetacryptNode:
             self._metrics_http = MetricsHttpServer(
                 self.render_metrics, config.rpc_host, config.metrics_port
             )
-        # Precompute pipeline (docs/performance.md): announced requests
-        # run ahead of demand through submit_request.  Always constructed —
-        # the kg20 nonce pools live in it — but announces are only taken
-        # with config.precompute set.
-        self._precompute = PrecomputeService(
-            config.precompute,
-            registry=self.registry,
-            active_probe=lambda: self.instances.active_count,
-            known_probe=self.instances.known,
-            submit=self._pipeline_submit,
-        )
+        # KG20 nonce pools, one per key, filled by the FROST preprocessing
+        # round (precompute_frost) and drained by signing instances.  Nonce
+        # material never rests on disk, so a restart empties them.
+        self._frost_pools: dict[str, FrostPrecomputationPool] = {}
+        self._precompute_metrics = PrecomputeMetrics(self.registry)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -166,7 +152,6 @@ class ThetacryptNode:
         if self._metrics_http is not None:
             await self._metrics_http.start()
         self._lag_sampler.start()
-        self._precompute.start()
 
     def _recover(self) -> None:
         """Report what opening ``data_dir`` recovered (no-op without one).
@@ -215,9 +200,6 @@ class ThetacryptNode:
 
     async def stop(self) -> None:
         await self._lag_sampler.stop()
-        # The pipeline submits instances: stop it before the instance
-        # manager shuts down.
-        await self._precompute.stop()
         if self._metrics_http is not None:
             await self._metrics_http.stop()
         await self.rpc.stop()
@@ -269,23 +251,20 @@ class ThetacryptNode:
         key_id: str,
         data: bytes,
         label: bytes = b"",
-        _pipeline: bool = False,
     ) -> InstanceRecord:
         """Start (idempotently) the protocol instance for a request.
 
+        A request sent again while its instance runs, or after it ended,
+        folds into that instance: this is how a client starts work early.
         A kg20 nonce set staged for the key is consumed when the instance
         is built, which the instance manager does only for a request that
         is not a duplicate, and the first round's crypto is skipped.
-        ``_pipeline`` marks the precompute pipeline's own submission of an
-        announced request: its instance is marked ``precomputed`` and it
-        is not a client-visible request (no served counter).
         """
         entry = self.keys.get(key_id)
         if entry.scheme == "kg20" and kind != "sign":
             raise RpcError("kg20 keys only support signing")
         instance_id = derive_instance_id(kind, key_id, data, label)
-        #: The round the instance starts in, if it runs on precomputed
-        #: material: an announce's own submission (0) or a kg20 nonce set.
+        #: The round the instance starts in, if it popped a kg20 nonce set.
         precomputed: int | None = None
 
         def build():
@@ -297,14 +276,12 @@ class ThetacryptNode:
                     entry.key_share,
                     data,
                     channel=channel,
-                    pool=self._precompute.frost_pool(key_id),
+                    pool=self._frost_pool(key_id),
                 )
                 if protocol.round:  # popped a nonce set: signing starts in round 1
                     precomputed = protocol.round
-                    self._precompute.note_frost_depth(key_id)
+                    self._note_frost_depth(key_id)
                 return protocol
-            if _pipeline:
-                precomputed = 0
             operation = make_operation(
                 entry.scheme,
                 entry.public_key,
@@ -320,21 +297,7 @@ class ThetacryptNode:
         )
         if precomputed is not None:
             record.trace.event("precomputed", round=precomputed)
-        if self._precompute.enabled and not _pipeline:
-            # "pool": this request folded into an instance its announce
-            # ran ahead of demand.
-            pooled = record.trace is not None and any(
-                event.name == "precomputed" for event in record.trace.events
-            )
-            self._precompute.record_served(kind, "pool" if pooled else "inline")
         return record
-
-    def _pipeline_submit(self, kind: str, key_id: str, data: bytes, label: bytes):
-        """Run-ahead callback for the precompute service: submit the
-        announced request's instance now and hand back its result
-        awaitable (the service tracks completion for pacing)."""
-        record = self.submit_request(kind, key_id, data, label, _pipeline=True)
-        return self.instances.result(record)
 
     async def run_request(
         self, kind: str, key_id: str, data: bytes, label: bytes = b""
@@ -353,12 +316,22 @@ class ThetacryptNode:
         await self.instances.result(record)
         return ran
 
+    def _frost_pool(self, key_id: str) -> FrostPrecomputationPool:
+        return self._frost_pools.setdefault(key_id, FrostPrecomputationPool())
+
+    def _note_frost_depth(self, key_id: str) -> None:
+        """Refresh the depth gauge after a preprocessing round filled the
+        pool or a signing instance popped a set from it."""
+        self._precompute_metrics.depth.labels(key_id, "kg20-nonce").set(
+            self._frost_pools[key_id].available
+        )
+
     async def precompute_frost(self, key_id: str, count: int) -> int:
         """Run the FROST preprocessing round, filling this key's nonce pool."""
         entry = self.keys.get(key_id)
         if entry.scheme != "kg20":
             raise RpcError("precomputation only applies to kg20 keys")
-        pool = self._precompute.frost_pool(key_id)
+        pool = self._frost_pool(key_id)
         instance_id = derive_instance_id(
             "frost-pre",
             key_id,
@@ -372,45 +345,8 @@ class ThetacryptNode:
             channel=self._channel_for("kg20"),
         )
         await self._run_control(protocol, "kg20")
-        self._precompute.note_frost_depth(key_id)
+        self._note_frost_depth(key_id)
         return pool.available
-
-    async def precompute_requests(
-        self, key_id: str, items: list[bytes], label: bytes = b""
-    ) -> dict:
-        """Announce upcoming requests; run them ahead of demand.
-
-        Every node must receive the same announce (the client broadcasts
-        it) so all nodes start the same instances.  Returns the outcome
-        tally (``staged`` / ``duplicate`` / ``deferred`` / ``failed``
-        counts plus per-(key, op) depths).
-        """
-        entry = self.keys.get(key_id)
-        if entry.scheme == "kg20":
-            raise RpcError(
-                "kg20 precomputes nonce batches: call precompute with "
-                "count=N, not items",
-                reason="precompute_kind",
-            )
-        if not self._precompute.enabled:
-            raise RpcError(
-                "precompute pipeline disabled on this node (set "
-                "NodeConfig.precompute / --precompute-depth)",
-                reason="precompute_disabled",
-            )
-        kind = _KIND_TO_OP[SCHEME_TABLE[entry.scheme].kind]
-        return await self._precompute.warm(
-            [
-                PrecomputeJob(
-                    derive_instance_id(kind, key_id, data, label),
-                    key_id,
-                    kind,
-                    data,
-                    label,
-                )
-                for data in items
-            ]
-        )
 
     async def _deal(
         self, instance_id, scheme, group, threshold, parties, dealers, secret
@@ -451,6 +387,7 @@ class ThetacryptNode:
             )
         if key_id in self.keys:
             raise RpcError(f"key id {key_id!r} already installed")
+        self.keys.check_id(key_id)
         group = get_group(group_name)
         parties = self.config.parties
         share, group_key = await self._deal(
@@ -559,10 +496,14 @@ class ThetacryptNode:
             # Constant: big integers are CPython's pow.  Kept only because
             # benchmarks/thetabench/measure.py reads its "name".
             "crypto_backend": {"name": "python"},
-            # Precompute pipeline (docs/performance.md): per-pool staged
-            # depths, refill queue/outcomes, served-source counters, and
-            # kg20 nonce availability.
-            "precompute": self._precompute.stats(),
+            # KG20 nonce sets available per key (empty pools omitted).
+            "precompute": {
+                "frost": {
+                    key_id: pool.available
+                    for key_id, pool in sorted(self._frost_pools.items())
+                    if pool.available
+                }
+            },
             # Scheduling-delay digest from the heartbeat histogram: how
             # long the crypto the executors run holds the event loop.
             "event_loop_lag": dict(

@@ -84,16 +84,13 @@ def _parse_request(line: bytes) -> dict:
 
 
 def _param(params: dict, name: str, kind: type, default=_REQUIRED):
-    """``params[name]`` as ``kind``; ``bytes`` reads a hex string and
-    ``list`` a list of hex strings.  A missing or mistyped field raises
-    ``bad_request``."""
+    """``params[name]`` as ``kind``; ``bytes`` reads a hex string.  A
+    missing or mistyped field raises ``bad_request``."""
     value = params.get(name, default)
     if value is _REQUIRED:
         raise _bad_request(f"missing parameter {name!r}")
     if kind is bytes:
         return _unhex(name, value)
-    if kind is list and type(value) is list:
-        return [_unhex(name, item) for item in value]
     if type(value) is not kind:
         raise _bad_request(f"parameter {name!r} must be a {kind.__name__}")
     if kind is str:
@@ -309,17 +306,8 @@ class RpcServer:
             group_key = await node.refresh_key(_param(params, "key_id", str))
             return {"group_key": group_key}
         if method == "precompute":
-            # Two families behind one method: kg20 nonce batches (count=N,
-            # the original API) and the generic announce of upcoming
-            # requests (items=[hex, ...]) that runs them ahead of demand.
+            # The FROST preprocessing round: count nonce sets per node.
             key_id = _param(params, "key_id", str)
-            if "items" in params:
-                report = await node.precompute_requests(
-                    key_id,
-                    _param(params, "items", list),
-                    _param(params, "label", bytes, ""),
-                )
-                return report
             count = _param(params, "count", int)
             if not 0 < count < 1 << 32:
                 raise _bad_request(f"count {count} outside 1..2**32-1")

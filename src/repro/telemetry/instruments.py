@@ -200,35 +200,14 @@ class StorageMetrics:
 
 
 class PrecomputeMetrics:
-    """Precompute-pipeline instruments (held by
-    :class:`repro.core.orchestration.precompute.PrecomputeService`).
-
-    ``source`` taxonomy of ``repro_precompute_served_total``: ``pool`` (the
-    request folded into an instance its announce ran ahead of demand, or
-    popped a kg20 nonce set), ``inline`` (the on-demand path ran).
-    ``outcome`` taxonomy of ``repro_precompute_refills_total``: ``ok`` /
-    ``error`` / ``deferred`` (announce beyond the depth limit).
-    """
+    """KG20 nonce-pool instruments (held by
+    :class:`repro.service.node.ThetacryptNode`)."""
 
     def __init__(self, registry: MetricRegistry):
         self.depth = registry.gauge(
             "repro_precompute_pool_depth",
-            "Announced requests queued or running per key and operation "
-            "(kg20 nonce sets available report op=\"kg20-nonce\").",
+            "KG20 nonce sets available per key (op=\"kg20-nonce\").",
             ("key", "op"),
-        )
-        self.served = registry.counter(
-            "repro_precompute_served_total",
-            "Client requests by operation and serving source "
-            "(pool / inline).",
-            ("op", "source"),
-        )
-        self.refills = registry.counter(
-            "repro_precompute_refills_total",
-            "Announced requests by operation and outcome: ok (ran ahead "
-            "of demand) / error (its instance aborted) / deferred (beyond "
-            "the depth limit).",
-            ("op", "outcome"),
         )
 
 

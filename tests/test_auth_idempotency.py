@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.orchestration import derive_instance_id
 from repro.errors import RpcError
 from repro.service import ThetacryptClient, make_local_configs
 from repro.service.cluster import LocalCluster
@@ -84,3 +85,30 @@ class TestIdempotency:
                 assert len(cluster.nodes[0].instances.records()) == 1
 
         asyncio.run(scenario())
+
+    def test_a_key_id_with_nul_cannot_take_another_keys_instances(self, keys_cks05):
+        """``derive_instance_id`` ends a key id at a NUL byte, so a coin on
+        key ``k`` and one on ``k`` followed by five NULs can name one
+        instance, and the outcome table would answer one key's request with
+        the other key's coin.  The ids stay as they are (every stored
+        result is keyed by them); a key id holding U+0000 is refused before
+        any dealing."""
+        twin = "k\0\0\0\0\0"
+        shared = derive_instance_id("coin", "k", b"\0" * 5 + b"x")
+        assert shared == derive_instance_id("coin", twin, b"x")
+        assert shared == "coin-1314ebccde805d39be18d182"
+
+        async def scenario():
+            async with LocalCluster({"k": keys_cks05}) as cluster:
+                client, nodes = cluster.client, cluster.nodes
+                coin = await client.flip_coin("k", b"\0" * 5 + b"x")
+                with pytest.raises(RpcError, match="U\\+0000"):
+                    await client.run_dkg(twin, scheme="cks05")
+                for node in nodes:
+                    assert twin not in node.keys
+                    assert [r.instance_id for r in node.instances.records()] == [shared]
+                # The held key still answers its own request.
+                assert await client.flip_coin("k", b"\0" * 5 + b"x") == coin
+
+        asyncio.run(scenario())
+

@@ -14,7 +14,7 @@ import secrets
 
 import pytest
 
-from repro.core.orchestration import PrecomputeConfig, derive_instance_id
+from repro.core.orchestration import derive_instance_id
 from repro.core.protocols.operations import (
     DecryptOperation,
     OperationRequest,
@@ -86,21 +86,18 @@ _CASES = [
 
 
 @pytest.mark.integration
-@pytest.mark.parametrize("path", ["inline", "pool"])
+@pytest.mark.parametrize("path", ["inline"])
 @pytest.mark.parametrize("scheme,case", _CASES)
 def test_hostile_ciphertext_earns_no_share(scheme, case, path, keys_sg02, keys_bz03):
     """Every node aborts with a structured reason and sends no frame: no
-    decryption share leaves any node, whether the request runs inline or
-    was announced to the precompute pipeline first (which runs the same
-    instance ahead of demand, and reports it ``failed``)."""
+    decryption share leaves any node."""
     keys = {"sg02": keys_sg02, "bz03": keys_bz03}[scheme]
     cipher, mutate = _HOSTILE[scheme]
     good = cipher.encrypt(keys.public_key, b"never decrypted", b"label")
     hostile = mutate(keys.public_key, good, case).to_bytes()
-    precompute = PrecomputeConfig(depth=4) if path == "pool" else None
 
     async def scenario():
-        async with LocalCluster({scheme: keys}, precompute=precompute) as cluster:
+        async with LocalCluster({scheme: keys}) as cluster:
             nodes, client = cluster.nodes, cluster.client
             frames: list[tuple[int, int]] = []
             deliver = cluster.hub._deliver
@@ -110,10 +107,6 @@ def test_hostile_ciphertext_earns_no_share(scheme, case, path, keys_sg02, keys_b
                 deliver(src, dst, data)
 
             cluster.hub._deliver = spy
-            if path == "pool":
-                reports = await client.precompute(scheme, items=[hostile])
-                assert all(r.get("failed") == 1 for r in reports.values()), reports
-                assert all(n.stats()["precompute"]["depth"] == {} for n in nodes)
             with pytest.raises(RpcError):
                 await client.decrypt(scheme, hostile)
             instance_id = derive_instance_id("decrypt", scheme, hostile, b"")

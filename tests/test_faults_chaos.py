@@ -20,8 +20,8 @@ import asyncio
 import pytest
 
 from repro.core.messages import Channel, ProtocolMessage
-from repro.core.orchestration import PrecomputeConfig, derive_instance_id
-from repro.errors import RpcError
+from repro.core.orchestration import derive_instance_id
+from repro.errors import ProtocolError, RpcError
 from repro.network.faults import Crash, FaultPlan, LinkFaults, Partition
 from repro.schemes import get_scheme
 from repro.serialization import hexlify
@@ -51,6 +51,14 @@ PLANS = {
     ),
     "crash": FaultPlan(seed=17, crashes=(Crash(node=4, at=0.0),)),
 }
+
+
+def _status(node, instance_id: str) -> str | None:
+    """The node's status for an instance, None while it knows none."""
+    try:
+        return node.instances.record(instance_id).status.value
+    except ProtocolError:
+        return None
 
 
 async def _exercise(client, scheme, tag):
@@ -189,102 +197,6 @@ class TestStructuredAborts:
 
 
 @pytest.mark.integration
-class TestPrecomputeUnderChaos:
-    """The precompute pipeline against the chaos machinery: announced
-    requests must keep being served through a seeded crash window, and a
-    real restart must keep both invariants — the structured
-    ``crash_recovery`` abort for in-flight instances AND never running an
-    answered request twice (its announce is a ``duplicate``, on the
-    restarted node too)."""
-
-    def test_warm_pool_serves_through_crash_window_and_restart(
-        self, all_keys, tmp_path
-    ):
-        # Node 4 is crash-windowed by a seeded plan: silent from the start,
-        # back after 0.6s of fault-clock time.
-        plan = FaultPlan(seed=41, crashes=(Crash(node=4, at=0.0, recover=0.6),))
-
-        async def scenario():
-            async with LocalCluster(
-                all_keys,
-                data_root=tmp_path,
-                fault_plan=plan,
-                precompute=PrecomputeConfig(depth=4),
-                instance_timeout=10.0,
-            ) as cluster:
-                nodes, client = cluster.nodes, cluster.client
-                windowed = await client.encrypt("sg02", b"during the window", b"")
-                survivor = await client.encrypt("sg02", b"after the restart", b"")
-                # Announce to the three live nodes (t=1 tolerates the dark
-                # one): they run the instance ahead of demand.
-                reports = await asyncio.gather(
-                    *(node.precompute_requests("sg02", [windowed]) for node in nodes[:3])
-                )
-                assert all(r == {"staged": 1, "depth": {}} for r in reports), reports
-
-                # Mid-window request: served by the instance that ran ahead.
-                plaintext = await client.decrypt("sg02", windowed)
-                assert plaintext == b"during the window"
-                assert (
-                    nodes[0]
-                    .stats()["precompute"]["served"]
-                    .get("decrypt/pool", 0)
-                    == 1
-                )
-
-                # One instance in flight on node 4 only, then "kill -9".
-                pending = b"in flight at the crash"
-                pending_id = derive_instance_id("sign", "bls04", pending, b"")
-                submit = asyncio.ensure_future(
-                    client.call(
-                        4, "sign", {"key_id": "bls04", "data": hexlify(pending)}
-                    )
-                )
-                for _ in range(200):
-                    if nodes[3].instances.known(pending_id):
-                        break
-                    await asyncio.sleep(0.01)
-                submit.cancel()
-                await asyncio.gather(submit, return_exceptions=True)
-
-                # Fresh life over the same data_dir.  The plan's clock
-                # starts again with it, so node 4 is dark for another
-                # window; its RPC still serves.
-                await cluster.restart(4)
-                reborn, client = cluster.nodes[3], cluster.client
-
-                # Structured crash_recovery abort is still correct with
-                # the pipeline in play.
-                assert reborn.stats()["aborts"].get("crash_recovery", 0) >= 1
-
-                # The answered request is known everywhere, the restarted
-                # node included (from its outcome log): announcing it
-                # again runs nothing.
-                reports = await client.precompute("sg02", items=[windowed])
-                assert all(
-                    r == {"duplicate": 1, "depth": {}} for r in reports.values()
-                ), reports
-
-                # Once node 4's new window is over, an announce runs on
-                # every node and serves the request there too.
-                await asyncio.sleep(0.7)
-                reports = await client.precompute("sg02", items=[survivor])
-                assert all(r["staged"] == 1 for r in reports.values()), reports
-                assert await client.decrypt("sg02", survivor) == b"after the restart"
-                assert (
-                    reborn.stats()["precompute"]["served"].get("decrypt/pool", 0)
-                    == 1
-                )
-                assert reborn.stats()["precompute"]["depth"] == {}
-
-        asyncio.run(scenario())
-        # The pipeline keeps nothing on disk: each data_dir holds the
-        # outcome log and the keystore, and no precompute/ directory.
-        assert len(list(tmp_path.glob("*/results"))) == 4
-        assert list(tmp_path.glob("*/precompute")) == []
-
-
-@pytest.mark.integration
 class TestCrashRecoveryRestart:
     """Crash recovery through the *real* path: the crashed node is torn
     down and a fresh ThetacryptNode boots over the same ``data_dir`` —
@@ -301,14 +213,10 @@ class TestCrashRecoveryRestart:
                 signature = await client.sign("bls04", data)
                 done_id = derive_instance_id("sign", "bls04", data, b"")
                 for _ in range(200):
-                    if (
-                        nodes[3].instances.known(done_id)
-                        and nodes[3].instances.record(done_id).status.value
-                        == "finished"
-                    ):
+                    if _status(nodes[3], done_id) == "finished":
                         break
                     await asyncio.sleep(0.01)
-                assert nodes[3].instances.record(done_id).status.value == "finished"
+                assert _status(nodes[3], done_id) == "finished"
 
                 # One instance in flight on node 4 only: peers never saw
                 # the request, so it cannot reach quorum and is still
@@ -321,10 +229,10 @@ class TestCrashRecoveryRestart:
                     )
                 )
                 for _ in range(200):
-                    if nodes[3].instances.known(pending_id):
+                    if _status(nodes[3], pending_id) is not None:
                         break
                     await asyncio.sleep(0.01)
-                assert nodes[3].instances.record(pending_id).status.value in (
+                assert _status(nodes[3], pending_id) in (
                     "created",
                     "running",
                 )
@@ -354,6 +262,23 @@ class TestCrashRecoveryRestart:
                     4, "sign", {"key_id": "bls04", "data": hexlify(data)}
                 )
                 assert result["result"] == hexlify(signature)
+
+                # An answered request is never run twice, on any node: a
+                # duplicate asked of every node, the restarted one included,
+                # folds into its outcome and ends no new instance.
+                nodes = cluster.nodes
+                ended = [n.stats()["instances"] for n in nodes]
+                hits = [
+                    n.instances.metrics.coalesced_requests.labels("result_cache")
+                    for n in nodes
+                ]
+                before = [hit.value for hit in hits]
+                replies = await client.broadcast(
+                    "sign", {"key_id": "bls04", "data": hexlify(data)}
+                )
+                assert {r["result"] for r in replies.values()} == {hexlify(signature)}
+                assert [hit.value for hit in hits] == [b + 1 for b in before]
+                assert [n.stats()["instances"] for n in nodes] == ended
 
                 # The in-flight instance is aborted with the structured
                 # crash_recovery reason, visible over the status RPC.

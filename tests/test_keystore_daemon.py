@@ -7,7 +7,6 @@ import sys
 
 import pytest
 
-from repro.core.orchestration import PrecomputeConfig
 from repro.errors import ConfigurationError, SerializationError
 from repro.schemes import generate_keys, get_scheme
 from repro.schemes.keystore import (
@@ -123,11 +122,6 @@ MALFORMED = [
         "unknown PeerConfig keys: address",
     ),
     (
-        "precompute depth a string",
-        lambda d: _with(d, precompute={"depth": "8"}),
-        "PrecomputeConfig.depth must be int, got '8'",
-    ),
-    (
         "node_id a string",
         lambda d: _with(d, node_id="1"),
         "NodeConfig.node_id must be int, got '1'",
@@ -189,21 +183,24 @@ class TestConfigFile:
                 NodeConfig.from_json(json.dumps(document))
             assert str(caught.value) == message
 
-
-    def test_config_written_with_the_eager_switch(self):
-        """A config written while the precompute pipeline had an ``eager``
-        switch carries it: true is the only behaviour left and loads,
-        false is refused by name."""
+    @pytest.mark.parametrize(
+        "section", [{"depth": 8}, {"depth": 8, "eager": True}, {}],
+        ids=["depth", "eager switch", "empty"],
+    )
+    def test_config_written_with_a_precompute_section(self, section):
+        """Every config written while ``NodeConfig`` had ``precompute``
+        carries it, as null unless the announce pipeline was on: null still
+        loads, and a section is refused by name (no setting of it has a
+        meaning now)."""
         document = json.loads(make_local_configs(4, 1)[0].to_json())
-        document["precompute"] = {"depth": 8, "eager": True}
-        config = NodeConfig.from_json(json.dumps(document))
-        assert config.precompute == PrecomputeConfig(depth=8)
-        document["precompute"]["eager"] = False
+        document["precompute"] = None
+        assert NodeConfig.from_json(json.dumps(document)) == make_local_configs(4, 1)[0]
+        document["precompute"] = section
         with pytest.raises(ConfigurationError) as caught:
             NodeConfig.from_json(json.dumps(document))
         assert str(caught.value) == (
-            "precompute key 'eager' must be true: an announce always runs "
-            "its request ahead of demand, got False"
+            "config key 'precompute' must be null: requests run when they are "
+            "asked for; KG20 nonce pools need no setting, got " + repr(section)
         )
 
     @pytest.mark.parametrize(

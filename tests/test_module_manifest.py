@@ -10,8 +10,8 @@ a top-level function or class, or a non-dunder method, is owned when its
 name appears outside its own definition somewhere in ``src/``, ``tools/``,
 ``benchmarks/`` or ``examples/``, or when ``SYMBOL_OWNERS`` says what keeps
 it.  DESIGN.md's "Repository layout" block is checked against the same
-tree, and the options a deployment can set (``NodeConfig``,
-``PrecomputeConfig``, the daemon's flags) against a pinned budget.
+tree, and the options a deployment can set (``NodeConfig``, the daemon's
+flags) against a pinned budget.
 """
 
 import ast
@@ -319,23 +319,15 @@ NODE_CONFIG_FIELDS = (
     "rpc_host", "rpc_port", "peers", "transport", "enable_tob",
     "gossip_fanout", "instance_timeout", "rpc_auth_token", "metrics_port",
     "fault_plan", "data_dir", "max_pending_instances",
-    "overload_retry_after", "drain_timeout", "precompute",
+    "overload_retry_after", "drain_timeout",
 )
-PRECOMPUTE_CONFIG_FIELDS = ("depth",)
-DAEMON_FLAGS = ("--config", "--keystore", "--precompute-depth", "--verbose")
+DAEMON_FLAGS = ("--config", "--keystore", "--verbose")
 
 
 def test_node_config_fields_are_the_budget():
     from repro.service.config import NodeConfig
 
     assert tuple(f.name for f in dataclasses.fields(NodeConfig)) == NODE_CONFIG_FIELDS
-
-
-def test_precompute_config_fields_are_the_budget():
-    from repro.core.orchestration.precompute import PrecomputeConfig
-
-    fields = tuple(f.name for f in dataclasses.fields(PrecomputeConfig))
-    assert fields == PRECOMPUTE_CONFIG_FIELDS
 
 
 def test_daemon_flags_are_the_budget():

@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.orchestration import PrecomputeConfig
+from repro.core.orchestration import derive_instance_id
 from repro.groups.base import Group
 from repro.groups.bn254 import bn254_g1, bn254_g2
 from repro.groups.bn254.g1 import BN254G1Element, BN254G1Group
@@ -264,37 +264,42 @@ def test_one_two_pair_pairing_check_in_the_kernel(monkeypatch):
     assert counted == PAIRING_CHECK_KERNEL
 
 
-def test_one_bls04_signature_whose_announce_is_overtaken(keys_bls04, counts):
-    """The signature is requested while its announce is still queued (the
-    pipeline is held until every node has answered): the announce folds
-    into the request's instance and adds nothing to the row."""
-    message = b"count me once, announced"
+def test_one_bls04_signature_asked_again_while_in_flight(keys_bls04, counts):
+    """The same signature request is sent twice, the second time while
+    every node still runs the first (links of 0.2 s keep each node waiting
+    for a peer share): the repeat folds into the running instance, so each
+    node ends one instance and the row is unchanged.  This is how a client
+    starts work early: it sends the request and awaits it later."""
+    message = b"count me once, asked twice"
+    params = {"key_id": "bls04", "data": hexlify(message)}
+    instance_id = derive_instance_id("sign", "bls04", message)
 
     async def scenario():
-        async with LocalCluster(
-            {"bls04": keys_bls04}, precompute=PrecomputeConfig(depth=4)
-        ) as cluster:
-            nodes = cluster.nodes
-            gate = asyncio.Event()
-            for node in nodes:
-                node._precompute._pace = gate.wait
+        async with LocalCluster({"bls04": keys_bls04}, latency=0.2) as cluster:
+            nodes, client = cluster.nodes, cluster.client
+            clear_precompute_cache()
             counts.clear()
-            announce = asyncio.ensure_future(
-                cluster.client.precompute("bls04", items=[message])
-            )
+            first = asyncio.ensure_future(client.broadcast("sign", params))
             for _ in range(400):
-                if all(node._precompute._pending_ids for node in nodes):
+                if all(n.instances.active_count for n in nodes):
                     break
-                await asyncio.sleep(0.01)
-            replies = await cluster.client.broadcast(
-                "sign", {"key_id": "bls04", "data": hexlify(message)}
-            )
-            gate.set()
-            reports = await announce
-            return dict(counts), replies, reports
+                await asyncio.sleep(0.005)
+            second = await client.broadcast("sign", params)
+            first = await first
+            folded = [
+                n.instances.metrics.coalesced_requests.labels("inflight").value
+                for n in nodes
+            ]
+            ended = [n.stats()["instances"] for n in nodes]
+            records = [n.instances.record(instance_id).status.value for n in nodes]
+            return dict(counts), first, second, folded, ended, records
 
-    counted, replies, reports = asyncio.run(scenario())
-    signatures = {unhexlify(reply["result"]) for reply in replies.values()}
-    assert len(replies) == 4 and len(signatures) == 1
+    counted, first, second, folded, ended, records = asyncio.run(scenario())
+    signatures = {
+        unhexlify(reply["result"]) for replies in (first, second)
+        for reply in replies.values()
+    }
+    assert len(first) == len(second) == 4 and len(signatures) == 1
     assert counted == BLS04_SIGN
-    assert all(r == {"duplicate": 1, "depth": {}} for r in reports.values())
+    assert folded == [1, 1, 1, 1]
+    assert ended == [{"finished": 1}] * 4 and records == ["finished"] * 4

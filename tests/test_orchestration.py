@@ -15,11 +15,14 @@ from repro.core.orchestration import (
     KeyManager,
 )
 from repro.core.orchestration.instance import InstanceRecord
+from repro.core.orchestration.keymanager import KEYSTORE_VERSION
 from repro.core.protocols import NonInteractiveProtocol, OperationRequest, make_operation
 from repro.core.tri import ThresholdRoundProtocol
 from repro.errors import KeyManagementError, ProtocolAbortedError, ProtocolError
 from repro.schemes import generate_keys
 from repro.schemes.base import get_scheme
+from repro.schemes.keystore import keystore_to_json
+from repro.storage.atomic import write_versioned
 from repro.telemetry import MetricRegistry
 
 
@@ -62,6 +65,18 @@ class TestKeyManager:
     def test_unknown_scheme_rejected(self, keys_bls04):
         with pytest.raises(KeyManagementError):
             KeyManager().register("k", "bogus", keys_bls04.public_key, None)
+
+    def test_a_key_id_with_nul_is_refused(self, keys_cks05, tmp_path):
+        """Registered or loaded from the keystore: an id holding U+0000
+        could share instance ids with another key."""
+        public, share = keys_cks05.public_key, keys_cks05.key_shares[0]
+        with pytest.raises(KeyManagementError, match="U\\+0000"):
+            KeyManager().register("k\0", "cks05", public, share)
+        path = tmp_path / "keystore.bin"
+        document = keystore_to_json({"k\0": ("cks05", share)})
+        write_versioned(path, document.encode(), KEYSTORE_VERSION)
+        with pytest.raises(KeyManagementError, match="U\\+0000"):
+            KeyManager(path)
 
     def test_list_sorted_by_id(self, keys_bls04, keys_cks05):
         km = KeyManager()

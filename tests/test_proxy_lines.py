@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network import proxy as proxy_module
 from repro.network.local import LocalHub
 from repro.network.proxy import HostPlatformBridge, P2PProxy, TobProxy, _listen
 
@@ -101,7 +102,8 @@ class _Writer:
 
 
 def _reader(*lines: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
+    """A reader with a proxy link's line limit, holding ``lines``."""
+    reader = asyncio.StreamReader(limit=proxy_module.LINE_LIMIT)
     reader.feed_data(b"".join(lines))
     reader.feed_eof()
     return reader
@@ -156,8 +158,20 @@ class TestBridgeRequests:
         assert _through_the_bridge(line, _PROBE_REQUEST) == delivered + [_PROBE]
 
     def test_a_line_over_the_reader_limit_is_dropped(self):
-        long = _send(data="78" * (1 << 16))  # past StreamReader's 64 KiB
+        """A 64 KiB frame is a 128 KiB line, past asyncio's default limit
+        of 64 KiB but far inside a link's, which fits any TCP frame."""
+        long = _send(data="78" * (1 << 16))
+        assert _through_the_bridge(long, _PROBE_REQUEST) == [b"x" * (1 << 16), _PROBE]
+
+    def test_a_line_over_a_small_limit_is_dropped(self, monkeypatch):
+        """Past the link's limit (made small here), a line is dropped on
+        both kinds of reader and the next line still arrives."""
+        monkeypatch.setattr(proxy_module, "LINE_LIMIT", 1024)
+        long = _send(data="78" * 1024)
         assert _through_the_bridge(long, _PROBE_REQUEST) == [_PROBE]
+        proxy = P2PProxy(1, "127.0.0.1", 0, peer_count=3)
+        long = _event(data="78" * 1024)
+        assert _through_a_proxy(proxy, "p2p", long, _PROBE_EVENT) == [(2, _PROBE)]
 
     @settings(max_examples=200, deadline=None)
     @given(lines=st.lists(st.binary(max_size=80), max_size=4))

@@ -82,6 +82,7 @@ _TABLE = [
     ("count negative", _call(24, "precompute", key_id="coin", count=-1), 24, _BAD),
     ("count past 32 bits",
      _call(25, "precompute", key_id="coin", count=1 << 32), 25, _BAD),
+    # ``items`` is no parameter of ``precompute``: these lines lack ``count``.
     ("items a string", _call(26, "precompute", key_id="coin", items="aa"), 26, _BAD),
     ("items holding a number",
      _call(27, "precompute", key_id="coin", items=[1]), 27, _BAD),

@@ -728,7 +728,7 @@ async def _no_send(message):
 async def _run(manager, instance_id):
     record = manager.start_instance(_Instant(instance_id, 1), "cks05")
     result = await manager.result(record)
-    while manager.known(instance_id) and instance_id in manager._executors:
+    while instance_id in manager._executors:
         await asyncio.sleep(0)  # the executor is traded for its entry
     return result
 
@@ -757,9 +757,9 @@ class TestManagerOverTheTable:
             assert await _run(manager, "inst-49") == b"result of inst-49"
             assert hits.value == 1
             # Evicted: the oldest duplicate runs again (and is the newest now).
-            assert not manager.known("inst-0")
+            assert "inst-0" not in table
             assert await _run(manager, "inst-0") == b"result of inst-0"
-            assert hits.value == 1 and manager.known("inst-0")
+            assert hits.value == 1 and "inst-0" in table
             await manager.shutdown()
             table.close()
 
@@ -820,7 +820,7 @@ class TestManagerOverTheTable:
                     assert await manager.result(record) == b"result of refresh-1"
                     while "refresh-1" in manager._executors:
                         await asyncio.sleep(0)
-                    assert not manager.known("refresh-1")
+                    assert "refresh-1" not in table
             assert appends.call_count == 0 and len(table) == 0
             assert manager.metrics.coalesced_requests.labels("result_cache").value == 0
             await manager.shutdown()

@@ -177,6 +177,36 @@ class TestMetricsEndpoints:
 
         asyncio.run(scenario())
 
+    def test_nonce_pool_depth_tracks_the_kg20_pool(self, keys_kg20):
+        """The one precompute gauge: KG20 nonce sets a node holds, raised
+        by the preprocessing round and lowered by each signature that pops
+        one, the same number ``stats()["precompute"]["frost"]`` reports."""
+
+        async def scenario():
+            async with LocalCluster({"wallet": keys_kg20}) as cluster:
+                client, nodes = cluster.client, cluster.nodes
+
+                async def depths():
+                    gauges = []
+                    for node in nodes:
+                        parsed = parse_text(await client.metrics(node.config.node_id))
+                        assert {
+                            labels for (name, labels) in parsed
+                            if name == "repro_precompute_pool_depth"
+                        } == {(("key", "wallet"), ("op", "kg20-nonce"))}
+                        gauges.append(
+                            _metric(parsed, "repro_precompute_pool_depth", key="wallet")
+                        )
+                    frost = [n.stats()["precompute"] for n in nodes]
+                    return gauges, frost
+
+                await client.precompute("wallet", 3)
+                assert await depths() == ([3] * 4, [{"frost": {"wallet": 3}}] * 4)
+                await client.sign("wallet", b"pops one set")
+                assert await depths() == ([2] * 4, [{"frost": {"wallet": 2}}] * 4)
+
+        asyncio.run(scenario())
+
     def test_http_scrape_endpoint(self, keys_bls04, keys_sg02, keys_cks05):
         """One request per protocol-API and scheme-API method; then node 1's
         ``metrics`` RPC text and its HTTP ``GET /metrics`` text both parse

@@ -25,6 +25,7 @@ real daemon processes:
   converges with the restarted node;
 * restart node 4 a third time, after the refresh: the daemon is handed the
   dealer keystore again, keeps the refreshed share it holds, and comes up.
+* SIGTERM every daemon: each must exit by itself within the timeout.
 
 Exit status 0 on success; prints the offending assertion otherwise.
 """
@@ -221,7 +222,12 @@ def main() -> None:
         try:
             asyncio.run(drive(out, daemons))
         finally:
-            stop_daemons(daemons, timeout=10.0)
+            # The orphan check: every daemon must exit on SIGTERM by
+            # itself; none may need a SIGKILL.
+            assert not stop_daemons(daemons, timeout=10.0), (
+                "a daemon survived SIGTERM"
+            )
+        print("all daemons exited cleanly after SIGTERM")
     print("recovery smoke OK")
 
 
