@@ -19,12 +19,13 @@ bench:
 bench-fast:
 	REPRO_FAST=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Tier-1 gate: full test suite plus a microbenchmark smoke run.  Sets
-# PYTHONPATH so it works without `make install`.
+# Tier-1 gate: full test suite plus a smoke run of the microbenchmarks and
+# the design ablations.  Sets PYTHONPATH so it works without `make install`.
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src REPRO_FAST=1 $(PYTHON) -m pytest \
-		benchmarks/bench_micro_primitives.py --benchmark-disable -q
+		benchmarks/bench_micro_primitives.py benchmarks/bench_ablations.py \
+		--benchmark-disable -q
 
 # Durability gate: a 4-node daemon cluster with per-node data_dir; node 4
 # is SIGKILLed mid-protocol and restarted from disk, which must recover

@@ -105,35 +105,6 @@ def test_ablation_tob_vs_p2p_for_kg20(benchmark):
     assert results["tob"].l95 > results["p2p"].l95
 
 
-def test_ablation_gossip_vs_full_mesh(benchmark):
-    """Gossip overlay (libp2p's role) vs direct full mesh on the live stack."""
-    keys = generate_keys("cks05", 1, 6)
-
-    async def measure(fanout):
-        async with LocalCluster(
-            {"coin": keys}, parties=6, latency=0.005, gossip_fanout=fanout
-        ) as cluster:
-            client = cluster.client
-            await client.flip_coin("coin", b"warmup")
-            start = time.perf_counter()
-            for k in range(5):
-                await client.flip_coin("coin", b"g%d" % k)
-            return (time.perf_counter() - start) / 5
-
-    async def scenario():
-        return await measure(None), await measure(2)
-
-    mesh, gossip = asyncio.run(scenario())
-    print_table(
-        "Ablation: full mesh vs gossip overlay (6 nodes, 5 ms links)",
-        ["topology", "coin latency (ms)"],
-        [["full mesh (direct)", ms(mesh)], ["gossip overlay (fanout 2)", ms(gossip)]],
-    )
-    # Gossip adds store-and-forward hops; it must not be *faster*.
-    assert gossip >= mesh * 0.8
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
 def test_ablation_hybrid_encryption_payload(benchmark, keys_by_scheme):
     """The threshold layer's cost is constant in the payload size."""
     keys = keys_by_scheme["sg02"]

@@ -7,9 +7,8 @@ start-up".  Concrete components:
 * :mod:`local` — in-process transport with configurable latency injection
   (the workhorse of integration tests and single-machine demos);
 * :mod:`tcp` — asyncio TCP full-mesh transport for real multi-process
-  deployments;
-* :mod:`gossip` — a flooding gossip overlay (the role libp2p plays in the
-  original);
+  deployments (the original runs libp2p gossip for up to 127 nodes; at
+  our sizes every node links to every other);
 * :mod:`tob` — a sequencer-based total-order broadcast;
 * :mod:`proxy` — P2P/TOB proxy modules that delegate communication to a
   host platform (e.g. a blockchain node).

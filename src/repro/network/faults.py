@@ -3,7 +3,7 @@
 Thetacrypt's model (§3.2) assumes reliable point-to-point channels and
 tolerates up to *t* corrupted nodes.  This module exercises that claim: a
 :class:`FaultyNetwork` wraps any :class:`~repro.network.interfaces.P2PNetwork`
-(local, tcp, gossip — anything handed to the
+(local, tcp — anything handed to the
 :class:`~repro.network.manager.NetworkManager`) and injects faults drawn from
 a seeded :class:`FaultPlan`:
 

@@ -2,10 +2,13 @@
 
 "A network manager module sets up the needed components based on the
 configuration provided at start-up" (§3.6).  The manager multiplexes one
-underlying transport into tagged channels (protocol traffic, TOB internal
-traffic), optionally inserts the gossip overlay, and exposes exactly one
-operation to the core layer: dispatch a :class:`ProtocolMessage` over the
-channel the protocol requested.
+underlying full-mesh transport into tagged channels (protocol traffic, TOB
+internal traffic) and exposes exactly one operation to the core layer:
+dispatch a :class:`ProtocolMessage` over the channel the protocol requested.
+
+Every inbound frame is peer-controlled bytes.  A frame that does not decode,
+names no channel, or is not one its link sender may send is dropped and
+counted in ``repro_network_decode_failures_total``; the link reads on.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ import logging
 from typing import Awaitable, Callable
 
 from ..core.messages import Channel, ProtocolMessage
-from ..errors import ConfigurationError, NetworkError
+from ..errors import ConfigurationError, NetworkError, SerializationError
 from ..telemetry import counter
-
-logger = logging.getLogger(__name__)
-from .gossip import GossipOverlay
 from .interfaces import MessageHandler, P2PNetwork, TotalOrderBroadcast
 from .tob import SequencerTob
+
+logger = logging.getLogger(__name__)
 
 # Logical protocol-message accounting, one level above the transports
 # (which count wire frames/bytes): what the core handed down and what the
@@ -37,8 +39,8 @@ _DELIVERED = counter(
 )
 _DECODE_FAILURES = counter(
     "repro_network_decode_failures_total",
-    "Inbound frames dropped because they failed to decode (corrupted or "
-    "malformed protocol messages from byzantine peers).",
+    "Inbound frames dropped because they failed to decode or their link "
+    "sender may not send them (byzantine or misconfigured peers).",
     ("node",),
 )
 
@@ -76,22 +78,36 @@ class _ChannelTransport(P2PNetwork):
 
 
 class _Multiplexer:
-    """Splits one transport into tag-addressed channels."""
+    """Splits one transport into tag-addressed channels.
+
+    A channel handler refuses a frame by raising :class:`SerializationError`
+    (it does not decode) or :class:`NetworkError` (its link sender may not
+    send it); the multiplexer drops and counts it like an empty or untagged
+    frame, so one bad frame never unwinds the transport's read loop.
+    """
 
     def __init__(self, base: P2PNetwork):
         self.base = base
         self.handlers: dict[int, MessageHandler] = {}
+        self._decode_failures = _DECODE_FAILURES.labels(str(base.node_id))
         base.set_handler(self._dispatch)
 
     def channel(self, tag: int) -> _ChannelTransport:
         return _ChannelTransport(self, tag)
 
     async def _dispatch(self, sender: int, data: bytes) -> None:
-        if not data:
-            raise NetworkError("empty frame")
-        handler = self.handlers.get(data[0])
-        if handler is not None:
+        handler = self.handlers.get(data[0]) if data else None
+        if handler is None:
+            self.drop(sender, "empty frame or unknown channel tag")
+            return
+        try:
             await handler(sender, data[1:])
+        except (SerializationError, NetworkError) as exc:
+            self.drop(sender, str(exc))
+
+    def drop(self, sender: int, reason: str) -> None:
+        logger.warning("dropping frame from node %d: %s", sender, reason)
+        self._decode_failures.inc()
 
 
 class NetworkManager:
@@ -101,11 +117,8 @@ class NetworkManager:
         self,
         transport: P2PNetwork,
         enable_tob: bool = False,
-        gossip_fanout: int | None = None,
         tob: TotalOrderBroadcast | None = None,
     ):
-        if gossip_fanout is not None:
-            transport = GossipOverlay(transport, fanout=gossip_fanout)
         self._transport = transport
         self.node_id = transport.node_id
         self._mux = _Multiplexer(transport)
@@ -124,10 +137,9 @@ class NetworkManager:
         self._dispatched_p2p = _DISPATCHED.labels(str(self.node_id), "p2p")
         self._dispatched_tob = _DISPATCHED.labels(str(self.node_id), "tob")
         self._delivered = _DELIVERED.labels(str(self.node_id))
-        self._decode_failures = _DECODE_FAILURES.labels(str(self.node_id))
-        self._p2p.set_handler(self._on_p2p)
+        self._p2p.set_handler(self._deliver)
         if self._tob is not None:
-            self._tob.set_handler(self._on_tob)
+            self._tob.set_handler(self._deliver)
 
     @property
     def has_tob(self) -> bool:
@@ -170,33 +182,22 @@ class NetworkManager:
 
     # -- incoming -----------------------------------------------------------------
 
-    async def _on_p2p(self, sender: int, data: bytes) -> None:
-        message = self._decode(sender, data)
-        if message is not None:
-            await self._deliver(message)
-
-    async def _on_tob(self, sender: int, data: bytes) -> None:
-        message = self._decode(sender, data)
-        if message is not None:
-            await self._deliver(message)
-
-    def _decode(self, sender: int, data: bytes) -> ProtocolMessage | None:
-        """Decode a frame, dropping (not crashing on) undecodable ones.
+    async def _deliver(self, sender: int, data: bytes) -> None:
+        """Hand one P2P or TOB-ordered message up to the core layer.
 
         A byzantine peer can put arbitrary bytes on the wire; a parse error
         must cost the receiver one counter increment, not an exception that
-        unwinds the transport's read loop.
+        unwinds the transport's read loop or a TOB delivery run.
         """
         try:
-            return ProtocolMessage.from_bytes(data)
+            message = ProtocolMessage.from_bytes(data)
         except Exception:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
-            logger.warning("dropping undecodable frame from node %d", sender)
-            self._decode_failures.inc()
-            return None
-
-    async def _deliver(self, message: ProtocolMessage) -> None:
+            self._mux.drop(sender, "undecodable protocol message")
+            return
         if message.is_directed() and message.recipient != self.node_id:
-            return  # directed message flooded through an overlay
+            # TOB hands every ordered message to every node, and a peer
+            # can misaddress a P2P frame: only the addressee takes it.
+            return
         self._delivered.inc()
         if self._handler is not None:
             await self._handler(message)

@@ -161,15 +161,27 @@ class TcpP2P(P2PNetwork):
         )
         self._reader_tasks.add(task)
         task.add_done_callback(self._reader_tasks.discard)
-        task.add_done_callback(
-            lambda _t, writer=writer: self._accepted_writers.discard(writer)
-        )
+
+        def close(_task: asyncio.Task, writer=writer) -> None:
+            self._accepted_writers.discard(writer)
+            writer.close()
+
+        task.add_done_callback(close)
 
     async def _read_loop(self, sender: int, reader: asyncio.StreamReader) -> None:
+        """Hand each frame from ``sender`` to the handler until the link ends.
+
+        The link ends when the peer closes it, or at a length header over
+        ``_MAX_FRAME``: the stream cannot be resynchronised past that, so
+        the connection is closed and the peer's resend queue re-dials.
+        """
         while True:
             try:
                 frame = await _read_frame(reader)
             except (asyncio.IncompleteReadError, ConnectionError):
+                return
+            except NetworkError as exc:
+                logger.warning("closing link from node %d: %s", sender, exc)
                 return
             self._metrics.received(len(frame))
             if self._handler is not None:

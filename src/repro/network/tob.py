@@ -5,10 +5,15 @@ platform (a blockchain's consensus, §3.6).  For standalone deployments this
 module supplies a simple sequencer: node ``sequencer_id`` stamps submissions
 with consecutive sequence numbers and re-broadcasts them; every node buffers
 and delivers in stamp order, so all nodes observe the same message sequence.
+
+A submission's origin is its link sender, and only stamps the sequencer
+sends are taken: no other peer can write into the order another node
+delivers.
 """
 
 from __future__ import annotations
 
+from ..errors import NetworkError, SerializationError
 from ..serialization import Reader, encode_bytes, encode_int
 from ..telemetry import ChannelMetrics
 from .interfaces import MessageHandler, P2PNetwork, TotalOrderBroadcast
@@ -46,7 +51,7 @@ class SequencerTob(TotalOrderBroadcast):
     # -- submission -----------------------------------------------------------
 
     async def submit(self, data: bytes) -> None:
-        frame = encode_int(_SUBMIT) + encode_int(self._transport.node_id) + encode_bytes(data)
+        frame = encode_int(_SUBMIT) + encode_bytes(data)
         with self._metrics.time_send():
             if self.is_sequencer:
                 await self._sequence(self._transport.node_id, data)
@@ -71,20 +76,34 @@ class SequencerTob(TotalOrderBroadcast):
     # -- delivery ----------------------------------------------------------------
 
     async def _on_frame(self, sender: int, frame: bytes) -> None:
+        """Take one frame from link peer ``sender``.
+
+        Raises :class:`SerializationError` for a frame that does not decode
+        and :class:`NetworkError` for one ``sender`` may not send; the
+        network manager's multiplexer drops and counts both.
+        """
         reader = Reader(frame)
         kind = reader.read_int()
         if kind == _SUBMIT:
-            origin = reader.read_int()
             data = reader.read_bytes()
             reader.finish()
-            if self.is_sequencer:
-                await self._sequence(origin, data)
+            if not self.is_sequencer:
+                raise NetworkError(
+                    f"TOB submission from node {sender} to a non-sequencer"
+                )
+            await self._sequence(sender, data)
         elif kind == _ORDERED:
             stamp = reader.read_int()
             origin = reader.read_int()
             data = reader.read_bytes()
             reader.finish()
+            if sender != self._sequencer_id:
+                raise NetworkError(
+                    f"TOB stamp {stamp} from node {sender}, not the sequencer"
+                )
             await self._on_ordered(stamp, origin, data)
+        else:
+            raise SerializationError(f"unknown TOB frame kind {kind}")
 
     async def _on_ordered(self, stamp: int, origin: int, data: bytes) -> None:
         self._pending[stamp] = (origin, data)

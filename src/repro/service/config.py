@@ -34,7 +34,6 @@ class NodeConfig:
     peers: tuple[PeerConfig, ...] = ()
     transport: str = "tcp"  # "tcp" or "local"
     enable_tob: bool = True  # built-in sequencer TOB; node 1 sequences
-    gossip_fanout: int | None = None
     instance_timeout: float = 60.0
     # §3.2: "RPC requests can be authenticated by exploiting the common
     # security context such that only the service node in the same security
@@ -74,11 +73,6 @@ class NodeConfig:
         if self.instance_timeout <= 0:
             raise ConfigurationError(
                 f"instance_timeout must be > 0, got {self.instance_timeout}"
-            )
-        if self.gossip_fanout is not None and self.gossip_fanout < 2:
-            raise ConfigurationError(
-                f"gossip_fanout must be >= 2 (or None to disable), "
-                f"got {self.gossip_fanout}"
             )
         if self.transport not in ("tcp", "local"):
             raise ConfigurationError(f"unknown transport {self.transport!r}")
@@ -135,6 +129,7 @@ _RETIRED = {
     "precompute": (
         None, "requests run when they are asked for; KG20 nonce pools need no setting"
     ),
+    "gossip_fanout": (None, "nodes link to every peer; there is no gossip overlay"),
 }
 
 

@@ -100,17 +100,14 @@ class ThetacryptNode:
             )
         if config.fault_plan is not None:
             # Chaos mode: the fault wrapper sits directly above the raw
-            # transport, below the manager's channels and any gossip
-            # overlay, so every wire frame passes through the plan.
+            # transport, below the manager's channels, so every wire frame
+            # passes through the plan.
             transport = FaultyNetwork(transport, config.fault_plan)
         # ``tob`` lets a host platform supply its own total-order channel
         # (the proxy deployment of Fig. 1); otherwise the node runs the
         # built-in sequencer TOB when enabled.
         self.network = NetworkManager(
-            transport,
-            enable_tob=config.enable_tob,
-            gossip_fanout=config.gossip_fanout,
-            tob=tob,
+            transport, enable_tob=config.enable_tob, tob=tob
         )
         # Per-node metric registry: keeps this node's request metrics
         # isolated when several nodes share one process; process-wide

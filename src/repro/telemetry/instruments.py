@@ -33,9 +33,8 @@ LOOP_LAG_BUCKETS: tuple[float, ...] = tuple(1e-04 * (2**i) for i in range(16))
 class ChannelMetrics:
     """Messages/bytes sent+received and send latency for one transport.
 
-    Instantiated by every transport (`tcp`, `local`, `gossip`, `tob`, and
-    the manager's logical `p2p` dispatch channel) against the process-global
-    registry.
+    Instantiated by every transport (`tcp`, `local`, `tob`) against the
+    process-global registry.
     """
 
     def __init__(

@@ -141,11 +141,6 @@ MALFORMED = [
         lambda d: _with(d, instance_timeout=0),
         "instance_timeout must be > 0, got 0",
     ),
-    (
-        "gossip_fanout below two",
-        lambda d: _with(d, gossip_fanout=1),
-        "gossip_fanout must be >= 2 (or None to disable), got 1",
-    ),
 ]
 
 
@@ -201,6 +196,21 @@ class TestConfigFile:
         assert str(caught.value) == (
             "config key 'precompute' must be null: requests run when they are "
             "asked for; KG20 nonce pools need no setting, got " + repr(section)
+        )
+
+    def test_config_written_with_a_gossip_fanout(self):
+        """Every config written while ``NodeConfig`` had ``gossip_fanout``
+        carries it, null unless the gossip overlay was on: null still
+        loads, and a fan-out is refused by name."""
+        document = json.loads(make_local_configs(4, 1)[0].to_json())
+        document["gossip_fanout"] = None
+        assert NodeConfig.from_json(json.dumps(document)) == make_local_configs(4, 1)[0]
+        document["gossip_fanout"] = 3
+        with pytest.raises(ConfigurationError) as caught:
+            NodeConfig.from_json(json.dumps(document))
+        assert str(caught.value) == (
+            "config key 'gossip_fanout' must be null: nodes link to every peer; "
+            "there is no gossip overlay, got 3"
         )
 
     @pytest.mark.parametrize(

@@ -136,9 +136,6 @@ SYMBOL_OWNERS = {
         "test oracle: which admission mode a share operation is in "
         "(`tests/test_lazy_admission.py`)"
     ),
-    "repro.network.gossip.GossipOverlay.neighbors": (
-        "test oracle: the overlay's chosen fan-out (`tests/test_network_variants.py`)"
-    ),
     "repro.chain.validator.ValidatorNode.head": _CHAIN,
     "repro.schemes.keystore.import_public_key": (
         "inverse of export_public_key, the public-key file format "
@@ -317,7 +314,7 @@ def test_a_planted_copy_is_caught(tmp_path):
 NODE_CONFIG_FIELDS = (
     "node_id", "parties", "threshold", "listen_host", "listen_port",
     "rpc_host", "rpc_port", "peers", "transport", "enable_tob",
-    "gossip_fanout", "instance_timeout", "rpc_auth_token", "metrics_port",
+    "instance_timeout", "rpc_auth_token", "metrics_port",
     "fault_plan", "data_dir", "max_pending_instances",
     "overload_retry_after", "drain_timeout",
 )

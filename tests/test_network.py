@@ -1,4 +1,4 @@
-"""Network layer: local hub, TCP transport, gossip overlay, sequencer TOB."""
+"""Network layer: local hub, TCP transport, sequencer TOB, network manager."""
 
 import asyncio
 
@@ -6,12 +6,18 @@ import pytest
 
 from repro.core.messages import Channel, ProtocolMessage
 from repro.errors import ConfigurationError, NetworkError
-from repro.network.gossip import GossipOverlay, _overlay_neighbors
 from repro.network.local import LocalHub
-from repro.network.manager import NetworkManager
+from repro.network.manager import _TAG_PROTOCOL, _TAG_TOB, NetworkManager
 from repro.network.tcp import TcpP2P
-from repro.network.tob import SequencerTob
+from repro.network.tob import _ORDERED, SequencerTob
+from repro.serialization import encode_bytes, encode_int
 from repro.telemetry import default_registry
+
+
+def decode_failures(node_id):
+    return default_registry().get("repro_network_decode_failures_total").labels(
+        str(node_id)
+    ).value
 
 
 def collect_handler(store):
@@ -167,68 +173,6 @@ class TestTcpTransport:
         asyncio.run(scenario())
 
 
-class TestGossip:
-    def _hub_overlays(self, n, fanout=2):
-        hub = LocalHub()
-        overlays = {
-            i: GossipOverlay(hub.endpoint(i), fanout=fanout) for i in range(1, n + 1)
-        }
-        return hub, overlays
-
-    def test_neighbors_subset_and_symmetric_ring(self):
-        ids = list(range(1, 11))
-        for node in ids:
-            neighbors = _overlay_neighbors(ids, node, 4, seed=None)
-            assert node not in neighbors
-            assert len(neighbors) <= 4 or len(neighbors) <= len(ids) - 1
-
-    def test_small_network_is_full_mesh(self):
-        ids = [1, 2, 3]
-        assert _overlay_neighbors(ids, 1, 4, None) == {2, 3}
-
-    def test_broadcast_reaches_everyone(self):
-        async def scenario():
-            hub, overlays = self._hub_overlays(8, fanout=3)
-            received = {i: [] for i in overlays}
-            for i, overlay in overlays.items():
-                overlay.set_handler(collect_handler(received[i]))
-            await overlays[1].broadcast(b"gossip")
-            await hub.drain()
-            for i in range(2, 9):
-                assert received[i] == [(1, b"gossip")], f"node {i} missed it"
-            assert received[1] == []  # origin does not self-deliver
-
-        asyncio.run(scenario())
-
-    def test_no_duplicate_delivery(self):
-        async def scenario():
-            hub, overlays = self._hub_overlays(6, fanout=3)
-            received = {i: [] for i in overlays}
-            for i, overlay in overlays.items():
-                overlay.set_handler(collect_handler(received[i]))
-            for round_number in range(3):
-                await overlays[2].broadcast(b"msg-%d" % round_number)
-            await hub.drain()
-            for i in (1, 3, 4, 5, 6):
-                assert len(received[i]) == 3  # exactly once each
-
-        asyncio.run(scenario())
-
-    def test_directed_message_delivered_only_to_target(self):
-        async def scenario():
-            hub, overlays = self._hub_overlays(8, fanout=3)
-            received = {i: [] for i in overlays}
-            for i, overlay in overlays.items():
-                overlay.set_handler(collect_handler(received[i]))
-            await overlays[1].send(5, b"private")
-            await hub.drain()
-            assert received[5] == [(1, b"private")]
-            for i in (2, 3, 4, 6, 7, 8):
-                assert received[i] == []
-
-        asyncio.run(scenario())
-
-
 class TestSequencerTob:
     def _network(self, n):
         hub = LocalHub()
@@ -267,6 +211,42 @@ class TestSequencerTob:
             await tobs[3].submit(b"payload")
             await hub.drain()
             assert delivered == [(3, b"payload")]
+
+        asyncio.run(scenario())
+
+    def test_stamp_from_a_non_sequencer_is_dropped(self):
+        """Node 4 sends node 3 a forged stamp 0.  Node 3 drops and counts
+        it, so every node delivers node 2's real message at position 0."""
+
+        async def scenario():
+            hub = LocalHub()
+            managers = {
+                i: NetworkManager(hub.endpoint(i), enable_tob=True)
+                for i in (1, 2, 3, 4)
+            }
+            seen = {i: [] for i in managers}
+            for i, manager in managers.items():
+                async def handler(message, i=i):
+                    seen[i].append((message.sender, message.payload))
+
+                manager.set_protocol_handler(handler)
+            before = decode_failures(3)
+            forged = ProtocolMessage("inst", 2, 0, Channel.TOB, b"forged")
+            await hub.endpoint(4).send(
+                3,
+                bytes([_TAG_TOB])
+                + encode_int(_ORDERED)
+                + encode_int(0)
+                + encode_int(2)
+                + encode_bytes(forged.to_bytes()),
+            )
+            await managers[2].dispatch(
+                ProtocolMessage("inst", 2, 0, Channel.TOB, b"real")
+            )
+            await hub.drain()
+            for i in managers:
+                assert seen[i] == [(2, b"real")], f"node {i}"
+            assert decode_failures(3) == before + 1
 
         asyncio.run(scenario())
 
@@ -349,26 +329,47 @@ class TestNetworkManager:
 
         asyncio.run(scenario())
 
-    def test_gossip_transport_composition(self):
+    def test_directed_tob_message_reaches_only_its_recipient(self):
+        """TOB hands every ordered message to every node; only the
+        addressee's handler sees a directed one."""
+
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(
-                    hub.endpoint(i), enable_tob=False, gossip_fanout=2
-                )
-                for i in range(1, 7)
+                i: NetworkManager(hub.endpoint(i), enable_tob=True)
+                for i in (1, 2, 3, 4)
             }
             seen = {i: [] for i in managers}
             for i, manager in managers.items():
                 async def handler(message, i=i):
-                    seen[i].append(message)
+                    seen[i].append(message.payload)
 
                 manager.set_protocol_handler(handler)
-            await managers[1].dispatch(
-                ProtocolMessage("inst", 1, 0, Channel.P2P, b"via gossip")
+            await managers[2].dispatch(
+                ProtocolMessage("inst", 2, 0, Channel.TOB, b"to 3", recipient=3)
             )
             await hub.drain()
-            for i in range(2, 7):
-                assert len(seen[i]) == 1
+            assert seen == {1: [], 2: [], 3: [b"to 3"], 4: []}
+
+        asyncio.run(scenario())
+
+    def test_misaddressed_p2p_frame_is_dropped(self):
+        async def scenario():
+            hub = LocalHub()
+            managers = {
+                i: NetworkManager(hub.endpoint(i), enable_tob=False)
+                for i in (1, 2, 3)
+            }
+            seen = {i: [] for i in managers}
+            for i, manager in managers.items():
+                async def handler(message, i=i):
+                    seen[i].append(message.payload)
+
+                manager.set_protocol_handler(handler)
+            message = ProtocolMessage("inst", 1, 0, Channel.P2P, b"x", recipient=3)
+            # Node 1's raw transport hands node 2 a frame addressed to node 3.
+            await hub.endpoint(1).send(2, bytes([_TAG_PROTOCOL]) + message.to_bytes())
+            await hub.drain()
+            assert seen == {1: [], 2: [], 3: []}
 
         asyncio.run(scenario())

@@ -6,6 +6,8 @@ Pins down the hardened behaviours the chaos suite relies on:
 * a TCP send that fails while the peer is down lands on the resend queue
   (``repro_net_send_failures``) and is delivered after the peer restarts —
   no silent drop,
+* one bad frame from a peer is dropped and counted, and the link reads on;
+  only a length header over the frame limit closes the connection,
 * the round-progress watchdog re-broadcasts once before the timeout, and
 * an executor timeout releases every resource: no leaked asyncio tasks,
   no pinned backlog, an empty inbox.
@@ -15,7 +17,10 @@ import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.messages import Channel, ProtocolMessage
 from repro.core.orchestration import InstanceManager
 from repro.core.protocols import (
     NonInteractiveProtocol,
@@ -23,7 +28,11 @@ from repro.core.protocols import (
     make_operation,
 )
 from repro.errors import ProtocolAbortedError
-from repro.network.tcp import BACKOFF_CAP, TcpP2P, backoff_delay
+from repro.network.manager import _TAG_PROTOCOL, _TAG_TOB, NetworkManager
+from repro.network.tcp import _MAX_FRAME, BACKOFF_CAP, TcpP2P, backoff_delay
+from repro.network.tob import _ORDERED, _SUBMIT
+from repro.serialization import encode_bytes, encode_int
+from repro.telemetry import default_registry
 
 _PORT_A = 19941
 _PORT_B = 19942
@@ -57,6 +66,119 @@ class TestBackoff:
     def test_default_cap(self):
         rng = random.Random(0)
         assert backoff_delay(50, rng) <= BACKOFF_CAP
+
+
+def _wire(frame: bytes) -> bytes:
+    return len(frame).to_bytes(4, "big") + frame
+
+
+def _message(payload: bytes) -> bytes:
+    return ProtocolMessage("inst", 1, 0, Channel.P2P, payload).to_bytes()
+
+
+def _stamp(stamp: int, payload: bytes) -> bytes:
+    return (
+        bytes([_TAG_TOB])
+        + encode_int(_ORDERED)
+        + encode_int(stamp)
+        + encode_int(1)
+        + encode_bytes(_message(payload))
+    )
+
+
+_VALID = bytes([_TAG_PROTOCOL]) + _message(b"valid")
+
+
+def _decode_failures(node_id: int) -> float:
+    family = default_registry().get("repro_network_decode_failures_total")
+    return family.labels(str(node_id)).value
+
+
+async def _read_link(sender: int, frames: list[bytes]) -> tuple[list, float]:
+    """Feed ``frames`` from ``sender`` into node 3's TCP read loop, under a
+    network manager with the built-in TOB (node 1 sequences).  Returns the
+    payloads node 3 delivered and the frames it dropped and counted."""
+    transport = TcpP2P(3, "127.0.0.1", 0, {})
+    manager = NetworkManager(transport, enable_tob=True)
+    delivered = []
+
+    async def handler(message):
+        delivered.append(message.payload)
+
+    manager.set_protocol_handler(handler)
+    reader = asyncio.StreamReader()
+    for frame in frames:
+        reader.feed_data(_wire(frame))
+    reader.feed_eof()
+    before = _decode_failures(3)
+    await transport._read_loop(sender, reader)
+    return delivered, _decode_failures(3) - before
+
+
+#: (sender, frame, payloads delivered, frames dropped): each frame is
+#: followed on the same link by ``_VALID``, which must be delivered.
+FRAMES = {
+    "p2p message": (1, bytes([_TAG_PROTOCOL]) + _message(b"p2p"), [b"p2p"], 0),
+    "tob stamp from the sequencer": (1, _stamp(0, b"tob"), [b"tob"], 0),
+    "empty frame": (1, b"", [], 1),
+    "unknown channel tag": (1, b"\x7f" + _message(b"x"), [], 1),
+    "truncated tob submit": (
+        1,
+        (bytes([_TAG_TOB]) + encode_int(_SUBMIT) + encode_bytes(b"data"))[:-2],
+        [],
+        1,
+    ),
+    "tob stamp with trailing bytes": (1, _stamp(0, b"tob") + b"\x00", [], 1),
+    "tob stamp from a non-sequencer": (2, _stamp(0, b"forged"), [], 1),
+    "tob submit to a non-sequencer": (
+        1,
+        bytes([_TAG_TOB]) + encode_int(_SUBMIT) + encode_bytes(_message(b"x")),
+        [],
+        1,
+    ),
+    "undecodable p2p message": (1, bytes([_TAG_PROTOCOL]) + b"\x00\x01", [], 1),
+}
+
+
+class TestBadFrames:
+    @pytest.mark.parametrize("row", FRAMES.values(), ids=FRAMES.keys())
+    def test_frame_then_valid_frame(self, row):
+        sender, frame, payloads, dropped = row
+        delivered, counted = asyncio.run(_read_link(sender, [frame, _VALID]))
+        assert delivered == payloads + [b"valid"]
+        assert counted == dropped
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frame=st.binary(max_size=96)
+        | st.builds(
+            lambda tag, body: bytes([tag]) + body,
+            st.sampled_from([_TAG_PROTOCOL, _TAG_TOB]),
+            st.binary(max_size=96),
+        )
+    )
+    def test_any_frame_leaves_the_link_reading(self, frame):
+        delivered, _ = asyncio.run(_read_link(1, [frame, _VALID]))
+        assert delivered[-1:] == [b"valid"]
+
+    @pytest.mark.integration
+    def test_oversized_length_header_closes_the_connection(self):
+        async def scenario():
+            node = TcpP2P(3, "127.0.0.1", 0, {})
+            await node.start()
+            port = node._server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(_wire((1).to_bytes(4, "big")))  # handshake
+                writer.write((_MAX_FRAME + 1).to_bytes(4, "big"))
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                assert node._accepted_writers == set()
+            finally:
+                writer.close()
+                await node.stop()
+
+        asyncio.run(scenario())
 
 
 def _protocol_for(keys, party_id, data, instance_id):

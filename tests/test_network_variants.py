@@ -1,18 +1,15 @@
-"""Network-layer variants: TOB configurations, gossip under faults,
-service behavior with message loss, and mixed-channel deployments."""
+"""Network-layer variants: TOB configurations, service behavior with
+message loss, and mixed-channel deployments."""
 
 import asyncio
 
 import pytest
 
 from repro.core.messages import Channel, ProtocolMessage
-from repro.network.faults import FaultPlan, FaultyNetwork, LinkFaults, Partition
-from repro.network.gossip import GossipOverlay, _overlay_neighbors
+from repro.network.faults import FaultPlan, Partition
 from repro.network.local import LocalHub
 from repro.network.manager import NetworkManager
 from repro.network.tob import SequencerTob
-from repro.schemes import generate_keys
-from repro.service import ThetacryptClient
 from repro.service.cluster import LocalCluster
 
 
@@ -71,50 +68,6 @@ class TestTobVariants:
             assert len(reference) == 20
             for i in (2, 3, 4):
                 assert delivered[i] == reference
-
-        asyncio.run(scenario())
-
-
-class TestGossipFaults:
-    def test_flooding_survives_dropped_links(self):
-        """Redundant gossip paths deliver around a broken link."""
-
-        async def scenario():
-            hub = LocalHub()
-            # Cut the link from node 1 to its first overlay neighbour; the
-            # mesh has other routes.
-            cut = min(_overlay_neighbors(list(range(1, 9)), 1, 3, None))
-            plan = FaultPlan(links={f"1->{cut}": LinkFaults(drop=1.0)})
-            bases = {i: hub.endpoint(i) for i in range(1, 9)}
-            bases[1] = FaultyNetwork(bases[1], plan)
-            overlays = {
-                i: GossipOverlay(base, fanout=3) for i, base in bases.items()
-            }
-            assert cut in overlays[1].neighbors
-            received = {i: [] for i in overlays}
-            for i, overlay in overlays.items():
-                overlay.set_handler(collect_handler(received[i]))
-            await overlays[1].broadcast(b"resilient")
-            await hub.drain()
-            delivered_to = [i for i in range(2, 9) if received[i]]
-            assert len(delivered_to) == 7  # everyone still got it
-
-        asyncio.run(scenario())
-
-    def test_gossip_service_survives_one_crashed_node(self):
-        keys = generate_keys("cks05", 1, 6)
-
-        async def scenario():
-            async with LocalCluster(
-                {"coin": keys}, parties=6, gossip_fanout=3
-            ) as cluster:
-                await cluster.stop(6)  # crash node 6 (a gossip relay)
-                survivors = ThetacryptClient(cluster.addresses)
-                try:
-                    value = await survivors.flip_coin("coin", b"lossy")
-                finally:
-                    await survivors.close()
-                assert len(value) == 32
 
         asyncio.run(scenario())
 

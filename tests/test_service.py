@@ -327,18 +327,3 @@ class TestServiceEndToEnd:
                     await client.run_dkg("bls04", scheme="cks05")
 
         asyncio.run(scenario())
-
-    def test_gossip_deployment(self):
-        from repro.schemes import generate_keys
-
-        keys = {"bls04": generate_keys("bls04", 1, 5)}
-
-        async def scenario():
-            async with LocalCluster(
-                keys, parties=5, threshold=1, gossip_fanout=2
-            ) as cluster:
-                client = cluster.client
-                signature = await client.sign("bls04", b"over gossip")
-                assert await client.verify_signature("bls04", b"over gossip", signature)
-
-        asyncio.run(scenario())
