@@ -32,7 +32,7 @@ async def main() -> None:
 
     # Wire a bare core stack per node: network manager + instance manager.
     networks = {
-        i: NetworkManager(hub.endpoint(i), enable_tob=False)
+        i: NetworkManager(hub.endpoint(i))
         for i in range(1, PARTIES + 1)
     }
     managers = {

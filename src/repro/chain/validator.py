@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 from typing import Awaitable, Callable
 
-from ..errors import NetworkError
+from ..errors import NetworkError, SerializationError
 from ..network.interfaces import MessageHandler, P2PNetwork, TotalOrderBroadcast
 from ..network.manager import _Multiplexer
 from ..network.proxy import HostPlatformBridge
@@ -65,7 +65,6 @@ class ValidatorNode:
         node_id: int,
         parties: int,
         transport: P2PNetwork,
-        sequencer_id: int = 1,
         decryptor: Decryptor | None = None,
         bridge_host: str | None = None,
         bridge_port: int = 0,
@@ -74,9 +73,7 @@ class ValidatorNode:
         self.parties = parties
         self._transport = transport
         self._mux = _Multiplexer(transport)
-        self._tob = SequencerTob(
-            self._mux.channel(_TAG_CHAIN_TOB), sequencer_id=sequencer_id
-        )
+        self._tob = SequencerTob(self._mux.channel(_TAG_CHAIN_TOB))
         self._tob.set_handler(self._on_tob)
         self.decryptor = decryptor
         self.mempool: list[Transaction] = []
@@ -164,11 +161,19 @@ class ValidatorNode:
     async def _execute_committed(self) -> None:
         while True:
             origin, body = await self._commit_queue.get()
-            reader = Reader(body)
-            proposer = reader.read_int()
-            count = reader.read_int()
-            transactions = tuple(Transaction.read_from(reader) for _ in range(count))
-            reader.finish()
+            try:
+                reader = Reader(body)
+                proposer = reader.read_int()
+                count = reader.read_int()
+                transactions = tuple(
+                    Transaction.read_from(reader) for _ in range(count)
+                )
+                reader.finish()
+            except SerializationError as exc:
+                # Every replica sees the same bytes at the same position,
+                # so every replica skips them alike: no height is taken.
+                self.state.rejected.append(f"block from node {origin}: {exc}")
+                continue
             parent = block_hash(self.chain[-1]) if self.chain else genesis_parent()
             block = Block(len(self.chain) + 1, parent, proposer, transactions)
             await self._execute_block(block)

@@ -60,7 +60,7 @@ class ProtocolExecutor:
         self._timeout = timeout
         self._metrics = metrics
         #: Called synchronously when the record turns terminal, before any
-        #: waiter on the result resumes (the manager releases us there).
+        #: waiter on the result resumes (the manager tables the outcome).
         self._on_terminal = on_terminal
         self.inbox: asyncio.Queue[ProtocolMessage] = asyncio.Queue()
         # Inherit the RPC handler's trace when one is active (the request

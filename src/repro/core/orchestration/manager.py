@@ -148,46 +148,40 @@ class InstanceManager:
             protocol = protocol()
         if retain:
             self._persist_guarded(self._outcomes.submit, instance_id, scheme)
+        record = InstanceRecord(instance_id, scheme)
         executor = ProtocolExecutor(
             protocol,
-            InstanceRecord(instance_id, scheme),
+            record,
             self._send,
             timeout=timeout if timeout is not None else self._default_timeout,
             metrics=self.metrics,
-            on_terminal=self._uncount,
+            on_terminal=lambda: self._terminated(record, retain),
         )
         self._executors[instance_id] = executor
         self._active += 1
         self.metrics.inflight.inc()
         task = asyncio.get_running_loop().create_task(executor.run())
         self._tasks.add(task)
-        task.add_done_callback(lambda t: self._on_task_done(t, instance_id, retain))
+        task.add_done_callback(lambda t: self._on_task_done(t, instance_id))
         # Drain messages that beat the request to this node.
         for message in self._backlog.pop(instance_id, []):
             executor.inbox.put_nowait(message)
         return executor.record
 
     def _uncount(self) -> None:
-        """Stop counting an instance the moment its record turns terminal,
-        so ``active_count`` is exact when a waiter on the result resumes."""
         self._active -= 1
         self.metrics.inflight.dec()
 
-    def _on_task_done(self, task: asyncio.Task, instance_id: str, retain: bool) -> None:
-        """Trade the executor — with everything it pins (protocol, decoded
-        shares, inbox, last outgoing batch) — for its entry in the outcome
-        table, which from here on answers result() and swallows residual
-        shares from slow peers."""
-        self._tasks.discard(task)
-        record = self._executors.pop(instance_id).record
-        if record.finished_at is None:
-            # A cancelled executor (node shutdown) leaves no terminal log
-            # record on purpose: replay classifies it as in flight at
-            # crash time and recovery marks it ``crash_recovery``.
-            self._uncount()
-        elif not retain:
+    def _terminated(self, record: InstanceRecord, retain: bool) -> None:
+        """The moment a record turns terminal, before any waiter on its
+        result resumes: stop counting it, so ``active_count`` is exact, and
+        table (and log) its outcome, so nothing is answered before it is
+        durable."""
+        self._uncount()
+        instance_id = record.instance_id
+        if not retain:
             return
-        elif record.status is InstanceStatus.FINISHED:
+        if record.status is InstanceStatus.FINISHED:
             self._persist_guarded(
                 self._outcomes.put, instance_id, record.scheme, record.result, record
             )
@@ -200,6 +194,19 @@ class InstanceManager:
                 record.error,
                 record,
             )
+
+    def _on_task_done(self, task: asyncio.Task, instance_id: str) -> None:
+        """Release the executor — with everything it pins (protocol, decoded
+        shares, inbox, last outgoing batch); its outcome table entry from
+        here on answers result() and swallows residual shares from slow
+        peers."""
+        self._tasks.discard(task)
+        record = self._executors.pop(instance_id).record
+        if record.finished_at is None:
+            # A cancelled executor (node shutdown) leaves no terminal log
+            # record on purpose: replay classifies it as in flight at
+            # crash time and recovery marks it ``crash_recovery``.
+            self._uncount()
 
     @staticmethod
     def _persist_guarded(write, *args) -> None:
@@ -284,6 +291,7 @@ class InstanceManager:
         return [executor.record for executor in self._executors.values()] + [
             self._record_of(instance_id, outcome)
             for instance_id, outcome in self._outcomes.items()
+            if instance_id not in self._executors
         ]
 
     @property

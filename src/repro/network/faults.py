@@ -17,7 +17,7 @@ directed link, seeded from ``(plan.seed, src, dst)``; each message consumes a
 fixed number of draws, so two runs with the same plan and the same per-link
 message order make identical decisions — the property the determinism test
 suite pins down.  Time-dependent faults (partitions, crashes) are pure
-functions of the plan and a monotonic clock started at ``start()``.
+functions of the plan and a monotonic clock (``clock=``, else since ``start()``).
 
 Every injected fault increments ``repro_faults_injected{node,kind}`` on the
 process-wide registry, so chaos runs are observable through the same
@@ -29,14 +29,12 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ..core.messages import ProtocolMessage
 from ..errors import ConfigurationError
-from ..serialization import config_fields
 from ..telemetry import counter
 from .interfaces import MessageHandler, P2PNetwork
 
@@ -45,17 +43,6 @@ _FAULTS = counter(
     "repro_faults_injected",
     "Faults injected by FaultyNetwork, per node and fault kind.",
     ("node", "kind"),
-)
-
-#: Fault kinds, in the order decisions are drawn (documented for tests).
-FAULT_KINDS = (
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "corrupt",
-    "partition",
-    "crash",
 )
 
 
@@ -159,54 +146,6 @@ class FaultPlan:
     def is_byzantine(self, node: int) -> bool:
         return node in self.byzantine
 
-    # -- serialization (NodeConfig embedding) ---------------------------------
-
-    def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        payload["links"] = {
-            key: dataclasses.asdict(value) for key, value in self.links.items()
-        }
-        return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @staticmethod
-    def from_dict(payload: dict) -> "FaultPlan":
-        data = config_fields(FaultPlan, payload)
-
-        def link_faults(value) -> LinkFaults:
-            return LinkFaults(**config_fields(LinkFaults, value))
-
-        def partition(value) -> Partition:
-            fields = config_fields(Partition, value)
-            if "groups" in fields:
-                fields["groups"] = tuple(tuple(g) for g in fields["groups"])
-            return Partition(**fields)
-
-        default = link_faults(data.pop("default", {}))
-        links = {
-            key: link_faults(value)
-            for key, value in data.pop("links", {}).items()
-        }
-        partitions = tuple(map(partition, data.pop("partitions", ())))
-        crashes = tuple(
-            Crash(**config_fields(Crash, c)) for c in data.pop("crashes", ())
-        )
-        byzantine = tuple(data.pop("byzantine", ()))
-        return FaultPlan(
-            default=default,
-            links=links,
-            partitions=partitions,
-            crashes=crashes,
-            byzantine=byzantine,
-            **data,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "FaultPlan":
-        return FaultPlan.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class FaultDecision:
@@ -303,7 +242,9 @@ class FaultyNetwork(P2PNetwork):
     """A :class:`P2PNetwork` that injects faults from a :class:`FaultPlan`.
 
     Wrap the raw transport *before* handing it to the
-    :class:`~repro.network.manager.NetworkManager`::
+    :class:`~repro.network.manager.NetworkManager`, as
+    :class:`~repro.service.cluster.LocalCluster` does for every node when
+    given a ``fault_plan``::
 
         transport = FaultyNetwork(hub.endpoint(node_id), plan)
         node = ThetacryptNode(config, transport=transport)
@@ -326,7 +267,6 @@ class FaultyNetwork(P2PNetwork):
         self.injector = FaultInjector(plan)
         self._handler: MessageHandler | None = None
         self._clock = clock
-        self._started_at: float | None = None
         self._tasks: set[asyncio.Task] = set()
         #: Messages held back for reordering, per recipient.
         self._held: dict[int, list[bytes]] = {}
@@ -336,12 +276,9 @@ class FaultyNetwork(P2PNetwork):
     # -- clock ----------------------------------------------------------------
 
     def now(self) -> float:
-        """Seconds since ``start()`` on the fault clock (0 before start)."""
-        if self._clock is not None:
-            return self._clock()
-        if self._started_at is None:
-            return 0.0
-        return asyncio.get_running_loop().time() - self._started_at
+        """Seconds on the fault clock: the shared ``clock`` if one was
+        given, else since ``start()`` (0 before start)."""
+        return self._clock() if self._clock is not None else 0.0
 
     # -- P2PNetwork interface -------------------------------------------------
 
@@ -354,7 +291,9 @@ class FaultyNetwork(P2PNetwork):
     async def start(self) -> None:
         await self._base.start()
         if self._clock is None:
-            self._started_at = asyncio.get_running_loop().time()
+            loop = asyncio.get_running_loop()
+            started_at = loop.time()
+            self._clock = lambda: loop.time() - started_at
 
     async def stop(self) -> None:
         for task in list(self._tasks):

@@ -17,7 +17,7 @@ import logging
 from typing import Awaitable, Callable
 
 from ..core.messages import Channel, ProtocolMessage
-from ..errors import ConfigurationError, NetworkError, SerializationError
+from ..errors import NetworkError, SerializationError
 from ..telemetry import counter
 from .interfaces import MessageHandler, P2PNetwork, TotalOrderBroadcast
 from .tob import SequencerTob
@@ -111,39 +111,25 @@ class _Multiplexer:
 
 
 class NetworkManager:
-    """Per-node facade over P2P and (optional) TOB communication."""
+    """Per-node facade over P2P and TOB communication."""
 
     def __init__(
-        self,
-        transport: P2PNetwork,
-        enable_tob: bool = False,
-        tob: TotalOrderBroadcast | None = None,
+        self, transport: P2PNetwork, tob: TotalOrderBroadcast | None = None
     ):
         self._transport = transport
         self.node_id = transport.node_id
         self._mux = _Multiplexer(transport)
         self._p2p = self._mux.channel(_TAG_PROTOCOL)
-        if tob is not None:
-            # An externally provided TOB (e.g. a proxy to a host platform).
-            self._tob: TotalOrderBroadcast | None = tob
-            self._owns_tob_transport = False
-        elif enable_tob:
-            self._tob = SequencerTob(self._mux.channel(_TAG_TOB))
-            self._owns_tob_transport = True
-        else:
-            self._tob = None
-            self._owns_tob_transport = False
+        # A host may supply its own TOB (a proxy to its consensus, Fig. 1);
+        # otherwise the built-in sequencer rides a channel of the transport.
+        self._owns_tob_transport = tob is None
+        self._tob = tob or SequencerTob(self._mux.channel(_TAG_TOB))
         self._handler: ProtocolHandler | None = None
         self._dispatched_p2p = _DISPATCHED.labels(str(self.node_id), "p2p")
         self._dispatched_tob = _DISPATCHED.labels(str(self.node_id), "tob")
         self._delivered = _DELIVERED.labels(str(self.node_id))
         self._p2p.set_handler(self._deliver)
-        if self._tob is not None:
-            self._tob.set_handler(self._deliver)
-
-    @property
-    def has_tob(self) -> bool:
-        return self._tob is not None
+        self._tob.set_handler(self._deliver)
 
     def peer_ids(self) -> list[int]:
         return self._transport.peer_ids()
@@ -153,11 +139,11 @@ class NetworkManager:
 
     async def start(self) -> None:
         await self._transport.start()
-        if self._tob is not None and not self._owns_tob_transport:
+        if not self._owns_tob_transport:
             await self._tob.start()
 
     async def stop(self) -> None:
-        if self._tob is not None and not self._owns_tob_transport:
+        if not self._owns_tob_transport:
             await self._tob.stop()
         await self._transport.stop()
 
@@ -167,10 +153,6 @@ class NetworkManager:
         """Send a protocol message over its requested channel."""
         data = message.to_bytes()
         if message.channel is Channel.TOB:
-            if self._tob is None:
-                raise ConfigurationError(
-                    "protocol requested TOB but the node has no TOB channel"
-                )
             self._dispatched_tob.inc()
             await self._tob.submit(data)
         elif message.is_directed():

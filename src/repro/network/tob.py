@@ -2,7 +2,7 @@
 
 Thetacrypt treats the TOB channel as a black box provided by the host
 platform (a blockchain's consensus, §3.6).  For standalone deployments this
-module supplies a simple sequencer: node ``sequencer_id`` stamps submissions
+module supplies a simple sequencer: node 1 stamps submissions
 with consecutive sequence numbers and re-broadcasts them; every node buffers
 and delivers in stamp order, so all nodes observe the same message sequence.
 
@@ -21,13 +21,15 @@ from .interfaces import MessageHandler, P2PNetwork, TotalOrderBroadcast
 _SUBMIT = 0
 _ORDERED = 1
 
+#: The node that stamps every built-in TOB's order.
+SEQUENCER = 1
+
 
 class SequencerTob(TotalOrderBroadcast):
     """Sequencer-stamped total order over a P2P transport."""
 
-    def __init__(self, transport: P2PNetwork, sequencer_id: int = 1):
+    def __init__(self, transport: P2PNetwork):
         self._transport = transport
-        self._sequencer_id = sequencer_id
         self._handler: MessageHandler | None = None
         self._next_stamp = 0  # sequencer state
         self._next_delivery = 0
@@ -37,7 +39,7 @@ class SequencerTob(TotalOrderBroadcast):
 
     @property
     def is_sequencer(self) -> bool:
-        return self._transport.node_id == self._sequencer_id
+        return self._transport.node_id == SEQUENCER
 
     def set_handler(self, handler: MessageHandler) -> None:
         self._handler = handler
@@ -56,7 +58,7 @@ class SequencerTob(TotalOrderBroadcast):
             if self.is_sequencer:
                 await self._sequence(self._transport.node_id, data)
             else:
-                await self._transport.send(self._sequencer_id, frame)
+                await self._transport.send(SEQUENCER, frame)
         self._metrics.sent(len(data))
 
     # -- sequencer side ------------------------------------------------------------
@@ -97,7 +99,7 @@ class SequencerTob(TotalOrderBroadcast):
             origin = reader.read_int()
             data = reader.read_bytes()
             reader.finish()
-            if sender != self._sequencer_id:
+            if sender != SEQUENCER:
                 raise NetworkError(
                     f"TOB stamp {stamp} from node {sender}, not the sequencer"
                 )

@@ -9,9 +9,11 @@ keys and client by hand.  A restart is what it is for a daemon: a new
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import replace
 from pathlib import Path
 
+from ..network.faults import FaultPlan, FaultyNetwork
 from ..network.local import LocalHub
 from ..schemes.keygen import KeyMaterial
 from .client import ThetacryptClient
@@ -25,9 +27,10 @@ class LocalCluster:
     in ``keys``, plus one client for all of them.
 
     ``latency`` is every link's one-way delay in seconds, and
-    ``config_overrides`` go to :func:`make_local_configs` (``fault_plan``,
-    ``metrics_port``, ``instance_timeout``, ...).  With a ``data_root`` each node
-    keeps its durable state under ``data_root/node<i>``.
+    ``config_overrides`` go to :func:`make_local_configs` (``metrics_port``,
+    ``instance_timeout``, ...).  With a ``data_root`` each node keeps its
+    durable state under ``data_root/node<i>``.  A ``fault_plan`` wraps every
+    hub endpoint, restarts too, in a :class:`FaultyNetwork` on one clock.
     """
 
     def __init__(
@@ -37,9 +40,11 @@ class LocalCluster:
         threshold: int = 1,
         latency: float = 0.001,
         data_root: str | Path | None = None,
+        fault_plan: FaultPlan | None = None,
         **config_overrides,
     ):
         self._keys = keys
+        self._fault_plan = fault_plan
         self._configs = make_local_configs(
             parties, threshold, transport="local", rpc_base_port=0,
             **config_overrides,
@@ -64,6 +69,9 @@ class LocalCluster:
         }
 
     async def __aenter__(self) -> "LocalCluster":
+        loop = asyncio.get_running_loop()
+        booted_at = loop.time()
+        self._fault_clock = lambda: loop.time() - booted_at
         try:
             for config in self._configs:
                 self.nodes.append(await self._boot(config))
@@ -105,7 +113,10 @@ class LocalCluster:
         self.client = self._connect()
 
     async def _boot(self, config: NodeConfig) -> ThetacryptNode:
-        node = ThetacryptNode(config, transport=self.hub.endpoint(config.node_id))
+        transport = self.hub.endpoint(config.node_id)
+        if self._fault_plan is not None:
+            transport = FaultyNetwork(transport, self._fault_plan, self._fault_clock)
+        node = ThetacryptNode(config, transport=transport)
         for key_id, material in self._keys.items():
             node.install_key(
                 key_id,

@@ -6,7 +6,6 @@ import json
 from dataclasses import asdict, dataclass
 
 from ..errors import ConfigurationError
-from ..network.faults import FaultPlan
 from ..serialization import config_fields
 
 
@@ -33,7 +32,6 @@ class NodeConfig:
     rpc_port: int = 0
     peers: tuple[PeerConfig, ...] = ()
     transport: str = "tcp"  # "tcp" or "local"
-    enable_tob: bool = True  # built-in sequencer TOB; node 1 sequences
     instance_timeout: float = 60.0
     # §3.2: "RPC requests can be authenticated by exploiting the common
     # security context such that only the service node in the same security
@@ -42,10 +40,6 @@ class NodeConfig:
     # Plain-HTTP Prometheus scrape endpoint (GET /metrics) on rpc_host.
     # None disables it; 0 binds an ephemeral port (see node.metrics_address).
     metrics_port: int | None = None
-    # Seeded chaos scenario (docs/robustness.md): when set, the node wraps
-    # its transport in a FaultyNetwork so the asyncio service and the
-    # simulator can run the same deterministic fault schedules.
-    fault_plan: FaultPlan | None = None
     # Durability root for this node (docs/robustness.md, "Durability &
     # recovery"): keystore snapshot, instance journal, and result cache
     # live under it, and start() runs crash recovery from it.  None keeps
@@ -57,9 +51,6 @@ class NodeConfig:
     # sheds.
     max_pending_instances: int | None = None
     overload_retry_after: float = 0.25
-    # Graceful shutdown: how long the daemon waits for in-flight instances
-    # to finish before tearing the node down.
-    drain_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.node_id <= self.parties:
@@ -88,8 +79,6 @@ class NodeConfig:
             )
         if self.overload_retry_after < 0:
             raise ConfigurationError("overload_retry_after must be >= 0")
-        if self.drain_timeout < 0:
-            raise ConfigurationError("drain_timeout must be >= 0")
 
     def peer_map(self) -> dict[int, tuple[str, int]]:
         return {
@@ -101,8 +90,6 @@ class NodeConfig:
     def to_json(self) -> str:
         payload = asdict(self)
         payload["peers"] = [asdict(p) for p in self.peers]
-        if self.fault_plan is not None:
-            payload["fault_plan"] = self.fault_plan.to_dict()
         return json.dumps(payload, indent=2)
 
     @staticmethod
@@ -112,10 +99,8 @@ class NodeConfig:
             payload = _drop_retired(payload)
         payload = config_fields(NodeConfig, payload)
         peers = payload.pop("peers", [])
-        plan_payload = payload.pop("fault_plan", None)
         return NodeConfig(
             peers=tuple(PeerConfig(**config_fields(PeerConfig, p)) for p in peers),
-            fault_plan=FaultPlan.from_dict(plan_payload) if plan_payload else None,
             **payload,
         )
 
@@ -130,13 +115,18 @@ _RETIRED = {
         None, "requests run when they are asked for; KG20 nonce pools need no setting"
     ),
     "gossip_fanout": (None, "nodes link to every peer; there is no gossip overlay"),
+    "enable_tob": (True, "every node runs the built-in TOB"),
+    "drain_timeout": (5.0, "a stopping daemon drains for a fixed 5 s"),
+    "fault_plan": (None, "chaos wraps a transport in a FaultyNetwork"),
 }
 
 
 def _drop_retired(payload: dict) -> dict:
     for key, (value, reason) in _RETIRED.items():
+        # JSON's true is Python's 1: a bool stands only for a bool.
         if key in payload and (
-            isinstance(payload[key], bool) or payload[key] != value
+            isinstance(payload[key], bool) != isinstance(value, bool)
+            or payload[key] != value
         ):
             raise ConfigurationError(
                 f"config key {key!r} must be {json.dumps(value)}: {reason}, "

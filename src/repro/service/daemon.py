@@ -22,7 +22,7 @@ from pathlib import Path
 from ..errors import ThetacryptError
 from ..schemes.keystore import keystore_from_json
 from .config import NodeConfig
-from .node import ThetacryptNode
+from .node import DRAIN_TIMEOUT, ThetacryptNode
 
 logger = logging.getLogger("repro.daemon")
 
@@ -48,7 +48,7 @@ async def run_until_signal(node: ThetacryptNode) -> None:
     """Start the node and serve until SIGINT/SIGTERM.
 
     Graceful shutdown: on signal the daemon first *drains* — waits up to
-    the config's ``drain_timeout`` for in-flight instances to terminate (their
+    :data:`DRAIN_TIMEOUT` seconds for in-flight instances to terminate (their
     results then land in the durable cache and the journal carries their
     terminal records) — and only then tears down RPC, transports, and the
     storage handles.  Instances still pending when the budget runs out are
@@ -74,7 +74,7 @@ async def run_until_signal(node: ThetacryptNode) -> None:
     logger.info(
         "shutting down node %d (draining up to %.1fs)",
         node.config.node_id,
-        node.config.drain_timeout,
+        DRAIN_TIMEOUT,
     )
     drained = await node.drain()
     if not drained:

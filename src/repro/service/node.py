@@ -31,7 +31,6 @@ from ..core.protocols import (
 )
 from ..groups.registry import get_group
 from ..errors import ConfigurationError, RpcError
-from ..network.faults import FaultyNetwork
 from ..network.interfaces import P2PNetwork
 from ..network.manager import NetworkManager
 from ..network.tcp import TcpP2P
@@ -61,6 +60,10 @@ __all__ = ["ThetacryptNode"]
 #: The schemes whose key material a dealing yields, ``(Y = g^x, Y_i =
 #: g^{x_i})``; their classes are in :data:`KEY_CLASSES`.
 _DEALT_KEYS = ("cks05", "sg02", "kg20")
+
+#: Graceful shutdown: how long a stopping daemon waits for in-flight
+#: instances to terminate before tearing the node down (seconds).
+DRAIN_TIMEOUT = 5.0
 
 
 class ThetacryptNode:
@@ -98,17 +101,10 @@ class ThetacryptNode:
                 config.listen_port,
                 config.peer_map(),
             )
-        if config.fault_plan is not None:
-            # Chaos mode: the fault wrapper sits directly above the raw
-            # transport, below the manager's channels, so every wire frame
-            # passes through the plan.
-            transport = FaultyNetwork(transport, config.fault_plan)
         # ``tob`` lets a host platform supply its own total-order channel
         # (the proxy deployment of Fig. 1); otherwise the node runs the
-        # built-in sequencer TOB when enabled.
-        self.network = NetworkManager(
-            transport, enable_tob=config.enable_tob, tob=tob
-        )
+        # built-in sequencer TOB.
+        self.network = NetworkManager(transport, tob=tob)
         # Per-node metric registry: keeps this node's request metrics
         # isolated when several nodes share one process; process-wide
         # instruments (transports, crypto caches) live in the default
@@ -186,11 +182,11 @@ class ThetacryptNode:
         """Wait (bounded) for in-flight instances to terminate.
 
         Graceful-shutdown hook: returns True when the node went idle
-        within ``config.drain_timeout`` seconds, False if instances were
+        within :data:`DRAIN_TIMEOUT` seconds, False if instances were
         still pending when the budget ran out.
         """
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_timeout
+        deadline = loop.time() + DRAIN_TIMEOUT
         while self.instances.active_count > 0 and loop.time() < deadline:
             await asyncio.sleep(0.02)
         return self.instances.active_count == 0
@@ -236,9 +232,9 @@ class ThetacryptNode:
     # -- protocol API ----------------------------------------------------------
 
     def _channel_for(self, scheme: str) -> Channel:
-        # Interactive protocols synchronise their rounds over TOB when the
-        # deployment has one (§3.6); non-interactive schemes use plain P2P.
-        if SCHEME_TABLE[scheme].rounds > 1 and self.network.has_tob:
+        # Interactive protocols synchronise their rounds over TOB (§3.6);
+        # non-interactive schemes use plain P2P.
+        if SCHEME_TABLE[scheme].rounds > 1:
             return Channel.TOB
         return Channel.P2P
 

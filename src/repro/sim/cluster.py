@@ -107,8 +107,6 @@ class SimulatedThetaNetwork:
         latency_model: LatencyModel | None = None,
         client_region: Region = Region.FRA1,
         kg20_over_tob: bool = False,
-        tob_sequencer: int = 1,
-        crashed_nodes: set[int] | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         self.deployment = deployment
@@ -117,15 +115,9 @@ class SimulatedThetaNetwork:
         self.latency = latency_model or LatencyModel()
         self.client_region = client_region
         self.kg20_over_tob = kg20_over_tob
-        self.tob_sequencer = tob_sequencer
-        # Fault injection: crashed nodes never process requests or messages
-        # (1-based ids, as everywhere).  Non-interactive schemes tolerate up
-        # to t of them; KG20's fixed signing group stalls on any.
-        self.crashed_nodes = crashed_nodes or set()
-        if any(not 1 <= c <= deployment.parties for c in self.crashed_nodes):
-            raise ConfigurationError("crashed node id out of range")
-        # Seeded chaos: the same FaultPlan the asyncio service accepts
-        # (docs/robustness.md), mapped onto simulated links and clocks.
+        # Seeded chaos: the FaultPlan LocalCluster takes (docs/robustness.md)
+        # on simulated links and clocks.  A crashed node (1-based id) handles
+        # nothing: non-interactive schemes tolerate t, KG20 stalls on one.
         self.fault_plan = fault_plan
         if fault_plan is not None:
             plan_nodes = {c.node for c in fault_plan.crashes} | set(
@@ -164,7 +156,6 @@ class SimulatedThetaNetwork:
         lat = self.latency.one_way
         client_region = self.client_region
         interactive = self.scheme == "kg20"
-        crashed = {c - 1 for c in self.crashed_nodes}  # 0-based internally
         plan = self.fault_plan
         # Fresh injector per run: the same network object replays the same
         # fault schedule on every run (determinism contract of FaultPlan).
@@ -201,8 +192,6 @@ class SimulatedThetaNetwork:
             return False
 
         def deliver(src: int, dst: int, delay_extra: float, fn, corrupted=None) -> None:
-            if dst in crashed:
-                return
             if plan is not None:
                 now = sim.now
                 if plan.crashed(src + 1, now):
@@ -235,7 +224,7 @@ class SimulatedThetaNetwork:
                     count_fault("duplicate")
                     copies = 2
             if self.kg20_over_tob and interactive:
-                seq = self.tob_sequencer - 1
+                seq = 0  # node 1 sequences the TOB
                 delay = lat(regions[src], regions[seq]) + lat(
                     regions[seq], regions[dst]
                 )
@@ -348,8 +337,6 @@ class SimulatedThetaNetwork:
             maybe_combine(i, r)
 
         def on_request(i: int, r: int) -> None:
-            if i in crashed:
-                return
             if plan is not None and plan.crashed(i + 1, sim.now):
                 count_fault("crash")
                 return

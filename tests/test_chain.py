@@ -142,6 +142,40 @@ class TestValidators:
 
         asyncio.run(scenario())
 
+    def test_an_undecodable_block_is_skipped_by_every_replica(self):
+        """A proposal whose body does not decode, ordered by the TOB like
+        any other, is journaled and takes no height on every validator;
+        the next valid block still executes everywhere."""
+        from repro.chain.validator import _TOB_BLOCK
+
+        async def scenario():
+            hub, validators = _make_chain()
+            for validator in validators:
+                await validator.start()
+            try:
+                garbage = bytes([_TOB_BLOCK]) + b"\x00\x01\x02\x03"
+                await validators[1]._tob.submit(garbage)
+                await hub.drain()  # ordered (and executed) before the valid one
+                validators[0].submit_transaction(Transaction("f", b"mint alice 5"))
+                await validators[0].propose()
+                blocks = await asyncio.gather(
+                    *(v.await_height(1, timeout=5.0) for v in validators)
+                )
+                assert {b.proposer for b in blocks} == {1}
+                assert len({v.state_root() for v in validators}) == 1
+                assert all(
+                    len(v.chain) == 1
+                    and v.state.balances == {"alice": 5}
+                    and len(v.state.rejected) == 1
+                    and v.state.rejected[0].startswith("block from node 2: ")
+                    for v in validators
+                )
+            finally:
+                for validator in validators:
+                    await validator.stop()
+
+        asyncio.run(scenario())
+
     def test_parent_links(self):
         async def scenario():
             hub, validators = _make_chain(3)

@@ -178,7 +178,7 @@ def test_a_forged_frame_costs_node_3_one_rejection(run, forged, keys_cks05, keys
     async def scenario():
         hub = LocalHub(latency=lambda src, dst: 0.001)
         networks = {
-            i: NetworkManager(hub.endpoint(i), enable_tob=False) for i in (1, 2, 3, 4, 7)
+            i: NetworkManager(hub.endpoint(i)) for i in (1, 2, 3, 4, 7)
         }
         managers = {
             i: InstanceManager(

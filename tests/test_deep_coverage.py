@@ -23,7 +23,7 @@ class TestTobGapBuffering:
     def test_out_of_order_stamps_deliver_in_order(self):
         async def scenario():
             hub = LocalHub()
-            tob = SequencerTob(hub.endpoint(2), sequencer_id=1)
+            tob = SequencerTob(hub.endpoint(2))
             delivered = []
 
             async def handler(sender, data):
@@ -43,7 +43,7 @@ class TestTobGapBuffering:
     def test_duplicate_stamp_does_not_double_deliver(self):
         async def scenario():
             hub = LocalHub()
-            tob = SequencerTob(hub.endpoint(2), sequencer_id=1)
+            tob = SequencerTob(hub.endpoint(2))
             delivered = []
 
             async def handler(sender, data):

@@ -20,7 +20,6 @@ from repro.network.faults import (
     FaultPlan,
     FaultyNetwork,
     LinkFaults,
-    Partition,
     corrupt_frame,
 )
 from repro.service.cluster import LocalCluster
@@ -71,19 +70,6 @@ class TestInjectorDeterminism:
         assert [a.decide(1, 2) for _ in range(100)] != [
             b.decide(1, 2) for _ in range(100)
         ]
-
-    def test_plan_json_round_trip(self):
-        plan = FaultPlan(
-            seed=99,
-            default=LinkFaults(drop=0.1),
-            links={"1->2": LinkFaults(delay=0.5), "*->3": LinkFaults(corrupt=1.0)},
-            partitions=(Partition(groups=((1, 2), (3, 4)), start=1.0, heal=2.0),),
-            crashes=(Crash(node=4, at=0.5, recover=3.0),),
-            byzantine=(2,),
-            byzantine_rate=0.8,
-            reorder_hold=0.1,
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
 
 
 class TestCorruption:

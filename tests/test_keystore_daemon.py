@@ -4,6 +4,8 @@ import asyncio
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from repro.schemes.keystore import (
 )
 from repro.service.config import NodeConfig, make_local_configs
 from repro.service.daemon import main as daemon_main
+
+CONFIG_V1 = Path(__file__).resolve().parent / "fixtures" / "config_v1"
 
 
 class TestKeyShareSerialization:
@@ -107,14 +111,10 @@ def _peer_with(document, **keys):
 #: offending field is named, never a raw ``TypeError`` from a constructor.
 MALFORMED = [
     (
-        "unknown fault_plan key",
-        lambda d: _with(d, fault_plan={"seed": 1, "bogus": 2}),
-        "unknown FaultPlan keys: bogus",
-    ),
-    (
-        "unknown LinkFaults key",
-        lambda d: _with(d, fault_plan={"default": {"drop": 0.1, "loss": 0.2}}),
-        "unknown LinkFaults keys: loss",
+        "a fault plan",
+        lambda d: _with(d, fault_plan={"default": {"drop": 0.1}}),
+        "config key 'fault_plan' must be null: chaos wraps a transport in a "
+        "FaultyNetwork, got {'default': {'drop': 0.1}}",
     ),
     (
         "unknown peer key",
@@ -226,12 +226,39 @@ class TestConfigFile:
                 "config key 'tob_block_interval' must be 0.0: the built-in TOB "
                 "stamps each submission at once, got 0.02",
             ),
+            (
+                "tob_sequencer", 1, True,
+                "config key 'tob_sequencer' must be 1: node 1 sequences the "
+                "built-in TOB, got True",
+            ),
+            (
+                "enable_tob", True, 1,
+                "config key 'enable_tob' must be true: every node runs the "
+                "built-in TOB, got 1",
+            ),
+            (
+                "enable_tob", True, False,
+                "config key 'enable_tob' must be true: every node runs the "
+                "built-in TOB, got False",
+            ),
+            (
+                "drain_timeout", 5.0, 30.0,
+                "config key 'drain_timeout' must be 5.0: a stopping daemon "
+                "drains for a fixed 5 s, got 30.0",
+            ),
+            (
+                "fault_plan", None, {"seed": 1},
+                "config key 'fault_plan' must be null: chaos wraps a transport "
+                "in a FaultyNetwork, got {'seed': 1}",
+            ),
         ],
     )
     def test_config_written_with_the_tob_knobs(self, key, written, refused, message):
         """Every config ``tools/deal_keys.py`` wrote while ``NodeConfig`` had
-        ``tob_sequencer`` and ``tob_block_interval`` carries both at their
-        defaults: those still load, any other value is refused by name."""
+        a retired key carries it at the one value every such config held
+        (the TOB knobs, ``enable_tob``, ``drain_timeout``, ``fault_plan``):
+        that value still loads, any other is refused by name.  A JSON
+        ``true`` stands only for a bool key, and a bool only for a bool."""
         document = json.loads(make_local_configs(4, 1)[0].to_json())
         document[key] = written
         assert NodeConfig.from_json(json.dumps(document)) == make_local_configs(4, 1)[0]
@@ -239,6 +266,19 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError) as caught:
             NodeConfig.from_json(json.dumps(document))
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "name,data_dir",
+        [("memory", None), ("durable", "deployment/node1/data")],
+    )
+    def test_frozen_config_v1_loads(self, name, data_dir):
+        """Node 1's ``config.json`` as ``tools/deal_keys.py`` wrote it while
+        ``NodeConfig`` still had ``enable_tob``, ``fault_plan`` and
+        ``drain_timeout`` (``tests/fixtures/write_config_v1.py``) loads into
+        the config ``make_local_configs`` builds now."""
+        text = (CONFIG_V1 / f"{name}.json").read_text()
+        expected = replace(make_local_configs(4, 1)[0], data_dir=data_dir)
+        assert NodeConfig.from_json(text) == expected
 
     @pytest.mark.parametrize(
         "edit,message",

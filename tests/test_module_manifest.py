@@ -313,10 +313,9 @@ def test_a_planted_copy_is_caught(tmp_path):
 #: different values of it; a knob no deployment sets is deleted instead.
 NODE_CONFIG_FIELDS = (
     "node_id", "parties", "threshold", "listen_host", "listen_port",
-    "rpc_host", "rpc_port", "peers", "transport", "enable_tob",
-    "instance_timeout", "rpc_auth_token", "metrics_port",
-    "fault_plan", "data_dir", "max_pending_instances",
-    "overload_retry_after", "drain_timeout",
+    "rpc_host", "rpc_port", "peers", "transport", "instance_timeout",
+    "rpc_auth_token", "metrics_port", "data_dir", "max_pending_instances",
+    "overload_retry_after",
 )
 DAEMON_FLAGS = ("--config", "--keystore", "--verbose")
 

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.messages import Channel, ProtocolMessage
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import NetworkError
 from repro.network.local import LocalHub
 from repro.network.manager import _TAG_PROTOCOL, _TAG_TOB, NetworkManager
 from repro.network.tcp import TcpP2P
@@ -176,7 +176,7 @@ class TestTcpTransport:
 class TestSequencerTob:
     def _network(self, n):
         hub = LocalHub()
-        tobs = {i: SequencerTob(hub.endpoint(i), sequencer_id=1) for i in range(1, n + 1)}
+        tobs = {i: SequencerTob(hub.endpoint(i)) for i in range(1, n + 1)}
         return hub, tobs
 
     def test_total_order_identical_everywhere(self):
@@ -221,7 +221,7 @@ class TestSequencerTob:
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(hub.endpoint(i), enable_tob=True)
+                i: NetworkManager(hub.endpoint(i))
                 for i in (1, 2, 3, 4)
             }
             seen = {i: [] for i in managers}
@@ -256,7 +256,7 @@ class TestNetworkManager:
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(hub.endpoint(i), enable_tob=False)
+                i: NetworkManager(hub.endpoint(i))
                 for i in (1, 2, 3)
             }
             seen = {i: [] for i in managers}
@@ -277,7 +277,7 @@ class TestNetworkManager:
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(hub.endpoint(i), enable_tob=False)
+                i: NetworkManager(hub.endpoint(i))
                 for i in (1, 2, 3)
             }
             seen = {i: [] for i in managers}
@@ -297,7 +297,7 @@ class TestNetworkManager:
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(hub.endpoint(i), enable_tob=True)
+                i: NetworkManager(hub.endpoint(i))
                 for i in (1, 2, 3)
             }
             seen = {i: [] for i in managers}
@@ -318,17 +318,6 @@ class TestNetworkManager:
 
         asyncio.run(scenario())
 
-    def test_tob_unconfigured_raises(self):
-        async def scenario():
-            hub = LocalHub()
-            manager = NetworkManager(hub.endpoint(1), enable_tob=False)
-            with pytest.raises(ConfigurationError):
-                await manager.dispatch(
-                    ProtocolMessage("inst", 1, 0, Channel.TOB, b"x")
-                )
-
-        asyncio.run(scenario())
-
     def test_directed_tob_message_reaches_only_its_recipient(self):
         """TOB hands every ordered message to every node; only the
         addressee's handler sees a directed one."""
@@ -336,7 +325,7 @@ class TestNetworkManager:
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(hub.endpoint(i), enable_tob=True)
+                i: NetworkManager(hub.endpoint(i))
                 for i in (1, 2, 3, 4)
             }
             seen = {i: [] for i in managers}
@@ -357,7 +346,7 @@ class TestNetworkManager:
         async def scenario():
             hub = LocalHub()
             managers = {
-                i: NetworkManager(hub.endpoint(i), enable_tob=False)
+                i: NetworkManager(hub.endpoint(i))
                 for i in (1, 2, 3)
             }
             seen = {i: [] for i in managers}

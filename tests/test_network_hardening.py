@@ -99,7 +99,7 @@ async def _read_link(sender: int, frames: list[bytes]) -> tuple[list, float]:
     network manager with the built-in TOB (node 1 sequences).  Returns the
     payloads node 3 delivered and the frames it dropped and counted."""
     transport = TcpP2P(3, "127.0.0.1", 0, {})
-    manager = NetworkManager(transport, enable_tob=True)
+    manager = NetworkManager(transport)
     delivered = []
 
     async def handler(message):

@@ -57,7 +57,7 @@ def test_tob_proxy_rides_host_ordering():
         tob_hub = LocalHub()
         bridges = {}
         for i in (1, 2, 3):
-            host_tob = SequencerTob(tob_hub.endpoint(i), sequencer_id=1)
+            host_tob = SequencerTob(tob_hub.endpoint(i))
             bridges[i] = HostPlatformBridge(
                 "127.0.0.1", 19620 + i, hub.endpoint(i), tob=host_tob
             )

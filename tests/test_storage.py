@@ -829,6 +829,28 @@ class TestManagerOverTheTable:
         asyncio.run(scenario())
 
 
+class TestAnsweredOnlyWhenDurable:
+    def test_a_waiter_resumes_after_the_outcome_is_tabled(self, tmp_path, keys_cks05):
+        """No result is answered before it is durable: the moment a waiter
+        on a coin resumes, every node's outcome table (and so its log)
+        already holds the coin, before the executor is released."""
+        from repro.service.cluster import LocalCluster
+
+        async def scenario():
+            async with LocalCluster({"coin": keys_cks05}, data_root=tmp_path) as cluster:
+                for index in range(3):
+                    records = [
+                        node.submit_request("coin", "coin", b"coin %d" % index)
+                        for node in cluster.nodes
+                    ]
+                    for node, record in zip(cluster.nodes, records):
+                        coin = await node.instances.result(record)
+                        outcome = node._outcomes.get(record.instance_id)
+                        assert outcome is not None and outcome.result == coin
+
+        asyncio.run(scenario())
+
+
 @pytest.mark.integration
 class TestOverloadShedding:
     def test_excess_submissions_rejected_with_hint(self, all_keys):
