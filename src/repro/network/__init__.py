@@ -14,21 +14,12 @@ start-up".  Concrete components:
   host platform (e.g. a blockchain node).
 """
 
-from .faults import (
-    Crash,
-    FaultInjector,
-    FaultPlan,
-    FaultyNetwork,
-    LinkFaults,
-    Partition,
-)
+from .faults import FaultPlan, FaultyNetwork, LinkFaults, Partition
 from .interfaces import P2PNetwork, TotalOrderBroadcast
 from .local import LocalHub, LocalP2P
 from .manager import NetworkManager
 
 __all__ = [
-    "Crash",
-    "FaultInjector",
     "FaultPlan",
     "FaultyNetwork",
     "LinkFaults",

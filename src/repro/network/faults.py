@@ -8,16 +8,20 @@ tolerates up to *t* corrupted nodes.  This module exercises that claim: a
 a seeded :class:`FaultPlan`:
 
 * per-link **drop / delay / duplicate / reorder** probabilities,
-* scheduled **partitions** with optional heal times,
-* **crash-stop** and **crash-recovery** of whole nodes, and
+* scheduled **partitions** with optional heal times, and
 * **Byzantine** corruption of outgoing share payloads.
+
+A crash is not a link fault: :meth:`~repro.service.cluster.LocalCluster.stop`
+and ``restart`` take a node's RPC, executors and storage down with it.  To
+cut one node off from the rest while it keeps running, isolate it with a
+:class:`Partition` (``groups=((i,), <every other node>)``).
 
 All probabilistic decisions come from one :class:`random.Random` stream per
 directed link, seeded from ``(plan.seed, src, dst)``; each message consumes a
 fixed number of draws, so two runs with the same plan and the same per-link
 message order make identical decisions — the property the determinism test
-suite pins down.  Time-dependent faults (partitions, crashes) are pure
-functions of the plan and a monotonic clock (``clock=``, else since ``start()``).
+suite pins down.  Partitions are pure functions of the plan and a monotonic
+clock (``clock=``, else since ``start()``).
 
 Every injected fault increments ``repro_faults_injected{node,kind}`` on the
 process-wide registry, so chaos runs are observable through the same
@@ -30,6 +34,7 @@ import asyncio
 import dataclasses
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -97,16 +102,7 @@ class Partition:
         return side_a is not None and side_b is not None and side_a != side_b
 
 
-@dataclass(frozen=True)
-class Crash:
-    """Crash-stop (``recover`` None) or crash-recovery of one node."""
-
-    node: int
-    at: float = 0.0
-    recover: float | None = None
-
-    def active(self, now: float) -> bool:
-        return now >= self.at and (self.recover is None or now < self.recover)
+_LINK_KEY = re.compile(r"(\*|[1-9][0-9]*)->(\*|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -123,11 +119,47 @@ class FaultPlan:
     default: LinkFaults = field(default_factory=LinkFaults)
     links: Mapping[str, LinkFaults] = field(default_factory=dict)
     partitions: tuple[Partition, ...] = ()
-    crashes: tuple[Crash, ...] = ()
     byzantine: tuple[int, ...] = ()
     byzantine_rate: float = 1.0
     #: How long a reordered message is held back at most (seconds).
     reorder_hold: float = 0.05
+
+    def __post_init__(self) -> None:
+        for key in self.links:
+            if not _LINK_KEY.fullmatch(key) or key == "*->*":
+                raise ConfigurationError(
+                    f"links key {key!r} is not 'src->dst' (node ids or '*', "
+                    "not both '*'; that is the default)"
+                )
+        for partition in self.partitions:
+            members = [node for group in partition.groups for node in group]
+            if len(members) != len(set(members)):
+                raise ConfigurationError(
+                    f"partitions: a node is in two groups of {partition.groups}"
+                )
+            if partition.heal is not None and partition.heal <= partition.start:
+                raise ConfigurationError(
+                    f"partitions: heal {partition.heal} is not after "
+                    f"start {partition.start}"
+                )
+        if not 0.0 <= self.byzantine_rate <= 1.0:
+            raise ConfigurationError(
+                f"byzantine_rate {self.byzantine_rate} outside [0, 1]"
+            )
+        if self.reorder_hold < 0:
+            raise ConfigurationError(
+                f"reorder_hold {self.reorder_hold} must be non-negative"
+            )
+
+    def nodes(self) -> set[int]:
+        """Every node id the plan names."""
+        named = set(self.byzantine)
+        for partition in self.partitions:
+            for group in partition.groups:
+                named.update(group)
+        for key in self.links:
+            named.update(int(side) for side in key.split("->") if side != "*")
+        return named
 
     def link(self, src: int, dst: int) -> LinkFaults:
         for key in (f"{src}->{dst}", f"{src}->*", f"*->{dst}"):
@@ -140,22 +172,8 @@ class FaultPlan:
             p.active(now) and p.separates(a, b) for p in self.partitions
         )
 
-    def crashed(self, node: int, now: float) -> bool:
-        return any(c.node == node and c.active(now) for c in self.crashes)
-
     def is_byzantine(self, node: int) -> bool:
         return node in self.byzantine
-
-
-@dataclass(frozen=True)
-class FaultDecision:
-    """The probabilistic outcome for one message on one link."""
-
-    drop: bool = False
-    duplicate: bool = False
-    reorder: bool = False
-    corrupt: bool = False
-    delay: float = 0.0
 
 
 def corrupt_frame(data: bytes, rng: random.Random) -> bytes:
@@ -187,57 +205,6 @@ def corrupt_frame(data: bytes, rng: random.Random) -> bytes:
     return bytes(buf)
 
 
-class FaultInjector:
-    """Pure decision engine behind :class:`FaultyNetwork`.
-
-    Kept separate from the asyncio wrapper so the discrete-event simulator
-    and the determinism tests can consume the exact same fault schedule
-    without a transport underneath.
-    """
-
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-        self._rngs: dict[tuple[int, int], random.Random] = {}
-
-    def link_rng(self, src: int, dst: int) -> random.Random:
-        rng = self._rngs.get((src, dst))
-        if rng is None:
-            digest = hashlib.sha256(
-                f"fault-plan:{self.plan.seed}:{src}->{dst}".encode()
-            ).digest()
-            rng = random.Random(int.from_bytes(digest[:8], "big"))
-            self._rngs[(src, dst)] = rng
-        return rng
-
-    def decide(self, src: int, dst: int) -> FaultDecision:
-        """Draw the fault outcome for the next message ``src`` → ``dst``.
-
-        Always consumes the same number of draws regardless of outcome, so
-        schedules stay aligned across runs and across fault-kind subsets.
-        """
-        faults = self.plan.link(src, dst)
-        rng = self.link_rng(src, dst)
-        u_drop = rng.random()
-        u_dup = rng.random()
-        u_reorder = rng.random()
-        u_corrupt = rng.random()
-        u_jitter = rng.random()
-        corrupt_p = faults.corrupt
-        if self.plan.is_byzantine(src):
-            corrupt_p = max(corrupt_p, self.plan.byzantine_rate)
-        delay = faults.delay + faults.jitter * u_jitter
-        return FaultDecision(
-            drop=u_drop < faults.drop,
-            duplicate=u_dup < faults.duplicate,
-            reorder=u_reorder < faults.reorder,
-            corrupt=u_corrupt < corrupt_p,
-            delay=delay,
-        )
-
-    def corrupt(self, src: int, dst: int, data: bytes) -> bytes:
-        return corrupt_frame(data, self.link_rng(src, dst))
-
-
 class FaultyNetwork(P2PNetwork):
     """A :class:`P2PNetwork` that injects faults from a :class:`FaultPlan`.
 
@@ -249,10 +216,10 @@ class FaultyNetwork(P2PNetwork):
         transport = FaultyNetwork(hub.endpoint(node_id), plan)
         node = ThetacryptNode(config, transport=transport)
 
-    Send-side faults (drop/delay/duplicate/reorder/corrupt, partitions, the
-    sender's own crash) are applied per directed link; the receive side
-    additionally suppresses delivery while this node is crashed or the link
-    is partitioned (covering peers whose transport is not wrapped).
+    Send-side faults (drop/delay/duplicate/reorder/corrupt, partitions) are
+    applied per directed link; the receive side additionally suppresses
+    delivery while the link is partitioned (covering peers whose transport
+    is not wrapped).
     """
 
     def __init__(
@@ -264,7 +231,8 @@ class FaultyNetwork(P2PNetwork):
         self.node_id = base.node_id
         self._base = base
         self.plan = plan
-        self.injector = FaultInjector(plan)
+        #: One seeded stream per directed link out of this node.
+        self._rngs: dict[int, random.Random] = {}
         self._handler: MessageHandler | None = None
         self._clock = clock
         self._tasks: set[asyncio.Task] = set()
@@ -303,39 +271,30 @@ class FaultyNetwork(P2PNetwork):
         await self._base.stop()
 
     async def send(self, recipient: int, data: bytes) -> None:
-        now = self.now()
-        if self.plan.crashed(self.node_id, now):
-            self._count("crash")
-            return
-        if self.plan.crashed(recipient, now):
-            # The peer is down; a real wire would accept the frame and lose
-            # it.  Count it as a crash-induced loss on the sender.
-            self._count("crash")
-            return
-        if self.plan.partitioned(self.node_id, recipient, now):
+        if self.plan.partitioned(self.node_id, recipient, self.now()):
             self._count("partition")
             return
-        decision = self.injector.decide(self.node_id, recipient)
-        if decision.drop:
+        drop, duplicate, reorder, corrupt, delay = self.draw(recipient)
+        if drop:
             self._count("drop")
             return
         payload = data
-        if decision.corrupt:
-            payload = self.injector.corrupt(self.node_id, recipient, data)
+        if corrupt:
+            payload = corrupt_frame(data, self._link_rng(recipient))
             self._count("corrupt")
-        if decision.reorder:
+        if reorder:
             # Hold the message back; it is released after the *next* message
             # on this link (true reordering) or after ``reorder_hold``.
             self._count("reorder")
             self._held.setdefault(recipient, []).append(payload)
             self._spawn(self._flush_held_later(recipient))
             return
-        if decision.delay > 0:
+        if delay > 0:
             self._count("delay")
-            self._spawn(self._deliver_later(recipient, payload, decision.delay))
+            self._spawn(self._deliver_later(recipient, payload, delay))
         else:
             await self._base.send(recipient, payload)
-        if decision.duplicate:
+        if duplicate:
             self._count("duplicate")
             await self._base.send(recipient, payload)
         await self._flush_held(recipient)
@@ -345,7 +304,42 @@ class FaultyNetwork(P2PNetwork):
         for peer in self.peer_ids():
             await self.send(peer, data)
 
+    def draw(self, recipient: int) -> tuple[bool, bool, bool, bool, float]:
+        """The fault outcome for the next message to ``recipient``:
+        ``(drop, duplicate, reorder, corrupt, delay)``.
+
+        Always consumes five draws regardless of outcome, so schedules stay
+        aligned across runs and across fault-kind subsets.
+        """
+        faults = self.plan.link(self.node_id, recipient)
+        rng = self._link_rng(recipient)
+        u_drop = rng.random()
+        u_dup = rng.random()
+        u_reorder = rng.random()
+        u_corrupt = rng.random()
+        u_jitter = rng.random()
+        corrupt_p = faults.corrupt
+        if self.plan.is_byzantine(self.node_id):
+            corrupt_p = max(corrupt_p, self.plan.byzantine_rate)
+        return (
+            u_drop < faults.drop,
+            u_dup < faults.duplicate,
+            u_reorder < faults.reorder,
+            u_corrupt < corrupt_p,
+            faults.delay + faults.jitter * u_jitter,
+        )
+
     # -- internals -------------------------------------------------------------
+
+    def _link_rng(self, recipient: int) -> random.Random:
+        rng = self._rngs.get(recipient)
+        if rng is None:
+            digest = hashlib.sha256(
+                f"fault-plan:{self.plan.seed}:{self.node_id}->{recipient}".encode()
+            ).digest()
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
+            self._rngs[recipient] = rng
+        return rng
 
     def _count(self, kind: str) -> None:
         child = self._counters.get(kind)
@@ -374,11 +368,7 @@ class FaultyNetwork(P2PNetwork):
         await self._flush_held(recipient)
 
     async def _on_receive(self, sender: int, data: bytes) -> None:
-        now = self.now()
-        if self.plan.crashed(self.node_id, now):
-            self._count("crash")
-            return
-        if self.plan.partitioned(sender, self.node_id, now):
+        if self.plan.partitioned(sender, self.node_id, self.now()):
             self._count("partition")
             return
         if self._handler is not None:

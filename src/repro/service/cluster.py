@@ -13,6 +13,7 @@ import asyncio
 from dataclasses import replace
 from pathlib import Path
 
+from ..errors import ConfigurationError
 from ..network.faults import FaultPlan, FaultyNetwork
 from ..network.local import LocalHub
 from ..schemes.keygen import KeyMaterial
@@ -30,7 +31,8 @@ class LocalCluster:
     ``config_overrides`` go to :func:`make_local_configs` (``metrics_port``,
     ``instance_timeout``, ...).  With a ``data_root`` each node keeps its
     durable state under ``data_root/node<i>``.  A ``fault_plan`` wraps every
-    hub endpoint, restarts too, in a :class:`FaultyNetwork` on one clock.
+    hub endpoint, restarts too, in a :class:`FaultyNetwork` on one clock;
+    one that names a node outside ``1..parties`` is refused.
     """
 
     def __init__(
@@ -43,6 +45,14 @@ class LocalCluster:
         fault_plan: FaultPlan | None = None,
         **config_overrides,
     ):
+        if fault_plan is not None:
+            strangers = sorted(
+                node for node in fault_plan.nodes() if not 1 <= node <= parties
+            )
+            if strangers:
+                raise ConfigurationError(
+                    f"fault plan names nodes {strangers} outside 1..{parties}"
+                )
         self._keys = keys
         self._fault_plan = fault_plan
         self._configs = make_local_configs(

@@ -22,7 +22,7 @@ import pytest
 from repro.core.messages import Channel, ProtocolMessage
 from repro.core.orchestration import derive_instance_id
 from repro.errors import ProtocolError, RpcError
-from repro.network.faults import Crash, FaultPlan, LinkFaults, Partition
+from repro.network.faults import FaultPlan, LinkFaults, Partition
 from repro.schemes import get_scheme
 from repro.serialization import hexlify
 from repro.service.cluster import LocalCluster
@@ -35,6 +35,12 @@ ALL_SCHEMES = ("sg02", "bz03", "sh00", "bls04", "kg20", "cks05")
 #: Fault kinds that never lose or damage a message: the only ones the
 #: non-robust KG20 flow can run under.
 LOSSLESS = ("delay", "duplicate", "reorder")
+
+
+def _isolate(node: int) -> Partition:
+    """Node ``node`` cut off from the other three, for good."""
+    return Partition(groups=((node,), tuple(i for i in range(1, 5) if i != node)))
+
 
 #: One seeded plan per fault kind the injector supports.
 PLANS = {
@@ -49,7 +55,8 @@ PLANS = {
         seed=16,
         partitions=(Partition(groups=((1, 2), (3, 4)), start=0.0, heal=0.4),),
     ),
-    "crash": FaultPlan(seed=17, crashes=(Crash(node=4, at=0.0),)),
+    # Node 4 cut off from t=0: to its peers, a crash-stop.
+    "crash": FaultPlan(seed=17, partitions=(_isolate(4),)),
 }
 
 
@@ -92,17 +99,15 @@ class TestChaosMatrix:
         asyncio.run(scenario())
 
     def test_crash_plus_byzantine_within_tolerance(self, all_keys):
-        """1 crashed + 1 byzantine of 4 (t=1 ⇒ quorum 2): still finalizes,
-        and both faults show in node 1's scrape.
+        """1 cut off (to its peers, crashed) + 1 byzantine of 4 (t=1 ⇒
+        quorum 2): still finalizes, and both faults show in node 1's scrape.
 
         The plan's byte flips do not survive BLS04's G1 decode.  What drives
         the sign path's verify-after-combine failure is a well-formed share
         of another message under node 3's id, planted at node 1 ahead of
         the request: it forms the quorum with node 1's own share, fails the
         combined check and is evicted before node 2's share completes it."""
-        plan = FaultPlan(
-            seed=23, crashes=(Crash(node=4, at=0.0),), byzantine=(3,)
-        )
+        plan = FaultPlan(seed=23, partitions=(_isolate(4),), byzantine=(3,))
         message = b"chaos tolerated bls04"
         forged = get_scheme("bls04").partial_sign(
             all_keys["bls04"].share_for(3), b"not the message"
@@ -132,7 +137,7 @@ class TestChaosMatrix:
         # The planted share waited in node 1's backlog, so it is the first
         # hop the instance judged.
         assert hops[0] == (3, "rejected")
-        for kind in ("crash", "corrupt"):
+        for kind in ("partition", "corrupt"):
             assert _metric(parsed, "repro_faults_injected", kind=kind) >= 1
         assert _metric(
             parsed, "repro_tri_messages_total", scheme="bls04", outcome="rejected"
@@ -142,9 +147,9 @@ class TestChaosMatrix:
 @pytest.mark.integration
 class TestStructuredAborts:
     def test_insufficient_shares_when_majority_crashed(self, all_keys):
-        """3 of 4 crashed: the survivor cannot reach quorum and says so."""
+        """3 of 4 cut off: the survivor cannot reach quorum and says so."""
         plan = FaultPlan(
-            seed=31, crashes=(Crash(node=2), Crash(node=3), Crash(node=4))
+            seed=31, partitions=(_isolate(2), _isolate(3), _isolate(4))
         )
         data = b"abort: not enough shares"
 
@@ -166,6 +171,24 @@ class TestStructuredAborts:
 
                 stats = nodes[0].stats()
                 assert stats["aborts"].get("insufficient_shares", 0) >= 1
+
+        asyncio.run(scenario())
+
+    def test_kg20_stalls_when_one_node_is_down(self, all_keys):
+        """FROST's signing group waits for all n members (§4.5): with one
+        node stopped, a KG20 signature aborts where CKS05 still answers."""
+        data = b"abort: frost needs everyone"
+
+        async def scenario():
+            async with LocalCluster(all_keys, instance_timeout=1.5) as cluster:
+                await cluster.stop(4)
+                client = cluster.client
+                assert len(await client.flip_coin("cks05", data)) == 32
+                with pytest.raises(RpcError) as err:
+                    await client.call(
+                        1, "sign", {"key_id": "kg20", "data": hexlify(data)}
+                    )
+                assert getattr(err.value, "reason", None) == "insufficient_shares"
 
         asyncio.run(scenario())
 

@@ -14,62 +14,61 @@ import pytest
 from repro.core.messages import Channel, ProtocolMessage
 from repro.core.protocols import OperationRequest, make_operation
 from repro.errors import InvalidShareError
-from repro.network.faults import (
-    Crash,
-    FaultInjector,
-    FaultPlan,
-    FaultyNetwork,
-    LinkFaults,
-    corrupt_frame,
-)
+from repro.network.faults import FaultPlan, FaultyNetwork, LinkFaults, corrupt_frame
+from repro.network.local import LocalHub
 from repro.service.cluster import LocalCluster
-from repro.sim.cluster import SimulatedThetaNetwork
-from repro.sim.deployments import Deployment
-from repro.sim.latency import Region
-from repro.sim.workload import Workload
 
 _BUSY = LinkFaults(
     drop=0.2, delay=0.005, jitter=0.01, duplicate=0.15, reorder=0.15, corrupt=0.1
 )
 
 
+def _wrapped(plan: FaultPlan, *node_ids: int) -> dict[int, FaultyNetwork]:
+    """A fresh FaultyNetwork for each node, over one unstarted hub."""
+    hub = LocalHub()
+    return {i: FaultyNetwork(hub.endpoint(i), plan) for i in node_ids}
+
+
 class TestInjectorDeterminism:
+    """``FaultyNetwork.draw`` is the per-message decision its ``send``
+    acts on: ``(drop, duplicate, reorder, corrupt, delay)``."""
+
     def test_same_seed_same_schedule(self):
         plan = FaultPlan(seed=42, default=_BUSY)
-        a, b = FaultInjector(plan), FaultInjector(plan)
-        seq_a = [a.decide(1, 2) for _ in range(300)]
-        seq_b = [b.decide(1, 2) for _ in range(300)]
+        a, b = _wrapped(plan, 1)[1], _wrapped(plan, 1)[1]
+        seq_a = [a.draw(2) for _ in range(300)]
+        seq_b = [b.draw(2) for _ in range(300)]
         assert seq_a == seq_b
         # The schedule is non-trivial: every fault kind actually fires.
-        assert any(d.drop for d in seq_a)
-        assert any(d.duplicate for d in seq_a)
-        assert any(d.reorder for d in seq_a)
-        assert any(d.corrupt for d in seq_a)
-        assert all(d.delay >= 0.005 for d in seq_a)
+        drops, duplicates, reorders, corrupts, delays = zip(*seq_a)
+        assert any(drops)
+        assert any(duplicates)
+        assert any(reorders)
+        assert any(corrupts)
+        assert all(delay >= 0.005 for delay in delays)
 
     def test_links_independent_of_interleaving(self):
         """Per-link streams do not bleed into each other: drawing links in a
         different global order yields the same per-link schedule.  A
         ``links`` override applies to its one direction only."""
         plan = FaultPlan(seed=7, default=_BUSY, links={"2->1": LinkFaults(drop=1.0)})
-        a, b = FaultInjector(plan), FaultInjector(plan)
+        a, b = _wrapped(plan, 1, 2), _wrapped(plan, 1, 2)
         interleaved = {(1, 2): [], (1, 3): [], (2, 1): []}
         for _ in range(100):
-            for link in interleaved:
-                interleaved[link].append(a.decide(*link))
+            for src, dst in interleaved:
+                interleaved[(src, dst)].append(a[src].draw(dst))
         sequential = {
-            link: [b.decide(*link) for _ in range(100)] for link in interleaved
+            (src, dst): [b[src].draw(dst) for _ in range(100)]
+            for src, dst in interleaved
         }
         assert interleaved == sequential
-        assert all(d.drop for d in sequential[(2, 1)])
-        assert not all(d.drop for d in sequential[(1, 2)])
+        assert all(drop for drop, *_ in sequential[(2, 1)])
+        assert not all(drop for drop, *_ in sequential[(1, 2)])
 
     def test_different_seeds_differ(self):
-        a = FaultInjector(FaultPlan(seed=1, default=_BUSY))
-        b = FaultInjector(FaultPlan(seed=2, default=_BUSY))
-        assert [a.decide(1, 2) for _ in range(100)] != [
-            b.decide(1, 2) for _ in range(100)
-        ]
+        a = _wrapped(FaultPlan(seed=1, default=_BUSY), 1)[1]
+        b = _wrapped(FaultPlan(seed=2, default=_BUSY), 1)[1]
+        assert [a.draw(2) for _ in range(100)] != [b.draw(2) for _ in range(100)]
 
 
 class TestCorruption:
@@ -128,39 +127,6 @@ class TestCorruption:
 
 @pytest.mark.integration
 class TestEndToEndDeterminism:
-    def test_sim_chaos_identical_schedules_and_outcomes(self):
-        """The discrete-event runtime is fully deterministic: same plan,
-        same workload ⇒ identical fault schedule and completion set."""
-        deployment = Deployment("LAN4", "small", 4, 1, (Region.FRA1,) * 4, 100)
-        plan = FaultPlan(
-            seed=7,
-            default=LinkFaults(drop=0.2, delay=0.01, corrupt=0.1),
-            crashes=(Crash(node=4, at=0.0),),
-            byzantine=(3,),
-        )
-        workload = Workload(rate=5, duration=2.0, payload_bytes=64)
-        network = SimulatedThetaNetwork(deployment, "sg02", fault_plan=plan)
-        first = network.run(workload)
-        second = network.run(workload)
-        assert first.faults_injected  # the plan actually fired
-        assert first.faults_injected == second.faults_injected
-        assert set(first.request_first_finish) == set(
-            second.request_first_finish
-        )
-        # 1 crashed + 1 byzantine of 4 at t=1: every request still finishes.
-        assert len(first.request_first_finish) == len(workload.arrival_times())
-
-    def test_sim_different_seeds_differ(self):
-        deployment = Deployment("LAN4", "small", 4, 1, (Region.FRA1,) * 4, 100)
-        workload = Workload(rate=5, duration=2.0, payload_bytes=64)
-        runs = {}
-        for seed in (1, 2):
-            plan = FaultPlan(seed=seed, default=LinkFaults(drop=0.3))
-            runs[seed] = SimulatedThetaNetwork(
-                deployment, "cks05", fault_plan=plan
-            ).run(workload)
-        assert runs[1].faults_injected != runs[2].faults_injected
-
     def test_service_chaos_reproducible(self, all_keys):
         """Two fresh clusters under the same seeded plan both finalize and
         agree on the result, with corrupted shares visibly rejected."""

@@ -16,6 +16,7 @@ flags) against a pinned budget.
 
 import ast
 import dataclasses
+import inspect
 import modulefinder
 import re
 import sys
@@ -318,6 +319,17 @@ NODE_CONFIG_FIELDS = (
     "overload_retry_after",
 )
 DAEMON_FLAGS = ("--config", "--keystore", "--verbose")
+#: A chaos scenario.  A crash is ``LocalCluster.stop``/``restart``, not a
+#: field: isolating a node is a ``Partition``.
+FAULT_PLAN_FIELDS = (
+    "seed", "default", "links", "partitions", "byzantine", "byzantine_rate",
+    "reorder_hold",
+)
+#: The simulator models the paper's fault-free testbed; chaos runs against
+#: the real service (``LocalCluster(fault_plan=)``).
+SIMULATOR_PARAMETERS = (
+    "deployment", "scheme", "cost_model", "latency_model", "kg20_over_tob",
+)
 
 
 def test_node_config_fields_are_the_budget():
@@ -335,3 +347,44 @@ def test_daemon_flags_are_the_budget():
         and getattr(node.func, "attr", None) == "add_argument"
     )
     assert flags == DAEMON_FLAGS
+
+
+def test_fault_plan_fields_are_the_budget():
+    from repro.network.faults import FaultPlan
+
+    assert tuple(f.name for f in dataclasses.fields(FaultPlan)) == FAULT_PLAN_FIELDS
+
+
+def test_simulator_parameters_are_the_budget():
+    from repro.sim.cluster import SimulatedThetaNetwork
+
+    parameters = tuple(inspect.signature(SimulatedThetaNetwork).parameters)
+    assert parameters == SIMULATOR_PARAMETERS
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of the ``repro`` modules one file imports."""
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join([*base, *([node.module] if node.module else [])])
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_simulator_does_not_import_the_network_layer():
+    offenders = {
+        _module_name(path): sorted(
+            name for name in _imported_modules(path)
+            if name == "repro.network" or name.startswith("repro.network.")
+        )
+        for path in sorted((SRC / "repro" / "sim").rglob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
